@@ -71,7 +71,7 @@ func main() {
 		logLevel   = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		faultSpec  = flag.String("fault-spec", "", `server-wide fault injection spec, e.g. "seed=7;whatif:error:0.10" (sites: whatif, stats, import; kinds: error, latency, panic)`)
 		stateDir   = flag.String("state-dir", "", "directory for session checkpoints; killed sessions resume from here on restart")
-		deriveMode = flag.String("derive", "on", "cost-derivation default for sessions that do not set options.derive: off | on | verify; the recommendation does not depend on it")
+		deriveMode = flag.String("derive", "on", "cost-derivation default for sessions that do not set options.derive: on | verify; the recommendation does not depend on it")
 		poolTTL    = flag.Duration("pool-retention", 0, "how long completed sessions keep their costed pool for PATCH /sessions/{id} revision (0 = forever)")
 		driftThr   = flag.Float64("drift-threshold", service.DefaultDriftThreshold, "drift score at which a continuous tuning daemon re-tunes, for daemons that do not set drift.threshold")
 	)

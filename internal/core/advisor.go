@@ -40,10 +40,11 @@ type Tuner interface {
 
 // AlternativesTuner is an optional Tuner extension: a backend that can
 // return the plan skeleton of the optimized statement together with its cost
-// (one optimization, charged as one what-if call). With Options.Derive
-// enabled the evaluator probes for it and, when present, feeds the skeletons
-// to the derivation engine so composite-configuration costs replay from a
-// single atomic call per event instead of a lattice walk.
+// (one optimization, charged as one what-if call). The evaluator builds a
+// derivation engine iff the backend implements it: the engine fetches one
+// skeleton per (event, candidate pool) and replays every configuration's
+// cost from it. A Tuner without it is costed by plain real calls — the
+// oracle derivation is tested against.
 type AlternativesTuner interface {
 	WhatIfAlternativesCost(stmt sqlparser.Statement, cfg *catalog.Configuration) (float64, []string, *optimizer.Alternatives, error)
 }
@@ -140,14 +141,15 @@ type Options struct {
 	// candidates (default 48; 0 keeps the default, negative disables).
 	CandidatePoolCap int
 
-	// Derive selects the cost-derivation layer's mode (off, on, verify).
-	// When enabled, cost-cache misses are answered, where provably exact,
-	// by algebraic derivation from previously observed plan facts instead
-	// of a what-if optimizer call (INUM/CoPhy-style); recommendations are
-	// byte-identical to derive-off runs, only the optimizer call count
-	// drops. Verify cross-checks every derived cost against a real call
-	// and fails the session on divergence beyond derive.VerifyTolerance.
-	// The zero value is off.
+	// Derive selects the cost-derivation layer's mode: on (also the zero
+	// value) or verify. SELECT cost-cache misses are answered by replaying
+	// a plan skeleton fetched once per (event, candidate pool) instead of a
+	// what-if optimizer call each (INUM/CoPhy-style); recommendations are
+	// byte-identical to a real-call evaluator's, only the optimizer call
+	// count drops. Verify cross-checks every derived cost against a real
+	// call and fails the session on divergence beyond
+	// derive.VerifyTolerance. Backends without AlternativesTuner are costed
+	// by real calls regardless.
 	Derive derive.Mode
 
 	// NoMerging disables the merging step (for ablation).
@@ -361,13 +363,13 @@ type Recommendation struct {
 	SkippedEvents int
 	WhatIfCalls   int64
 	// DerivedEvals counts cost evaluations answered by the derivation
-	// layer (Options.Derive) instead of a what-if optimizer call; zero
-	// with derivation off.
+	// layer instead of a what-if optimizer call; zero over a backend
+	// without plan skeletons.
 	DerivedEvals int64
-	// DeriveFallbacks breaks down, by reason (dml, atom, stats-epoch,
-	// eval-error, used-escape), the evaluations the derivation layer
-	// declined and answered with a real optimizer call; nil with
-	// derivation off.
+	// DeriveFallbacks breaks down, by reason (dml, atom, eval-error,
+	// used-escape; SELECT reasons also with a -join suffix), the real
+	// optimizer calls behind derivation: skeleton fetches (atom) and the
+	// evaluations replay could not answer; nil without an engine.
 	DeriveFallbacks map[string]int64
 	StatsCreated    int
 	Duration        time.Duration
@@ -415,6 +417,11 @@ func Tune(t Tuner, w *workload.Workload, opts Options) (*Recommendation, error) 
 // layer.
 func TuneContext(ctx context.Context, t Tuner, w *workload.Workload, opts Options) (*Recommendation, error) {
 	opts = opts.withDefaults()
+	mode, err := derive.ParseMode(string(opts.Derive))
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	opts.Derive = mode
 	start := time.Now()
 	// The tune span is the pipeline's root: under the service it nests in
 	// the session span, standalone (dta -trace) it is the timeline itself.
@@ -504,13 +511,7 @@ func buildCostedState(ctx context.Context, t Tuner, w *workload.Workload, opts O
 	tr.eventsTotal = tuned.Len()
 	tuneSpan.SetArg("events", tuned.Len()).SetArg("compressed", compressed)
 
-	ev := newEvaluator(t, tuned)
-	if _, err := derive.ParseMode(string(opts.Derive)); err != nil {
-		return nil, nil, fmt.Errorf("core: %w", err)
-	}
-	if opts.Derive.Enabled() {
-		ev.enableDerive(opts.Derive)
-	}
+	ev := newEvaluator(t, tuned, opts.Derive)
 	if opts.Resume != nil {
 		ev.warmStart(opts.Resume.Cache)
 	}

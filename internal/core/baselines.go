@@ -55,7 +55,7 @@ func TuneStaged(t Tuner, w *workload.Workload, opts Options, stages []FeatureMas
 		return nil, fmt.Errorf("core: no stages")
 	}
 	// Rebase the final report against the original base configuration.
-	ev := newEvaluator(t, w)
+	ev := newEvaluator(t, w, "")
 	baseCost, err := ev.configCost(base)
 	if err != nil {
 		return nil, err

@@ -85,13 +85,13 @@ func selectCandidates(t Tuner, ev *evaluator, tr *tracker, w *workload.Workload,
 			}
 			statsCreated += created
 			if created > 0 {
-				// New statistics change optimizer estimates; plan facts
-				// recorded before them no longer predict fresh calls.
+				// New statistics change optimizer estimates; skeletons
+				// fetched before them no longer predict fresh calls.
 				ev.bumpDeriveEpoch()
 			}
 			// This query's candidates are the structure pool its greedy
-			// search draws from — the derivation lattice tops for the
-			// evaluations about to run. Set sequentially here (like the
+			// search draws from — what the derivation engine's tops for the
+			// evaluations about to run are built from. Set sequentially here (like the
 			// statistics), so tops never depend on scheduling.
 			ev.setDerivePool(cands)
 

@@ -99,8 +99,6 @@ func (ev *evaluator) snapshotCache() []CachedCost {
 // Called before tuning starts, while the evaluator is still single-owner.
 func (ev *evaluator) warmStart(cs []CachedCost) {
 	for _, c := range cs {
-		ready := make(chan struct{})
-		close(ready)
-		ev.cache[c.Key] = &cacheEntry{ready: ready, cost: c.Cost, used: c.Used}
+		ev.cache[c.Key] = &cacheEntry{ready: closedReady, cost: c.Cost, used: c.Used}
 	}
 }

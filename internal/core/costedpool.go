@@ -129,8 +129,8 @@ type CostedPool struct {
 	// Cache holds the cost cache's completed entries (the costed atoms),
 	// sorted by key — the same representation checkpoints persist.
 	Cache []CachedCost `json:"cache,omitempty"`
-	// Derive is the derivation engine's fact snapshot (nil with derive
-	// off).
+	// Derive is the derivation engine's skeleton snapshot (nil when the
+	// backend offered no skeletons).
 	Derive *derive.Snapshot `json:"derive,omitempty"`
 	// Knobs pins the pipeline parameters the pool was costed under.
 	Knobs PoolKnobs `json:"knobs"`
@@ -224,6 +224,11 @@ func Revise(ctx context.Context, t Tuner, pool *CostedPool, cons Constraints, op
 		return nil, fmt.Errorf("core: nil costed pool")
 	}
 	opts = pool.Knobs.apply(opts).withDefaults()
+	mode, err := derive.ParseMode(string(opts.Derive))
+	if err != nil {
+		return nil, fmt.Errorf("core: costed pool: %w", err)
+	}
+	opts.Derive = mode
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "pipeline", "revise")
 	defer span.End()
@@ -276,11 +281,8 @@ func Revise(ctx context.Context, t Tuner, pool *CostedPool, cons Constraints, op
 		statsCreated += created
 	}
 
-	ev := newEvaluator(t, w)
-	if opts.Derive.Enabled() {
-		ev.enableDerive(opts.Derive)
-		ev.drv.Restore(pool.Derive)
-	}
+	ev := newEvaluator(t, w, opts.Derive)
+	ev.drv.Restore(pool.Derive)
 	ev.warmStart(pool.Cache)
 	ev.attach(tr)
 	tr.eventsTotal = w.Len()

@@ -1,14 +1,18 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/derive"
+	"repro/internal/obs"
 	"repro/internal/optimizer"
 	"repro/internal/sqlparser"
 	"repro/internal/whatif"
@@ -33,61 +37,81 @@ func planFingerprint(rec *Recommendation) string {
 	return s
 }
 
+// realCallTuner hides the backend's AlternativesTuner, so the evaluator runs
+// without a derivation engine and every miss is a real call: the oracle that
+// derived costs and recommendations must equal.
+type realCallTuner struct{ Tuner }
+
 // TestDeriveModeEquivalence runs the full advisor over a mixed workload
-// (selective lookups, aggregations, a join, an update) with derivation off,
-// on, and verifying, each at parallelism 1 and 4. Every mode and level must
-// produce the identical recommendation; within a mode the what-if call count
-// must not depend on parallelism; and derivation must actually cut calls.
+// (selective lookups, aggregations, a join, an update) against the real-call
+// oracle, deriving, and verifying, each at parallelism 1 and 4. Every leg
+// must produce the identical recommendation; within a leg the what-if call
+// count must not depend on parallelism; and derivation must actually cut
+// calls.
 func TestDeriveModeEquivalence(t *testing.T) {
 	type leg struct {
+		name string
 		mode derive.Mode
 		par  int
 	}
-	legs := []leg{
-		{derive.Off, 1}, {derive.Off, 4},
-		{derive.On, 1}, {derive.On, 4},
-		{derive.Verify, 1}, {derive.Verify, 4},
+	const oracle = "real-call"
+	var legs []leg
+	for _, name := range []string{oracle, "on", "verify"} {
+		for _, par := range []int{1, 4} {
+			l := leg{name: name, par: par}
+			if name != oracle {
+				l.mode = derive.Mode(name)
+			}
+			legs = append(legs, l)
+		}
 	}
-	prints := map[leg]string{}
-	calls := map[leg]int64{}
-	derived := map[leg]int64{}
+	prints := map[string]string{}
+	calls := map[string]int64{}
+	derived := map[string]int64{}
+	id := func(name string, par int) string { return fmt.Sprintf("%s/P%d", name, par) }
 	for _, l := range legs {
-		s := testServer(t)
+		var s Tuner = testServer(t)
+		if l.name == oracle {
+			s = realCallTuner{s}
+		}
 		rec, err := Tune(s, parallelWorkload(t), Options{Parallelism: l.par, Derive: l.mode})
 		if err != nil {
-			t.Fatalf("%v/P%d: %v", l.mode, l.par, err)
+			t.Fatalf("%s: %v", id(l.name, l.par), err)
 		}
-		prints[l] = planFingerprint(rec)
-		calls[l] = rec.WhatIfCalls
-		derived[l] = rec.DerivedEvals
+		prints[id(l.name, l.par)] = planFingerprint(rec)
+		calls[id(l.name, l.par)] = rec.WhatIfCalls
+		derived[id(l.name, l.par)] = rec.DerivedEvals
+		if l.name == oracle && rec.DeriveFallbacks != nil {
+			t.Errorf("%s: a skeleton-less backend must run without an engine, got fallbacks %v", id(l.name, l.par), rec.DeriveFallbacks)
+		}
 	}
-	ref := prints[legs[0]]
+	ref := prints[id(oracle, 1)]
 	for _, l := range legs[1:] {
-		if prints[l] != ref {
-			t.Errorf("recommendation drifts under %v/P%d:\n--- off/P1 ---\n%s--- %v/P%d ---\n%s",
-				l.mode, l.par, ref, l.mode, l.par, prints[l])
+		if got := prints[id(l.name, l.par)]; got != ref {
+			t.Errorf("recommendation drifts under %s:\n--- %s ---\n%s--- %s ---\n%s",
+				id(l.name, l.par), id(oracle, 1), ref, id(l.name, l.par), got)
 		}
 	}
-	for _, m := range []derive.Mode{derive.Off, derive.On, derive.Verify} {
-		if calls[leg{m, 1}] != calls[leg{m, 4}] {
-			t.Errorf("%v: WhatIfCalls depends on parallelism: P1=%d P4=%d", m, calls[leg{m, 1}], calls[leg{m, 4}])
+	for _, name := range []string{oracle, "on", "verify"} {
+		if calls[id(name, 1)] != calls[id(name, 4)] {
+			t.Errorf("%s: WhatIfCalls depends on parallelism: P1=%d P4=%d", name, calls[id(name, 1)], calls[id(name, 4)])
 		}
 	}
-	if calls[leg{derive.On, 1}] >= calls[leg{derive.Off, 1}] {
-		t.Errorf("derivation must reduce what-if calls: on=%d off=%d", calls[leg{derive.On, 1}], calls[leg{derive.Off, 1}])
+	if calls[id("on", 1)] >= calls[id(oracle, 1)] {
+		t.Errorf("derivation must reduce what-if calls: on=%d oracle=%d", calls[id("on", 1)], calls[id(oracle, 1)])
 	}
-	if derived[leg{derive.On, 1}] == 0 || derived[leg{derive.Verify, 1}] == 0 {
-		t.Error("DerivedEvals must be > 0 with derivation enabled")
+	if derived[id("on", 1)] == 0 || derived[id("verify", 1)] == 0 {
+		t.Error("DerivedEvals must be > 0 with a skeleton backend")
 	}
-	if derived[leg{derive.Off, 1}] != 0 {
-		t.Error("DerivedEvals must be 0 with derivation off")
+	if derived[id(oracle, 1)] != 0 {
+		t.Error("DerivedEvals must be 0 on the real-call oracle")
 	}
 }
 
 // TestDeriveMatchesRealCostsOnRandomConfigs is the equivalence property at
 // the evaluator level: over seeded-random configurations drawn from a pool
-// of indexes and views, every derived (cost, used) pair equals the pair a
-// derivation-free evaluator computes with real optimizer calls — exactly,
+// of indexes and views, every derived (cost, used) pair equals the pair the
+// real-call oracle (an evaluator over a skeleton-less tuner) computes — exactly,
 // not within a tolerance. The workload mixes single-scope statements with
 // multi-scope join templates (selective join, grouped join, ordered join)
 // so both flat replay and composed join-skeleton replay are exercised, and
@@ -130,10 +154,12 @@ func TestDeriveMatchesRealCostsOnRandomConfigs(t *testing.T) {
 		)},
 	}
 
-	evOn := newEvaluator(s, w)
-	evOn.enableDerive(derive.On)
+	evOn := newEvaluator(s, w, derive.On)
 	evOn.setDerivePool(pool)
-	evOff := newEvaluator(s, w)
+	evOff := newEvaluator(realCallTuner{s}, w, derive.On)
+	if evOff.drv != nil {
+		t.Fatal("a skeleton-less tuner must not get a derivation engine")
+	}
 
 	rnd := rand.New(rand.NewSource(20260808))
 	for trial := 0; trial < 150; trial++ {
@@ -150,7 +176,7 @@ func TestDeriveMatchesRealCostsOnRandomConfigs(t *testing.T) {
 			}
 			cOff, uOff, err := evOff.eventCostByIndex(i, cfg)
 			if err != nil {
-				t.Fatalf("trial %d event %d (derive off): %v", trial, i, err)
+				t.Fatalf("trial %d event %d (real-call oracle): %v", trial, i, err)
 			}
 			if cOn != cOff {
 				t.Fatalf("trial %d event %d: derived cost %v != real cost %v", trial, i, cOn, cOff)
@@ -164,7 +190,7 @@ func TestDeriveMatchesRealCostsOnRandomConfigs(t *testing.T) {
 		t.Fatal("no derivations happened; the property test is vacuous")
 	}
 	if evOn.calls.Load() >= evOff.calls.Load() {
-		t.Fatalf("derivation must cut real calls: on=%d off=%d", evOn.calls.Load(), evOff.calls.Load())
+		t.Fatalf("derivation must cut real calls: on=%d oracle=%d", evOn.calls.Load(), evOff.calls.Load())
 	}
 }
 
@@ -272,5 +298,231 @@ func TestDeriveVerifyCatchesBadJoinSkeleton(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "verify mismatch") {
 		t.Fatalf("expected a verify mismatch error, got: %v", err)
+	}
+}
+
+// TestDeriveModeNormalisedAtBoundary: Options.Derive is parsed once, case-
+// insensitively, where Tune and Revise accept it, so "Verify" verifies and
+// "ON" derives instead of silently running without an engine; the removed
+// "off" and unknown modes fail with the parser's message.
+func TestDeriveModeNormalisedAtBoundary(t *testing.T) {
+	w := workload.MustNew(
+		"SELECT id FROM t WHERE x = 42",
+		"SELECT a, COUNT(*) FROM t WHERE x < 100 GROUP BY a",
+	)
+	for _, c := range []struct {
+		mode    derive.Mode
+		verify  bool   // cross-checks must have run
+		wantErr string // substring of the expected error ("" = success)
+	}{
+		{"", false, ""},
+		{"on", false, ""},
+		{"ON", false, ""},
+		{"Verify", true, ""},
+		{"off", false, "was removed"},
+		{"bogus", false, "unknown mode"},
+	} {
+		t.Run("mode="+string(c.mode), func(t *testing.T) {
+			srv := testServer(t)
+			var pool *CostedPool
+			reg := obs.NewRegistry()
+			rec, err := Tune(srv, w, Options{Derive: c.mode, Metrics: reg, PoolSink: func(p *CostedPool) { pool = p }})
+			if c.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+					t.Fatalf("Tune error = %v, want one containing %q", err, c.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.DerivedEvals == 0 {
+				t.Fatal("no derived evaluations: the mode was accepted but ran without an engine")
+			}
+			checks := reg.Counter("dta_derive_verify_total", "", "result", "match").Value()
+			if c.verify != (checks > 0) {
+				t.Fatalf("verify cross-checks = %v, want verification %v", checks, c.verify)
+			}
+			want := derive.On
+			if c.verify {
+				want = derive.Verify
+			}
+			if pool == nil || pool.Knobs.Derive != want {
+				t.Fatalf("pool knobs carry %q, want the normalised %q", pool.Knobs.Derive, want)
+			}
+
+			// Revise normalises the same way: the knob as a user might have
+			// spelled it in a hand-edited pool (cost cache dropped, so the
+			// revision has to derive from the pool's skeletons again).
+			pool.Knobs.Derive = c.mode
+			pool.Cache = nil
+			reg = obs.NewRegistry()
+			rev, err := Revise(context.Background(), srv, pool, Constraints{StorageBudget: 1 << 20}, Options{Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rev.DerivedEvals == 0 {
+				t.Fatal("revision ran without an engine")
+			}
+			checks = reg.Counter("dta_derive_verify_total", "", "result", "match").Value()
+			if c.verify != (checks > 0) {
+				t.Fatalf("revise: verify cross-checks = %v, want verification %v", checks, c.verify)
+			}
+		})
+	}
+
+	// A persisted pool costed under the removed mode is rejected by name.
+	_, err := Revise(context.Background(), testServer(t), &CostedPool{Knobs: PoolKnobs{Derive: "off"}}, Constraints{}, Options{})
+	if err == nil || !strings.Contains(err.Error(), "was removed") {
+		t.Fatalf("Revise over a derive=off pool: %v, want the removal message", err)
+	}
+}
+
+// TestConcurrentSubsetsShareOneSkeletonFetch: goroutines costing distinct
+// configurations of one event at the same time coalesce onto a single
+// skeleton fetch — one backend call in total — and read the costs the
+// real-call oracle computes, whatever GOMAXPROCS is.
+func TestConcurrentSubsetsShareOneSkeletonFetch(t *testing.T) {
+	w := workload.MustNew("SELECT id, amt FROM t WHERE x = 42 AND a = 7")
+	pool := []catalog.Structure{
+		{Index: catalog.NewIndex("t", "x")},
+		{Index: catalog.NewIndex("t", "a")},
+		{Index: catalog.NewIndex("t", "x", "a")},
+		{Index: catalog.NewIndex("t", "a", "x").WithInclude("amt")},
+	}
+	var cfgs []*catalog.Configuration
+	for mask := 0; mask < 1<<len(pool); mask++ {
+		cfg := catalog.NewConfiguration()
+		for b, st := range pool {
+			if mask&(1<<b) != 0 {
+				st.ApplyTo(cfg)
+			}
+		}
+		cfgs = append(cfgs, cfg)
+	}
+	srv := testServer(t)
+	oracle := newEvaluator(realCallTuner{srv}, w, "")
+	want := make([]float64, len(cfgs))
+	for j, cfg := range cfgs {
+		c, _, err := oracle.eventCostByIndex(0, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[j] = c
+	}
+
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("P=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			a := &altCountingTuner{Server: srv}
+			ev := newEvaluator(a, w, "")
+			ev.setDerivePool(pool)
+			got := make([]float64, len(cfgs))
+			errs := make([]error, len(cfgs))
+			var wg sync.WaitGroup
+			for j, cfg := range cfgs {
+				wg.Add(1)
+				go func(j int, cfg *catalog.Configuration) {
+					defer wg.Done()
+					got[j], _, errs[j] = ev.eventCostByIndex(0, cfg)
+				}(j, cfg)
+			}
+			wg.Wait()
+			for j := range cfgs {
+				if errs[j] != nil {
+					t.Fatal(errs[j])
+				}
+				if got[j] != want[j] {
+					t.Errorf("configuration %d: derived cost %v != oracle cost %v", j, got[j], want[j])
+				}
+			}
+			if a.served.Load() != 1 || ev.calls.Load() != 1 {
+				t.Fatalf("backend served %d calls (accounted %d), want exactly one skeleton fetch", a.served.Load(), ev.calls.Load())
+			}
+			if by := ev.drv.FallbacksByReason(); by[derive.ReasonAtom] != 1 || len(by) != 1 {
+				t.Fatalf("fallbacks = %v, want exactly one atom", by)
+			}
+		})
+	}
+}
+
+// TestDeriveFallbacksSumToWhatIfCalls: on a fault-free run every accounted
+// what-if call has exactly one fallback behind it — a skeleton fetch (atom)
+// or a DML evaluation — so the per-reason breakdown sums to WhatIfCalls and
+// holds no other key.
+func TestDeriveFallbacksSumToWhatIfCalls(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		rec, err := Tune(testServer(t), parallelWorkload(t), Options{Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum int64
+		for reason, n := range rec.DeriveFallbacks {
+			switch reason {
+			case derive.ReasonDML, derive.ReasonAtom, derive.ReasonAtom + "-join":
+				sum += n
+			default:
+				t.Errorf("P=%d: unexpected fallback reason %q on a fault-free run: %v", par, reason, rec.DeriveFallbacks)
+			}
+		}
+		if rec.DeriveFallbacks[derive.ReasonDML] == 0 || rec.DeriveFallbacks[derive.ReasonAtom] == 0 || rec.DeriveFallbacks[derive.ReasonAtom+"-join"] == 0 {
+			t.Errorf("P=%d: workload must exercise dml, atom and atom-join: %v", par, rec.DeriveFallbacks)
+		}
+		if sum != rec.WhatIfCalls {
+			t.Errorf("P=%d: Σ fallbacks = %d, WhatIfCalls = %d (%v)", par, sum, rec.WhatIfCalls, rec.DeriveFallbacks)
+		}
+	}
+}
+
+// flakyAltTuner fails every alternatives call while down is set, and can
+// strip the skeleton from the ones it serves.
+type flakyAltTuner struct {
+	*whatif.Server
+	down, noSkeleton atomic.Bool
+}
+
+func (f *flakyAltTuner) WhatIfAlternativesCost(stmt sqlparser.Statement, cfg *catalog.Configuration) (float64, []string, *optimizer.Alternatives, error) {
+	if f.down.Load() {
+		return 0, nil, nil, fmt.Errorf("alternatives endpoint down")
+	}
+	cost, used, alts, err := f.Server.WhatIfAlternativesCost(stmt, cfg)
+	if f.noSkeleton.Load() {
+		alts = nil
+	}
+	return cost, used, alts, err
+}
+
+// TestDeriveFallbackProducersThroughEvaluator shows the evaluator-level
+// producers of the two non-routine reasons: a failed skeleton fetch
+// (eval-error) and a backend that returns no skeleton (used-escape) both
+// leave the evaluation to the caller's ordinary real call, which still
+// returns the oracle's cost.
+func TestDeriveFallbackProducersThroughEvaluator(t *testing.T) {
+	w := workload.MustNew("SELECT id FROM t WHERE x = 42")
+	cfg := catalog.NewConfiguration()
+	cfg.AddIndex(catalog.NewIndex("t", "x"))
+	srv := testServer(t)
+	want, _, err := newEvaluator(realCallTuner{srv}, w, "").eventCostByIndex(0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for reason, breakIt := range map[string]func(*flakyAltTuner){
+		derive.ReasonError:  func(f *flakyAltTuner) { f.down.Store(true) },
+		derive.ReasonEscape: func(f *flakyAltTuner) { f.noSkeleton.Store(true) },
+	} {
+		f := &flakyAltTuner{Server: srv}
+		breakIt(f)
+		ev := newEvaluator(f, w, "")
+		got, _, err := ev.eventCostByIndex(0, cfg)
+		if err != nil || got != want {
+			t.Fatalf("%s: cost %v, %v; want the oracle's %v", reason, got, err, want)
+		}
+		if by := ev.drv.FallbacksByReason(); by[reason] != 1 || by[derive.ReasonAtom] != 1 {
+			t.Fatalf("%s: fallbacks = %v", reason, by)
+		}
+		if ev.drv.Derivations() != 0 {
+			t.Fatalf("%s: nothing may be derived from a broken fetch", reason)
+		}
 	}
 }

@@ -48,9 +48,12 @@ type evaluator struct {
 	// parallelism.
 	calls atomic.Int64
 
-	// drv, when non-nil, is the session's cost-derivation engine
-	// (Options.Derive): cache-miss leaders consult it before reaching the
-	// optimizer, and every successful real call feeds it a plan fact.
+	// drv is the session's cost-derivation engine, present iff the backend
+	// returns plan skeletons (AlternativesTuner): cache-miss leaders resolve
+	// SELECT costs through it, and it fetches the skeletons it needs with
+	// real calls of its own. Over a skeleton-less backend it is nil and
+	// every miss is a plain real call — the oracle derivation is tested
+	// against.
 	drv *derive.Engine
 
 	// weights, when non-nil, overrides each event's workload weight in
@@ -79,6 +82,9 @@ type cacheEntry struct {
 	err   error
 }
 
+// closedReady is the ready channel of entries that never were in flight.
+var closedReady = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
+
 type eventInfo struct {
 	q      *optimizer.QueryInfo
 	tables map[string]bool
@@ -105,8 +111,13 @@ func (info *eventInfo) coversAnyScope(ix *catalog.Index) bool {
 	return false
 }
 
-func newEvaluator(t Tuner, w *workload.Workload) *evaluator {
+// newEvaluator analyzes the workload and, iff the backend can return plan
+// skeletons, installs a derivation engine in the given mode ("" = on).
+func newEvaluator(t Tuner, w *workload.Workload, mode derive.Mode) *evaluator {
 	ev := &evaluator{t: t, events: w.Events, cache: map[string]*cacheEntry{}}
+	if _, ok := t.(AlternativesTuner); ok {
+		ev.drv = derive.New(mode)
+	}
 	for _, e := range w.Events {
 		info := &eventInfo{tables: map[string]bool{}, refCols: map[string]bool{}, required: map[string][][]string{}}
 		if q, err := optimizer.Analyze(t.Catalog(), e.Stmt); err == nil {
@@ -232,7 +243,7 @@ func (ev *evaluator) prepareConfig(cfg *catalog.Configuration) *preparedConfig {
 
 // relevant returns the configuration structures that can affect the event,
 // sorted by key — the set behind both the cost-cache key and the derivation
-// engine's lattice nodes.
+// engine's tops.
 func (pc *preparedConfig) relevant(info *eventInfo) []derive.Keyed {
 	var out []derive.Keyed
 	for i := range pc.recs {
@@ -290,9 +301,9 @@ func (info *eventInfo) viewRelevant(v *catalog.MaterializedView) bool {
 
 // additiveRelevant reports whether a candidate-pool structure is an additive
 // plan alternative for this (SELECT) event — the filter behind the
-// derivation engine's lattice tops. It mirrors relevantStructures' query
-// branch for non-clustered indexes and views; clustered indexes and
-// partitionings reshape base tables and are never pool-added to a lattice.
+// derivation engine's tops. It mirrors relevant's query branch for
+// non-clustered indexes and views; clustered indexes and partitionings
+// reshape base tables and are never pool-added to a top.
 func (info *eventInfo) additiveRelevant(s catalog.Structure) bool {
 	switch {
 	case s.Index != nil:
@@ -374,107 +385,79 @@ func (ev *evaluator) eventCost(i int, pc *preparedConfig) (float64, []string, er
 			// Update overhead depends on the full index set — costs are not
 			// plan-set monotone — so DML always takes the real call.
 			ev.drv.FallbackDML(i)
-		} else if res, ok := ev.drv.Resolve(i, len(info.q.Scopes) > 1, rel, info.additiveRelevant, func(node *catalog.Configuration, fresh bool) (float64, []string, error) {
-			if fresh {
-				return ev.freshNodeCost(i, node)
+		} else if res, ok := ev.drv.Resolve(i, len(info.q.Scopes) > 1, rel, info.additiveRelevant, func(top *catalog.Configuration) (float64, []string, *optimizer.Alternatives, error) {
+			c, used, alts, err := ev.realCall(i, top, true)
+			if err == nil {
+				ev.remember(i, top, c, used)
 			}
-			return ev.eventCostByIndex(i, node)
+			return c, used, alts, err
 		}); ok {
 			if err := ev.verifyDerived(i, cfg, res); err != nil {
 				return fail(err)
 			}
 			// A derived answer is a fourth cache outcome: no optimizer call
-			// happened, so neither ev.calls, the tracker's call accounting,
-			// nor the circuit breaker hears about it.
+			// happened for it, so neither ev.calls, the tracker's call
+			// accounting, nor the circuit breaker hears about it (the
+			// skeleton fetch behind it accounted for itself).
 			ev.count(ev.mDerived)
 			ce.cost, ce.used = res.Cost, res.Used
 			close(ce.ready)
 			return ce.cost, ce.used, nil
 		}
 	}
+	c, used, _, err := ev.realCall(i, cfg, false)
+	if err != nil {
+		return fail(err)
+	}
+	ce.cost, ce.used = c, used
+	close(ce.ready)
+	return c, used, nil
+}
+
+// remember files a skeleton fetch's (cost, used) answer under the top's own
+// cost-cache key, unless that key is already cached or in flight. The fetch
+// is a real call's product like any other, so checkpoints and sealed pools
+// persist it: a resumed session that asks for the top itself pays nothing.
+func (ev *evaluator) remember(i int, top *catalog.Configuration, cost float64, used []string) {
+	key := itoa(i) + "\x00" + ev.relevantKey(ev.prepareConfig(top).relevant(ev.infos[i]))
+	ev.mu.Lock()
+	if _, ok := ev.cache[key]; !ok {
+		ev.cache[key] = &cacheEntry{ready: closedReady, cost: cost, used: used}
+	}
+	ev.mu.Unlock()
+}
+
+// realCall issues one accounted optimizer call — a cache-miss leader's own,
+// or the derivation engine's skeleton fetch (wantAlts) — inside a what-if
+// span, and maps its failure onto the session's stop protocol: errStopped
+// when the session is winding down or degrades because of it, the backend's
+// error when the call was critical.
+func (ev *evaluator) realCall(i int, cfg *catalog.Configuration, wantAlts bool) (float64, []string, *optimizer.Alternatives, error) {
 	ev.count(ev.mMisses)
 	_, sp := obs.StartSpan(ev.tr.spanCtx(), "whatif", "what-if")
-	c, used, alts, err := ev.whatIfCall(i, cfg, ev.drv != nil && !info.isDML)
+	c, used, alts, err := ev.whatIfCall(i, cfg, wantAlts)
 	if err != nil {
 		sp.SetArg("event", i).SetArg("error", err.Error()).End()
 		if ev.tr.ctxStopped() {
 			// Cancelled (or already degraded) mid-retry: wind down without
 			// charging the failure to the backend.
-			return fail(errStopped)
+			return 0, nil, nil, errStopped
 		}
 		if !ev.tr.critical() {
 			// A call that failed every retry during the search proper
 			// degrades the session — the best-so-far design is still worth
 			// returning — instead of failing it outright.
 			ev.tr.degrade()
-			return fail(errStopped)
+			return 0, nil, nil, errStopped
 		}
-		return fail(err)
+		return 0, nil, nil, err
 	}
 	sp.SetArg("event", i).SetArg("cost", c).End()
-	if ev.drv != nil && !info.isDML {
-		// Every successful real call doubles as an atomic plan fact other
-		// configurations of this event can derive from; when the backend
-		// returned a plan skeleton, the fact answers every sub-configuration
-		// by selection replay.
-		ev.drv.Record(i, rel, c, used, alts)
-	}
-	ce.cost, ce.used = c, used
-	close(ce.ready)
-	return c, used, nil
-}
-
-// freshNodeCost issues a current-epoch real call for a walk node whose
-// normal cache entry predates the statistics epoch, without touching that
-// entry: a derive-off evaluator would keep serving the stale first-touch
-// cost for the node itself, and derivation must reproduce exactly that
-// behaviour, so the repair result is visible only to the derive fact
-// database. The call is single-flighted under a (event, epoch, node) key
-// disjoint from normal cache keys, keeping repair call counts independent
-// of parallelism.
-func (ev *evaluator) freshNodeCost(i int, cfg *catalog.Configuration) (float64, []string, error) {
-	pc := ev.prepareConfig(cfg)
-	info := ev.infos[i]
-	rel := pc.relevant(info)
-	key := "fresh\x00" + itoa(i) + "\x00" + itoa(int(ev.drv.Epoch())) + "\x00" + ev.relevantKey(rel)
-	ev.mu.Lock()
-	if ce, ok := ev.cache[key]; ok {
-		ev.mu.Unlock()
-		<-ce.ready
-		return ce.cost, ce.used, ce.err
-	}
-	ce := &cacheEntry{ready: make(chan struct{})}
-	ev.cache[key] = ce
-	ev.mu.Unlock()
-	fail := func(err error) (float64, []string, error) {
-		ce.err = err
-		ev.mu.Lock()
-		delete(ev.cache, key)
-		ev.mu.Unlock()
-		close(ce.ready)
-		return 0, nil, err
-	}
-	if ev.tr.ctxStopped() {
-		return fail(errStopped)
-	}
-	c, used, alts, err := ev.whatIfCall(i, pc.cfg, true)
-	if err != nil {
-		return fail(err)
-	}
-	ev.drv.Record(i, rel, c, used, alts)
-	ce.cost, ce.used = c, used
-	close(ce.ready)
-	return c, used, nil
-}
-
-// enableDerive installs a cost-derivation engine (Options.Derive). Must be
-// called before any evaluation so the fact database covers every real call.
-func (ev *evaluator) enableDerive(mode derive.Mode) {
-	ev.drv = derive.New(mode)
+	return c, used, alts, nil
 }
 
 // setDerivePool hands the derivation engine the candidate pool of the
-// search phase about to run; a no-op with derivation off.
+// search phase about to run; a no-op without an engine.
 func (ev *evaluator) setDerivePool(cands []catalog.Structure) {
 	if ev.drv == nil {
 		return
@@ -486,8 +469,8 @@ func (ev *evaluator) setDerivePool(cands []catalog.Structure) {
 	ev.drv.SetPool(pool)
 }
 
-// bumpDeriveEpoch invalidates derivation facts after statistics creation; a
-// no-op with derivation off.
+// bumpDeriveEpoch invalidates plan skeletons after statistics creation; a
+// no-op without an engine.
 func (ev *evaluator) bumpDeriveEpoch() { ev.drv.BumpEpoch() }
 
 // verifyDerived cross-checks a derived cost against a real optimizer call
@@ -529,15 +512,14 @@ func (ev *evaluator) verifyDerived(i int, cfg *catalog.Configuration, res derive
 // charged to the session's what-if accounting (ev.calls and the tracker),
 // feeds the circuit breaker, and increments dta_retries_total, so the
 // reported call count reflects the real load placed on the backend. With
-// wantAlts set and a backend that supports it, the same single call also
-// returns the statement's plan skeleton for the derivation engine.
+// wantAlts set (the backend is then an AlternativesTuner) the same single
+// call also returns the statement's plan skeleton.
 func (ev *evaluator) whatIfCall(i int, cfg *catalog.Configuration, wantAlts bool) (float64, []string, *optimizer.Alternatives, error) {
 	type res struct {
 		cost float64
 		used []string
 		alts *optimizer.Alternatives
 	}
-	at, haveAlts := ev.t.(AlternativesTuner)
 	tr := ev.tr
 	r, err := fault.Do(tr.doCtx(), tr.retryPolicy(), func() (res, error) {
 		ev.calls.Add(1)
@@ -545,8 +527,8 @@ func (ev *evaluator) whatIfCall(i int, cfg *catalog.Configuration, wantAlts bool
 		if err := tr.inject(fault.SiteWhatIf); err != nil {
 			return res{}, err
 		}
-		if wantAlts && haveAlts {
-			c, used, alts, err := at.WhatIfAlternativesCost(ev.events[i].Stmt, cfg)
+		if wantAlts {
+			c, used, alts, err := ev.t.(AlternativesTuner).WhatIfAlternativesCost(ev.events[i].Stmt, cfg)
 			return res{cost: c, used: used, alts: alts}, err
 		}
 		c, used, err := ev.t.WhatIfCost(ev.events[i].Stmt, cfg)

@@ -182,7 +182,7 @@ func TestSingleFlightCoalescesDuplicateCosts(t *testing.T) {
 		"SELECT id FROM t WHERE x = 42",
 		"SELECT SUM(amt) FROM t WHERE a = 7",
 	)
-	ev := newEvaluator(ct, w)
+	ev := newEvaluator(ct, w, "")
 	base := catalog.NewConfiguration()
 	withIx := catalog.NewConfiguration()
 	withIx.AddIndex(catalog.NewIndex("t", "x"))

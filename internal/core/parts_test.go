@@ -258,7 +258,7 @@ func TestInterestingColumnGroups(t *testing.T) {
 	}
 	sqls = append(sqls, "SELECT id FROM t WHERE amt = 1")
 	w := workload.MustNew(sqls...)
-	ev := newEvaluator(s, w)
+	ev := newEvaluator(s, w, "")
 	groups, err := interestingColumnGroups(s, ev, w, Options{ColGroupFrac: 0.05}.withDefaults())
 	if err != nil {
 		t.Fatal(err)

@@ -95,14 +95,14 @@ type Progress struct {
 	// created from a streamed trace).
 	IngestedEvents int64 `json:"ingestedEvents,omitempty"`
 	IngestedBytes  int64 `json:"ingestedBytes,omitempty"`
-	// DerivedEvals counts configuration costs answered algebraically by
-	// the derivation layer instead of a real optimizer call (zero with
-	// Options.Derive off). Streamed live so the calls-saved ratio is
-	// visible while the session runs, not only in the final Result.
+	// DerivedEvals counts configuration costs answered by skeleton replay
+	// instead of a real optimizer call (zero over a backend without plan
+	// skeletons). Streamed live so the calls-saved ratio is visible while
+	// the session runs, not only in the final Result.
 	DerivedEvals int64 `json:"derivedEvals,omitempty"`
-	// DeriveFallbacks breaks down, by reason (dml, atom, stats-epoch,
-	// eval-error, used-escape), the evaluations the derivation layer
-	// bailed out of and answered with a real optimizer call.
+	// DeriveFallbacks breaks down, by reason (dml, atom, eval-error,
+	// used-escape), the real optimizer calls behind derivation: skeleton
+	// fetches and the evaluations replay could not answer.
 	DeriveFallbacks map[string]int64 `json:"deriveFallbacks,omitempty"`
 	// Revised reports that this session is a search-only revision of a
 	// persisted costed pool: WhatIfCalls counts only the calls the search
@@ -206,7 +206,7 @@ type tracker struct {
 	// byte-identical with it on or off.
 	jnl *journal.Journal
 
-	// deriveStats, when derivation is enabled, snapshots the engine's
+	// deriveStats, when the evaluator has an engine, snapshots the engine's
 	// derived-eval count and per-reason fallback breakdown for Progress.
 	// Set once by evaluator.attach before tuning starts.
 	deriveStats func() (int64, map[string]int64)

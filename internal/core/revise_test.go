@@ -106,7 +106,8 @@ func reviseBase() *catalog.Configuration {
 }
 
 // TestReviseEquivalence is the revision-equivalence property test: for a
-// matrix of derive modes and parallelism levels, Revise(pool, C) must
+// matrix of costing legs (the real-call oracle over a skeleton-less tuner,
+// derive on, derive verify) and parallelism levels, Revise(pool, C) must
 // produce a byte-identical recommendation to a fresh full TuneContext run
 // under constraints C (on an identically built fresh server), with
 // search-only what-if calls never exceeding the full run's — across
@@ -114,12 +115,21 @@ func reviseBase() *catalog.Configuration {
 // reweighting. A revision to the pool's own constraints must reproduce the
 // original recommendation exactly.
 func TestReviseEquivalence(t *testing.T) {
-	for _, mode := range []derive.Mode{derive.Off, derive.On, derive.Verify} {
+	const oracle = "real-call"
+	var oracleRec string // the oracle leg's recommendation: every leg's reference
+	for _, leg := range []string{oracle, "on", "verify"} {
+		// backend builds a fresh server; the oracle leg hides its skeletons.
+		backend := func(tb testing.TB) Tuner { return reviseServer(tb) }
+		mode := derive.Mode(leg)
+		if leg == oracle {
+			backend = func(tb testing.TB) Tuner { return realCallTuner{reviseServer(tb)} }
+			mode = ""
+		}
 		for _, par := range []int{1, 4} {
 			if mode == derive.Verify && par != 1 {
 				continue // verify doubles backend load; one level covers it
 			}
-			t.Run(fmt.Sprintf("derive=%s/P=%d", mode, par), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/P=%d", leg, par), func(t *testing.T) {
 				w := reviseWorkload(t)
 				origOpts := Options{
 					Features:      FeatureIndexes | FeaturePartitioning,
@@ -133,13 +143,21 @@ func TestReviseEquivalence(t *testing.T) {
 
 				var pool *CostedPool
 				origOpts.PoolSink = func(p *CostedPool) { pool = p }
-				srv := reviseServer(t)
+				srv := backend(t)
 				orig, err := TuneContext(context.Background(), srv, w, origOpts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if pool == nil {
 					t.Fatal("PoolSink never received a costed pool")
+				}
+				if oracleRec == "" {
+					oracleRec = normalizeRec(t, orig)
+				} else if got := normalizeRec(t, orig); got != oracleRec {
+					t.Errorf("recommendation differs from the real-call oracle's\ngot: %s\noracle: %s", got, oracleRec)
+				}
+				if (pool.Derive == nil) != (leg == oracle) {
+					t.Fatalf("pool carries skeletons iff the backend offers them; leg %s, snapshot %v", leg, pool.Derive != nil)
 				}
 				if err := pool.Check(); err != nil {
 					t.Fatal(err)
@@ -192,7 +210,7 @@ func TestReviseEquivalence(t *testing.T) {
 						}
 						freshOpts := v.mutate(origOpts)
 						freshOpts.PoolSink = nil
-						fresh, err := TuneContext(context.Background(), reviseServer(t), w, freshOpts)
+						fresh, err := TuneContext(context.Background(), backend(t), w, freshOpts)
 						if err != nil {
 							t.Fatal(err)
 						}

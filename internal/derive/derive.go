@@ -1,44 +1,47 @@
 // Package derive implements the cost-derivation layer between the advisor's
 // single-flight cost cache and the what-if backend, in the spirit of INUM
 // and CoPhy (Dash et al.): instead of issuing one optimizer call per
-// (event, relevant-structure-subset), it issues real calls only for a small
-// number of *atomic* configurations per event and derives every other
-// configuration's cost algebraically from the cached plan facts.
+// (event, relevant-structure-subset), it issues one real call per event and
+// candidate pool — returning the statement's *plan skeleton* — and answers
+// every configuration the search explores by replaying the optimizer's own
+// selection arithmetic over that skeleton.
 //
-// The derivation rule is a sandwich argument over the plan-set lattice.
 // Split an event's relevant structures into a *base* part (clustered
 // indexes and table partitionings, which reshape the base tables) and an
 // *additive* part (non-clustered indexes and materialized views, which only
-// add plan alternatives). For a SELECT event, if a real optimizer fact is
-// known for a superset configuration T ⊇ S with the same base and the same
-// statistics state, and the fact's used-structure set is contained in S,
-// then cost(S) = cost(T) exactly: T's winning plan needs nothing outside S,
-// so it is available under S, and every plan available under S is also
-// available under T (S adds no alternatives T lacks), so nothing under S
-// can beat it. No interpolation and no model assumptions are involved — the
-// derived cost is the number the optimizer itself would return.
+// add plan alternatives). The canonical *top* of a configuration S is S plus
+// every additive pool candidate relevant to the event: every configuration
+// the current search phase can ask about with the same base part is a subset
+// of it. Resolution has exactly one path:
 //
-// Resolution starts at the canonical *top* of S (S plus every additive pool
-// candidate relevant to the event) and costs it for real once. For SELECTs
-// that one call also returns the *plan skeleton* (optimizer.Alternatives):
-// for a single-scope query, every plan alternative costed end-to-end, each
-// gated by the single additive structure it needs; for a join, per-scope
-// access and probe alternatives plus edge selectivities and the finish chain
-// (optimizer.JoinSkeleton), which replay composes through the optimizer's
-// own join cost function. Any subset's cost then follows by replaying the
-// optimizer's selection arithmetic over the alternatives the subset makes
-// available — the INUM observation — so one atomic call per (event, pool,
-// epoch) answers every configuration the search explores. The sandwich walk
-// is the residual fallback for facts without a skeleton: while the top's
-// plan uses structures outside S, strip exactly those structures and cost
-// the smaller node; each stripped node is shared by every other subset
-// resolution of the same event. A walk node served from a cache entry of an
-// older statistics epoch is repaired in place by one fresh-epoch real call
-// rather than demoting the event. Whenever no path can produce an
-// applicable answer — DML events (maintenance cost depends on the whole
-// index set and is not plan-set monotone), an empty pool, or S being its
-// own top — the engine reports a fallback (split single-scope vs join per
-// reason) and the caller issues the ordinary real call.
+//  1. compute the top of S;
+//  2. look up the top's skeleton in the current (event, statistics epoch,
+//     base part) scope;
+//  3. if it is absent, fetch it with one accounted real alternatives call,
+//     issued by the engine itself through the caller's Fetch and
+//     single-flighted per (scope, top) — the `atom` of the fallback
+//     accounting;
+//  4. replay: optimizer.Alternatives.Select restricted to the structures S
+//     holds. For a single-scope query the skeleton carries every plan
+//     alternative costed end-to-end, each gated by the single additive
+//     structure it needs; for a join it carries per-scope access and probe
+//     alternatives plus edge selectivities and the finish chain
+//     (optimizer.JoinSkeleton), composed through the optimizer's own join
+//     cost function. Either way the replayed number is bit-identical to what
+//     a real call on S would return — no interpolation, no model.
+//
+// So one atomic call per (event, pool, epoch, base part) answers every
+// configuration the search explores, a fetch is always issued at the current
+// statistics epoch (BumpEpoch simply starts a new scope), and the engine
+// never re-enters the caller's cost cache. What does not resolve is reported
+// as a fallback and costed by the caller's ordinary real call: DML events
+// (maintenance cost depends on the whole index set), a failed fetch, and the
+// defensive guard against a skeleton that offers no selectable alternative.
+//
+// The engine exists only where skeletons do: an evaluator builds one iff its
+// backend implements the alternatives call. Over a skeleton-less backend the
+// evaluator is the plain real-call evaluator — the oracle the equivalence
+// tests and Verify mode compare against.
 package derive
 
 import (
@@ -54,42 +57,37 @@ import (
 	"repro/internal/optimizer"
 )
 
-// Mode selects how the derivation layer participates in cost evaluation.
+// Mode selects how derived costs are treated.
 type Mode string
 
-// Modes. The zero value ("") means Off: callers that never looked at the
-// knob keep the exact pre-derivation behaviour.
+// Modes. The zero value ("") means On everywhere a mode is accepted.
 const (
-	// Off disables derivation: every cost-cache miss issues a real call.
-	Off Mode = "off"
-	// On answers cache misses by derivation when an applicable fact exists.
+	// On answers cost-cache misses by skeleton replay.
 	On Mode = "on"
 	// Verify derives like On but cross-checks every derived cost against a
 	// real optimizer call; divergence beyond VerifyTolerance is an error.
 	Verify Mode = "verify"
 )
 
-// ParseMode parses a wire/CLI mode string ("" and "off" → Off).
+// ParseMode parses a wire/CLI/persisted mode string, case-insensitively
+// ("" → On). "off" is rejected with a message naming its removal.
 func ParseMode(s string) (Mode, error) {
 	switch Mode(strings.ToLower(s)) {
-	case "", Off:
-		return Off, nil
-	case On:
+	case "", On:
 		return On, nil
 	case Verify:
 		return Verify, nil
+	case "off":
+		return "", fmt.Errorf("derive: mode %q was removed: skeleton replay is the only costing path (want on or verify)", s)
 	}
-	return Off, fmt.Errorf("derive: unknown mode %q (want off, on, or verify)", s)
+	return "", fmt.Errorf("derive: unknown mode %q (want on or verify)", s)
 }
-
-// Enabled reports whether the mode performs derivation.
-func (m Mode) Enabled() bool { return m == On || m == Verify }
 
 // VerifyTolerance is the maximum relative divergence Verify mode accepts
 // between a derived cost and the real optimizer's answer. Derivation is
-// mathematically exact — the derived number is a previously returned
-// optimizer cost, not a model estimate — so the tolerance only absorbs
-// float formatting round-trips, not approximation error.
+// mathematically exact — the derived number replays the optimizer's own
+// arithmetic, not a model estimate — so the tolerance only absorbs float
+// formatting round-trips, not approximation error.
 const VerifyTolerance = 1e-9
 
 // Fallback reasons. Each non-DML reason splits by event shape into a
@@ -101,24 +99,16 @@ const (
 	// grows with every index present, so costs are not plan-set monotone
 	// and every DML evaluation stays a real call.
 	ReasonDML = "dml"
-	// ReasonAtom marks a configuration that is its own top — no additive
-	// pool candidate extends it — and is therefore costed for real as an
-	// atomic configuration.
+	// ReasonAtom marks the engine's own skeleton fetch: the one real call a
+	// (scope, top) pair costs, after which every subset replays.
 	ReasonAtom = "atom"
-	// ReasonStale marks a lattice walk that hit a node whose cached cost
-	// was computed under an older statistics epoch and whose fresh-epoch
-	// repair call could not record a fact either; deriving from it could
-	// diverge from what a fresh optimizer call would return, so the caller
-	// re-costs for real.
-	ReasonStale = "stats-epoch"
-	// ReasonError marks a walk abandoned because a node evaluation failed
-	// (cancellation, degradation, backend error); the caller's own real
-	// call reports the definitive error.
+	// ReasonError marks a resolution abandoned because the skeleton fetch
+	// failed (cancellation, degradation, backend error); the caller's own
+	// real call reports the definitive error.
 	ReasonError = "eval-error"
-	// ReasonEscape marks a defensive impossibility guard: a node's plan
-	// reported a used structure outside the node, or a plan skeleton offered
-	// no selectable alternative. It indicates a backend relevance-filter or
-	// skeleton bug, never normal operation.
+	// ReasonEscape marks a defensive impossibility guard: the backend
+	// returned no skeleton, or one that offers no selectable alternative.
+	// It indicates a backend skeleton bug, never normal operation.
 	ReasonEscape = "used-escape"
 
 	// joinSuffix distinguishes join-event fallbacks from single-scope ones
@@ -154,42 +144,42 @@ type Result struct {
 	Used []string
 }
 
-// Eval evaluates one atomic node configuration on behalf of a lattice walk.
-// With fresh false the advisor routes it through its single-flight cost
-// cache, so concurrent walks over shared nodes coalesce onto one real call
-// and node facts are recorded exactly once per statistics epoch. With fresh
-// true the call must bypass the normal cache and issue a current-epoch real
-// call (still single-flighted per epoch, and still recorded as a fact) —
-// the engine uses it to repair a walk node whose cached cost predates the
-// current statistics epoch. A fresh call must not overwrite the normal
-// cache entry: the stale entry's first-touch semantics are exactly what a
-// derive-off evaluator would keep serving.
-type Eval func(cfg *catalog.Configuration, fresh bool) (float64, []string, error)
+// Fetch issues one accounted real alternatives call for a top configuration
+// and returns the optimizer's answer with the plan skeleton. It must not
+// call back into the engine.
+type Fetch func(top *catalog.Configuration) (cost float64, used []string, alts *optimizer.Alternatives, err error)
 
-// fact is one recorded real-call outcome: the configuration's relevant key
-// set (joined), its cost, the used-structure keys of the winning plan, and —
-// for single-scope SELECTs — the plan skeleton, from which any
-// sub-configuration's cost follows by replaying the optimizer's selection
-// arithmetic (alts.Select) without touching the lattice walk at all.
-type fact struct {
-	cost float64
-	used []string
-	alts *optimizer.Alternatives
-}
-
-// factScope scopes facts to one (event, statistics epoch, base part): the
-// sandwich argument needs identical statements, identical statistics, and
-// identical base-table shapes on both sides.
-type factScope struct {
+// factKey addresses one skeleton: replay needs identical statements,
+// identical statistics, and identical base-table shapes, so a fact is scoped
+// to (event, statistics epoch, base part) and keyed by its top's canonical
+// joined key set.
+type factKey struct {
 	event int
 	epoch int64
 	base  string
+	node  string
 }
 
+// fact is one single-flight skeleton slot. The resolver that created it
+// fills the fetched answer and closes ready; concurrent resolvers of the same
+// key wait on ready instead of fetching again. A failed fact is removed from
+// the map before ready closes, so a later resolution fetches afresh.
+type fact struct {
+	ready chan struct{}
+	cost  float64
+	used  []string
+	alts  *optimizer.Alternatives
+	err   error
+}
+
+// closed is the ready channel of facts that never were in flight (Restore).
+var closed = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
+
 // Engine is one tuning session's derivation state: the structure registry,
-// the current candidate pool, the statistics epoch, and the per-event fact
-// database. All methods are safe for concurrent use and all are nil-safe,
-// so an advisor with derivation off carries a nil *Engine at zero cost.
+// the current candidate pool, the statistics epoch, and the per-event
+// skeletons. All methods are safe for concurrent use and all are nil-safe,
+// so an evaluator over a skeleton-less backend carries a nil *Engine at zero
+// cost.
 type Engine struct {
 	mode Mode
 
@@ -197,12 +187,11 @@ type Engine struct {
 	structs map[string]catalog.Structure
 	pool    []Keyed
 	epoch   int64
-	facts   map[factScope]map[string]*fact
+	facts   map[factKey]*fact
 
-	atoms        atomic.Int64
-	derivations  atomic.Int64
-	fallbacks    atomic.Int64
-	staleRepairs atomic.Int64
+	atoms       atomic.Int64
+	derivations atomic.Int64
+	fallbacks   atomic.Int64
 	// byReason holds one per-reason fallback counter, fixed at New over
 	// the closed reason-key set so workers index it without locking.
 	byReason map[string]*atomic.Int64
@@ -213,8 +202,6 @@ type Engine struct {
 
 	mAtoms, mDerivations              *obs.Counter
 	mFallback                         map[string]*obs.Counter
-	mStaleRepairs                     *obs.Counter
-	hWalkWidth                        *obs.Histogram
 	mVerifyOK, mVerifyBad, mVerifyErr *obs.Counter
 }
 
@@ -223,21 +210,19 @@ type Engine struct {
 var reasons = []string{
 	ReasonDML,
 	ReasonAtom, ReasonAtom + joinSuffix,
-	ReasonStale, ReasonStale + joinSuffix,
 	ReasonError, ReasonError + joinSuffix,
 	ReasonEscape, ReasonEscape + joinSuffix,
 }
 
-// New returns an engine in the given mode (nil when the mode is Off, so
-// callers can gate on the pointer alone).
+// New returns an engine in the given mode ("" → On).
 func New(mode Mode) *Engine {
-	if !mode.Enabled() {
-		return nil
+	if mode == "" {
+		mode = On
 	}
 	e := &Engine{
 		mode:     mode,
 		structs:  map[string]catalog.Structure{},
-		facts:    map[factScope]map[string]*fact{},
+		facts:    map[factKey]*fact{},
 		byReason: map[string]*atomic.Int64{},
 	}
 	for _, r := range reasons {
@@ -246,10 +231,10 @@ func New(mode Mode) *Engine {
 	return e
 }
 
-// Mode reports the engine's mode (Off for a nil engine).
+// Mode reports the engine's mode ("" for a nil engine).
 func (e *Engine) Mode() Mode {
 	if e == nil {
-		return Off
+		return ""
 	}
 	return e.mode
 }
@@ -261,10 +246,10 @@ func (e *Engine) AttachMetrics(reg *obs.Registry) {
 		return
 	}
 	e.mAtoms = reg.Counter("dta_derive_atoms_total",
-		"Atomic plan facts recorded, one per successful real what-if call with derivation active.")
+		"Plan skeletons fetched, one per successful real alternatives call the derivation engine issued.")
 	e.mDerivations = reg.Counter("dta_derive_derivations_total",
-		"Cost evaluations answered by algebraic derivation instead of an optimizer call.")
-	const fbHelp = "Derivation fallbacks to a real what-if call, by reason and event shape."
+		"Cost evaluations answered by skeleton replay instead of an optimizer call.")
+	const fbHelp = "Real what-if calls behind derivation (skeleton fetches and evaluations replay could not answer), by reason and event shape."
 	e.mFallback = map[string]*obs.Counter{}
 	for _, r := range reasons {
 		base, shape := r, "single"
@@ -273,11 +258,6 @@ func (e *Engine) AttachMetrics(reg *obs.Registry) {
 		}
 		e.mFallback[r] = reg.Counter("dta_derive_fallbacks_total", fbHelp, "reason", base, "shape", shape)
 	}
-	e.mStaleRepairs = reg.Counter("dta_derive_stale_repairs_total",
-		"Sandwich-walk nodes whose stale-epoch cache entry was repaired by one fresh-epoch real call, keeping the resolution derivable.")
-	e.hWalkWidth = reg.Histogram("dta_derive_walk_width",
-		"Structure count of lattice nodes the sandwich walk actually costs for real; replay-answered resolutions never observe (the derive-on bottleneck ROADMAP tracked).",
-		obs.CountBuckets)
 	const vHelp = "Verify-mode cross-checks of derived costs against real optimizer calls."
 	e.mVerifyOK = reg.Counter("dta_derive_verify_total", vHelp, "result", "match")
 	e.mVerifyBad = reg.Counter("dta_derive_verify_total", vHelp, "result", "mismatch")
@@ -287,8 +267,8 @@ func (e *Engine) AttachMetrics(reg *obs.Registry) {
 // SetPool installs the current candidate pool — the structures the search
 // phase may add to configurations — replacing the previous pool. The
 // advisor calls it at deterministic phase boundaries (per-query candidate
-// selection, global enumeration), which keeps every lattice top, and hence
-// the set of real calls issued, independent of scheduling. Safe on nil.
+// selection, global enumeration), which keeps every top, and hence the set
+// of real calls issued, independent of scheduling. Safe on nil.
 func (e *Engine) SetPool(pool []Keyed) {
 	if e == nil {
 		return
@@ -297,17 +277,23 @@ func (e *Engine) SetPool(pool []Keyed) {
 	defer e.mu.Unlock()
 	e.pool = append(e.pool[:0:0], pool...)
 	for _, p := range e.pool {
-		if _, ok := e.structs[p.Key]; !ok {
-			e.structs[p.Key] = p.Structure
-		}
+		e.register(p)
 	}
 }
 
-// BumpEpoch invalidates derivation facts after statistics creation: costs
-// computed under different statistics states are not comparable, and the
-// sandwich argument requires both sides at the same epoch. The cost cache
-// itself is untouched — first-touch semantics there are exactly what
-// derivation must reproduce. Safe on nil.
+// register adds a structure to the registry; e.mu must be held.
+func (e *Engine) register(k Keyed) {
+	if _, ok := e.structs[k.Key]; !ok {
+		e.structs[k.Key] = k.Structure
+	}
+}
+
+// BumpEpoch starts a new skeleton scope after statistics creation: costs
+// computed under different statistics states are not comparable, so
+// skeletons of the previous epoch stop answering and the next resolution of
+// each (event, top) fetches afresh. The caller's cost cache is untouched —
+// first-touch semantics there are exactly what derivation must reproduce.
+// Safe on nil.
 func (e *Engine) BumpEpoch() {
 	if e == nil {
 		return
@@ -317,173 +303,96 @@ func (e *Engine) BumpEpoch() {
 	e.mu.Unlock()
 }
 
-// Record stores the plan fact of a completed real what-if call: rel is the
-// configuration's relevant structure set (sorted by key, as the evaluator's
-// cache key builder produces it), cost and used the optimizer's answer, and
-// alts the plan skeleton when the backend produced one (nil otherwise).
-// Safe on nil.
-func (e *Engine) Record(event int, rel []Keyed, cost float64, used []string, alts *optimizer.Alternatives) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, k := range rel {
-		if _, ok := e.structs[k.Key]; !ok {
-			e.structs[k.Key] = k.Structure
-		}
-	}
-	scope := factScope{event: event, epoch: e.epoch, base: baseOf(rel)}
-	byNode := e.facts[scope]
-	if byNode == nil {
-		byNode = map[string]*fact{}
-		e.facts[scope] = byNode
-	}
-	node := joinKeys(rel)
-	if _, ok := byNode[node]; !ok {
-		byNode[node] = &fact{cost: cost, used: append([]string(nil), used...), alts: alts}
-		e.atoms.Add(1)
-		count(e.mAtoms)
-	}
-}
-
-// Resolve attempts to derive the cost of the configuration whose relevant
-// structure set is rel (sorted by key). join reports whether the event is a
-// multi-scope SELECT (per-reason fallback accounting splits by shape);
-// additive reports whether a pool structure is an additive plan alternative
-// for this event; eval costs atomic node configurations (through the
-// caller's cache). The boolean reports success; on false the caller issues
-// its ordinary real call. Safe on nil (always false).
-func (e *Engine) Resolve(event int, join bool, rel []Keyed, additive func(catalog.Structure) bool, eval Eval) (Result, bool) {
+// Resolve derives the cost of the configuration whose relevant structure
+// set is rel (sorted by key): it computes rel's top, fetches the top's
+// skeleton through fetch if the current scope does not hold it yet (one
+// real call, single-flighted across concurrent resolvers and counted as an
+// atom), and replays the skeleton restricted to rel. join reports whether
+// the event is a multi-scope SELECT (per-reason fallback accounting splits
+// by shape); additive reports whether a pool structure is an additive plan
+// alternative for this event. The boolean reports success; on false the
+// caller issues its ordinary real call. Safe on nil (always false).
+func (e *Engine) Resolve(event int, join bool, rel []Keyed, additive func(catalog.Structure) bool, fetch Fetch) (Result, bool) {
 	if e == nil {
 		return Result{}, false
 	}
+	// The pool and the epoch change only between parallel sections
+	// (SetPool replaces the slice, never mutates it), so one locked read
+	// serves the whole resolution.
+	e.mu.Lock()
+	pool, epoch := e.pool, e.epoch
+	e.mu.Unlock()
 
 	inS := make(map[string]bool, len(rel))
+	top := make([]string, 0, len(rel)+len(pool))
 	for _, k := range rel {
 		inS[k.Key] = true
+		top = append(top, k.Key)
 	}
+	for _, p := range pool {
+		if !inS[p.Key] && !isBase(p.Structure) && additive(p.Structure) {
+			top = append(top, p.Key)
+		}
+	}
+	sort.Strings(top)
+	key := factKey{event: event, epoch: epoch, base: baseOf(rel), node: strings.Join(top, "|")}
 
 	e.mu.Lock()
-	for _, k := range rel {
-		if _, ok := e.structs[k.Key]; !ok {
-			e.structs[k.Key] = k.Structure
+	f, found := e.facts[key]
+	var cfg *catalog.Configuration
+	if !found {
+		f = &fact{ready: make(chan struct{})}
+		e.facts[key] = f
+		for _, k := range rel {
+			e.register(k)
 		}
-	}
-	epoch := e.epoch
-	top := append([]string(nil), keysOf(rel)...)
-	for _, p := range e.pool {
-		if inS[p.Key] || isBase(p.Structure) || !additive(p.Structure) {
-			continue
+		// Apply structures in sorted key order so identical tops always
+		// produce identical configurations.
+		cfg = catalog.NewConfiguration()
+		for _, k := range top {
+			e.structs[k].ApplyTo(cfg)
 		}
-		top = append(top, p.Key)
-		inS[p.Key] = false // known key, not in S
 	}
 	e.mu.Unlock()
 
-	if len(top) == len(rel) {
+	if found {
+		<-f.ready
+	} else {
 		e.fallback(event, ReasonAtom, join)
+		f.cost, f.used, f.alts, f.err = fetch(cfg)
+		if f.err != nil {
+			e.mu.Lock()
+			delete(e.facts, key)
+			e.mu.Unlock()
+		} else {
+			e.atoms.Add(1)
+			count(e.mAtoms)
+		}
+		close(f.ready)
+	}
+	if f.err != nil {
+		e.fallback(event, ReasonError, join)
 		return Result{}, false
 	}
-	sort.Strings(top)
-	scope := factScope{event: event, epoch: epoch, base: baseOf(rel)}
-
-	// Walk the lattice downward from the canonical top. Every node strictly
-	// contains S until the loop exits, so nested evaluations (which re-enter
-	// Resolve through the caller's cache) only ever wait on strictly larger
-	// keys — the wait graph is acyclic and the walk cannot deadlock.
-	node := top
-	for {
-		if len(node) == len(rel) {
-			// The walk stripped everything outside S without finding an
-			// applicable fact: S itself is the remaining atom.
-			e.fallback(event, ReasonAtom, join)
-			return Result{}, false
-		}
-		f := e.lookup(scope, node)
-		if f == nil {
-			cfg, ok := e.buildConfig(node)
-			if !ok {
-				e.fallback(event, ReasonEscape, join)
-				return Result{}, false
-			}
-			if e.hWalkWidth != nil {
-				// One observation per node the walk costs for real — the
-				// in-process bottleneck of derive-on runs. Resolutions
-				// answered from existing facts or by skeleton replay never
-				// reach here and never observe.
-				e.hWalkWidth.Observe(float64(len(node)))
-			}
-			if _, _, err := eval(cfg, false); err != nil {
-				e.fallback(event, ReasonError, join)
-				return Result{}, false
-			}
-			if f = e.lookup(scope, node); f == nil {
-				// The evaluation was served from a cache entry recorded
-				// under an older statistics epoch; its cost is not valid at
-				// the current epoch. Repair the node with one fresh-epoch
-				// real call (bypassing the normal cache) so a single stale
-				// entry cannot demote a resolvable event to a real call.
-				if _, _, err := eval(cfg, true); err != nil {
-					e.fallback(event, ReasonError, join)
-					return Result{}, false
-				}
-				if f = e.lookup(scope, node); f == nil {
-					e.fallback(event, ReasonStale, join)
-					return Result{}, false
-				}
-				e.staleRepairs.Add(1)
-				count(e.mStaleRepairs)
-			}
-		}
-		if f.alts != nil {
-			// Plan-skeleton replay (INUM): the node's skeleton holds every
-			// plan alternative costed end-to-end, so S's cost is the result
-			// of the optimizer's own selection arithmetic restricted to the
-			// alternatives S makes available — no walk, no further calls.
-			if cost, used, ok := f.alts.Select(func(k string) bool { return inS[k] }); ok {
-				e.derivations.Add(1)
-				count(e.mDerivations)
-				return Result{Cost: cost, Used: used}, true
-			}
-			// A skeleton with no selectable alternative is impossible for a
-			// well-formed backend (a base access always exists); re-cost for
-			// real rather than guess.
-			e.fallback(event, ReasonEscape, join)
-			return Result{}, false
-		}
-		var outside []string
-		for _, u := range f.used {
-			if _, ok := inS[u]; !ok || !inS[u] {
-				outside = append(outside, u)
-			}
-		}
-		if len(outside) == 0 {
-			// The winning plan of the superset needs nothing outside S:
-			// its cost and used set transfer to S exactly.
+	if f.alts != nil {
+		if cost, used, ok := f.alts.Select(func(k string) bool { return inS[k] }); ok {
 			e.derivations.Add(1)
 			count(e.mDerivations)
-			return Result{Cost: f.cost, Used: append([]string(nil), f.used...)}, true
+			return Result{Cost: cost, Used: used}, true
 		}
-		next := subtract(node, outside)
-		if len(next) >= len(node) {
-			e.fallback(event, ReasonEscape, join)
-			return Result{}, false
-		}
-		if len(next) < len(rel) {
-			// Impossible if used ⊆ node and base(S) ⊆ S, guarded anyway.
-			e.fallback(event, ReasonEscape, join)
-			return Result{}, false
-		}
-		node = next
 	}
+	// A missing skeleton, or one with no selectable alternative, is
+	// impossible for a well-formed backend (a base access always exists);
+	// re-cost for real rather than guess.
+	e.fallback(event, ReasonEscape, join)
+	return Result{}, false
 }
 
-// FactRecord is one serialized plan fact: the event it belongs to, the base
-// part of its scope, the node's canonical joined key set, and the recorded
-// optimizer answer (cost, used structures, and — when the backend produced
-// one — the plan skeleton). Facts serialize only for the current statistics
-// epoch, so a restored engine never mixes epochs.
+// FactRecord is one serialized skeleton fetch: the event it belongs to, the
+// base part of its scope, the top's canonical joined key set, and the
+// optimizer's answer (cost, used structures, plan skeleton). Facts serialize
+// only for the current statistics epoch, so a restored engine never mixes
+// epochs.
 type FactRecord struct {
 	// Event is the workload event index the fact belongs to.
 	Event int `json:"event"`
@@ -495,7 +404,7 @@ type FactRecord struct {
 	Cost float64 `json:"cost"`
 	// Used holds the used-structure keys of the winning plan.
 	Used []string `json:"used,omitempty"`
-	// Alts is the plan skeleton, when the backend produced one.
+	// Alts is the plan skeleton.
 	Alts *optimizer.Alternatives `json:"alts,omitempty"`
 }
 
@@ -533,15 +442,17 @@ func (e *Engine) Snapshot() *Snapshot {
 	for _, k := range keys {
 		s.Structs = append(s.Structs, Keyed{Key: k, Structure: e.structs[k]})
 	}
-	for scope, byNode := range e.facts {
-		if scope.epoch != e.epoch {
+	for key, f := range e.facts {
+		if key.epoch != e.epoch {
 			continue
 		}
-		for node, f := range byNode {
+		select {
+		case <-f.ready:
 			s.Facts = append(s.Facts, FactRecord{
-				Event: scope.event, Base: scope.base, Node: node,
+				Event: key.event, Base: key.base, Node: key.node,
 				Cost: f.cost, Used: append([]string(nil), f.used...), Alts: f.alts,
 			})
+		default: // fetch in flight: not yet a fact worth persisting
 		}
 	}
 	sort.Slice(s.Facts, func(i, j int) bool {
@@ -573,15 +484,11 @@ func (e *Engine) Restore(s *Snapshot) {
 	for _, k := range s.Structs {
 		e.structs[k.Key] = k.Structure
 	}
-	e.facts = make(map[factScope]map[string]*fact, len(s.Facts))
+	e.facts = make(map[factKey]*fact, len(s.Facts))
 	for _, f := range s.Facts {
-		scope := factScope{event: f.Event, epoch: 0, base: f.Base}
-		byNode := e.facts[scope]
-		if byNode == nil {
-			byNode = map[string]*fact{}
-			e.facts[scope] = byNode
+		e.facts[factKey{event: f.Event, base: f.Base, node: f.Node}] = &fact{
+			ready: closed, cost: f.Cost, used: append([]string(nil), f.Used...), alts: f.Alts,
 		}
-		byNode[f.Node] = &fact{cost: f.Cost, used: append([]string(nil), f.Used...), alts: f.Alts}
 	}
 }
 
@@ -601,7 +508,7 @@ func (e *Engine) VerifyOutcome(match bool, err error) {
 	}
 }
 
-// Atoms reports how many atomic plan facts were recorded. Safe on nil.
+// Atoms reports how many plan skeletons were fetched. Safe on nil.
 func (e *Engine) Atoms() int64 {
 	if e == nil {
 		return 0
@@ -618,33 +525,13 @@ func (e *Engine) Derivations() int64 {
 	return e.derivations.Load()
 }
 
-// Fallbacks reports how many resolutions fell back to a real call. Safe on
-// nil.
+// Fallbacks reports how many real calls stood behind derivation: skeleton
+// fetches plus evaluations replay could not answer. Safe on nil.
 func (e *Engine) Fallbacks() int64 {
 	if e == nil {
 		return 0
 	}
 	return e.fallbacks.Load()
-}
-
-// StaleRepairs reports how many stale walk nodes were repaired by a
-// fresh-epoch call. Safe on nil.
-func (e *Engine) StaleRepairs() int64 {
-	if e == nil {
-		return 0
-	}
-	return e.staleRepairs.Load()
-}
-
-// Epoch reports the current statistics epoch, the evaluator's key component
-// for single-flighting fresh repair calls. Safe on nil.
-func (e *Engine) Epoch() int64 {
-	if e == nil {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.epoch
 }
 
 // FallbacksByReason snapshots the per-reason fallback breakdown (only
@@ -707,37 +594,9 @@ func (e *Engine) fallback(event int, reason string, join bool) {
 	}
 }
 
-// lookup finds the fact for the exact node key set, or nil.
-func (e *Engine) lookup(scope factScope, node []string) *fact {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	byNode := e.facts[scope]
-	if byNode == nil {
-		return nil
-	}
-	return byNode[strings.Join(node, "|")]
-}
-
-// buildConfig materializes a node's configuration from the structure
-// registry, applying structures in sorted key order so identical node sets
-// always produce identical configurations.
-func (e *Engine) buildConfig(node []string) (*catalog.Configuration, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	cfg := catalog.NewConfiguration()
-	for _, k := range node {
-		s, ok := e.structs[k]
-		if !ok {
-			return nil, false
-		}
-		s.ApplyTo(cfg)
-	}
-	return cfg, true
-}
-
 // isBase reports whether the structure belongs to the base (shaping) part
 // of a configuration: clustered indexes and table partitionings alter the
-// base tables themselves and are never added or stripped by lattice walks.
+// base tables themselves and are never pool-added to a top.
 func isBase(s catalog.Structure) bool {
 	if s.Index != nil {
 		return s.Index.Clustered
@@ -757,42 +616,6 @@ func baseOf(rel []Keyed) string {
 		}
 	}
 	return b.String()
-}
-
-// keysOf extracts the key column of a Keyed slice.
-func keysOf(rel []Keyed) []string {
-	out := make([]string, len(rel))
-	for i, k := range rel {
-		out[i] = k.Key
-	}
-	return out
-}
-
-// joinKeys joins a sorted Keyed slice into the canonical node string.
-func joinKeys(rel []Keyed) string {
-	var b strings.Builder
-	for i, k := range rel {
-		if i > 0 {
-			b.WriteByte('|')
-		}
-		b.WriteString(k.Key)
-	}
-	return b.String()
-}
-
-// subtract returns sorted \ removed, preserving order.
-func subtract(sorted, removed []string) []string {
-	drop := make(map[string]bool, len(removed))
-	for _, r := range removed {
-		drop[r] = true
-	}
-	out := make([]string, 0, len(sorted))
-	for _, k := range sorted {
-		if !drop[k] {
-			out = append(out, k)
-		}
-	}
-	return out
 }
 
 // count increments a cached counter (nil without metrics).

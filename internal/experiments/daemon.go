@@ -324,7 +324,6 @@ func SummarizeDaemon(rows []DaemonRow) []BenchRecord {
 		out = append(out, BenchRecord{
 			Experiment:     "daemon",
 			Case:           r.Case,
-			WallMS:         ms(r.Wall),
 			WhatIfCalls:    r.WhatIfCalls,
 			ImprovementPct: 100 * r.Improvement,
 			Events:         r.Events,

@@ -14,12 +14,20 @@ import (
 	"repro/internal/workload"
 )
 
+// deriveOracle names the sweep's reference leg: the same advisor run over a
+// tuner whose plan skeletons are hidden, so every evaluation is a real call.
+const deriveOracle = "real-call"
+
+// realCallTuner hides the backend's AlternativesTuner: core then runs
+// without a derivation engine — the oracle derived runs are compared to.
+type realCallTuner struct{ core.Tuner }
+
 // DeriveRow is one (workload, mode) leg of the cost-derivation sweep: the
-// full advisor run with Options.Derive = Mode. Because derived costs are
-// exact (the derivation layer only answers when the plan-set argument
-// guarantees the optimizer would return the same number), every mode of a
-// workload must report the same recommendation and improvement — only the
-// what-if call count and the wall clock may change.
+// full advisor run with Options.Derive = Mode, or over the real-call oracle.
+// Because derived costs are exact (replay performs the optimizer's own
+// arithmetic over the alternatives the configuration makes available),
+// every leg of a workload must report the same recommendation and
+// improvement — only the what-if call count and the wall clock may change.
 type DeriveRow struct {
 	Workload     string // "synt1" (single-table, indexes only) or "tpch" (joins, all features)
 	Mode         string
@@ -29,12 +37,12 @@ type DeriveRow struct {
 	Improvement  float64
 	Fingerprint  string // chosen structures, order-sensitive
 	// Fallbacks breaks down, by reason (and query shape: "-join" suffixed
-	// keys are multi-scope events), the evaluations the derivation layer
-	// declined and answered with a real optimizer call instead.
+	// keys are multi-scope events), the real optimizer calls behind
+	// derivation: skeleton fetches and evaluations replay could not answer.
 	Fallbacks map[string]int64
 }
 
-// DeriveSweep tunes two workloads once per derivation mode (off, on,
+// DeriveSweep tunes two workloads once per leg (real-call oracle, on,
 // verify), each against a fresh server so statistics and cost caches never
 // carry over, and reports the exact optimizer call count and recommendation
 // per leg. SYNT1 exercises flat single-scope skeleton replay; TPC-H
@@ -42,7 +50,7 @@ type DeriveRow struct {
 // enabled, matching the parallel sweep so call counts line up). It is the
 // measurement behind the claim that cost derivation is a pure call-count
 // optimization: any drift in the recommendation fingerprint or improvement
-// relative to the workload's derive=off run is returned as an error, not a
+// relative to the workload's real-call run is returned as an error, not a
 // row. The verify legs additionally cross-check every derived cost against
 // a real what-if call inside the advisor, so a clean run is itself the
 // equivalence proof.
@@ -74,15 +82,20 @@ func DeriveSweep(cfg Config) ([]DeriveRow, error) {
 
 	var rows []DeriveRow
 	for _, leg := range legs {
-		var off *DeriveRow
-		for _, mode := range []string{"off", "on", "verify"} {
+		var oracle *DeriveRow
+		for _, mode := range []string{deriveOracle, "on", "verify"} {
 			srv, w, opts, err := leg.setup()
 			if err != nil {
 				return nil, err
 			}
-			opts.Derive = derive.Mode(mode)
+			var t core.Tuner = srv
+			if mode == deriveOracle {
+				t = realCallTuner{srv}
+			} else {
+				opts.Derive = derive.Mode(mode)
+			}
 			start := time.Now()
-			rec, err := core.Tune(srv, w, opts)
+			rec, err := core.Tune(t, w, opts)
 			if err != nil {
 				return nil, fmt.Errorf("%s/derive=%s: %w", leg.workload, mode, err)
 			}
@@ -97,14 +110,14 @@ func DeriveSweep(cfg Config) ([]DeriveRow, error) {
 				Fallbacks:    rec.DeriveFallbacks,
 			})
 			r := &rows[len(rows)-1]
-			if mode == "off" {
-				off = r
+			if mode == deriveOracle {
+				oracle = r
 				continue
 			}
-			if r.Fingerprint != off.Fingerprint || r.Improvement != off.Improvement {
+			if r.Fingerprint != oracle.Fingerprint || r.Improvement != oracle.Improvement {
 				return rows, fmt.Errorf(
-					"derivation drift: %s/derive=%s recommends differently than derive=off (improvement %.6f vs %.6f):\n%s\nvs\n%s",
-					leg.workload, r.Mode, r.Improvement, off.Improvement, r.Fingerprint, off.Fingerprint)
+					"derivation drift: %s/derive=%s recommends differently than the real-call oracle (improvement %.6f vs %.6f):\n%s\nvs\n%s",
+					leg.workload, r.Mode, r.Improvement, oracle.Improvement, r.Fingerprint, oracle.Fingerprint)
 			}
 		}
 	}
@@ -112,13 +125,13 @@ func DeriveSweep(cfg Config) ([]DeriveRow, error) {
 }
 
 // deriveRatio is the what-if call reduction factor of one row over its
-// workload's derive=off baseline row.
+// workload's real-call baseline row.
 func deriveRatio(rows []DeriveRow, r DeriveRow) float64 {
 	if r.WhatIfCalls <= 0 {
 		return 0
 	}
 	for _, b := range rows {
-		if b.Workload == r.Workload && b.Mode == "off" {
+		if b.Workload == r.Workload && b.Mode == deriveOracle {
 			return float64(b.WhatIfCalls) / float64(r.WhatIfCalls)
 		}
 	}
@@ -126,7 +139,7 @@ func deriveRatio(rows []DeriveRow, r DeriveRow) float64 {
 }
 
 // DeriveString renders the sweep with per-mode call reduction over each
-// workload's derive=off baseline.
+// workload's real-call baseline.
 func DeriveString(rows []DeriveRow) string {
 	var body [][]string
 	for _, r := range rows {
@@ -146,7 +159,7 @@ func DeriveString(rows []DeriveRow) string {
 }
 
 // fallbackString renders a per-reason fallback breakdown as
-// "atom:12 dml:3", reasons sorted, or "-" when the layer never declined.
+// "atom:12 dml:3", reasons sorted, or "-" when there is none.
 func fallbackString(m map[string]int64) string {
 	if len(m) == 0 {
 		return "-"
@@ -165,14 +178,13 @@ func fallbackString(m map[string]int64) string {
 
 // SummarizeDerive flattens the sweep for the -json artifact: one record per
 // leg, Case "<workload>/derive=<mode>", Ratio carrying the call reduction
-// factor over that workload's derive=off row.
+// factor over that workload's real-call row.
 func SummarizeDerive(rows []DeriveRow) []BenchRecord {
 	var out []BenchRecord
 	for _, r := range rows {
 		out = append(out, BenchRecord{
 			Experiment:     "derive",
 			Case:           r.Workload + "/derive=" + r.Mode,
-			WallMS:         ms(r.Wall),
 			WhatIfCalls:    r.WhatIfCalls,
 			DerivedEvals:   r.DerivedEvals,
 			ImprovementPct: 100 * r.Improvement,

@@ -37,8 +37,8 @@ type Config struct {
 	StorageX    float64 // storage budget as a multiple of raw data (paper: 3x)
 	WarmRuns    int     // §7.2 warm runs per query (paper: 5)
 	Seed        int64
-	// Derive is the cost-derivation mode every tuning run uses ("" = off;
-	// "on"/"verify" per core.Options.Derive). dtabench -derive sets it.
+	// Derive is the cost-derivation mode every tuning run uses ("" = on, or
+	// "verify", per core.Options.Derive). dtabench -derive sets it.
 	Derive string
 }
 

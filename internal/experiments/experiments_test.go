@@ -228,7 +228,7 @@ func TestDeriveSweepShape(t *testing.T) {
 	// workload.
 	for _, base := range []int{0, 3} {
 		off, on, verify := rows[base], rows[base+1], rows[base+2]
-		if off.Mode != "off" || on.Mode != "on" || verify.Mode != "verify" ||
+		if off.Mode != deriveOracle || off.DerivedEvals != 0 || on.Mode != "on" || verify.Mode != "verify" ||
 			on.Workload != off.Workload || verify.Workload != off.Workload {
 			t.Fatalf("row order: %+v", rows)
 		}

@@ -190,11 +190,9 @@ func SummarizeIngest(rows []IngestRow) []BenchRecord {
 		out = append(out, BenchRecord{
 			Experiment:     "ingest",
 			Case:           fmt.Sprintf("n=%d", r.Events),
-			WallMS:         ms(r.IngestWall + r.TuneWall),
 			WhatIfCalls:    r.WhatIfCalls,
 			ImprovementPct: 100 * r.Improvement,
 			Events:         int64(r.Events),
-			AllocMB:        r.AllocMB,
 			Ratio:          r.Ratio,
 		})
 	}

@@ -95,7 +95,6 @@ func SummarizeParallel(rows []ParallelRow) []BenchRecord {
 		out = append(out, BenchRecord{
 			Experiment:     "parallel",
 			Case:           fmt.Sprintf("p=%d", r.Parallelism),
-			WallMS:         ms(r.Wall),
 			WhatIfCalls:    r.WhatIfCalls,
 			DerivedEvals:   r.DerivedEvals,
 			ImprovementPct: 100 * r.Improvement,

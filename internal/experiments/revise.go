@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen/setquery"
 	"repro/internal/datagen/tpch"
-	"repro/internal/derive"
 	"repro/internal/whatif"
 	"repro/internal/workload"
 )
@@ -126,7 +125,6 @@ func ReviseSweep(cfg Config) ([]ReviseRow, error) {
 		opts := cfg.tuneOpts(warm, core.FeatureIndexes)
 		opts.SkipReports = true
 		opts.CompressWorkload = true
-		opts.Derive = derive.On
 		var pool *core.CostedPool
 		opts.PoolSink = func(p *core.CostedPool) { pool = p }
 		start := time.Now()
@@ -160,7 +158,6 @@ func ReviseSweep(cfg Config) ([]ReviseRow, error) {
 				fopts := cfg.tuneOpts(fsrv, core.FeatureIndexes)
 				fopts.SkipReports = true
 				fopts.CompressWorkload = true
-				fopts.Derive = derive.On
 				fopts.StorageBudget = rcons.StorageBudget
 				fopts.Aligned = rcons.Aligned
 				fopts.UserConfig = rcons.Pinned
@@ -227,14 +224,12 @@ func SummarizeRevise(rows []ReviseRow) []BenchRecord {
 			BenchRecord{
 				Experiment:     "revise",
 				Case:           r.DB + "-" + r.Case + "/revise",
-				WallMS:         ms(r.WallRevise),
 				WhatIfCalls:    r.ReviseCalls,
 				ImprovementPct: 100 * r.Improvement,
 			},
 			BenchRecord{
 				Experiment:     "revise",
 				Case:           r.DB + "-" + r.Case + "/full",
-				WallMS:         ms(r.WallFull),
 				WhatIfCalls:    r.FullCalls,
 				ImprovementPct: 100 * r.Improvement,
 			})

@@ -3,32 +3,27 @@ package experiments
 import (
 	"encoding/json"
 	"os"
-	"time"
 )
 
-// BenchRecord is one machine-readable benchmark result: either a whole
-// experiment (Case empty, WallMS set by the harness) or one of its cases
-// (quality expressed as an improvement percentage over the baseline the
-// experiment defines). dtabench -json collects these for CI artifacts and
-// regression tracking.
+// BenchRecord is one machine-readable benchmark result: one case of an
+// experiment, with its computed — machine-independent — outcome (quality
+// expressed as an improvement percentage over the baseline the experiment
+// defines). dtabench -json collects these for CI artifacts and regression
+// tracking; timing belongs to the repository benchmark (bench/).
 type BenchRecord struct {
 	Experiment     string  `json:"experiment"`
 	Case           string  `json:"case,omitempty"`
-	WallMS         int64   `json:"wallMS,omitempty"`
 	WhatIfCalls    int64   `json:"whatIfCalls,omitempty"`
 	ImprovementPct float64 `json:"improvementPct,omitempty"`
 	// Events is the raw trace size of an ingest-sweep case.
 	Events int64 `json:"events,omitempty"`
-	// AllocMB is the bytes allocated during streaming ingestion (MB) — the
-	// bounded-memory claim the ingest sweep exists to demonstrate.
-	AllocMB float64 `json:"allocMB,omitempty"`
 	// Ratio is the workload compression ratio (raw events per kept
 	// representative) an ingest-sweep case achieved — or, for derive-sweep
-	// cases, the what-if call reduction factor over the derive=off run.
+	// cases, the what-if call reduction factor over the real-call run.
 	Ratio float64 `json:"ratio,omitempty"`
 	// DerivedEvals is the number of cost evaluations the derivation layer
 	// answered without an optimizer call (derive-sweep and parallel-sweep
-	// cases with derivation enabled).
+	// cases).
 	DerivedEvals int64 `json:"derivedEvals,omitempty"`
 }
 
@@ -47,8 +42,6 @@ func WriteBenchJSON(path string, records []BenchRecord) error {
 	return f.Close()
 }
 
-func ms(d time.Duration) int64 { return d.Milliseconds() }
-
 // SummarizeTable2 flattens the customer-workload comparison (§7.1).
 func SummarizeTable2(rows []Table2Row) []BenchRecord {
 	var out []BenchRecord
@@ -56,7 +49,6 @@ func SummarizeTable2(rows []Table2Row) []BenchRecord {
 		out = append(out, BenchRecord{
 			Experiment:     "table2",
 			Case:           r.Name,
-			WallMS:         ms(r.TuningTime),
 			ImprovementPct: 100 * r.QualityDTA,
 		})
 	}
@@ -94,7 +86,6 @@ func SummarizeTable3(rows []Table3Row) []BenchRecord {
 		out = append(out, BenchRecord{
 			Experiment:     "table3",
 			Case:           r.Name,
-			WallMS:         ms(r.TimeCompress),
 			ImprovementPct: 100 * r.QualityCompress,
 		})
 	}
@@ -123,7 +114,6 @@ func SummarizeFigure45(rows []Figure45Row) []BenchRecord {
 		out = append(out, BenchRecord{
 			Experiment:     "figure45",
 			Case:           r.Name,
-			WallMS:         ms(r.TimeDTA),
 			WhatIfCalls:    r.CallsDTA,
 			ImprovementPct: 100 * r.QualityDTA,
 		})
@@ -144,7 +134,6 @@ func SummarizeAblation(r *AblationRow) []BenchRecord {
 	return []BenchRecord{{
 		Experiment:     "ablations",
 		Case:           r.Name,
-		WallMS:         ms(r.TimeOn),
 		WhatIfCalls:    r.CallsOn,
 		ImprovementPct: 100 * r.QualityOn,
 	}}

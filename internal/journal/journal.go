@@ -58,9 +58,9 @@ const (
 	// KindDrop records one drop-analysis round: the existing structure
 	// whose removal was cheapest and whether it was actually dropped.
 	KindDrop Kind = "drop"
-	// KindDeriveFallback records one derived-cost bailout to a real
-	// optimizer call, with the fallback reason taxonomy from
-	// internal/derive (dml, atom, stats-epoch, eval-error, used-escape).
+	// KindDeriveFallback records one real optimizer call behind cost
+	// derivation, with the fallback reason taxonomy from internal/derive
+	// (dml, atom, eval-error, used-escape).
 	KindDeriveFallback Kind = "derive-fallback"
 	// KindRetry records one failed backend attempt (the retry layer's
 	// per-site transitions; successes are not journaled).

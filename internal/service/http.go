@@ -39,12 +39,12 @@ type CreateOptions struct {
 	// default, GOMAXPROCS). The server-wide budget (dtaserver
 	// -max-parallelism) caps it. Recommendations do not depend on it.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Derive selects the cost-derivation layer's mode: "on" answers
-	// cost-cache misses algebraically from atomic plan facts where provably
-	// exact (recommendations unchanged, far fewer optimizer calls),
-	// "verify" additionally cross-checks every derived cost against a real
-	// call, "off" disables it. Empty defers to the server default
-	// (dtaserver -derive).
+	// Derive selects the cost-derivation layer's mode: "on" answers SELECT
+	// cost-cache misses by replaying one plan skeleton per event
+	// (recommendations unchanged, far fewer optimizer calls), "verify"
+	// additionally cross-checks every derived cost against a real call.
+	// Empty defers to the server default (dtaserver -derive, itself on
+	// unless set to verify).
 	Derive string `json:"derive,omitempty"`
 	// FaultSpec, when non-empty, attaches a session-scoped deterministic
 	// fault injector (grammar "seed=N;site:kind:prob[:duration];...", see

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -306,56 +307,74 @@ func TestHTTPCancelAndErrors(t *testing.T) {
 	}
 }
 
-// TestHTTPDeriveOption drives options.derive over the wire: a derivation-on
-// session must report derivedEvals and fewer what-if calls than the same
-// session with derivation off, while recommending the identical structures —
-// and a bad mode must be rejected at create time.
+// TestHTTPDeriveOption drives options.derive over the wire: a session on a
+// skeleton-returning backend derives by default — reporting derivedEvals and
+// fewer what-if calls than the same session on a real-call view of that
+// backend, while recommending the identical structures; "verify" derives
+// too; and the removed "off" and unknown modes are rejected at create time,
+// "off" with the message that names the removal.
 func TestHTTPDeriveOption(t *testing.T) {
-	_, ts, _ := newTestAPI(t, 2)
+	srv := smallServer(t)
+	m := service.NewManager(2)
+	for name, tuner := range map[string]core.Tuner{
+		"db": srv,
+		// The oracle: the same server with its AlternativesTuner hidden.
+		"db-real-call": struct{ core.Tuner }{srv},
+	} {
+		if err := m.Register(&service.Backend{Name: name, Tuner: tuner, DefaultWorkload: quickWorkload(t, 0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(m.Handler())
+	t.Cleanup(ts.Close)
 
-	run := func(mode string) service.Snapshot {
+	run := func(backend string, options map[string]any) service.Snapshot {
 		t.Helper()
-		resp, snap := postJSON(t, ts.URL+"/sessions", map[string]any{
-			"database": "db",
-			"options":  map[string]any{"derive": mode},
-		})
+		resp, snap := postJSON(t, ts.URL+"/sessions", map[string]any{"database": backend, "options": options})
 		if resp.StatusCode != http.StatusCreated {
-			t.Fatalf("POST /sessions derive=%s = %d", mode, resp.StatusCode)
+			t.Fatalf("POST /sessions %s %v = %d", backend, options, resp.StatusCode)
 		}
 		final := waitTerminal(t, ts.URL, snap.ID)
 		if final.State != service.StateDone {
-			t.Fatalf("derive=%s: state = %s (%s)", mode, final.State, final.Error)
+			t.Fatalf("%s %v: state = %s (%s)", backend, options, final.State, final.Error)
 		}
 		return final
 	}
 
 	// Sessions share the backend, and the first session creates statistics
 	// that change later sessions' cost estimates; warm them up front so the
-	// off/on comparison sees identical statistics.
-	run("off")
+	// comparison sees identical statistics.
+	run("db", nil)
 
-	off := run("off")
-	on := run("on")
-	if off.Result.DerivedEvals != 0 {
-		t.Fatalf("derive=off reported derivedEvals=%d", off.Result.DerivedEvals)
+	real := run("db-real-call", nil)
+	if real.Result.DerivedEvals != 0 {
+		t.Fatalf("real-call backend reported derivedEvals=%d", real.Result.DerivedEvals)
 	}
-	if on.Result.DerivedEvals == 0 {
-		t.Fatal("derive=on reported no derived evaluations")
-	}
-	if on.Result.WhatIfCalls >= off.Result.WhatIfCalls {
-		t.Fatalf("derive=on must cut calls: on=%d off=%d", on.Result.WhatIfCalls, off.Result.WhatIfCalls)
-	}
-	if fmt.Sprint(on.Result.Structures) != fmt.Sprint(off.Result.Structures) ||
-		on.Result.Improvement != off.Result.Improvement {
-		t.Fatalf("recommendation depends on derive mode:\n off: %v (%v)\n on:  %v (%v)",
-			off.Result.Structures, off.Result.Improvement, on.Result.Structures, on.Result.Improvement)
+	for _, options := range []map[string]any{nil, {"derive": "on"}, {"derive": "Verify"}} {
+		on := run("db", options)
+		if on.Result.DerivedEvals == 0 {
+			t.Fatalf("%v: no derived evaluations", options)
+		}
+		if on.Result.WhatIfCalls >= real.Result.WhatIfCalls {
+			t.Fatalf("%v: derivation must cut calls: %d vs real-call %d", options, on.Result.WhatIfCalls, real.Result.WhatIfCalls)
+		}
+		if fmt.Sprint(on.Result.Structures) != fmt.Sprint(real.Result.Structures) ||
+			on.Result.Improvement != real.Result.Improvement {
+			t.Fatalf("%v: recommendation differs from the real-call oracle:\n real: %v (%v)\n got:  %v (%v)", options,
+				real.Result.Structures, real.Result.Improvement, on.Result.Structures, on.Result.Improvement)
+		}
 	}
 
-	resp, _ := postJSON(t, ts.URL+"/sessions", map[string]any{
-		"database": "db",
-		"options":  map[string]any{"derive": "sometimes"},
-	})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("POST bad derive mode = %d", resp.StatusCode)
+	for mode, want := range map[string]string{"off": "was removed", "sometimes": "unknown mode"} {
+		body, _ := json.Marshal(map[string]any{"database": "db", "options": map[string]any{"derive": mode}})
+		resp, err := http.Post(ts.URL+"/sessions", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), want) {
+			t.Fatalf("POST derive=%s = %d %q, want 400 containing %q", mode, resp.StatusCode, msg, want)
+		}
 	}
 }

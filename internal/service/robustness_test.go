@@ -1,10 +1,12 @@
 package service_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -259,4 +261,77 @@ func renderStructures(rec *core.Recommendation) string {
 		out = append(out, st.String())
 	}
 	return strings.Join(out, "\n")
+}
+
+// TestPersistedDeriveModes: session and daemon state files written with
+// options.derive unset or "on" — all a deployment of the previous release
+// could have left behind that is still valid — resume as before; files
+// carrying the removed "off" are skipped with the message naming the removal,
+// never resumed under a silently different mode.
+func TestPersistedDeriveModes(t *testing.T) {
+	for _, c := range []struct {
+		mode   string
+		resume bool
+	}{{"", true}, {"on", true}, {"off", false}} {
+		t.Run("derive="+c.mode, func(t *testing.T) {
+			dir := t.TempDir()
+			for name, state := range map[string]any{
+				"s-0007.json": map[string]any{
+					"id": "s-0007", "statements": resumeStatements()[:2],
+					"options": service.CreateOptions{Features: "IDX", Derive: c.mode},
+				},
+				"d-0003.daemon.json": map[string]any{
+					"id": "d-0003", "backend": "db", "threshold": 0.2,
+					"options": service.CreateOptions{Features: "IDX", Derive: c.mode},
+				},
+			} {
+				data, err := json.Marshal(state)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			var logs bytes.Buffer
+			m := service.NewManager(2)
+			m.SetLogger(slog.New(slog.NewTextHandler(&logs, nil)))
+			if err := m.Register(&service.Backend{Name: "db", Tuner: smallServer(t)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.SetStateDir(dir); err != nil {
+				t.Fatal(err)
+			}
+			sessions, err := m.ResumeSessions()
+			if err != nil {
+				t.Fatal(err)
+			}
+			daemons, err := m.ResumeDaemons()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !c.resume {
+				if len(sessions) != 0 || len(daemons) != 0 {
+					t.Fatalf("derive=%q state resumed: %d sessions, %d daemons", c.mode, len(sessions), len(daemons))
+				}
+				if n := strings.Count(logs.String(), "was removed"); n != 2 {
+					t.Fatalf("want the removal message once per skipped file, got %d in:\n%s", n, logs.String())
+				}
+				return
+			}
+			if len(sessions) != 1 || len(daemons) != 1 {
+				t.Fatalf("derive=%q: resumed %d sessions, %d daemons, want 1 and 1\n%s", c.mode, len(sessions), len(daemons), logs.String())
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			if err := sessions[0].Wait(ctx); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := sessions[0].Result()
+			if err != nil || rec.DerivedEvals == 0 {
+				t.Fatalf("resumed session: rec=%+v err=%v, want a derived run", rec, err)
+			}
+		})
+	}
 }

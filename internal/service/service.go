@@ -310,8 +310,8 @@ type Result struct {
 	EventsTuned  int     `json:"eventsTuned"`
 	WhatIfCalls  int64   `json:"whatIfCalls"`
 	DerivedEvals int64   `json:"derivedEvals,omitempty"`
-	// DeriveFallbacks breaks down, by reason, the evaluations the
-	// derivation layer answered with a real optimizer call instead.
+	// DeriveFallbacks breaks down, by reason, the real optimizer calls
+	// behind cost derivation (skeleton fetches, DML, failed resolutions).
 	DeriveFallbacks map[string]int64 `json:"deriveFallbacks,omitempty"`
 	StatsCreated    int              `json:"statsCreated"`
 	DurationMS      int64            `json:"durationMS"`
@@ -560,8 +560,8 @@ func (m *Manager) SetParallelismCap(n int) {
 }
 
 // SetDeriveDefault sets the cost-derivation mode for sessions whose request
-// does not choose one (options.derive empty). An explicit per-session
-// "off"/"on"/"verify" always wins. Call before serving; the default applies
+// does not choose one (options.derive empty; "" here means on). An explicit
+// per-session "on"/"verify" always wins. Call before serving; the default applies
 // to sessions created afterwards.
 func (m *Manager) SetDeriveDefault(mode derive.Mode) {
 	m.mu.Lock()

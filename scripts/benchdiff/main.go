@@ -2,9 +2,9 @@
 // baseline and fails on regression. It is the CI gate behind the committed
 // BENCH_*_quick.json files: the deterministic fields (what-if calls,
 // derived evaluations, ingest event counts) must match the baseline
-// exactly, quality fields (improvement, ratio) must match to float
-// round-off, and only the machine-dependent fields (wall clock, allocated
-// MB) get a tolerance factor.
+// exactly and quality fields (improvement, ratio) must match to float
+// round-off. Records carry nothing machine-dependent — timing and
+// allocation are the repository benchmark's business (bench/).
 //
 // Usage:
 //
@@ -29,9 +29,6 @@ func main() {
 	var (
 		baselinePath = flag.String("baseline", "", "committed baseline JSON (required)")
 		currentPath  = flag.String("current", "", "freshly produced dtabench -json output (required)")
-		wallTol      = flag.Float64("wall-tol", 20, "allowed wall-clock factor vs baseline (either direction); cases under -wall-min are skipped")
-		wallMin      = flag.Int64("wall-min", 100, "wall-clock floor in ms below which timing noise dominates and the factor check is skipped")
-		allocTol     = flag.Float64("alloc-tol", 4, "allowed allocated-MB factor vs baseline; cases under 1 MB are skipped")
 	)
 	flag.Parse()
 	if *baselinePath == "" || *currentPath == "" {
@@ -40,9 +37,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	problems, err := Diff(*baselinePath, *currentPath, Tolerances{
-		WallFactor: *wallTol, WallMinMS: *wallMin, AllocFactor: *allocTol,
-	})
+	problems, err := Diff(*baselinePath, *currentPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
@@ -57,20 +52,9 @@ func main() {
 	fmt.Printf("benchdiff: %s matches %s\n", *currentPath, *baselinePath)
 }
 
-// Tolerances bounds the machine-dependent fields; everything else is
-// compared exactly (or to float round-off).
-type Tolerances struct {
-	// WallFactor is the allowed wall-clock ratio in either direction.
-	WallFactor float64
-	// WallMinMS skips the wall check when both sides are under it.
-	WallMinMS int64
-	// AllocFactor is the allowed allocated-MB ratio; sides under 1 MB skip.
-	AllocFactor float64
-}
-
 // Diff loads both files and returns one message per mismatch (empty on a
 // clean comparison).
-func Diff(baselinePath, currentPath string, tol Tolerances) ([]string, error) {
+func Diff(baselinePath, currentPath string) ([]string, error) {
 	base, err := load(baselinePath)
 	if err != nil {
 		return nil, err
@@ -79,7 +63,7 @@ func Diff(baselinePath, currentPath string, tol Tolerances) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	return compare(base, cur, tol), nil
+	return compare(base, cur), nil
 }
 
 func load(path string) ([]experiments.BenchRecord, error) {
@@ -96,7 +80,7 @@ func load(path string) ([]experiments.BenchRecord, error) {
 
 func key(r experiments.BenchRecord) string { return r.Experiment + "/" + r.Case }
 
-func compare(base, cur []experiments.BenchRecord, tol Tolerances) []string {
+func compare(base, cur []experiments.BenchRecord) []string {
 	var problems []string
 	baseBy := map[string]experiments.BenchRecord{}
 	for _, r := range base {
@@ -117,7 +101,7 @@ func compare(base, cur []experiments.BenchRecord, tol Tolerances) []string {
 			problems = append(problems, fmt.Sprintf("%s: not in baseline", key(c)))
 			continue
 		}
-		problems = append(problems, compareRecord(b, c, tol)...)
+		problems = append(problems, compareRecord(b, c)...)
 	}
 	return problems
 }
@@ -126,7 +110,7 @@ func compare(base, cur []experiments.BenchRecord, tol Tolerances) []string {
 // improvement and ratio may differ only by float round-off.
 const relTol = 1e-9
 
-func compareRecord(b, c experiments.BenchRecord, tol Tolerances) []string {
+func compareRecord(b, c experiments.BenchRecord) []string {
 	var problems []string
 	k := key(b)
 	if b.WhatIfCalls != c.WhatIfCalls {
@@ -144,16 +128,6 @@ func compareRecord(b, c experiments.BenchRecord, tol Tolerances) []string {
 	if !closeRel(b.Ratio, c.Ratio) {
 		problems = append(problems, fmt.Sprintf("%s: ratio %.9f, baseline %.9f", k, c.Ratio, b.Ratio))
 	}
-	if b.WallMS >= tol.WallMinMS || c.WallMS >= tol.WallMinMS {
-		if f := factor(float64(b.WallMS), float64(c.WallMS)); f > tol.WallFactor {
-			problems = append(problems, fmt.Sprintf("%s: wallMS %d vs baseline %d (%.1fx > %.1fx tolerance)", k, c.WallMS, b.WallMS, f, tol.WallFactor))
-		}
-	}
-	if b.AllocMB >= 1 || c.AllocMB >= 1 {
-		if f := factor(b.AllocMB, c.AllocMB); f > tol.AllocFactor {
-			problems = append(problems, fmt.Sprintf("%s: allocMB %.1f vs baseline %.1f (%.1fx > %.1fx tolerance)", k, c.AllocMB, b.AllocMB, f, tol.AllocFactor))
-		}
-	}
 	return problems
 }
 
@@ -163,17 +137,4 @@ func closeRel(a, b float64) bool {
 		return true
 	}
 	return math.Abs(a-b) <= relTol*math.Max(math.Abs(a), math.Abs(b))
-}
-
-// factor is the larger-over-smaller ratio of two non-negative values; a
-// zero on one side with a meaningful other side is reported as +Inf.
-func factor(a, b float64) float64 {
-	if a == b {
-		return 1
-	}
-	lo, hi := math.Min(a, b), math.Max(a, b)
-	if lo <= 0 {
-		return math.Inf(1)
-	}
-	return hi / lo
 }

@@ -23,13 +23,11 @@ func write(t *testing.T, dir, name string, recs []experiments.BenchRecord) strin
 	return path
 }
 
-var defaultTol = Tolerances{WallFactor: 20, WallMinMS: 100, AllocFactor: 4}
-
 func baselineRecs() []experiments.BenchRecord {
 	return []experiments.BenchRecord{
-		{Experiment: "parallel", Case: "par=1", WallMS: 900, WhatIfCalls: 1234, DerivedEvals: 88, ImprovementPct: 41.5},
-		{Experiment: "parallel", Case: "par=4", WallMS: 300, WhatIfCalls: 1234, DerivedEvals: 88, ImprovementPct: 41.5},
-		{Experiment: "ingest", Case: "events=2000", WallMS: 40, Events: 2000, Ratio: 12.5, AllocMB: 3.2},
+		{Experiment: "parallel", Case: "par=1", WhatIfCalls: 1234, DerivedEvals: 88, ImprovementPct: 41.5},
+		{Experiment: "parallel", Case: "par=4", WhatIfCalls: 1234, DerivedEvals: 88, ImprovementPct: 41.5},
+		{Experiment: "ingest", Case: "events=2000", Events: 2000, Ratio: 12.5},
 	}
 }
 
@@ -37,15 +35,13 @@ func TestCleanComparison(t *testing.T) {
 	dir := t.TempDir()
 	b := write(t, dir, "base.json", baselineRecs())
 
-	// Same determinism fields, wall clock off by well under the factor,
-	// quality off by pure round-off.
+	// Same determinism fields, quality off by pure round-off.
 	cur := baselineRecs()
-	cur[0].WallMS = 1800
 	cur[1].ImprovementPct += 1e-12
-	cur[2].AllocMB = 3.9
+	cur[2].Ratio += 1e-12
 	c := write(t, dir, "cur.json", cur)
 
-	problems, err := Diff(b, c, defaultTol)
+	problems, err := Diff(b, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +61,7 @@ func TestExactFieldRegressions(t *testing.T) {
 	cur[1].ImprovementPct = 40.0 // real quality regression
 	c := write(t, dir, "cur.json", cur)
 
-	problems, err := Diff(b, c, defaultTol)
+	problems, err := Diff(b, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,40 +76,6 @@ func TestExactFieldRegressions(t *testing.T) {
 	}
 }
 
-func TestWallToleranceAndFloor(t *testing.T) {
-	dir := t.TempDir()
-	b := write(t, dir, "base.json", baselineRecs())
-
-	cur := baselineRecs()
-	cur[0].WallMS = 900 * 25 // beyond the 20x factor on a >=100ms case
-	cur[2].WallMS = 1        // under the floor on both sides: ignored
-	c := write(t, dir, "cur.json", cur)
-
-	problems, err := Diff(b, c, defaultTol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(problems) != 1 || !strings.Contains(problems[0], "wallMS") {
-		t.Fatalf("problems = %v, want exactly the par=1 wall report", problems)
-	}
-}
-
-func TestAllocTolerance(t *testing.T) {
-	dir := t.TempDir()
-	b := write(t, dir, "base.json", baselineRecs())
-	cur := baselineRecs()
-	cur[2].AllocMB = 3.2 * 5 // beyond the 4x factor
-	c := write(t, dir, "cur.json", cur)
-
-	problems, err := Diff(b, c, defaultTol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(problems) != 1 || !strings.Contains(problems[0], "allocMB") {
-		t.Fatalf("problems = %v, want exactly the alloc report", problems)
-	}
-}
-
 func TestMissingAndExtraRecords(t *testing.T) {
 	dir := t.TempDir()
 	b := write(t, dir, "base.json", baselineRecs())
@@ -121,7 +83,7 @@ func TestMissingAndExtraRecords(t *testing.T) {
 	cur = append(cur, experiments.BenchRecord{Experiment: "parallel", Case: "par=8"})
 	c := write(t, dir, "cur.json", cur)
 
-	problems, err := Diff(b, c, defaultTol)
+	problems, err := Diff(b, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +103,10 @@ func TestBadInput(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Diff(good, bad, defaultTol); err == nil {
+	if _, err := Diff(good, bad); err == nil {
 		t.Fatal("malformed current file not rejected")
 	}
-	if _, err := Diff(filepath.Join(dir, "absent.json"), good, defaultTol); err == nil {
+	if _, err := Diff(filepath.Join(dir, "absent.json"), good); err == nil {
 		t.Fatal("missing baseline not rejected")
 	}
 }
