@@ -428,3 +428,25 @@ func TestConfigurationMergeAndClone(t *testing.T) {
 		t.Fatal("clone shares partition map")
 	}
 }
+
+// TestStructuresPartitioningOrder pins the tail of Structures(): table
+// partitionings live in a map, and must come out sorted by table name on
+// every call.
+func TestStructuresPartitioningOrder(t *testing.T) {
+	cfg := NewConfiguration()
+	cfg.AddIndex(NewIndex("orders", "o_custkey"))
+	for _, table := range []string{"part", "orders", "supplier", "customer", "lineitem"} {
+		cfg.SetTablePartitioning(table, NewPartitionScheme("k", 1, 2))
+	}
+	for i := 0; i < 50; i++ {
+		var tables []string
+		for _, st := range cfg.Structures() {
+			if st.Part != nil {
+				tables = append(tables, st.PartTable)
+			}
+		}
+		if len(tables) != 5 || !sort.StringsAreSorted(tables) {
+			t.Fatalf("call %d: partitioning suffix %v, want 5 tables sorted by name", i, tables)
+		}
+	}
+}

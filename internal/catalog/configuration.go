@@ -235,7 +235,9 @@ func (c *Configuration) Key() string {
 }
 
 // Structures returns every structure in the configuration as a uniform
-// Structure slice (used by enumeration and reporting).
+// Structure slice (used by enumeration and reporting): indexes, then views,
+// then table partitionings sorted by table name, so the order is the same
+// on every call.
 func (c *Configuration) Structures() []Structure {
 	var out []Structure
 	for _, ix := range c.Indexes {
@@ -244,8 +246,13 @@ func (c *Configuration) Structures() []Structure {
 	for _, v := range c.Views {
 		out = append(out, Structure{View: v})
 	}
-	for t, p := range c.TableParts {
-		out = append(out, Structure{PartTable: t, Part: p})
+	tables := make([]string, 0, len(c.TableParts))
+	for t := range c.TableParts {
+		tables = append(tables, t)
+	}
+	sort.Strings(tables)
+	for _, t := range tables {
+		out = append(out, Structure{PartTable: t, Part: c.TableParts[t]})
 	}
 	return out
 }

@@ -2,8 +2,10 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -106,10 +108,6 @@ type DaemonEvent struct {
 	Delta *Delta `json:"delta,omitempty"`
 }
 
-// maxDaemonEventHistory bounds the per-daemon event log replayed to late
-// subscribers, like maxEventHistory does for sessions.
-const maxDaemonEventHistory = 1024
-
 // Daemon is one continuous tuning loop: a long-lived per-database session
 // that ingests the live trace incrementally through a streaming compressor,
 // scores workload drift against the template distribution it last tuned,
@@ -121,23 +119,19 @@ const maxDaemonEventHistory = 1024
 // enumeration, and both survive re-tunes and server restarts through the
 // manager's state directory.
 type Daemon struct {
-	id      string
-	backend string
-	created time.Time
-	// journal records the daemon's decision history: every drift
-	// evaluation, every delta, every feedback decision, plus the tuning
-	// pipeline's own events for each re-tune — the substrate of
-	// GET /daemons/{id}/explain.
-	journal *journal.Journal
-	// trace is the daemon's span timeline across all its re-tunes.
-	trace *obs.Trace
+	tuned
 	// gScore mirrors the latest drift score into dta_drift_score{daemon=id}.
 	gScore *obs.Gauge
+
+	// events is the daemon's event log and subscriber fan-out; it is
+	// published to under mu, which is what orders Seq.
+	events hub[DaemonEvent]
 
 	mu     sync.Mutex
 	closed bool
 	// opts is the re-tune option template (wire CreateOptions mapped to
-	// core.Options, callbacks stripped); wire is the persisted form.
+	// core.Options and prepared with the server-side defaults); wire is the
+	// persisted form.
 	opts core.Options
 	wire CreateOptions
 	// threshold is the drift score at which an epoch triggers a re-tune.
@@ -168,23 +162,8 @@ type Daemon struct {
 	lastImprovement float64
 	lastCalls       int64
 
-	seq     int
-	events  []DaemonEvent
-	subs    map[int]chan DaemonEvent
-	nextSub int
+	seq int
 }
-
-// ID returns the daemon identifier.
-func (d *Daemon) ID() string { return d.id }
-
-// Backend returns the backend the daemon tunes.
-func (d *Daemon) Backend() string { return d.backend }
-
-// Journal returns the daemon's decision journal (live and bounded).
-func (d *Daemon) Journal() *journal.Journal { return d.journal }
-
-// Trace returns the daemon's span timeline (live).
-func (d *Daemon) Trace() *obs.Trace { return d.trace }
 
 // Deltas returns the daemon's delta history from seq (exclusive); since 0
 // returns everything.
@@ -205,42 +184,15 @@ func (d *Daemon) Deltas(since int) []Delta {
 // an unsubscribe function. Slow subscribers drop events rather than
 // stalling ingestion.
 func (d *Daemon) Subscribe() ([]DaemonEvent, <-chan DaemonEvent, func()) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	hist := append([]DaemonEvent(nil), d.events...)
-	if d.closed {
-		ch := make(chan DaemonEvent)
-		close(ch)
-		return hist, ch, func() {}
-	}
-	id := d.nextSub
-	d.nextSub++
-	ch := make(chan DaemonEvent, 64)
-	d.subs[id] = ch
-	return hist, ch, func() {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		if _, ok := d.subs[id]; ok {
-			delete(d.subs, id)
-			close(ch)
-		}
-	}
+	return d.events.subscribe()
 }
 
-// publishLocked appends an event and fans it out; the caller holds d.mu.
-func (d *Daemon) publishLocked(e DaemonEvent) {
+// publish stamps the event with the daemon's next sequence number and
+// publishes it; the caller holds d.mu.
+func (d *Daemon) publish(e DaemonEvent) {
 	d.seq++
 	e.Seq = d.seq
-	d.events = append(d.events, e)
-	if len(d.events) > maxDaemonEventHistory {
-		d.events = append(d.events[:1:1], d.events[len(d.events)-maxDaemonEventHistory+1:]...)
-	}
-	for _, ch := range d.subs {
-		select {
-		case ch <- e:
-		default:
-		}
-	}
+	d.events.publish(e)
 }
 
 // DaemonSnapshot is the JSON-friendly view of a daemon.
@@ -293,58 +245,36 @@ func (d *Daemon) Snapshot() DaemonSnapshot {
 		LastImprovement: d.lastImprovement,
 		LastWhatIfCalls: d.lastCalls,
 		Vetoed:          append([]string(nil), d.vetoed...),
-		Proposed:        sortedEntries(describe(d.current), ""),
+		Proposed:        entries(d.current, nil, ""),
 	}
-	if len(d.retunes) > 0 {
-		out.Retunes = make(map[string]int64, len(d.retunes))
-		for k, v := range d.retunes {
-			out.Retunes[k] = v
-		}
-	}
-	out.Accepted = acceptedKeys(d.accepted)
+	out.Retunes = maps.Clone(d.retunes)
+	out.Accepted = sortedKeys(structuresByKey(nil, d.accepted))
 	if d.pool != nil {
 		out.PoolFingerprint = d.pool.Fingerprint
 	}
 	return out
 }
 
-// acceptedKeys returns the sorted structure keys of a pinned configuration.
-func acceptedKeys(cfg *catalog.Configuration) []string {
-	if cfg == nil {
-		return nil
-	}
+// sortedKeys returns the map's keys in order (nil for an empty map).
+func sortedKeys[V any](m map[string]V) []string {
 	var keys []string
-	for _, st := range cfg.Structures() {
-		keys = append(keys, st.Key())
+	for k := range m {
+		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	return keys
 }
 
-// describe renders a key→structure map as key→description.
-func describe(m map[string]catalog.Structure) map[string]string {
-	out := make(map[string]string, len(m))
-	for k, st := range m {
-		out[k] = st.String()
+// entries lists, sorted by key and with a DDL verb prefix, the structures
+// of have that without lacks (nil = list them all) — one side of a delta.
+func entries(have, without map[string]catalog.Structure, verb string) []DeltaEntry {
+	var out []DeltaEntry
+	for k, st := range have {
+		if _, both := without[k]; !both {
+			out = append(out, DeltaEntry{Key: k, DDL: verb + st.String()})
+		}
 	}
-	return out
-}
-
-// sortedEntries renders a key→description map as DeltaEntry list sorted by
-// key, with an optional DDL verb prefix.
-func sortedEntries(m map[string]string, verb string) []DeltaEntry {
-	if len(m) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]DeltaEntry, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, DeltaEntry{Key: k, DDL: verb + m[k]})
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 
@@ -396,65 +326,43 @@ func (m *Manager) CreateDaemon(req DaemonRequest) (*Daemon, error) {
 		return nil, err
 	}
 	threshold := req.Drift.Threshold
-	m.mu.Lock()
 	if threshold == 0 {
+		m.mu.Lock()
 		threshold = m.driftDefault
-		if threshold == 0 {
-			threshold = DefaultDriftThreshold
-		}
+		m.mu.Unlock()
 	}
-	if opts.Derive == "" {
-		opts.Derive = m.deriveDefault
-	}
-	m.mu.Unlock()
-	return m.addDaemon("", b.Name, req.Options, opts, threshold, nil)
+	return m.addDaemon("", b, req.Options, opts, threshold, nil)
 }
 
 // addDaemon allocates and registers a daemon; the resume path supplies a
 // fixed ID and a restored compressor (nil = fresh).
-func (m *Manager) addDaemon(id, backend string, wire CreateOptions, opts core.Options, threshold float64, comp *workload.Compressor) (*Daemon, error) {
+func (m *Manager) addDaemon(id string, b *Backend, wire CreateOptions, opts core.Options, threshold float64, comp *workload.Compressor) (*Daemon, error) {
+	opts = m.prepare(b, opts)
 	opts.SkipReports = true
 	if comp == nil {
 		comp = workload.NewCompressor(workload.CompressOptions{MaxPerTemplate: opts.MaxPerTemplate})
 	}
 	m.mu.Lock()
-	if id == "" {
-		m.dseq++
-		id = fmt.Sprintf("d-%04d", m.dseq)
-	} else {
-		if _, dup := m.daemons[id]; dup {
-			m.mu.Unlock()
-			return nil, fmt.Errorf("service: daemon %q already exists", id)
+	d, err := m.daemons.add(id, func(id string) *Daemon {
+		return &Daemon{
+			tuned: newTuned("daemon", id, b.Name, m.reg),
+			gScore: m.reg.Gauge("dta_drift_score",
+				"Latest workload-drift score per daemon (0 = template distribution unchanged since the last re-tune, 1 = disjoint).",
+				"daemon", id),
+			opts:      opts,
+			wire:      wire,
+			threshold: threshold,
+			comp:      comp,
+			current:   map[string]catalog.Structure{},
+			retunes:   map[string]int64{},
 		}
-		var n int
-		if _, err := fmt.Sscanf(id, "d-%d", &n); err == nil && n > m.dseq {
-			m.dseq = n
-		}
-	}
-	d := &Daemon{
-		id:        id,
-		backend:   backend,
-		created:   time.Now(),
-		opts:      opts,
-		wire:      wire,
-		threshold: threshold,
-		comp:      comp,
-		current:   map[string]catalog.Structure{},
-		retunes:   map[string]int64{},
-		subs:      map[int]chan DaemonEvent{},
-	}
-	d.trace = obs.NewTrace(d.id)
-	d.journal = journal.New(d.id)
-	d.journal.AttachMetrics(m.reg)
-	d.gScore = m.reg.Gauge("dta_drift_score",
-		"Latest workload-drift score per daemon (0 = template distribution unchanged since the last re-tune, 1 = disjoint).",
-		"daemon", d.id)
-	m.daemons[d.id] = d
-	m.dorder = append(m.dorder, d.id)
+	})
 	m.mu.Unlock()
-	m.daemonsCreated.Add(1)
+	if err != nil {
+		return nil, err
+	}
 	m.cDaemons.Inc()
-	m.log.Info("daemon created", "daemon", d.id, "backend", backend, "threshold", threshold)
+	m.log.Info("daemon created", "daemon", d.id, "backend", b.Name, "threshold", threshold)
 	return d, nil
 }
 
@@ -462,7 +370,7 @@ func (m *Manager) addDaemon(id, backend string, wire CreateOptions, opts core.Op
 func (m *Manager) GetDaemon(id string) (*Daemon, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	d, ok := m.daemons[id]
+	d, ok := m.daemons.byID[id]
 	return d, ok
 }
 
@@ -470,11 +378,7 @@ func (m *Manager) GetDaemon(id string) (*Daemon, bool) {
 func (m *Manager) Daemons() []*Daemon {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]*Daemon, 0, len(m.dorder))
-	for _, id := range m.dorder {
-		out = append(out, m.daemons[id])
-	}
-	return out
+	return m.daemons.list()
 }
 
 // CloseDaemon closes the daemon: it stops accepting trace and feedback,
@@ -488,15 +392,12 @@ func (m *Manager) CloseDaemon(id string) (*Daemon, error) {
 	d.mu.Lock()
 	if !d.closed {
 		d.closed = true
-		d.publishLocked(DaemonEvent{Kind: "closed"})
-		for sid, ch := range d.subs {
-			delete(d.subs, sid)
-			close(ch)
-		}
+		d.publish(DaemonEvent{Kind: "closed"})
+		d.events.close()
 	}
 	d.mu.Unlock()
-	m.removeDaemonState(id)
-	m.removePool(id)
+	m.removeStateFile(id, daemonSuffix)
+	m.removeStateFile(id, poolSuffix)
 	m.log.Info("daemon closed", "daemon", id)
 	return d, nil
 }
@@ -545,43 +446,17 @@ func (m *Manager) IngestTrace(ctx context.Context, id string, trace io.Reader) (
 	if err != nil {
 		return nil, err
 	}
+	// However the epoch ends — a malformed line, a stable score, a failed
+	// re-tune, a delta — what the compressor absorbed is persisted (still
+	// under d.mu: this runs before the deferred unlock).
+	defer m.writeDaemonState(d)
 
-	startEvents := d.comp.Events()
-	cr := &countingReader{r: trace}
-	_, sp := obs.StartSpan(obs.WithTrace(ctx, d.trace), "daemon", "ingest")
-	var last int64
-	flush := func() {
-		ev := d.comp.Events() - startEvents
-		m.cIngestEvents.Add(float64(ev - last))
-		last = ev
-	}
-	err = workload.StreamTrace(cr, func(e *workload.Event, _ int) error {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		if aerr := d.comp.Add(e); aerr != nil {
-			return aerr
-		}
-		if (d.comp.Events()-startEvents)%ingestFlushEvery == 0 {
-			flush()
-		}
-		return nil
-	})
-	flush()
-	m.cIngestBytes.Add(float64(cr.n))
-	chunk := d.comp.Events() - startEvents
+	chunk, bytes, err := m.ingest(obs.WithTrace(ctx, d.trace), "daemon", d.comp, trace, nil)
 	if err != nil {
-		sp.SetArg("error", err.Error()).End()
-		m.writeDaemonState(d)
 		return nil, fmt.Errorf("service: daemon %s trace ingest: %w", d.id, err)
 	}
-	if d.comp.Events() == 0 {
-		sp.End()
-		return nil, fmt.Errorf("service: daemon %s: trace contains no statements", d.id)
-	}
 	d.epochs++
-	sp.SetArg("events", chunk).SetArg("bytes", cr.n).End()
-	d.publishLocked(DaemonEvent{Kind: "ingest", Events: d.comp.Events(), Bytes: cr.n})
+	d.publish(DaemonEvent{Kind: "ingest", Events: d.comp.Events(), Bytes: bytes})
 
 	cur := drift.Distribution(d.comp.TemplateWeights())
 	score := drift.Score(d.lastTuned, cur)
@@ -600,7 +475,7 @@ func (m *Manager) IngestTrace(ctx context.Context, id string, trace io.Reader) (
 	ev.Accepted = trigger != ""
 	ev.Reason = trigger
 	d.journal.Append(ev)
-	d.publishLocked(DaemonEvent{Kind: "drift", Score: score, Retuned: trigger != ""})
+	d.publish(DaemonEvent{Kind: "drift", Score: score, Retuned: trigger != ""})
 	m.log.Info("daemon epoch", "daemon", d.id, "epoch", d.epochs,
 		"events", d.comp.Events(), "score", score, "trigger", trigger)
 
@@ -609,59 +484,40 @@ func (m *Manager) IngestTrace(ctx context.Context, id string, trace io.Reader) (
 		Epoch:       d.epochs,
 		Events:      d.comp.Events(),
 		ChunkEvents: chunk,
-		ChunkBytes:  cr.n,
+		ChunkBytes:  bytes,
 		Score:       score,
 		Threshold:   d.threshold,
 	}
 	if trigger == "" {
-		m.writeDaemonState(d)
 		return res, nil
 	}
 	delta, path, err := m.retuneLocked(ctx, d, b, trigger, cur, score)
 	if err != nil {
-		m.writeDaemonState(d)
 		return res, err
 	}
 	res.Retuned = true
 	res.Trigger = trigger
 	res.Path = path
 	res.Delta = delta
-	m.writeDaemonState(d)
 	return res, nil
 }
 
-// retuneLocked runs one re-tune (the caller holds d.mu): through the
-// revise path when the retained pool's statements cover every template
-// currently carrying weight, through a fresh costing pass otherwise. It
-// waits for a manager worker slot, updates the daemon's pool, proposal,
-// and last-tuned distribution, and emits the resulting delta.
+// retuneLocked runs one re-tune as a job (the caller holds d.mu): through
+// the revise path when the retained pool's statements cover every template
+// currently carrying weight, through a fresh costing pass otherwise. The job
+// runner does what it does for a session — worker slot, spans, degraded
+// bookkeeping, lifecycle series; what a re-tune adds is below it: the
+// daemon's pool, proposal and last-tuned distribution are updated and the
+// resulting delta is diffed and emitted.
 func (m *Manager) retuneLocked(ctx context.Context, d *Daemon, b *Backend, trigger string, cur drift.Distribution, score float64) (*Delta, string, error) {
-	ctx = obs.WithTrace(ctx, d.trace)
-	ctx = journal.WithContext(ctx, d.journal)
-	ctx, root := obs.StartSpan(ctx, "daemon", "retune")
-	root.SetArg("trigger", trigger).SetArg("score", score)
-	defer root.End()
-
-	_, queued := obs.StartSpan(ctx, "daemon", "queued")
-	select {
-	case m.sem <- struct{}{}:
-		queued.End()
-		defer func() { <-m.sem }()
-	case <-ctx.Done():
-		queued.End()
-		return nil, "", ctx.Err()
-	}
-
 	path := PathFresh
 	if d.pool != nil && drift.Covers(d.poolDist, cur) {
 		path = PathRevise
 	}
-	root.SetArg("path", path)
-
-	var pool *core.CostedPool
-	var rec *core.Recommendation
-	var err error
-	start := time.Now()
+	j := job{
+		kind: "re-tune", who: &d.tuned, name: "retune",
+		args: map[string]any{"trigger": trigger, "score": score, "path": path},
+	}
 	switch path {
 	case PathRevise:
 		cons := core.Constraints{
@@ -671,12 +527,10 @@ func (m *Manager) retuneLocked(ctx context.Context, d *Daemon, b *Backend, trigg
 			Vetoed:        append([]string(nil), d.vetoed...),
 			SliceWeights:  drift.Multipliers(d.poolDist, cur),
 		}
-		opts := core.Options{
-			Parallelism: m.clampParallelism(d.opts.Parallelism),
-			Metrics:     m.reg,
-			PoolSink:    func(p *core.CostedPool) { pool = p },
+		j.opts = core.Options{Parallelism: d.opts.Parallelism, Metrics: d.opts.Metrics}
+		j.exec = func(ctx context.Context, opts core.Options) (*core.Recommendation, error) {
+			return core.Revise(ctx, b.Tuner, d.pool, cons, opts)
 		}
-		rec, err = core.Revise(ctx, b.Tuner, d.pool, cons, opts)
 	default:
 		// Snapshot the compressor's representatives: later chunks keep
 		// folding weight into them, and the tuned workload must not move
@@ -687,55 +541,42 @@ func (m *Manager) retuneLocked(ctx context.Context, d *Daemon, b *Backend, trigg
 			cp := *e
 			w.Events = append(w.Events, &cp)
 		}
-		opts := d.opts
+		j.opts = d.opts
 		// The workload is already the compressor's representative set;
 		// batch-compressing it again would be a no-op pass over every event.
-		opts.NoCompression = true
-		opts.UserConfig = d.accepted
-		opts.Vetoed = append([]string(nil), d.vetoed...)
-		if opts.BaseConfig == nil {
-			opts.BaseConfig = b.BaseConfig
+		j.opts.NoCompression = true
+		j.opts.UserConfig = d.accepted
+		j.opts.Vetoed = append([]string(nil), d.vetoed...)
+		j.opts.Ingest = &core.IngestStats{Events: d.comp.Events(), Templates: d.comp.Templates()}
+		j.exec = func(ctx context.Context, opts core.Options) (*core.Recommendation, error) {
+			return core.TuneContext(ctx, b.Tuner, w, opts)
 		}
-		opts.Parallelism = m.clampParallelism(opts.Parallelism)
-		opts.Metrics = m.reg
-		opts.Ingest = &core.IngestStats{Events: d.comp.Events(), Templates: d.comp.Templates()}
-		opts.PoolSink = func(p *core.CostedPool) { pool = p }
-		rec, err = core.TuneContext(ctx, b.Tuner, w, opts)
 	}
-	elapsed := time.Since(start)
-	if err != nil {
-		m.log.Warn("daemon re-tune failed", "daemon", d.id, "trigger", trigger, "path", path, "err", err)
-		return nil, path, fmt.Errorf("service: daemon %s re-tune (%s/%s): %w", d.id, trigger, path, err)
+	var pool *core.CostedPool
+	j.opts.PoolSink = func(p *core.CostedPool) { pool = p }
+	out := m.runJob(ctx, j)
+	rec := out.rec
+	if rec == nil {
+		err := out.err
+		if err == nil {
+			err = ctx.Err() // cancelled while queued
+		}
+		return nil, path, fmt.Errorf("%w: %s (%s/%s): %w", errRetune, d.id, trigger, path, err)
 	}
 	if pool != nil {
 		d.pool = pool
 		d.poolDist = statementDistribution(pool.Statements)
-		m.writePool(d.id, pool)
+		m.writeStateFile(d.id, poolSuffix, pool)
 	}
 
 	// Diff the new proposal against the previous one. Pinned (accepted)
 	// structures never appear in NewStructures — they ride in the base —
 	// but filter defensively so an accepted key can never churn.
-	acc := map[string]bool{}
-	for _, k := range acceptedKeys(d.accepted) {
-		acc[k] = true
-	}
+	acc := structuresByKey(nil, d.accepted)
 	proposal := map[string]catalog.Structure{}
 	for _, st := range rec.NewStructures {
-		if k := st.Key(); !acc[k] {
-			proposal[k] = st
-		}
-	}
-	creates := map[string]string{}
-	for k, st := range proposal {
-		if _, had := d.current[k]; !had {
-			creates[k] = st.String()
-		}
-	}
-	drops := map[string]string{}
-	for k, st := range d.current {
-		if _, has := proposal[k]; !has {
-			drops[k] = st.String()
+		if _, pinned := acc[st.Key()]; !pinned {
+			proposal[st.Key()] = st
 		}
 	}
 	delta := Delta{
@@ -745,12 +586,12 @@ func (m *Manager) retuneLocked(ctx context.Context, d *Daemon, b *Backend, trigg
 		Score:       score,
 		Epoch:       d.epochs,
 		Events:      d.comp.Events(),
-		Create:      sortedEntries(creates, "CREATE "),
-		Drop:        sortedEntries(drops, "DROP "),
-		Churn:       len(creates) + len(drops),
+		Create:      entries(proposal, d.current, "CREATE "),
+		Drop:        entries(d.current, proposal, "DROP "),
 		Improvement: rec.Improvement,
 		WhatIfCalls: rec.WhatIfCalls,
 	}
+	delta.Churn = len(delta.Create) + len(delta.Drop)
 	d.current = proposal
 	d.lastTuned = cur
 	d.score = drift.Score(d.lastTuned, cur) // 0 by construction
@@ -773,17 +614,11 @@ func (m *Manager) retuneLocked(ctx context.Context, d *Daemon, b *Backend, trigg
 	ev.Accepted = true
 	d.journal.Append(ev)
 
-	m.daemonRetunes.Add(1)
-	m.deltasEmitted.Add(1)
 	m.cRetunes[trigger].Inc()
 	m.hChurn.Observe(float64(delta.Churn))
-	m.hDuration.Observe(elapsed.Seconds())
-	root.SetArg("whatIfCalls", rec.WhatIfCalls).SetArg("improvement", rec.Improvement).
-		SetArg("churn", delta.Churn)
-	d.publishLocked(DaemonEvent{Kind: "delta", Trigger: trigger, Score: score, Delta: &delta})
-	m.log.Info("daemon re-tuned", "daemon", d.id, "trigger", trigger, "path", path,
-		"duration", elapsed, "whatIfCalls", rec.WhatIfCalls,
-		"improvement", rec.Improvement, "churn", delta.Churn)
+	d.publish(DaemonEvent{Kind: "delta", Trigger: trigger, Score: score, Delta: &delta})
+	m.log.Info("daemon delta", "daemon", d.id, "seq", delta.Seq, "trigger", trigger,
+		"path", path, "churn", delta.Churn)
 	return &delta, path, nil
 }
 
@@ -826,6 +661,15 @@ type FeedbackResult struct {
 	Delta    *Delta   `json:"delta,omitempty"`
 }
 
+// Feedback's classifiable failures, for the HTTP layer's errors.Is: a forced
+// re-tune with no workload to tune (409, like explain before the first
+// delta) and a re-tune that ran and failed (500, a server fault). Every
+// other error is the caller's — an unresolvable key, a closed daemon (400).
+var (
+	errNothingToRetune = errors.New("service: nothing to re-tune")
+	errRetune          = errors.New("service: daemon re-tune failed")
+)
+
 // Feedback applies accept/veto decisions to the daemon. Accept keys must
 // resolve against the current proposal, the retained pool's candidates or
 // base, or the already-accepted set; veto keys against the same — an
@@ -842,31 +686,9 @@ func (m *Manager) Feedback(ctx context.Context, id string, req FeedbackRequest) 
 		return nil, fmt.Errorf("service: daemon %s is closed", d.id)
 	}
 
-	byKey := map[string]catalog.Structure{}
+	byKey := structuresByKey(d.pool, d.accepted)
 	for k, st := range d.current {
 		byKey[k] = st
-	}
-	if d.pool != nil {
-		for _, st := range d.pool.Candidates {
-			byKey[st.Key()] = st
-		}
-		if d.pool.Base != nil {
-			for _, st := range d.pool.Base.Structures() {
-				byKey[st.Key()] = st
-			}
-		}
-	}
-	if d.accepted != nil {
-		for _, st := range d.accepted.Structures() {
-			byKey[st.Key()] = st
-		}
-	}
-	resolve := func(k, verb string) (catalog.Structure, error) {
-		st, ok := byKey[k]
-		if !ok {
-			return catalog.Structure{}, fmt.Errorf("service: %s key %q matches no proposed, pooled, or accepted structure of daemon %s", verb, k, d.id)
-		}
-		return st, nil
 	}
 	type change struct {
 		key    string
@@ -874,19 +696,17 @@ func (m *Manager) Feedback(ctx context.Context, id string, req FeedbackRequest) 
 		accept bool
 	}
 	var changes []change
-	for _, k := range req.Accept {
-		st, err := resolve(k, "accept")
-		if err != nil {
-			return nil, err
+	for _, side := range []struct {
+		keys   []string
+		accept bool
+	}{{req.Accept, true}, {req.Veto, false}} {
+		for _, k := range side.keys {
+			st, ok := byKey[k]
+			if !ok {
+				return nil, fmt.Errorf("service: feedback key %q matches no proposed, pooled, or accepted structure of daemon %s", k, d.id)
+			}
+			changes = append(changes, change{k, st, side.accept})
 		}
-		changes = append(changes, change{k, st, true})
-	}
-	for _, k := range req.Veto {
-		st, err := resolve(k, "veto")
-		if err != nil {
-			return nil, err
-		}
-		changes = append(changes, change{k, st, false})
 	}
 
 	res := &FeedbackResult{Daemon: d.id}
@@ -894,12 +714,7 @@ func (m *Manager) Feedback(ctx context.Context, id string, req FeedbackRequest) 
 	for _, k := range d.vetoed {
 		vetoSet[k] = true
 	}
-	accSet := map[string]catalog.Structure{}
-	if d.accepted != nil {
-		for _, st := range d.accepted.Structures() {
-			accSet[st.Key()] = st
-		}
-	}
+	accSet := structuresByKey(nil, d.accepted)
 	for _, c := range changes {
 		if c.accept {
 			delete(vetoSet, c.key)
@@ -920,26 +735,15 @@ func (m *Manager) Feedback(ctx context.Context, id string, req FeedbackRequest) 
 		ev.Structure = c.key
 		ev.Accepted = c.accept
 		d.journal.Append(ev)
-		d.publishLocked(DaemonEvent{Kind: "feedback", Structure: c.key, Accepted: c.accept})
+		d.publish(DaemonEvent{Kind: "feedback", Structure: c.key, Accepted: c.accept})
 	}
-	d.vetoed = d.vetoed[:0]
-	for k := range vetoSet {
-		d.vetoed = append(d.vetoed, k)
-	}
-	sort.Strings(d.vetoed)
-	if len(accSet) == 0 {
-		d.accepted = nil
-	} else {
-		cfg := catalog.NewConfiguration()
-		keys := make([]string, 0, len(accSet))
-		for k := range accSet {
-			keys = append(keys, k)
+	d.vetoed = sortedKeys(vetoSet)
+	d.accepted = nil
+	if len(accSet) > 0 {
+		d.accepted = catalog.NewConfiguration()
+		for _, k := range sortedKeys(accSet) {
+			accSet[k].ApplyTo(d.accepted)
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			accSet[k].ApplyTo(cfg)
-		}
-		d.accepted = cfg
 	}
 	m.log.Info("daemon feedback", "daemon", d.id,
 		"accepted", res.Accepted, "vetoed", res.Vetoed, "retune", req.Retune)
@@ -951,7 +755,7 @@ func (m *Manager) Feedback(ctx context.Context, id string, req FeedbackRequest) 
 		}
 		cur := drift.Distribution(d.comp.TemplateWeights())
 		if cur.Total() <= 0 {
-			return nil, fmt.Errorf("service: daemon %s has ingested no trace to re-tune", d.id)
+			return nil, fmt.Errorf("%w: daemon %s has ingested no trace", errNothingToRetune, d.id)
 		}
 		delta, _, err := m.retuneLocked(ctx, d, b, TriggerFeedback, cur, d.score)
 		if err != nil {

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"repro/internal/journal"
 )
@@ -55,20 +54,11 @@ func (m *Manager) handleDaemonResume(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	out := make([]DaemonSnapshot, len(resumed))
-	for i, d := range resumed {
-		out[i] = d.Snapshot()
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"resumed": out})
+	writeJSON(w, http.StatusOK, map[string]any{"resumed": snapshots(resumed)})
 }
 
 func (m *Manager) handleDaemonList(w http.ResponseWriter, r *http.Request) {
-	daemons := m.Daemons()
-	out := make([]DaemonSnapshot, len(daemons))
-	for i, d := range daemons {
-		out[i] = d.Snapshot()
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, snapshots(m.Daemons()))
 }
 
 func (m *Manager) daemon(w http.ResponseWriter, r *http.Request) (*Daemon, bool) {
@@ -100,15 +90,25 @@ func (m *Manager) handleDaemonTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := m.IngestTrace(r.Context(), d.ID(), r.Body)
 	if err != nil {
-		status := http.StatusBadRequest
-		if res != nil {
-			// Ingestion succeeded; the re-tune behind it failed.
-			status = http.StatusInternalServerError
-		}
-		writeError(w, status, err)
+		writeError(w, daemonStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
+}
+
+// daemonStatus maps an IngestTrace or Feedback error to its HTTP status: a
+// re-tune that ran and failed is the server's fault (500), a forced re-tune
+// with nothing ingested yet is a conflict with the daemon's state (409),
+// and everything else — a malformed trace, an unresolvable key, a closed
+// daemon — is the request's (400).
+func daemonStatus(err error) int {
+	switch {
+	case errors.Is(err, errRetune):
+		return http.StatusInternalServerError
+	case errors.Is(err, errNothingToRetune):
+		return http.StatusConflict
+	}
+	return http.StatusBadRequest
 }
 
 // handleDaemonDelta is GET /daemons/{id}/delta: the daemon's recommendation
@@ -152,11 +152,7 @@ func (m *Manager) handleDaemonFeedback(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := m.Feedback(r.Context(), d.ID(), body)
 	if err != nil {
-		status := http.StatusBadRequest
-		if strings.Contains(err.Error(), "re-tune") {
-			status = http.StatusInternalServerError
-		}
-		writeError(w, status, err)
+		writeError(w, daemonStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
@@ -173,30 +169,7 @@ func (m *Manager) handleDaemonEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	hist, live, unsub := d.Subscribe()
 	defer unsub()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	for _, e := range hist {
-		enc.Encode(e)
-	}
-	if flusher != nil {
-		flusher.Flush()
-	}
-	for {
-		select {
-		case e, open := <-live:
-			if !open {
-				return
-			}
-			enc.Encode(e)
-			if flusher != nil {
-				flusher.Flush()
-			}
-		case <-r.Context().Done():
-			return
-		}
-	}
+	streamNDJSON(w, r, hist, live, nil)
 }
 
 // handleDaemonJournal serves the daemon's decision journal as NDJSON —
@@ -204,22 +177,9 @@ func (m *Manager) handleDaemonEvents(w http.ResponseWriter, r *http.Request) {
 // events for every re-tune. ?kind= filters as on the session endpoint
 // (the daemon kinds are drift, delta, feedback).
 func (m *Manager) handleDaemonJournal(w http.ResponseWriter, r *http.Request) {
-	d, ok := m.daemon(w, r)
-	if !ok {
-		return
+	if d, ok := m.daemon(w, r); ok {
+		serveJournal(w, r, d.Journal())
 	}
-	var filter map[journal.Kind]bool
-	if q := r.URL.Query().Get("kind"); q != "" {
-		f, err := journal.ParseKinds(q)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		filter = f
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	d.Journal().WriteNDJSON(w, filter)
 }
 
 // daemonExplanation is the GET /daemons/{id}/explain response: why the
@@ -264,14 +224,9 @@ func (m *Manager) handleDaemonExplain(w http.ResponseWriter, r *http.Request) {
 // /timeline rather than the sessions' /trace because POST …/trace is the
 // daemon's trace-ingest endpoint.)
 func (m *Manager) handleDaemonTimeline(w http.ResponseWriter, r *http.Request) {
-	d, ok := m.daemon(w, r)
-	if !ok {
-		return
+	if d, ok := m.daemon(w, r); ok {
+		serveTrace(w, d.Trace())
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Disposition", `attachment; filename="`+d.ID()+`-trace.json"`)
-	w.WriteHeader(http.StatusOK)
-	d.Trace().WriteChromeTrace(w)
 }
 
 func (m *Manager) handleDaemonClose(w http.ResponseWriter, r *http.Request) {

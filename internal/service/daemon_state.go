@@ -4,9 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/catalog"
@@ -21,7 +18,7 @@ import (
 // proposal, and the delta history. One file per daemon lives under the
 // manager's state directory as <id>.daemon.json, rewritten after every
 // epoch and every feedback call; the retained pool rides beside it as
-// <id>.pool.json through the same writePool path sessions use. Restoring
+// <id>.pool.json through the same state-file writer sessions use. Restoring
 // the compressor snapshot — rather than replaying the trace — is what makes
 // a restarted daemon byte-identical to one that never stopped.
 type daemonState struct {
@@ -39,8 +36,8 @@ type daemonState struct {
 	// Proposed is the outstanding proposal (key → structure) the next
 	// delta diffs against and feedback keys resolve through.
 	Proposed map[string]catalog.Structure `json:"proposed,omitempty"`
-	Deltas   []Delta           `json:"deltas,omitempty"`
-	Retunes  map[string]int64  `json:"retunes,omitempty"`
+	Deltas   []Delta                      `json:"deltas,omitempty"`
+	Retunes  map[string]int64             `json:"retunes,omitempty"`
 	// LastImprovement/LastCalls summarize the most recent re-tune.
 	LastImprovement float64 `json:"lastImprovement,omitempty"`
 	LastCalls       int64   `json:"lastCalls,omitempty"`
@@ -49,28 +46,13 @@ type daemonState struct {
 	PoolFingerprint string `json:"poolFingerprint,omitempty"`
 }
 
-// daemonSuffix marks daemon state files in the shared state directory.
-const daemonSuffix = ".daemon.json"
-
-// daemonPath returns the daemon's state file path ("" with persistence off).
-func (m *Manager) daemonPath(id string) string {
-	m.mu.Lock()
-	dir := m.stateDir
-	m.mu.Unlock()
-	if dir == "" {
-		return ""
-	}
-	return filepath.Join(dir, id+daemonSuffix)
-}
-
-// writeDaemonState persists the daemon atomically (temp file + rename); the
-// caller holds d.mu. A daemon whose options are not wire-representable
-// (programmatic callbacks etc.) cannot be persisted and is skipped — the
-// HTTP surface only produces representable ones.
+// writeDaemonState persists the daemon; the caller holds d.mu. A daemon
+// whose options are not wire-representable (programmatic callbacks etc.)
+// cannot be persisted and is skipped — the HTTP surface only produces
+// representable ones.
 func (m *Manager) writeDaemonState(d *Daemon) {
-	path := m.daemonPath(d.id)
-	if path == "" {
-		return
+	if m.statePath(d.id, daemonSuffix) == "" {
+		return // persistence off: skip the compressor snapshot
 	}
 	st := &daemonState{
 		ID:              d.id,
@@ -93,28 +75,7 @@ func (m *Manager) writeDaemonState(d *Daemon) {
 	if d.pool != nil {
 		st.PoolFingerprint = d.pool.Fingerprint
 	}
-	data, err := json.Marshal(st)
-	if err != nil {
-		m.log.Warn("daemon state marshal", "daemon", d.id, "err", err)
-		return
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		m.log.Warn("daemon state write", "daemon", d.id, "err", err)
-		return
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		m.log.Warn("daemon state rename", "daemon", d.id, "err", err)
-	}
-}
-
-// removeDaemonState deletes a closed daemon's state file.
-func (m *Manager) removeDaemonState(id string) {
-	if path := m.daemonPath(id); path != "" {
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			m.log.Warn("daemon state remove", "daemon", id, "err", err)
-		}
-	}
+	m.writeStateFile(d.id, daemonSuffix, st)
 }
 
 // ResumeDaemons scans the state directory and restores every persisted
@@ -123,68 +84,38 @@ func (m *Manager) removeDaemonState(id string) {
 // matches — the retained costed pool, so the first post-restart re-tune can
 // take the revise path. Identical trace and feedback fed to a restored
 // daemon produce the identical delta sequence an uninterrupted daemon would
-// have emitted. Corrupt files are logged and skipped, never fatal.
+// have emitted.
 func (m *Manager) ResumeDaemons() ([]*Daemon, error) {
-	m.mu.Lock()
-	dir := m.stateDir
-	m.mu.Unlock()
-	if dir == "" {
-		return nil, nil
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("service: state dir: %w", err)
-	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), daemonSuffix) {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names) // creation order: IDs are zero-padded sequence numbers
-
 	var resumed []*Daemon
-	for _, name := range names {
-		path := filepath.Join(dir, name)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			m.log.Warn("daemon state read", "file", name, "err", err)
-			continue
-		}
-		var st daemonState
-		if err := json.Unmarshal(data, &st); err != nil || st.ID == "" {
-			m.log.Warn("daemon state corrupt", "file", name, "err", err)
-			continue
+	err := scanState(m, daemonSuffix, func(st *daemonState) error {
+		if st.ID == "" {
+			return fmt.Errorf("state names no daemon")
 		}
 		if _, live := m.GetDaemon(st.ID); live {
-			continue
+			return nil
 		}
-		d, err := m.resumeDaemon(&st)
+		d, err := m.resumeDaemon(st)
 		if err != nil {
-			m.log.Warn("daemon resume failed", "daemon", st.ID, "err", err)
-			continue
+			return err
 		}
 		m.log.Info("daemon resumed", "daemon", d.id, "backend", d.backend,
 			"epochs", st.Epochs, "deltas", len(st.Deltas))
 		resumed = append(resumed, d)
-	}
-	return resumed, nil
+		return nil
+	})
+	return resumed, err
 }
 
 // resumeDaemon rebuilds one daemon from its persisted state.
 func (m *Manager) resumeDaemon(st *daemonState) (*Daemon, error) {
-	if _, err := m.backend(st.Backend); err != nil {
+	b, err := m.backend(st.Backend)
+	if err != nil {
 		return nil, err
 	}
 	opts, err := st.Options.toCore()
 	if err != nil {
 		return nil, err
 	}
-	m.mu.Lock()
-	if opts.Derive == "" {
-		opts.Derive = m.deriveDefault
-	}
-	m.mu.Unlock()
 	var comp *workload.Compressor
 	if st.Comp != nil {
 		comp, err = workload.RestoreCompressor(st.Comp)
@@ -196,7 +127,7 @@ func (m *Manager) resumeDaemon(st *daemonState) (*Daemon, error) {
 	if threshold <= 0 {
 		threshold = DefaultDriftThreshold
 	}
-	d, err := m.addDaemon(st.ID, st.Backend, st.Options, opts, threshold, comp)
+	d, err := m.addDaemon(st.ID, b, st.Options, opts, threshold, comp)
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +165,7 @@ func (m *Manager) resumeDaemon(st *daemonState) (*Daemon, error) {
 // or read failure returns nil: the daemon comes back without a pool and
 // simply takes the fresh path at its next re-tune.
 func (m *Manager) readPool(id, fingerprint string) *core.CostedPool {
-	path := m.poolPath(id)
+	path := m.statePath(id, poolSuffix)
 	if path == "" {
 		return nil
 	}

@@ -476,6 +476,46 @@ func TestDaemonHTTP(t *testing.T) {
 		t.Fatalf("empty feedback = %d: %s", code, raw)
 	}
 
+	// Feedback failures are classified by a typed error, not by their text:
+	// an unresolvable key is the request's fault (400), a forced re-tune with
+	// nothing ingested yet conflicts with the daemon's state (409, like
+	// explain before the first delta), and only a re-tune that ran and
+	// failed is a server fault (500).
+	if code, raw = post("/feedback", "application/json", `{"accept":["IDX(nope)"]}`); code != http.StatusBadRequest {
+		t.Fatalf("feedback with an unresolvable key = %d: %s", code, raw)
+	}
+	broken := daemonOpts()
+	broken.FaultSpec = "seed=1;whatif:error:1" // every what-if call fails
+	body, _ = json.Marshal(service.DaemonRequest{Database: "db", Options: broken})
+	resp, err = http.Post(ts.URL+"/daemons", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var idle service.DaemonSnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&idle); err != nil || resp.StatusCode != http.StatusCreated {
+		t.Fatalf("POST /daemons (broken) = %d, %v", resp.StatusCode, err)
+	}
+	resp.Body.Close()
+	postTo := func(path, ctype, body string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/daemons/"+idle.ID+path, ctype, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, raw
+	}
+	if code, raw = postTo("/feedback", "application/json", `{"retune":true}`); code != http.StatusConflict {
+		t.Fatalf("forced re-tune before any trace = %d: %s, want 409", code, raw)
+	}
+	if code, raw = postTo("/trace", "text/plain", chunkBase(1, 0)); code != http.StatusInternalServerError {
+		t.Fatalf("trace whose re-tune fails = %d: %s, want 500", code, raw)
+	}
+	if code, raw = postTo("/feedback", "application/json", `{"retune":true}`); code != http.StatusInternalServerError {
+		t.Fatalf("forced re-tune that fails = %d: %s, want 500", code, raw)
+	}
+
 	// Event stream: history replays ingest, drift, delta, and feedback.
 	sctx, scancel := context.WithCancel(context.Background())
 	defer scancel()

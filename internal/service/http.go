@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"mime"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/derive"
 	"repro/internal/fault"
 	"repro/internal/journal"
+	"repro/internal/obs"
 	"repro/internal/workload"
 	"repro/internal/xmlio"
 )
@@ -293,20 +295,20 @@ func (m *Manager) handleResume(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	out := make([]Snapshot, len(resumed))
-	for i, s := range resumed {
-		out[i] = s.Snapshot()
+	writeJSON(w, http.StatusOK, map[string]any{"resumed": snapshots(resumed)})
+}
+
+// snapshots renders sessions or daemons as their JSON views.
+func snapshots[T interface{ Snapshot() S }, S any](items []T) []S {
+	out := make([]S, len(items))
+	for i, it := range items {
+		out[i] = it.Snapshot()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"resumed": out})
+	return out
 }
 
 func (m *Manager) handleList(w http.ResponseWriter, r *http.Request) {
-	sessions := m.Sessions()
-	out := make([]Snapshot, len(sessions))
-	for i, s := range sessions {
-		out[i] = s.Snapshot()
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, snapshots(m.Sessions()))
 }
 
 func (m *Manager) session(w http.ResponseWriter, r *http.Request) (*Session, bool) {
@@ -334,34 +336,7 @@ func (m *Manager) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	hist, live, unsub := s.Subscribe()
 	defer unsub()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	for _, e := range hist {
-		enc.Encode(e)
-	}
-	if flusher != nil {
-		flusher.Flush()
-	}
-	for {
-		select {
-		case e, open := <-live:
-			if !open {
-				enc.Encode(s.Snapshot())
-				if flusher != nil {
-					flusher.Flush()
-				}
-				return
-			}
-			enc.Encode(e)
-			if flusher != nil {
-				flusher.Flush()
-			}
-		case <-r.Context().Done():
-			return
-		}
-	}
+	streamNDJSON(w, r, hist, live, func() any { return s.Snapshot() })
 }
 
 // handleRevise is PATCH /sessions/{id}: create a child session that
@@ -376,14 +351,6 @@ func (m *Manager) handleRevise(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if st := s.State(); st != StateDone {
-		writeError(w, http.StatusConflict, fmt.Errorf("session %s is %s; revision requires a completed session", s.ID(), st))
-		return
-	}
-	if s.Pool() == nil {
-		writeError(w, http.StatusConflict, fmt.Errorf("session %s retains no costed pool (retention expired, or the session predates pool retention)", s.ID()))
-		return
-	}
 	var body ReviseRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
@@ -393,7 +360,11 @@ func (m *Manager) handleRevise(w http.ResponseWriter, r *http.Request) {
 	}
 	child, err := m.Revise(s.ID(), body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		status := http.StatusBadRequest
+		if errors.Is(err, errNotRevisable) {
+			status = http.StatusConflict
+		}
+		writeError(w, status, err)
 		return
 	}
 	w.Header().Set("Location", "/sessions/"+child.ID())
@@ -418,14 +389,18 @@ func (m *Manager) handleCancel(w http.ResponseWriter, r *http.Request) {
 // loadable in chrome://tracing or https://ui.perfetto.dev. A running
 // session's trace is served as-is — only completed spans appear.
 func (m *Manager) handleTrace(w http.ResponseWriter, r *http.Request) {
-	s, ok := m.session(w, r)
-	if !ok {
-		return
+	if s, ok := m.session(w, r); ok {
+		serveTrace(w, s.Trace())
 	}
+}
+
+// serveTrace writes a session's or a daemon's span timeline as a
+// downloadable Chrome trace-event document named after its owner.
+func serveTrace(w http.ResponseWriter, t *obs.Trace) {
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Disposition", `attachment; filename="`+s.ID()+`-trace.json"`)
+	w.Header().Set("Content-Disposition", `attachment; filename="`+t.Name()+`-trace.json"`)
 	w.WriteHeader(http.StatusOK)
-	s.Trace().WriteChromeTrace(w)
+	t.WriteChromeTrace(w)
 }
 
 // handleJournal serves the session's decision journal as NDJSON, one typed
@@ -433,10 +408,14 @@ func (m *Manager) handleTrace(w http.ResponseWriter, r *http.Request) {
 // stream to the listed event kinds; an unknown kind is a 400. A running
 // session's journal is served as-is — only events emitted so far appear.
 func (m *Manager) handleJournal(w http.ResponseWriter, r *http.Request) {
-	s, ok := m.session(w, r)
-	if !ok {
-		return
+	if s, ok := m.session(w, r); ok {
+		serveJournal(w, r, s.Journal())
 	}
+}
+
+// serveJournal writes a session's or a daemon's decision journal as NDJSON,
+// narrowed by ?kind= when present.
+func serveJournal(w http.ResponseWriter, r *http.Request, j *journal.Journal) {
 	var filter map[journal.Kind]bool
 	if q := r.URL.Query().Get("kind"); q != "" {
 		f, err := journal.ParseKinds(q)
@@ -448,7 +427,7 @@ func (m *Manager) handleJournal(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	s.Journal().WriteNDJSON(w, filter)
+	j.WriteNDJSON(w, filter)
 }
 
 // handleExplain reconstructs per-recommended-structure provenance — the
@@ -491,9 +470,8 @@ func (m *Manager) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		m.handleMetricsJSON(w, r)
 		return
 	}
-	// The lifecycle counters and per-backend call totals live outside the
-	// registry (they predate it and feed the JSON view); mirror the
-	// point-in-time ones into gauges so one scrape carries everything.
+	// The live-session counts and per-backend call totals are computed on
+	// demand, not counted; set their gauges so one scrape carries everything.
 	snap := m.Metrics()
 	m.gPending.Set(float64(snap.SessionsPending))
 	m.gRunning.Set(float64(snap.SessionsRunning))

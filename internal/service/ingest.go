@@ -27,6 +27,53 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// ingest streams one raw profiler trace (the workload.ReadTrace line format)
+// into comp without ever materializing it — the one trace-ingest loop behind
+// streamed sessions and daemon epochs. It runs under an "ingest" span of the
+// given category on ctx's trace, advances the dta_ingest_* series every
+// ingestFlushEvery events (and once at the end), calls progress — when set —
+// with the trace's running event and byte counts at each of those points,
+// and stops with ctx's error when ctx is cancelled. It returns the events
+// and bytes this trace contributed; a trace that leaves the compressor empty
+// is an error. Events folded in before a malformed line stay folded in.
+func (m *Manager) ingest(ctx context.Context, cat string, comp *workload.Compressor, trace io.Reader, progress func(events, bytes int64)) (events, bytes int64, err error) {
+	_, sp := obs.StartSpan(ctx, cat, "ingest")
+	cr := &countingReader{r: trace}
+	before := comp.Events()
+	flush := func() {
+		ev := comp.Events() - before
+		m.cIngestEvents.Add(float64(ev - events))
+		m.cIngestBytes.Add(float64(cr.n - bytes))
+		events, bytes = ev, cr.n
+		if progress != nil {
+			progress(events, bytes)
+		}
+	}
+	err = workload.StreamTrace(cr, func(e *workload.Event, _ int) error {
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr
+		}
+		if aerr := comp.Add(e); aerr != nil {
+			return aerr
+		}
+		if (comp.Events()-before)%ingestFlushEvery == 0 {
+			flush()
+		}
+		return nil
+	})
+	flush()
+	if err == nil && comp.Events() == 0 {
+		err = fmt.Errorf("service: trace contains no statements")
+	}
+	if err != nil {
+		sp.SetArg("error", err.Error()).End()
+		return events, bytes, err
+	}
+	sp.SetArg("events", events).SetArg("bytes", bytes).
+		SetArg("templates", comp.Templates()).SetArg("representatives", comp.Len()).End()
+	return events, bytes, nil
+}
+
 // publishIngest publishes an ingest-phase progress snapshot: the session is
 // still pending (no worker slot is held while the trace streams in), but
 // subscribers on the event stream see ingestion advance live.
@@ -64,79 +111,36 @@ func (m *Manager) CreateStreaming(req Request, trace io.Reader) (*Session, error
 	if err != nil {
 		return nil, err
 	}
-	opts := req.Options
-	if opts.BaseConfig == nil {
-		opts.BaseConfig = b.BaseConfig
-	}
-	opts.Parallelism = m.clampParallelism(opts.Parallelism)
-	if opts.Faults != nil {
-		opts.Faults.SetMetrics(m.reg)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	s, err := m.addSession("", b.Name, "", cancel)
+	opts := m.prepare(b, req.Options)
+	ctx, s, err := m.addSession("", b.Name, "", opts.SearchConstraints())
 	if err != nil {
-		cancel()
 		return nil, err
 	}
-	s.cons = opts.SearchConstraints()
 	m.log.Info("session created (streaming ingest)", "session", s.id, "backend", b.Name)
 
-	// The ingest span precedes the session root span run() opens; both land
-	// on the same per-session trace, so the timeline shows ingest → queued →
-	// phases in order.
-	_, sp := obs.StartSpan(obs.WithTrace(ctx, s.trace), "session", "ingest")
-
+	// The ingest span precedes the session root span the job runner opens;
+	// both land on the same per-session trace, so the timeline shows
+	// ingest → queued → phases in order.
 	comp := workload.NewCompressor(workload.CompressOptions{MaxPerTemplate: opts.MaxPerTemplate})
-	cr := &countingReader{r: trace}
-	var lastEvents, lastBytes int64
-	flush := func() {
-		ev, by := comp.Events(), cr.n
-		m.cIngestEvents.Add(float64(ev - lastEvents))
-		m.cIngestBytes.Add(float64(by - lastBytes))
-		lastEvents, lastBytes = ev, by
-		s.publishIngest(ev, by)
-	}
-	err = workload.StreamTrace(cr, func(e *workload.Event, line int) error {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		if aerr := comp.Add(e); aerr != nil {
-			return aerr
-		}
-		if comp.Events()%ingestFlushEvery == 0 {
-			flush()
-		}
-		return nil
-	})
-	if err == nil && comp.Events() == 0 {
-		err = fmt.Errorf("service: trace contains no statements")
-	}
-	flush()
+	events, bytes, err := m.ingest(obs.WithTrace(ctx, s.trace), "session", comp, trace, s.publishIngest)
 	if err != nil {
-		sp.SetArg("error", err.Error()).End()
+		// The session never reached the job runner; account its end here.
+		out := outcome{state: StateFailed, err: err}
 		if ctx.Err() != nil {
-			m.cancelled.Add(1)
-			m.cFinished[StateCancelled].Inc()
-			m.log.Info("session cancelled during ingest", "session", s.id)
-			s.finish(StateCancelled, nil, err)
-		} else {
-			m.failed.Add(1)
-			m.cFinished[StateFailed].Inc()
-			m.log.Warn("trace ingest failed", "session", s.id, "error", err)
-			s.finish(StateFailed, nil, err)
+			out.state = StateCancelled
 		}
+		m.log.Warn("trace ingest failed", "session", s.id, "error", err)
+		m.account(job{kind: "session", who: &s.tuned}, out)
+		s.finish(out)
 		return s, err
 	}
 
 	w := comp.Workload()
 	m.hTemplates.Observe(float64(comp.Templates()))
 	m.hRatio.Observe(comp.Ratio())
-	sp.SetArg("events", comp.Events()).SetArg("bytes", cr.n).
-		SetArg("templates", comp.Templates()).SetArg("representatives", w.Len()).End()
-	opts.Ingest = &core.IngestStats{Events: comp.Events(), Bytes: cr.n, Templates: comp.Templates()}
+	opts.Ingest = &core.IngestStats{Events: events, Bytes: bytes, Templates: comp.Templates()}
 	m.log.Info("trace ingested", "session", s.id,
-		"events", comp.Events(), "bytes", cr.n,
+		"events", events, "bytes", bytes,
 		"templates", comp.Templates(), "representatives", w.Len())
 
 	go m.run(ctx, s, b, w, opts)

@@ -2,13 +2,11 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/journal"
-	"repro/internal/obs"
 )
 
 // ReviseRequest is the JSON body of PATCH /sessions/{id}: the constraint
@@ -34,10 +32,31 @@ type ReviseRequest struct {
 	SliceWeights map[string]float64 `json:"sliceWeights,omitempty"`
 }
 
+// structuresByKey indexes the structures a DBA can name by key in a pin,
+// accept or veto: the pool's candidates, its base configuration, and the
+// already pinned (a session's) or accepted (a daemon's) structures — the
+// places a structure seen in a report can have come from.
+func structuresByKey(pool *core.CostedPool, pinned *catalog.Configuration) map[string]catalog.Structure {
+	byKey := map[string]catalog.Structure{}
+	add := func(sts []catalog.Structure) {
+		for _, st := range sts {
+			byKey[st.Key()] = st
+		}
+	}
+	if pool != nil {
+		add(pool.Candidates)
+		if pool.Base != nil {
+			add(pool.Base.Structures())
+		}
+	}
+	if pinned != nil {
+		add(pinned.Structures())
+	}
+	return byKey
+}
+
 // mergeConstraints applies a revision request on top of the parent
-// session's constraints. Pin keys resolve against the pool's candidates,
-// its base configuration, and the parent's pinned structures — the three
-// places a structure a DBA saw in a report can have come from.
+// session's constraints; an unresolvable pin key fails the request.
 func mergeConstraints(cons core.Constraints, pool *core.CostedPool, req ReviseRequest) (core.Constraints, error) {
 	if req.StorageMB != nil {
 		cons.StorageBudget = *req.StorageMB << 20
@@ -55,20 +74,7 @@ func mergeConstraints(cons core.Constraints, pool *core.CostedPool, req ReviseRe
 		if len(req.Pin) == 0 {
 			cons.Pinned = nil
 		} else {
-			byKey := map[string]catalog.Structure{}
-			for _, st := range pool.Candidates {
-				byKey[st.Key()] = st
-			}
-			if pool.Base != nil {
-				for _, st := range pool.Base.Structures() {
-					byKey[st.Key()] = st
-				}
-			}
-			if cons.Pinned != nil {
-				for _, st := range cons.Pinned.Structures() {
-					byKey[st.Key()] = st
-				}
-			}
+			byKey := structuresByKey(pool, cons.Pinned)
 			pin := catalog.NewConfiguration()
 			for _, k := range req.Pin {
 				st, ok := byKey[k]
@@ -82,6 +88,10 @@ func mergeConstraints(cons core.Constraints, pool *core.CostedPool, req ReviseRe
 	}
 	return cons, nil
 }
+
+// errNotRevisable marks Revise's refusals that are about the parent's state
+// rather than the request (HTTP 409): not done, or no pool retained.
+var errNotRevisable = errors.New("service: not revisable")
 
 // Revise creates a child session that replays the parent's retained costed
 // pool under changed constraints, re-running only the search layer — no
@@ -101,10 +111,10 @@ func (m *Manager) Revise(parentID string, req ReviseRequest) (*Session, error) {
 	cons := parent.cons
 	parent.mu.Unlock()
 	if state != StateDone {
-		return nil, fmt.Errorf("service: session %s is %s; revision requires a completed session", parentID, state)
+		return nil, fmt.Errorf("%w: session %s is %s; revision requires a completed session", errNotRevisable, parentID, state)
 	}
 	if pool == nil {
-		return nil, fmt.Errorf("service: session %s retains no costed pool (retention expired, or the session predates pool retention)", parentID)
+		return nil, fmt.Errorf("%w: session %s retains no costed pool (retention expired, or the session predates pool retention)", errNotRevisable, parentID)
 	}
 	cons, err := mergeConstraints(cons, pool, req)
 	if err != nil {
@@ -115,110 +125,34 @@ func (m *Manager) Revise(parentID string, req ReviseRequest) (*Session, error) {
 		return nil, err
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	s, err := m.addSession("", parent.backend, parent.id, cancel)
+	ctx, s, err := m.addSession("", parent.backend, parent.id, cons)
 	if err != nil {
-		cancel()
 		return nil, err
 	}
-	s.cons = cons
 	parent.mu.Lock()
 	parent.revisions = append(parent.revisions, s.id)
 	parent.mu.Unlock()
-	m.revised.Add(1)
 	m.cRevSessions.Inc()
 	m.log.Info("revision created", "session", s.id, "parent", parent.id,
 		"backend", parent.backend, "pool", pool.Fingerprint[:12])
 
-	go m.runRevise(ctx, s, b, pool, cons)
+	// A revision is a session whose job replays the search layer against the
+	// pool; what it adds is the dta_revise_* series. The revised session
+	// retains its own pool, so revisions chain.
+	go func() {
+		out := m.runJob(ctx, s.job(m, job{
+			kind: "revision",
+			args: map[string]any{"backend": b.Name, "revisedFrom": parent.id, "pool": pool.Fingerprint},
+			opts: m.prepare(b, core.Options{}),
+			exec: func(ctx context.Context, opts core.Options) (*core.Recommendation, error) {
+				return core.Revise(ctx, b.Tuner, pool, cons, opts)
+			},
+		}))
+		m.hRevDuration.Observe(out.elapsed.Seconds())
+		if out.rec != nil {
+			m.cRevCalls.Add(float64(out.rec.WhatIfCalls))
+		}
+		s.finish(out)
+	}()
 	return s, nil
-}
-
-// runRevise executes one revision session: wait for a worker slot, replay
-// the search layer against the pool, finish. It mirrors run with
-// revision-specific accounting — the dta_revise_* series instead of the
-// ingest series, and the pool fingerprint on the root span. The revised
-// session retains its own pool, so revisions chain.
-func (m *Manager) runRevise(ctx context.Context, s *Session, b *Backend, pool *core.CostedPool, cons core.Constraints) {
-	ctx = obs.WithTrace(ctx, s.trace)
-	ctx = journal.WithContext(ctx, s.journal)
-	ctx, root := obs.StartSpan(ctx, "session", "session "+s.id)
-	root.SetArg("backend", b.Name).SetArg("revisedFrom", s.revisedFrom).
-		SetArg("pool", pool.Fingerprint)
-
-	_, queued := obs.StartSpan(ctx, "session", "queued")
-	select {
-	case m.sem <- struct{}{}:
-		queued.End()
-		defer func() { <-m.sem }()
-	case <-ctx.Done():
-		queued.End()
-		root.SetArg("state", string(StateCancelled)).End()
-		m.cancelled.Add(1)
-		m.cFinished[StateCancelled].Inc()
-		m.log.Info("revision cancelled while queued", "session", s.id)
-		s.finish(StateCancelled, nil, nil)
-		return
-	}
-	s.setRunning()
-	m.log.Info("revision started", "session", s.id, "parent", s.revisedFrom)
-
-	opts := core.Options{
-		Parallelism: m.clampParallelism(0),
-		Metrics:     m.reg,
-		Progress: func(p core.Progress) {
-			if p.Degraded && s.degraded.CompareAndSwap(false, true) {
-				m.gBreaker.Add(1)
-				m.log.Warn("session degraded: circuit breaker open", "session", s.id)
-			}
-			s.onProgress(p)
-		},
-		PoolSink: func(p *core.CostedPool) { m.retainPool(s, p) },
-	}
-	start := time.Now()
-	rec, err := core.Revise(ctx, b.Tuner, pool, cons, opts)
-	elapsed := time.Since(start)
-
-	st := StateDone
-	switch {
-	case err != nil && ctx.Err() != nil:
-		st = StateCancelled
-		m.cancelled.Add(1)
-		s.finish(StateCancelled, nil, err)
-	case err != nil:
-		st = StateFailed
-		m.failed.Add(1)
-		s.finish(StateFailed, nil, err)
-	case rec.StopReason == core.StopCancelled:
-		st = StateCancelled
-		m.cancelled.Add(1)
-		m.whatIfCalls.Add(rec.WhatIfCalls)
-		s.finish(StateCancelled, rec, nil)
-	default:
-		m.completed.Add(1)
-		m.whatIfCalls.Add(rec.WhatIfCalls)
-		s.finish(StateDone, rec, nil)
-	}
-
-	if s.degraded.Load() {
-		m.gBreaker.Add(-1)
-	}
-	m.cFinished[st].Inc()
-	m.hDuration.Observe(elapsed.Seconds())
-	m.hRevDuration.Observe(elapsed.Seconds())
-	root.SetArg("state", string(st))
-	if rec != nil {
-		m.cCalls.Add(float64(rec.WhatIfCalls))
-		m.cRevCalls.Add(float64(rec.WhatIfCalls))
-		m.hCalls.Observe(float64(rec.WhatIfCalls))
-		m.hImprove.Observe(rec.Improvement)
-		root.SetArg("whatIfCalls", rec.WhatIfCalls).SetArg("improvement", rec.Improvement)
-		m.log.Info("revision finished", "session", s.id, "state", string(st),
-			"duration", elapsed, "whatIfCalls", rec.WhatIfCalls,
-			"improvement", rec.Improvement)
-	} else {
-		m.log.Info("revision finished", "session", s.id, "state", string(st),
-			"duration", elapsed, "error", err)
-	}
-	root.End()
 }

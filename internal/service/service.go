@@ -14,10 +14,8 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/catalog"
@@ -77,42 +75,66 @@ type Event struct {
 	Progress core.Progress `json:"progress"`
 }
 
-// maxEventHistory bounds the per-session event log replayed to late
-// subscribers; beyond it the oldest snapshots are dropped (Seq gaps tell).
-const maxEventHistory = 1024
+// tuned is what a session and a daemon have in common: an identity, the
+// backend they tune, and the two live, bounded records their jobs write.
+type tuned struct {
+	// class is "session" or "daemon": the span category of the owner's jobs
+	// and the attribute its ID is logged under.
+	class, id, backend string
+	created            time.Time
+	// trace collects the span timeline (root → phase → query → greedy step
+	// → what-if call; a daemon's spans all its re-tunes); exported as Chrome
+	// trace-event JSON at GET /sessions/{id}/trace and /daemons/{id}/timeline.
+	trace *obs.Trace
+	// journal collects the decision events (candidate accept/reject, greedy
+	// seed/steps, merges, drops, derive fallbacks, retry/breaker transitions
+	// and, for a daemon, every drift evaluation, delta and feedback
+	// decision); streamed at GET …/journal and reconstructed into provenance
+	// at GET …/explain.
+	journal *journal.Journal
+}
+
+func newTuned(class, id, backend string, reg *obs.Registry) tuned {
+	t := tuned{class: class, id: id, backend: backend, created: time.Now(),
+		trace: obs.NewTrace(id), journal: journal.New(id)}
+	t.journal.AttachMetrics(reg)
+	return t
+}
+
+// ID returns the session or daemon identifier.
+func (t *tuned) ID() string { return t.id }
+
+// Backend returns the backend the session or daemon tunes.
+func (t *tuned) Backend() string { return t.backend }
+
+// Trace returns the span timeline. It is live: it grows as spans complete,
+// and exporting it at any time is safe.
+func (t *tuned) Trace() *obs.Trace { return t.trace }
+
+// Journal returns the decision journal. Like the trace it is live and
+// bounded; exporting it at any time is safe. It is derived state: a resumed
+// session deterministically regenerates its decision events rather than
+// restoring them from the checkpoint.
+func (t *tuned) Journal() *journal.Journal { return t.journal }
 
 // Session is one tuning run managed by the service.
 type Session struct {
-	id      string
-	backend string
-	created time.Time
+	tuned
 	// revisedFrom is the parent session ID for sessions created by
 	// PATCH /sessions/{id} (""= fresh session). Set before the session is
 	// published and immutable afterwards.
 	revisedFrom string
-	// trace collects the session's span timeline (session → phase → query →
-	// greedy step → what-if call); exported as Chrome trace-event JSON at
-	// GET /sessions/{id}/trace.
-	trace *obs.Trace
-	// journal collects the session's decision events (candidate accept/
-	// reject, greedy seed/steps, merges, drops, derive fallbacks, retry/
-	// breaker transitions); streamed at GET /sessions/{id}/journal and
-	// reconstructed into provenance at GET /sessions/{id}/explain.
-	journal *journal.Journal
 
 	cancel context.CancelFunc
 	done   chan struct{}
-	// degraded flips once the session's circuit breaker opens; the manager
-	// uses the transition for its dta_breaker_state gauge bookkeeping.
-	degraded atomic.Bool
+	// events is the session's progress log and subscriber fan-out; it is
+	// published to under mu, which is what orders Seq.
+	events hub[Event]
 
 	mu       sync.Mutex
 	state    State
 	seq      int
 	progress core.Progress
-	events   []Event
-	subs     map[int]chan Event
-	nextSub  int
 	started  time.Time
 	finished time.Time
 	rec      *core.Recommendation
@@ -130,12 +152,6 @@ type Session struct {
 	revisions []string
 }
 
-// ID returns the session identifier.
-func (s *Session) ID() string { return s.id }
-
-// Backend returns the backend the session tunes.
-func (s *Session) Backend() string { return s.backend }
-
 // RevisedFrom returns the parent session ID for sessions created by
 // PATCH /sessions/{id} revision; "" for fresh sessions.
 func (s *Session) RevisedFrom() string { return s.revisedFrom }
@@ -148,16 +164,6 @@ func (s *Session) Pool() *core.CostedPool {
 	defer s.mu.Unlock()
 	return s.pool
 }
-
-// Trace returns the session's span timeline. It is live: a running session's
-// trace grows as spans complete, and exporting it at any time is safe.
-func (s *Session) Trace() *obs.Trace { return s.trace }
-
-// Journal returns the session's decision journal. Like the trace it is
-// live and bounded; exporting it at any time is safe. It is derived
-// state: a resumed session deterministically regenerates its decision
-// events rather than restoring them from the checkpoint.
-func (s *Session) Journal() *journal.Journal { return s.journal }
 
 // State returns the current lifecycle state.
 func (s *Session) State() State {
@@ -203,43 +209,13 @@ func (s *Session) Cancel() { s.cancel() }
 // so far (for replay), a channel of subsequent events that is closed when
 // the session terminates, and an unsubscribe function. Slow subscribers
 // lose intermediate snapshots rather than stalling the tuning goroutine.
-func (s *Session) Subscribe() ([]Event, <-chan Event, func()) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	hist := append([]Event(nil), s.events...)
-	if s.state.Terminal() {
-		ch := make(chan Event)
-		close(ch)
-		return hist, ch, func() {}
-	}
-	id := s.nextSub
-	s.nextSub++
-	ch := make(chan Event, 64)
-	s.subs[id] = ch
-	return hist, ch, func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if _, ok := s.subs[id]; ok {
-			delete(s.subs, id)
-			close(ch)
-		}
-	}
-}
+func (s *Session) Subscribe() ([]Event, <-chan Event, func()) { return s.events.subscribe() }
 
-// publish appends an event and fans it out; the caller holds s.mu.
+// publishLocked publishes the current state and progress as the session's
+// next event; the caller holds s.mu.
 func (s *Session) publishLocked() {
 	s.seq++
-	e := Event{Seq: s.seq, State: s.state, Progress: s.progress}
-	s.events = append(s.events, e)
-	if len(s.events) > maxEventHistory {
-		s.events = append(s.events[:1:1], s.events[len(s.events)-maxEventHistory+1:]...)
-	}
-	for _, ch := range s.subs {
-		select {
-		case ch <- e:
-		default: // drop for slow subscribers; snapshots are self-contained
-		}
-	}
+	s.events.publish(Event{Seq: s.seq, State: s.state, Progress: s.progress})
 }
 
 // onProgress is the core Progress callback: it runs on the tuning goroutine
@@ -259,25 +235,22 @@ func (s *Session) setRunning() {
 	s.publishLocked()
 }
 
-// finish transitions to a terminal state, publishes the final event, and
-// closes every subscriber channel.
-func (s *Session) finish(st State, rec *core.Recommendation, err error) {
+// finish transitions to the outcome's terminal state, publishes the final
+// event, and closes every subscriber channel.
+func (s *Session) finish(out outcome) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.state = st
-	s.rec = rec
-	s.err = err
+	s.state = out.state
+	s.rec = out.rec
+	s.err = out.err
 	s.finished = time.Now()
-	if rec != nil {
-		s.progress.BestImprovement = rec.Improvement
-		s.progress.WhatIfCalls = rec.WhatIfCalls
+	if out.rec != nil {
+		s.progress.BestImprovement = out.rec.Improvement
+		s.progress.WhatIfCalls = out.rec.WhatIfCalls
 	}
 	s.progress.Phase = core.PhaseDone
 	s.publishLocked()
-	for id, ch := range s.subs {
-		delete(s.subs, id)
-		close(ch)
-	}
+	s.events.close()
 	close(s.done)
 }
 
@@ -397,8 +370,8 @@ type Manager struct {
 	deriveDefault derive.Mode
 
 	// driftDefault is the drift threshold applied to daemons whose request
-	// leaves drift.threshold zero (dtaserver -drift-threshold; zero here
-	// falls back to DefaultDriftThreshold).
+	// leaves drift.threshold zero (dtaserver -drift-threshold, initially
+	// DefaultDriftThreshold).
 	driftDefault float64
 
 	// poolTTL bounds how long a completed session's costed pool is retained
@@ -413,37 +386,17 @@ type Manager struct {
 
 	mu       sync.Mutex
 	backends map[string]*Backend
-	sessions map[string]*Session
-	order    []string
-	seq      int
-	// daemons holds continuous tuning daemons (daemon.go) in creation
-	// order; dseq allocates their d-NNNN IDs.
-	daemons map[string]*Daemon
-	dorder  []string
-	dseq    int
-	// stateDir, when set via SetStateDir, holds one JSON state file per
-	// in-flight wire-representable session (manifest + last checkpoint);
-	// see state.go.
+	// sessions (s-NNNN) and continuous tuning daemons (d-NNNN, daemon.go),
+	// each in creation order.
+	sessions directory[*Session]
+	daemons  directory[*Daemon]
+	// stateDir, when set via SetStateDir, holds the JSON state files of
+	// in-flight sessions, retained pools and daemons; see state.go.
 	stateDir string
 
-	created   atomic.Int64
-	completed atomic.Int64
-	cancelled atomic.Int64
-	failed    atomic.Int64
-	// whatIfCalls sums the session-exact call counts of finished sessions.
-	whatIfCalls atomic.Int64
-	// revised counts revision sessions created; poolsRetained tracks pools
-	// currently held for revision (mirrors the dta_pools_retained gauge).
-	revised       atomic.Int64
-	poolsRetained atomic.Int64
-	// Daemon lifecycle counters (daemon.go): daemons created, re-tunes run
-	// across all triggers, and recommendation deltas emitted.
-	daemonsCreated atomic.Int64
-	daemonRetunes  atomic.Int64
-	deltasEmitted  atomic.Int64
-
-	// Registry series mirroring the lifecycle counters above, cached at
-	// construction so the run loop never takes registry locks.
+	// Lifecycle series, cached at construction so the job runner never takes
+	// registry locks. They are the only lifecycle counters: Metrics() (the
+	// /metrics.json view) reads its numbers back from them.
 	cCreated  *obs.Counter
 	cFinished map[State]*obs.Counter
 	cCalls    *obs.Counter
@@ -486,17 +439,15 @@ func NewManager(workers int) *Manager {
 	}
 	reg := obs.NewRegistry()
 	m := &Manager{
-		sem:      make(chan struct{}, workers),
-		reg:      reg,
-		log:      slog.New(slog.NewTextHandler(io.Discard, nil)),
-		backends: map[string]*Backend{},
-		sessions: map[string]*Session{},
-		cCreated: reg.Counter("dta_sessions_created_total", "Tuning sessions created."),
-		cFinished: map[State]*obs.Counter{
-			StateDone:      reg.Counter("dta_sessions_finished_total", "Tuning sessions finished, by terminal state.", "state", string(StateDone)),
-			StateCancelled: reg.Counter("dta_sessions_finished_total", "Tuning sessions finished, by terminal state.", "state", string(StateCancelled)),
-			StateFailed:    reg.Counter("dta_sessions_finished_total", "Tuning sessions finished, by terminal state.", "state", string(StateFailed)),
-		},
+		sem:          make(chan struct{}, workers),
+		reg:          reg,
+		driftDefault: DefaultDriftThreshold,
+		log:          slog.New(slog.NewTextHandler(io.Discard, nil)),
+		backends:     map[string]*Backend{},
+		sessions:     directory[*Session]{kind: "session", prefix: "s", byID: map[string]*Session{}},
+		daemons:      directory[*Daemon]{kind: "daemon", prefix: "d", byID: map[string]*Daemon{}},
+		cCreated:     reg.Counter("dta_sessions_created_total", "Tuning sessions created."),
+		cFinished:    map[State]*obs.Counter{},
 		cCalls: reg.Counter("dta_session_whatif_calls_total",
 			"Session-exact what-if calls of finished sessions (matches the JSON metrics' whatIfCalls)."),
 		hDuration: reg.Histogram("dta_session_duration_seconds",
@@ -527,17 +478,17 @@ func NewManager(workers int) *Manager {
 			"Costed pools currently retained in memory for session revision."),
 		cDaemons: reg.Counter("dta_daemons_created_total",
 			"Continuous tuning daemons created."),
-		cRetunes: map[string]*obs.Counter{
-			TriggerInitial: reg.Counter("dta_daemon_retunes_total",
-				"Daemon re-tunes, by trigger (initial, drift, feedback).", "trigger", TriggerInitial),
-			TriggerDrift: reg.Counter("dta_daemon_retunes_total",
-				"Daemon re-tunes, by trigger (initial, drift, feedback).", "trigger", TriggerDrift),
-			TriggerFeedback: reg.Counter("dta_daemon_retunes_total",
-				"Daemon re-tunes, by trigger (initial, drift, feedback).", "trigger", TriggerFeedback),
-		},
+		cRetunes: map[string]*obs.Counter{},
 		hChurn: reg.Histogram("dta_delta_churn",
 			"Structures created plus dropped per daemon recommendation delta.", obs.CountBuckets),
-		daemons: map[string]*Daemon{},
+	}
+	for _, st := range []State{StateDone, StateCancelled, StateFailed} {
+		m.cFinished[st] = reg.Counter("dta_sessions_finished_total",
+			"Tuning sessions finished, by terminal state.", "state", string(st))
+	}
+	for _, trigger := range []string{TriggerInitial, TriggerDrift, TriggerFeedback} {
+		m.cRetunes[trigger] = reg.Counter("dta_daemon_retunes_total",
+			"Daemon re-tunes, by trigger (initial, drift, feedback).", "trigger", trigger)
 	}
 	return m
 }
@@ -584,8 +535,9 @@ func (m *Manager) SetPoolRetention(d time.Duration) {
 
 // retainPool keeps a completed session's costed pool for revision: in
 // memory on the session (bounded by the retention TTL) and, with a state
-// directory attached, as <id>.pool.json on disk — a file removeState never
-// touches, so pools survive session completion and server restarts.
+// directory attached, as <id>.pool.json on disk — a file that outlives the
+// session's own <id>.json, so pools survive session completion and server
+// restarts.
 func (m *Manager) retainPool(s *Session, p *core.CostedPool) {
 	m.mu.Lock()
 	ttl := m.poolTTL
@@ -597,10 +549,9 @@ func (m *Manager) retainPool(s *Session, p *core.CostedPool) {
 	gen := s.poolGen
 	s.mu.Unlock()
 	if !had {
-		m.poolsRetained.Add(1)
 		m.gPools.Add(1)
 	}
-	m.writePool(s.id, p)
+	m.writeStateFile(s.id, poolSuffix, p)
 	if ttl > 0 {
 		time.AfterFunc(ttl, func() { m.expirePool(s, gen) })
 	}
@@ -617,9 +568,8 @@ func (m *Manager) expirePool(s *Session, gen int) {
 	}
 	s.mu.Unlock()
 	if expired {
-		m.poolsRetained.Add(-1)
 		m.gPools.Add(-1)
-		m.removePool(s.id)
+		m.removeStateFile(s.id, poolSuffix)
 		m.log.Info("pool retention expired", "session", s.id)
 	}
 }
@@ -705,43 +655,21 @@ func (m *Manager) create(req Request, id string, resume *core.Checkpoint) (*Sess
 	if w == nil || w.Len() == 0 {
 		return nil, fmt.Errorf("service: backend %q has no default workload and the request supplied none", b.Name)
 	}
-	opts := req.Options
-	if opts.BaseConfig == nil {
-		opts.BaseConfig = b.BaseConfig
-	}
-	opts.Parallelism = m.clampParallelism(opts.Parallelism)
-	if opts.Derive == "" {
-		// The wire form persisted below keeps the request's empty value, so
-		// a resumed session follows the server default at resume time, the
-		// same way parallelism is re-clamped.
-		m.mu.Lock()
-		opts.Derive = m.deriveDefault
-		m.mu.Unlock()
-	}
-
+	opts := m.prepare(b, req.Options)
 	opts.Resume = resume
-	if opts.Faults != nil {
-		// Session-scoped injectors report into the shared registry so
-		// injected faults are visible next to the retries they cause.
-		opts.Faults.SetMetrics(m.reg)
-	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	s, err := m.addSession(id, b.Name, "", cancel)
+	ctx, s, err := m.addSession(id, b.Name, "", opts.SearchConstraints())
 	if err != nil {
-		cancel()
 		return nil, err
 	}
-	s.cons = opts.SearchConstraints()
 	m.log.Info("session created", "session", s.id, "backend", b.Name, "events", w.Len())
 
 	// Persist the manifest and hook up checkpointing when a state directory
 	// is attached and the request survives the wire round trip. The wire
-	// form is captured from the request's own options — before the
-	// service-side defaults (base config, progress wrapper, metrics) are
-	// grafted on — so resume rebuilds the session through the same path a
-	// fresh create takes.
-	if wire, ok := wireOptions(req.Options); ok && m.statePath(s.id) != "" {
+	// form is captured from the request's own options — before prepare
+	// grafted the service-side defaults on — so resume rebuilds the session
+	// through the same path a fresh create takes.
+	if wire, ok := wireOptions(req.Options); ok && m.statePath(s.id, sessionSuffix) != "" {
 		st := &sessionState{
 			ID:         s.id,
 			Backend:    req.Backend,
@@ -749,11 +677,11 @@ func (m *Manager) create(req Request, id string, resume *core.Checkpoint) (*Sess
 			Statements: wireStatements(req.Workload),
 			Options:    wire,
 		}
-		m.writeState(st)
+		m.writeStateFile(s.id, sessionSuffix, st)
 		opts.CheckpointSink = func(ck *core.Checkpoint) {
 			snap := *st
 			snap.Checkpoint = ck
-			m.writeState(&snap)
+			m.writeStateFile(s.id, sessionSuffix, &snap)
 		}
 	}
 
@@ -761,168 +689,118 @@ func (m *Manager) create(req Request, id string, resume *core.Checkpoint) (*Sess
 	return s, nil
 }
 
-// clampParallelism applies the server-wide per-session parallelism budget: a
-// request for more than the cap (or for the default, 0 = GOMAXPROCS) is
-// shrunk to it. Without a cap the request passes through untouched.
-func (m *Manager) clampParallelism(p int) int {
+// addSession allocates, registers, and counts a new pending session, and
+// returns the context its Cancel cancels. An empty id takes the next
+// sequence number; a caller-supplied id (the resume path) must not collide
+// with a live session. revisedFrom records revision lineage ("" for fresh
+// sessions); cons is the search-layer constraint set the session runs under.
+func (m *Manager) addSession(id, backend, revisedFrom string, cons core.Constraints) (context.Context, *Session, error) {
+	ctx, cancel := context.WithCancel(context.Background())
 	m.mu.Lock()
-	parCap := m.parCap
-	m.mu.Unlock()
-	if parCap <= 0 {
-		return p
-	}
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > parCap {
-		p = parCap
-	}
-	return p
-}
-
-// addSession allocates, registers, and counts a new pending session. An empty
-// id takes the next sequence number; a caller-supplied id (the resume path)
-// must not collide with a live session, and the sequence is kept ahead of it
-// so fresh sessions never collide either. revisedFrom records revision
-// lineage ("" for fresh sessions).
-func (m *Manager) addSession(id, backend, revisedFrom string, cancel context.CancelFunc) (*Session, error) {
-	m.mu.Lock()
-	if id == "" {
-		m.seq++
-		id = fmt.Sprintf("s-%04d", m.seq)
-	} else {
-		if _, dup := m.sessions[id]; dup {
-			m.mu.Unlock()
-			return nil, fmt.Errorf("service: session %q already exists", id)
+	s, err := m.sessions.add(id, func(id string) *Session {
+		return &Session{
+			tuned:       newTuned("session", id, backend, m.reg),
+			revisedFrom: revisedFrom,
+			cancel:      cancel,
+			done:        make(chan struct{}),
+			state:       StatePending,
+			cons:        cons,
 		}
-		var n int
-		if _, err := fmt.Sscanf(id, "s-%d", &n); err == nil && n > m.seq {
-			m.seq = n
-		}
-	}
-	s := &Session{
-		id:          id,
-		backend:     backend,
-		created:     time.Now(),
-		revisedFrom: revisedFrom,
-		cancel:      cancel,
-		done:        make(chan struct{}),
-		state:       StatePending,
-		subs:        map[int]chan Event{},
-	}
-	s.trace = obs.NewTrace(s.id)
-	s.journal = journal.New(s.id)
-	s.journal.AttachMetrics(m.reg)
-	m.sessions[s.id] = s
-	m.order = append(m.order, s.id)
+	})
 	m.mu.Unlock()
-	m.created.Add(1)
+	if err != nil {
+		cancel()
+		return nil, nil, err
+	}
 	m.cCreated.Inc()
-	return s, nil
+	return ctx, s, nil
 }
 
-// run executes one session: wait for a worker slot, tune, finish. The whole
-// run happens under the session's trace — a root "session" span with a
-// "queued" child covering the wait for a worker slot, and below it the spans
-// core.TuneContext opens (phase → query → greedy step → what-if call).
-func (m *Manager) run(ctx context.Context, s *Session, b *Backend, w *workload.Workload, opts core.Options) {
-	ctx = obs.WithTrace(ctx, s.trace)
-	ctx = journal.WithContext(ctx, s.journal)
-	ctx, root := obs.StartSpan(ctx, "session", "session "+s.id)
-	root.SetArg("backend", b.Name).SetArg("events", w.Len())
-
-	_, queued := obs.StartSpan(ctx, "session", "queued")
-	select {
-	case m.sem <- struct{}{}:
-		queued.End()
-		defer func() { <-m.sem }()
-	case <-ctx.Done():
-		queued.End()
-		root.SetArg("state", string(StateCancelled)).End()
-		m.cancelled.Add(1)
-		m.cFinished[StateCancelled].Inc()
-		m.log.Info("session cancelled while queued", "session", s.id)
-		m.removeState(s.id)
-		s.finish(StateCancelled, nil, nil)
-		return
-	}
-	s.setRunning()
-	m.log.Info("session started", "session", s.id, "backend", b.Name)
-
-	user := opts.Progress
-	opts.Progress = func(p core.Progress) {
-		if p.Degraded && s.degraded.CompareAndSwap(false, true) {
-			m.gBreaker.Add(1)
-			m.log.Warn("session degraded: circuit breaker open", "session", s.id)
-		}
+// job fills in what every session's job has in common: the "session <id>"
+// root span, the pending → running transition, progress published on the
+// event stream, and the sealed pool retained for revision. The caller
+// supplies kind, args, opts and exec.
+func (s *Session) job(m *Manager, j job) job {
+	j.who, j.name = &s.tuned, "session "+s.id
+	j.started = s.setRunning
+	user, sink := j.opts.Progress, j.opts.PoolSink
+	j.opts.Progress = func(p core.Progress) {
 		s.onProgress(p)
 		if user != nil {
 			user(p)
 		}
 	}
-	if opts.Metrics == nil {
-		opts.Metrics = m.reg
-	}
-	userSink := opts.PoolSink
-	opts.PoolSink = func(p *core.CostedPool) {
+	j.opts.PoolSink = func(p *core.CostedPool) {
 		m.retainPool(s, p)
-		if userSink != nil {
-			userSink(p)
+		if sink != nil {
+			sink(p)
 		}
 	}
-	start := time.Now()
-	rec, err := core.TuneContext(ctx, b.Tuner, w, opts)
-	elapsed := time.Since(start)
+	return j
+}
 
-	st := StateDone
-	switch {
-	case err != nil && ctx.Err() != nil:
-		// Cancelled before any partial result existed.
-		st = StateCancelled
-		m.cancelled.Add(1)
-		s.finish(StateCancelled, nil, err)
-	case err != nil:
-		st = StateFailed
-		m.failed.Add(1)
-		s.finish(StateFailed, nil, err)
-	case rec.StopReason == core.StopCancelled:
-		st = StateCancelled
-		m.cancelled.Add(1)
-		m.whatIfCalls.Add(rec.WhatIfCalls)
-		s.finish(StateCancelled, rec, nil)
-	default:
-		m.completed.Add(1)
-		m.whatIfCalls.Add(rec.WhatIfCalls)
-		s.finish(StateDone, rec, nil)
-	}
+// run executes one fresh or resumed session through the job runner; what it
+// adds is the state file, deleted once the session is terminal.
+func (m *Manager) run(ctx context.Context, s *Session, b *Backend, w *workload.Workload, opts core.Options) {
+	out := m.runJob(ctx, s.job(m, job{
+		kind: "session",
+		args: map[string]any{"backend": b.Name, "events": w.Len()},
+		opts: opts,
+		exec: func(ctx context.Context, opts core.Options) (*core.Recommendation, error) {
+			return core.TuneContext(ctx, b.Tuner, w, opts)
+		},
+	}))
+	m.removeStateFile(s.id, sessionSuffix)
+	s.finish(out)
+}
 
-	m.removeState(s.id)
-	if s.degraded.Load() {
-		m.gBreaker.Add(-1)
-	}
-	m.cFinished[st].Inc()
-	m.hDuration.Observe(elapsed.Seconds())
-	root.SetArg("state", string(st))
-	if rec != nil {
-		m.cCalls.Add(float64(rec.WhatIfCalls))
-		m.hCalls.Observe(float64(rec.WhatIfCalls))
-		m.hImprove.Observe(rec.Improvement)
-		root.SetArg("whatIfCalls", rec.WhatIfCalls).SetArg("improvement", rec.Improvement)
-		m.log.Info("session finished", "session", s.id, "state", string(st),
-			"duration", elapsed, "whatIfCalls", rec.WhatIfCalls,
-			"improvement", rec.Improvement)
+// directory is the manager's ID-keyed, creation-ordered set of sessions or
+// of daemons, with the sequence their "<prefix>-NNNN" IDs come from. It is
+// guarded by Manager.mu.
+type directory[T any] struct {
+	kind, prefix string
+	byID         map[string]T
+	order        []string
+	seq          int
+}
+
+// add registers mk(id) under the next sequence number, or — the resume path
+// — under a caller-supplied id, which must not collide with a live entry;
+// the sequence is kept ahead of it so fresh IDs never collide either.
+func (d *directory[T]) add(id string, mk func(id string) T) (T, error) {
+	if id == "" {
+		d.seq++
+		id = fmt.Sprintf("%s-%04d", d.prefix, d.seq)
 	} else {
-		m.log.Info("session finished", "session", s.id, "state", string(st),
-			"duration", elapsed, "error", err)
+		if _, dup := d.byID[id]; dup {
+			var none T
+			return none, fmt.Errorf("service: %s %q already exists", d.kind, id)
+		}
+		var n int
+		if _, err := fmt.Sscanf(id, d.prefix+"-%d", &n); err == nil && n > d.seq {
+			d.seq = n
+		}
 	}
-	root.End()
+	v := mk(id)
+	d.byID[id] = v
+	d.order = append(d.order, id)
+	return v, nil
+}
+
+// list returns every entry in creation order.
+func (d *directory[T]) list() []T {
+	out := make([]T, 0, len(d.order))
+	for _, id := range d.order {
+		out = append(out, d.byID[id])
+	}
+	return out
 }
 
 // Get returns the session by ID.
 func (m *Manager) Get(id string) (*Session, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s, ok := m.sessions[id]
+	s, ok := m.sessions.byID[id]
 	return s, ok
 }
 
@@ -930,11 +808,7 @@ func (m *Manager) Get(id string) (*Session, bool) {
 func (m *Manager) Sessions() []*Session {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]*Session, 0, len(m.order))
-	for _, id := range m.order {
-		out = append(out, m.sessions[id])
-	}
-	return out
+	return m.sessions.list()
 }
 
 // Cancel cancels the session by ID.
@@ -970,28 +844,29 @@ type Metrics struct {
 	Backends          []BackendMetrics `json:"backends"`
 }
 
-// Metrics returns the cumulative service metrics. WhatIfCalls sums the
-// session-exact counts of finished sessions; the per-backend counters are
-// the shared servers' own cumulative totals (they also include calls of
-// still-running sessions).
+// Metrics returns the cumulative service metrics, read back from the
+// registry series the job runner and the daemons count into — so every
+// field equals the corresponding Prometheus sample. SessionsDone/Cancelled/
+// Failed and WhatIfCalls cover every finished job (sessions, revisions and
+// daemon re-tunes); the per-backend counters are the shared servers' own
+// cumulative totals (they also include calls of still-running sessions).
 func (m *Manager) Metrics() Metrics {
 	out := Metrics{
-		SessionsCreated:   m.created.Load(),
-		SessionsDone:      m.completed.Load(),
-		SessionsCancelled: m.cancelled.Load(),
-		SessionsFailed:    m.failed.Load(),
-		SessionsRevised:   m.revised.Load(),
-		PoolsRetained:     m.poolsRetained.Load(),
-		WhatIfCalls:       m.whatIfCalls.Load(),
-		DaemonsCreated:    m.daemonsCreated.Load(),
-		DaemonRetunes:     m.daemonRetunes.Load(),
-		DeltasEmitted:     m.deltasEmitted.Load(),
+		SessionsCreated:   int64(m.cCreated.Value()),
+		SessionsDone:      int64(m.cFinished[StateDone].Value()),
+		SessionsCancelled: int64(m.cFinished[StateCancelled].Value()),
+		SessionsFailed:    int64(m.cFinished[StateFailed].Value()),
+		SessionsRevised:   int64(m.cRevSessions.Value()),
+		PoolsRetained:     int64(m.gPools.Value()),
+		WhatIfCalls:       int64(m.cCalls.Value()),
+		DaemonsCreated:    int64(m.cDaemons.Value()),
+		DeltasEmitted:     int64(m.hChurn.Count()), // one churn observation per delta
+	}
+	for _, c := range m.cRetunes {
+		out.DaemonRetunes += int64(c.Value())
 	}
 	m.mu.Lock()
-	sessions := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		sessions = append(sessions, s)
-	}
+	sessions := m.sessions.list()
 	backends := make([]*Backend, 0, len(m.backends))
 	for _, b := range m.backends {
 		backends = append(backends, b)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -35,14 +34,10 @@ type sessionState struct {
 // ResumeSessions restarts whatever is found there. The directory is created
 // if missing. Call before serving; an empty dir disables persistence.
 func (m *Manager) SetStateDir(dir string) error {
-	if dir == "" {
-		m.mu.Lock()
-		m.stateDir = ""
-		m.mu.Unlock()
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("service: state dir: %w", err)
+	if dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return fmt.Errorf("service: state dir: %w", err)
+		}
 	}
 	m.mu.Lock()
 	m.stateDir = dir
@@ -50,152 +45,130 @@ func (m *Manager) SetStateDir(dir string) error {
 	return nil
 }
 
-// statePath returns the session's state file path ("" with persistence off).
-func (m *Manager) statePath(id string) string {
+// State files share one directory and are told apart by suffix: an
+// in-flight session's manifest + checkpoint, a retained costed pool (a
+// session's or a daemon's, in the same JSON form cmd/dta -pool writes and
+// -revise reads), and a daemon's state.
+const (
+	sessionSuffix = ".json"
+	poolSuffix    = ".pool.json"
+	daemonSuffix  = ".daemon.json"
+)
+
+// stateSuffix classifies a state-directory file name: the suffix of the
+// kind it belongs to, or "" for anything else — a leftover "*.tmp" from a
+// crash between temp-write and rename included.
+func stateSuffix(name string) string {
+	for _, suffix := range []string{poolSuffix, daemonSuffix, sessionSuffix} {
+		if strings.HasSuffix(name, suffix) {
+			return suffix
+		}
+	}
+	return ""
+}
+
+// statePath returns the path of id's state file of the given kind ("" with
+// persistence off).
+func (m *Manager) statePath(id, suffix string) string {
 	m.mu.Lock()
 	dir := m.stateDir
 	m.mu.Unlock()
 	if dir == "" {
 		return ""
 	}
-	return filepath.Join(dir, id+".json")
+	return filepath.Join(dir, id+suffix)
 }
 
-// writeState persists one session state atomically (temp file + rename), so
-// a crash mid-write leaves the previous checkpoint intact rather than a
-// truncated file.
-func (m *Manager) writeState(st *sessionState) {
-	path := m.statePath(st.ID)
+// writeStateFile persists v as id's state file of the given kind,
+// atomically (temp file + rename): a crash mid-write leaves the previous
+// version intact rather than a truncated file. Failures are logged, never
+// fatal — persistence is best-effort beside the live object.
+func (m *Manager) writeStateFile(id, suffix string, v any) {
+	path := m.statePath(id, suffix)
 	if path == "" {
 		return
 	}
-	data, err := json.Marshal(st)
+	data, err := json.Marshal(v)
+	if err == nil {
+		tmp := path + ".tmp"
+		if err = os.WriteFile(tmp, data, 0o644); err == nil {
+			err = os.Rename(tmp, path)
+		}
+	}
 	if err != nil {
-		m.log.Warn("session state marshal", "session", st.ID, "err", err)
-		return
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		m.log.Warn("session state write", "session", st.ID, "err", err)
-		return
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		m.log.Warn("session state rename", "session", st.ID, "err", err)
+		m.log.Warn("state file write", "file", id+suffix, "err", err)
 	}
 }
 
-// removeState deletes a terminal session's state file: only sessions that
-// were still in flight when the process died remain on disk. A retained
-// pool's <id>.pool.json is deliberately NOT removed here — pools outlive
-// their session's terminal state so revisions (and dta -revise against the
-// file) keep working; only retention expiry deletes them.
-func (m *Manager) removeState(id string) {
-	if path := m.statePath(id); path != "" {
+// removeStateFile deletes id's state file of the given kind. A session's
+// <id>.json goes when it turns terminal, so only sessions still in flight
+// when the process died remain on disk; its <id>.pool.json deliberately
+// outlives it — revisions (and dta -revise against the file) keep working
+// until retention expiry; a daemon's two files go when it is closed.
+func (m *Manager) removeStateFile(id, suffix string) {
+	if path := m.statePath(id, suffix); path != "" {
 		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			m.log.Warn("session state remove", "session", id, "err", err)
+			m.log.Warn("state file remove", "file", id+suffix, "err", err)
 		}
 	}
 }
 
-// poolPath returns the session's retained-pool file path ("" with
-// persistence off). Pool files live beside the checkpoint state as
-// <id>.pool.json.
-func (m *Manager) poolPath(id string) string {
+// scanState decodes every state file of the given kind, in file-name order
+// (creation order: IDs are zero-padded sequence numbers), and hands each to
+// restore. Unreadable, corrupt or unrestorable files are logged and
+// skipped, never fatal — a crashed server must come back up even if one
+// file did not survive.
+func scanState[S any](m *Manager, suffix string, restore func(st *S) error) error {
 	m.mu.Lock()
 	dir := m.stateDir
 	m.mu.Unlock()
 	if dir == "" {
-		return ""
+		return nil
 	}
-	return filepath.Join(dir, id+".pool.json")
-}
-
-// writePool persists a completed session's costed pool atomically, in the
-// same JSON form cmd/dta -pool writes and -revise reads.
-func (m *Manager) writePool(id string, p *core.CostedPool) {
-	path := m.poolPath(id)
-	if path == "" {
-		return
-	}
-	data, err := json.Marshal(p)
+	entries, err := os.ReadDir(dir) // sorted by file name
 	if err != nil {
-		m.log.Warn("pool marshal", "session", id, "err", err)
-		return
+		return fmt.Errorf("service: state dir: %w", err)
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		m.log.Warn("pool write", "session", id, "err", err)
-		return
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		m.log.Warn("pool rename", "session", id, "err", err)
-	}
-}
-
-// removePool deletes a session's retained-pool file (retention expiry).
-func (m *Manager) removePool(id string) {
-	if path := m.poolPath(id); path != "" {
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			m.log.Warn("pool remove", "session", id, "err", err)
+	for _, e := range entries {
+		if e.IsDir() || stateSuffix(e.Name()) != suffix {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		st := new(S)
+		if err == nil {
+			err = json.Unmarshal(data, st)
+		}
+		if err == nil {
+			err = restore(st)
+		}
+		if err != nil {
+			m.log.Warn("state file skipped", "file", e.Name(), "err", err)
 		}
 	}
+	return nil
 }
 
 // ResumeSessions scans the state directory and restarts every persisted
 // session that is not already live, warm-started from its last checkpoint.
 // A resumed session keeps its original ID; because the pipeline is
 // deterministic given its cached optimizer costs, it converges on the same
-// recommendation the uninterrupted run would have produced. Corrupt or
-// stale state files are logged and skipped, never fatal — a crashed server
-// must come back up even if one session's state did not survive.
+// recommendation the uninterrupted run would have produced.
 func (m *Manager) ResumeSessions() ([]*Session, error) {
-	m.mu.Lock()
-	dir := m.stateDir
-	m.mu.Unlock()
-	if dir == "" {
-		return nil, nil
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("service: state dir: %w", err)
-	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		// <id>.pool.json files are retained pools and <id>.daemon.json files
-		// are continuous tuning daemons (ResumeDaemons), not resumable
-		// sessions.
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".json") &&
-			!strings.HasSuffix(e.Name(), ".pool.json") && !strings.HasSuffix(e.Name(), daemonSuffix) {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names) // creation order: IDs are zero-padded sequence numbers
-
 	var resumed []*Session
-	for _, name := range names {
-		path := filepath.Join(dir, name)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			m.log.Warn("session state read", "file", name, "err", err)
-			continue
-		}
-		var st sessionState
-		if err := json.Unmarshal(data, &st); err != nil || st.ID == "" {
-			m.log.Warn("session state corrupt", "file", name, "err", err)
-			continue
+	err := scanState(m, sessionSuffix, func(st *sessionState) error {
+		if st.ID == "" {
+			return fmt.Errorf("state names no session")
 		}
 		if _, live := m.Get(st.ID); live {
-			continue
+			return nil
 		}
 		req, err := st.toRequest()
 		if err != nil {
-			m.log.Warn("session state unusable", "session", st.ID, "err", err)
-			continue
+			return err
 		}
 		s, err := m.create(req, st.ID, st.Checkpoint)
 		if err != nil {
-			m.log.Warn("session resume failed", "session", st.ID, "err", err)
-			continue
+			return err
 		}
 		calls := int64(0)
 		if st.Checkpoint != nil {
@@ -204,8 +177,9 @@ func (m *Manager) ResumeSessions() ([]*Session, error) {
 		m.log.Info("session resumed", "session", s.ID(), "backend", s.Backend(),
 			"checkpointCalls", calls)
 		resumed = append(resumed, s)
-	}
-	return resumed, nil
+		return nil
+	})
+	return resumed, err
 }
 
 // toRequest rebuilds the service request a persisted session was created

@@ -9,6 +9,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 	"time"
 
@@ -230,6 +231,10 @@ func FromConfiguration(cfg *catalog.Configuration) *Configuration {
 			PartitionScheme: *fromScheme(p),
 		})
 	}
+	// TableParts is a map: sort so the document is byte-stable across runs.
+	sort.Slice(out.Partitionings, func(i, j int) bool {
+		return out.Partitionings[i].Table < out.Partitionings[j].Table
+	})
 	return out
 }
 

@@ -143,3 +143,26 @@ func TestFromRecommendation(t *testing.T) {
 		t.Fatal("recommendation configuration lost in round trip")
 	}
 }
+
+// TestConfigurationEncodingIsByteStable pins the output order of table
+// partitionings, which live in a Go map: a configuration with several
+// partitioned tables must encode to the same bytes every time.
+func TestConfigurationEncodingIsByteStable(t *testing.T) {
+	cfg := sampleConfig()
+	for _, table := range []string{"orders", "customer", "part", "supplier"} {
+		cfg.SetTablePartitioning(table, catalog.NewPartitionScheme("k", 10, 20))
+	}
+	encode := func() string {
+		var buf bytes.Buffer
+		if err := Encode(&buf, &DTAXML{Input: &Input{Configuration: FromConfiguration(cfg)}}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	want := encode()
+	for i := 0; i < 50; i++ {
+		if got := encode(); got != want {
+			t.Fatalf("encoding %d differs:\n%s\nvs\n%s", i, got, want)
+		}
+	}
+}
