@@ -450,3 +450,57 @@ func TestStructuresPartitioningOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestIndexCovers pins Covers' semantics — need is compared lower-cased
+// against the key and included columns; a clustered index covers
+// everything — and that it allocates nothing, since the optimizer calls it
+// once per index and scope on every access-path and probe decision.
+func TestIndexCovers(t *testing.T) {
+	nc := NewIndex("orders", "o_custkey").WithInclude("o_comment")
+	inc := &Index{Table: "orders", KeyColumns: []string{"o_orderkey"}, IncludeCols: []string{"o_orderdate"}}
+	cix := NewIndex("orders", "o_orderdate")
+	cix.Clustered = true
+	for _, c := range []struct {
+		name string
+		ix   *Index
+		need []string
+		want bool
+	}{
+		{"key column", nc, []string{"o_custkey"}, true},
+		{"key and included", nc, []string{"o_comment", "o_custkey"}, true},
+		{"include only", inc, []string{"o_orderdate"}, true},
+		{"missing column", nc, []string{"o_custkey", "o_orderkey"}, false},
+		{"mixed case need", nc, []string{"O_CustKey", "O_COMMENT"}, true},
+		{"mixed case missing", nc, []string{"O_ORDERKEY"}, false},
+		{"empty need", nc, nil, true},
+		{"clustered covers all", cix, []string{"o_comment", "nope"}, true},
+	} {
+		if got := c.ix.Covers(c.need); got != c.want {
+			t.Errorf("%s: Covers(%v) = %v, want %v", c.name, c.need, got, c.want)
+		}
+	}
+	need := []string{"o_comment", "o_custkey"}
+	if allocs := testing.AllocsPerRun(100, func() { nc.Covers(need) }); allocs != 0 {
+		t.Fatalf("Covers allocated %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestValidateFirstBadPartitioningIsStable: with several invalid table
+// partitionings, Validate reports the same one — the first by table name —
+// on every call, not whichever map iteration happens to reach first.
+func TestValidateFirstBadPartitioningIsStable(t *testing.T) {
+	cat := New()
+	d := NewDatabase("db")
+	d.AddTable(testTable())
+	cat.AddDatabase(d)
+	cfg := NewConfiguration()
+	cfg.SetTablePartitioning("orders", NewPartitionScheme("no_such_column", 1))
+	cfg.SetTablePartitioning("ghost", NewPartitionScheme("k", 1))
+	cfg.SetTablePartitioning("phantom", NewPartitionScheme("k", 1))
+	want := `catalog: partitioning references unknown table "ghost"`
+	for i := 0; i < 50; i++ {
+		if err := cfg.Validate(cat); err == nil || err.Error() != want {
+			t.Fatalf("call %d: Validate = %v, want %q", i, err, want)
+		}
+	}
+}

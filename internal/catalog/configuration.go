@@ -198,7 +198,10 @@ func (c *Configuration) Validate(cat *Catalog) error {
 			return fmt.Errorf("catalog: index %s partitioned on unknown column %q", ix.Key(), p.Column)
 		}
 	}
-	for table, p := range c.TableParts {
+	// Sorted, so a configuration with several bad partitionings always
+	// reports the same one.
+	for _, table := range c.PartitionedTables() {
+		p := c.TableParts[table]
 		t := cat.ResolveTable(table)
 		if t == nil {
 			return fmt.Errorf("catalog: partitioning references unknown table %q", table)
@@ -246,15 +249,22 @@ func (c *Configuration) Structures() []Structure {
 	for _, v := range c.Views {
 		out = append(out, Structure{View: v})
 	}
+	for _, t := range c.PartitionedTables() {
+		out = append(out, Structure{PartTable: t, Part: c.TableParts[t]})
+	}
+	return out
+}
+
+// PartitionedTables returns the names of the partitioned tables, sorted —
+// the order every consumer whose output or error text must not depend on
+// map iteration walks TableParts in.
+func (c *Configuration) PartitionedTables() []string {
 	tables := make([]string, 0, len(c.TableParts))
 	for t := range c.TableParts {
 		tables = append(tables, t)
 	}
 	sort.Strings(tables)
-	for _, t := range tables {
-		out = append(out, Structure{PartTable: t, Part: c.TableParts[t]})
-	}
-	return out
+	return tables
 }
 
 // Structure is a tagged union over the three physical design feature kinds.

@@ -129,21 +129,30 @@ func (ix *Index) AllColumns() []string {
 	return out
 }
 
-// Covers reports whether the index leaf carries every column in need.
+// Covers reports whether the index leaf carries every column in need
+// (compared lower-cased). It scans the key and included columns in place:
+// the optimizer's access-path and probe choices call it once per index and
+// scope, so it allocates nothing for lower-case column names.
 func (ix *Index) Covers(need []string) bool {
 	if ix.Clustered {
 		return true // clustered index is the table
 	}
-	have := make(map[string]bool, len(ix.KeyColumns)+len(ix.IncludeCols))
-	for _, c := range ix.AllColumns() {
-		have[c] = true
-	}
 	for _, c := range need {
-		if !have[strings.ToLower(c)] {
+		c = strings.ToLower(c)
+		if !contains(ix.KeyColumns, c) && !contains(ix.IncludeCols, c) {
 			return false
 		}
 	}
 	return true
+}
+
+func contains(cols []string, c string) bool {
+	for _, have := range cols {
+		if have == c {
+			return true
+		}
+	}
+	return false
 }
 
 // Key returns a canonical identity string: two indexes with the same key are

@@ -629,7 +629,7 @@ func runSearch(t Tuner, st *costedState, tr *tracker, rec *Recommendation, cons 
 	// selection accumulated when the weights are the workload's own.
 	benefit := map[string]float64{}
 	for _, g := range st.gains {
-		wg := (g.BaseCost - g.BestCost) * ev.eventWeight(g.Query, ev.events[g.Query])
+		wg := (g.BaseCost - g.BestCost) * ev.eventWeight(g.Query)
 		for _, key := range g.Structures {
 			benefit[key] += wg
 		}
@@ -732,16 +732,16 @@ func finishRecommendation(t Tuner, ev *evaluator, tr *tracker, rec *Recommendati
 	}
 	usage := map[string]*UsageReport{}
 	var totalAfter float64
-	pbase, pfinal := ev.prepareConfig(base), ev.prepareConfig(final)
+	cbase, cfinal := ev.config(base), ev.config(final)
 	for i, e := range ev.events {
 		if ev.analyzed(i) == nil {
 			continue // skipped statement: no report
 		}
-		before, _, err := ev.eventCost(i, pbase)
+		before, _, err := ev.cost(i, cbase)
 		if err != nil {
 			return nil, err
 		}
-		after, used, err := ev.eventCost(i, pfinal)
+		after, used, err := ev.cost(i, cfinal)
 		if err != nil {
 			return nil, err
 		}

@@ -95,12 +95,7 @@ func selectCandidates(t Tuner, ev *evaluator, tr *tracker, w *workload.Workload,
 			// statistics), so tops never depend on scheduling.
 			ev.setDerivePool(cands)
 
-			idx := i
-			perQueryCost := func(cfg *catalog.Configuration) (float64, error) {
-				c, _, err := ev.eventCostByIndex(idx, cfg)
-				return c, err
-			}
-			baseCost, err := perQueryCost(base)
+			baseCost, _, err := ev.cost(i, ev.config(base))
 			if err != nil {
 				return 0, err
 			}
@@ -135,8 +130,8 @@ func selectCandidates(t Tuner, ev *evaluator, tr *tracker, w *workload.Workload,
 			// constraint, and pruning candidates here would make the costed
 			// pool budget-specific — the enumeration greedy enforces the
 			// bound where it belongs.
-			chosen, err := greedySearch(base, cands, perQueryCost, greedyOptions{
-				m: opts.GreedyM, k: perQueryK, cat: t.Catalog(), tr: tr,
+			chosen, err := greedySearch(ev, eventScope(i), base, cands, greedyOptions{
+				m: opts.GreedyM, k: perQueryK, tr: tr,
 				scope: journal.ScopeQuery, query: i,
 			})
 			if err != nil {
@@ -150,7 +145,7 @@ func selectCandidates(t Tuner, ev *evaluator, tr *tracker, w *workload.Workload,
 			for _, s := range chosen {
 				s.ApplyTo(bestCfg)
 			}
-			bestCost, err := perQueryCost(bestCfg)
+			bestCost, _, err := ev.cost(i, ev.config(bestCfg))
 			if err != nil {
 				return 0, err
 			}
@@ -187,17 +182,27 @@ func selectCandidates(t Tuner, ev *evaluator, tr *tracker, w *workload.Workload,
 
 // capCandidates keeps the limit highest-benefit candidates (merged
 // structures inherit the larger parent benefit plus a small bonus so they
-// stay competitive). Bounding the pool keeps the enumeration step's
-// Greedy(m,k) affordable on workloads with many templates.
+// stay competitive), equal benefits in input order. Bounding the pool keeps
+// the enumeration step's Greedy(m,k) affordable on workloads with many
+// templates. Each candidate's benefit is looked up once, not per comparison.
 func capCandidates(cands []catalog.Structure, benefit map[string]float64, limit int) []catalog.Structure {
 	if limit <= 0 || len(cands) <= limit {
 		return cands
 	}
-	sorted := append([]catalog.Structure(nil), cands...)
-	sort.SliceStable(sorted, func(a, b int) bool {
-		return benefit[sorted[a].Key()] > benefit[sorted[b].Key()]
-	})
-	return sorted[:limit]
+	type ranked struct {
+		s       catalog.Structure
+		benefit float64
+	}
+	sorted := make([]ranked, len(cands))
+	for i, s := range cands {
+		sorted[i] = ranked{s, benefit[s.Key()]}
+	}
+	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].benefit > sorted[b].benefit })
+	out := make([]catalog.Structure, limit)
+	for i := range out {
+		out[i] = sorted[i].s
+	}
+	return out
 }
 
 // ensureStatistics runs the Tuner's statistics creation under the session's

@@ -2,11 +2,14 @@ package core
 
 import (
 	"sort"
+	"strconv"
+	"strings"
 	"sync/atomic"
 )
 
 // CachedCost is one persisted cost-cache entry: the evaluator's cache key
-// (event index + relevant-structure subset) with the optimizer's answer.
+// (event index + relevant-structure subset, rendered from interned IDs) with
+// the optimizer's answer.
 type CachedCost struct {
 	Key  string   `json:"key"`
 	Cost float64  `json:"cost"`
@@ -74,31 +77,46 @@ func (c *checkpointer) snapshot() *Checkpoint {
 }
 
 // snapshotCache copies every completed, successful cache entry, sorted by
-// key so checkpoint files are byte-stable for identical states. In-flight
-// entries are skipped — their leaders will finish after the crash the
-// checkpoint guards against, and a resumed run recomputes them.
+// key so checkpoint files are byte-stable for identical states. Keys are
+// rendered in their persisted form: the event index, a NUL, and the
+// canonical keys of the relevant structures, sorted and joined by "|".
+// In-flight entries are skipped — their leaders will finish after the crash
+// the checkpoint guards against, and a resumed run recomputes them.
 func (ev *evaluator) snapshotCache() []CachedCost {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	out := make([]CachedCost, 0, len(ev.cache))
-	for key, ce := range ev.cache {
-		select {
-		case <-ce.ready:
-			if ce.err == nil {
-				out = append(out, CachedCost{Key: key, Cost: ce.cost, Used: ce.used})
+	out := []CachedCost{}
+	for i := range ev.tables {
+		t := &ev.tables[i]
+		t.mu.RLock()
+		for _, ce := range t.entries {
+			for ; ce != nil; ce = ce.next {
+				select {
+				case <-ce.ready:
+					if ce.err == nil {
+						out = append(out, CachedCost{Key: itoa(i) + "\x00" + ev.in.Join(ce.ids), Cost: ce.cost, Used: ce.used})
+					}
+				default: // in-flight: not yet a fact worth persisting
+				}
 			}
-		default: // in-flight: not yet a fact worth persisting
 		}
+		t.mu.RUnlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 
-// warmStart pre-populates the cost cache from a checkpoint, so a resumed
-// session's replayed decisions hit the cache instead of the optimizer.
-// Called before tuning starts, while the evaluator is still single-owner.
+// warmStart pre-populates the cost cache from a checkpoint, parsing each
+// persisted key back into interned IDs, so a resumed session's replayed
+// decisions hit the cache instead of the optimizer. Called before tuning
+// starts, while the evaluator is still single-owner; entries naming no
+// event of this workload are ignored.
 func (ev *evaluator) warmStart(cs []CachedCost) {
 	for _, c := range cs {
-		ev.cache[c.Key] = &cacheEntry{ready: closedReady, cost: c.Cost, used: c.Used}
+		event, rel, _ := strings.Cut(c.Key, "\x00")
+		i, err := strconv.Atoi(event)
+		if err != nil || i < 0 || i >= len(ev.tables) {
+			continue
+		}
+		ids := ev.in.Split(rel)
+		ev.tables[i].claim(hashIDs(ids), ids, &cacheEntry{ready: closedReady, cost: c.Cost, used: c.Used})
 	}
 }

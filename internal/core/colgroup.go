@@ -47,13 +47,13 @@ func interestingColumnGroups(t Tuner, ev *evaluator, w *workload.Workload, opts 
 	}
 	var occs []occurrence
 	var totalCost float64
-	pbase := ev.prepareConfig(base)
+	cbase := ev.config(base)
 	for i, e := range w.Events {
 		q := ev.analyzed(i)
 		if q == nil {
 			continue
 		}
-		c, _, err := ev.eventCost(i, pbase)
+		c, _, err := ev.cost(i, cbase)
 		if err != nil {
 			return nil, err
 		}

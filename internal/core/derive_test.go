@@ -170,11 +170,11 @@ func TestDeriveMatchesRealCostsOnRandomConfigs(t *testing.T) {
 			}
 		}
 		for i := range w.Events {
-			cOn, uOn, err := evOn.eventCostByIndex(i, cfg)
+			cOn, uOn, err := evOn.cost(i, evOn.config(cfg))
 			if err != nil {
 				t.Fatalf("trial %d event %d (derive on): %v", trial, i, err)
 			}
-			cOff, uOff, err := evOff.eventCostByIndex(i, cfg)
+			cOff, uOff, err := evOff.cost(i, evOff.config(cfg))
 			if err != nil {
 				t.Fatalf("trial %d event %d (real-call oracle): %v", trial, i, err)
 			}
@@ -404,7 +404,7 @@ func TestConcurrentSubsetsShareOneSkeletonFetch(t *testing.T) {
 	oracle := newEvaluator(realCallTuner{srv}, w, "")
 	want := make([]float64, len(cfgs))
 	for j, cfg := range cfgs {
-		c, _, err := oracle.eventCostByIndex(0, cfg)
+		c, _, err := oracle.cost(0, oracle.config(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -424,7 +424,7 @@ func TestConcurrentSubsetsShareOneSkeletonFetch(t *testing.T) {
 				wg.Add(1)
 				go func(j int, cfg *catalog.Configuration) {
 					defer wg.Done()
-					got[j], _, errs[j] = ev.eventCostByIndex(0, cfg)
+					got[j], _, errs[j] = ev.cost(0, ev.config(cfg))
 				}(j, cfg)
 			}
 			wg.Wait()
@@ -502,7 +502,8 @@ func TestDeriveFallbackProducersThroughEvaluator(t *testing.T) {
 	cfg := catalog.NewConfiguration()
 	cfg.AddIndex(catalog.NewIndex("t", "x"))
 	srv := testServer(t)
-	want, _, err := newEvaluator(realCallTuner{srv}, w, "").eventCostByIndex(0, cfg)
+	oracle := newEvaluator(realCallTuner{srv}, w, "")
+	want, _, err := oracle.cost(0, oracle.config(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +515,7 @@ func TestDeriveFallbackProducersThroughEvaluator(t *testing.T) {
 		f := &flakyAltTuner{Server: srv}
 		breakIt(f)
 		ev := newEvaluator(f, w, "")
-		got, _, err := ev.eventCostByIndex(0, cfg)
+		got, _, err := ev.cost(0, ev.config(cfg))
 		if err != nil || got != want {
 			t.Fatalf("%s: cost %v, %v; want the oracle's %v", reason, got, err, want)
 		}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/catalog"
 	"repro/internal/journal"
 )
@@ -17,55 +15,53 @@ import (
 // Each round's removal frontier is enumerated in a fixed order — indexes,
 // views, then table partitionings by sorted table name (a map iteration
 // would make drop order, and with it the whole session, nondeterministic) —
-// costed in parallel, and reduced sequentially in that order.
+// costed in parallel, each removal incrementally from the current
+// configuration's per-event costs, and reduced sequentially in that order.
 func greedyDrop(ev *evaluator, base *catalog.Configuration, pinned map[string]bool) (*catalog.Configuration, []catalog.Structure, error) {
-	cur := base.Clone()
-	curCost, err := ev.configCost(cur)
+	cur, err := ev.costAll(ev.all, ev.config(base.Clone()))
 	if err != nil {
 		return nil, nil, err
 	}
 	var dropped []catalog.Structure
 	for {
 		type removal struct {
-			cfg  *catalog.Configuration
+			c    *config
 			cost float64
+			ov   []override
 			err  error
 			s    catalog.Structure
 		}
+		curCfg := cur.c.catalog()
 		var frontier []*removal
-		for i, ix := range cur.Indexes {
+		for i, ix := range curCfg.Indexes {
 			if ix.FromConstraint || pinned[ix.Key()] {
 				continue
 			}
-			cfg := cur.Clone()
+			cfg := curCfg.Clone()
 			cfg.Indexes = append(cfg.Indexes[:i:i], cfg.Indexes[i+1:]...)
-			frontier = append(frontier, &removal{cfg: cfg, s: catalog.Structure{Index: ix}})
+			frontier = append(frontier, &removal{c: ev.config(cfg), s: catalog.Structure{Index: ix}})
 		}
-		for i, v := range cur.Views {
+		for i, v := range curCfg.Views {
 			if pinned[v.Key()] {
 				continue
 			}
-			cfg := cur.Clone()
+			cfg := curCfg.Clone()
 			cfg.Views = append(cfg.Views[:i:i], cfg.Views[i+1:]...)
-			frontier = append(frontier, &removal{cfg: cfg, s: catalog.Structure{View: v}})
+			frontier = append(frontier, &removal{c: ev.config(cfg), s: catalog.Structure{View: v}})
 		}
-		tables := make([]string, 0, len(cur.TableParts))
-		for table := range cur.TableParts {
-			tables = append(tables, table)
-		}
-		sort.Strings(tables)
-		for _, table := range tables {
-			s := catalog.Structure{PartTable: table, Part: cur.TableParts[table]}
+		for _, table := range curCfg.PartitionedTables() {
+			s := catalog.Structure{PartTable: table, Part: curCfg.TableParts[table]}
 			if pinned[s.Key()] {
 				continue
 			}
-			cfg := cur.Clone()
+			cfg := curCfg.Clone()
 			cfg.SetTablePartitioning(table, nil)
-			frontier = append(frontier, &removal{cfg: cfg, s: s})
+			frontier = append(frontier, &removal{c: ev.config(cfg), s: s})
 		}
 
 		ev.pool().each(len(frontier), func(i int) {
-			frontier[i].cost, frontier[i].err = ev.configCost(frontier[i].cfg)
+			r := frontier[i]
+			r.cost, r.ov, r.err = ev.child(ev.all, cur, r.c)
 		})
 		var best *removal
 		for _, r := range frontier {
@@ -81,14 +77,14 @@ func greedyDrop(ev *evaluator, base *catalog.Configuration, pinned map[string]bo
 			// actually taken (the final round's best is a rejection).
 			e := journal.Ev(journal.KindDrop)
 			e.Structure = best.s.Key()
-			e.Accepted = best.cost < curCost
-			e.CostBefore, e.CostAfter = curCost, best.cost
+			e.Accepted = best.cost < cur.total
+			e.CostBefore, e.CostAfter = cur.total, best.cost
 			ev.tr.record(e)
 		}
-		if best == nil || best.cost >= curCost {
-			return cur, dropped, nil
+		if best == nil || best.cost >= cur.total {
+			return curCfg, dropped, nil
 		}
-		cur, curCost = best.cfg, best.cost
+		cur = cur.with(best.c, best.cost, best.ov)
 		dropped = append(dropped, best.s)
 	}
 }

@@ -18,24 +18,26 @@ import (
 // introduction of alignment candidates described in [4].
 //
 // The evaluation loops run concurrently through greedySearch's worker-pool
-// frontiers (the tracker carries the session pool); applyAligned stays safe
-// there because it mutates only the candidate's own cloned configuration —
-// Configuration.Clone is a deep copy — never shared state. The alignment
-// replay below is bookkeeping over cached decisions and stays sequential.
+// frontiers (the tracker carries the session pool). There the evaluator
+// mirrors applyAligned on its dense configurations — an index adopts its
+// table's partitioning as an interned variant, a partitioning repartitions
+// the table's indexes the same way — and materializes a catalog clone only
+// for the children that need one; applyAligned stays safe there because it
+// mutates only that clone. The alignment replay below is bookkeeping over
+// cached decisions and stays sequential.
 func enumerate(ev *evaluator, tr *tracker, mandatory *catalog.Configuration, cands []catalog.Structure, opts Options) ([]catalog.Structure, error) {
 	// The enumeration pool is the last candidate set of the session; it
 	// also serves the final configuration costing and the analysis reports.
 	ev.setDerivePool(cands)
-	cost := func(cfg *catalog.Configuration) (float64, error) { return ev.configCost(cfg) }
 	g := greedyOptions{
 		m: opts.GreedyM, k: opts.GreedyK,
-		budget: opts.StorageBudget, cat: ev.t.Catalog(), tr: tr,
+		budget: opts.StorageBudget, tr: tr,
 		onStep: func(c float64) { tr.observeCost(c) },
 		scope:  "enumeration", query: -1,
 	}
 
 	if !opts.Aligned {
-		return greedySearch(mandatory, cands, cost, g)
+		return greedySearch(ev, ev.all, mandatory, cands, g)
 	}
 
 	if opts.EagerAlignment {
@@ -44,13 +46,13 @@ func enumerate(ev *evaluator, tr *tracker, mandatory *catalog.Configuration, can
 		cands = expandAlignedVariants(cands)
 		g.valid = func(cfg *catalog.Configuration) bool { return cfg.Aligned() }
 		base := alignConfiguration(mandatory)
-		return greedySearch(base, cands, cost, g)
+		return greedySearch(ev, ev.all, base, cands, g)
 	}
 
 	// Lazy alignment.
-	g.apply = applyAligned
+	g.aligned = true
 	base := alignConfiguration(mandatory)
-	chosen, err := greedySearch(base, cands, cost, g)
+	chosen, err := greedySearch(ev, ev.all, base, cands, g)
 	if err != nil {
 		return nil, err
 	}

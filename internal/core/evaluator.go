@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,6 +22,15 @@ import (
 // irrelevant to an event share the event's cached cost, which is what makes
 // Greedy(m,k) over thousands of configurations affordable.
 //
+// Everything on the search's hot path is dense: every structure is interned
+// to a small integer ID (the interner is shared with the derivation engine)
+// together with the set of events it can affect, a configuration is the
+// ID-sorted list of its interned structures, and an event's cost-cache key is
+// that list masked by the event's relevance — looked up in a per-event table
+// by hash, without building a string or allocating. A configuration grown or
+// shrunk from a costed parent re-costs only the events one of the changed
+// structures can affect (see child).
+//
 // The cache is concurrency-safe and single-flight: when several pool
 // workers ask for the same key, the first becomes the leader and issues the
 // one optimizer call while the rest wait on the entry's ready channel — so
@@ -32,9 +41,22 @@ type evaluator struct {
 	t      Tuner
 	events []*workload.Event
 	infos  []*eventInfo
+	// all is the whole-workload scope the workload cost folds over.
+	all *scope
 
-	mu    sync.Mutex
-	cache map[string]*cacheEntry
+	// in interns structure keys (shared with drv when there is one);
+	// structs and variants hold the evaluator's per-ID analysis, grown under
+	// smu as new structures appear. tableEvents lists the events touching
+	// each table; words is the length of an eventSet.
+	in          *derive.Interner
+	smu         sync.RWMutex
+	structs     []*structInfo
+	variants    map[[2]int32]*structInfo
+	tableEvents map[string][]int
+	words       int
+
+	// tables holds one cost table per event.
+	tables []costTable
 
 	// tr, when set, carries the session's cancellation signal, progress
 	// accounting, and worker pool; cache misses check it before reaching the
@@ -55,9 +77,16 @@ type evaluator struct {
 	// every miss is a plain real call — the oracle derivation is tested
 	// against.
 	drv *derive.Engine
+	// dpool holds the additive structures (non-clustered indexes and views)
+	// of the derivation engine's current candidate pool, ascending by ID;
+	// dgen counts setDerivePool calls, so each event's additive pool subset
+	// (costTable.additive) is computed once per pool. Written only between
+	// parallel sections.
+	dpool []*structInfo
+	dgen  int64
 
-	// weights, when non-nil, overrides each event's workload weight in
-	// configCost's fold (Constraints.SliceWeights). Per-event costs — and
+	// weights, when non-nil, overrides each event's workload weight in the
+	// workload cost fold (Constraints.SliceWeights). Per-event costs — and
 	// therefore cache keys, derive facts, and call counts — never depend
 	// on it; only the sequential weighted sum does, which is what lets a
 	// revision reweight workload slices without a single new optimizer
@@ -68,22 +97,6 @@ type evaluator struct {
 	// the hot path never takes registry locks); all nil without metrics.
 	mHits, mMisses, mCoalesced, mDerived *obs.Counter
 }
-
-// cacheEntry is one single-flight cost slot. The leader that created the
-// entry fills cost/used/err and then closes ready; concurrent readers of
-// the same key block on ready instead of issuing a duplicate optimizer
-// call. A failed entry is removed from the map before ready closes, so a
-// later call (the finishing-mode retry after a cancelled search) computes
-// it afresh.
-type cacheEntry struct {
-	ready chan struct{}
-	cost  float64
-	used  []string
-	err   error
-}
-
-// closedReady is the ready channel of entries that never were in flight.
-var closedReady = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
 
 type eventInfo struct {
 	q      *optimizer.QueryInfo
@@ -111,18 +124,118 @@ func (info *eventInfo) coversAnyScope(ix *catalog.Index) bool {
 	return false
 }
 
+// viewRelevant reports whether a view can answer the (SELECT) event: a view
+// can only answer a query over exactly its table set.
+func (info *eventInfo) viewRelevant(v *catalog.MaterializedView) bool {
+	if len(v.Tables) != len(info.tables) {
+		return false
+	}
+	for _, tn := range v.Tables {
+		if !info.tables[tn] {
+			return false
+		}
+	}
+	return true
+}
+
+// relevance classifies a structure for the (analyzed) event: static when it
+// can change the event's plan or cost in every configuration that holds it,
+// cond when — a partitioning whose column the event does not reference — it
+// does so only beside a clustered index on its table, whose output order the
+// partitioning destroys (the aligned clustered index is partitioned with the
+// table).
+func (info *eventInfo) relevance(s catalog.Structure) (static, cond bool) {
+	switch {
+	case s.Index != nil:
+		ix := s.Index
+		if !info.tables[ix.Table] {
+			return false, false
+		}
+		// A query plan can only change if the index is seekable on a
+		// referenced column, covers a scope, or is clustered (the clustered
+		// index is the table itself). DML statements feel every index on the
+		// target table through update overhead.
+		return info.isDML || ix.Clustered || info.refCols[ix.Table+"."+ix.KeyColumns[0]] || info.coversAnyScope(ix), false
+	case s.View != nil:
+		if info.isDML {
+			return s.View.References(info.target), false
+		}
+		return info.viewRelevant(s.View), false
+	default:
+		if !info.tables[s.PartTable] {
+			return false, false
+		}
+		// Partitioning affects query plans through elimination on a
+		// referenced column, or by destroying a clustered index's order.
+		if info.refCols[s.PartTable+"."+s.Part.Column] {
+			return true, false
+		}
+		return false, true
+	}
+}
+
+// eventSet is a bitset over workload event indexes.
+type eventSet []uint64
+
+func (s eventSet) has(i int) bool { return s[i>>6]&(1<<(uint(i)&63)) != 0 }
+func (s eventSet) add(i int)      { s[i>>6] |= 1 << (uint(i) & 63) }
+func (s eventSet) or(o eventSet) {
+	for w := range s {
+		s[w] |= o[w]
+	}
+}
+
+// structKind classifies an interned structure.
+type structKind uint8
+
+const (
+	kindIndex structKind = iota
+	kindClustered
+	kindView
+	kindPart
+)
+
+// structInfo is the evaluator's analysis of one interned structure,
+// computed once when the structure first appears and immutable afterwards:
+// its canonical key, kind, owning table, storage, and the events it is
+// relevant to (eventInfo.relevance, precomputed per event).
+type structInfo struct {
+	id int32
+	derive.Keyed
+	kind    structKind
+	table   string // owning table ("" for views)
+	storage int64
+	rel     eventSet
+	cond    eventSet
+}
+
 // newEvaluator analyzes the workload and, iff the backend can return plan
 // skeletons, installs a derivation engine in the given mode ("" = on).
 func newEvaluator(t Tuner, w *workload.Workload, mode derive.Mode) *evaluator {
-	ev := &evaluator{t: t, events: w.Events, cache: map[string]*cacheEntry{}}
+	n := len(w.Events)
+	ev := &evaluator{
+		t: t, events: w.Events,
+		all:         &scope{events: make([]int, n)},
+		variants:    map[[2]int32]*structInfo{},
+		tableEvents: map[string][]int{},
+		words:       (n + 63) / 64,
+		tables:      make([]costTable, n),
+	}
 	if _, ok := t.(AlternativesTuner); ok {
 		ev.drv = derive.New(mode)
+		ev.in = ev.drv.Interner()
+	} else {
+		ev.in = derive.NewInterner()
 	}
-	for _, e := range w.Events {
+	for i, e := range w.Events {
+		ev.all.events[i] = i
 		info := &eventInfo{tables: map[string]bool{}, refCols: map[string]bool{}, required: map[string][][]string{}}
 		if q, err := optimizer.Analyze(t.Catalog(), e.Stmt); err == nil {
 			info.q = q
 			for _, s := range q.Scopes {
+				if !info.tables[s.Table.Name] {
+					ev.tableEvents[s.Table.Name] = append(ev.tableEvents[s.Table.Name], i)
+				}
 				info.tables[s.Table.Name] = true
 				info.required[s.Table.Name] = append(info.required[s.Table.Name], s.Required)
 			}
@@ -182,217 +295,378 @@ func (ev *evaluator) pool() *workerPool {
 // resolve against the catalog).
 func (ev *evaluator) analyzed(i int) *optimizer.QueryInfo { return ev.infos[i].q }
 
-// preparedStructure is one configuration structure with the per-
-// configuration half of the relevance computation done up front: the
-// canonical key (built once per configuration instead of once per event),
-// the "table.column" probe string the refCols test needs, and — for
-// partitionings — whether the table carries a clustered index.
-type preparedStructure struct {
-	keyed derive.Keyed
-	table string // owning table; "" for views
-	probe string // refCols probe: leading key column / partitioning column
-	ix    *catalog.Index
-	view  *catalog.MaterializedView
-	part  bool // partitioning record
-	// partClustered: the table has a clustered index in this configuration,
-	// so its partitioning affects any event touching the table.
-	partClustered bool
-}
+// structure returns the interned analysis of s, computing it on first sight.
+func (ev *evaluator) structure(s catalog.Structure) *structInfo {
+	key := s.Key()
+	id, s := ev.in.Intern(key, s)
+	ev.smu.RLock()
+	if int(id) < len(ev.structs) && ev.structs[id] != nil {
+		x := ev.structs[id]
+		ev.smu.RUnlock()
+		return x
+	}
+	ev.smu.RUnlock()
 
-// preparedConfig is a configuration with its structures rendered into
-// pre-sorted preparedStructure records. The per-event relevance filter —
-// the innermost loop of every Greedy(m,k) frontier — then walks the records
-// without building a key string, concatenating a probe, or sorting: a
-// filtered subsequence of a key-sorted slice is itself key-sorted.
-// configCost prepares its configuration once and shares it, read-only,
-// across all events and worker goroutines.
-type preparedConfig struct {
-	cfg  *catalog.Configuration
-	recs []preparedStructure
-}
-
-func (ev *evaluator) prepareConfig(cfg *catalog.Configuration) *preparedConfig {
-	pc := &preparedConfig{cfg: cfg}
-	pc.recs = make([]preparedStructure, 0, len(cfg.Indexes)+len(cfg.TableParts)+len(cfg.Views))
-	for _, ix := range cfg.Indexes {
-		pc.recs = append(pc.recs, preparedStructure{
-			keyed: derive.Keyed{Key: ix.Key(), Structure: catalog.Structure{Index: ix}},
-			table: ix.Table,
-			probe: ix.Table + "." + ix.KeyColumns[0],
-			ix:    ix,
-		})
-	}
-	for table, p := range cfg.TableParts {
-		pc.recs = append(pc.recs, preparedStructure{
-			keyed:         derive.Keyed{Key: "tp:" + table + "=" + p.String(), Structure: catalog.Structure{PartTable: table, Part: p}},
-			table:         table,
-			probe:         table + "." + p.Column,
-			part:          true,
-			partClustered: cfg.ClusteredIndex(table) != nil,
-		})
-	}
-	for _, v := range cfg.Views {
-		pc.recs = append(pc.recs, preparedStructure{
-			keyed: derive.Keyed{Key: v.Key(), Structure: catalog.Structure{View: v}},
-			view:  v,
-		})
-	}
-	sort.Slice(pc.recs, func(a, b int) bool { return pc.recs[a].keyed.Key < pc.recs[b].keyed.Key })
-	return pc
-}
-
-// relevant returns the configuration structures that can affect the event,
-// sorted by key — the set behind both the cost-cache key and the derivation
-// engine's tops.
-func (pc *preparedConfig) relevant(info *eventInfo) []derive.Keyed {
-	var out []derive.Keyed
-	for i := range pc.recs {
-		r := &pc.recs[i]
-		switch {
-		case r.ix != nil:
-			if !info.tables[r.table] {
-				continue
-			}
-			// A query plan can only change if the index is seekable on a
-			// referenced column, covers a scope, or is clustered (the
-			// clustered index is the table itself). DML statements feel
-			// every index on the target table through update overhead.
-			if !info.isDML && !r.ix.Clustered && !info.refCols[r.probe] && !info.coversAnyScope(r.ix) {
-				continue
-			}
-		case r.part:
-			if !info.tables[r.table] {
-				continue
-			}
-			// Partitioning affects query plans through elimination on a
-			// referenced column, or by destroying a clustered index's output
-			// order (the aligned clustered index is partitioned with the
-			// table).
-			if !info.refCols[r.probe] && !r.partClustered {
-				continue
-			}
-		default:
-			if info.isDML {
-				if !r.view.References(info.target) {
-					continue
-				}
-			} else if !info.viewRelevant(r.view) {
-				continue
-			}
-		}
-		out = append(out, r.keyed)
-	}
-	return out
-}
-
-// viewRelevant reports whether a view can answer the (SELECT) event: a view
-// can only answer a query over exactly its table set.
-func (info *eventInfo) viewRelevant(v *catalog.MaterializedView) bool {
-	if len(v.Tables) != len(info.tables) {
-		return false
-	}
-	for _, tn := range v.Tables {
-		if !info.tables[tn] {
-			return false
-		}
-	}
-	return true
-}
-
-// additiveRelevant reports whether a candidate-pool structure is an additive
-// plan alternative for this (SELECT) event — the filter behind the
-// derivation engine's tops. It mirrors relevant's query branch for
-// non-clustered indexes and views; clustered indexes and partitionings
-// reshape base tables and are never pool-added to a top.
-func (info *eventInfo) additiveRelevant(s catalog.Structure) bool {
+	x := &structInfo{id: id, Keyed: derive.Keyed{Key: key, Structure: s}, rel: make(eventSet, ev.words), cond: make(eventSet, ev.words)}
+	var events []int
 	switch {
 	case s.Index != nil:
-		ix := s.Index
-		if ix.Clustered || !info.tables[ix.Table] {
-			return false
+		x.kind, x.table, events = kindIndex, s.Index.Table, ev.tableEvents[s.Index.Table]
+		if s.Index.Clustered {
+			x.kind = kindClustered
 		}
-		return info.refCols[ix.Table+"."+ix.KeyColumns[0]] || info.coversAnyScope(ix)
 	case s.View != nil:
-		return info.viewRelevant(s.View)
+		x.kind, events = kindView, ev.all.events
 	default:
-		return false
+		x.kind, x.table, events = kindPart, s.PartTable, ev.tableEvents[s.PartTable]
 	}
-}
-
-// relevantKey builds the cache key component: the sorted keys of cfg
-// structures that can affect the event.
-func (ev *evaluator) relevantKey(rel []derive.Keyed) string {
-	var b strings.Builder
-	for i, k := range rel {
-		if i > 0 {
-			b.WriteByte('|')
+	x.storage = s.StorageBytes(ev.t.Catalog())
+	for _, i := range events {
+		if info := ev.infos[i]; info.q != nil {
+			static, cond := info.relevance(s)
+			if static {
+				x.rel.add(i)
+			}
+			if cond {
+				x.cond.add(i)
+			}
 		}
-		b.WriteString(k.Key)
 	}
-	return b.String()
+
+	ev.smu.Lock()
+	defer ev.smu.Unlock()
+	for int(id) >= len(ev.structs) {
+		ev.structs = append(ev.structs, nil)
+	}
+	if ev.structs[id] == nil {
+		ev.structs[id] = x
+	}
+	return ev.structs[id]
 }
 
-// eventCostByIndex evaluates one event under cfg, preparing the
-// configuration on the spot. Loops that evaluate many events under the same
-// configuration should prepare once and call eventCost directly.
-func (ev *evaluator) eventCostByIndex(i int, cfg *catalog.Configuration) (float64, []string, error) {
-	return ev.eventCost(i, ev.prepareConfig(cfg))
+// variant returns index x repartitioned by partitioning p (nil: none) — the
+// structure lazy alignment turns x into on a table partitioned by p —
+// interned once per (x, p).
+func (ev *evaluator) variant(x, p *structInfo) *structInfo {
+	k := [2]int32{x.id, -1}
+	if p != nil {
+		k[1] = p.id
+	}
+	ev.smu.RLock()
+	v, ok := ev.variants[k]
+	ev.smu.RUnlock()
+	if ok {
+		return v
+	}
+	ix := x.Structure.Index.Clone()
+	ix.Partitioning = nil
+	if p != nil {
+		ix.Partitioning = p.Structure.Part.Clone()
+	}
+	v = ev.structure(catalog.Structure{Index: ix})
+	ev.smu.Lock()
+	ev.variants[k] = v
+	ev.smu.Unlock()
+	return v
 }
 
-func (ev *evaluator) eventCost(i int, pc *preparedConfig) (float64, []string, error) {
-	info := ev.infos[i]
-	if info.q == nil {
+// config is a configuration in the evaluator's dense form: its interned
+// structures sorted by ID. The catalog form every real optimizer call needs
+// is materialized lazily — a frontier child is derived from its parent as
+// "parent plus one structure" and most children never reach the optimizer
+// (their costs come from the cache or by derivation), so most are never
+// cloned.
+type config struct {
+	ents []*structInfo
+
+	once sync.Once
+	cfg  *catalog.Configuration
+	// from/add/aligned describe a lazy child: from's catalog configuration
+	// with add applied (lazily aligned when aligned is set).
+	from    *config
+	add     catalog.Structure
+	aligned bool
+}
+
+// catalog returns the configuration's catalog form, materializing it on
+// first use. Concurrent callers share one materialization.
+func (c *config) catalog() *catalog.Configuration {
+	c.once.Do(func() {
+		if c.cfg != nil {
+			return
+		}
+		cfg := c.from.catalog().Clone()
+		if c.aligned {
+			applyAligned(cfg, c.add)
+		} else {
+			c.add.ApplyTo(cfg)
+		}
+		c.cfg, c.from = cfg, nil
+	})
+	return c.cfg
+}
+
+// config interns a catalog configuration.
+func (ev *evaluator) config(cfg *catalog.Configuration) *config {
+	c := &config{cfg: cfg}
+	for _, s := range cfg.Structures() {
+		c.ents = append(c.ents, ev.structure(s))
+	}
+	c.ents = sortEnts(c.ents)
+	return c
+}
+
+// sortEnts sorts structures by ID and drops duplicates.
+func sortEnts(ents []*structInfo) []*structInfo {
+	slices.SortFunc(ents, func(a, b *structInfo) int { return int(a.id) - int(b.id) })
+	return slices.CompactFunc(ents, func(a, b *structInfo) bool { return a == b })
+}
+
+// has reports whether the configuration holds x.
+func (c *config) has(x *structInfo) bool {
+	_, ok := slices.BinarySearchFunc(c.ents, x.id, func(e *structInfo, id int32) int { return int(e.id) - int(id) })
+	return ok
+}
+
+// clusteredOn reports whether the configuration holds a clustered index on
+// the table.
+func (c *config) clusteredOn(table string) bool {
+	for _, x := range c.ents {
+		if x.kind == kindClustered && x.table == table {
+			return true
+		}
+	}
+	return false
+}
+
+// partOn returns the configuration's partitioning of the table, or nil.
+func (c *config) partOn(table string) *structInfo {
+	for _, x := range c.ents {
+		if x.kind == kindPart && x.table == table {
+			return x
+		}
+	}
+	return nil
+}
+
+// storage returns the extra storage of the configuration's structures.
+func (c *config) storage() int64 {
+	var b int64
+	for _, x := range c.ents {
+		b += x.storage
+	}
+	return b
+}
+
+// affects reports whether x, one of the configuration's structures, can
+// affect event i under it.
+func (c *config) affects(x *structInfo, i int) bool {
+	return x.rel.has(i) || (x.cond.has(i) && c.clusteredOn(x.table))
+}
+
+// key appends to buf the IDs of the structures that can affect event i under
+// this configuration — the event's cost-cache key.
+func (c *config) key(i int, buf []int32) []int32 {
+	for _, x := range c.ents {
+		if c.affects(x, i) {
+			buf = append(buf, x.id)
+		}
+	}
+	return buf
+}
+
+// extend returns the configuration p with candidate s (interned as x)
+// applied — mirroring Structure.ApplyTo, or applyAligned when aligned is set
+// — or false when applying it changes nothing. The child's catalog form is
+// materialized lazily from p's.
+func (ev *evaluator) extend(p *config, s catalog.Structure, x *structInfo, aligned bool) (*config, bool) {
+	ents := append(make([]*structInfo, 0, len(p.ents)+1), p.ents...)
+	switch x.kind {
+	case kindIndex, kindClustered:
+		if aligned {
+			x = ev.variant(x, p.partOn(strings.ToLower(x.table)))
+		}
+		if p.has(x) || (x.kind == kindClustered && p.clusteredOn(x.table)) {
+			return nil, false
+		}
+		ents = append(ents, x)
+	case kindView:
+		if p.has(x) {
+			return nil, false
+		}
+		ents = append(ents, x)
+	case kindPart:
+		old := p.partOn(x.table)
+		if old == x {
+			return nil, false
+		}
+		for j, e := range ents {
+			switch {
+			case e == old:
+				ents[j] = x
+			case aligned && e.table == x.table && (e.kind == kindIndex || e.kind == kindClustered):
+				// Repartition every index already chosen on the table.
+				ents[j] = ev.variant(e, x)
+			}
+		}
+		if old == nil {
+			ents = append(ents, x)
+		}
+	}
+	return &config{ents: sortEnts(ents), from: p, add: s, aligned: aligned}, true
+}
+
+// costTable is one event's slice of the cost cache: entries keyed by the
+// hash of their ID-set key, collisions chained. It also holds the event's
+// additive pool subset for derivation, valid for pool generation gen.
+type costTable struct {
+	mu       sync.RWMutex
+	entries  map[uint64]*cacheEntry
+	gen      int64
+	additive []int32
+}
+
+// cacheEntry is one single-flight cost slot. The leader that created the
+// entry fills cost/used/err and then closes ready; concurrent readers of the
+// same key block on ready instead of issuing a duplicate optimizer call. A
+// failed entry is removed from the table before ready closes, so a later
+// call (the finishing-mode retry after a cancelled search) computes it
+// afresh.
+type cacheEntry struct {
+	ids   []int32 // the key: relevant structure IDs, ascending
+	next  *cacheEntry
+	ready chan struct{}
+	cost  float64
+	used  []string
+	err   error
+}
+
+// closedReady is the ready channel of entries that never were in flight.
+var closedReady = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
+
+// hashIDs hashes an ID-set key (FNV-1a over the IDs).
+func hashIDs(ids []int32) uint64 {
+	h := uint64(14695981039346656037)
+	for _, id := range ids {
+		h ^= uint64(uint32(id))
+		h *= 1099511628211
+	}
+	return h
+}
+
+// find returns the entry for ids, or nil; t.mu must be held.
+func (t *costTable) find(h uint64, ids []int32) *cacheEntry {
+	for ce := t.entries[h]; ce != nil; ce = ce.next {
+		if slices.Equal(ce.ids, ids) {
+			return ce
+		}
+	}
+	return nil
+}
+
+// claim returns the entry for ids, inserting fresh — a new in-flight entry
+// when nil, else a complete one — if there is none; created reports the
+// insertion.
+func (t *costTable) claim(h uint64, ids []int32, fresh *cacheEntry) (ce *cacheEntry, created bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if ce := t.find(h, ids); ce != nil {
+		return ce, false
+	}
+	if t.entries == nil {
+		t.entries = map[uint64]*cacheEntry{}
+	}
+	if fresh == nil {
+		fresh = &cacheEntry{ready: make(chan struct{})}
+	}
+	fresh.ids, fresh.next = slices.Clone(ids), t.entries[h]
+	t.entries[h] = fresh
+	return fresh, true
+}
+
+// drop unlinks a failed entry.
+func (t *costTable) drop(h uint64, ce *cacheEntry) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	head := t.entries[h]
+	if head == ce {
+		if ce.next == nil {
+			delete(t.entries, h)
+		} else {
+			t.entries[h] = ce.next
+		}
+		return
+	}
+	for p := head; p != nil; p = p.next {
+		if p.next == ce {
+			p.next = ce.next
+			return
+		}
+	}
+}
+
+// cost evaluates event i under configuration c — the evaluator's one
+// evaluation entry: every search, costing, report, and checkpoint path
+// reads per-event costs through it. A cache hit takes one read lock and
+// allocates nothing.
+func (ev *evaluator) cost(i int, c *config) (float64, []string, error) {
+	if ev.infos[i].q == nil {
 		// The statement does not resolve against the catalog (e.g. it
 		// references objects of a database not being tuned); it is skipped
 		// rather than failing the whole tuning session.
 		return 0, nil, nil
 	}
-	cfg := pc.cfg
-	rel := pc.relevant(info)
-	key := itoa(i) + "\x00" + ev.relevantKey(rel)
-	ev.mu.Lock()
-	if ce, ok := ev.cache[key]; ok {
-		ev.mu.Unlock()
-		select {
-		case <-ce.ready:
-			ev.count(ev.mHits)
-		default:
-			// Another worker is mid-flight on this key: wait for its result
-			// instead of issuing a duplicate optimizer call.
-			ev.count(ev.mCoalesced)
-			<-ce.ready
+	var buf [64]int32
+	ids := c.key(i, buf[:0])
+	h := hashIDs(ids)
+	t := &ev.tables[i]
+	t.mu.RLock()
+	ce := t.find(h, ids)
+	t.mu.RUnlock()
+	if ce == nil {
+		var leader bool
+		if ce, leader = t.claim(h, ids, nil); leader {
+			return ev.miss(i, c, h, ce)
 		}
-		return ce.cost, ce.used, ce.err
 	}
-	ce := &cacheEntry{ready: make(chan struct{})}
-	ev.cache[key] = ce
-	ev.mu.Unlock()
+	select {
+	case <-ce.ready:
+		ev.count(ev.mHits)
+	default:
+		// Another worker is mid-flight on this key: wait for its result
+		// instead of issuing a duplicate optimizer call.
+		ev.count(ev.mCoalesced)
+		<-ce.ready
+	}
+	return ce.cost, ce.used, ce.err
+}
 
-	// Leader path: this goroutine owns the key and issues the one call.
+// miss is the cache-miss leader's path: this goroutine owns the entry and
+// issues the one call (or derivation) behind it.
+func (ev *evaluator) miss(i int, c *config, h uint64, ce *cacheEntry) (float64, []string, error) {
 	fail := func(err error) (float64, []string, error) {
 		ce.err = err
-		ev.mu.Lock()
-		delete(ev.cache, key)
-		ev.mu.Unlock()
+		ev.tables[i].drop(h, ce)
 		close(ce.ready)
 		return 0, nil, err
 	}
 	if ev.tr.ctxStopped() {
 		return fail(errStopped)
 	}
+	info := ev.infos[i]
 	if ev.drv != nil {
 		if info.isDML {
 			// Update overhead depends on the full index set — costs are not
 			// plan-set monotone — so DML always takes the real call.
 			ev.drv.FallbackDML(i)
-		} else if res, ok := ev.drv.Resolve(i, len(info.q.Scopes) > 1, rel, info.additiveRelevant, func(top *catalog.Configuration) (float64, []string, *optimizer.Alternatives, error) {
-			c, used, alts, err := ev.realCall(i, top, true)
+		} else if res, ok := ev.drv.Resolve(i, len(info.q.Scopes) > 1, ce.ids, ev.additive(i), func(top *catalog.Configuration) (float64, []string, *optimizer.Alternatives, error) {
+			cost, used, alts, err := ev.realCall(i, top, true)
 			if err == nil {
-				ev.remember(i, top, c, used)
+				ev.remember(i, top, cost, used)
 			}
-			return c, used, alts, err
+			return cost, used, alts, err
 		}); ok {
-			if err := ev.verifyDerived(i, cfg, res); err != nil {
+			if err := ev.verifyDerived(i, c, res); err != nil {
 				return fail(err)
 			}
 			// A derived answer is a fourth cache outcome: no optimizer call
@@ -405,13 +679,32 @@ func (ev *evaluator) eventCost(i int, pc *preparedConfig) (float64, []string, er
 			return ce.cost, ce.used, nil
 		}
 	}
-	c, used, _, err := ev.realCall(i, cfg, false)
+	cost, used, _, err := ev.realCall(i, c.catalog(), false)
 	if err != nil {
 		return fail(err)
 	}
-	ce.cost, ce.used = c, used
+	ce.cost, ce.used = cost, used
 	close(ce.ready)
-	return c, used, nil
+	return cost, used, nil
+}
+
+// additive returns the IDs of the derivation pool's additive structures
+// that are statically relevant to event i, ascending — the part of the
+// event's derivation top the pool contributes — computing them once per
+// setDerivePool.
+func (ev *evaluator) additive(i int) []int32 {
+	t := &ev.tables[i]
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.gen != ev.dgen {
+		t.gen, t.additive = ev.dgen, nil
+		for _, x := range ev.dpool {
+			if x.rel.has(i) {
+				t.additive = append(t.additive, x.id)
+			}
+		}
+	}
+	return t.additive
 }
 
 // remember files a skeleton fetch's (cost, used) answer under the top's own
@@ -419,12 +712,9 @@ func (ev *evaluator) eventCost(i int, pc *preparedConfig) (float64, []string, er
 // is a real call's product like any other, so checkpoints and sealed pools
 // persist it: a resumed session that asks for the top itself pays nothing.
 func (ev *evaluator) remember(i int, top *catalog.Configuration, cost float64, used []string) {
-	key := itoa(i) + "\x00" + ev.relevantKey(ev.prepareConfig(top).relevant(ev.infos[i]))
-	ev.mu.Lock()
-	if _, ok := ev.cache[key]; !ok {
-		ev.cache[key] = &cacheEntry{ready: closedReady, cost: cost, used: used}
-	}
-	ev.mu.Unlock()
+	var buf [64]int32
+	ids := ev.config(top).key(i, buf[:0])
+	ev.tables[i].claim(hashIDs(ids), ids, &cacheEntry{ready: closedReady, cost: cost, used: used})
 }
 
 // realCall issues one accounted optimizer call — a cache-miss leader's own,
@@ -456,17 +746,28 @@ func (ev *evaluator) realCall(i int, cfg *catalog.Configuration, wantAlts bool) 
 	return c, used, alts, nil
 }
 
-// setDerivePool hands the derivation engine the candidate pool of the
-// search phase about to run; a no-op without an engine.
+// setDerivePool installs the candidate pool of the search phase about to run
+// as the source of every derivation top's additive part, and registers it
+// with the derivation engine; a no-op without an engine. The advisor calls
+// it at deterministic phase boundaries (per-query candidate selection,
+// global enumeration), which keeps every top, and hence the set of real
+// calls issued, independent of scheduling.
 func (ev *evaluator) setDerivePool(cands []catalog.Structure) {
 	if ev.drv == nil {
 		return
 	}
-	pool := make([]derive.Keyed, 0, len(cands))
+	reg := make([]derive.Keyed, 0, len(cands))
+	var pool []*structInfo
 	for _, s := range cands {
-		pool = append(pool, derive.Keyed{Key: s.Key(), Structure: s})
+		x := ev.structure(s)
+		reg = append(reg, derive.Keyed{Key: x.Key, Structure: s})
+		if x.kind == kindIndex || x.kind == kindView {
+			pool = append(pool, x)
+		}
 	}
-	ev.drv.SetPool(pool)
+	ev.drv.Register(reg)
+	ev.dpool = sortEnts(pool)
+	ev.dgen++
 }
 
 // bumpDeriveEpoch invalidates plan skeletons after statistics creation; a
@@ -481,7 +782,7 @@ func (ev *evaluator) bumpDeriveEpoch() { ev.drv.BumpEpoch() }
 // cross-check the backend cannot answer (faults exhausted retries) is
 // counted and skipped; a cost divergence beyond derive.VerifyTolerance
 // fails the evaluation.
-func (ev *evaluator) verifyDerived(i int, cfg *catalog.Configuration, res derive.Result) error {
+func (ev *evaluator) verifyDerived(i int, c *config, res derive.Result) error {
 	if ev.drv.Mode() != derive.Verify {
 		return nil
 	}
@@ -490,7 +791,7 @@ func (ev *evaluator) verifyDerived(i int, cfg *catalog.Configuration, res derive
 		if err := tr.inject(fault.SiteWhatIf); err != nil {
 			return 0, err
 		}
-		c, _, err := ev.t.WhatIfCost(ev.events[i].Stmt, cfg)
+		c, _, err := ev.t.WhatIfCost(ev.events[i].Stmt, c.catalog())
 		return c, err
 	}, nil)
 	if err != nil {
@@ -558,35 +859,150 @@ func (ev *evaluator) skippedEvents() int {
 	return n
 }
 
-// configCost returns the weighted workload cost under cfg. The per-event
-// costs are independent, so they are evaluated on the worker pool; the sum
-// is then folded sequentially in event order, because float addition is not
+// scope is the set of events one cost function folds over: the whole
+// workload (weighted sum in event order) or, for a per-query candidate
+// selection, a single event (its unweighted cost).
+type scope struct {
+	events []int
+	single bool
+}
+
+// eventScope is the per-query scope of event i.
+func eventScope(i int) *scope { return &scope{events: []int{i}, single: true} }
+
+// costed is a configuration with its per-event costs over a scope (indexed
+// like scope.events) and their fold — the state a Greedy(m,k) frontier or a
+// drop round grows its children from.
+type costed struct {
+	c     *config
+	costs []float64
+	total float64
+}
+
+// override is one re-costed event of a child configuration (pos indexes
+// scope.events).
+type override struct {
+	pos  int
+	cost float64
+}
+
+// costAll evaluates every event of the scope under c. The per-event costs
+// are independent, so they are evaluated on the worker pool; the fold then
+// runs sequentially in event order, because float addition is not
 // associative and the total must not depend on scheduling.
-func (ev *evaluator) configCost(cfg *catalog.Configuration) (float64, error) {
-	pc := ev.prepareConfig(cfg)
-	n := len(ev.events)
+func (ev *evaluator) costAll(sc *scope, c *config) (*costed, error) {
+	n := len(sc.events)
 	costs := make([]float64, n)
 	errs := make([]error, n)
-	ev.pool().each(n, func(i int) {
-		costs[i], _, errs[i] = ev.eventCost(i, pc)
+	ev.pool().each(n, func(p int) {
+		costs[p], _, errs[p] = ev.cost(sc.events[p], c)
 	})
-	var total float64
-	for i, e := range ev.events {
-		if errs[i] != nil {
-			return 0, errs[i]
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		total += ev.eventWeight(i, e) * costs[i]
 	}
-	return total, nil
+	return &costed{c: c, costs: costs, total: ev.fold(sc, costs, nil)}, nil
+}
+
+// child evaluates c, a configuration derived from the costed parent p: only
+// the events whose cost-cache key can differ between the two — those a
+// structure in their symmetric difference is relevant to — are re-costed;
+// every other event carries p's cost, which is exactly what its unchanged key
+// would have served from the cache. The total is folded over all events in
+// event order, so it is bit-identical to a from-scratch evaluation.
+func (ev *evaluator) child(sc *scope, p *costed, c *config) (float64, []override, error) {
+	touched := ev.touched(p.c, c)
+	var ov []override
+	for pos, i := range sc.events {
+		if !touched.has(i) {
+			continue
+		}
+		cost, _, err := ev.cost(i, c)
+		if err != nil {
+			return 0, nil, err
+		}
+		ov = append(ov, override{pos, cost})
+	}
+	return ev.fold(sc, p.costs, ov), ov, nil
+}
+
+// touched returns the events whose cost-cache key can differ between a and
+// b: those relevant to a structure only one of them holds. That covers the
+// one configuration-dependent case too: a clustered index is relevant to
+// every event on its table, so adding or removing one marks every event its
+// table's partitioning can be conditionally relevant to.
+func (ev *evaluator) touched(a, b *config) eventSet {
+	t := make(eventSet, ev.words)
+	mark := func(x *structInfo) {
+		t.or(x.rel)
+		t.or(x.cond)
+	}
+	i, j := 0, 0
+	for i < len(a.ents) || j < len(b.ents) {
+		switch {
+		case j == len(b.ents) || (i < len(a.ents) && a.ents[i].id < b.ents[j].id):
+			mark(a.ents[i])
+			i++
+		case i == len(a.ents) || b.ents[j].id < a.ents[i].id:
+			mark(b.ents[j])
+			j++
+		default:
+			i++
+			j++
+		}
+	}
+	return t
+}
+
+// fold combines per-event costs (with a child's overrides applied) into the
+// scope's total.
+func (ev *evaluator) fold(sc *scope, costs []float64, ov []override) float64 {
+	if sc.single {
+		if len(ov) > 0 {
+			return ov[0].cost
+		}
+		return costs[0]
+	}
+	var total float64
+	k := 0
+	for pos, i := range sc.events {
+		c := costs[pos]
+		if k < len(ov) && ov[k].pos == pos {
+			c = ov[k].cost
+			k++
+		}
+		total += ev.eventWeight(i) * c
+	}
+	return total
+}
+
+// with returns the costed child of p with configuration c, total and
+// overrides as child computed them.
+func (p *costed) with(c *config, total float64, ov []override) *costed {
+	costs := slices.Clone(p.costs)
+	for _, o := range ov {
+		costs[o.pos] = o.cost
+	}
+	return &costed{c: c, costs: costs, total: total}
+}
+
+// configCost returns the weighted workload cost under cfg.
+func (ev *evaluator) configCost(cfg *catalog.Configuration) (float64, error) {
+	cs, err := ev.costAll(ev.all, ev.config(cfg))
+	if err != nil {
+		return 0, err
+	}
+	return cs.total, nil
 }
 
 // eventWeight returns event i's effective weight: its workload weight,
 // scaled by the session's slice multiplier when one is set.
-func (ev *evaluator) eventWeight(i int, e *workload.Event) float64 {
+func (ev *evaluator) eventWeight(i int) float64 {
 	if ev.weights != nil {
 		return ev.weights[i]
 	}
-	return e.Weight
+	return ev.events[i].Weight
 }
 
 // applySliceWeights installs per-event effective weights from a

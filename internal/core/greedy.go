@@ -2,19 +2,12 @@ package core
 
 import (
 	"math"
+	"strings"
 
 	"repro/internal/catalog"
 	"repro/internal/journal"
 	"repro/internal/obs"
 )
-
-// costFn evaluates a configuration's (workload or single-query) cost.
-type costFn func(cfg *catalog.Configuration) (float64, error)
-
-// applier adds a structure to a configuration; the default is plain
-// Structure.ApplyTo, and the aligned search substitutes a lazy-alignment
-// variant (paper §4). It reports whether the configuration changed.
-type applier func(cfg *catalog.Configuration, s catalog.Structure) bool
 
 // validFn rejects configurations the search may not consider (e.g. the
 // eager-alignment ablation filters unaligned configurations).
@@ -24,9 +17,10 @@ type validFn func(cfg *catalog.Configuration) bool
 type greedyOptions struct {
 	m, k   int
 	budget int64 // extra storage allowed beyond base (0 = unlimited)
-	cat    *catalog.Catalog
-	apply  applier
-	valid  validFn
+	// aligned applies candidates with lazy alignment (applyAligned, paper
+	// §4) instead of plain Structure.ApplyTo.
+	aligned bool
+	valid   validFn
 	// tr carries the session's cancellation and time budget; the search
 	// checks it between candidate evaluations and returns its best subset
 	// so far when stopped (anytime behaviour).
@@ -45,45 +39,66 @@ type greedyOptions struct {
 	query int
 }
 
+// candidate is one structure of a search's pool, interned once per search:
+// x is the structure applying s adds (partitionings are keyed by the
+// lower-cased table, as Configuration stores them) and key is s's own key,
+// the tie-break and journal currency.
+type candidate struct {
+	s   catalog.Structure
+	x   *structInfo
+	key string
+}
+
+func (ev *evaluator) candidates(cands []catalog.Structure) []candidate {
+	out := make([]candidate, len(cands))
+	for i, s := range cands {
+		applied := s
+		if s.Index == nil && s.View == nil {
+			applied.PartTable = strings.ToLower(s.PartTable)
+		}
+		out[i] = candidate{s: s, x: ev.structure(applied), key: s.Key()}
+	}
+	return out
+}
+
 // frontierEval is one candidate's evaluation within a parallel frontier:
-// the configuration grown by the candidate and its cost, or the evaluation
-// error, or ok=false when the candidate did not apply (no change, over
-// budget, invalid, or skipped because the session stopped).
+// the configuration grown by the candidate, its cost and the events it
+// re-costed, or the evaluation error, or ok=false when the candidate did not
+// apply (no change, over budget, invalid, or skipped because the session
+// stopped).
 type frontierEval struct {
-	cfg  *catalog.Configuration
+	c    *config
 	cost float64
+	ov   []override
 	err  error
 	ok   bool
 }
 
-// evalFrontier clones base, applies, admits, and costs each listed
-// candidate on the session's worker pool. Results come back indexed by
-// candidate so callers can reduce them sequentially in candidate order —
-// the property that makes a parallel sweep pick the same winner as a
-// sequential one. It reports the worker count for observability.
-func evalFrontier(o greedyOptions, base *catalog.Configuration, cands []catalog.Structure, fits func(*catalog.Configuration) bool, cost costFn) ([]frontierEval, int) {
+// evalFrontier grows the costed parent by each listed candidate, admits the
+// child, and costs it incrementally (evaluator.child) on the session's
+// worker pool. Results come back indexed by candidate so callers can reduce
+// them sequentially in candidate order — the property that makes a parallel
+// sweep pick the same winner as a sequential one. It reports the worker
+// count for observability.
+func evalFrontier(ev *evaluator, o greedyOptions, sc *scope, parent *costed, cands []candidate, fits func(*config) bool) ([]frontierEval, int) {
 	res := make([]frontierEval, len(cands))
-	var pool *workerPool
-	if o.tr != nil {
-		pool = o.tr.pool
-	}
-	workers := pool.each(len(cands), func(i int) {
+	workers := ev.pool().each(len(cands), func(i int) {
 		if o.tr.stopped() {
 			return
 		}
-		cfg := base.Clone()
-		if !o.apply(cfg, cands[i]) {
+		c, ok := ev.extend(parent.c, cands[i].s, cands[i].x, o.aligned)
+		if !ok {
 			return
 		}
-		if !fits(cfg) || (o.valid != nil && !o.valid(cfg)) {
+		if !fits(c) || (o.valid != nil && !o.valid(c.catalog())) {
 			return
 		}
-		c, err := cost(cfg)
+		cost, ov, err := ev.child(sc, parent, c)
 		if err != nil {
 			res[i] = frontierEval{err: err}
 			return
 		}
-		res[i] = frontierEval{cfg: cfg, cost: c, ok: true}
+		res[i] = frontierEval{c: c, cost: cost, ov: ov, ok: true}
 	})
 	if o.tr != nil && o.tr.metrics != nil && len(cands) > 0 {
 		o.tr.metrics.Histogram("dta_greedy_frontier_size",
@@ -96,16 +111,16 @@ func evalFrontier(o greedyOptions, base *catalog.Configuration, cands []catalog.
 	return res, workers
 }
 
-// better reports whether a frontier candidate (cost c, structure s) beats
-// the incumbent (cost bc, structure key bk, "" = none yet). The tie-break —
-// lower cost first, then lexicographically smaller structure key — is
-// applied at every parallelism level including 1, so parallel and
+// better reports whether a frontier candidate (cost c, structure key k)
+// beats the incumbent (cost bc, structure key bk, "" = none yet). The
+// tie-break — lower cost first, then lexicographically smaller structure key
+// — is applied at every parallelism level including 1, so parallel and
 // sequential runs pick identical winners.
-func better(c float64, s catalog.Structure, bc float64, bk string) bool {
+func better(c float64, k string, bc float64, bk string) bool {
 	if c != bc {
 		return c < bc
 	}
-	return bk != "" && s.Key() < bk
+	return bk != "" && k < bk
 }
 
 // greedySearch implements the Greedy(m,k) algorithm of [8] (paper §2.2):
@@ -118,16 +133,15 @@ func better(c float64, s catalog.Structure, bc float64, bk string) bool {
 // or in one greedy growth step — is evaluated concurrently on the session's
 // worker pool, then reduced sequentially in candidate order with a
 // deterministic tie-break (cost, then structure key), so the chosen subset
-// is independent of Options.Parallelism.
+// is independent of Options.Parallelism. Each child is costed incrementally
+// from its parent's per-event costs (evaluator.child), and the winner of a
+// frontier carries its own forward.
 //
 // The search is an anytime algorithm: when the session's tracker reports
 // cancellation or an exhausted time budget — checked between candidate
 // evaluations, and surfaced as errStopped from within a cost evaluation —
 // the best subset found so far is returned with a nil error.
-func greedySearch(base *catalog.Configuration, cands []catalog.Structure, cost costFn, o greedyOptions) ([]catalog.Structure, error) {
-	if o.apply == nil {
-		o.apply = func(cfg *catalog.Configuration, s catalog.Structure) bool { return s.ApplyTo(cfg) }
-	}
+func greedySearch(ev *evaluator, sc *scope, base *catalog.Configuration, cands []catalog.Structure, o greedyOptions) ([]catalog.Structure, error) {
 	if o.m < 1 {
 		o.m = 1
 	}
@@ -137,29 +151,30 @@ func greedySearch(base *catalog.Configuration, cands []catalog.Structure, cost c
 	if o.minImprove <= 0 {
 		o.minImprove = 1e-4
 	}
-	baseCost, err := cost(base)
+	root, err := ev.costAll(sc, ev.config(base))
 	if err != nil {
 		if stopping(err) {
 			return nil, nil // stopped before the search began: choose nothing
 		}
 		return nil, err
 	}
-	baseStorage := base.StorageBytes(o.cat)
+	baseCost := root.total
+	baseStorage := root.c.storage()
 
-	fits := func(cfg *catalog.Configuration) bool {
+	fits := func(c *config) bool {
 		if o.budget <= 0 {
 			return true
 		}
-		return cfg.StorageBytes(o.cat)-baseStorage <= o.budget
+		return c.storage()-baseStorage <= o.budget
 	}
 	expired := func() bool { return o.tr.stopped() }
+	pool := ev.candidates(cands)
 
 	type state struct {
 		chosen []catalog.Structure
-		cfg    *catalog.Configuration
-		cost   float64
+		node   *costed
 	}
-	best := state{cfg: base.Clone(), cost: baseCost}
+	best := state{node: root}
 
 	// Seed: exhaustively evaluate subsets of size ≤ m. Each enumeration
 	// level's extensions are costed in parallel up front, then the fold —
@@ -172,7 +187,7 @@ func greedySearch(base *catalog.Configuration, cands []catalog.Structure, cost c
 		if size == o.m || expired() {
 			return nil
 		}
-		res, _ := evalFrontier(o, cur.cfg, cands[start:], fits, cost)
+		res, _ := evalFrontier(ev, o, sc, cur.node, pool[start:], fits)
 		for j, r := range res {
 			if expired() {
 				return nil
@@ -183,13 +198,16 @@ func greedySearch(base *catalog.Configuration, cands []catalog.Structure, cost c
 			if !r.ok {
 				continue
 			}
+			improves := r.cost < best.node.total
+			if !improves && size+1 == o.m {
+				continue // neither the new best nor a subtree to recurse into
+			}
 			i := start + j
 			next := state{
 				chosen: append(append([]catalog.Structure(nil), cur.chosen...), cands[i]),
-				cfg:    r.cfg,
-				cost:   r.cost,
+				node:   cur.node.with(r.c, r.cost, r.ov),
 			}
-			if r.cost < best.cost {
+			if improves {
 				best = next
 			}
 			if err := trySubset(i+1, next, size+1); err != nil {
@@ -200,7 +218,7 @@ func greedySearch(base *catalog.Configuration, cands []catalog.Structure, cost c
 	}
 	seedSpan, endSeed := o.tr.span("greedy", "greedy-seed")
 	seedSpan.SetArg("m", o.m).SetArg("candidates", len(cands))
-	err = trySubset(0, state{cfg: base.Clone(), cost: baseCost}, 0)
+	err = trySubset(0, best, 0)
 	endSeed()
 	if o.scope != "" && o.tr.journaling() && len(best.chosen) > 0 {
 		ev := journal.Ev(journal.KindSeed)
@@ -209,7 +227,7 @@ func greedySearch(base *catalog.Configuration, cands []catalog.Structure, cost c
 			ev.Structures = append(ev.Structures, s.Key())
 		}
 		ev.Accepted = true
-		ev.CostBefore, ev.CostAfter = baseCost, best.cost
+		ev.CostBefore, ev.CostAfter = baseCost, best.node.total
 		ev.Alternatives = len(cands)
 		o.tr.record(ev)
 	}
@@ -224,10 +242,6 @@ func greedySearch(base *catalog.Configuration, cands []catalog.Structure, cost c
 	// pool picking the structure that lowers cost most — is a span, so a
 	// timeline shows how the per-step what-if cost shrinks as the evaluator
 	// cache warms up.
-	usedKeys := map[string]bool{}
-	for _, s := range best.chosen {
-		usedKeys[s.Key()] = true
-	}
 	for step := 0; len(best.chosen) < o.k && !expired(); step++ {
 		stepSpan, endStep := o.tr.span("greedy", "greedy-step")
 		stepSpan.SetArg("step", step).SetArg("chosen", len(best.chosen))
@@ -235,12 +249,11 @@ func greedySearch(base *catalog.Configuration, cands []catalog.Structure, cost c
 			// One sweep over the candidate pool: evaluate the whole frontier
 			// in parallel, then pick the winner sequentially in candidate
 			// order (ties broken by structure key — see better).
-			res, workers := evalFrontier(o, best.cfg, cands, fits, cost)
+			res, workers := evalFrontier(ev, o, sc, best.node, pool, fits)
 			stepSpan.SetArg("workers", workers)
 			bestIdx := -1
 			bestCost := math.Inf(1)
 			bestKey := ""
-			var bestCfg *catalog.Configuration
 			// The runner-up — the structure the step would have taken had the
 			// winner not existed — is tracked through the same deterministic
 			// reduction purely for the decision journal.
@@ -255,11 +268,11 @@ func greedySearch(base *catalog.Configuration, cands []catalog.Structure, cost c
 					continue
 				}
 				alternatives++
-				if bestIdx < 0 || better(r.cost, cands[i], bestCost, bestKey) {
+				if bestIdx < 0 || better(r.cost, pool[i].key, bestCost, bestKey) {
 					runnerCost, runnerKey = bestCost, bestKey
-					bestIdx, bestCost, bestCfg, bestKey = i, r.cost, r.cfg, cands[i].Key()
-				} else if runnerKey == "" || better(r.cost, cands[i], runnerCost, runnerKey) {
-					runnerCost, runnerKey = r.cost, cands[i].Key()
+					bestIdx, bestCost, bestKey = i, r.cost, pool[i].key
+				} else if runnerKey == "" || better(r.cost, pool[i].key, runnerCost, runnerKey) {
+					runnerCost, runnerKey = r.cost, pool[i].key
 				}
 			}
 			if expired() {
@@ -273,31 +286,30 @@ func greedySearch(base *catalog.Configuration, cands []catalog.Structure, cost c
 				ev.Scope, ev.Query, ev.Step = o.scope, o.query, step
 				ev.Structure = bestKey
 				ev.Accepted = accepted
-				ev.CostBefore, ev.CostAfter = best.cost, bestCost
+				ev.CostBefore, ev.CostAfter = best.node.total, bestCost
 				ev.Alternatives = alternatives
 				if runnerKey != "" {
 					ev.RunnerUp, ev.RunnerUpCost = runnerKey, runnerCost
 				}
 				o.tr.record(ev)
 			}
-			if bestIdx < 0 || bestCost >= best.cost*(1-o.minImprove) {
+			if bestIdx < 0 || bestCost >= best.node.total*(1-o.minImprove) {
 				journalStep(false)
 				return false, nil
 			}
 			journalStep(true)
-			usedKeys[cands[bestIdx].Key()] = true
+			w := res[bestIdx]
 			best = state{
 				chosen: append(best.chosen, cands[bestIdx]),
-				cfg:    bestCfg,
-				cost:   bestCost,
+				node:   best.node.with(w.c, w.cost, w.ov),
 			}
-			stepSpan.SetArg("picked", cands[bestIdx].Key()).SetArg("cost", bestCost)
+			stepSpan.SetArg("picked", bestKey).SetArg("cost", bestCost)
 			if o.tr != nil && o.tr.metrics != nil {
 				o.tr.metrics.Counter("dta_greedy_steps_total",
 					"Completed Greedy(m,k) growth steps.").Inc()
 			}
 			if o.onStep != nil {
-				o.onStep(best.cost)
+				o.onStep(best.node.total)
 			}
 			return true, nil
 		}()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/catalog"
+	"repro/internal/derive"
 	"repro/internal/journal"
 )
 
@@ -25,7 +26,7 @@ func mergeCandidates(cat *catalog.Catalog, cands []catalog.Structure, benefit ma
 	}
 	// mergePair computes the merged structures one (a, b) candidate pair
 	// yields — pure CPU over the catalog, no shared state — so all pairs
-	// run on the worker pool.
+	// run on the worker pool, canonical keys included.
 	mergePair := func(a, b catalog.Structure) []catalog.Structure {
 		switch {
 		case a.Index != nil && b.Index != nil && a.Index.Table == b.Index.Table &&
@@ -58,9 +59,11 @@ func mergeCandidates(cat *catalog.Catalog, cands []catalog.Structure, benefit ma
 			pairs = append(pairs, pair{i, j})
 		}
 	}
-	merged := make([][]catalog.Structure, len(pairs))
+	merged := make([][]derive.Keyed, len(pairs))
 	pool.each(len(pairs), func(p int) {
-		merged[p] = mergePair(cands[pairs[p].i], cands[pairs[p].j])
+		for _, s := range mergePair(cands[pairs[p].i], cands[pairs[p].j]) {
+			merged[p] = append(merged[p], derive.Keyed{Key: s.Key(), Structure: s})
+		}
 	})
 
 	// Fold sequentially in pair order: dedup against the pool and inherit
@@ -68,21 +71,23 @@ func mergeCandidates(cat *catalog.Catalog, cands []catalog.Structure, benefit ma
 	// output order (and therefore everything downstream) is independent of
 	// parallelism.
 	out := append([]catalog.Structure(nil), cands...)
+	keys := make([]string, len(cands))
 	seen := map[string]bool{}
-	for _, s := range cands {
-		seen[s.Key()] = true
+	for i, s := range cands {
+		keys[i] = s.Key()
+		seen[keys[i]] = true
 	}
 	for p, ms := range merged {
-		a, b := cands[pairs[p].i], cands[pairs[p].j]
-		for _, s := range ms {
-			k := s.Key()
+		a, b := keys[pairs[p].i], keys[pairs[p].j]
+		for _, m := range ms {
+			k := m.Key
 			if tr.journaling() {
 				// Journal every merge attempt at the sequential fold — kept
 				// merges and duplicates alike — so explain can walk a
 				// recommended structure back to its pre-merging leaves.
 				ev := journal.Ev(journal.KindMerge)
 				ev.Structure = k
-				ev.Parents = []string{a.Key(), b.Key()}
+				ev.Parents = []string{a, b}
 				ev.Accepted = !seen[k]
 				tr.record(ev)
 			}
@@ -90,11 +95,11 @@ func mergeCandidates(cat *catalog.Catalog, cands []catalog.Structure, benefit ma
 				continue
 			}
 			seen[k] = true
-			out = append(out, s)
+			out = append(out, m.Structure)
 			if benefit != nil {
 				// A merged structure inherits the larger parent benefit so
 				// pool capping does not starve it.
-				ba, bb := benefit[a.Key()], benefit[b.Key()]
+				ba, bb := benefit[a], benefit[b]
 				if bb > ba {
 					ba = bb
 				}

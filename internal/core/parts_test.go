@@ -2,12 +2,14 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/catalog"
 	"repro/internal/optimizer"
 	"repro/internal/sqlparser"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -160,8 +162,52 @@ func TestCapCandidates(t *testing.T) {
 	}
 }
 
-// costByStorage is a synthetic cost function: each chosen structure reduces
-// cost by a known amount, letting us verify Greedy(m,k) behaviour exactly.
+// TestCapCandidatesKeepsInputOrderOnTies: equal-benefit candidates — a
+// structure without a benefit entry counts as 0 — keep their input order,
+// so the capped pool, and every search over it, is deterministic.
+func TestCapCandidatesKeepsInputOrderOnTies(t *testing.T) {
+	benefit := map[string]float64{}
+	var cands []catalog.Structure
+	for i, col := range []string{"e", "a", "d", "b", "c", "f", "g"} {
+		s := catalog.Structure{Index: catalog.NewIndex("t", col)}
+		cands = append(cands, s)
+		if col != "g" {
+			benefit[s.Key()] = float64(i % 2) // a, b, f: 1; e, d, c: 0
+		}
+	}
+	var got []string
+	for _, s := range capCandidates(cands, benefit, 5) {
+		got = append(got, s.Index.KeyColumns[0])
+	}
+	if want := []string{"a", "b", "f", "e", "d"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("capped = %v, want %v", got, want)
+	}
+}
+
+// costTuner is a skeleton-less backend whose what-if cost is a synthetic
+// function of the configuration, letting a test verify Greedy(m,k)
+// behaviour exactly.
+type costTuner struct {
+	cat  *catalog.Catalog
+	cost func(cfg *catalog.Configuration) float64
+}
+
+func (c costTuner) Catalog() *catalog.Catalog { return c.cat }
+func (c costTuner) WhatIfCost(_ sqlparser.Statement, cfg *catalog.Configuration) (float64, []string, error) {
+	return c.cost(cfg), nil, nil
+}
+func (c costTuner) EnsureStatistics([]stats.Request, bool) (int, error) { return 0, nil }
+func (c costTuner) WhatIfCallCount() int64                              { return 0 }
+
+// syntheticSearch runs greedySearch over a one-statement workload that
+// references every column in its predicate, so every candidate index is
+// relevant and the workload cost is exactly cost(cfg).
+func syntheticSearch(cat *catalog.Catalog, sql string, cost func(*catalog.Configuration) float64, cands []catalog.Structure, o greedyOptions) ([]catalog.Structure, error) {
+	ev := newEvaluator(costTuner{cat: cat, cost: cost}, workload.MustNew(sql), "")
+	return greedySearch(ev, ev.all, catalog.NewConfiguration(), cands, o)
+}
+
+// Each chosen structure reduces cost by a known amount.
 func TestGreedySearchRespectsBudgetAndK(t *testing.T) {
 	cat := catalog.New()
 	d := catalog.NewDatabase("db")
@@ -179,17 +225,17 @@ func TestGreedySearchRespectsBudgetAndK(t *testing.T) {
 		cands = append(cands, s)
 		gains[s.Key()] = float64(10 * (i + 1))
 	}
-	cost := func(cfg *catalog.Configuration) (float64, error) {
+	cost := func(cfg *catalog.Configuration) float64 {
 		total := 1000.0
 		for _, ix := range cfg.Indexes {
 			total -= gains[ix.Key()]
 		}
-		return total, nil
+		return total
 	}
+	const sql = "SELECT a FROM t WHERE a = 1 AND b = 1 AND c = 1 AND d = 1"
 
-	base := catalog.NewConfiguration()
 	// k = 2: picks the two largest gains (d then c).
-	chosen, err := greedySearch(base, cands, cost, greedyOptions{m: 1, k: 2, cat: cat})
+	chosen, err := syntheticSearch(cat, sql, cost, cands, greedyOptions{m: 1, k: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +248,7 @@ func TestGreedySearchRespectsBudgetAndK(t *testing.T) {
 
 	// A one-index storage budget limits the pick count.
 	oneIndex := cands[0].StorageBytes(cat) + 1
-	chosen, err = greedySearch(base, cands, cost, greedyOptions{m: 1, k: 4, budget: oneIndex, cat: cat})
+	chosen, err = syntheticSearch(cat, sql, cost, cands, greedyOptions{m: 1, k: 4, budget: oneIndex})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,8 +257,8 @@ func TestGreedySearchRespectsBudgetAndK(t *testing.T) {
 	}
 
 	// No candidate improves: nothing chosen.
-	flat := func(cfg *catalog.Configuration) (float64, error) { return 5, nil }
-	chosen, err = greedySearch(base, cands, flat, greedyOptions{m: 1, k: 4, cat: cat})
+	flat := func(cfg *catalog.Configuration) float64 { return 5 }
+	chosen, err = syntheticSearch(cat, sql, flat, cands, greedyOptions{m: 1, k: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,15 +278,15 @@ func TestGreedySeedOptimalWithInteraction(t *testing.T) {
 	cat.AddDatabase(d)
 	sa := catalog.Structure{Index: catalog.NewIndex("t", "a")}
 	sb := catalog.Structure{Index: catalog.NewIndex("t", "b")}
-	cost := func(cfg *catalog.Configuration) (float64, error) {
+	cost := func(cfg *catalog.Configuration) float64 {
 		if len(cfg.Indexes) == 2 {
-			return 10, nil
+			return 10
 		}
-		return 100, nil
+		return 100
 	}
-	base := catalog.NewConfiguration()
-	c1, _ := greedySearch(base, []catalog.Structure{sa, sb}, cost, greedyOptions{m: 1, k: 2, cat: cat})
-	c2, _ := greedySearch(base, []catalog.Structure{sa, sb}, cost, greedyOptions{m: 2, k: 2, cat: cat})
+	const sql = "SELECT a FROM t WHERE a = 1 AND b = 1"
+	c1, _ := syntheticSearch(cat, sql, cost, []catalog.Structure{sa, sb}, greedyOptions{m: 1, k: 2})
+	c2, _ := syntheticSearch(cat, sql, cost, []catalog.Structure{sa, sb}, greedyOptions{m: 2, k: 2})
 	if len(c1) != 0 {
 		t.Fatalf("Greedy(1,2) should find nothing here, got %v", c1)
 	}

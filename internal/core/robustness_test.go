@@ -172,8 +172,32 @@ func TestRetryMasksTransientFaults(t *testing.T) {
 // TestCheckpointResume verifies the checkpoint/resume contract: a session
 // resumed from a mid-run checkpoint (round-tripped through JSON, as the
 // service persists it) produces the identical recommendation to an
-// uninterrupted run, while issuing fewer optimizer calls.
+// uninterrupted run, while issuing fewer optimizer calls. It runs at the
+// default parallelism and sequentially; only the sequential leg pins the
+// resumed call count, because a checkpoint taken mid-frontier at higher
+// parallelism holds whichever entries other workers happened to complete.
 func TestCheckpointResume(t *testing.T) {
+	full, resumed := checkpointResume(t, 0)
+	if full.WhatIfCalls > 50 {
+		t.Fatalf("calls grew past the walk-era engine's: full %d (was 50)", full.WhatIfCalls)
+	}
+	full, resumed = checkpointResume(t, 1)
+	// A resumed session holds the checkpoint's costs — each fetched top's
+	// own included — but no skeletons, so it pays one fetch per (event,
+	// top) it still has a subset of to resolve: what the walk-era engine
+	// paid as stale-node repairs. Pinned to the counts of the last commit
+	// that had the walk (derive on): 50 uninterrupted, 27 resumed.
+	if full.WhatIfCalls > 50 || resumed.WhatIfCalls > 27 {
+		t.Fatalf("calls grew past the walk-era engine's: full %d (was 50), resumed %d (was 27)", full.WhatIfCalls, resumed.WhatIfCalls)
+	}
+}
+
+// checkpointResume tunes a workload uninterrupted at the given parallelism
+// (0 = default), resumes a fresh session from its first checkpoint, and
+// checks the scheduling-independent half of the contract: identical
+// recommendation and costs, fewer optimizer calls.
+func checkpointResume(t *testing.T, parallelism int) (full, resumed *Recommendation) {
+	t.Helper()
 	w := lookupWorkload(10)
 	var first *Checkpoint
 	snaps := 0
@@ -183,6 +207,7 @@ func TestCheckpointResume(t *testing.T) {
 	full, err := Tune(testServer(t), w, Options{
 		NoCompression:   true,
 		Derive:          testDeriveMode(t),
+		Parallelism:     parallelism,
 		CheckpointEvery: 25,
 		CheckpointSink: func(ck *Checkpoint) {
 			snaps++
@@ -215,7 +240,7 @@ func TestCheckpointResume(t *testing.T) {
 
 	// Resume on a fresh server — the post-crash world: no statistics, cold
 	// caches, only the checkpoint file.
-	resumed, err := Tune(testServer(t), w, Options{NoCompression: true, Resume: &restored, Derive: testDeriveMode(t)})
+	resumed, err = Tune(testServer(t), w, Options{NoCompression: true, Resume: &restored, Derive: testDeriveMode(t), Parallelism: parallelism})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,14 +254,7 @@ func TestCheckpointResume(t *testing.T) {
 	if resumed.WhatIfCalls >= full.WhatIfCalls {
 		t.Fatalf("resume saved no optimizer calls: %d vs %d", resumed.WhatIfCalls, full.WhatIfCalls)
 	}
-	// A resumed session holds the checkpoint's costs — each fetched top's
-	// own included — but no skeletons, so it pays one fetch per (event,
-	// top) it still has a subset of to resolve: what the walk-era engine
-	// paid as stale-node repairs. Pinned to the counts of the last commit
-	// that had the walk (derive on): 50 uninterrupted, 27 resumed.
-	if full.WhatIfCalls > 50 || resumed.WhatIfCalls > 27 {
-		t.Fatalf("calls grew past the walk-era engine's: full %d (was 50), resumed %d (was 27)", full.WhatIfCalls, resumed.WhatIfCalls)
-	}
+	return full, resumed
 }
 
 // TestDegradedSkipsReports verifies a degraded session behaves like a

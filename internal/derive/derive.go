@@ -42,10 +42,17 @@
 // backend implements the alternatives call. Over a skeleton-less backend the
 // evaluator is the plain real-call evaluator — the oracle the equivalence
 // tests and Verify mode compare against.
+//
+// Internally a structure is a dense ID from the engine's Interner, which the
+// evaluator shares for its own cost-cache keys: Resolve takes the event's
+// cache key and its additive pool subset (which the evaluator precomputes
+// from its relevance bitsets) as ID sets, tops are ID sets, and the canonical
+// key strings reappear only in the persisted Snapshot.
 package derive
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -151,13 +158,12 @@ type Fetch func(top *catalog.Configuration) (cost float64, used []string, alts *
 
 // factKey addresses one skeleton: replay needs identical statements,
 // identical statistics, and identical base-table shapes, so a fact is scoped
-// to (event, statistics epoch, base part) and keyed by its top's canonical
-// joined key set.
+// to (event, statistics epoch) and keyed by its top's interned ID set — which
+// also fixes the base part, since a top adds only additive structures.
 type factKey struct {
 	event int
 	epoch int64
-	base  string
-	node  string
+	top   string // idString of the top's ascending IDs
 }
 
 // fact is one single-flight skeleton slot. The resolver that created it
@@ -166,6 +172,7 @@ type factKey struct {
 // the map before ready closes, so a later resolution fetches afresh.
 type fact struct {
 	ready chan struct{}
+	top   []int32 // the top's IDs, ascending
 	cost  float64
 	used  []string
 	alts  *optimizer.Alternatives
@@ -176,16 +183,17 @@ type fact struct {
 var closed = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
 
 // Engine is one tuning session's derivation state: the structure registry,
-// the current candidate pool, the statistics epoch, and the per-event
-// skeletons. All methods are safe for concurrent use and all are nil-safe,
-// so an evaluator over a skeleton-less backend carries a nil *Engine at zero
-// cost.
+// the statistics epoch, and the per-event skeletons. All methods are safe
+// for concurrent use and all are nil-safe, so an evaluator over a
+// skeleton-less backend carries a nil *Engine at zero cost.
 type Engine struct {
 	mode Mode
+	in   *Interner
 
-	mu      sync.Mutex
-	structs map[string]catalog.Structure
-	pool    []Keyed
+	mu sync.Mutex
+	// structs is the registry: every candidate-pool structure and every
+	// structure of a resolved configuration, by ID, as first registered.
+	structs map[int32]catalog.Structure
 	epoch   int64
 	facts   map[factKey]*fact
 
@@ -214,14 +222,15 @@ var reasons = []string{
 	ReasonEscape, ReasonEscape + joinSuffix,
 }
 
-// New returns an engine in the given mode ("" → On).
+// New returns an engine in the given mode ("" → On) with its own interner.
 func New(mode Mode) *Engine {
 	if mode == "" {
 		mode = On
 	}
 	e := &Engine{
 		mode:     mode,
-		structs:  map[string]catalog.Structure{},
+		in:       NewInterner(),
+		structs:  map[int32]catalog.Structure{},
 		facts:    map[factKey]*fact{},
 		byReason: map[string]*atomic.Int64{},
 	}
@@ -229,6 +238,15 @@ func New(mode Mode) *Engine {
 		e.byReason[r] = &atomic.Int64{}
 	}
 	return e
+}
+
+// Interner returns the engine's structure interner, for the caller to key
+// its own cost cache by the same IDs (nil on a nil engine).
+func (e *Engine) Interner() *Interner {
+	if e == nil {
+		return nil
+	}
+	return e.in
 }
 
 // Mode reports the engine's mode ("" for a nil engine).
@@ -264,27 +282,24 @@ func (e *Engine) AttachMetrics(reg *obs.Registry) {
 	e.mVerifyErr = reg.Counter("dta_derive_verify_total", vHelp, "result", "error")
 }
 
-// SetPool installs the current candidate pool — the structures the search
-// phase may add to configurations — replacing the previous pool. The
-// advisor calls it at deterministic phase boundaries (per-query candidate
-// selection, global enumeration), which keeps every top, and hence the set
-// of real calls issued, independent of scheduling. Safe on nil.
-func (e *Engine) SetPool(pool []Keyed) {
+// Register adds the structures of a candidate pool — those a search phase
+// may add to tops — to the registry; a structure already registered keeps
+// its first registration. Safe on nil.
+func (e *Engine) Register(pool []Keyed) {
 	if e == nil {
 		return
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.pool = append(e.pool[:0:0], pool...)
-	for _, p := range e.pool {
-		e.register(p)
+	for _, k := range pool {
+		e.register(e.in.ID(k.Key), k.Structure)
 	}
 }
 
 // register adds a structure to the registry; e.mu must be held.
-func (e *Engine) register(k Keyed) {
-	if _, ok := e.structs[k.Key]; !ok {
-		e.structs[k.Key] = k.Structure
+func (e *Engine) register(id int32, s catalog.Structure) {
+	if _, ok := e.structs[id]; !ok {
+		e.structs[id] = s
 	}
 }
 
@@ -303,55 +318,35 @@ func (e *Engine) BumpEpoch() {
 	e.mu.Unlock()
 }
 
-// Resolve derives the cost of the configuration whose relevant structure
-// set is rel (sorted by key): it computes rel's top, fetches the top's
-// skeleton through fetch if the current scope does not hold it yet (one
-// real call, single-flighted across concurrent resolvers and counted as an
-// atom), and replays the skeleton restricted to rel. join reports whether
-// the event is a multi-scope SELECT (per-reason fallback accounting splits
-// by shape); additive reports whether a pool structure is an additive plan
-// alternative for this event. The boolean reports success; on false the
-// caller issues its ordinary real call. Safe on nil (always false).
-func (e *Engine) Resolve(event int, join bool, rel []Keyed, additive func(catalog.Structure) bool, fetch Fetch) (Result, bool) {
+// Resolve derives the cost of the configuration whose structures relevant to
+// the event are rel (interned IDs, ascending): its top is rel plus additive —
+// the IDs of the current candidate pool's additive plan alternatives for the
+// event, ascending, which the caller must derive from the pool alone so that
+// tops, and hence the real calls issued, are independent of scheduling. It
+// fetches the top's skeleton through fetch if the current scope does not hold
+// it yet (one real call, single-flighted across concurrent resolvers and
+// counted as an atom) and replays the skeleton restricted to rel. Every ID of
+// rel must carry a structure in the interner and every ID of additive must be
+// registered. join reports whether the event is a multi-scope SELECT
+// (per-reason fallback accounting splits by shape). The boolean reports
+// success; on false the caller issues its ordinary real call. Safe on nil
+// (always false).
+func (e *Engine) Resolve(event int, join bool, rel, additive []int32, fetch Fetch) (Result, bool) {
 	if e == nil {
 		return Result{}, false
 	}
-	// The pool and the epoch change only between parallel sections
-	// (SetPool replaces the slice, never mutates it), so one locked read
-	// serves the whole resolution.
+	top := union(rel, additive)
 	e.mu.Lock()
-	pool, epoch := e.pool, e.epoch
-	e.mu.Unlock()
-
-	inS := make(map[string]bool, len(rel))
-	top := make([]string, 0, len(rel)+len(pool))
-	for _, k := range rel {
-		inS[k.Key] = true
-		top = append(top, k.Key)
-	}
-	for _, p := range pool {
-		if !inS[p.Key] && !isBase(p.Structure) && additive(p.Structure) {
-			top = append(top, p.Key)
-		}
-	}
-	sort.Strings(top)
-	key := factKey{event: event, epoch: epoch, base: baseOf(rel), node: strings.Join(top, "|")}
-
-	e.mu.Lock()
+	key := factKey{event: event, epoch: e.epoch, top: idString(top)}
 	f, found := e.facts[key]
 	var cfg *catalog.Configuration
 	if !found {
-		f = &fact{ready: make(chan struct{})}
+		f = &fact{ready: make(chan struct{}), top: top}
 		e.facts[key] = f
-		for _, k := range rel {
-			e.register(k)
+		for _, id := range rel {
+			e.register(id, e.in.Structure(id))
 		}
-		// Apply structures in sorted key order so identical tops always
-		// produce identical configurations.
-		cfg = catalog.NewConfiguration()
-		for _, k := range top {
-			e.structs[k].ApplyTo(cfg)
-		}
+		cfg = e.topConfig(top)
 	}
 	e.mu.Unlock()
 
@@ -375,7 +370,14 @@ func (e *Engine) Resolve(event int, join bool, rel []Keyed, additive func(catalo
 		return Result{}, false
 	}
 	if f.alts != nil {
-		if cost, used, ok := f.alts.Select(func(k string) bool { return inS[k] }); ok {
+		if cost, used, ok := f.alts.Select(func(k string) bool {
+			id, ok := e.in.Lookup(k)
+			if !ok {
+				return false
+			}
+			_, in := slices.BinarySearch(rel, id)
+			return in
+		}); ok {
 			e.derivations.Add(1)
 			count(e.mDerivations)
 			return Result{Cost: cost, Used: used}, true
@@ -386,6 +388,31 @@ func (e *Engine) Resolve(event int, join bool, rel []Keyed, additive func(catalo
 	// re-cost for real rather than guess.
 	e.fallback(event, ReasonEscape, join)
 	return Result{}, false
+}
+
+// topConfig builds the configuration of a top from the registry. Structures
+// are applied in sorted key order so identical tops always produce identical
+// configurations; e.mu must be held. A top's keys are distinct and its base
+// part comes from one configuration — at most one clustered index and one
+// partitioning per table — while the pool adds only additive structures, so
+// Structure.ApplyTo's duplicate and conflict checks could never fire: each
+// structure is added as ApplyTo would add it (a clone) without re-deriving
+// the key of every index already present.
+func (e *Engine) topConfig(top []int32) *catalog.Configuration {
+	ids := slices.Clone(top)
+	sort.Slice(ids, func(a, b int) bool { return e.in.Key(ids[a]) < e.in.Key(ids[b]) })
+	cfg := catalog.NewConfiguration()
+	for _, id := range ids {
+		switch s := e.structs[id]; {
+		case s.Index != nil:
+			cfg.Indexes = append(cfg.Indexes, s.Index.Clone())
+		case s.View != nil:
+			cfg.Views = append(cfg.Views, s.View.Clone())
+		default:
+			cfg.SetTablePartitioning(s.PartTable, s.Part.Clone())
+		}
+	}
+	return cfg
 }
 
 // FactRecord is one serialized skeleton fetch: the event it belongs to, the
@@ -434,22 +461,24 @@ func (e *Engine) Snapshot() *Snapshot {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := &Snapshot{Mode: e.mode}
-	keys := make([]string, 0, len(e.structs))
-	for k := range e.structs {
-		keys = append(keys, k)
+	for id, st := range e.structs {
+		s.Structs = append(s.Structs, Keyed{Key: e.in.Key(id), Structure: st})
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		s.Structs = append(s.Structs, Keyed{Key: k, Structure: e.structs[k]})
-	}
+	sort.Slice(s.Structs, func(i, j int) bool { return s.Structs[i].Key < s.Structs[j].Key })
 	for key, f := range e.facts {
 		if key.epoch != e.epoch {
 			continue
 		}
 		select {
 		case <-f.ready:
+			var base []int32
+			for _, id := range f.top {
+				if isBase(e.structs[id]) {
+					base = append(base, id)
+				}
+			}
 			s.Facts = append(s.Facts, FactRecord{
-				Event: key.event, Base: key.base, Node: key.node,
+				Event: key.event, Base: e.in.Join(base), Node: e.in.Join(f.top),
 				Cost: f.cost, Used: append([]string(nil), f.used...), Alts: f.alts,
 			})
 		default: // fetch in flight: not yet a fact worth persisting
@@ -480,15 +509,14 @@ func (e *Engine) Restore(s *Snapshot) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.epoch = 0
-	e.structs = make(map[string]catalog.Structure, len(s.Structs))
+	e.structs = make(map[int32]catalog.Structure, len(s.Structs))
 	for _, k := range s.Structs {
-		e.structs[k.Key] = k.Structure
+		e.structs[e.in.ID(k.Key)] = k.Structure
 	}
 	e.facts = make(map[factKey]*fact, len(s.Facts))
-	for _, f := range s.Facts {
-		e.facts[factKey{event: f.Event, base: f.Base, node: f.Node}] = &fact{
-			ready: closed, cost: f.Cost, used: append([]string(nil), f.Used...), alts: f.Alts,
-		}
+	for _, r := range s.Facts {
+		f := &fact{ready: closed, top: e.in.Split(r.Node), cost: r.Cost, used: append([]string(nil), r.Used...), alts: r.Alts}
+		e.facts[factKey{event: r.Event, top: idString(f.top)}] = f
 	}
 }
 
@@ -602,20 +630,6 @@ func isBase(s catalog.Structure) bool {
 		return s.Index.Clustered
 	}
 	return s.Index == nil && s.View == nil
-}
-
-// baseOf joins the base-part keys of a sorted relevant set.
-func baseOf(rel []Keyed) string {
-	var b strings.Builder
-	for _, k := range rel {
-		if isBase(k.Structure) {
-			if b.Len() > 0 {
-				b.WriteByte('|')
-			}
-			b.WriteString(k.Key)
-		}
-	}
-	return b.String()
 }
 
 // count increments a cached counter (nil without metrics).

@@ -2,6 +2,7 @@ package derive
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,19 @@ func keyed(s catalog.Structure) Keyed { return Keyed{Key: s.Key(), Structure: s}
 
 func ixKeyed(table string, cols ...string) Keyed {
 	return keyed(catalog.Structure{Index: catalog.NewIndex(table, cols...)})
+}
+
+// ids interns the structures into e's interner and returns their IDs,
+// ascending — the form Resolve takes a cost-cache key and an additive pool
+// subset in.
+func ids(e *Engine, ks ...Keyed) []int32 {
+	var out []int32
+	for _, k := range ks {
+		id, _ := e.Interner().Intern(k.Key, k.Structure)
+		out = append(out, id)
+	}
+	slices.Sort(out)
+	return out
 }
 
 func TestParseMode(t *testing.T) {
@@ -43,7 +57,7 @@ func TestParseMode(t *testing.T) {
 
 func TestNilEngineIsInert(t *testing.T) {
 	var e *Engine
-	e.SetPool([]Keyed{ixKeyed("t", "x")})
+	e.Register([]Keyed{ixKeyed("t", "x")})
 	e.BumpEpoch()
 	e.FallbackDML(0)
 	e.VerifyOutcome(true, nil)
@@ -111,16 +125,15 @@ func (b *skeletonBackend) fetches() int {
 	return len(b.tops)
 }
 
-func additiveAll(catalog.Structure) bool { return true }
-
 func TestResolveFetchesTopOnceAndReplays(t *testing.T) {
 	e := New(On)
 	b := newSkeletonBackend()
-	e.SetPool([]Keyed{b.i1, b.i2})
+	e.Register([]Keyed{b.i1, b.i2})
+	pool := ids(e, b.i1, b.i2)
 	top := b.i2.Key + "|" + b.i1.Key // sorted: ix:t(a) < ix:t(x)
 
 	// S = {i1}: the top {i1,i2} is fetched once and {i1} replays from it.
-	res, ok := e.Resolve(7, false, []Keyed{b.i1}, additiveAll, b.fetch)
+	res, ok := e.Resolve(7, false, ids(e, b.i1), pool, b.fetch)
 	if !ok || res.Cost != 120 || len(res.Used) != 1 || res.Used[0] != b.i1.Key {
 		t.Fatalf("replay for {i1}: %+v ok=%v", res, ok)
 	}
@@ -134,7 +147,7 @@ func TestResolveFetchesTopOnceAndReplays(t *testing.T) {
 		rel  []Keyed
 		cost float64
 	}{{nil, 500}, {[]Keyed{b.i2}, 90}, {[]Keyed{b.i2, b.i1}, 90}} {
-		res, ok := e.Resolve(7, false, c.rel, additiveAll, b.fetch)
+		res, ok := e.Resolve(7, false, ids(e, c.rel...), pool, b.fetch)
 		if !ok || res.Cost != c.cost {
 			t.Fatalf("replay for %v: %+v ok=%v, want cost %v", c.rel, res, ok, c.cost)
 		}
@@ -147,13 +160,13 @@ func TestResolveFetchesTopOnceAndReplays(t *testing.T) {
 	}
 
 	// Different event: skeletons must not leak across events.
-	e.Resolve(8, false, []Keyed{b.i1}, additiveAll, b.fetch)
+	e.Resolve(8, false, ids(e, b.i1), pool, b.fetch)
 	if b.fetches() != 2 {
 		t.Fatal("another event must not reuse event 7's skeleton")
 	}
 
 	// Structures that are not additive for the event stay out of its top.
-	e.Resolve(9, false, []Keyed{b.i1}, func(s catalog.Structure) bool { return s.Key() != b.i2.Key }, b.fetch)
+	e.Resolve(9, false, ids(e, b.i1), ids(e, b.i1), b.fetch)
 	if got := b.tops[len(b.tops)-1]; got != b.i1.Key {
 		t.Fatalf("non-additive pool structure leaked into the top: %s", got)
 	}
@@ -166,10 +179,10 @@ func TestResolveFallbackReasons(t *testing.T) {
 	// own top.
 	e := New(On)
 	b := newSkeletonBackend()
-	if _, ok := e.Resolve(0, false, []Keyed{b.i1}, additiveAll, b.fetch); !ok {
+	if _, ok := e.Resolve(0, false, ids(e, b.i1), nil, b.fetch); !ok {
 		t.Fatal("empty pool: S is its own top and must replay from its own skeleton")
 	}
-	if _, ok := e.Resolve(1, true, []Keyed{b.i1}, additiveAll, b.fetch); !ok {
+	if _, ok := e.Resolve(1, true, ids(e, b.i1), nil, b.fetch); !ok {
 		t.Fatal("join event must resolve too")
 	}
 	if by := e.FallbacksByReason(); by[ReasonAtom] != 1 || by[ReasonAtom+joinSuffix] != 1 || len(by) != 2 {
@@ -180,9 +193,10 @@ func TestResolveFallbackReasons(t *testing.T) {
 	// resolution fetches again — and succeeds once the backend recovers.
 	e = New(On)
 	b = newSkeletonBackend()
-	e.SetPool([]Keyed{b.i1, b.i2})
+	e.Register([]Keyed{b.i1, b.i2})
+	pool := ids(e, b.i1, b.i2)
 	b.err = errors.New("backend down")
-	if _, ok := e.Resolve(0, false, []Keyed{b.i1}, additiveAll, b.fetch); ok {
+	if _, ok := e.Resolve(0, false, ids(e, b.i1), pool, b.fetch); ok {
 		t.Fatal("failed fetch must fall back")
 	}
 	if by := e.FallbacksByReason(); by[ReasonError] != 1 || by[ReasonAtom] != 1 {
@@ -192,7 +206,7 @@ func TestResolveFallbackReasons(t *testing.T) {
 		t.Fatal("a failed fetch records no skeleton")
 	}
 	b.err = nil
-	if _, ok := e.Resolve(0, false, []Keyed{b.i1}, additiveAll, b.fetch); !ok || b.fetches() != 2 {
+	if _, ok := e.Resolve(0, false, ids(e, b.i1), pool, b.fetch); !ok || b.fetches() != 2 {
 		t.Fatalf("a failed fetch must not poison the scope (ok=%v fetches=%v)", ok, b.tops)
 	}
 
@@ -201,11 +215,11 @@ func TestResolveFallbackReasons(t *testing.T) {
 	e = New(On)
 	b = newSkeletonBackend()
 	b.noAlts = true
-	if _, ok := e.Resolve(0, false, []Keyed{b.i1}, additiveAll, b.fetch); ok {
+	if _, ok := e.Resolve(0, false, ids(e, b.i1), nil, b.fetch); ok {
 		t.Fatal("a fetch without a skeleton must fall back")
 	}
 	b.noAlts, b.alts = false, &optimizer.Alternatives{}
-	if _, ok := e.Resolve(1, true, []Keyed{b.i1}, additiveAll, b.fetch); ok {
+	if _, ok := e.Resolve(1, true, ids(e, b.i1), nil, b.fetch); ok {
 		t.Fatal("a skeleton without a selectable alternative must fall back")
 	}
 	if by := e.FallbacksByReason(); by[ReasonEscape] != 1 || by[ReasonEscape+joinSuffix] != 1 {
@@ -223,16 +237,17 @@ func TestResolveFallbackReasons(t *testing.T) {
 func TestEpochInvalidatesSkeletons(t *testing.T) {
 	e := New(On)
 	b := newSkeletonBackend()
-	e.SetPool([]Keyed{b.i1, b.i2})
+	e.Register([]Keyed{b.i1, b.i2})
+	pool := ids(e, b.i1, b.i2)
 
-	if _, ok := e.Resolve(0, false, []Keyed{b.i1}, additiveAll, b.fetch); !ok {
+	if _, ok := e.Resolve(0, false, ids(e, b.i1), pool, b.fetch); !ok {
 		t.Fatal("first resolve should derive")
 	}
 	e.BumpEpoch()
 	// Skeletons of the previous epoch must not answer: the next resolution
 	// fetches exactly once at the new epoch and replays again.
 	for i := 0; i < 2; i++ {
-		if _, ok := e.Resolve(0, false, []Keyed{b.i1}, additiveAll, b.fetch); !ok {
+		if _, ok := e.Resolve(0, false, ids(e, b.i1), pool, b.fetch); !ok {
 			t.Fatal("post-bump resolve should derive from a fresh skeleton")
 		}
 	}
@@ -251,9 +266,10 @@ func TestConcurrentResolversShareOneFetch(t *testing.T) {
 	e := New(On)
 	b := newSkeletonBackend()
 	b.gate = make(chan struct{})
-	e.SetPool([]Keyed{b.i1, b.i2})
+	e.Register([]Keyed{b.i1, b.i2})
+	pool := ids(e, b.i1, b.i2)
 
-	subsets := [][]Keyed{nil, {b.i1}, {b.i2}, {b.i2, b.i1}}
+	subsets := [][]int32{nil, ids(e, b.i1), ids(e, b.i2), ids(e, b.i2, b.i1)}
 	want := []float64{500, 120, 90, 90}
 	const rounds = 4
 	got := make([]float64, rounds*len(subsets))
@@ -262,10 +278,10 @@ func TestConcurrentResolversShareOneFetch(t *testing.T) {
 		for j, rel := range subsets {
 			started.Add(1)
 			wg.Add(1)
-			go func(slot int, rel []Keyed) {
+			go func(slot int, rel []int32) {
 				defer wg.Done()
 				started.Done()
-				res, ok := e.Resolve(3, false, rel, additiveAll, b.fetch)
+				res, ok := e.Resolve(3, false, rel, pool, b.fetch)
 				if ok {
 					got[slot] = res.Cost
 				}
@@ -288,15 +304,15 @@ func TestConcurrentResolversShareOneFetch(t *testing.T) {
 func TestSnapshotRestoreAnswersWithoutFetching(t *testing.T) {
 	e := New(On)
 	b := newSkeletonBackend()
-	e.SetPool([]Keyed{b.i1, b.i2})
-	if _, ok := e.Resolve(0, false, []Keyed{b.i1}, additiveAll, b.fetch); !ok {
+	e.Register([]Keyed{b.i1, b.i2})
+	if _, ok := e.Resolve(0, false, ids(e, b.i1), ids(e, b.i1, b.i2), b.fetch); !ok {
 		t.Fatal("resolve should derive")
 	}
 
 	r := New(Verify)
 	r.Restore(e.Snapshot())
-	r.SetPool([]Keyed{b.i1, b.i2})
-	res, ok := r.Resolve(0, false, []Keyed{b.i2}, additiveAll, func(*catalog.Configuration) (float64, []string, *optimizer.Alternatives, error) {
+	r.Register([]Keyed{b.i1, b.i2})
+	res, ok := r.Resolve(0, false, ids(r, b.i2), ids(r, b.i1, b.i2), func(*catalog.Configuration) (float64, []string, *optimizer.Alternatives, error) {
 		t.Fatal("a restored skeleton must answer without a fetch")
 		return 0, nil, nil, nil
 	})

@@ -430,3 +430,24 @@ func TestSeekRandomizedAgainstScan(t *testing.T) {
 		}
 	}
 }
+
+// TestMaterializeBadPartitioningsErrorIsStable: a configuration carrying
+// three invalid table partitionings fails with the same error on every
+// call — partitionings are checked and built in table-name order, not map
+// order.
+func TestMaterializeBadPartitioningsErrorIsStable(t *testing.T) {
+	db := buildTestDB(t)
+	cfg := catalog.NewConfiguration()
+	cfg.SetTablePartitioning("orders", catalog.NewPartitionScheme("nope", 1))
+	cfg.SetTablePartitioning("customers", catalog.NewPartitionScheme("nope", 1))
+	cfg.SetTablePartitioning("zeta", catalog.NewPartitionScheme("nope", 1))
+	_, first := db.Materialize(cfg)
+	if first == nil {
+		t.Fatal("invalid partitionings must not materialize")
+	}
+	for i := 0; i < 50; i++ {
+		if _, err := db.Materialize(cfg); err == nil || err.Error() != first.Error() {
+			t.Fatalf("call %d: error %v, want %v", i, err, first)
+		}
+	}
+}

@@ -138,7 +138,8 @@ func (db *Database) Materialize(cfg *catalog.Configuration) (*Prepared, error) {
 		}
 		p.indexes[def.Key()] = ix
 	}
-	for table, scheme := range cfg.TableParts {
+	for _, table := range cfg.PartitionedTables() {
+		scheme := cfg.TableParts[table]
 		td := db.Table(table)
 		if td == nil {
 			return nil, fmt.Errorf("engine: partitioning on unknown table %q", table)
