@@ -248,36 +248,65 @@ func clusteredCandidate(cands []catalog.Structure, table string) *catalog.Struct
 	return nil
 }
 
-// TestSealedPoolFingerprintGolden pins the content address of two toy
-// sealed pools — one plain, one with drops, partitioning and lazy alignment
-// — to the values the string-keyed evaluator produced: the persisted cost
-// cache and derive facts are rendered from interned IDs, and must come out
-// byte-identical.
+// TestSealedPoolFingerprintGolden pins, exactly, what a P=1 tune of each
+// input produces: the sealed pool's content address (the persisted cost
+// cache and derive facts, rendered from interned IDs), the real what-if
+// calls, the derived evaluations and the improvement. The inputs are a
+// plain pool, one with drops, partitioning and lazy alignment, and the
+// three toy demonstration databases (SYNT1 indexes only; TPC-H and PSOFT
+// with every feature, so join replay and the DML fallback are covered). An
+// accidental change to call counts or recommendations fails here; a
+// deliberate one (a new skeleton shape that removes a fallback, say)
+// updates the pins in the same change and says why.
 func TestSealedPoolFingerprintGolden(t *testing.T) {
+	type input func(testing.TB) (*whatif.Server, *workload.Workload, Options)
+	toy := func(name string, f FeatureMask) input {
+		return func(tb testing.TB) (*whatif.Server, *workload.Workload, Options) {
+			srv, w, base := toyBackend(tb, name)
+			return srv, w, Options{Features: f, BaseConfig: base}
+		}
+	}
 	for _, c := range []struct {
-		name string
-		srv  func(testing.TB) *whatif.Server
-		w    func(testing.TB) *workload.Workload
-		opts Options
-		want string
+		name        string
+		in          input
+		fingerprint string
+		calls       int64
+		derived     int64
+		improvement float64
 	}{
-		{"parallel-workload", testServer, parallelWorkload, Options{},
-			"5f878efe76ec68e637fdf293ac9d1667d8d541eb7071764d6fb048ff8bbe3692"},
-		{"aligned-with-drops", reviseServer, reviseWorkload, Options{
-			Features: FeatureIndexes | FeaturePartitioning, BaseConfig: reviseBase(),
-			AllowDrops: true, StorageBudget: 64 << 20, Aligned: true,
-		}, "e64e7a6daf66d448da27add30ec241f7643559110928f0669c54eef74b5edcd2"},
+		{"parallel-workload", func(tb testing.TB) (*whatif.Server, *workload.Workload, Options) {
+			return testServer(tb), parallelWorkload(tb), Options{}
+		}, "5f878efe76ec68e637fdf293ac9d1667d8d541eb7071764d6fb048ff8bbe3692", 160, 236, 0.9008311029433221},
+		{"aligned-with-drops", func(tb testing.TB) (*whatif.Server, *workload.Workload, Options) {
+			return reviseServer(tb), reviseWorkload(tb), Options{
+				Features: FeatureIndexes | FeaturePartitioning, BaseConfig: reviseBase(),
+				AllowDrops: true, StorageBudget: 64 << 20, Aligned: true,
+			}
+		}, "e64e7a6daf66d448da27add30ec241f7643559110928f0669c54eef74b5edcd2", 169, 270, 0.6957172156094855},
+		{"toy-synt1", toy("synt1", FeatureIndexes),
+			"a493db10a430372fc4432114e52fb94f5292e0de0df749b6f7a1ec85654088f5", 354, 22760, 0.9005732641167159},
+		{"toy-tpch", toy("tpch", FeatureAll),
+			"77c09cc3903fb0dbd44273421b98d780d5591c3508d3ed29ab788203d71f6784", 171, 4581, 0.6838914950249153},
+		{"toy-psoft", toy("psoft", FeatureAll),
+			"4b4a330d4c8d67f2f39842eb7e62466c122a3526804251bbb09fffad2b4ced97", 1607, 3461, 0.5572800445626688},
 	} {
 		t.Run(c.name, func(t *testing.T) {
+			srv, w, opts := c.in(t)
 			var pool *CostedPool
-			opts := c.opts
 			opts.Parallelism = 1
 			opts.PoolSink = func(p *CostedPool) { pool = p }
-			if _, err := Tune(c.srv(t), c.w(t), opts); err != nil {
+			rec, err := Tune(srv, w, opts)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if pool.Fingerprint != c.want {
-				t.Fatalf("sealed pool fingerprint %s, want %s", pool.Fingerprint, c.want)
+			if pool.Fingerprint != c.fingerprint {
+				t.Errorf("sealed pool fingerprint %s, want %s", pool.Fingerprint, c.fingerprint)
+			}
+			if rec.WhatIfCalls != c.calls || rec.DerivedEvals != c.derived {
+				t.Errorf("what-if calls %d, derived evaluations %d; want %d, %d", rec.WhatIfCalls, rec.DerivedEvals, c.calls, c.derived)
+			}
+			if rec.Improvement != c.improvement {
+				t.Errorf("improvement %v, want %v", rec.Improvement, c.improvement)
 			}
 		})
 	}

@@ -42,12 +42,17 @@ func planFingerprint(rec *Recommendation) string {
 // derived costs and recommendations must equal.
 type realCallTuner struct{ Tuner }
 
-// TestDeriveModeEquivalence runs the full advisor over a mixed workload
-// (selective lookups, aggregations, a join, an update) against the real-call
-// oracle, deriving, and verifying, each at parallelism 1 and 4. Every leg
-// must produce the identical recommendation; within a leg the what-if call
-// count must not depend on parallelism; and derivation must actually cut
-// calls.
+// TestDeriveModeEquivalence runs the full advisor against the real-call
+// oracle, deriving, and verifying, each at parallelism 1 and 4, over two
+// inputs: a mixed workload (selective lookups, aggregations, a join, an
+// update) and the toy TPC-H database with every feature (joins, views and
+// partitioning, so composed join-skeleton replay is exercised). For each
+// input every leg must produce the identical recommendation; within a leg
+// the what-if call count must not depend on parallelism (on TPC-H only the
+// derive-on leg runs at both levels: the oracle and verify legs pay a real
+// call per evaluation and dominate the test's run time); derivation must
+// actually cut calls; and on TPC-H the fallbacks must be split by query
+// shape, with multi-scope ("atom-join") fetches reported as such.
 func TestDeriveModeEquivalence(t *testing.T) {
 	type leg struct {
 		name string
@@ -65,46 +70,72 @@ func TestDeriveModeEquivalence(t *testing.T) {
 			legs = append(legs, l)
 		}
 	}
-	prints := map[string]string{}
-	calls := map[string]int64{}
-	derived := map[string]int64{}
-	id := func(name string, par int) string { return fmt.Sprintf("%s/P%d", name, par) }
-	for _, l := range legs {
-		var s Tuner = testServer(t)
-		if l.name == oracle {
-			s = realCallTuner{s}
-		}
-		rec, err := Tune(s, parallelWorkload(t), Options{Parallelism: l.par, Derive: l.mode})
-		if err != nil {
-			t.Fatalf("%s: %v", id(l.name, l.par), err)
-		}
-		prints[id(l.name, l.par)] = planFingerprint(rec)
-		calls[id(l.name, l.par)] = rec.WhatIfCalls
-		derived[id(l.name, l.par)] = rec.DerivedEvals
-		if l.name == oracle && rec.DeriveFallbacks != nil {
-			t.Errorf("%s: a skeleton-less backend must run without an engine, got fallbacks %v", id(l.name, l.par), rec.DeriveFallbacks)
-		}
-	}
-	ref := prints[id(oracle, 1)]
-	for _, l := range legs[1:] {
-		if got := prints[id(l.name, l.par)]; got != ref {
-			t.Errorf("recommendation drifts under %s:\n--- %s ---\n%s--- %s ---\n%s",
-				id(l.name, l.par), id(oracle, 1), ref, id(l.name, l.par), got)
-		}
-	}
-	for _, name := range []string{oracle, "on", "verify"} {
-		if calls[id(name, 1)] != calls[id(name, 4)] {
-			t.Errorf("%s: WhatIfCalls depends on parallelism: P1=%d P4=%d", name, calls[id(name, 1)], calls[id(name, 4)])
-		}
-	}
-	if calls[id("on", 1)] >= calls[id(oracle, 1)] {
-		t.Errorf("derivation must reduce what-if calls: on=%d oracle=%d", calls[id("on", 1)], calls[id(oracle, 1)])
-	}
-	if derived[id("on", 1)] == 0 || derived[id("verify", 1)] == 0 {
-		t.Error("DerivedEvals must be > 0 with a skeleton backend")
-	}
-	if derived[id(oracle, 1)] != 0 {
-		t.Error("DerivedEvals must be 0 on the real-call oracle")
+	for _, in := range []struct {
+		name     string
+		setup    func(testing.TB) (*whatif.Server, *workload.Workload, Options)
+		onlyOnP4 bool // run only the derive-on leg at parallelism 4
+	}{
+		{"parallel-workload", func(tb testing.TB) (*whatif.Server, *workload.Workload, Options) {
+			return testServer(tb), parallelWorkload(tb), Options{}
+		}, false},
+		{"toy-tpch", func(tb testing.TB) (*whatif.Server, *workload.Workload, Options) {
+			srv, w, base := toyBackend(tb, "tpch")
+			return srv, w, Options{Features: FeatureAll, BaseConfig: base}
+		}, true},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			prints := map[string]string{}
+			calls := map[string]int64{}
+			derived := map[string]int64{}
+			fallbacks := map[string]map[string]int64{}
+			id := func(name string, par int) string { return fmt.Sprintf("%s/P%d", name, par) }
+			for _, l := range legs {
+				if in.onlyOnP4 && l.par != 1 && l.name != "on" {
+					continue
+				}
+				srv, w, opts := in.setup(t)
+				var s Tuner = srv
+				if l.name == oracle {
+					s = realCallTuner{s}
+				}
+				opts.Parallelism, opts.Derive = l.par, l.mode
+				rec, err := Tune(s, w, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", id(l.name, l.par), err)
+				}
+				prints[id(l.name, l.par)] = planFingerprint(rec)
+				calls[id(l.name, l.par)] = rec.WhatIfCalls
+				derived[id(l.name, l.par)] = rec.DerivedEvals
+				fallbacks[id(l.name, l.par)] = rec.DeriveFallbacks
+				if l.name == oracle && rec.DeriveFallbacks != nil {
+					t.Errorf("%s: a skeleton-less backend must run without an engine, got fallbacks %v", id(l.name, l.par), rec.DeriveFallbacks)
+				}
+			}
+			ref := prints[id(oracle, 1)]
+			for _, l := range legs[1:] {
+				if got, ok := prints[id(l.name, l.par)]; ok && got != ref {
+					t.Errorf("recommendation drifts under %s:\n--- %s ---\n%s--- %s ---\n%s",
+						id(l.name, l.par), id(oracle, 1), ref, id(l.name, l.par), got)
+				}
+			}
+			for _, name := range []string{oracle, "on", "verify"} {
+				if p4, ok := calls[id(name, 4)]; ok && calls[id(name, 1)] != p4 {
+					t.Errorf("%s: WhatIfCalls depends on parallelism: P1=%d P4=%d", name, calls[id(name, 1)], p4)
+				}
+			}
+			if calls[id("on", 1)] >= calls[id(oracle, 1)] {
+				t.Errorf("derivation must reduce what-if calls: on=%d oracle=%d", calls[id("on", 1)], calls[id(oracle, 1)])
+			}
+			if derived[id("on", 1)] == 0 || derived[id("verify", 1)] == 0 {
+				t.Error("DerivedEvals must be > 0 with a skeleton backend")
+			}
+			if derived[id(oracle, 1)] != 0 {
+				t.Error("DerivedEvals must be 0 on the real-call oracle")
+			}
+			if in.name == "toy-tpch" && fallbacks[id("on", 1)][derive.ReasonAtom+"-join"] == 0 {
+				t.Errorf("TPC-H derive=on recorded no join-shaped fallbacks: %v", fallbacks[id("on", 1)])
+			}
+		})
 	}
 }
 

@@ -80,6 +80,9 @@ func TestTunePreCompressedIngestMatchesBatchPath(t *testing.T) {
 	if ingestRec.EventsTuned != batchRec.EventsTuned {
 		t.Fatalf("events tuned drifted: %d vs %d", ingestRec.EventsTuned, batchRec.EventsTuned)
 	}
+	if ingestRec.WhatIfCalls != batchRec.WhatIfCalls {
+		t.Fatalf("what-if calls drifted: ingest %d vs batch %d", ingestRec.WhatIfCalls, batchRec.WhatIfCalls)
+	}
 }
 
 // structureKeys renders a recommendation's new structures as one string.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/optimizer"
+	"repro/internal/workload"
 )
 
 func TestCatalogAndWorkload(t *testing.T) {
@@ -43,6 +44,32 @@ func TestWorkloadDeterministic(t *testing.T) {
 	for i := range a.Events {
 		if a.Events[i].SQL != b.Events[i].SQL {
 			t.Fatal("workload generation must be deterministic")
+		}
+	}
+}
+
+// TestTraceMatchesWorkload: the lazily rendered trace parses back to the
+// statement sequence Workload generates for the same arguments, in order —
+// the promise streaming ingestion of a synthetic trace relies on to tune
+// the same events as the batch path.
+func TestTraceMatchesWorkload(t *testing.T) {
+	cat := Catalog(10000)
+	for _, c := range []struct {
+		events, templates int
+		seed              int64
+	}{{300, 40, 1}, {1000, 7, 42}} {
+		want := Workload(cat, c.events, c.templates, c.seed)
+		got, err := workload.ReadTrace(Trace(cat, c.events, c.templates, c.seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != want.Len() {
+			t.Fatalf("%+v: trace has %d events, workload %d", c, got.Len(), want.Len())
+		}
+		for i := range want.Events {
+			if got.Events[i].SQL != want.Events[i].SQL {
+				t.Fatalf("%+v: event %d: trace %q, workload %q", c, i, got.Events[i].SQL, want.Events[i].SQL)
+			}
 		}
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"repro/internal/datagen/psoft"
 	"repro/internal/datagen/setquery"
 	"repro/internal/datagen/tpch"
-	"repro/internal/derive"
 	"repro/internal/engine"
 	"repro/internal/optimizer"
 	"repro/internal/whatif"
@@ -37,9 +36,6 @@ type Config struct {
 	StorageX    float64 // storage budget as a multiple of raw data (paper: 3x)
 	WarmRuns    int     // §7.2 warm runs per query (paper: 5)
 	Seed        int64
-	// Derive is the cost-derivation mode every tuning run uses ("" = on, or
-	// "verify", per core.Options.Derive). dtabench -derive sets it.
-	Derive string
 }
 
 // Default returns the standard experiment configuration.
@@ -142,7 +138,6 @@ func (c Config) tuneOpts(s *whatif.Server, features core.FeatureMask) core.Optio
 	return core.Options{
 		Features:      features,
 		StorageBudget: int64(c.StorageX * float64(s.Cat.Bytes())),
-		Derive:        derive.Mode(c.Derive),
 	}
 }
 

@@ -65,8 +65,14 @@ func TestSec72Shape(t *testing.T) {
 	if res.ExpectedImprovement < 0.3 {
 		t.Errorf("expected improvement too small: %.2f", res.ExpectedImprovement)
 	}
-	if res.ActualImprovement < 0.05 {
-		t.Errorf("actual improvement too small: %.2f", res.ActualImprovement)
+	// The actual side is asserted on the engine's work counters, not on
+	// wall clock: the tuned configuration must touch ≥ 5% fewer rows and
+	// return exactly the same ones.
+	if got := res.ScanImprovement(); got < 0.05 {
+		t.Errorf("rows-scanned improvement too small: %.3f (%d → %d)", got, res.RawStats.RowsScanned, res.TunedStats.RowsScanned)
+	}
+	if res.RawStats.RowsReturned != res.TunedStats.RowsReturned {
+		t.Errorf("rows returned differ: raw %d, tuned %d", res.RawStats.RowsReturned, res.TunedStats.RowsReturned)
 	}
 	t.Log("\n" + res.String())
 }
@@ -179,82 +185,6 @@ func TestFigure45Shape(t *testing.T) {
 		}
 	}
 	t.Log("\n" + Figure45String(rows))
-}
-
-func TestIngestSweepShape(t *testing.T) {
-	cfg := Quick()
-	rows, err := IngestSweep(cfg, []int{1500, 4500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if !r.ParityChecked {
-			t.Fatalf("parity must run at quick sizes: %+v", r)
-		}
-		if r.Representatives > r.Templates*4 {
-			t.Fatalf("representatives %d exceed templates %d × 4", r.Representatives, r.Templates)
-		}
-		if r.Improvement <= 0 {
-			t.Fatalf("no improvement at n=%d", r.Events)
-		}
-	}
-	// Tripling the trace must not grow retained state: same templates, same
-	// representative bound, (much) higher compression ratio.
-	if rows[1].Representatives != rows[0].Representatives {
-		t.Fatalf("representatives grew with trace size: %d → %d", rows[0].Representatives, rows[1].Representatives)
-	}
-	if rows[1].Ratio <= rows[0].Ratio {
-		t.Fatalf("ratio should grow with trace size: %.1f → %.1f", rows[0].Ratio, rows[1].Ratio)
-	}
-	if IngestString(rows) == "" || len(SummarizeIngest(rows)) != 2 {
-		t.Fatal("render/summary failed")
-	}
-}
-
-func TestDeriveSweepShape(t *testing.T) {
-	rows, err := DeriveSweep(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two workloads (synt1 flat replay, tpch join replay) × three modes.
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	// DeriveSweep itself enforces recommendation and improvement equality
-	// across modes; the shape left to assert is the call reduction, per
-	// workload.
-	for _, base := range []int{0, 3} {
-		off, on, verify := rows[base], rows[base+1], rows[base+2]
-		if off.Mode != deriveOracle || off.DerivedEvals != 0 || on.Mode != "on" || verify.Mode != "verify" ||
-			on.Workload != off.Workload || verify.Workload != off.Workload {
-			t.Fatalf("row order: %+v", rows)
-		}
-		if on.DerivedEvals == 0 {
-			t.Fatalf("%s: derivation never fired", on.Workload)
-		}
-		if ratio := deriveRatio(rows, on); ratio < 2 {
-			t.Errorf("%s: call reduction %.1fx (off %d → on %d), want ≥ 2x even at quick scale",
-				on.Workload, ratio, off.WhatIfCalls, on.WhatIfCalls)
-		}
-		// The verify leg re-checks every derived cost against the
-		// optimizer; its surviving without error is the point, but it must
-		// also have derived.
-		if verify.DerivedEvals == 0 {
-			t.Fatalf("%s: verify leg never derived", verify.Workload)
-		}
-	}
-	// The join-heavy leg must report join-shaped fallbacks — the shape
-	// split is what localizes a future join-replay regression.
-	if rows[4].Fallbacks["atom-join"] == 0 {
-		t.Errorf("tpch derive=on: no atom-join fallbacks recorded: %v", rows[4].Fallbacks)
-	}
-	if DeriveString(rows) == "" || len(SummarizeDerive(rows)) != 6 {
-		t.Fatal("render/summary failed")
-	}
-	t.Log("\n" + DeriveString(rows))
 }
 
 func TestSec3AndAblations(t *testing.T) {

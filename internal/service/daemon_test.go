@@ -293,16 +293,43 @@ func TestDaemonDeterminismAcrossParallelism(t *testing.T) {
 // TestDaemonRestartResume kills the manager mid-scenario, resumes the
 // daemon from the state directory in a fresh manager, finishes the
 // scenario, and requires the delta sequence to be byte-identical with an
-// uninterrupted run — including the post-restart re-tune taking the revise
-// path from the reloaded pool.
+// uninterrupted parallelism-1 run — including the post-restart re-tune
+// taking the revise path from the reloaded pool. The restarted daemon runs
+// at parallelism 1 and, in a second leg, at 4: restart and parallelism
+// together must still not move a byte.
 func TestDaemonRestartResume(t *testing.T) {
+	// Uninterrupted reference run (no state dir).
+	m := newDaemonManager(t)
+	d, err := m.CreateDaemon(service.DaemonRequest{Database: "db", Options: daemonOpts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reference := daemonScenario(t, m, d.ID(), 0)
+
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("P%d", par), func(t *testing.T) {
+			opts := daemonOpts()
+			opts.Parallelism = par
+			if restarted := restartScenario(t, opts); !bytes.Equal(restarted, reference) {
+				t.Fatalf("restart changed the delta sequence:\n%s\nvs\n%s", restarted, reference)
+			}
+		})
+	}
+}
+
+// restartScenario runs daemonScenario with a crash after the stable epoch:
+// the daemon is created with opts in a manager with a state directory, the
+// manager is dropped, and the daemon is resumed in a fresh one. It returns
+// the resumed daemon's delta history as canonical JSON.
+func restartScenario(t *testing.T, opts service.CreateOptions) []byte {
+	t.Helper()
 	dir := t.TempDir()
 
 	m1 := newDaemonManager(t)
 	if err := m1.SetStateDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	d1, err := m1.CreateDaemon(service.DaemonRequest{Database: "db", Options: daemonOpts()})
+	d1, err := m1.CreateDaemon(service.DaemonRequest{Database: "db", Options: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,18 +381,7 @@ func TestDaemonRestartResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Uninterrupted reference run (no state dir).
-	m3 := newDaemonManager(t)
-	d3, err := m3.CreateDaemon(service.DaemonRequest{Database: "db", Options: daemonOpts()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reference := daemonScenario(t, m3, d3.ID(), 0)
-
-	if !bytes.Equal(restarted, reference) {
-		t.Fatalf("restart changed the delta sequence:\n%s\nvs\n%s", restarted, reference)
-	}
+	return restarted
 }
 
 // TestDaemonHTTP exercises the whole daemon surface over HTTP: create,
