@@ -370,10 +370,6 @@ func runRevise(dbName string, sf float64, revisePath, outPath string,
 	storageMB int64, aligned bool, pinKeys, vetoKeys, reweight string,
 	parallelism int, quiet bool, poolOut string) error {
 
-	srv, _, err := demo.Build(dbName, sf)
-	if err != nil {
-		return err
-	}
 	data, err := os.ReadFile(revisePath)
 	if err != nil {
 		return err
@@ -383,7 +379,11 @@ func runRevise(dbName string, sf float64, revisePath, outPath string,
 		return fmt.Errorf("bad pool file %s: %w", revisePath, err)
 	}
 	if err := pool.Check(); err != nil {
-		return fmt.Errorf("pool file %s: %w", revisePath, err)
+		return fmt.Errorf("pool file %s: %w; re-run dta -pool to write a current one", revisePath, err)
+	}
+	srv, _, err := demo.Build(dbName, sf)
+	if err != nil {
+		return err
 	}
 
 	cons := core.Constraints{Aligned: aligned}

@@ -237,7 +237,8 @@ type Options struct {
 	// cache instead of optimizer calls, so the session re-reaches the
 	// interruption point cheaply and then continues. With a deterministic
 	// backend, a resumed session produces the same recommendation as an
-	// uninterrupted one.
+	// uninterrupted one. A checkpoint failing Checkpoint.Check (one written
+	// by an older binary, say) fails the session rather than being misread.
 	Resume *Checkpoint
 
 	// Vetoed lists structure keys the search may not recommend
@@ -513,6 +514,9 @@ func buildCostedState(ctx context.Context, t Tuner, w *workload.Workload, opts O
 
 	ev := newEvaluator(t, tuned, opts.Derive)
 	if opts.Resume != nil {
+		if err := opts.Resume.Check(); err != nil {
+			return nil, nil, err
+		}
 		ev.warmStart(opts.Resume.Cache)
 	}
 	ev.attach(tr)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -126,12 +127,12 @@ type CostedPool struct {
 	Gains []QueryGain `json:"gains,omitempty"`
 	// StatBatches logs the statistics-creation calls, in issue order.
 	StatBatches []StatBatch `json:"statBatches,omitempty"`
-	// Cache holds the cost cache's completed entries (the costed atoms),
-	// sorted by key — the same representation checkpoints persist.
-	Cache []CachedCost `json:"cache,omitempty"`
+	// Cache holds the cost cache's completed entries (the costed atoms) —
+	// the same section checkpoints persist. Its format versions the pool.
+	Cache CostCache `json:"costCache"`
 	// Derive is the derivation engine's skeleton snapshot (nil when the
 	// backend offered no skeletons).
-	Derive *derive.Snapshot `json:"derive,omitempty"`
+	Derive *derive.Snapshot `json:"skeletons,omitempty"`
 	// Knobs pins the pipeline parameters the pool was costed under.
 	Knobs PoolKnobs `json:"knobs"`
 	// StatsCreated is how many statistics the costing layer created.
@@ -148,6 +149,10 @@ type CostedPool struct {
 	// Fingerprint is the sha256 content address of the pool (computed over
 	// its canonical JSON with this field empty).
 	Fingerprint string `json:"fingerprint,omitempty"`
+
+	// nonCanonical records that the pool was decoded from JSON other than
+	// its own canonical form (see UnmarshalJSON).
+	nonCanonical bool
 }
 
 // ComputeFingerprint returns the pool's content address: the sha256 of its
@@ -165,9 +170,42 @@ func (p *CostedPool) ComputeFingerprint() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Check verifies the pool's content address, guarding revisions against
-// truncated or hand-edited pool files.
+// UnmarshalJSON decodes a pool and records whether the bytes were the JSON
+// the decoded pool marshals to (insignificant whitespace aside). The decoder
+// forgives case-folded field names, unknown fields and invalid UTF-8, so a
+// damaged file can decode to the very value its fingerprint was computed
+// over; Check refuses it instead.
+func (p *CostedPool) UnmarshalJSON(data []byte) error {
+	type plain CostedPool
+	if err := json.Unmarshal(data, (*plain)(p)); err != nil {
+		return err
+	}
+	canon, err := json.Marshal((*plain)(p))
+	if err != nil {
+		return err
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, data); err != nil {
+		return err
+	}
+	p.nonCanonical = !bytes.Equal(canon, compact.Bytes())
+	return nil
+}
+
+// Check verifies the pool before it is trusted: the cost-cache format (a
+// pool written by an older binary is refused), the shape of the cost-cache
+// and skeleton sections, that the pool was decoded from its canonical JSON,
+// and the content address.
 func (p *CostedPool) Check() error {
+	if err := p.Cache.check(len(p.Statements)); err != nil {
+		return fmt.Errorf("core: costed pool: %w", err)
+	}
+	if err := p.Derive.Check(); err != nil {
+		return fmt.Errorf("core: costed pool: %w", err)
+	}
+	if p.nonCanonical {
+		return fmt.Errorf("core: costed pool JSON is not in canonical form (damaged or hand-edited)")
+	}
 	if p.Fingerprint == "" {
 		return fmt.Errorf("core: costed pool has no fingerprint")
 	}
@@ -228,6 +266,9 @@ func Revise(ctx context.Context, t Tuner, pool *CostedPool, cons Constraints, op
 	if err != nil {
 		return nil, fmt.Errorf("core: costed pool: %w", err)
 	}
+	if err := pool.Cache.check(len(pool.Statements)); err != nil {
+		return nil, fmt.Errorf("core: costed pool: %w", err)
+	}
 	opts.Derive = mode
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "pipeline", "revise")
@@ -281,9 +322,8 @@ func Revise(ctx context.Context, t Tuner, pool *CostedPool, cons Constraints, op
 		statsCreated += created
 	}
 
-	ev := newEvaluator(t, w, opts.Derive)
-	ev.drv.Restore(pool.Derive)
-	ev.warmStart(pool.Cache)
+	st := pool.warmState(t, w, base, opts.Derive)
+	ev := st.ev
 	ev.attach(tr)
 	tr.eventsTotal = w.Len()
 	tr.eventsTuned = w.Len() - ev.skippedEvents()
@@ -298,12 +338,6 @@ func Revise(ctx context.Context, t Tuner, pool *CostedPool, cons Constraints, op
 		IngestedEvents: pool.IngestedEvents,
 		IngestedBytes:  pool.IngestedBytes,
 	}
-	st := &costedState{
-		ev: ev, tuned: w, base: base,
-		cands: pool.Candidates, gains: pool.Gains, statBatches: pool.StatBatches,
-		statsCreated: pool.StatsCreated, compressed: pool.Compressed,
-		ingestEvents: pool.IngestedEvents, ingestBytes: pool.IngestedBytes,
-	}
 	rec, err = runSearch(t, st, tr, rec, cons, opts, start)
 	if err != nil {
 		return nil, err
@@ -312,4 +346,20 @@ func Revise(ctx context.Context, t Tuner, pool *CostedPool, cons Constraints, op
 		opts.PoolSink(st.seal(opts))
 	}
 	return rec, nil
+}
+
+// warmState is a revision's warm start: the pool's costing-layer state over
+// its workload w and base configuration, with an evaluator whose skeleton
+// facts are restored and whose cost cache is loaded — each persisted table
+// interned once.
+func (pool *CostedPool) warmState(t Tuner, w *workload.Workload, base *catalog.Configuration, mode derive.Mode) *costedState {
+	ev := newEvaluator(t, w, mode)
+	ev.drv.Restore(pool.Derive)
+	ev.warmStart(pool.Cache)
+	return &costedState{
+		ev: ev, tuned: w, base: base,
+		cands: pool.Candidates, gains: pool.Gains, statBatches: pool.StatBatches,
+		statsCreated: pool.StatsCreated, compressed: pool.Compressed,
+		ingestEvents: pool.IngestedEvents, ingestBytes: pool.IngestedBytes,
+	}
 }

@@ -250,7 +250,7 @@ func clusteredCandidate(cands []catalog.Structure, table string) *catalog.Struct
 
 // TestSealedPoolFingerprintGolden pins, exactly, what a P=1 tune of each
 // input produces: the sealed pool's content address (the persisted cost
-// cache and derive facts, rendered from interned IDs), the real what-if
+// cache and derive facts, numbered by sorted structure key), the real what-if
 // calls, the derived evaluations and the improvement. The inputs are a
 // plain pool, one with drops, partitioning and lazy alignment, and the
 // three toy demonstration databases (SYNT1 indexes only; TPC-H and PSOFT
@@ -276,19 +276,19 @@ func TestSealedPoolFingerprintGolden(t *testing.T) {
 	}{
 		{"parallel-workload", func(tb testing.TB) (*whatif.Server, *workload.Workload, Options) {
 			return testServer(tb), parallelWorkload(tb), Options{}
-		}, "5f878efe76ec68e637fdf293ac9d1667d8d541eb7071764d6fb048ff8bbe3692", 160, 236, 0.9008311029433221},
+		}, "8102fe58b02c708d67bd59c93230d3b638cf5c138f2e8438282ab1265ea86e45", 160, 236, 0.9008311029433221},
 		{"aligned-with-drops", func(tb testing.TB) (*whatif.Server, *workload.Workload, Options) {
 			return reviseServer(tb), reviseWorkload(tb), Options{
 				Features: FeatureIndexes | FeaturePartitioning, BaseConfig: reviseBase(),
 				AllowDrops: true, StorageBudget: 64 << 20, Aligned: true,
 			}
-		}, "e64e7a6daf66d448da27add30ec241f7643559110928f0669c54eef74b5edcd2", 169, 270, 0.6957172156094855},
+		}, "ebe8b0cc275b9e780bb946abd61d08c5501cfd867d9ec7bb451e6953c1e9c9c2", 169, 270, 0.6957172156094855},
 		{"toy-synt1", toy("synt1", FeatureIndexes),
-			"a493db10a430372fc4432114e52fb94f5292e0de0df749b6f7a1ec85654088f5", 354, 22760, 0.9005732641167159},
+			"8b75fea98b479caa8e7d1e642eec158556bb464415c042fce5aa9afb0324f55b", 354, 22760, 0.9005732641167159},
 		{"toy-tpch", toy("tpch", FeatureAll),
-			"77c09cc3903fb0dbd44273421b98d780d5591c3508d3ed29ab788203d71f6784", 171, 4581, 0.6838914950249153},
+			"badfb9207b97415110055593352b24888c2d80e64571e4f4419a62f5990cac12", 171, 4581, 0.6838914950249153},
 		{"toy-psoft", toy("psoft", FeatureAll),
-			"4b4a330d4c8d67f2f39842eb7e62466c122a3526804251bbb09fffad2b4ced97", 1607, 3461, 0.5572800445626688},
+			"5b30bf881c4bb77028752420ebb5cc6961e28decd278c449f3521ad6a231e7ca", 1607, 3461, 0.5572800445626688},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			srv, w, opts := c.in(t)
@@ -336,6 +336,58 @@ func TestCacheHitAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("cached evaluations allocated %.1f times per sweep, want 0", allocs)
+	}
+}
+
+// sealedToy tunes a toy database at P=1 and returns its backend, the pool's
+// own tuned workload, the sealed pool and the options a revision of it runs
+// under.
+func sealedToy(tb testing.TB, name string, f FeatureMask) (*whatif.Server, *workload.Workload, *CostedPool, Options) {
+	tb.Helper()
+	srv, w, base := toyBackend(tb, name)
+	var pool *CostedPool
+	opts := Options{Features: f, BaseConfig: base, Parallelism: 1, SkipReports: true, PoolSink: func(p *CostedPool) { pool = p }}
+	if _, err := Tune(srv, w, opts); err != nil {
+		tb.Fatal(err)
+	}
+	tuned, err := workload.FromStatements(pool.Statements)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return srv, tuned, pool, pool.Knobs.apply(Options{Parallelism: 1}).withDefaults()
+}
+
+// TestWarmStartResealsIdentically: warm-starting an evaluator from a sealed
+// pool and sealing it again reproduces the pool byte for byte — the cost
+// cache and skeleton facts survive the round trip through the ID-keyed
+// format, whatever order the second session interned the tables in.
+func TestWarmStartResealsIdentically(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		f    FeatureMask
+	}{{"synt1", FeatureIndexes}, {"tpch", FeatureAll}, {"psoft", FeatureAll}} {
+		t.Run(c.name, func(t *testing.T) {
+			srv, w, pool, opts := sealedToy(t, c.name, c.f)
+			again := pool.warmState(srv, w, pool.Base, opts.Derive).seal(opts)
+			if again.Fingerprint != pool.Fingerprint {
+				t.Fatalf("resealed fingerprint %s, want %s", again.Fingerprint, pool.Fingerprint)
+			}
+		})
+	}
+}
+
+// BenchmarkSeal times the persisted cost-cache format end to end over a toy
+// PSOFT pool: per iteration, a revision's warm start (intern the tables once,
+// remap every entry), a seal (canonical renumbering, the skeleton snapshot,
+// the fingerprint) and Check. Run with -benchmem.
+func BenchmarkSeal(b *testing.B) {
+	srv, w, pool, opts := sealedToy(b, "psoft", FeatureAll)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sealed := pool.warmState(srv, w, pool.Base, opts.Derive).seal(opts)
+		if err := sealed.Check(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

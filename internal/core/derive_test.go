@@ -386,7 +386,7 @@ func TestDeriveModeNormalisedAtBoundary(t *testing.T) {
 			// spelled it in a hand-edited pool (cost cache dropped, so the
 			// revision has to derive from the pool's skeletons again).
 			pool.Knobs.Derive = c.mode
-			pool.Cache = nil
+			pool.Cache.Entries = nil
 			reg = obs.NewRegistry()
 			rev, err := Revise(context.Background(), srv, pool, Constraints{StorageBudget: 1 << 20}, Options{Metrics: reg})
 			if err != nil {

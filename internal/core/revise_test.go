@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -322,9 +323,10 @@ func TestReviseZeroCallsOnSelectOnlyWorkload(t *testing.T) {
 	}
 }
 
-// TestRevisePoolCheck ensures tampered pools are rejected.
+// TestRevisePoolCheck ensures tampered pools, and pools whose cost-cache
+// section predates the current format, are rejected.
 func TestRevisePoolCheck(t *testing.T) {
-	p := &CostedPool{Statements: []workload.Statement{{SQL: "SELECT 1", Weight: 1}}}
+	p := &CostedPool{Statements: []workload.Statement{{SQL: "SELECT 1", Weight: 1}}, Cache: CostCache{Format: CostCacheFormat}}
 	if err := p.Check(); err == nil {
 		t.Fatal("unstamped pool passed Check")
 	}
@@ -335,5 +337,14 @@ func TestRevisePoolCheck(t *testing.T) {
 	p.Statements[0].Weight = 2
 	if err := p.Check(); err == nil {
 		t.Fatal("tampered pool passed Check")
+	}
+
+	old := &CostedPool{Statements: p.Statements}
+	old.Fingerprint = old.ComputeFingerprint()
+	if err := old.Check(); err == nil || !strings.Contains(err.Error(), "format 0") {
+		t.Fatalf("format-0 pool: Check = %v, want a refusal naming the format", err)
+	}
+	if _, err := Revise(context.Background(), testServer(t), old, Constraints{}, Options{}); err == nil || !strings.Contains(err.Error(), "format 0") {
+		t.Fatalf("format-0 pool: Revise = %v, want a refusal naming the format", err)
 	}
 }

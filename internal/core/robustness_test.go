@@ -222,10 +222,10 @@ func checkpointResume(t *testing.T, parallelism int) (full, resumed *Recommendat
 	if first == nil {
 		t.Fatalf("no checkpoint emitted over %d what-if calls", full.WhatIfCalls)
 	}
-	if len(first.Cache) == 0 {
+	if len(first.Cache.Entries) == 0 {
 		t.Fatal("checkpoint carries no cached costs")
 	}
-	t.Logf("checkpoints=%d firstCache=%d fullCalls=%d", snaps, len(first.Cache), full.WhatIfCalls)
+	t.Logf("checkpoints=%d firstCache=%d fullCalls=%d", snaps, len(first.Cache.Entries), full.WhatIfCalls)
 
 	// Round-trip through JSON exactly as the service's state files do;
 	// float costs must survive bit-exactly.

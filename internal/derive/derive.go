@@ -46,11 +46,17 @@
 // Internally a structure is a dense ID from the engine's Interner, which the
 // evaluator shares for its own cost-cache keys: Resolve takes the event's
 // cache key and its additive pool subset (which the evaluator precomputes
-// from its relevance bitsets) as ID sets, tops are ID sets, and the canonical
-// key strings reappear only in the persisted Snapshot.
+// from its relevance bitsets) as ID sets, and tops are ID sets. A skeleton
+// names the structures its alternatives need by key; those gate keys are
+// resolved to IDs once, when the fact becomes ready (fetched or restored),
+// so a replay checks a gate with one read of an immutable per-fact map and a
+// binary search of the configuration — no interner lock. Key strings appear
+// only inside skeletons and once each in the persisted Snapshot's Structs
+// table, which its facts index by position.
 package derive
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -167,16 +173,71 @@ type factKey struct {
 }
 
 // fact is one single-flight skeleton slot. The resolver that created it
-// fills the fetched answer and closes ready; concurrent resolvers of the same
-// key wait on ready instead of fetching again. A failed fact is removed from
-// the map before ready closes, so a later resolution fetches afresh.
+// fills the fetched answer, compiles its gates and closes ready; concurrent
+// resolvers of the same key wait on ready instead of fetching again. A failed
+// fact is removed from the map before ready closes, so a later resolution
+// fetches afresh.
 type fact struct {
 	ready chan struct{}
 	top   []int32 // the top's IDs, ascending
 	cost  float64
 	used  []string
 	alts  *optimizer.Alternatives
+	// gates maps each gate key of alts naming a structure of the top to its
+	// ID; immutable once ready closes. A gate outside the top can never be
+	// satisfied by a subset of it, so it is absent.
+	gates map[string]int32
 	err   error
+}
+
+// compile resolves the fact's gate keys — single-scope component structures,
+// join scope-alternative and probe gates, join view structures — to IDs,
+// under one interner read lock. Called before the fact is published.
+func (e *Engine) compile(f *fact) {
+	a := f.alts
+	if a == nil {
+		return
+	}
+	f.gates = map[string]int32{}
+	e.in.mu.RLock()
+	defer e.in.mu.RUnlock()
+	gate := func(key string) {
+		if key == "" {
+			return
+		}
+		if id, ok := e.in.ids[key]; ok {
+			if _, in := slices.BinarySearch(f.top, id); in {
+				f.gates[key] = id
+			}
+		}
+	}
+	for i := range a.Components {
+		gate(a.Components[i].Structure)
+	}
+	if js := a.Join; js != nil {
+		for _, sc := range js.Scopes {
+			for i := range sc.Alts {
+				gate(sc.Alts[i].Gate)
+			}
+		}
+		for i := range js.Probes {
+			gate(js.Probes[i].Gate)
+		}
+		for i := range js.Views {
+			gate(js.Views[i].Structure)
+		}
+	}
+}
+
+// has reports whether rel (ascending IDs, a subset of the fact's top) holds
+// the structure a gate key names.
+func (f *fact) has(rel []int32, key string) bool {
+	id, ok := f.gates[key]
+	if !ok {
+		return false
+	}
+	_, in := slices.BinarySearch(rel, id)
+	return in
 }
 
 // closed is the ready channel of facts that never were in flight (Restore).
@@ -360,6 +421,7 @@ func (e *Engine) Resolve(event int, join bool, rel, additive []int32, fetch Fetc
 			delete(e.facts, key)
 			e.mu.Unlock()
 		} else {
+			e.compile(f)
 			e.atoms.Add(1)
 			count(e.mAtoms)
 		}
@@ -370,14 +432,7 @@ func (e *Engine) Resolve(event int, join bool, rel, additive []int32, fetch Fetc
 		return Result{}, false
 	}
 	if f.alts != nil {
-		if cost, used, ok := f.alts.Select(func(k string) bool {
-			id, ok := e.in.Lookup(k)
-			if !ok {
-				return false
-			}
-			_, in := slices.BinarySearch(rel, id)
-			return in
-		}); ok {
+		if cost, used, ok := f.alts.Select(func(k string) bool { return f.has(rel, k) }); ok {
 			e.derivations.Add(1)
 			count(e.mDerivations)
 			return Result{Cost: cost, Used: used}, true
@@ -416,17 +471,17 @@ func (e *Engine) topConfig(top []int32) *catalog.Configuration {
 }
 
 // FactRecord is one serialized skeleton fetch: the event it belongs to, the
-// base part of its scope, the top's canonical joined key set, and the
-// optimizer's answer (cost, used structures, plan skeleton). Facts serialize
-// only for the current statistics epoch, so a restored engine never mixes
-// epochs.
+// base part of its scope, the structures of its top, and the optimizer's
+// answer (cost, used structures, plan skeleton). Structures are positions in
+// the Snapshot's Structs table, ascending. Facts serialize only for the
+// current statistics epoch, so a restored engine never mixes epochs.
 type FactRecord struct {
 	// Event is the workload event index the fact belongs to.
 	Event int `json:"event"`
-	// Base is the joined base-part key of the fact's scope.
-	Base string `json:"base,omitempty"`
-	// Node is the canonical joined key set of the fact's configuration.
-	Node string `json:"node"`
+	// Base lists the base-part structures of the fact's scope.
+	Base []int32 `json:"base,omitempty"`
+	// Node lists the structures of the fact's top configuration.
+	Node []int32 `json:"node,omitempty"`
 	// Cost is the recorded optimizer cost.
 	Cost float64 `json:"cost"`
 	// Used holds the used-structure keys of the winning plan.
@@ -437,13 +492,15 @@ type FactRecord struct {
 
 // Snapshot is the engine's serializable state at one statistics epoch: the
 // structure registry and every fact recorded at the current epoch, both
-// sorted so identical states produce byte-identical JSON. It is the derive
-// half of a core.CostedPool: a restored engine answers exactly the
-// evaluations the original engine could answer at its final epoch.
+// sorted so identical states produce byte-identical JSON whatever order the
+// session interned its structures in. It is the derive half of a
+// core.CostedPool: a restored engine answers exactly the evaluations the
+// original engine could answer at its final epoch.
 type Snapshot struct {
 	// Mode is the engine's derivation mode.
 	Mode Mode `json:"mode"`
-	// Structs is the structure registry, sorted by key.
+	// Structs is the structure registry, sorted by key; facts refer to a
+	// structure by its position here.
 	Structs []Keyed `json:"structs,omitempty"`
 	// Facts holds the current-epoch facts, sorted by (event, base, node).
 	Facts []FactRecord `json:"facts,omitempty"`
@@ -461,47 +518,88 @@ func (e *Engine) Snapshot() *Snapshot {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := &Snapshot{Mode: e.mode}
-	for id, st := range e.structs {
-		s.Structs = append(s.Structs, Keyed{Key: e.in.Key(id), Structure: st})
+	type reg struct {
+		id int32
+		Keyed
 	}
-	sort.Slice(s.Structs, func(i, j int) bool { return s.Structs[i].Key < s.Structs[j].Key })
+	regs := make([]reg, 0, len(e.structs))
+	for id, st := range e.structs {
+		regs = append(regs, reg{id, Keyed{Key: e.in.Key(id), Structure: st}})
+	}
+	slices.SortFunc(regs, func(a, b reg) int { return strings.Compare(a.Key, b.Key) })
+	// Every top ID is registered (Resolve registers rel, Register the pool),
+	// so each has a position.
+	pos := make([]int32, e.in.Len())
+	for p, r := range regs {
+		s.Structs = append(s.Structs, r.Keyed)
+		pos[r.id] = int32(p)
+	}
 	for key, f := range e.facts {
 		if key.epoch != e.epoch {
 			continue
 		}
 		select {
 		case <-f.ready:
-			var base []int32
-			for _, id := range f.top {
-				if isBase(e.structs[id]) {
-					base = append(base, id)
+			r := FactRecord{Event: key.event, Cost: f.cost, Used: append([]string(nil), f.used...), Alts: f.alts}
+			r.Node = make([]int32, len(f.top))
+			for i, id := range f.top {
+				r.Node[i] = pos[id]
+			}
+			slices.Sort(r.Node)
+			for _, p := range r.Node {
+				if isBase(s.Structs[p].Structure) {
+					r.Base = append(r.Base, p)
 				}
 			}
-			s.Facts = append(s.Facts, FactRecord{
-				Event: key.event, Base: e.in.Join(base), Node: e.in.Join(f.top),
-				Cost: f.cost, Used: append([]string(nil), f.used...), Alts: f.alts,
-			})
+			s.Facts = append(s.Facts, r)
 		default: // fetch in flight: not yet a fact worth persisting
 		}
 	}
-	sort.Slice(s.Facts, func(i, j int) bool {
-		a, b := s.Facts[i], s.Facts[j]
+	slices.SortFunc(s.Facts, func(a, b FactRecord) int {
 		if a.Event != b.Event {
-			return a.Event < b.Event
+			return cmp.Compare(a.Event, b.Event)
 		}
-		if a.Base != b.Base {
-			return a.Base < b.Base
+		if c := slices.Compare(a.Base, b.Base); c != 0 {
+			return c
 		}
-		return a.Node < b.Node
+		return slices.Compare(a.Node, b.Node)
 	})
 	return s
 }
 
+// Check validates a snapshot's shape: a strictly ascending Structs table and
+// facts whose positions index it, each list strictly ascending. Restore
+// skips a fact that fails this; Check lets a loader refuse the whole
+// snapshot instead. Safe on nil.
+func (s *Snapshot) Check() error {
+	if s == nil {
+		return nil
+	}
+	for i := 1; i < len(s.Structs); i++ {
+		if s.Structs[i-1].Key >= s.Structs[i].Key {
+			return fmt.Errorf("derive: snapshot structure table not strictly ascending at %d", i)
+		}
+	}
+	for i, r := range s.Facts {
+		for _, list := range [][]int32{r.Base, r.Node} {
+			for j, p := range list {
+				if p < 0 || int(p) >= len(s.Structs) || (j > 0 && list[j-1] >= p) {
+					return fmt.Errorf("derive: snapshot fact %d: structure positions out of range or not strictly ascending", i)
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // Restore loads a snapshot into the engine at epoch zero, replacing any
-// existing state. As long as no statistics are created afterwards (the
-// search layer never creates statistics), every restored fact stays valid
-// and resolutions behave exactly as they would have on the original engine
-// at its final epoch. Safe on nil (either side).
+// existing state: the Structs table is interned once, each fact's positions
+// are remapped to interned IDs, and its gates are compiled. As long as no
+// statistics are created afterwards (the search layer never creates
+// statistics), every restored fact stays valid and resolutions behave
+// exactly as they would have on the original engine at its final epoch. A
+// fact naming a position outside the table is skipped (a later resolution
+// of it simply fetches). Safe on nil (either side).
 func (e *Engine) Restore(s *Snapshot) {
 	if e == nil || s == nil {
 		return
@@ -510,13 +608,20 @@ func (e *Engine) Restore(s *Snapshot) {
 	defer e.mu.Unlock()
 	e.epoch = 0
 	e.structs = make(map[int32]catalog.Structure, len(s.Structs))
-	for _, k := range s.Structs {
-		e.structs[e.in.ID(k.Key)] = k.Structure
+	ids := make([]int32, len(s.Structs))
+	for p, k := range s.Structs {
+		ids[p] = e.in.ID(k.Key)
+		e.structs[ids[p]] = k.Structure
 	}
 	e.facts = make(map[factKey]*fact, len(s.Facts))
 	for _, r := range s.Facts {
-		f := &fact{ready: closed, top: e.in.Split(r.Node), cost: r.Cost, used: append([]string(nil), r.Used...), alts: r.Alts}
-		e.facts[factKey{event: r.Event, top: idString(f.top)}] = f
+		top, ok := Remap(nil, r.Node, ids)
+		if !ok {
+			continue
+		}
+		f := &fact{ready: closed, top: top, cost: r.Cost, used: append([]string(nil), r.Used...), alts: r.Alts}
+		e.compile(f)
+		e.facts[factKey{event: r.Event, top: idString(top)}] = f
 	}
 }
 

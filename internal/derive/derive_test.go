@@ -309,7 +309,10 @@ func TestSnapshotRestoreAnswersWithoutFetching(t *testing.T) {
 		t.Fatal("resolve should derive")
 	}
 
+	// The restoring engine has interned other structures first, so the
+	// snapshot's table positions are not its IDs.
 	r := New(Verify)
+	ids(r, ixKeyed("t", "pad"), b.i2)
 	r.Restore(e.Snapshot())
 	r.Register([]Keyed{b.i1, b.i2})
 	res, ok := r.Resolve(0, false, ids(r, b.i2), ids(r, b.i1, b.i2), func(*catalog.Configuration) (float64, []string, *optimizer.Alternatives, error) {

@@ -2,8 +2,6 @@ package derive
 
 import (
 	"slices"
-	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/catalog"
@@ -12,10 +10,11 @@ import (
 // Interner gives every physical design structure a dense, append-only ID,
 // keyed by its canonical Structure.Key(), and remembers the first structure
 // interned under each key. A session's evaluator and its derivation engine
-// share one interner, so cost-cache keys, skeleton scopes and tops are all
-// sets of the same small integers; the canonical key strings reappear only
-// where state is persisted (Snapshot, the evaluator's cost-cache
-// checkpoints), rendered by Join and parsed back by Split. IDs are never
+// share one interner, so cost-cache keys, skeleton scopes, tops and compiled
+// replay gates are all sets of the same small integers. Interner IDs depend
+// on interning order, so persisted state never carries them: a Snapshot (and
+// the evaluator's persisted cost cache) spells each key once in a sorted
+// table and refers to structures by their position in it. IDs are never
 // reused or renumbered: merged and lazily-aligned structures born during the
 // search are simply appended. Safe for concurrent use.
 type Interner struct {
@@ -61,12 +60,11 @@ func (in *Interner) Intern(key string, s catalog.Structure) (int32, catalog.Stru
 	return id, in.structs[id]
 }
 
-// Lookup returns the key's ID without assigning one.
-func (in *Interner) Lookup(key string) (int32, bool) {
+// Len returns the number of interned keys; every ID is below it.
+func (in *Interner) Len() int {
 	in.mu.RLock()
 	defer in.mu.RUnlock()
-	id, ok := in.ids[key]
-	return id, ok
+	return len(in.keys)
 }
 
 // Key returns the canonical key of an interned ID.
@@ -87,32 +85,27 @@ func (in *Interner) Structure(id int32) catalog.Structure {
 // isZero reports whether s names no structure.
 func isZero(s catalog.Structure) bool { return s.Index == nil && s.View == nil && s.Part == nil }
 
-// Join renders an ID set in its persisted form: the canonical keys, sorted,
-// joined by "|" (no structure key contains "|").
-func (in *Interner) Join(ids []int32) string {
-	keys := make([]string, len(ids))
-	in.mu.RLock()
-	for i, id := range ids {
-		keys[i] = in.keys[id]
+// Remap translates table positions — structures as a persisted table numbers
+// them — into interned IDs through ids (position → interned ID) and appends
+// them to dst, ascending. ok is false, and dst comes back unchanged, when a
+// position is out of range or two positions name the same structure, which
+// no well-formed state produces.
+func Remap(dst, positions, ids []int32) (out []int32, ok bool) {
+	n := len(dst)
+	for _, p := range positions {
+		if p < 0 || int(p) >= len(ids) {
+			return dst[:n], false
+		}
+		dst = append(dst, ids[p])
 	}
-	in.mu.RUnlock()
-	sort.Strings(keys)
-	return strings.Join(keys, "|")
-}
-
-// Split parses Join's form back into IDs, sorted ascending ("" is the empty
-// set).
-func (in *Interner) Split(s string) []int32 {
-	if s == "" {
-		return nil
+	set := dst[n:]
+	slices.Sort(set)
+	for i := 1; i < len(set); i++ {
+		if set[i] == set[i-1] {
+			return dst[:n], false
+		}
 	}
-	parts := strings.Split(s, "|")
-	ids := make([]int32, len(parts))
-	for i, k := range parts {
-		ids[i] = in.ID(k)
-	}
-	slices.Sort(ids)
-	return ids
+	return dst, true
 }
 
 // union merges two ascending ID lists into a new ascending list without

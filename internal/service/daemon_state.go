@@ -160,10 +160,11 @@ func (m *Manager) resumeDaemon(st *daemonState) (*Daemon, error) {
 	return d, nil
 }
 
-// readPool loads a daemon's retained pool file, validating its content
-// address against the fingerprint the daemon state recorded. Any mismatch
-// or read failure returns nil: the daemon comes back without a pool and
-// simply takes the fresh path at its next re-tune.
+// readPool loads a daemon's retained pool file, validating it against the
+// fingerprint the daemon state recorded and with CostedPool.Check — its
+// format, shape and content address. Any mismatch or read failure returns
+// nil: the daemon comes back without a pool and simply takes the fresh path
+// at its next re-tune.
 func (m *Manager) readPool(id, fingerprint string) *core.CostedPool {
 	path := m.statePath(id, poolSuffix)
 	if path == "" {
@@ -184,6 +185,10 @@ func (m *Manager) readPool(id, fingerprint string) *core.CostedPool {
 	if pool.Fingerprint != fingerprint {
 		m.log.Warn("pool fingerprint mismatch", "daemon", id,
 			"want", fingerprint, "got", pool.Fingerprint)
+		return nil
+	}
+	if err := pool.Check(); err != nil {
+		m.log.Warn("pool refused", "daemon", id, "err", err)
 		return nil
 	}
 	return &pool

@@ -7,8 +7,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -382,6 +385,65 @@ func restartScenario(t *testing.T, opts service.CreateOptions) []byte {
 		t.Fatal(err)
 	}
 	return restarted
+}
+
+// TestDaemonResumeRefusesTamperedPool flips one digit of a costed query
+// gain in a daemon's retained pool file, leaving its stamped fingerprint — the value the daemon
+// state cross-checks — intact. The restarted daemon must recompute the
+// content address, refuse the pool with a logged reason, and answer its next
+// drift epoch through the fresh path instead of revising against the
+// corrupted costs.
+func TestDaemonResumeRefusesTamperedPool(t *testing.T) {
+	dir := t.TempDir()
+	m1 := newDaemonManager(t)
+	if err := m1.SetStateDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	d, err := m1.CreateDaemon(service.DaemonRequest{Database: "db", Options: daemonOpts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingest(t, m1, d.ID(), chunkBase(400, 0))
+
+	path := filepath.Join(dir, d.ID()+".pool.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost := bytes.Index(data, []byte(`"baseCost":`))
+	if cost < 0 {
+		t.Fatalf("no query-gain cost found in the pool file:\n%.400s", data)
+	}
+	digit := cost + len(`"baseCost":`)
+	if data[digit] == '1' {
+		data[digit] = '2'
+	} else {
+		data[digit] = '1'
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs bytes.Buffer
+	m2 := newDaemonManager(t)
+	m2.SetLogger(slog.New(slog.NewTextHandler(&logs, nil)))
+	if err := m2.SetStateDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := m2.ResumeDaemons()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resumed) != 1 || resumed[0].Snapshot().PoolFingerprint != "" {
+		t.Fatalf("resumed %d daemons, want one without its tampered pool", len(resumed))
+	}
+	if !strings.Contains(logs.String(), "pool refused") || !strings.Contains(logs.String(), "fingerprint mismatch") {
+		t.Fatalf("the pool rejection was not logged:\n%s", logs.String())
+	}
+	res := ingest(t, m2, d.ID(), chunkReweight(400, 400))
+	if !res.Retuned || res.Path != service.PathFresh {
+		t.Fatalf("post-resume reweight: retuned=%v path=%q, want a fresh re-tune", res.Retuned, res.Path)
+	}
 }
 
 // TestDaemonHTTP exercises the whole daemon surface over HTTP: create,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,8 +14,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/derive"
 	"repro/internal/service"
+	"repro/internal/workload"
 )
 
 // copyDir copies every regular file of src into a fresh temp directory.
@@ -37,16 +40,18 @@ func copyDir(t *testing.T, src string) string {
 	return dst
 }
 
-// TestResumeParentWrittenStateDir resumes testdata/state-pr18 — a state
-// directory written by the commit before the one-writer refactor (PR 18's
-// binary: a session parked mid-run after a checkpoint, a daemon after its
-// initial tune with its pool beside it) — and checks all three on-disk
-// formats still load: the session finishes under its original ID from the
-// checkpoint, the daemon comes back with its delta history and its retained
-// pool, proven by the next reweight epoch taking the revise path.
-func TestResumeParentWrittenStateDir(t *testing.T) {
-	dir := copyDir(t, filepath.Join("testdata", "state-pr18"))
+// resumeStateDir resumes a copy of a fixture state directory holding one
+// session parked mid-run after a checkpoint (s-0001) and one daemon after
+// its initial tune with its pool beside it (d-0001). It waits for the
+// session, compares it with an uninterrupted run of the same request, and
+// returns the session's recommendation, the uninterrupted one, the resumed
+// daemon's first post-resume reweight epoch and the manager's log.
+func resumeStateDir(t *testing.T, fixture string) (rec, ref *core.Recommendation, daemon service.DaemonSnapshot, res *service.EpochResult, logs string) {
+	t.Helper()
+	dir := copyDir(t, filepath.Join("testdata", fixture))
+	var buf bytes.Buffer
 	m := newDaemonManager(t)
+	m.SetLogger(slog.New(slog.NewTextHandler(&buf, nil)))
 	if err := m.SetStateDir(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -59,17 +64,42 @@ func TestResumeParentWrittenStateDir(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	if err := sessions[0].Wait(ctx); err != nil {
+	wait := func(s *service.Session) *core.Recommendation {
+		t.Helper()
+		if err := s.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := s.Result()
+		if err != nil || rec == nil || s.State() != service.StateDone {
+			t.Fatalf("session %s: state=%s rec=%v err=%v", s.ID(), s.State(), rec, err)
+		}
+		return rec
+	}
+	rec = wait(sessions[0])
+
+	// The uninterrupted reference: the same request, fresh, without a state
+	// directory.
+	var st struct {
+		Statements []workload.Statement `json:"statements"`
+	}
+	data, err := os.ReadFile(filepath.Join("testdata", fixture, "s-0001.json"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := sessions[0].Result()
-	if err != nil || rec == nil || sessions[0].State() != service.StateDone {
-		t.Fatalf("resumed session: state=%s rec=%v err=%v", sessions[0].State(), rec, err)
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatal(err)
 	}
-	// The uninterrupted run issued 540 calls; the checkpoint was taken
-	// before call 140, so the resumed run must start warm.
-	if rec.Improvement <= 0 || rec.WhatIfCalls >= 540 {
-		t.Fatalf("resumed session: improvement %v with %d calls, want a warm start below 540", rec.Improvement, rec.WhatIfCalls)
+	w, err := workload.FromStatements(st.Statements)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := newDaemonManager(t).Create(service.Request{Backend: "db", Workload: w, Options: core.Options{NoCompression: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref = wait(fresh)
+	if got, want := renderStructures(rec), renderStructures(ref); got != want || rec.Cost != ref.Cost || rec.BaseCost != ref.BaseCost {
+		t.Fatalf("resumed recommendation differs from the uninterrupted run:\n%s (cost %v base %v imp %v)\nvs\n%s (cost %v base %v imp %v)", got, rec.Cost, rec.BaseCost, rec.Improvement, want, ref.Cost, ref.BaseCost, ref.Improvement)
 	}
 
 	daemons, err := m.ResumeDaemons()
@@ -79,13 +109,56 @@ func TestResumeParentWrittenStateDir(t *testing.T) {
 	if len(daemons) != 1 || daemons[0].ID() != "d-0001" {
 		t.Fatalf("resumed daemons %v, want [d-0001]", daemons)
 	}
-	snap := daemons[0].Snapshot()
-	if snap.Epochs != 1 || snap.Deltas != 1 || snap.Events != 400 || snap.PoolFingerprint == "" || len(snap.Proposed) == 0 {
-		t.Fatalf("resumed daemon snapshot = %+v, want 1 epoch, 1 delta, 400 events, a pool and a proposal", snap)
+	daemon = daemons[0].Snapshot()
+	if daemon.Epochs != 1 || daemon.Deltas != 1 || daemon.Events != 400 || len(daemon.Proposed) == 0 {
+		t.Fatalf("resumed daemon snapshot = %+v, want 1 epoch, 1 delta, 400 events and a proposal", daemon)
 	}
-	res := ingest(t, m, "d-0001", chunkReweight(400, 400))
-	if !res.Retuned || res.Path != service.PathRevise || res.Delta == nil || res.Delta.Seq != 2 {
-		t.Fatalf("post-resume reweight epoch = %+v, want delta 2 through the revise path", res)
+	res = ingest(t, m, "d-0001", chunkReweight(400, 400))
+	if !res.Retuned || res.Delta == nil || res.Delta.Seq != 2 {
+		t.Fatalf("post-resume reweight epoch = %+v, want delta 2", res)
+	}
+	return rec, ref, daemon, res, buf.String()
+}
+
+// TestResumeParentWrittenStateDir resumes testdata/state-pr18 — a state
+// directory written by a binary from before the ID-keyed cost-cache format
+// (a session parked mid-run after a checkpoint, a daemon after its initial
+// tune with its pool beside it). Both persisted cost caches are refused by
+// their format, never misread: the session resumes under its original ID
+// cold — its checkpoint refused and logged — and reaches exactly the
+// uninterrupted run's recommendation with as many calls; the daemon keeps
+// its delta history but comes back without its pool, so its next reweight
+// epoch takes the fresh path.
+func TestResumeParentWrittenStateDir(t *testing.T) {
+	rec, ref, daemon, res, logs := resumeStateDir(t, "state-pr18")
+	if rec.WhatIfCalls != ref.WhatIfCalls {
+		t.Fatalf("cold resume issued %d calls, the uninterrupted run %d", rec.WhatIfCalls, ref.WhatIfCalls)
+	}
+	if daemon.PoolFingerprint != "" {
+		t.Fatalf("daemon resumed with a pre-format pool %s", daemon.PoolFingerprint)
+	}
+	if res.Path != service.PathFresh {
+		t.Fatalf("post-resume reweight epoch path = %q, want %q (no pool)", res.Path, service.PathFresh)
+	}
+	for _, want := range []string{"checkpoint refused", "pool refused"} {
+		if !strings.Contains(logs, want) || !strings.Contains(logs, "cost-cache format 0") {
+			t.Fatalf("log lacks %q naming the format:\n%s", want, logs)
+		}
+	}
+}
+
+// TestResumeStateDir resumes testdata/state-pr25, the same scenario written
+// by a binary with the ID-keyed cost-cache format: the session starts warm
+// from its checkpoint (fewer calls than the uninterrupted run, same
+// recommendation) and the daemon's retained pool comes back, proven by the
+// next reweight epoch taking the revise path.
+func TestResumeStateDir(t *testing.T) {
+	rec, ref, daemon, res, logs := resumeStateDir(t, "state-pr25")
+	if rec.WhatIfCalls >= ref.WhatIfCalls {
+		t.Fatalf("resumed session issued %d calls, the uninterrupted run %d: want a warm start", rec.WhatIfCalls, ref.WhatIfCalls)
+	}
+	if daemon.PoolFingerprint == "" || res.Path != service.PathRevise {
+		t.Fatalf("daemon pool %q, post-resume reweight path %q: want the pool back and the revise path\n%s", daemon.PoolFingerprint, res.Path, logs)
 	}
 }
 

@@ -152,7 +152,9 @@ func scanState[S any](m *Manager, suffix string, restore func(st *S) error) erro
 // session that is not already live, warm-started from its last checkpoint.
 // A resumed session keeps its original ID; because the pipeline is
 // deterministic given its cached optimizer costs, it converges on the same
-// recommendation the uninterrupted run would have produced.
+// recommendation the uninterrupted run would have produced. A checkpoint
+// that fails Checkpoint.Check is logged and dropped: the session resumes
+// cold.
 func (m *Manager) ResumeSessions() ([]*Session, error) {
 	var resumed []*Session
 	err := scanState(m, sessionSuffix, func(st *sessionState) error {
@@ -165,6 +167,14 @@ func (m *Manager) ResumeSessions() ([]*Session, error) {
 		req, err := st.toRequest()
 		if err != nil {
 			return err
+		}
+		if st.Checkpoint != nil {
+			if err := st.Checkpoint.Check(); err != nil {
+				// Written by an older binary (or damaged): the session still
+				// resumes, cold, and reaches the same recommendation.
+				m.log.Warn("checkpoint refused", "session", st.ID, "err", err)
+				st.Checkpoint = nil
+			}
 		}
 		s, err := m.create(req, st.ID, st.Checkpoint)
 		if err != nil {
