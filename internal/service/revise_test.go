@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"os"
@@ -241,5 +242,42 @@ func TestPoolRetentionTTL(t *testing.T) {
 	}
 	if code, _ := patchJSON(t, ts.URL+"/sessions/"+snap.ID, map[string]any{"storageMB": 1}); code != http.StatusConflict {
 		t.Errorf("PATCH expired pool = %d, want 409", code)
+	}
+}
+
+// TestShutdownDisarmsPoolRetention checks that a shut-down manager's
+// retention timers never fire: the pool file stays in the state directory
+// for the next start, and the stopped manager is not kept reachable until
+// the TTL runs out.
+func TestShutdownDisarmsPoolRetention(t *testing.T) {
+	m, ts, _ := newTestAPI(t, 2)
+	dir := t.TempDir()
+	if err := m.SetStateDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	const ttl = 80 * time.Millisecond
+	m.SetPoolRetention(ttl)
+
+	resp, snap := postJSON(t, ts.URL+"/sessions", service.CreateRequest{
+		Database:   "db",
+		Statements: []workload.Statement{{SQL: "SELECT id FROM t WHERE x = 3", Weight: 1}},
+		Options:    service.CreateOptions{Features: "IDX"},
+	})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("POST = %d", resp.StatusCode)
+	}
+	if s := waitTerminal(t, ts.URL, snap.ID); s.State != service.StateDone {
+		t.Fatalf("state = %s", s.State)
+	}
+	if err := m.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(4 * ttl)
+	s, _ := m.Get(snap.ID)
+	if s.Pool() == nil {
+		t.Error("retention timer fired after Shutdown: pool released")
+	}
+	if _, err := os.Stat(filepath.Join(dir, snap.ID+".pool.json")); err != nil {
+		t.Errorf("retention timer fired after Shutdown: pool file: %v", err)
 	}
 }

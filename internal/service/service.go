@@ -144,10 +144,12 @@ type Session struct {
 	cons core.Constraints
 	// pool is the costed pool retained after a successful completion, the
 	// input of session revision; nil until then and again after the
-	// retention TTL expires. poolGen guards the expiry timer against
-	// clearing a pool retained later.
-	pool    *core.CostedPool
-	poolGen int
+	// retention TTL expires. poolExpiry is the armed TTL timer (nil without
+	// a TTL); poolGen guards a timer that already fired against clearing a
+	// pool retained later.
+	pool       *core.CostedPool
+	poolGen    int
+	poolExpiry *time.Timer
 	// revisions lists child sessions created by revising this one.
 	revisions []string
 }
@@ -547,13 +549,25 @@ func (m *Manager) retainPool(s *Session, p *core.CostedPool) {
 	s.pool = p
 	s.poolGen++
 	gen := s.poolGen
+	s.disarmPoolExpiry()
+	if ttl > 0 {
+		s.poolExpiry = time.AfterFunc(ttl, func() { m.expirePool(s, gen) })
+	}
 	s.mu.Unlock()
 	if !had {
 		m.gPools.Add(1)
 	}
 	m.writeStateFile(s.id, poolSuffix, p)
-	if ttl > 0 {
-		time.AfterFunc(ttl, func() { m.expirePool(s, gen) })
+}
+
+// disarmPoolExpiry stops the session's pending retention timer, if any; s.mu
+// must be held. A stopped timer no longer references the session or its
+// manager, so a shut-down manager — backends and their data included — can
+// be collected without waiting out the TTL.
+func (s *Session) disarmPoolExpiry() {
+	if s.poolExpiry != nil {
+		s.poolExpiry.Stop()
+		s.poolExpiry = nil
 	}
 }
 
@@ -888,7 +902,9 @@ func (m *Manager) Metrics() Metrics {
 }
 
 // Shutdown cancels every live session and waits (bounded by ctx) for all of
-// them to reach a terminal state.
+// them to reach a terminal state. Pending pool-retention timers are
+// disarmed: a retained pool's file stays in the state directory for the next
+// start instead of being removed by a manager that no longer serves it.
 func (m *Manager) Shutdown(ctx context.Context) error {
 	for _, s := range m.Sessions() {
 		if !s.State().Terminal() {
@@ -899,6 +915,11 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 		if err := s.Wait(ctx); err != nil {
 			return err
 		}
+		// Terminal: the session retains no further pool, so the timer
+		// stopped here is its last.
+		s.mu.Lock()
+		s.disarmPoolExpiry()
+		s.mu.Unlock()
 	}
 	return nil
 }
