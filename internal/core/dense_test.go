@@ -254,10 +254,13 @@ func clusteredCandidate(cands []catalog.Structure, table string) *catalog.Struct
 // calls, the derived evaluations and the improvement. The inputs are a
 // plain pool, one with drops, partitioning and lazy alignment, and the
 // three toy demonstration databases (SYNT1 indexes only; TPC-H and PSOFT
-// with every feature, so join replay and the DML fallback are covered). An
+// with every feature, so join and maintenance replay are covered). An
 // accidental change to call counts or recommendations fails here; a
 // deliberate one (a new skeleton shape that removes a fallback, say)
-// updates the pins in the same change and says why.
+// updates the pins in the same change and says why. Every input holding DML
+// (the plain pool, the one with drops, PSOFT) moved once when INSERT/UPDATE/
+// DELETE gained maintenance skeletons: fewer calls, more derived
+// evaluations, new skeleton facts in the pool, the same improvement.
 func TestSealedPoolFingerprintGolden(t *testing.T) {
 	type input func(testing.TB) (*whatif.Server, *workload.Workload, Options)
 	toy := func(name string, f FeatureMask) input {
@@ -276,19 +279,19 @@ func TestSealedPoolFingerprintGolden(t *testing.T) {
 	}{
 		{"parallel-workload", func(tb testing.TB) (*whatif.Server, *workload.Workload, Options) {
 			return testServer(tb), parallelWorkload(tb), Options{}
-		}, "8102fe58b02c708d67bd59c93230d3b638cf5c138f2e8438282ab1265ea86e45", 160, 236, 0.9008311029433221},
+		}, "36ecaa515f881561acfb79f5604f892e373ec601097a89fd9009b8e68b218696", 36, 363, 0.9008311029433221},
 		{"aligned-with-drops", func(tb testing.TB) (*whatif.Server, *workload.Workload, Options) {
 			return reviseServer(tb), reviseWorkload(tb), Options{
 				Features: FeatureIndexes | FeaturePartitioning, BaseConfig: reviseBase(),
 				AllowDrops: true, StorageBudget: 64 << 20, Aligned: true,
 			}
-		}, "ebe8b0cc275b9e780bb946abd61d08c5501cfd867d9ec7bb451e6953c1e9c9c2", 169, 270, 0.6957172156094855},
+		}, "118e41c4649becaa0c74e25fca2a1bdb28ca7b90090bf8d737690c9411cc84c8", 45, 397, 0.6957172156094855},
 		{"toy-synt1", toy("synt1", FeatureIndexes),
 			"8b75fea98b479caa8e7d1e642eec158556bb464415c042fce5aa9afb0324f55b", 354, 22760, 0.9005732641167159},
 		{"toy-tpch", toy("tpch", FeatureAll),
 			"badfb9207b97415110055593352b24888c2d80e64571e4f4419a62f5990cac12", 171, 4581, 0.6838914950249153},
 		{"toy-psoft", toy("psoft", FeatureAll),
-			"5b30bf881c4bb77028752420ebb5cc6961e28decd278c449f3521ad6a231e7ca", 1607, 3461, 0.5572800445626688},
+			"bc1ffd2505a074e92fcc8a7f4c9caa1e88b0e5b143322b49ce2bf7f4321aae28", 1084, 4106, 0.5572800445626688},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			srv, w, opts := c.in(t)

@@ -43,16 +43,19 @@ func planFingerprint(rec *Recommendation) string {
 type realCallTuner struct{ Tuner }
 
 // TestDeriveModeEquivalence runs the full advisor against the real-call
-// oracle, deriving, and verifying, each at parallelism 1 and 4, over two
+// oracle, deriving, and verifying, each at parallelism 1 and 4, over three
 // inputs: a mixed workload (selective lookups, aggregations, a join, an
-// update) and the toy TPC-H database with every feature (joins, views and
-// partitioning, so composed join-skeleton replay is exercised). For each
-// input every leg must produce the identical recommendation; within a leg
+// update), the toy TPC-H database with every feature (joins, views and
+// partitioning, so composed join-skeleton replay is exercised) and the toy
+// PSOFT database with every feature (INSERT/UPDATE/DELETE beside reads, so
+// maintenance-skeleton replay is exercised). For each input every leg must
+// produce the identical recommendation; within a leg
 // the what-if call count must not depend on parallelism (on TPC-H only the
-// derive-on leg runs at both levels: the oracle and verify legs pay a real
-// call per evaluation and dominate the test's run time); derivation must
-// actually cut calls; and on TPC-H the fallbacks must be split by query
-// shape, with multi-scope ("atom-join") fetches reported as such.
+// derive-on leg runs at both levels there and on PSOFT: the oracle and verify
+// legs pay a real call per evaluation and dominate the test's run time);
+// derivation must actually cut calls; on TPC-H the fallbacks must be split by
+// query shape, with multi-scope ("atom-join") fetches reported as such; and
+// no leg may report a DML fallback.
 func TestDeriveModeEquivalence(t *testing.T) {
 	type leg struct {
 		name string
@@ -80,6 +83,10 @@ func TestDeriveModeEquivalence(t *testing.T) {
 		}, false},
 		{"toy-tpch", func(tb testing.TB) (*whatif.Server, *workload.Workload, Options) {
 			srv, w, base := toyBackend(tb, "tpch")
+			return srv, w, Options{Features: FeatureAll, BaseConfig: base}
+		}, true},
+		{"toy-psoft", func(tb testing.TB) (*whatif.Server, *workload.Workload, Options) {
+			srv, w, base := toyBackend(tb, "psoft")
 			return srv, w, Options{Features: FeatureAll, BaseConfig: base}
 		}, true},
 	} {
@@ -135,6 +142,11 @@ func TestDeriveModeEquivalence(t *testing.T) {
 			if in.name == "toy-tpch" && fallbacks[id("on", 1)][derive.ReasonAtom+"-join"] == 0 {
 				t.Errorf("TPC-H derive=on recorded no join-shaped fallbacks: %v", fallbacks[id("on", 1)])
 			}
+			for leg, by := range fallbacks {
+				if _, ok := by["dml"]; ok {
+					t.Errorf("%s: DML evaluations must derive, got fallbacks %v", leg, by)
+				}
+			}
 		})
 	}
 }
@@ -145,9 +157,10 @@ func TestDeriveModeEquivalence(t *testing.T) {
 // real-call oracle (an evaluator over a skeleton-less tuner) computes — exactly,
 // not within a tolerance. The workload mixes single-scope statements with
 // multi-scope join templates (selective join, grouped join, ordered join)
-// so both flat replay and composed join-skeleton replay are exercised, and
-// the pool includes a grouped multi-table view that substitutes for the
-// grouped join.
+// and DML (an INSERT, a DELETE, UPDATEs of an unindexed and of an indexed
+// column), so flat, composed join-skeleton and maintenance replay are all
+// exercised; the pool includes a grouped multi-table view that substitutes
+// for the grouped join and two single-table views every DML on t maintains.
 func TestDeriveMatchesRealCostsOnRandomConfigs(t *testing.T) {
 	s := testServer(t)
 	w := workload.MustNew(
@@ -160,6 +173,9 @@ func TestDeriveMatchesRealCostsOnRandomConfigs(t *testing.T) {
 		"SELECT d.grp, COUNT(*) FROM t, d WHERE t.d_id = d.d_id GROUP BY d.grp",
 		"SELECT t.id FROM t, d WHERE t.d_id = d.d_id AND d.grp = 5 ORDER BY t.amt",
 		"UPDATE t SET amt = 0 WHERE id = 17",
+		"UPDATE t SET x = 5 WHERE a = 3",
+		"INSERT INTO t (id, x, a, d_id, amt, pad) VALUES (1, 2, 3, 4, 5, 'p')",
+		"DELETE FROM t WHERE x < 50",
 	)
 	pool := []catalog.Structure{
 		{Index: catalog.NewIndex("t", "x")},
@@ -174,6 +190,11 @@ func TestDeriveMatchesRealCostsOnRandomConfigs(t *testing.T) {
 			[]catalog.ColRef{catalog.NewColRef("t", "a")},
 			[]catalog.Agg{{Func: "COUNT"}},
 			100,
+		)},
+		{View: catalog.NewMaterializedView(
+			[]string{"t"}, nil,
+			[]catalog.ColRef{catalog.NewColRef("t", "id"), catalog.NewColRef("t", "x")},
+			nil, nil, 200000,
 		)},
 		{View: catalog.NewMaterializedView(
 			[]string{"t", "d"},
@@ -226,14 +247,16 @@ func TestDeriveMatchesRealCostsOnRandomConfigs(t *testing.T) {
 }
 
 // altCountingTuner counts every what-if optimization the backend actually
-// serves, including skeleton calls, to pin session-exact call accounting.
+// serves, including skeleton calls, to pin session-exact call accounting;
+// plain counts the calls that asked for no skeleton.
 type altCountingTuner struct {
 	*whatif.Server
-	served atomic.Int64
+	served, plain atomic.Int64
 }
 
 func (a *altCountingTuner) WhatIfCost(stmt sqlparser.Statement, cfg *catalog.Configuration) (float64, []string, error) {
 	a.served.Add(1)
+	a.plain.Add(1)
 	return a.Server.WhatIfCost(stmt, cfg)
 }
 
@@ -278,20 +301,41 @@ func (c *corruptAltTuner) WhatIfAlternativesCost(stmt sqlparser.Statement, cfg *
 
 // TestDeriveVerifyCatchesBadSkeleton: verify mode must fail the session when
 // a derived cost diverges from the real optimizer's answer beyond
-// derive.VerifyTolerance.
+// derive.VerifyTolerance — for a corrupted single-scope SELECT skeleton and
+// for a corrupted maintenance term of a DML skeleton.
 func TestDeriveVerifyCatchesBadSkeleton(t *testing.T) {
-	c := &corruptAltTuner{Server: testServer(t)}
-	w := workload.MustNew(
-		"SELECT id FROM t WHERE x = 42",
-		"SELECT a, COUNT(*) FROM t WHERE x < 100 GROUP BY a",
-	)
-	_, err := Tune(c, w, Options{Derive: derive.Verify})
-	if err == nil {
-		t.Fatal("verify mode must reject a skeleton that disagrees with the optimizer")
+	for name, c := range map[string]Tuner{
+		"select": &corruptAltTuner{Server: testServer(t)},
+		"dml":    &corruptMaintTuner{Server: testServer(t)},
+	} {
+		w := workload.MustNew(
+			"SELECT id FROM t WHERE x = 42",
+			"SELECT a, COUNT(*) FROM t WHERE x < 100 GROUP BY a",
+			"UPDATE t SET x = 7 WHERE a = 3",
+		)
+		_, err := Tune(c, w, Options{Derive: derive.Verify})
+		if err == nil {
+			t.Fatalf("%s: verify mode must reject a skeleton that disagrees with the optimizer", name)
+		}
+		if !strings.Contains(err.Error(), "verify mismatch") {
+			t.Fatalf("%s: expected a verify mismatch error, got: %v", name, err)
+		}
 	}
-	if !strings.Contains(err.Error(), "verify mismatch") {
-		t.Fatalf("expected a verify mismatch error, got: %v", err)
+}
+
+// corruptMaintTuner doubles the first maintenance term of every DML skeleton
+// it returns — one term, so only the subsets holding that structure replay
+// a wrong cost.
+type corruptMaintTuner struct {
+	*whatif.Server
+}
+
+func (c *corruptMaintTuner) WhatIfAlternativesCost(stmt sqlparser.Statement, cfg *catalog.Configuration) (float64, []string, *optimizer.Alternatives, error) {
+	cost, used, alts, err := c.Server.WhatIfAlternativesCost(stmt, cfg)
+	if alts != nil && alts.Maint != nil && len(alts.Maint.Terms) > 0 {
+		alts.Maint.Terms[0].Cost *= 2
 	}
+	return cost, used, alts, err
 }
 
 // corruptJoinTuner rescales every per-scope access-path cost inside the
@@ -478,29 +522,51 @@ func TestConcurrentSubsetsShareOneSkeletonFetch(t *testing.T) {
 }
 
 // TestDeriveFallbacksSumToWhatIfCalls: on a fault-free run every accounted
-// what-if call has exactly one fallback behind it — a skeleton fetch (atom)
-// or a DML evaluation — so the per-reason breakdown sums to WhatIfCalls and
-// holds no other key.
+// what-if call is a skeleton fetch — an alternatives call, for SELECTs and
+// DML alike, counted as one atom — so Σ real calls = atoms + eval-error +
+// used-escape, the latter two are zero, and the backend serves no plain
+// call. The inputs cover single-scope, join and DML events: the mixed
+// workload at P∈{1,4} and the toy PSOFT database with every feature.
 func TestDeriveFallbacksSumToWhatIfCalls(t *testing.T) {
-	for _, par := range []int{1, 4} {
-		rec, err := Tune(testServer(t), parallelWorkload(t), Options{Parallelism: par})
+	for _, c := range []struct {
+		name  string
+		setup func(testing.TB) (*whatif.Server, *workload.Workload, Options)
+	}{
+		{"parallel-workload/P1", func(tb testing.TB) (*whatif.Server, *workload.Workload, Options) {
+			return testServer(tb), parallelWorkload(tb), Options{Parallelism: 1}
+		}},
+		{"parallel-workload/P4", func(tb testing.TB) (*whatif.Server, *workload.Workload, Options) {
+			return testServer(tb), parallelWorkload(tb), Options{Parallelism: 4}
+		}},
+		{"toy-psoft", func(tb testing.TB) (*whatif.Server, *workload.Workload, Options) {
+			srv, w, base := toyBackend(tb, "psoft")
+			return srv, w, Options{Features: FeatureAll, BaseConfig: base}
+		}},
+	} {
+		srv, w, opts := c.setup(t)
+		a := &altCountingTuner{Server: srv}
+		rec, err := Tune(a, w, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		by := rec.DeriveFallbacks
 		var sum int64
-		for reason, n := range rec.DeriveFallbacks {
+		for reason, n := range by {
 			switch reason {
-			case derive.ReasonDML, derive.ReasonAtom, derive.ReasonAtom + "-join":
+			case derive.ReasonAtom, derive.ReasonAtom + "-join":
 				sum += n
 			default:
-				t.Errorf("P=%d: unexpected fallback reason %q on a fault-free run: %v", par, reason, rec.DeriveFallbacks)
+				t.Errorf("%s: unexpected fallback reason %q on a fault-free run: %v", c.name, reason, by)
 			}
 		}
-		if rec.DeriveFallbacks[derive.ReasonDML] == 0 || rec.DeriveFallbacks[derive.ReasonAtom] == 0 || rec.DeriveFallbacks[derive.ReasonAtom+"-join"] == 0 {
-			t.Errorf("P=%d: workload must exercise dml, atom and atom-join: %v", par, rec.DeriveFallbacks)
+		if by[derive.ReasonAtom] == 0 || by[derive.ReasonAtom+"-join"] == 0 {
+			t.Errorf("%s: workload must exercise atom and atom-join: %v", c.name, by)
 		}
-		if sum != rec.WhatIfCalls {
-			t.Errorf("P=%d: Σ fallbacks = %d, WhatIfCalls = %d (%v)", par, sum, rec.WhatIfCalls, rec.DeriveFallbacks)
+		if sum != rec.WhatIfCalls || a.served.Load() != rec.WhatIfCalls {
+			t.Errorf("%s: Σ fallbacks = %d, WhatIfCalls = %d, backend served %d (%v)", c.name, sum, rec.WhatIfCalls, a.served.Load(), by)
+		}
+		if a.plain.Load() != 0 {
+			t.Errorf("%s: %d real calls asked for no skeleton; every call must be a skeleton fetch", c.name, a.plain.Load())
 		}
 	}
 }
@@ -524,19 +590,23 @@ func (f *flakyAltTuner) WhatIfAlternativesCost(stmt sqlparser.Statement, cfg *ca
 }
 
 // TestDeriveFallbackProducersThroughEvaluator shows the evaluator-level
-// producers of the two non-routine reasons: a failed skeleton fetch
-// (eval-error) and a backend that returns no skeleton (used-escape) both
-// leave the evaluation to the caller's ordinary real call, which still
-// returns the oracle's cost.
+// producers of the two non-routine reasons, for a SELECT and a DML event
+// alike: a failed skeleton fetch (eval-error) and a backend that returns no
+// skeleton (used-escape) both leave the evaluation to the caller's ordinary
+// real call, which still returns the oracle's cost.
 func TestDeriveFallbackProducersThroughEvaluator(t *testing.T) {
-	w := workload.MustNew("SELECT id FROM t WHERE x = 42")
+	w := workload.MustNew("SELECT id FROM t WHERE x = 42", "UPDATE t SET x = 1 WHERE id = 5")
 	cfg := catalog.NewConfiguration()
 	cfg.AddIndex(catalog.NewIndex("t", "x"))
 	srv := testServer(t)
 	oracle := newEvaluator(realCallTuner{srv}, w, "")
-	want, _, err := oracle.cost(0, oracle.config(cfg))
-	if err != nil {
-		t.Fatal(err)
+	var want []float64
+	for i := range w.Events {
+		c, _, err := oracle.cost(i, oracle.config(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, c)
 	}
 
 	for reason, breakIt := range map[string]func(*flakyAltTuner){
@@ -546,11 +616,13 @@ func TestDeriveFallbackProducersThroughEvaluator(t *testing.T) {
 		f := &flakyAltTuner{Server: srv}
 		breakIt(f)
 		ev := newEvaluator(f, w, "")
-		got, _, err := ev.cost(0, ev.config(cfg))
-		if err != nil || got != want {
-			t.Fatalf("%s: cost %v, %v; want the oracle's %v", reason, got, err, want)
+		for i := range w.Events {
+			got, _, err := ev.cost(i, ev.config(cfg))
+			if err != nil || got != want[i] {
+				t.Fatalf("%s: event %d cost %v, %v; want the oracle's %v", reason, i, got, err, want[i])
+			}
 		}
-		if by := ev.drv.FallbacksByReason(); by[reason] != 1 || by[derive.ReasonAtom] != 1 {
+		if by := ev.drv.FallbacksByReason(); by[reason] != 2 || by[derive.ReasonAtom] != 2 {
 			t.Fatalf("%s: fallbacks = %v", reason, by)
 		}
 		if ev.drv.Derivations() != 0 {

@@ -72,7 +72,7 @@ type evaluator struct {
 
 	// drv is the session's cost-derivation engine, present iff the backend
 	// returns plan skeletons (AlternativesTuner): cache-miss leaders resolve
-	// SELECT costs through it, and it fetches the skeletons it needs with
+	// every cost through it, and it fetches the skeletons it needs with
 	// real calls of its own. Over a skeleton-less backend it is nil and
 	// every miss is a plain real call — the oracle derivation is tested
 	// against.
@@ -653,13 +653,8 @@ func (ev *evaluator) miss(i int, c *config, h uint64, ce *cacheEntry) (float64, 
 	if ev.tr.ctxStopped() {
 		return fail(errStopped)
 	}
-	info := ev.infos[i]
 	if ev.drv != nil {
-		if info.isDML {
-			// Update overhead depends on the full index set — costs are not
-			// plan-set monotone — so DML always takes the real call.
-			ev.drv.FallbackDML(i)
-		} else if res, ok := ev.drv.Resolve(i, len(info.q.Scopes) > 1, ce.ids, ev.additive(i), func(top *catalog.Configuration) (float64, []string, *optimizer.Alternatives, error) {
+		if res, ok := ev.drv.Resolve(i, len(ev.infos[i].q.Scopes) > 1, ce.ids, ev.additive(i), func(top *catalog.Configuration) (float64, []string, *optimizer.Alternatives, error) {
 			cost, used, alts, err := ev.realCall(i, top, true)
 			if err == nil {
 				ev.remember(i, top, cost, used)

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/datagen/psoft"
 	"repro/internal/derive"
 	"repro/internal/workload"
 )
@@ -17,6 +18,27 @@ func toyPoolJSON(tb testing.TB, srv Tuner) []byte {
 	var pool *CostedPool
 	if _, err := Tune(srv, w, Options{Parallelism: 1, PoolSink: func(p *CostedPool) { pool = p }}); err != nil {
 		tb.Fatal(err)
+	}
+	data, err := json.Marshal(pool)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// toyDMLPoolJSON tunes a short toy PSOFT trace with every feature and returns
+// the sealed pool's JSON: its skeleton section carries maintenance skeletons
+// of INSERT, UPDATE and DELETE statements beside single-scope and join ones.
+func toyDMLPoolJSON(tb testing.TB) []byte {
+	tb.Helper()
+	srv, _, base := toyBackend(tb, "psoft")
+	var pool *CostedPool
+	opts := Options{Features: FeatureAll, BaseConfig: base, Parallelism: 1, SkipReports: true, PoolSink: func(p *CostedPool) { pool = p }}
+	if _, err := Tune(srv, psoft.Workload(srv.Catalog(), 6, 1), opts); err != nil {
+		tb.Fatal(err)
+	}
+	if !slices.ContainsFunc(pool.Derive.Facts, func(f derive.FactRecord) bool { return f.Alts != nil && f.Alts.Maint != nil }) {
+		tb.Fatal("toy PSOFT pool carries no maintenance skeleton")
 	}
 	data, err := json.Marshal(pool)
 	if err != nil {
@@ -90,7 +112,8 @@ func warmStartPool(srv Tuner, p *CostedPool) {
 
 // FuzzCostedPool feeds arbitrary bytes through what loading a pool file
 // does — json.Unmarshal, Check, and a revision's warm start — none of which
-// may panic. The corpus seeds are a toy pool and its malformed variants.
+// may panic. The corpus seeds are a toy pool, its malformed variants, and a
+// toy PSOFT pool carrying DML maintenance skeletons.
 func FuzzCostedPool(f *testing.F) {
 	srv := testServer(f)
 	seed := toyPoolJSON(f, srv)
@@ -98,6 +121,7 @@ func FuzzCostedPool(f *testing.F) {
 	for _, data := range malformedPools(f, seed) {
 		f.Add(data)
 	}
+	f.Add(toyDMLPoolJSON(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p CostedPool
 		if json.Unmarshal(data, &p) != nil {

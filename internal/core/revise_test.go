@@ -1,9 +1,13 @@
 package core
 
 import (
+	"compress/gzip"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -346,5 +350,47 @@ func TestRevisePoolCheck(t *testing.T) {
 	}
 	if _, err := Revise(context.Background(), testServer(t), old, Constraints{}, Options{}); err == nil || !strings.Contains(err.Error(), "format 0") {
 		t.Fatalf("format-0 pool: Revise = %v, want a refusal naming the format", err)
+	}
+}
+
+// TestReviseRevisesPoolWithoutDMLFacts: a pool sealed before DML statements
+// had skeletons (same format 2; its skeleton section holds SELECT facts only,
+// and DML costs sit in its cost cache) is still a valid pool. A revision over
+// it that reaches uncached DML costs fetches their maintenance skeletons and
+// derives the rest, so it returns the recommendation the sealing binary's own
+// revision returned — pinned below — with fewer real calls than that
+// revision's 16.
+func TestReviseRevisesPoolWithoutDMLFacts(t *testing.T) {
+	f, err := os.Open(filepath.Join("testdata", "psoft-pool-no-dml-facts.json.gz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pool CostedPool
+	if err := json.NewDecoder(zr).Decode(&pool); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.Check(); err != nil {
+		t.Fatalf("a pool without DML facts must stay valid: %v", err)
+	}
+	srv, _, _ := toyBackend(t, "psoft")
+	rec, err := Revise(context.Background(), srv, &pool, Constraints{StorageBudget: 47104}, Options{Parallelism: 1, SkipReports: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The sealing binary's revision, reduced by planFingerprint and hashed.
+	const (
+		sealerPrint = "a0f1e4745d134b69a694a4be697617f06ba007904df2d9ca40f07b76455b2313"
+		sealerCalls = 16
+	)
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(planFingerprint(rec)))); got != sealerPrint {
+		t.Fatalf("revision differs from the sealing binary's (improvement %v):\n%s", rec.Improvement, planFingerprint(rec))
+	}
+	if rec.WhatIfCalls == 0 || rec.WhatIfCalls >= sealerCalls {
+		t.Fatalf("revision issued %d real calls, want some but fewer than the sealing binary's %d", rec.WhatIfCalls, sealerCalls)
 	}
 }

@@ -186,8 +186,9 @@ func (t template) instantiate(cat *catalog.Catalog, rng *rand.Rand) string {
 // for the same arguments — same seed, same template draw, same constants —
 // so batch and streaming ingestion of matching parameters tune identical
 // events. Lines are generated on demand as the reader is drained: memory
-// stays O(1) in events, which is what lets the scale sweep push million-event
-// traces through the streaming path without materializing them.
+// stays O(1) in events, so a caller can push million-event traces through
+// the streaming path (the repository benchmark's daemon-drift chunks, say)
+// without materializing them.
 func Trace(cat *catalog.Catalog, events, templateCount int, seed int64) io.Reader {
 	rng := rand.New(rand.NewSource(seed))
 	return &traceReader{cat: cat, tmpls: templates(templateCount, rng), rng: rng, events: events}

@@ -27,16 +27,21 @@
 //     structure it needs; for a join it carries per-scope access and probe
 //     alternatives plus edge selectivities and the finish chain
 //     (optimizer.JoinSkeleton), composed through the optimizer's own join
-//     cost function. Either way the replayed number is bit-identical to what
-//     a real call on S would return — no interpolation, no model.
+//     cost function; for DML it carries the maintenance sum. Either way
+//     the replayed number is bit-identical to what a real call on S would
+//     return — no interpolation, no model.
 //
 // So one atomic call per (event, pool, epoch, base part) answers every
 // configuration the search explores, a fetch is always issued at the current
 // statistics epoch (BumpEpoch simply starts a new scope), and the engine
-// never re-enters the caller's cost cache. What does not resolve is reported
-// as a fallback and costed by the caller's ordinary real call: DML events
-// (maintenance cost depends on the whole index set), a failed fetch, and the
-// defensive guard against a skeleton that offers no selectable alternative.
+// never re-enters the caller's cost cache. INSERT, UPDATE and DELETE events
+// take the same path: their skeleton (optimizer.Maintenance) is the fixed
+// write cost, the access alternatives locating the affected rows, and one
+// maintenance term per index or view over the target table, each gated by
+// its structure and summed in ascending key order exactly as the optimizer
+// sums them. What does not resolve is reported as a fallback and costed by
+// the caller's ordinary real call: a failed fetch, and the defensive guard
+// against a skeleton that offers no selectable alternative.
 //
 // The engine exists only where skeletons do: an evaluator builds one iff its
 // backend implements the alternatives call. Over a skeleton-less backend the
@@ -103,15 +108,11 @@ func ParseMode(s string) (Mode, error) {
 // formatting round-trips, not approximation error.
 const VerifyTolerance = 1e-9
 
-// Fallback reasons. Each non-DML reason splits by event shape into a
-// single-scope key (the bare reason) and a join key (reason + "-join"), the
-// currency of FallbacksByReason; the metric series carries them as separate
-// reason/shape labels.
+// Fallback reasons. Each reason splits by event shape into a single-scope key
+// (the bare reason; DML events count as single-scope) and a join key (reason
+// + "-join"), the currency of FallbacksByReason; the metric series carries
+// them as separate reason/shape labels.
 const (
-	// ReasonDML marks INSERT/UPDATE/DELETE events: their update overhead
-	// grows with every index present, so costs are not plan-set monotone
-	// and every DML evaluation stays a real call.
-	ReasonDML = "dml"
 	// ReasonAtom marks the engine's own skeleton fetch: the one real call a
 	// (scope, top) pair costs, after which every subset replays.
 	ReasonAtom = "atom"
@@ -130,9 +131,9 @@ const (
 )
 
 // reasonKey returns the accounting key of a fallback: the bare reason for
-// single-scope events, reason + joinSuffix for joins (DML has no join shape).
+// single-scope events, reason + joinSuffix for joins.
 func reasonKey(reason string, join bool) string {
-	if join && reason != ReasonDML {
+	if join {
 		return reason + joinSuffix
 	}
 	return reason
@@ -191,8 +192,9 @@ type fact struct {
 }
 
 // compile resolves the fact's gate keys — single-scope component structures,
-// join scope-alternative and probe gates, join view structures — to IDs,
-// under one interner read lock. Called before the fact is published.
+// join scope-alternative and probe gates, join view structures, DML access
+// and maintenance-term gates — to IDs, under one interner read lock. Called
+// before the fact is published.
 func (e *Engine) compile(f *fact) {
 	a := f.alts
 	if a == nil {
@@ -225,6 +227,14 @@ func (e *Engine) compile(f *fact) {
 		}
 		for i := range js.Views {
 			gate(js.Views[i].Structure)
+		}
+	}
+	if m := a.Maint; m != nil {
+		for i := range m.Access {
+			gate(m.Access[i].Gate)
+		}
+		for i := range m.Terms {
+			gate(m.Terms[i].Gate)
 		}
 	}
 }
@@ -275,9 +285,8 @@ type Engine struct {
 }
 
 // reasons is the closed fallback-reason-key set, in reporting order: each
-// non-DML reason once per shape (single-scope, join).
+// reason once per shape (single-scope, join).
 var reasons = []string{
-	ReasonDML,
 	ReasonAtom, ReasonAtom + joinSuffix,
 	ReasonError, ReasonError + joinSuffix,
 	ReasonEscape, ReasonEscape + joinSuffix,
@@ -700,10 +709,6 @@ func (e *Engine) SetJournal(j *journal.Journal) {
 	}
 	e.jnl = j
 }
-
-// FallbackDML counts a DML evaluation of the given workload event that
-// bypassed derivation. Safe on nil.
-func (e *Engine) FallbackDML(event int) { e.fallback(event, ReasonDML, false) }
 
 // fallback counts one fallback of the given workload event under the given
 // reason and shape, and journals it when a journal is attached.

@@ -59,7 +59,6 @@ func TestNilEngineIsInert(t *testing.T) {
 	var e *Engine
 	e.Register([]Keyed{ixKeyed("t", "x")})
 	e.BumpEpoch()
-	e.FallbackDML(0)
 	e.VerifyOutcome(true, nil)
 	e.AttachMetrics(nil)
 	e.Restore(nil)
@@ -226,11 +225,44 @@ func TestResolveFallbackReasons(t *testing.T) {
 		t.Fatalf("used-escape fallbacks must be counted by shape, got %v", by)
 	}
 
-	// DML accounting.
-	e = New(On)
-	e.FallbackDML(0)
-	if by := e.FallbacksByReason(); by[ReasonDML] != 1 || e.Fallbacks() != 1 {
-		t.Fatalf("dml fallback key must stay unsplit, got %v", by)
+}
+
+// TestResolveReplaysMaintenanceSkeleton: a DML event resolves like any other —
+// one atom per top, then every subset replays the maintenance sum, its access
+// alternatives and terms gated by the compiled IDs of the top's structures.
+func TestResolveReplaysMaintenanceSkeleton(t *testing.T) {
+	e := New(On)
+	b := newSkeletonBackend()
+	b.alts = &optimizer.Alternatives{Maint: &optimizer.Maintenance{
+		Fixed: 1,
+		Access: []optimizer.ScopeAlt{
+			{Op: "HeapScan", Pre: 100},
+			{Gate: b.i1.Key, Op: "IndexSeek", Struct: b.i1.Key, Pre: 10},
+		},
+		Terms: []optimizer.MaintTerm{
+			{Gate: b.i2.Key, Struct: b.i2.Key, Cost: 7},
+			{Gate: b.i1.Key, Struct: b.i1.Key, Cost: 5},
+		},
+	}}
+	e.Register([]Keyed{b.i1, b.i2})
+	pool := ids(e, b.i1, b.i2)
+	for _, c := range []struct {
+		rel  []int32
+		cost float64
+		used []string
+	}{
+		{nil, 101, nil},
+		{ids(e, b.i1), 16, []string{b.i1.Key}},
+		{ids(e, b.i2), 108, []string{b.i2.Key}},
+		{pool, 23, []string{b.i2.Key, b.i1.Key}},
+	} {
+		res, ok := e.Resolve(0, false, c.rel, pool, b.fetch)
+		if !ok || res.Cost != c.cost || !slices.Equal(res.Used, c.used) {
+			t.Fatalf("rel %v: %v %v (ok %v), want %v %v", c.rel, res.Cost, res.Used, ok, c.cost, c.used)
+		}
+	}
+	if by := e.FallbacksByReason(); b.fetches() != 1 || by[ReasonAtom] != 1 || len(by) != 1 {
+		t.Fatalf("fetches %d, fallbacks %v: want one single-scope atom", b.fetches(), by)
 	}
 }
 

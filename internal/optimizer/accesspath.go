@@ -161,13 +161,7 @@ func (c *optContext) accessPaths(s *Scope) []accessPath {
 // the configuration's structure enumeration order.
 func (c *optContext) bestAccess(s *Scope, wantOrder []string) (best accessPath, ordered *accessPath) {
 	paths := c.accessPaths(s)
-	bi := 0
-	for i := 1; i < len(paths); i++ {
-		if pathLess(paths[i].plan, paths[bi].plan) {
-			bi = i
-		}
-	}
-	best = paths[bi]
+	best = cheapestPath(paths)
 	if len(wantOrder) > 0 {
 		oi := -1
 		for i := range paths {
@@ -183,6 +177,18 @@ func (c *optContext) bestAccess(s *Scope, wantOrder []string) (best accessPath, 
 		}
 	}
 	return best, ordered
+}
+
+// cheapestPath returns the minimum of a scope's access paths by pathLess.
+// paths is never empty: the base scan always exists.
+func cheapestPath(paths []accessPath) accessPath {
+	bi := 0
+	for i := 1; i < len(paths); i++ {
+		if pathLess(paths[i].plan, paths[bi].plan) {
+			bi = i
+		}
+	}
+	return paths[bi]
 }
 
 // pathLess is the strict total order plan selections minimize over: cost

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/sqlparser"
-	"repro/internal/stats"
 )
 
 // AltComponent is one end-to-end costed plan alternative of a single-scope
@@ -53,60 +52,35 @@ func altLess(a, b *AltComponent) bool {
 	return a.Structure < b.Structure
 }
 
-// Alternatives is the plan skeleton of one SELECT under one configuration,
-// such that the statement's cost and used structures under any
+// Alternatives is the plan skeleton of one statement under one
+// configuration, such that the statement's cost and used structures under any
 // sub-configuration — same base structures, any subset of the additive ones —
 // follow from Select without another optimizer call. Single-scope SELECTs
 // carry flat end-to-end components; multi-scope SELECTs carry a JoinSkeleton
-// whose per-scope alternatives compose through the join cost function.
+// whose per-scope alternatives compose through the join cost function;
+// INSERT/UPDATE/DELETE carry a Maintenance sum.
 type Alternatives struct {
 	// Components lists the single-scope alternatives in the optimizer's own
 	// enumeration order (base accesses, then non-clustered indexes, then
-	// views). Empty when Join is set.
+	// views). Empty when Join or Maint is set.
 	Components []AltComponent
 	// HasOrder reports whether the query has an interesting order, enabling
 	// the ordered-alternative rule during Select.
 	HasOrder bool
 	// Join is the multi-scope skeleton (nil for single-scope SELECTs).
 	Join *JoinSkeleton
+	// Maint is the DML maintenance skeleton (nil for SELECTs, and then
+	// omitted from JSON, so persisted SELECT skeletons keep their bytes).
+	Maint *Maintenance `json:",omitempty"`
 }
 
-// OptimizeAlternatives is Optimize plus the plan skeleton: for a SELECT the
-// second result carries the plan alternatives costed end-to-end — flat
-// components for a single scope, a composed JoinSkeleton for joins; for DML
-// it is nil and the call behaves exactly like Optimize. The Result is
-// identical to Optimize's in either case, including the RequiredStats set
-// (the skeleton only repeats computations the direct optimization performs,
-// and stat requests dedup by key).
+// OptimizeAlternatives is Optimize plus the plan skeleton: flat components for
+// a single-scope SELECT, a composed JoinSkeleton for a join, a Maintenance sum
+// for INSERT/UPDATE/DELETE. The Result is identical to Optimize's, including
+// the RequiredStats set (the skeleton only repeats computations the direct
+// optimization performs, and stat requests dedup by key).
 func (o *Optimizer) OptimizeAlternatives(stmt sqlparser.Statement, cfg *catalog.Configuration) (*Result, *Alternatives, error) {
-	sel, ok := stmt.(*sqlparser.Select)
-	if !ok {
-		res, err := o.Optimize(stmt, cfg)
-		return res, nil, err
-	}
-	if cfg == nil {
-		cfg = catalog.NewConfiguration()
-	}
-	ctx := &optContext{opt: o, cfg: cfg, wanted: map[string]stats.Request{}}
-	plan, err := ctx.optimizeSelect(sel)
-	if err != nil {
-		return nil, nil, err
-	}
-	var alts *Alternatives
-	if q, err := o.analyze(sel); err == nil {
-		if len(q.Scopes) == 1 {
-			alts = ctx.selectAlternatives(q)
-		} else if len(q.Scopes) > 1 {
-			alts = &Alternatives{Join: ctx.joinAlternatives(q)}
-		}
-	}
-	res := &Result{Cost: plan.Cost, Plan: plan}
-	for _, r := range ctx.wanted {
-		res.RequiredStats = append(res.RequiredStats, r)
-	}
-	sortRequests(res.RequiredStats)
-	res.UsedStructures = plan.structureKeys()
-	return res, alts, nil
+	return o.optimize(stmt, cfg, true)
 }
 
 // selectAlternatives builds the plan skeleton of a single-scope query: each
@@ -119,15 +93,8 @@ func (c *optContext) selectAlternatives(q *QueryInfo) *Alternatives {
 	a := &Alternatives{HasOrder: len(want) > 0}
 	for _, p := range c.accessPaths(s) {
 		fin := c.finishSelect(q, joined{plan: p.plan, rows: p.rows, width: width})
-		gate := ""
-		// Heap and clustered accesses are gated by base structures, which
-		// every sub-configuration in a derivation scope shares; only
-		// non-clustered index paths require their structure to be present.
-		if p.plan.Op == "IndexSeek" || p.plan.Op == "IndexScan" {
-			gate = p.plan.Structure
-		}
 		a.Components = append(a.Components, AltComponent{
-			Structure: gate,
+			Structure: accessGate(p.plan),
 			Op:        p.plan.Op,
 			Pre:       p.plan.Cost,
 			Final:     fin.Cost,
@@ -165,10 +132,13 @@ func (c *optContext) selectAlternatives(q *QueryInfo) *Alternatives {
 // exactly the choice a real optimization of that configuration would make.
 // ok is false only when no alternative is available, which cannot happen for
 // a skeleton built by selectAlternatives (a base scan always exists).
-// Multi-scope skeletons dispatch to the join replay.
+// Multi-scope and DML skeletons dispatch to the join and maintenance replays.
 func (a *Alternatives) Select(has func(string) bool) (float64, []string, bool) {
 	if a.Join != nil {
 		return a.Join.selectJoin(has)
+	}
+	if a.Maint != nil {
+		return a.Maint.selectMaint(has)
 	}
 	avail := func(c *AltComponent) bool {
 		return c.Structure == "" || has(c.Structure)

@@ -1,8 +1,10 @@
 package optimizer
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -130,38 +132,72 @@ func TestAlternativesSelectMatchesDirectOptimize(t *testing.T) {
 	}
 }
 
-// TestAlternativesNilForDML: DML statements report no skeleton and identical
-// Optimize results; join SELECTs now decompose into a JoinSkeleton.
-func TestAlternativesNilForDML(t *testing.T) {
+// TestMaintenanceSelectMatchesDirectOptimize is the DML skeleton soundness
+// property: for INSERTs, UPDATEs of indexed, view-only and unindexed columns
+// and DELETEs, over a heap, a table clustered on the modified key, one
+// clustered elsewhere and a partitioned one, replaying the maintenance
+// skeleton taken at the full configuration returns, for every subset of
+// seven additive structures (indexes that are or are not maintained,
+// seekable and covering, single-table, grouped and joined views), exactly
+// the cost and used-structure set a direct optimization of the subset
+// returns — bit for bit, with the subset applied in reverse order.
+func TestMaintenanceSelectMatchesDirectOptimize(t *testing.T) {
 	cat := testCatalog()
 	o := newOpt(cat)
-	cfg := catalog.NewConfiguration()
-	cfg.AddIndex(catalog.NewIndex("t", "x"))
-	cfg.AddIndex(catalog.NewIndex("d", "d_id").WithInclude("name"))
+	adds := dmlFixture()[:7]
 
-	stmt := sqlparser.MustParse("UPDATE t SET x = 1 WHERE id = 77")
-	res, alts, err := o.OptimizeAlternatives(stmt, cfg)
-	if err != nil {
-		t.Fatal(err)
+	bases := map[string]*catalog.Configuration{"heap": catalog.NewConfiguration()}
+	for name, col := range map[string]string{"clustered-modified": "x", "clustered-elsewhere": "id"} {
+		cfg := catalog.NewConfiguration()
+		cix := catalog.NewIndex("t", col)
+		cix.Clustered = true
+		cfg.AddIndex(cix)
+		bases[name] = cfg
 	}
-	if alts != nil {
-		t.Fatal("DML: expected no skeleton")
-	}
-	direct, err := o.Optimize(stmt, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cost != direct.Cost || math.IsNaN(res.Cost) {
-		t.Fatalf("DML: cost %v != direct %v", res.Cost, direct.Cost)
-	}
+	parted := catalog.NewConfiguration()
+	parted.SetTablePartitioning("t", catalog.NewPartitionScheme("x", 10, 100, 1000, 5000))
+	bases["partitioned"] = parted
 
-	join := sqlparser.MustParse("SELECT d.name FROM t, d WHERE t.d_id = d.d_id AND t.x = 17")
-	_, alts, err = o.OptimizeAlternatives(join, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alts == nil || alts.Join == nil {
-		t.Fatal("join SELECT: expected a join skeleton")
+	for baseName, base := range bases {
+		for _, q := range dmlStatements {
+			stmt := sqlparser.MustParse(q)
+			full := applySubset(base, adds, (1<<len(adds))-1)
+			res, alts, err := o.OptimizeAlternatives(stmt, full)
+			if err != nil {
+				t.Fatalf("%s/%q: OptimizeAlternatives: %v", baseName, q, err)
+			}
+			direct, err := o.Optimize(stmt, full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Cost != direct.Cost || fmt.Sprint(res.RequiredStats) != fmt.Sprint(direct.RequiredStats) {
+				t.Fatalf("%s/%q: OptimizeAlternatives result differs from Optimize", baseName, q)
+			}
+			if alts == nil || alts.Maint == nil || alts.Join != nil || len(alts.Components) > 0 {
+				t.Fatalf("%s/%q: DML must produce a maintenance skeleton, got %+v", baseName, q, alts)
+			}
+			for mask := 0; mask < 1<<len(adds); mask++ {
+				sub := applySubset(base, adds, mask)
+				got, gotUsed, ok := alts.Select(func(key string) bool {
+					for i, s := range adds {
+						if mask&(1<<i) != 0 && s.Key() == key {
+							return true
+						}
+					}
+					return false
+				})
+				if !ok {
+					t.Fatalf("%s/%q mask %b: Select failed", baseName, q, mask)
+				}
+				want, err := o.Optimize(stmt, sub)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got) != math.Float64bits(want.Cost) || !slices.Equal(gotUsed, want.UsedStructures) {
+					t.Fatalf("%s/%q mask %b: replayed %v %v, direct %v %v", baseName, q, mask, got, gotUsed, want.Cost, want.UsedStructures)
+				}
+			}
+		}
 	}
 }
 

@@ -2,6 +2,9 @@ package optimizer
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"strings"
 
 	"repro/internal/catalog"
 	"repro/internal/sqlparser"
@@ -19,96 +22,156 @@ func (c *optContext) indexMaintPerRow() float64 {
 	return 2*c.hw().RandomFactor*0.25 + baseWritePerRow
 }
 
-// optimizeInsert costs an INSERT: base write plus maintenance of every
-// index and every materialized view referencing the table. This is what
-// makes redundant structures expensive for update-intensive workloads
-// (paper §3).
-func (c *optContext) optimizeInsert(s *sqlparser.Insert) (*Plan, error) {
-	q, err := c.opt.analyze(s)
-	if err != nil {
-		return nil, err
-	}
-	t := q.Scopes[0].Table
-	rows := float64(q.InsertRowCount)
-	if rows < 1 {
-		rows = 1
-	}
-	return c.maintenancePlan("Insert", t, rows, nil, nil), nil
+// MaintTerm is the maintenance charge of one index or view a DML statement
+// must keep up to date. Its cost depends only on the affected row count and
+// the structure itself, never on which other structures are present.
+type MaintTerm struct {
+	// Gate is the additive structure key that must be present for the term
+	// to apply ("" = a clustered index, a base structure every
+	// sub-configuration of a derivation scope shares).
+	Gate string
+	// Struct is the maintained structure's key.
+	Struct string
+	// Cost is the affected rows times the structure's per-row maintenance.
+	Cost float64
 }
 
-// optimizeUpdate costs an UPDATE: locating the affected rows (a SELECT-like
-// access) plus per-row maintenance of the base data, of every index whose
-// columns are modified, and of every view referencing the table.
-func (c *optContext) optimizeUpdate(s *sqlparser.Update) (*Plan, error) {
-	q, err := c.opt.analyze(s)
+// Maintenance is the plan skeleton of an INSERT, UPDATE or DELETE: a sum
+// whose every part depends only on whether its structure is present. The
+// cost under any sub-configuration is Fixed, plus the cheapest available
+// access alternative (UPDATE and DELETE; the affected rows are the scope's
+// filtered cardinality on every path), plus the terms whose structures are
+// present, added in the listed ascending-key order — the float sequence
+// optimizeDML runs.
+type Maintenance struct {
+	// Fixed is the startup cost plus the base-data write of every affected
+	// row.
+	Fixed float64
+	// Access lists the access paths locating the affected rows (empty for
+	// an INSERT).
+	Access []ScopeAlt
+	// Terms lists the maintained structures, ascending by key.
+	Terms []MaintTerm
+}
+
+// selectMaint replays the maintenance sum over the structures has reports
+// present. ok is false only when an UPDATE/DELETE skeleton offers no
+// available access path, which a capture-built one cannot (the base scan is
+// gateless).
+func (m *Maintenance) selectMaint(has func(string) bool) (float64, []string, bool) {
+	avail := func(gate string) bool { return gate == "" || has(gate) }
+	cost := m.Fixed
+	var used []string
+	if len(m.Access) > 0 {
+		var win *ScopeAlt
+		for k := range m.Access {
+			a := &m.Access[k]
+			if avail(a.Gate) && (win == nil || scopeAltLess(a, win)) {
+				win = a
+			}
+		}
+		if win == nil {
+			return 0, nil, false
+		}
+		cost += win.Pre
+		if win.Struct != "" {
+			used = append(used, win.Struct)
+		}
+	}
+	for _, t := range m.Terms {
+		if avail(t.Gate) {
+			cost += t.Cost
+			used = append(used, t.Struct)
+		}
+	}
+	slices.Sort(used)
+	return cost, slices.Compact(used), true
+}
+
+// optimizeDML costs an INSERT, UPDATE or DELETE — locating the affected rows
+// (UPDATE/DELETE), writing them, and maintaining every index and view over
+// the target table; an UPDATE maintains only the structures its modified
+// columns touch. This is what makes redundant structures expensive for
+// update-intensive workloads (paper §3). The plan and its maintenance
+// skeleton come out of the same loop, so a replay of the skeleton runs the
+// plan's own float operations in the same order.
+func (c *optContext) optimizeDML(stmt sqlparser.Statement) (*Plan, *Maintenance, error) {
+	q, err := c.opt.analyze(stmt)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	scope := q.Scopes[0]
-	access, _ := c.bestAccess(scope, nil)
-	modified := map[string]bool{}
-	for _, col := range q.SetColumns {
-		modified[col] = true
+	t := scope.Table
+	m := &Maintenance{}
+	op := "Delete"
+	var modified map[string]bool
+	switch q.Kind {
+	case KindInsert:
+		op = "Insert"
+	case KindUpdate:
+		op, modified = "Update", map[string]bool{}
+		for _, col := range q.SetColumns {
+			modified[col] = true
+		}
 	}
-	return c.maintenancePlan("Update", scope.Table, access.rows, modified, access.plan), nil
-}
-
-// optimizeDelete costs a DELETE: locating the rows plus removing them from
-// the base data, every index, and every referencing view.
-func (c *optContext) optimizeDelete(s *sqlparser.Delete) (*Plan, error) {
-	q, err := c.opt.analyze(s)
-	if err != nil {
-		return nil, err
+	var access *Plan
+	rows := math.Max(1, float64(q.InsertRowCount))
+	if q.Kind != KindInsert {
+		paths := c.accessPaths(scope)
+		best := cheapestPath(paths)
+		access, rows = best.plan, best.rows
+		m.Access = scopeAlts(paths)
 	}
-	scope := q.Scopes[0]
-	access, _ := c.bestAccess(scope, nil)
-	return c.maintenancePlan("Delete", scope.Table, access.rows, nil, access.plan), nil
-}
 
-// maintenancePlan builds the modification plan. modifiedCols, when non-nil
-// (UPDATE), restricts index maintenance to indexes touching those columns.
-func (c *optContext) maintenancePlan(op string, t *catalog.Table, rows float64, modifiedCols map[string]bool, access *Plan) *Plan {
-	cost := startupCost + rows*baseWritePerRow
+	m.Fixed = startupCost + rows*baseWritePerRow
+	cost := m.Fixed
 	var children []*Plan
 	if access != nil {
 		cost += access.Cost
 		children = append(children, access)
 	}
-
-	maintained := 0
-	for _, ix := range c.cfg.IndexesOn(t.Name) {
-		if modifiedCols != nil && !ix.Clustered {
-			touched := false
-			for _, col := range ix.AllColumns() {
-				if modifiedCols[col] {
-					touched = true
-					break
-				}
-			}
-			if !touched {
-				continue
-			}
-		}
-		if modifiedCols != nil && ix.Clustered {
-			// A clustered index is maintained only when its key moves.
-			touched := false
-			for _, col := range ix.KeyColumns {
-				if modifiedCols[col] {
-					touched = true
-					break
-				}
-			}
-			if !touched {
-				continue
-			}
-		}
-		cost += rows * c.indexMaintPerRow()
-		maintained++
-		children = append(children, &Plan{Op: "IndexMaintenance", Detail: ix.String(),
-			Cost: rows * c.indexMaintPerRow(), Rows: rows, Structure: ix.Key()})
+	for _, n := range c.maintenanceTerms(t.Name, rows, modified) {
+		cost += n.plan.Cost
+		children = append(children, n.plan)
+		m.Terms = append(m.Terms, MaintTerm{Gate: n.gate, Struct: n.plan.Structure, Cost: n.plan.Cost})
 	}
+	detail := fmt.Sprintf("%s %s (%d structures maintained)", op, t.Name, len(children))
+	return &Plan{Op: op, Detail: detail, Cost: cost, Rows: rows, Children: children}, m, nil
+}
 
-	for _, v := range c.cfg.ViewsOver(t.Name) {
+// maintNode is one maintenance plan node with its skeleton gate.
+type maintNode struct {
+	plan *Plan
+	gate string
+}
+
+// maintenanceTerms lists the maintenance of every index and view over the
+// table, ascending by structure key: terms differ per structure and float
+// addition is not associative, so summing them in the configuration's
+// listing order would make two configurations holding the same set cost
+// differently. modifiedCols, when non-nil (UPDATE), restricts maintenance to
+// the structures those columns touch — for a clustered index, to a moved key.
+func (c *optContext) maintenanceTerms(table string, rows float64, modifiedCols map[string]bool) []maintNode {
+	var out []maintNode
+	touches := func(cols []string) bool {
+		return modifiedCols == nil || slices.ContainsFunc(cols, func(col string) bool { return modifiedCols[col] })
+	}
+	for _, ix := range c.cfg.IndexesOn(table) {
+		cols, gate := ix.AllColumns(), ix.Key()
+		if ix.Clustered {
+			// A clustered index is maintained only when its key moves.
+			cols, gate = ix.KeyColumns, ""
+		}
+		if !touches(cols) {
+			continue
+		}
+		out = append(out, maintNode{gate: gate, plan: &Plan{Op: "IndexMaintenance", Detail: ix.String(),
+			Cost: rows * c.indexMaintPerRow(), Rows: rows, Structure: ix.Key()}})
+	}
+	for _, v := range c.cfg.ViewsOver(table) {
+		if modifiedCols != nil && !viewTouches(v, table, modifiedCols) {
+			continue
+		}
 		// View maintenance scales with the view's complexity: each extra
 		// joined table multiplies the per-row work (the change must be
 		// joined against the other tables).
@@ -116,16 +179,11 @@ func (c *optContext) maintenancePlan(op string, t *catalog.Table, rows float64, 
 		if len(v.GroupBy) > 0 {
 			factor *= 1.5
 		}
-		if modifiedCols != nil && !viewTouches(v, t.Name, modifiedCols) {
-			continue
-		}
-		cost += rows * factor
-		children = append(children, &Plan{Op: "ViewMaintenance", Detail: v.Name,
-			Cost: rows * factor, Rows: rows, Structure: v.Key()})
+		out = append(out, maintNode{gate: v.Key(), plan: &Plan{Op: "ViewMaintenance", Detail: v.Name,
+			Cost: rows * factor, Rows: rows, Structure: v.Key()}})
 	}
-
-	detail := fmt.Sprintf("%s %s (%d structures maintained)", op, t.Name, len(children))
-	return &Plan{Op: op, Detail: detail, Cost: cost, Rows: rows, Children: children}
+	slices.SortFunc(out, func(a, b maintNode) int { return strings.Compare(a.plan.Structure, b.plan.Structure) })
+	return out
 }
 
 // viewTouches reports whether an UPDATE of the given columns affects the

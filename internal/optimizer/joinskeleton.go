@@ -35,6 +35,26 @@ func scopeAltLess(a, b *ScopeAlt) bool {
 	return a.Struct < b.Struct
 }
 
+// scopeAlts captures a scope's access paths as skeleton alternatives.
+func scopeAlts(paths []accessPath) []ScopeAlt {
+	alts := make([]ScopeAlt, len(paths))
+	for i, p := range paths {
+		alts[i] = ScopeAlt{Gate: accessGate(p.plan), Op: p.plan.Op, Struct: p.plan.Structure, Pre: p.plan.Cost}
+	}
+	return alts
+}
+
+// accessGate returns the additive structure an access plan requires: heap
+// and clustered accesses are gated by base structures, which every
+// sub-configuration in a derivation scope shares; only non-clustered index
+// paths require their structure to be present.
+func accessGate(p *Plan) string {
+	if p.Op == "IndexSeek" || p.Op == "IndexScan" {
+		return p.Structure
+	}
+	return ""
+}
+
 // SkeletonScope carries one scope of a join skeleton: its filtered output
 // cardinality and width (shared by every access path) and the costed
 // alternatives.
@@ -101,13 +121,7 @@ func (c *optContext) joinAlternatives(q *QueryInfo) *JoinSkeleton {
 		if len(paths) > 0 {
 			sc.Rows = paths[0].rows // all paths share the filtered cardinality
 		}
-		for _, p := range paths {
-			gate := ""
-			if p.plan.Op == "IndexSeek" || p.plan.Op == "IndexScan" {
-				gate = p.plan.Structure
-			}
-			sc.Alts = append(sc.Alts, ScopeAlt{Gate: gate, Op: p.plan.Op, Struct: p.plan.Structure, Pre: p.plan.Cost})
-		}
+		sc.Alts = scopeAlts(paths)
 		js.Scopes = append(js.Scopes, sc)
 	}
 

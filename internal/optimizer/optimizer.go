@@ -120,26 +120,43 @@ type Result struct {
 // Optimize returns the estimated cost and plan of stmt as if cfg were
 // materialized in the database. cfg may be nil (raw heaps only).
 func (o *Optimizer) Optimize(stmt sqlparser.Statement, cfg *catalog.Configuration) (*Result, error) {
+	res, _, err := o.optimize(stmt, cfg, false)
+	return res, err
+}
+
+// optimize is Optimize and, with wantAlts, OptimizeAlternatives: the plan
+// and, when asked for, its skeleton come out of one optimization.
+func (o *Optimizer) optimize(stmt sqlparser.Statement, cfg *catalog.Configuration, wantAlts bool) (*Result, *Alternatives, error) {
 	if cfg == nil {
 		cfg = catalog.NewConfiguration()
 	}
 	ctx := &optContext{opt: o, cfg: cfg, wanted: map[string]stats.Request{}}
 	var plan *Plan
+	var alts *Alternatives
 	var err error
 	switch s := stmt.(type) {
 	case *sqlparser.Select:
 		plan, err = ctx.optimizeSelect(s)
-	case *sqlparser.Insert:
-		plan, err = ctx.optimizeInsert(s)
-	case *sqlparser.Update:
-		plan, err = ctx.optimizeUpdate(s)
-	case *sqlparser.Delete:
-		plan, err = ctx.optimizeDelete(s)
+		if err == nil && wantAlts {
+			if q, err := o.analyze(s); err == nil {
+				if len(q.Scopes) == 1 {
+					alts = ctx.selectAlternatives(q)
+				} else if len(q.Scopes) > 1 {
+					alts = &Alternatives{Join: ctx.joinAlternatives(q)}
+				}
+			}
+		}
+	case *sqlparser.Insert, *sqlparser.Update, *sqlparser.Delete:
+		var m *Maintenance
+		plan, m, err = ctx.optimizeDML(s)
+		if wantAlts {
+			alts = &Alternatives{Maint: m}
+		}
 	default:
-		return nil, fmt.Errorf("optimizer: unsupported statement type %T", stmt)
+		return nil, nil, fmt.Errorf("optimizer: unsupported statement type %T", stmt)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res := &Result{Cost: plan.Cost, Plan: plan}
 	for _, r := range ctx.wanted {
@@ -147,7 +164,7 @@ func (o *Optimizer) Optimize(stmt sqlparser.Statement, cfg *catalog.Configuratio
 	}
 	sortRequests(res.RequiredStats)
 	res.UsedStructures = plan.structureKeys()
-	return res, nil
+	return res, alts, nil
 }
 
 // optContext carries per-optimization state.

@@ -373,9 +373,9 @@ func (s *Server) WhatIfCost(stmt sqlparser.Statement, cfg *catalog.Configuration
 }
 
 // WhatIfAlternativesCost is WhatIfCost returning, in addition, the plan
-// skeleton of the optimized statement when one exists (SELECTs — flat
-// components for single-scope queries, composed join skeletons for
-// multi-scope ones; nil for DML). It is charged exactly like a single
+// skeleton of the optimized statement (flat components for single-scope
+// SELECTs, composed join skeletons for multi-scope ones, maintenance sums
+// for INSERT/UPDATE/DELETE). It is charged exactly like a single
 // what-if call — same counter, same overhead, same fault site — because it
 // performs one optimization and the skeleton falls out of work the optimizer
 // already did.
