@@ -367,7 +367,7 @@ type Recommendation struct {
 	// layer instead of a what-if optimizer call; zero over a backend
 	// without plan skeletons.
 	DerivedEvals int64
-	// DeriveFallbacks breaks down, by reason (dml, atom, eval-error,
+	// DeriveFallbacks breaks down, by reason (atom, eval-error,
 	// used-escape; SELECT reasons also with a -join suffix), the real
 	// optimizer calls behind derivation: skeleton fetches (atom) and the
 	// evaluations replay could not answer; nil without an engine.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/catalog"
 	"repro/internal/fault"
@@ -13,14 +15,14 @@ import (
 )
 
 // selectCandidates runs the Candidate Selection step (paper §2.2): for each
-// query of the workload — one query at a time — it generates syntactically
-// relevant structures, creates the statistics needed to simulate them
-// (reduced per §5.2), and keeps the structures chosen by a per-query
-// Greedy(m,k) search as candidates for the whole workload. Alongside the
-// candidates it returns each query's unweighted selection outcome (the
-// QueryGains the search layer turns into per-structure benefits under its
-// effective weights) and the statistics-creation log (the StatBatches a
-// revision replays on a fresh backend).
+// query of the workload it generates syntactically relevant structures,
+// creates the statistics needed to simulate them (reduced per §5.2), and
+// keeps the structures chosen by a per-query Greedy(m,k) search as
+// candidates for the whole workload. Alongside the candidates it returns
+// each query's unweighted selection outcome (the QueryGains the search layer
+// turns into per-structure benefits under its effective weights) and the
+// statistics-creation log (the StatBatches a revision replays on a fresh
+// backend).
 //
 // This is the heart of the costing layer, and it is deliberately
 // independent of every search-layer constraint: the per-query search runs
@@ -29,130 +31,125 @@ import (
 // cost it caches — is reusable under any Constraints value a revision
 // chooses.
 //
-// Parallelism note: the per-query work is parallelized inside each query's
-// Greedy(m,k) — its frontiers fan out over the session's worker pool — but
-// the cross-query loop itself stays sequential, deliberately. Optimizer
-// cost estimates depend on which statistics exist at call time (without a
-// histogram the selectivity model falls back to uniform/density guesses),
-// and this loop creates statistics query by query; running queries
-// concurrently would make each cost depend on how far other queries had
-// advanced statistics creation — scheduling-dependent results, which the
-// determinism guarantee (identical recommendations at every Parallelism
-// level) forbids. Within one query the statistics state is fixed, so its
-// frontier evaluations are safely concurrent.
+// Parallelism note: optimizer cost estimates depend on which statistics
+// exist at call time (without a histogram the selectivity model falls back
+// to uniform/density guesses), so selection runs in three passes that fix
+// the statistics state before any query is costed:
+//
+//  1. Generate every query's candidates (pure syntax, on the worker pool),
+//     then, sequentially in event order, create their statistics — one
+//     request batch per query, in issue order — then bump the derive epoch
+//     once and install every query's own candidate pool for derivation.
+//     This pass issues no what-if call.
+//  2. On the session's worker pool: each query's base cost, Greedy(m,k) and
+//     best cost (selectQuery). Every query sees the same statistics, so its
+//     costs are independent of its position in the workload and of
+//     scheduling, and the queries overlap; a query's own frontiers run
+//     inline while the pool is busy with other queries.
+//  3. Sequentially, in event order: fold the per-query slots into the
+//     deduplicated candidate pool, the QueryGains and the session journal,
+//     stopping at the first query that did not finish, as a sequential loop
+//     would.
 func selectCandidates(t Tuner, ev *evaluator, tr *tracker, w *workload.Workload, base *catalog.Configuration, groups *columnGroups, opts Options) ([]catalog.Structure, []QueryGain, []StatBatch, int, error) {
-	pool := map[string]catalog.Structure{}
-	var gains []QueryGain
-	var batches []StatBatch
-	var order []string
-	statsCreated := 0
 	perQueryK := opts.PerQueryK
 	if perQueryK <= 0 {
 		perQueryK = 6
 	}
 
-	for i := range w.Events {
+	// Pass 1: candidates — pure syntax, so generated on the pool — then
+	// their statistics, in event order. A stop at query n, or a statistics
+	// failure there that degrades the session, limits pass 2 to the queries
+	// before it, whose statistics exist. (The stop is sticky, so a session
+	// stopped here searches none of them.)
+	pools := make([][]catalog.Structure, len(w.Events))
+	ev.pool().each(len(w.Events), func(i int) {
+		if q := ev.analyzed(i); q != nil {
+			pools[i] = generateForQuery(t.Catalog(), q, groups, opts)
+		}
+	})
+	var batches []StatBatch
+	statsCreated := 0
+	n := len(w.Events)
+	for i, cands := range pools {
 		if tr.stopped() {
+			n = i
 			break
 		}
-		qspan, endQuery := tr.span("query", "select-candidates")
-		qspan.SetArg("event", i)
-		gain, err := func() (float64, error) {
-			q := ev.analyzed(i)
-			if q == nil {
-				return 0, nil
+		if ev.analyzed(i) == nil {
+			continue
+		}
+		if opts.Metrics != nil {
+			opts.Metrics.Histogram("dta_candidates_per_query",
+				"Syntactically relevant structures generated per workload event (§2.2).",
+				obs.CountBuckets).Observe(float64(len(cands)))
+		}
+		if len(cands) == 0 {
+			continue
+		}
+		// The request batch is logged in issue order so a revision can
+		// replay the exact statistics state on a fresh backend.
+		reqs := statRequests(cands)
+		created, err := ensureStatistics(t, tr, reqs, !opts.DisableStatReduction)
+		if err != nil {
+			if stopping(err) {
+				n = i
+				break
 			}
-			cands := generateForQuery(t.Catalog(), q, groups, opts)
-			qspan.SetArg("candidates", len(cands))
-			if opts.Metrics != nil {
-				opts.Metrics.Histogram("dta_candidates_per_query",
-					"Syntactically relevant structures generated per workload event (§2.2).",
-					obs.CountBuckets).Observe(float64(len(cands)))
-			}
-			if len(cands) == 0 {
-				return 0, nil
-			}
-			// Statistics for what-if structures (§5.2). The request batch is
-			// logged in issue order so a revision can replay the exact
-			// statistics state on a fresh backend.
-			reqs := statRequests(cands)
-			created, err := ensureStatistics(t, tr, reqs, !opts.DisableStatReduction)
-			if err != nil {
-				return 0, err
-			}
-			if len(reqs) > 0 {
-				batches = append(batches, StatBatch{Requests: reqs})
-			}
-			statsCreated += created
-			if created > 0 {
-				// New statistics change optimizer estimates; skeletons
-				// fetched before them no longer predict fresh calls.
-				ev.bumpDeriveEpoch()
-			}
-			// This query's candidates are the structure pool its greedy
-			// search draws from — what the derivation engine's tops for the
-			// evaluations about to run are built from. Set sequentially here (like the
-			// statistics), so tops never depend on scheduling.
-			ev.setDerivePool(cands)
+			return nil, nil, nil, statsCreated, err
+		}
+		if len(reqs) > 0 {
+			batches = append(batches, StatBatch{Requests: reqs})
+		}
+		statsCreated += created
+	}
+	pools = pools[:n]
+	if statsCreated > 0 {
+		// New statistics change optimizer estimates; skeletons fetched
+		// before them no longer predict fresh calls.
+		ev.bumpDeriveEpoch()
+	}
+	ev.setQueryPools(pools)
 
-			baseCost, _, err := ev.cost(i, ev.config(base))
-			if err != nil {
-				return 0, err
+	// Pass 2: every query's search, on the pool. After a query fails for
+	// real, queries not yet started are skipped: pass 3 returns the
+	// earliest failure, which only an earlier query can precede.
+	sels := make([]querySelection, n)
+	var failed atomic.Bool
+	phase := tr.spanCtx()
+	ev.pool().each(n, func(i int) {
+		if failed.Load() || tr.stopped() {
+			return
+		}
+		sels[i] = selectQuery(ev, tr, w.Events[i], i, base, pools[i], phase, greedyOptions{
+			m: opts.GreedyM, k: perQueryK, tr: tr,
+			scope: journal.ScopeQuery, query: i,
+		})
+		if err := sels[i].err; err != nil && !stopping(err) {
+			failed.Store(true)
+		}
+	})
+
+	// Pass 3: fold in event order.
+	pool := map[string]catalog.Structure{}
+	var order []string
+	var gains []QueryGain
+	for i := range sels {
+		sel := &sels[i]
+		if !sel.ran {
+			break // the session stopped before this query's search began
+		}
+		for _, e := range sel.journal {
+			tr.record(e)
+		}
+		if sel.err != nil {
+			if stopping(sel.err) {
+				break // keep the candidates gathered so far
 			}
-			// journalQuery records the query's selection outcome: one summary
-			// event plus one accept/reject event per generated candidate.
-			journalQuery := func(bestCost, gain float64, chosen []catalog.Structure) {
-				if !tr.journaling() {
-					return
-				}
-				qe := journal.Ev(journal.KindQuery)
-				qe.Query = i
-				qe.SQL = w.Events[i].SQL
-				qe.CostBefore, qe.CostAfter, qe.Gain = baseCost, bestCost, gain
-				qe.Alternatives = len(cands)
-				tr.record(qe)
-				chosenKeys := map[string]bool{}
-				for _, s := range chosen {
-					chosenKeys[s.Key()] = true
-				}
-				for _, s := range cands {
-					ce := journal.Ev(journal.KindCandidate)
-					ce.Query = i
-					ce.Structure = s.Key()
-					ce.Accepted = chosenKeys[s.Key()]
-					if ce.Accepted {
-						ce.Gain = gain
-					}
-					tr.record(ce)
-				}
-			}
-			// Deliberately unbudgeted: the storage bound is a search-layer
-			// constraint, and pruning candidates here would make the costed
-			// pool budget-specific — the enumeration greedy enforces the
-			// bound where it belongs.
-			chosen, err := greedySearch(ev, eventScope(i), base, cands, greedyOptions{
-				m: opts.GreedyM, k: perQueryK, tr: tr,
-				scope: journal.ScopeQuery, query: i,
-			})
-			if err != nil {
-				return 0, err
-			}
-			if len(chosen) == 0 {
-				journalQuery(baseCost, 0, nil)
-				return 0, nil
-			}
-			bestCfg := base.Clone()
-			for _, s := range chosen {
-				s.ApplyTo(bestCfg)
-			}
-			bestCost, _, err := ev.cost(i, ev.config(bestCfg))
-			if err != nil {
-				return 0, err
-			}
-			gain := (baseCost - bestCost) * w.Events[i].Weight
-			journalQuery(bestCost, gain, chosen)
-			g := QueryGain{Query: i, BaseCost: baseCost, BestCost: bestCost}
-			for _, s := range chosen {
+			return nil, nil, nil, statsCreated, sel.err
+		}
+		if len(sel.chosen) > 0 {
+			g := QueryGain{Query: i, BaseCost: sel.baseCost, BestCost: sel.bestCost}
+			for _, s := range sel.chosen {
 				key := s.Key()
 				if _, dup := pool[key]; !dup {
 					pool[key] = s
@@ -161,23 +158,109 @@ func selectCandidates(t Tuner, ev *evaluator, tr *tracker, w *workload.Workload,
 				g.Structures = append(g.Structures, key)
 			}
 			gains = append(gains, g)
-			return gain, nil
-		}()
-		qspan.SetArg("gain", gain)
-		endQuery()
-		if err != nil {
-			if stopping(err) {
-				break // keep the candidates gathered so far
-			}
-			return nil, nil, nil, statsCreated, err
 		}
-		tr.eventDone(gain)
+		tr.eventDone(sel.gain)
 	}
 	out := make([]catalog.Structure, 0, len(order))
 	for _, k := range order {
 		out = append(out, pool[k])
 	}
 	return out, gains, batches, statsCreated, nil
+}
+
+// querySelection is one query's candidate-selection outcome, written by the
+// pool worker that ran the query's search into the query's own slot and
+// folded by the coordinator in event order.
+type querySelection struct {
+	// ran reports that the search ran (false: skipped, because the session
+	// had stopped or an earlier query had failed).
+	ran                bool
+	chosen             []catalog.Structure
+	baseCost, bestCost float64
+	// gain is the query's weighted cost reduction.
+	gain float64
+	// journal buffers the query's decision events (its Greedy(m,k)'s seed
+	// and steps, then the query summary and per-candidate verdicts).
+	journal []journal.Event
+	err     error
+}
+
+// selectQuery runs one query's candidate selection: its base cost, a
+// Greedy(m,k) over its candidates, and the cost of the chosen subset. It
+// runs on a pool worker, so it touches no coordinator state: its spans nest
+// under the given phase span and its journal events go to the returned
+// buffer.
+func selectQuery(ev *evaluator, tr *tracker, e *workload.Event, i int, base *catalog.Configuration, cands []catalog.Structure, phase context.Context, o greedyOptions) (sel querySelection) {
+	sel.ran = true
+	ctx, span := obs.StartSpan(phase, "query", "select-candidates")
+	span.SetArg("event", i).SetArg("candidates", len(cands))
+	defer func() {
+		span.SetArg("gain", sel.gain).End()
+	}()
+	if len(cands) == 0 {
+		return sel
+	}
+	if tr.journaling() {
+		o.log = &sel.journal
+	}
+	baseCost, _, err := ev.eval(i, ev.config(base), ctx)
+	if err != nil {
+		sel.err = err
+		return sel
+	}
+	// journalQuery records the query's selection outcome: one summary event
+	// plus one accept/reject event per generated candidate.
+	journalQuery := func(bestCost, gain float64, chosen []catalog.Structure) {
+		if o.log == nil {
+			return
+		}
+		qe := journal.Ev(journal.KindQuery)
+		qe.Query = i
+		qe.SQL = e.SQL
+		qe.CostBefore, qe.CostAfter, qe.Gain = baseCost, bestCost, gain
+		qe.Alternatives = len(cands)
+		o.record(qe)
+		chosenKeys := map[string]bool{}
+		for _, s := range chosen {
+			chosenKeys[s.Key()] = true
+		}
+		for _, s := range cands {
+			ce := journal.Ev(journal.KindCandidate)
+			ce.Query = i
+			ce.Structure = s.Key()
+			ce.Accepted = chosenKeys[s.Key()]
+			if ce.Accepted {
+				ce.Gain = gain
+			}
+			o.record(ce)
+		}
+	}
+	// Deliberately unbudgeted: the storage bound is a search-layer
+	// constraint, and pruning candidates here would make the costed pool
+	// budget-specific — the enumeration greedy enforces the bound where it
+	// belongs.
+	chosen, err := greedySearch(ev, eventScope(i, ctx), base, cands, o)
+	if err != nil {
+		sel.err = err
+		return sel
+	}
+	if len(chosen) == 0 {
+		journalQuery(baseCost, 0, nil)
+		return sel
+	}
+	bestCfg := base.Clone()
+	for _, s := range chosen {
+		s.ApplyTo(bestCfg)
+	}
+	bestCost, _, err := ev.eval(i, ev.config(bestCfg), ctx)
+	if err != nil {
+		sel.err = err
+		return sel
+	}
+	sel.gain = (baseCost - bestCost) * e.Weight
+	journalQuery(bestCost, sel.gain, chosen)
+	sel.chosen, sel.baseCost, sel.bestCost = chosen, baseCost, bestCost
+	return sel
 }
 
 // capCandidates keeps the limit highest-benefit candidates (merged

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -79,9 +80,9 @@ type evaluator struct {
 	drv *derive.Engine
 	// dpool holds the additive structures (non-clustered indexes and views)
 	// of the derivation engine's current candidate pool, ascending by ID;
-	// dgen counts setDerivePool calls, so each event's additive pool subset
-	// (costTable.additive) is computed once per pool. Written only between
-	// parallel sections.
+	// dgen counts pool installations (setDerivePool, setQueryPools), so each
+	// event's additive pool subset (costTable.additive) is computed once per
+	// pool. Written only between parallel sections.
 	dpool []*structInfo
 	dgen  int64
 
@@ -605,11 +606,18 @@ func (t *costTable) drop(h uint64, ce *cacheEntry) {
 	}
 }
 
-// cost evaluates event i under configuration c — the evaluator's one
-// evaluation entry: every search, costing, report, and checkpoint path
-// reads per-event costs through it. A cache hit takes one read lock and
-// allocates nothing.
+// cost evaluates event i under configuration c, nesting any what-if span it
+// opens under the tracker's phase span.
 func (ev *evaluator) cost(i int, c *config) (float64, []string, error) {
+	return ev.eval(i, c, nil)
+}
+
+// eval evaluates event i under configuration c — the evaluator's one
+// evaluation entry: every search, costing, report, and checkpoint path
+// reads per-event costs through it. span parents the what-if spans a miss
+// opens (nil: the tracker's phase span). A cache hit takes one read lock
+// and allocates nothing.
+func (ev *evaluator) eval(i int, c *config, span context.Context) (float64, []string, error) {
 	if ev.infos[i].q == nil {
 		// The statement does not resolve against the catalog (e.g. it
 		// references objects of a database not being tuned); it is skipped
@@ -626,7 +634,7 @@ func (ev *evaluator) cost(i int, c *config) (float64, []string, error) {
 	if ce == nil {
 		var leader bool
 		if ce, leader = t.claim(h, ids, nil); leader {
-			return ev.miss(i, c, h, ce)
+			return ev.miss(i, c, h, ce, span)
 		}
 	}
 	select {
@@ -643,7 +651,7 @@ func (ev *evaluator) cost(i int, c *config) (float64, []string, error) {
 
 // miss is the cache-miss leader's path: this goroutine owns the entry and
 // issues the one call (or derivation) behind it.
-func (ev *evaluator) miss(i int, c *config, h uint64, ce *cacheEntry) (float64, []string, error) {
+func (ev *evaluator) miss(i int, c *config, h uint64, ce *cacheEntry, span context.Context) (float64, []string, error) {
 	fail := func(err error) (float64, []string, error) {
 		ce.err = err
 		ev.tables[i].drop(h, ce)
@@ -655,7 +663,7 @@ func (ev *evaluator) miss(i int, c *config, h uint64, ce *cacheEntry) (float64, 
 	}
 	if ev.drv != nil {
 		if res, ok := ev.drv.Resolve(i, len(ev.infos[i].q.Scopes) > 1, ce.ids, ev.additive(i), func(top *catalog.Configuration) (float64, []string, *optimizer.Alternatives, error) {
-			cost, used, alts, err := ev.realCall(i, top, true)
+			cost, used, alts, err := ev.realCall(i, top, true, span)
 			if err == nil {
 				ev.remember(i, top, cost, used)
 			}
@@ -674,7 +682,7 @@ func (ev *evaluator) miss(i int, c *config, h uint64, ce *cacheEntry) (float64, 
 			return ce.cost, ce.used, nil
 		}
 	}
-	cost, used, _, err := ev.realCall(i, c.catalog(), false)
+	cost, used, _, err := ev.realCall(i, c.catalog(), false, span)
 	if err != nil {
 		return fail(err)
 	}
@@ -717,9 +725,9 @@ func (ev *evaluator) remember(i int, top *catalog.Configuration, cost float64, u
 // span, and maps its failure onto the session's stop protocol: errStopped
 // when the session is winding down or degrades because of it, the backend's
 // error when the call was critical.
-func (ev *evaluator) realCall(i int, cfg *catalog.Configuration, wantAlts bool) (float64, []string, *optimizer.Alternatives, error) {
+func (ev *evaluator) realCall(i int, cfg *catalog.Configuration, wantAlts bool, span context.Context) (float64, []string, *optimizer.Alternatives, error) {
 	ev.count(ev.mMisses)
-	_, sp := obs.StartSpan(ev.tr.spanCtx(), "whatif", "what-if")
+	_, sp := obs.StartSpan(ev.spanParent(span), "whatif", "what-if")
 	c, used, alts, err := ev.whatIfCall(i, cfg, wantAlts)
 	if err != nil {
 		sp.SetArg("event", i).SetArg("error", err.Error()).End()
@@ -744,14 +752,58 @@ func (ev *evaluator) realCall(i int, cfg *catalog.Configuration, wantAlts bool) 
 // setDerivePool installs the candidate pool of the search phase about to run
 // as the source of every derivation top's additive part, and registers it
 // with the derivation engine; a no-op without an engine. The advisor calls
-// it at deterministic phase boundaries (per-query candidate selection,
-// global enumeration), which keeps every top, and hence the set of real
-// calls issued, independent of scheduling.
+// it at a deterministic phase boundary (global enumeration), which keeps
+// every top, and hence the set of real calls issued, independent of
+// scheduling.
 func (ev *evaluator) setDerivePool(cands []catalog.Structure) {
 	if ev.drv == nil {
 		return
 	}
-	reg := make([]derive.Keyed, 0, len(cands))
+	pool, reg := ev.additivePool(cands, nil)
+	ev.drv.Register(reg)
+	ev.dpool = pool
+	ev.dgen++
+}
+
+// setQueryPools installs per-query candidate pools for candidate selection:
+// pools[i] is event i's own candidate set, the pool its Greedy(m,k) draws
+// from. Their union is registered with the derivation engine once, and
+// every event gets the additive subset of its own pool under one pool
+// generation, so the per-query searches running concurrently never share or
+// swap a pool; the next setDerivePool supersedes them all. Events beyond
+// len(pools), or without a pool, get an empty subset. The pools are
+// interned on the worker pool (interning order does not matter: IDs never
+// leave the process, and everything they order is a set); the union is
+// registered in event order. A no-op without an engine.
+func (ev *evaluator) setQueryPools(pools [][]catalog.Structure) {
+	if ev.drv == nil {
+		return
+	}
+	ev.dpool = nil
+	ev.dgen++
+	regs := make([][]derive.Keyed, len(pools))
+	ev.pool().each(len(ev.tables), func(i int) {
+		var pool []*structInfo
+		if i < len(pools) {
+			pool, regs[i] = ev.additivePool(pools[i], nil)
+		}
+		t := &ev.tables[i]
+		t.mu.Lock()
+		t.gen, t.additive = ev.dgen, nil
+		for _, x := range pool {
+			if x.rel.has(i) {
+				t.additive = append(t.additive, x.id)
+			}
+		}
+		t.mu.Unlock()
+	})
+	ev.drv.Register(slices.Concat(regs...))
+}
+
+// additivePool interns a candidate pool, appending its registry entries to
+// reg, and returns its additive structures (non-clustered indexes and
+// views), ascending by ID.
+func (ev *evaluator) additivePool(cands []catalog.Structure, reg []derive.Keyed) ([]*structInfo, []derive.Keyed) {
 	var pool []*structInfo
 	for _, s := range cands {
 		x := ev.structure(s)
@@ -760,9 +812,7 @@ func (ev *evaluator) setDerivePool(cands []catalog.Structure) {
 			pool = append(pool, x)
 		}
 	}
-	ev.drv.Register(reg)
-	ev.dpool = sortEnts(pool)
-	ev.dgen++
+	return sortEnts(pool), reg
 }
 
 // bumpDeriveEpoch invalidates plan skeletons after statistics creation; a
@@ -856,14 +906,35 @@ func (ev *evaluator) skippedEvents() int {
 
 // scope is the set of events one cost function folds over: the whole
 // workload (weighted sum in event order) or, for a per-query candidate
-// selection, a single event (its unweighted cost).
+// selection, a single event (its unweighted cost). span, when set, parents
+// the spans of the scope's evaluations (nil: the tracker's phase span) —
+// per-query searches run concurrently, so each carries its own.
 type scope struct {
 	events []int
 	single bool
+	span   context.Context
 }
 
-// eventScope is the per-query scope of event i.
-func eventScope(i int) *scope { return &scope{events: []int{i}, single: true} }
+// eventScope is the per-query scope of event i, its spans nested under span.
+func eventScope(i int, span context.Context) *scope {
+	return &scope{events: []int{i}, single: true, span: span}
+}
+
+// under returns the scope with its evaluations' spans nested under span.
+func (sc *scope) under(span context.Context) *scope {
+	c := *sc
+	c.span = span
+	return &c
+}
+
+// spanParent resolves a span parent: span itself, or the tracker's phase
+// span when nil.
+func (ev *evaluator) spanParent(span context.Context) context.Context {
+	if span != nil {
+		return span
+	}
+	return ev.tr.spanCtx()
+}
 
 // costed is a configuration with its per-event costs over a scope (indexed
 // like scope.events) and their fold — the state a Greedy(m,k) frontier or a
@@ -890,7 +961,7 @@ func (ev *evaluator) costAll(sc *scope, c *config) (*costed, error) {
 	costs := make([]float64, n)
 	errs := make([]error, n)
 	ev.pool().each(n, func(p int) {
-		costs[p], _, errs[p] = ev.cost(sc.events[p], c)
+		costs[p], _, errs[p] = ev.eval(sc.events[p], c, sc.span)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -913,7 +984,7 @@ func (ev *evaluator) child(sc *scope, p *costed, c *config) (float64, []override
 		if !touched.has(i) {
 			continue
 		}
-		cost, _, err := ev.cost(i, c)
+		cost, _, err := ev.eval(i, c, sc.span)
 		if err != nil {
 			return 0, nil, err
 		}

@@ -37,6 +37,20 @@ type greedyOptions struct {
 	// workload event index for per-query searches (-1 otherwise).
 	scope string
 	query int
+	// log, when set, buffers the search's journal events instead of
+	// appending them to the session journal: a per-query search runs on a
+	// pool worker beside other queries' searches, and its coordinator
+	// appends the buffer in event order.
+	log *[]journal.Event
+}
+
+// record journals one decision event of the search.
+func (o greedyOptions) record(e journal.Event) {
+	if o.log != nil {
+		*o.log = append(*o.log, e)
+		return
+	}
+	o.tr.record(e)
 }
 
 // candidate is one structure of a search's pool, interned once per search:
@@ -182,12 +196,15 @@ func greedySearch(ev *evaluator, sc *scope, base *catalog.Configuration, cands [
 	// sequentially in candidate order, which is exactly the sequential DFS's
 	// preorder update sequence (costs are deterministic, so prefetching them
 	// concurrently changes nothing but wall-clock).
+	seedCtx, seedSpan := obs.StartSpan(ev.spanParent(sc.span), "greedy", "greedy-seed")
+	seedSpan.SetArg("m", o.m).SetArg("candidates", len(cands))
+	seedScope := sc.under(seedCtx)
 	var trySubset func(start int, cur state, size int) error
 	trySubset = func(start int, cur state, size int) error {
 		if size == o.m || expired() {
 			return nil
 		}
-		res, _ := evalFrontier(ev, o, sc, cur.node, pool[start:], fits)
+		res, _ := evalFrontier(ev, o, seedScope, cur.node, pool[start:], fits)
 		for j, r := range res {
 			if expired() {
 				return nil
@@ -216,10 +233,8 @@ func greedySearch(ev *evaluator, sc *scope, base *catalog.Configuration, cands [
 		}
 		return nil
 	}
-	seedSpan, endSeed := o.tr.span("greedy", "greedy-seed")
-	seedSpan.SetArg("m", o.m).SetArg("candidates", len(cands))
 	err = trySubset(0, best, 0)
-	endSeed()
+	seedSpan.End()
 	if o.scope != "" && o.tr.journaling() && len(best.chosen) > 0 {
 		ev := journal.Ev(journal.KindSeed)
 		ev.Scope, ev.Query = o.scope, o.query
@@ -229,7 +244,7 @@ func greedySearch(ev *evaluator, sc *scope, base *catalog.Configuration, cands [
 		ev.Accepted = true
 		ev.CostBefore, ev.CostAfter = baseCost, best.node.total
 		ev.Alternatives = len(cands)
-		o.tr.record(ev)
+		o.record(ev)
 	}
 	if err != nil {
 		if stopping(err) {
@@ -243,13 +258,13 @@ func greedySearch(ev *evaluator, sc *scope, base *catalog.Configuration, cands [
 	// timeline shows how the per-step what-if cost shrinks as the evaluator
 	// cache warms up.
 	for step := 0; len(best.chosen) < o.k && !expired(); step++ {
-		stepSpan, endStep := o.tr.span("greedy", "greedy-step")
+		stepCtx, stepSpan := obs.StartSpan(ev.spanParent(sc.span), "greedy", "greedy-step")
 		stepSpan.SetArg("step", step).SetArg("chosen", len(best.chosen))
 		grew, err := func() (bool, error) {
 			// One sweep over the candidate pool: evaluate the whole frontier
 			// in parallel, then pick the winner sequentially in candidate
 			// order (ties broken by structure key — see better).
-			res, workers := evalFrontier(ev, o, sc, best.node, pool, fits)
+			res, workers := evalFrontier(ev, o, sc.under(stepCtx), best.node, pool, fits)
 			stepSpan.SetArg("workers", workers)
 			bestIdx := -1
 			bestCost := math.Inf(1)
@@ -291,7 +306,7 @@ func greedySearch(ev *evaluator, sc *scope, base *catalog.Configuration, cands [
 				if runnerKey != "" {
 					ev.RunnerUp, ev.RunnerUpCost = runnerKey, runnerCost
 				}
-				o.tr.record(ev)
+				o.record(ev)
 			}
 			if bestIdx < 0 || bestCost >= best.node.total*(1-o.minImprove) {
 				journalStep(false)
@@ -313,7 +328,7 @@ func greedySearch(ev *evaluator, sc *scope, base *catalog.Configuration, cands [
 			}
 			return true, nil
 		}()
-		endStep()
+		stepSpan.End()
 		if err != nil {
 			if stopping(err) {
 				return best.chosen, nil

@@ -1,12 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/demo"
 	"repro/internal/journal"
+	"repro/internal/obs"
 )
 
 // TestJournalingDeterminism is the observability contract: attaching a
@@ -218,5 +223,90 @@ func TestJournalBoundedUnderFlood(t *testing.T) {
 	}
 	if jnl.Dropped() == 0 {
 		t.Fatal("flood never overflowed the tiny rings; the bound was not exercised")
+	}
+}
+
+// TestJournalAndTraceUnderCrossQueryParallelism: candidate selection runs
+// every query's search on the worker pool, so a journaled, traced toy TPC-H
+// tune must still record the same decision-event sequence at Parallelism 1
+// and 4 — each query's events are buffered by the worker and appended in
+// event order — and its trace must still nest every query span directly
+// under the candidate-selection phase span, and every greedy span under a
+// query span or the enumeration phase. Run it under -race: per-query
+// searches share the tracker, the evaluator and the journal.
+func TestJournalAndTraceUnderCrossQueryParallelism(t *testing.T) {
+	decisions := func(jnl *journal.Journal) []string {
+		var out []string
+		for _, e := range jnl.Events(journal.KindPhase, journal.KindQuery, journal.KindCandidate,
+			journal.KindSeed, journal.KindStep, journal.KindMerge, journal.KindDrop, journal.KindStop) {
+			out = append(out, fmt.Sprintf("%s q=%d step=%d %s%s %v %s",
+				e.Kind, e.Query, e.Step, e.Structure, strings.Join(e.Structures, ","), e.Accepted, e.Phase))
+		}
+		return out
+	}
+	var want []string
+	for _, par := range []int{1, 4} {
+		srv, w, base := toyBackend(t, "tpch")
+		jnl := journal.New("tpch")
+		tr := obs.NewTrace("tpch")
+		ctx := obs.WithTrace(journal.WithContext(context.Background(), jnl), tr)
+		if _, err := TuneContext(ctx, srv, w, Options{Features: FeatureAll, BaseConfig: base, Parallelism: par, SkipReports: true}); err != nil {
+			t.Fatal(err)
+		}
+		got := decisions(jnl)
+		if par == 1 {
+			want = got
+			if len(jnl.Events(journal.KindQuery)) != len(w.Events) {
+				t.Fatalf("%d query events for %d events", len(jnl.Events(journal.KindQuery)), len(w.Events))
+			}
+		} else if !slices.Equal(got, want) {
+			for i := range min(len(got), len(want)) {
+				if got[i] != want[i] {
+					t.Fatalf("P=%d: decision %d is %q, want %q (of %d vs %d events)", par, i, got[i], want[i], len(got), len(want))
+				}
+			}
+			t.Fatalf("P=%d: %d decision events, want %d", par, len(got), len(want))
+		}
+
+		var buf bytes.Buffer
+		if err := tr.WriteChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Name string         `json:"name"`
+				Cat  string         `json:"cat"`
+				ID   int64          `json:"id"`
+				Args map[string]any `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		name := map[int64]string{}
+		parent := map[int64]int64{}
+		for _, e := range doc.TraceEvents {
+			name[e.ID] = e.Cat + "/" + e.Name
+			if p, ok := e.Args["parentSpan"].(float64); ok {
+				parent[e.ID] = int64(p)
+			}
+		}
+		queries := 0
+		for id, n := range name {
+			switch p := name[parent[id]]; {
+			case n == "query/select-candidates":
+				queries++
+				if p != "phase/candidate-selection" {
+					t.Errorf("P=%d: query span parented by %q", par, p)
+				}
+			case strings.HasPrefix(n, "greedy/"):
+				if p != "query/select-candidates" && p != "phase/enumeration" {
+					t.Errorf("P=%d: %s span parented by %q", par, n, p)
+				}
+			}
+		}
+		if queries != len(w.Events) {
+			t.Errorf("P=%d: %d query spans for %d events", par, queries, len(w.Events))
+		}
 	}
 }

@@ -100,7 +100,7 @@ type Progress struct {
 	// skeletons). Streamed live so the calls-saved ratio is visible while
 	// the session runs, not only in the final Result.
 	DerivedEvals int64 `json:"derivedEvals,omitempty"`
-	// DeriveFallbacks breaks down, by reason (dml, atom, eval-error,
+	// DeriveFallbacks breaks down, by reason (atom, eval-error,
 	// used-escape), the real optimizer calls behind derivation: skeleton
 	// fetches and the evaluations replay could not answer.
 	DeriveFallbacks map[string]int64 `json:"deriveFallbacks,omitempty"`
@@ -217,11 +217,14 @@ type tracker struct {
 	cbMu sync.Mutex
 
 	// Observability. tuneCtx carries the session's tune-level span; sctx is
-	// the context of the innermost open span (phase, query, greedy step) so
-	// deeper spans nest under it. Both are written only by the coordinator
-	// outside parallel sections; workers read sctx to parent their what-if
-	// spans. metrics, when set, receives the pipeline-shape histograms
-	// (phase durations, candidates per query, pool sizes).
+	// the context of the open phase span, which every span of the phase
+	// without a parent of its own nests under. Both are written only by the
+	// coordinator outside parallel sections; workers only read sctx. Spans
+	// opened below the phase (queries, greedy seeds and steps, the what-if
+	// calls inside them) take their parent explicitly (scope.span), because
+	// per-query searches run concurrently. metrics, when set, receives the
+	// pipeline-shape histograms (phase durations, candidates per query, pool
+	// sizes).
 	tuneCtx   context.Context
 	sctx      context.Context
 	phaseSpan *obs.Span
@@ -378,33 +381,13 @@ func (tr *tracker) attachSpans(ctx context.Context) {
 	tr.sctx = ctx
 }
 
-// spanCtx returns the context of the innermost open span (for code that
-// starts spans outside the tracker's own helpers, like the evaluator's
-// per-what-if-call spans).
+// spanCtx returns the context of the open phase span (the tune-level span
+// between phases), the parent of every span that has none of its own.
 func (tr *tracker) spanCtx() context.Context {
 	if tr == nil || tr.sctx == nil {
 		return context.Background()
 	}
 	return tr.sctx
-}
-
-// span opens a child span of the tracker's innermost open span. The returned
-// func ends it and restores the previous nesting level; with tracing off
-// both the span and the work are nil/no-op.
-func (tr *tracker) span(cat, name string) (*obs.Span, func()) {
-	if tr == nil || tr.sctx == nil {
-		return nil, func() {}
-	}
-	prev := tr.sctx
-	ctx, sp := obs.StartSpan(prev, cat, name)
-	if sp == nil {
-		return nil, func() {}
-	}
-	tr.sctx = ctx
-	return sp, func() {
-		sp.End()
-		tr.sctx = prev
-	}
 }
 
 // closePhase ends the open phase span and observes the phase's duration.

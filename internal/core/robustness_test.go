@@ -3,14 +3,22 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/derive"
 	"repro/internal/fault"
+	"repro/internal/journal"
+	"repro/internal/sqlparser"
+	"repro/internal/stats"
+	"repro/internal/whatif"
 	"repro/internal/workload"
 )
 
@@ -278,5 +286,110 @@ func TestDegradedSkipsReports(t *testing.T) {
 	}
 	if len(rec.Reports) != 0 {
 		t.Fatalf("degraded session built %d per-query reports", len(rec.Reports))
+	}
+}
+
+// statsFailingTuner fails every statistics-creation call from the failAt-th
+// on (1-based), recording each call's request batch.
+type statsFailingTuner struct {
+	Tuner
+	failAt int
+	mu     sync.Mutex
+	calls  [][]stats.Request
+}
+
+func (s *statsFailingTuner) EnsureStatistics(reqs []stats.Request, reduce bool) (int, error) {
+	s.mu.Lock()
+	s.calls = append(s.calls, reqs)
+	n := len(s.calls)
+	s.mu.Unlock()
+	if n >= s.failAt {
+		return 0, errors.New("statistics backend unavailable")
+	}
+	return s.Tuner.EnsureStatistics(reqs, reduce)
+}
+
+// TestStatsFailureDegradedLimitsSelection: a statistics failure that
+// outlasts its retries during candidate selection degrades the session at
+// the failing query, as the sequential loop's break did. Statistics come
+// first now, so selection stops creating statistics there, no query from
+// the failing one on is searched, and the degraded recommendation is the
+// same at every parallelism.
+func TestStatsFailureDegradedLimitsSelection(t *testing.T) {
+	const failAt = 4 // every lookup has candidates: the 4th batch is event 3's
+	var want string
+	for _, par := range []int{1, 4} {
+		st := &statsFailingTuner{Tuner: testServer(t), failAt: failAt}
+		jnl := journal.New("stats")
+		rec, err := TuneContext(journal.WithContext(context.Background(), jnl), st, lookupWorkload(12),
+			Options{NoCompression: true, Parallelism: par})
+		if err != nil {
+			t.Fatalf("P=%d: session must degrade, not fail: %v", par, err)
+		}
+		if rec.StopReason != StopDegraded {
+			t.Fatalf("P=%d: StopReason = %q, want %q", par, rec.StopReason, StopDegraded)
+		}
+		// The failing batch is retried, and no later batch is issued.
+		for i := failAt; i < len(st.calls); i++ {
+			if !reflect.DeepEqual(st.calls[i], st.calls[failAt-1]) {
+				t.Fatalf("P=%d: statistics call %d issued a later query's batch after the failure", par, i+1)
+			}
+		}
+		for _, e := range jnl.Events(journal.KindQuery) {
+			if e.Query >= failAt-1 {
+				t.Errorf("P=%d: query %d searched at or after the failing one (%d)", par, e.Query, failAt-1)
+			}
+		}
+		if par == 1 {
+			want = fingerprint(rec)
+		} else if got := fingerprint(rec); got != want {
+			t.Errorf("P=%d: degraded recommendation differs from P=1:\n%s\nvs\n%s", par, got, want)
+		}
+	}
+}
+
+// verifySkewTuner perturbs the real cost of every configuration holding an
+// index keyed on column a, so in derive=verify mode each derived cost for
+// such a configuration fails its cross-check.
+type verifySkewTuner struct{ *whatif.Server }
+
+func (v verifySkewTuner) WhatIfCost(stmt sqlparser.Statement, cfg *catalog.Configuration) (float64, []string, error) {
+	c, used, err := v.Server.WhatIfCost(stmt, cfg)
+	for _, ix := range cfg.Indexes {
+		if ix.KeyColumns[0] == "a" {
+			return c + 1, used, err
+		}
+	}
+	return c, used, err
+}
+
+// TestSelectionErrorSameAtEveryParallelism: a failure that is an error, not
+// a stop — here a derive=verify mismatch, which fails the session — hits
+// several queries' searches, some running concurrently at Parallelism 4.
+// The session must surface the earliest query's error, as the sequential
+// loop did, at every parallelism.
+func TestSelectionErrorSameAtEveryParallelism(t *testing.T) {
+	var sqls []string
+	for i := 0; i < 4; i++ {
+		sqls = append(sqls, fmt.Sprintf("SELECT id FROM t WHERE x = %d", i*37))
+	}
+	for i := 0; i < 8; i++ {
+		sqls = append(sqls, fmt.Sprintf("SELECT SUM(amt) FROM t WHERE a = %d", i))
+	}
+	w := workload.MustNew(sqls...)
+	var want string
+	for _, par := range []int{1, 4} {
+		_, err := Tune(verifySkewTuner{testServer(t)}, w, Options{NoCompression: true, Derive: derive.Verify, Parallelism: par})
+		if err == nil {
+			t.Fatalf("P=%d: the verify mismatch did not fail the session", par)
+		}
+		if par == 1 {
+			want = err.Error()
+			if !strings.Contains(want, "event 4:") {
+				t.Fatalf("P=1: error %q is not the first a-query's (event 4)", want)
+			}
+		} else if err.Error() != want {
+			t.Errorf("P=%d: error %q, want %q", par, err, want)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/journal"
 	"repro/internal/sqlparser"
 	"repro/internal/workload"
 )
@@ -120,5 +121,62 @@ func TestCancelMidGreedy(t *testing.T) {
 	cancelNow()
 	if _, err := TuneContext(done, s, w, Options{NoCompression: true}); err == nil {
 		t.Fatal("expected an error when cancelled before baseline costing")
+	}
+}
+
+// TestCancelMidCandidateSelectionParallel cancels a session while its
+// per-query searches run concurrently on four workers. The session must
+// return promptly with a cancelled best-so-far recommendation built only
+// from queries whose selection completed: the journaled queries form a
+// prefix of the workload, and every recommended structure was chosen by
+// one of them.
+func TestCancelMidCandidateSelectionParallel(t *testing.T) {
+	w := lookupWorkload(120)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// Baseline costing takes 120 calls; the cancellation lands inside
+	// candidate selection.
+	ct := &cancellingTuner{Tuner: testServer(t), limit: 300, cancel: cancel}
+	jnl := journal.New("cancel")
+	done := make(chan struct{})
+	var rec *Recommendation
+	var err error
+	go func() {
+		defer close(done)
+		rec, err = TuneContext(journal.WithContext(ctx, jnl), ct, w, Options{NoCompression: true, Parallelism: 4, SkipReports: true})
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("cancelled session did not return (deadlock?)")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.StopReason != StopCancelled {
+		t.Fatalf("StopReason = %q, want %q", rec.StopReason, StopCancelled)
+	}
+	queries := jnl.Events(journal.KindQuery)
+	if len(queries) == 0 || len(queries) >= w.Len() {
+		t.Fatalf("%d of %d queries completed; the cancellation missed candidate selection", len(queries), w.Len())
+	}
+	chosen := map[string]bool{}
+	for i, e := range queries {
+		if e.Query != i {
+			t.Fatalf("completed queries are not a workload prefix: journal entry %d is query %d", i, e.Query)
+		}
+	}
+	for _, e := range jnl.Events(journal.KindCandidate) {
+		if e.Accepted {
+			chosen[e.Structure] = true
+		}
+	}
+	for _, s := range rec.NewStructures {
+		if !chosen[s.Key()] {
+			t.Errorf("recommended %s, which no completed query chose", s.Key())
+		}
+	}
+	if rec.Improvement < 0 {
+		t.Fatalf("partial recommendation worse than base: %v", rec.Improvement)
 	}
 }

@@ -60,7 +60,7 @@ const (
 	KindDrop Kind = "drop"
 	// KindDeriveFallback records one real optimizer call behind cost
 	// derivation, with the fallback reason taxonomy from internal/derive
-	// (dml, atom, eval-error, used-escape).
+	// (atom, eval-error, used-escape).
 	KindDeriveFallback Kind = "derive-fallback"
 	// KindRetry records one failed backend attempt (the retry layer's
 	// per-site transitions; successes are not journaled).
