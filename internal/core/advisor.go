@@ -517,7 +517,8 @@ func buildCostedState(ctx context.Context, t Tuner, w *workload.Workload, opts O
 		if err := opts.Resume.Check(); err != nil {
 			return nil, nil, err
 		}
-		ev.warmStart(opts.Resume.Cache)
+		// The skeletons wait for the statistics pass (see warmStart).
+		ev.warmStart(CostingSection{Cache: opts.Resume.Cache})
 	}
 	ev.attach(tr)
 	tr.setPhase(PhaseBaseline)

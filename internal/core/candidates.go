@@ -108,6 +108,10 @@ func selectCandidates(t Tuner, ev *evaluator, tr *tracker, w *workload.Workload,
 		// before them no longer predict fresh calls.
 		ev.bumpDeriveEpoch()
 	}
+	if opts.Resume != nil {
+		// A resumed session's skeleton restore point (see warmStart).
+		ev.warmStart(CostingSection{Skeletons: opts.Resume.Skeletons})
+	}
 	ev.setQueryPools(pools)
 
 	// Pass 2: every query's search, on the pool. After a query fails for

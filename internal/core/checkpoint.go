@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/derive"
@@ -54,19 +55,11 @@ func (c *CostCache) check(events int) error {
 			return fmt.Errorf("cost-cache key table not strictly ascending at %d", i)
 		}
 	}
-	inTable := func(ids []int32) bool {
-		for _, id := range ids {
-			if id < 0 || int(id) >= len(c.Structs) {
-				return false
-			}
-		}
-		return true
-	}
 	for i, e := range c.Entries {
 		switch {
 		case e.Event < 0 || (events >= 0 && e.Event >= events):
 			return fmt.Errorf("cost-cache entry %d: event %d out of range", i, e.Event)
-		case !inTable(e.IDs) || !inTable(e.Used):
+		case !c.inTable(e.IDs) || !c.inTable(e.Used):
 			return fmt.Errorf("cost-cache entry %d: structure ID out of range", i)
 		case !ascending(e.IDs):
 			return fmt.Errorf("cost-cache entry %d: IDs not strictly ascending", i)
@@ -75,6 +68,16 @@ func (c *CostCache) check(events int) error {
 		}
 	}
 	return nil
+}
+
+// inTable reports whether every position indexes the key table.
+func (c *CostCache) inTable(positions []int32) bool {
+	for _, p := range positions {
+		if p < 0 || int(p) >= len(c.Structs) {
+			return false
+		}
+	}
+	return true
 }
 
 // ascending reports whether ids is strictly ascending.
@@ -96,82 +99,76 @@ func compareEntries(a, b CostEntry) int {
 }
 
 // Checkpoint is a point-in-time snapshot of a tuning session's restartable
-// state. The pipeline is deterministic given its optimizer costs (the
-// parallel-evaluation design already guarantees identical recommendations
-// at every parallelism level), so the cost cache — the product of the
-// expensive what-if optimizer calls — is the only state worth persisting:
-// a resumed session replays the search from the start, but every decision
-// up to the crash point is re-derived from cached costs in microseconds
-// instead of optimizer calls, and the run then continues where the
-// interrupted one left off. Phase/progress fields are informational (they
-// let an operator judge how far a checkpoint got).
-//
-// Checkpoints marshal to JSON; float64 costs survive the round trip
-// exactly (encoding/json emits shortest-round-trip representations), which
-// the resume-determinism guarantee depends on.
+// state: the costing section written so far — a sealed pool's, unsealed.
+// The pipeline is deterministic given its optimizer costs, so a resumed
+// session replays the search from the start, re-deriving every decision up
+// to the crash point from persisted costs and skeletons instead of optimizer
+// calls. Phase and EventsTuned are informational; WhatIfCalls is the
+// boundary call count that fired the snapshot, that call still in flight.
+// Float costs survive the JSON round trip exactly (encoding/json emits
+// shortest-round-trip representations), which resume determinism needs.
 type Checkpoint struct {
-	Phase       Phase     `json:"phase"`
-	EventsTuned int       `json:"eventsTuned"`
-	WhatIfCalls int64     `json:"whatIfCalls"`
-	Cache       CostCache `json:"costCache"`
+	Phase       Phase `json:"phase"`
+	EventsTuned int   `json:"eventsTuned"`
+	WhatIfCalls int64 `json:"whatIfCalls"`
+	CostingSection
 }
 
-// Check validates the checkpoint's cost-cache section; a checkpoint written
-// by an older binary fails it. TuneContext refuses a Resume checkpoint that
-// does not pass.
-func (ck *Checkpoint) Check() error {
-	if err := ck.Cache.check(-1); err != nil {
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	return nil
-}
+// Check validates the checkpoint's costing section; TuneContext refuses a
+// Resume checkpoint that fails it.
+func (ck *Checkpoint) Check() error { return ck.check("checkpoint", -1) }
 
 // checkpointer drives periodic snapshots: every Options.CheckpointEvery
-// what-if calls, the worker that crossed the boundary builds a Checkpoint
-// from the evaluator's cache and hands it to the sink. A CAS flag keeps
-// snapshots from overlapping; a worker that loses the race simply skips —
-// the next boundary will snapshot again.
+// what-if calls, the worker counting the boundary call captures the
+// session's state under mu, then copies it into a Checkpoint for the sink
+// before making the call. Every count takes mu, so no later call is issued
+// during the capture: a checkpoint at boundary n holds answers to at most
+// the n−1 calls before it, lacking only those in flight. The capture only
+// references finished (immutable) cache entries and skeleton facts; the copy
+// runs beside the other workers. busy keeps sinks from overlapping; a
+// boundary reached while one runs is skipped.
 type checkpointer struct {
 	sink  func(*Checkpoint)
 	every int64
+	mu    sync.Mutex
 	busy  atomic.Bool
 	tr    *tracker
 	ev    *evaluator
 }
 
-// maybeSnapshot emits a checkpoint when the call count crosses an interval
-// boundary. Called from tracker.countCall on whichever pool worker issued
-// the call; the snapshot itself copies the cache under its lock and writes
-// the file synchronously (a few ms every `every` optimizer calls).
-func (c *checkpointer) maybeSnapshot(calls int64) {
-	if c == nil || c.sink == nil || c.ev == nil || calls%c.every != 0 {
-		return
+// count charges one call about to be issued to calls, snapshotting at
+// interval boundaries, and returns the new count (nil: no snapshots).
+func (c *checkpointer) count(calls *atomic.Int64) int64 {
+	if c == nil {
+		return calls.Add(1)
 	}
-	if !c.busy.CompareAndSwap(false, true) {
-		return
+	c.mu.Lock()
+	n := calls.Add(1)
+	var build func() *Checkpoint
+	if n%c.every == 0 && c.ev != nil && c.busy.CompareAndSwap(false, true) {
+		ck := &Checkpoint{Phase: c.tr.phase, EventsTuned: c.tr.eventsTuned, WhatIfCalls: n}
+		drv := c.ev.drv
+		if ck.Phase == PhaseBaseline || ck.Phase == PhaseColGroups {
+			drv = nil // no skeleton section yet: see warmStart
+		}
+		cache, skeletons := c.ev.snapshotCache(), drv.Capture()
+		build = func() *Checkpoint { ck.Cache, ck.Skeletons = cache(), skeletons(); return ck }
 	}
-	defer c.busy.Store(false)
-	c.sink(c.snapshot())
+	c.mu.Unlock()
+	if build != nil {
+		c.sink(build())
+		c.busy.Store(false)
+	}
+	return n
 }
 
-// snapshot builds the checkpoint from the current tracker and cache state.
-func (c *checkpointer) snapshot() *Checkpoint {
-	ck := &Checkpoint{Cache: c.ev.snapshotCache()}
-	if tr := c.tr; tr != nil {
-		ck.Phase = tr.phase
-		ck.EventsTuned = tr.eventsTuned
-		ck.WhatIfCalls = tr.calls.Load()
-	}
-	return ck
-}
-
-// snapshotCache copies every completed, successful cache entry into the
-// persisted form. Entries are read straight from the per-event tables; the
-// only strings touched are the distinct keys of the table, which is sorted
-// once, and each entry's used keys. In-flight entries are skipped — their
-// leaders will finish after the crash the checkpoint guards against, and a
-// resumed run recomputes them.
-func (ev *evaluator) snapshotCache() CostCache {
+// snapshotCache collects every completed, successful cache entry (immutable
+// once ready) and returns the function that copies them into the persisted
+// form, which may run while workers evaluate on. The copy touches only the
+// table's distinct keys, sorted once, and each entry's used keys. In-flight
+// entries are skipped — their leaders will finish after the crash the
+// checkpoint guards against, and a resumed run recomputes them.
+func (ev *evaluator) snapshotCache() func() CostCache {
 	type held struct {
 		ce     *cacheEntry
 		event  int32
@@ -194,111 +191,110 @@ func (ev *evaluator) snapshotCache() CostCache {
 		}
 		t.mu.RUnlock()
 	}
+	return func() CostCache {
+		// The canonical numbering: positions in the sorted key table. Every
+		// collected entry's IDs were interned before the entry was published, so
+		// they are all below Len now, even while workers intern more.
+		keys := make([]string, ev.in.Len()) // interned ID → key, for the IDs entries name
+		pos := map[string]int32{}           // table key → position (filled once sorted)
+		nIDs, nUsed := 0, 0
+		for _, h := range entries {
+			nIDs += len(h.ce.ids)
+			nUsed += len(h.ce.used)
+			for _, id := range h.ce.ids {
+				if keys[id] == "" {
+					keys[id] = ev.in.Key(id)
+					pos[keys[id]] = 0
+				}
+			}
+			for _, k := range h.ce.used {
+				pos[k] = 0
+			}
+		}
+		c := CostCache{Format: CostCacheFormat, Structs: make([]string, 0, len(pos))}
+		for k := range pos {
+			c.Structs = append(c.Structs, k)
+		}
+		slices.Sort(c.Structs)
+		for p, k := range c.Structs {
+			pos[k] = int32(p)
+		}
+		remap := make([]int32, len(keys))
+		for id, k := range keys {
+			if k != "" {
+				remap[id] = pos[k]
+			}
+		}
 
-	// The canonical numbering: positions in the sorted key table. Every
-	// collected entry's IDs were interned before the entry was published, so
-	// they are all below Len now, even while workers intern more.
-	seen := make([]bool, ev.in.Len())
-	pos := map[string]int32{} // table key → position (filled once sorted)
-	nIDs, nUsed := 0, 0
-	for _, h := range entries {
-		nIDs += len(h.ce.ids)
-		nUsed += len(h.ce.used)
-		for _, id := range h.ce.ids {
-			seen[id] = true
+		// Every entry's canonical IDs, ascending, in one backing array.
+		ids := make([]int32, 0, nIDs)
+		for j := range entries {
+			h := &entries[j]
+			h.lo = int32(len(ids))
+			for _, id := range h.ce.ids {
+				ids = append(ids, remap[id])
+			}
+			h.hi = int32(len(ids))
+			slices.Sort(ids[h.lo:h.hi])
 		}
-		for _, k := range h.ce.used {
-			pos[k] = 0
+		// Entries are grouped by event already; order each event's run by IDs.
+		for lo := 0; lo < len(entries); {
+			hi := lo + 1
+			for hi < len(entries) && entries[hi].event == entries[lo].event {
+				hi++
+			}
+			slices.SortFunc(entries[lo:hi], func(a, b held) int { return slices.Compare(ids[a.lo:a.hi], ids[b.lo:b.hi]) })
+			lo = hi
 		}
-	}
-	for id, ok := range seen {
-		if ok {
-			pos[ev.in.Key(int32(id))] = 0
+		used := make([]int32, 0, nUsed)
+		c.Entries = make([]CostEntry, len(entries))
+		for j, h := range entries {
+			start := len(used)
+			for _, k := range h.ce.used {
+				used = append(used, pos[k])
+			}
+			c.Entries[j] = CostEntry{Event: int(h.event), IDs: ids[h.lo:h.hi:h.hi], Cost: h.ce.cost, Used: used[start:len(used):len(used)]}
 		}
+		return c
 	}
-	c := CostCache{Format: CostCacheFormat, Structs: make([]string, 0, len(pos))}
-	for k := range pos {
-		c.Structs = append(c.Structs, k)
-	}
-	slices.Sort(c.Structs)
-	for p, k := range c.Structs {
-		pos[k] = int32(p)
-	}
-	remap := make([]int32, len(seen))
-	for id, ok := range seen {
-		if ok {
-			remap[id] = pos[ev.in.Key(int32(id))]
-		}
-	}
-
-	// Every entry's canonical IDs, ascending, in one backing array.
-	ids := make([]int32, 0, nIDs)
-	for j := range entries {
-		h := &entries[j]
-		h.lo = int32(len(ids))
-		for _, id := range h.ce.ids {
-			ids = append(ids, remap[id])
-		}
-		h.hi = int32(len(ids))
-		slices.Sort(ids[h.lo:h.hi])
-	}
-	// Entries are grouped by event already; order each event's run by IDs.
-	for lo := 0; lo < len(entries); {
-		hi := lo + 1
-		for hi < len(entries) && entries[hi].event == entries[lo].event {
-			hi++
-		}
-		slices.SortFunc(entries[lo:hi], func(a, b held) int { return slices.Compare(ids[a.lo:a.hi], ids[b.lo:b.hi]) })
-		lo = hi
-	}
-	used := make([]int32, 0, nUsed)
-	c.Entries = make([]CostEntry, len(entries))
-	for j, h := range entries {
-		start := len(used)
-		for _, k := range h.ce.used {
-			used = append(used, pos[k])
-		}
-		c.Entries[j] = CostEntry{Event: int(h.event), IDs: ids[h.lo:h.hi:h.hi], Cost: h.ce.cost, Used: used[start:len(used):len(used)]}
-	}
-	return c
 }
 
-// warmStart pre-populates the cost cache from a persisted section, so a
-// resumed session's (or a revision's) replayed decisions hit the cache
-// instead of the optimizer. The key table is interned once; after that each
-// entry is an integer remap. Called before tuning starts, while the
-// evaluator is still single-owner. Entries naming no event of this workload,
-// or a position outside the table, are ignored.
-func (ev *evaluator) warmStart(c CostCache) {
+// warmStart loads a persisted costing section — the one warm start of
+// Revise and of resume: it restores the skeleton facts (at derive epoch 0,
+// replacing the engine's) and pre-populates the cost cache, interning each
+// persisted table once and ignoring entries that name no event of this
+// workload or a position outside their table. Called between parallel
+// sections. Facts hold only under the statistics they were fetched under:
+//   - Capture: a checkpoint carries skeletons only once its session's
+//     statistics pass is over; no what-if call is issued between the
+//     candidate-selection phase marker and that pass's epoch bump, so the
+//     phase tells. Before it every evaluation is of the base configuration
+//     and a fetch's top is the requested key, so the cache holds every answer.
+//   - Resume loads the cache at session start and the skeletons right after
+//     its own statistics pass's epoch bump, before the query pools are
+//     installed (selectCandidates). Restored at start, the bump would hide
+//     them; before it they would answer pre-statistics derivations.
+//   - Revise restores both at start: a search never creates statistics.
+func (ev *evaluator) warmStart(s CostingSection) {
+	ev.drv.Restore(s.Skeletons)
+	c := s.Cache
 	ids := make([]int32, len(c.Structs))
 	for p, k := range c.Structs {
 		ids[p] = ev.in.ID(k)
 	}
 	var buf []int32
 	for _, e := range c.Entries {
-		if e.Event < 0 || e.Event >= len(ev.tables) {
+		if e.Event < 0 || e.Event >= len(ev.tables) || !c.inTable(e.Used) {
 			continue
 		}
 		var ok bool
 		if buf, ok = derive.Remap(buf[:0], e.IDs, ids); !ok {
 			continue
 		}
-		used, ok := c.keys(e.Used)
-		if !ok {
-			continue
+		var used []string
+		for _, p := range e.Used {
+			used = append(used, c.Structs[p])
 		}
 		ev.tables[e.Event].claim(hashIDs(buf), buf, &cacheEntry{ready: closedReady, cost: e.Cost, used: used})
 	}
-}
-
-// keys resolves table positions to their keys (nil for none); ok is false
-// when a position is out of range.
-func (c *CostCache) keys(positions []int32) (keys []string, ok bool) {
-	for _, p := range positions {
-		if p < 0 || int(p) >= len(c.Structs) {
-			return nil, false
-		}
-		keys = append(keys, c.Structs[p])
-	}
-	return keys, true
 }

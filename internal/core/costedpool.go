@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -105,6 +106,24 @@ func (k PoolKnobs) apply(o Options) Options {
 	return o
 }
 
+// CostingSection is the persisted costing state checkpoints and sealed pools
+// share: the cost cache and, when the backend offers them, the derivation
+// engine's skeleton facts (see warmStart for when a checkpoint holds them).
+type CostingSection struct {
+	Cache     CostCache        `json:"costCache"`
+	Skeletons *derive.Snapshot `json:"skeletons,omitempty"`
+}
+
+// check validates both sections' shape, naming what in the error; events
+// bounds the cost cache's event indexes (negative = unknown). A section
+// written by an older binary fails it.
+func (s *CostingSection) check(what string, events int) error {
+	if err := cmp.Or(s.Cache.check(events), s.Skeletons.Check()); err != nil {
+		return fmt.Errorf("core: %s: %w", what, err)
+	}
+	return nil
+}
+
 // CostedPool is the serializable boundary between the pipeline's two
 // layers: everything the costing layer produced — the compressed workload,
 // the base configuration, the candidate structures with their per-query
@@ -127,12 +146,10 @@ type CostedPool struct {
 	Gains []QueryGain `json:"gains,omitempty"`
 	// StatBatches logs the statistics-creation calls, in issue order.
 	StatBatches []StatBatch `json:"statBatches,omitempty"`
-	// Cache holds the cost cache's completed entries (the costed atoms) —
-	// the same section checkpoints persist. Its format versions the pool.
-	Cache CostCache `json:"costCache"`
-	// Derive is the derivation engine's skeleton snapshot (nil when the
-	// backend offered no skeletons).
-	Derive *derive.Snapshot `json:"skeletons,omitempty"`
+	// CostingSection holds the cost cache's completed entries (the costed
+	// atoms) and the skeleton facts — the section checkpoints persist. The
+	// cost cache's format versions the pool.
+	CostingSection
 	// Knobs pins the pipeline parameters the pool was costed under.
 	Knobs PoolKnobs `json:"knobs"`
 	// StatsCreated is how many statistics the costing layer created.
@@ -197,11 +214,8 @@ func (p *CostedPool) UnmarshalJSON(data []byte) error {
 // and skeleton sections, that the pool was decoded from its canonical JSON,
 // and the content address.
 func (p *CostedPool) Check() error {
-	if err := p.Cache.check(len(p.Statements)); err != nil {
-		return fmt.Errorf("core: costed pool: %w", err)
-	}
-	if err := p.Derive.Check(); err != nil {
-		return fmt.Errorf("core: costed pool: %w", err)
+	if err := p.check("costed pool", len(p.Statements)); err != nil {
+		return err
 	}
 	if p.nonCanonical {
 		return fmt.Errorf("core: costed pool JSON is not in canonical form (damaged or hand-edited)")
@@ -226,8 +240,7 @@ func (st *costedState) seal(opts Options) *CostedPool {
 		Candidates:     st.cands,
 		Gains:          st.gains,
 		StatBatches:    st.statBatches,
-		Cache:          st.ev.snapshotCache(),
-		Derive:         st.ev.drv.Snapshot(),
+		CostingSection: CostingSection{Cache: st.ev.snapshotCache()(), Skeletons: st.ev.drv.Snapshot()},
 		Knobs:          opts.knobs(),
 		StatsCreated:   st.statsCreated,
 		TemplatesTuned: len(st.tuned.Templates()),
@@ -266,8 +279,8 @@ func Revise(ctx context.Context, t Tuner, pool *CostedPool, cons Constraints, op
 	if err != nil {
 		return nil, fmt.Errorf("core: costed pool: %w", err)
 	}
-	if err := pool.Cache.check(len(pool.Statements)); err != nil {
-		return nil, fmt.Errorf("core: costed pool: %w", err)
+	if err := pool.check("costed pool", len(pool.Statements)); err != nil {
+		return nil, err
 	}
 	opts.Derive = mode
 	start := time.Now()
@@ -349,13 +362,11 @@ func Revise(ctx context.Context, t Tuner, pool *CostedPool, cons Constraints, op
 }
 
 // warmState is a revision's warm start: the pool's costing-layer state over
-// its workload w and base configuration, with an evaluator whose skeleton
-// facts are restored and whose cost cache is loaded — each persisted table
-// interned once.
+// its workload w and base configuration, with an evaluator warm-started from
+// the pool's costing section.
 func (pool *CostedPool) warmState(t Tuner, w *workload.Workload, base *catalog.Configuration, mode derive.Mode) *costedState {
 	ev := newEvaluator(t, w, mode)
-	ev.drv.Restore(pool.Derive)
-	ev.warmStart(pool.Cache)
+	ev.warmStart(pool.CostingSection)
 	return &costedState{
 		ev: ev, tuned: w, base: base,
 		cands: pool.Candidates, gains: pool.Gains, statBatches: pool.StatBatches,

@@ -663,11 +663,7 @@ func (ev *evaluator) miss(i int, c *config, h uint64, ce *cacheEntry, span conte
 	}
 	if ev.drv != nil {
 		if res, ok := ev.drv.Resolve(i, len(ev.infos[i].q.Scopes) > 1, ce.ids, ev.additive(i), func(top *catalog.Configuration) (float64, []string, *optimizer.Alternatives, error) {
-			cost, used, alts, err := ev.realCall(i, top, true, span)
-			if err == nil {
-				ev.remember(i, top, cost, used)
-			}
-			return cost, used, alts, err
+			return ev.realCall(i, top, true, span)
 		}); ok {
 			if err := ev.verifyDerived(i, c, res); err != nil {
 				return fail(err)
@@ -708,16 +704,6 @@ func (ev *evaluator) additive(i int) []int32 {
 		}
 	}
 	return t.additive
-}
-
-// remember files a skeleton fetch's (cost, used) answer under the top's own
-// cost-cache key, unless that key is already cached or in flight. The fetch
-// is a real call's product like any other, so checkpoints and sealed pools
-// persist it: a resumed session that asks for the top itself pays nothing.
-func (ev *evaluator) remember(i int, top *catalog.Configuration, cost float64, used []string) {
-	var buf [64]int32
-	ids := ev.config(top).key(i, buf[:0])
-	ev.tables[i].claim(hashIDs(ids), ids, &cacheEntry{ready: closedReady, cost: cost, used: used})
 }
 
 // realCall issues one accounted optimizer call — a cache-miss leader's own,

@@ -496,11 +496,10 @@ func (tr *tracker) countCall() {
 	if tr == nil {
 		return
 	}
-	n := tr.calls.Add(1)
+	n := tr.ckpt.count(&tr.calls)
 	if tr.cb != nil && n%64 == 0 {
 		tr.emit()
 	}
-	tr.ckpt.maybeSnapshot(n)
 }
 
 // eventDone records one workload event through candidate selection; gain is

@@ -161,8 +161,8 @@ func TestReviseEquivalence(t *testing.T) {
 				} else if got := normalizeRec(t, orig); got != oracleRec {
 					t.Errorf("recommendation differs from the real-call oracle's\ngot: %s\noracle: %s", got, oracleRec)
 				}
-				if (pool.Derive == nil) != (leg == oracle) {
-					t.Fatalf("pool carries skeletons iff the backend offers them; leg %s, snapshot %v", leg, pool.Derive != nil)
+				if (pool.Skeletons == nil) != (leg == oracle) {
+					t.Fatalf("pool carries skeletons iff the backend offers them; leg %s, snapshot %v", leg, pool.Skeletons != nil)
 				}
 				if err := pool.Check(); err != nil {
 					t.Fatal(err)
@@ -330,7 +330,7 @@ func TestReviseZeroCallsOnSelectOnlyWorkload(t *testing.T) {
 // TestRevisePoolCheck ensures tampered pools, and pools whose cost-cache
 // section predates the current format, are rejected.
 func TestRevisePoolCheck(t *testing.T) {
-	p := &CostedPool{Statements: []workload.Statement{{SQL: "SELECT 1", Weight: 1}}, Cache: CostCache{Format: CostCacheFormat}}
+	p := &CostedPool{Statements: []workload.Statement{{SQL: "SELECT 1", Weight: 1}}, CostingSection: CostingSection{Cache: CostCache{Format: CostCacheFormat}}}
 	if err := p.Check(); err == nil {
 		t.Fatal("unstamped pool passed Check")
 	}

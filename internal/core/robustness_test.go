@@ -177,48 +177,73 @@ func TestRetryMasksTransientFaults(t *testing.T) {
 	}
 }
 
-// TestCheckpointResume verifies the checkpoint/resume contract: a session
-// resumed from a mid-run checkpoint (round-tripped through JSON, as the
-// service persists it) produces the identical recommendation to an
-// uninterrupted run, while issuing fewer optimizer calls. It runs at the
-// default parallelism and sequentially; only the sequential leg pins the
-// resumed call count, because a checkpoint taken mid-frontier at higher
-// parallelism holds whichever entries other workers happened to complete.
+// TestCheckpointResume verifies the checkpoint/resume contract over a
+// skeleton backend and a plain real-call one, sequentially and at P=4: a
+// session resumed from a mid-run checkpoint (round-tripped through JSON, as
+// the service persists it) produces the identical recommendation to an
+// uninterrupted run, and pays no call the interrupted run had paid before
+// the snapshot except those still in flight when it fired. The boundary
+// call that fires the snapshot is counted but not yet made, so it is always
+// re-paid; each other pool worker leads at most one more. Hence
+// full − ck + 1 ≤ resumed ≤ full − ck + P, an equality at P=1. The
+// baseline leg's checkpoint fires before the statistics pass, so it carries
+// no skeleton section: the cost cache holds every answer then. The
+// uninterrupted run's own call count is pinned too (fullMax: what the
+// skeleton engine pays for the workload, and what it pays without
+// skeletons), so a rise there cannot hide inside the relative band.
 func TestCheckpointResume(t *testing.T) {
-	full, resumed := checkpointResume(t, 0)
-	if full.WhatIfCalls > 50 {
-		t.Fatalf("calls grew past the walk-era engine's: full %d (was 50)", full.WhatIfCalls)
-	}
-	full, resumed = checkpointResume(t, 1)
-	// A resumed session holds the checkpoint's costs — each fetched top's
-	// own included — but no skeletons, so it pays one fetch per (event,
-	// top) it still has a subset of to resolve: what the walk-era engine
-	// paid as stale-node repairs. Pinned to the counts of the last commit
-	// that had the walk (derive on): 50 uninterrupted, 27 resumed.
-	if full.WhatIfCalls > 50 || resumed.WhatIfCalls > 27 {
-		t.Fatalf("calls grew past the walk-era engine's: full %d (was 50), resumed %d (was 27)", full.WhatIfCalls, resumed.WhatIfCalls)
+	skeletons := func(tb testing.TB) Tuner { return testServer(tb) }
+	for _, leg := range []struct {
+		name     string
+		srv      func(testing.TB) Tuner
+		every    int
+		baseline bool // the checkpoint fires during baseline costing
+		fullMax  int64
+	}{
+		{"skeletons", skeletons, 25, false, 50},
+		{"real-call", func(tb testing.TB) Tuner { return realCallTuner{testServer(tb)} }, 25, false, 100},
+		{"baseline", skeletons, 3, true, 50},
+	} {
+		for _, par := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/P%d", leg.name, par), func(t *testing.T) {
+				full, ck, resumed := checkpointResume(t, leg.srv, par, leg.every)
+				if full.WhatIfCalls > leg.fullMax {
+					t.Fatalf("uninterrupted run paid %d calls, was %d", full.WhatIfCalls, leg.fullMax)
+				}
+				if (ck.Phase == PhaseBaseline) != leg.baseline || ck.Phase == PhaseColGroups {
+					t.Fatalf("first checkpoint fired in %s", ck.Phase)
+				}
+				if _, alts := leg.srv(t).(AlternativesTuner); (ck.Skeletons != nil) != (alts && !leg.baseline) {
+					t.Fatalf("checkpoint in %s carries skeletons: %v", ck.Phase, ck.Skeletons != nil)
+				}
+				lo := full.WhatIfCalls - ck.WhatIfCalls + 1
+				if hi := lo - 1 + int64(par); resumed.WhatIfCalls < lo || resumed.WhatIfCalls > hi {
+					t.Fatalf("resumed session paid %d calls, want [%d, %d] (full %d, checkpoint at %d)",
+						resumed.WhatIfCalls, lo, hi, full.WhatIfCalls, ck.WhatIfCalls)
+				}
+				t.Logf("full %d, checkpoint at %d, resumed %d", full.WhatIfCalls, ck.WhatIfCalls, resumed.WhatIfCalls)
+			})
+		}
 	}
 }
 
-// checkpointResume tunes a workload uninterrupted at the given parallelism
-// (0 = default), resumes a fresh session from its first checkpoint, and
-// checks the scheduling-independent half of the contract: identical
-// recommendation and costs, fewer optimizer calls.
-func checkpointResume(t *testing.T, parallelism int) (full, resumed *Recommendation) {
+// checkpointResume tunes a workload uninterrupted at the given parallelism,
+// checkpointing every `every` calls, resumes a session on a fresh backend
+// from its first checkpoint (JSON round-tripped), and checks the
+// scheduling-independent half of the contract: identical recommendation and
+// costs, fewer optimizer calls.
+func checkpointResume(t *testing.T, srv func(testing.TB) Tuner, parallelism, every int) (full *Recommendation, first *Checkpoint, resumed *Recommendation) {
 	t.Helper()
 	w := lookupWorkload(10)
-	var first *Checkpoint
-	snaps := 0
 	// CheckpointEvery counts real optimizer calls; keep it small enough that
 	// a checkpoint lands even when derivation (DTA_DERIVE=verify in CI's
 	// fault matrix) answers most evaluations without a call.
-	full, err := Tune(testServer(t), w, Options{
+	full, err := Tune(srv(t), w, Options{
 		NoCompression:   true,
 		Derive:          testDeriveMode(t),
 		Parallelism:     parallelism,
-		CheckpointEvery: 25,
+		CheckpointEvery: every,
 		CheckpointSink: func(ck *Checkpoint) {
-			snaps++
 			if first == nil {
 				first = ck
 			}
@@ -230,10 +255,9 @@ func checkpointResume(t *testing.T, parallelism int) (full, resumed *Recommendat
 	if first == nil {
 		t.Fatalf("no checkpoint emitted over %d what-if calls", full.WhatIfCalls)
 	}
-	if len(first.Cache.Entries) == 0 {
-		t.Fatal("checkpoint carries no cached costs")
+	if first.WhatIfCalls != int64(every) {
+		t.Fatalf("first checkpoint reports %d calls, want its boundary %d", first.WhatIfCalls, every)
 	}
-	t.Logf("checkpoints=%d firstCache=%d fullCalls=%d", snaps, len(first.Cache.Entries), full.WhatIfCalls)
 
 	// Round-trip through JSON exactly as the service's state files do;
 	// float costs must survive bit-exactly.
@@ -248,21 +272,21 @@ func checkpointResume(t *testing.T, parallelism int) (full, resumed *Recommendat
 
 	// Resume on a fresh server — the post-crash world: no statistics, cold
 	// caches, only the checkpoint file.
-	resumed, err = Tune(testServer(t), w, Options{NoCompression: true, Resume: &restored, Derive: testDeriveMode(t), Parallelism: parallelism})
+	resumed, err = Tune(srv(t), w, Options{NoCompression: true, Resume: &restored, Derive: testDeriveMode(t), Parallelism: parallelism})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := structureSet(resumed), structureSet(full); got != want {
 		t.Fatalf("resumed recommendation differs:\n%s\nvs\n%s", got, want)
 	}
-	if resumed.Cost != full.Cost || resumed.BaseCost != full.BaseCost {
+	if resumed.Cost != full.Cost || resumed.BaseCost != full.BaseCost || resumed.Improvement != full.Improvement {
 		t.Fatalf("resumed costs differ: %.9f/%.9f vs %.9f/%.9f",
 			resumed.BaseCost, resumed.Cost, full.BaseCost, full.Cost)
 	}
 	if resumed.WhatIfCalls >= full.WhatIfCalls {
 		t.Fatalf("resume saved no optimizer calls: %d vs %d", resumed.WhatIfCalls, full.WhatIfCalls)
 	}
-	return full, resumed
+	return full, &restored, resumed
 }
 
 // TestDegradedSkipsReports verifies a degraded session behaves like a

@@ -520,36 +520,58 @@ type Snapshot struct {
 // never answer a resolution at the final epoch, and omitting them keeps the
 // snapshot's fingerprint a pure function of the reusable state. Safe on nil
 // (returns nil).
-func (e *Engine) Snapshot() *Snapshot {
+func (e *Engine) Snapshot() *Snapshot { return e.Capture()() }
+
+// Capture is Snapshot in two steps: under the engine's lock it only collects
+// the registry and the current epoch's ready facts (a fact is immutable once
+// ready), and the returned function builds the Snapshot from them without
+// the lock, so resolutions and fetches proceed meanwhile.
+func (e *Engine) Capture() func() *Snapshot {
 	if e == nil {
-		return nil
+		return func() *Snapshot { return nil }
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	s := &Snapshot{Mode: e.mode}
 	type reg struct {
 		id int32
 		Keyed
 	}
+	type held struct {
+		event int
+		f     *fact
+	}
+	e.mu.Lock()
+	mode := e.mode
 	regs := make([]reg, 0, len(e.structs))
 	for id, st := range e.structs {
-		regs = append(regs, reg{id, Keyed{Key: e.in.Key(id), Structure: st}})
+		regs = append(regs, reg{id, Keyed{Structure: st}})
 	}
-	slices.SortFunc(regs, func(a, b reg) int { return strings.Compare(a.Key, b.Key) })
-	// Every top ID is registered (Resolve registers rel, Register the pool),
-	// so each has a position.
-	pos := make([]int32, e.in.Len())
-	for p, r := range regs {
-		s.Structs = append(s.Structs, r.Keyed)
-		pos[r.id] = int32(p)
-	}
+	var facts []held
 	for key, f := range e.facts {
 		if key.epoch != e.epoch {
 			continue
 		}
 		select {
 		case <-f.ready:
-			r := FactRecord{Event: key.event, Cost: f.cost, Used: append([]string(nil), f.used...), Alts: f.alts}
+			facts = append(facts, held{key.event, f})
+		default: // fetch in flight: not yet a fact worth persisting
+		}
+	}
+	e.mu.Unlock()
+	return func() *Snapshot {
+		s := &Snapshot{Mode: mode}
+		for i := range regs {
+			regs[i].Key = e.in.Key(regs[i].id)
+		}
+		slices.SortFunc(regs, func(a, b reg) int { return strings.Compare(a.Key, b.Key) })
+		// Every top ID is registered (Resolve registers rel, Register the
+		// pool), so each has a position.
+		pos := make([]int32, e.in.Len())
+		for p, r := range regs {
+			s.Structs = append(s.Structs, r.Keyed)
+			pos[r.id] = int32(p)
+		}
+		for _, h := range facts {
+			f := h.f
+			r := FactRecord{Event: h.event, Cost: f.cost, Used: append([]string(nil), f.used...), Alts: f.alts}
 			r.Node = make([]int32, len(f.top))
 			for i, id := range f.top {
 				r.Node[i] = pos[id]
@@ -561,19 +583,18 @@ func (e *Engine) Snapshot() *Snapshot {
 				}
 			}
 			s.Facts = append(s.Facts, r)
-		default: // fetch in flight: not yet a fact worth persisting
 		}
+		slices.SortFunc(s.Facts, func(a, b FactRecord) int {
+			if a.Event != b.Event {
+				return cmp.Compare(a.Event, b.Event)
+			}
+			if c := slices.Compare(a.Base, b.Base); c != 0 {
+				return c
+			}
+			return slices.Compare(a.Node, b.Node)
+		})
+		return s
 	}
-	slices.SortFunc(s.Facts, func(a, b FactRecord) int {
-		if a.Event != b.Event {
-			return cmp.Compare(a.Event, b.Event)
-		}
-		if c := slices.Compare(a.Base, b.Base); c != 0 {
-			return c
-		}
-		return slices.Compare(a.Node, b.Node)
-	})
-	return s
 }
 
 // Check validates a snapshot's shape: a strictly ascending Structs table and

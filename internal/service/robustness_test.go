@@ -255,6 +255,96 @@ func TestStateDirResume(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesDamagedSkeletons: a persisted checkpoint whose skeleton
+// section names a structure position outside its table fails
+// Checkpoint.Check, so ResumeSessions logs "checkpoint refused" and resumes
+// the session cold — reaching the uninterrupted run's recommendation with
+// its full call count.
+func TestResumeRefusesDamagedSkeletons(t *testing.T) {
+	stmts := resumeStatements()
+	wl, err := workload.FromStatements(stmts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+	defer cancel()
+	run := func(s *service.Session) *core.Recommendation {
+		t.Helper()
+		if err := s.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := s.Result()
+		if err != nil || rec == nil {
+			t.Fatalf("session %s: rec=%v err=%v", s.ID(), rec, err)
+		}
+		return rec
+	}
+
+	ref := service.NewManager(2)
+	if err := ref.Register(&service.Backend{Name: "db", Tuner: smallServer(t)}); err != nil {
+		t.Fatal(err)
+	}
+	refSess, err := ref.Create(service.Request{Workload: wl, Options: core.Options{Derive: derive.Mode(deriveOpt())}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refRec := run(refSess)
+
+	// The last checkpoint holding skeleton facts, one of them aimed past the
+	// section's structure table.
+	var ck *core.Checkpoint
+	if _, err := core.Tune(smallServer(t), wl, core.Options{
+		Derive:          derive.Mode(deriveOpt()),
+		CheckpointEvery: 10,
+		CheckpointSink: func(c *core.Checkpoint) {
+			if c.Skeletons != nil && len(c.Skeletons.Facts) > 0 {
+				ck = c
+			}
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if ck == nil {
+		t.Fatal("no checkpoint with skeleton facts; grow the workload")
+	}
+	ck.Skeletons.Facts[0].Node = []int32{int32(len(ck.Skeletons.Structs)) + 3}
+
+	dir := t.TempDir()
+	data, err := json.Marshal(map[string]any{
+		"id": "s-0042", "statements": stmts,
+		"options": service.CreateOptions{Derive: deriveOpt()}, "checkpoint": ck,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "s-0042.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var logs bytes.Buffer
+	m := service.NewManager(2)
+	m.SetLogger(slog.New(slog.NewTextHandler(&logs, nil)))
+	if err := m.Register(&service.Backend{Name: "db", Tuner: smallServer(t)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetStateDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := m.ResumeSessions()
+	if err != nil || len(resumed) != 1 {
+		t.Fatalf("resumed %v, err %v; want one session", resumed, err)
+	}
+	rec := run(resumed[0])
+	if !strings.Contains(logs.String(), "checkpoint refused") || !strings.Contains(logs.String(), "out of range") {
+		t.Fatalf("log lacks the refusal naming the damage:\n%s", logs.String())
+	}
+	if got, want := renderStructures(rec), renderStructures(refRec); got != want || rec.Cost != refRec.Cost || rec.BaseCost != refRec.BaseCost {
+		t.Fatalf("cold resume differs from the uninterrupted run:\n%s\nvs\n%s", got, want)
+	}
+	if rec.WhatIfCalls != refRec.WhatIfCalls {
+		t.Fatalf("cold resume issued %d calls, the uninterrupted run %d", rec.WhatIfCalls, refRec.WhatIfCalls)
+	}
+}
+
 func renderStructures(rec *core.Recommendation) string {
 	var out []string
 	for _, st := range rec.NewStructures {
