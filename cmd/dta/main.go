@@ -64,7 +64,7 @@ func main() {
 		jnlPath    = flag.String("journal", "", "write the session's decision journal here as NDJSON, one typed event per line")
 		quiet      = flag.Bool("q", false, "suppress live progress and the summary")
 		par        = flag.Int("parallelism", 0, "concurrent what-if evaluations (0 = GOMAXPROCS); the recommendation does not depend on it")
-		deriveMode = flag.String("derive", "on", "cost derivation: on (answer SELECT what-if calls by replaying one plan skeleton per event) | verify (derive and cross-check every derived cost against a real call); the recommendation does not depend on it")
+		deriveMode = flag.String("derive", "on", "cost derivation: on (answer SELECT and DML what-if calls by replaying one plan skeleton per event) | verify (derive and cross-check every derived cost against a real call); the recommendation does not depend on it")
 		poolOut    = flag.String("pool", "", "write the session's costed pool here as JSON; feed it back with -revise to replay constraint changes without re-costing")
 		revisePath = flag.String("revise", "", "revise: replay the costed pool in this file (written by -pool) under the constraint flags (-storage-mb, -aligned, -pin, -veto, -reweight), re-running only the search layer")
 		pinKeys    = flag.String("pin", "", "with -revise: comma-separated structure keys the recommendation must include")

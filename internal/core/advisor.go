@@ -142,14 +142,15 @@ type Options struct {
 	CandidatePoolCap int
 
 	// Derive selects the cost-derivation layer's mode: on (also the zero
-	// value) or verify. SELECT cost-cache misses are answered by replaying
-	// a plan skeleton fetched once per (event, candidate pool) instead of a
-	// what-if optimizer call each (INUM/CoPhy-style); recommendations are
-	// byte-identical to a real-call evaluator's, only the optimizer call
-	// count drops. Verify cross-checks every derived cost against a real
-	// call and fails the session on divergence beyond
-	// derive.VerifyTolerance. Backends without AlternativesTuner are costed
-	// by real calls regardless.
+	// value) or verify. Cost-cache misses, SELECT and DML alike, are
+	// answered by replaying a plan skeleton fetched once per (event,
+	// candidate pool) instead of a what-if optimizer call each
+	// (INUM/CoPhy-style); a fetch that fails fails the evaluation, with no
+	// second real call behind it. Recommendations are byte-identical to a
+	// real-call evaluator's, only the optimizer call count drops. Verify
+	// cross-checks every derived cost against a real call and fails the
+	// session on divergence beyond derive.VerifyTolerance. Backends without
+	// AlternativesTuner are costed by real calls regardless.
 	Derive derive.Mode
 
 	// NoMerging disables the merging step (for ablation).
@@ -367,10 +368,10 @@ type Recommendation struct {
 	// layer instead of a what-if optimizer call; zero over a backend
 	// without plan skeletons.
 	DerivedEvals int64
-	// DeriveFallbacks breaks down, by reason (atom, eval-error,
-	// used-escape; SELECT reasons also with a -join suffix), the real
-	// optimizer calls behind derivation: skeleton fetches (atom) and the
-	// evaluations replay could not answer; nil without an engine.
+	// DeriveFallbacks counts the real optimizer calls behind derivation —
+	// the plan skeletons fetched — by event shape: "atom" for single-scope
+	// SELECTs and DML, "atom-join" for joins. Every successful real call
+	// of a derivation session is one; nil without an engine.
 	DeriveFallbacks map[string]int64
 	StatsCreated    int
 	Duration        time.Duration
@@ -786,7 +787,7 @@ func finishRecommendation(t Tuner, ev *evaluator, tr *tracker, rec *Recommendati
 func sealRecommendation(ev *evaluator, tr *tracker, rec *Recommendation, start time.Time) *Recommendation {
 	rec.WhatIfCalls = ev.calls.Load()
 	rec.DerivedEvals = ev.drv.Derivations()
-	rec.DeriveFallbacks = ev.drv.FallbacksByReason()
+	rec.DeriveFallbacks = ev.drv.AtomsByShape()
 	rec.Duration = time.Since(start)
 	if rec.StopReason != "" && tr.journaling() {
 		e := journal.Ev(journal.KindStop)

@@ -62,9 +62,11 @@ func selectCandidates(t Tuner, ev *evaluator, tr *tracker, w *workload.Workload,
 	// before it, whose statistics exist. (The stop is sticky, so a session
 	// stopped here searches none of them.)
 	pools := make([][]catalog.Structure, len(w.Events))
+	additive := make([][]*structInfo, len(w.Events))
 	ev.pool().each(len(w.Events), func(i int) {
 		if q := ev.analyzed(i); q != nil {
 			pools[i] = generateForQuery(t.Catalog(), q, groups, opts)
+			additive[i] = ev.additivePool(pools[i])
 		}
 	})
 	var batches []StatBatch
@@ -112,7 +114,7 @@ func selectCandidates(t Tuner, ev *evaluator, tr *tracker, w *workload.Workload,
 		// A resumed session's skeleton restore point (see warmStart).
 		ev.warmStart(CostingSection{Skeletons: opts.Resume.Skeletons})
 	}
-	ev.setQueryPools(pools)
+	ev.setQueryPools(additive[:n])
 
 	// Pass 2: every query's search, on the pool. After a query fails for
 	// real, queries not yet started are skipped: pass 3 returns the

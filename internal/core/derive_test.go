@@ -9,9 +9,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/derive"
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/optimizer"
 	"repro/internal/sqlparser"
@@ -139,7 +141,7 @@ func TestDeriveModeEquivalence(t *testing.T) {
 			if derived[id(oracle, 1)] != 0 {
 				t.Error("DerivedEvals must be 0 on the real-call oracle")
 			}
-			if in.name == "toy-tpch" && fallbacks[id("on", 1)][derive.ReasonAtom+"-join"] == 0 {
+			if in.name == "toy-tpch" && fallbacks[id("on", 1)]["atom-join"] == 0 {
 				t.Errorf("TPC-H derive=on recorded no join-shaped fallbacks: %v", fallbacks[id("on", 1)])
 			}
 			for leg, by := range fallbacks {
@@ -207,7 +209,7 @@ func TestDeriveMatchesRealCostsOnRandomConfigs(t *testing.T) {
 	}
 
 	evOn := newEvaluator(s, w, derive.On)
-	evOn.setDerivePool(pool)
+	evOn.setQueryPools(evOn.sharedPools(pool))
 	evOff := newEvaluator(realCallTuner{s}, w, derive.On)
 	if evOff.drv != nil {
 		t.Fatal("a skeleton-less tuner must not get a derivation engine")
@@ -491,7 +493,7 @@ func TestConcurrentSubsetsShareOneSkeletonFetch(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			a := &altCountingTuner{Server: srv}
 			ev := newEvaluator(a, w, "")
-			ev.setDerivePool(pool)
+			ev.setQueryPools(ev.sharedPools(pool))
 			got := make([]float64, len(cfgs))
 			errs := make([]error, len(cfgs))
 			var wg sync.WaitGroup
@@ -514,19 +516,19 @@ func TestConcurrentSubsetsShareOneSkeletonFetch(t *testing.T) {
 			if a.served.Load() != 1 || ev.calls.Load() != 1 {
 				t.Fatalf("backend served %d calls (accounted %d), want exactly one skeleton fetch", a.served.Load(), ev.calls.Load())
 			}
-			if by := ev.drv.FallbacksByReason(); by[derive.ReasonAtom] != 1 || len(by) != 1 {
-				t.Fatalf("fallbacks = %v, want exactly one atom", by)
+			if by := ev.drv.AtomsByShape(); by["atom"] != 1 || len(by) != 1 {
+				t.Fatalf("atoms = %v, want exactly one single-scope atom", by)
 			}
 		})
 	}
 }
 
-// TestDeriveFallbacksSumToWhatIfCalls: on a fault-free run every accounted
-// what-if call is a skeleton fetch — an alternatives call, for SELECTs and
-// DML alike, counted as one atom — so Σ real calls = atoms + eval-error +
-// used-escape, the latter two are zero, and the backend serves no plain
-// call. The inputs cover single-scope, join and DML events: the mixed
-// workload at P∈{1,4} and the toy PSOFT database with every feature.
+// TestDeriveFallbacksSumToWhatIfCalls: every accounted what-if call of a
+// derivation session is a skeleton fetch — an alternatives call, for SELECTs
+// and DML alike — so on a fault-free run Σ atoms by shape (DeriveFallbacks)
+// = WhatIfCalls = the calls the backend served, and it serves no plain call.
+// The inputs cover single-scope, join and DML events: the mixed workload at
+// P∈{1,4} and the toy PSOFT database with every feature.
 func TestDeriveFallbacksSumToWhatIfCalls(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -550,20 +552,11 @@ func TestDeriveFallbacksSumToWhatIfCalls(t *testing.T) {
 			t.Fatal(err)
 		}
 		by := rec.DeriveFallbacks
-		var sum int64
-		for reason, n := range by {
-			switch reason {
-			case derive.ReasonAtom, derive.ReasonAtom + "-join":
-				sum += n
-			default:
-				t.Errorf("%s: unexpected fallback reason %q on a fault-free run: %v", c.name, reason, by)
-			}
+		if by["atom"] == 0 || by["atom-join"] == 0 || len(by) != 2 {
+			t.Errorf("%s: want atoms of both shapes and nothing else: %v", c.name, by)
 		}
-		if by[derive.ReasonAtom] == 0 || by[derive.ReasonAtom+"-join"] == 0 {
-			t.Errorf("%s: workload must exercise atom and atom-join: %v", c.name, by)
-		}
-		if sum != rec.WhatIfCalls || a.served.Load() != rec.WhatIfCalls {
-			t.Errorf("%s: Σ fallbacks = %d, WhatIfCalls = %d, backend served %d (%v)", c.name, sum, rec.WhatIfCalls, a.served.Load(), by)
+		if sum := by["atom"] + by["atom-join"]; sum != rec.WhatIfCalls || a.served.Load() != rec.WhatIfCalls {
+			t.Errorf("%s: Σ atoms = %d, WhatIfCalls = %d, backend served %d (%v)", c.name, sum, rec.WhatIfCalls, a.served.Load(), by)
 		}
 		if a.plain.Load() != 0 {
 			t.Errorf("%s: %d real calls asked for no skeleton; every call must be a skeleton fetch", c.name, a.plain.Load())
@@ -571,11 +564,17 @@ func TestDeriveFallbacksSumToWhatIfCalls(t *testing.T) {
 	}
 }
 
-// flakyAltTuner fails every alternatives call while down is set, and can
-// strip the skeleton from the ones it serves.
+// flakyAltTuner fails every alternatives call while down is set, can strip
+// the skeleton from the ones it serves, and counts the plain calls it serves.
 type flakyAltTuner struct {
 	*whatif.Server
 	down, noSkeleton atomic.Bool
+	plain            atomic.Int64
+}
+
+func (f *flakyAltTuner) WhatIfCost(stmt sqlparser.Statement, cfg *catalog.Configuration) (float64, []string, error) {
+	f.plain.Add(1)
+	return f.Server.WhatIfCost(stmt, cfg)
 }
 
 func (f *flakyAltTuner) WhatIfAlternativesCost(stmt sqlparser.Statement, cfg *catalog.Configuration) (float64, []string, *optimizer.Alternatives, error) {
@@ -589,44 +588,38 @@ func (f *flakyAltTuner) WhatIfAlternativesCost(stmt sqlparser.Statement, cfg *ca
 	return cost, used, alts, err
 }
 
-// TestDeriveFallbackProducersThroughEvaluator shows the evaluator-level
-// producers of the two non-routine reasons, for a SELECT and a DML event
-// alike: a failed skeleton fetch (eval-error) and a backend that returns no
-// skeleton (used-escape) both leave the evaluation to the caller's ordinary
-// real call, which still returns the oracle's cost.
+// TestDeriveFallbackProducersThroughEvaluator: derivation has no fallback.
+// For a SELECT and a DML event alike, a failed skeleton fetch and a backend
+// that returns no skeleton each fail the evaluation, and the session the
+// outage hits in its baseline costing; nothing is derived, and no plain
+// what-if call reaches the backend. (TestSkeletonFetchFaultRetryBudget
+// covers the outage that degrades a session in its search.)
 func TestDeriveFallbackProducersThroughEvaluator(t *testing.T) {
 	w := workload.MustNew("SELECT id FROM t WHERE x = 42", "UPDATE t SET x = 1 WHERE id = 5")
 	cfg := catalog.NewConfiguration()
 	cfg.AddIndex(catalog.NewIndex("t", "x"))
 	srv := testServer(t)
-	oracle := newEvaluator(realCallTuner{srv}, w, "")
-	var want []float64
-	for i := range w.Events {
-		c, _, err := oracle.cost(i, oracle.config(cfg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, c)
-	}
-
-	for reason, breakIt := range map[string]func(*flakyAltTuner){
-		derive.ReasonError:  func(f *flakyAltTuner) { f.down.Store(true) },
-		derive.ReasonEscape: func(f *flakyAltTuner) { f.noSkeleton.Store(true) },
+	for name, breakIt := range map[string]func(*flakyAltTuner){
+		"fetch-fails": func(f *flakyAltTuner) { f.down.Store(true) },
+		"no-skeleton": func(f *flakyAltTuner) { f.noSkeleton.Store(true) },
 	} {
 		f := &flakyAltTuner{Server: srv}
 		breakIt(f)
 		ev := newEvaluator(f, w, "")
 		for i := range w.Events {
-			got, _, err := ev.cost(i, ev.config(cfg))
-			if err != nil || got != want[i] {
-				t.Fatalf("%s: event %d cost %v, %v; want the oracle's %v", reason, i, got, err, want[i])
+			if _, _, err := ev.cost(i, ev.config(cfg)); err == nil {
+				t.Fatalf("%s: event %d costed without a skeleton", name, i)
 			}
 		}
-		if by := ev.drv.FallbacksByReason(); by[reason] != 2 || by[derive.ReasonAtom] != 2 {
-			t.Fatalf("%s: fallbacks = %v", reason, by)
+		if ev.drv.Derivations() != 0 || ev.drv.Atoms() != 0 {
+			t.Fatalf("%s: derivations %d, atoms %d from a broken fetch", name, ev.drv.Derivations(), ev.drv.Atoms())
 		}
-		if ev.drv.Derivations() != 0 {
-			t.Fatalf("%s: nothing may be derived from a broken fetch", reason)
+		_, err := Tune(f, w, Options{Retry: fault.Policy{BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}})
+		if err == nil {
+			t.Fatalf("%s: a session whose baseline cannot be costed must fail", name)
+		}
+		if f.plain.Load() != 0 {
+			t.Fatalf("%s: backend served %d plain calls; a failed skeleton fetch must not be re-issued as one", name, f.plain.Load())
 		}
 	}
 }

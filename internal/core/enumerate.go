@@ -26,9 +26,10 @@ import (
 // mutates only that clone. The alignment replay below is bookkeeping over
 // cached decisions and stays sequential.
 func enumerate(ev *evaluator, tr *tracker, mandatory *catalog.Configuration, cands []catalog.Structure, opts Options) ([]catalog.Structure, error) {
-	// The enumeration pool is the last candidate set of the session; it
-	// also serves the final configuration costing and the analysis reports.
-	ev.setDerivePool(cands)
+	// The enumeration pool is the last candidate set of the session, shared
+	// by every event; it also serves the final configuration costing and the
+	// analysis reports.
+	ev.setQueryPools(ev.sharedPools(cands))
 	g := greedyOptions{
 		m: opts.GreedyM, k: opts.GreedyK,
 		budget: opts.StorageBudget, tr: tr,

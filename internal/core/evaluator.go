@@ -78,13 +78,6 @@ type evaluator struct {
 	// every miss is a plain real call — the oracle derivation is tested
 	// against.
 	drv *derive.Engine
-	// dpool holds the additive structures (non-clustered indexes and views)
-	// of the derivation engine's current candidate pool, ascending by ID;
-	// dgen counts pool installations (setDerivePool, setQueryPools), so each
-	// event's additive pool subset (costTable.additive) is computed once per
-	// pool. Written only between parallel sections.
-	dpool []*structInfo
-	dgen  int64
 
 	// weights, when non-nil, overrides each event's workload weight in the
 	// workload cost fold (Constraints.SliceWeights). Per-event costs — and
@@ -268,9 +261,7 @@ func (ev *evaluator) attach(tr *tracker) {
 		tr.ckpt.ev = ev
 	}
 	if ev.drv != nil {
-		// The derivation engine journals its per-evaluation fallbacks and
-		// feeds the live Progress breakdown through the tracker.
-		ev.drv.SetJournal(tr.jnl)
+		// The derivation engine feeds the live Progress counters.
 		tr.deriveStats = ev.drv.Stats
 	}
 	if tr.metrics == nil {
@@ -518,12 +509,12 @@ func (ev *evaluator) extend(p *config, s catalog.Structure, x *structInfo, align
 }
 
 // costTable is one event's slice of the cost cache: entries keyed by the
-// hash of their ID-set key, collisions chained. It also holds the event's
-// additive pool subset for derivation, valid for pool generation gen.
+// hash of their ID-set key, collisions chained, under mu. It also holds the
+// event's additive pool subset for derivation (setQueryPools), written only
+// between parallel sections.
 type costTable struct {
 	mu       sync.RWMutex
 	entries  map[uint64]*cacheEntry
-	gen      int64
 	additive []int32
 }
 
@@ -661,49 +652,31 @@ func (ev *evaluator) miss(i int, c *config, h uint64, ce *cacheEntry, span conte
 	if ev.tr.ctxStopped() {
 		return fail(errStopped)
 	}
-	if ev.drv != nil {
-		if res, ok := ev.drv.Resolve(i, len(ev.infos[i].q.Scopes) > 1, ce.ids, ev.additive(i), func(top *catalog.Configuration) (float64, []string, *optimizer.Alternatives, error) {
-			return ev.realCall(i, top, true, span)
-		}); ok {
-			if err := ev.verifyDerived(i, c, res); err != nil {
-				return fail(err)
-			}
-			// A derived answer is a fourth cache outcome: no optimizer call
-			// happened for it, so neither ev.calls, the tracker's call
-			// accounting, nor the circuit breaker hears about it (the
-			// skeleton fetch behind it accounted for itself).
-			ev.count(ev.mDerived)
-			ce.cost, ce.used = res.Cost, res.Used
-			close(ce.ready)
-			return ce.cost, ce.used, nil
-		}
+	var res derive.Result
+	var err error
+	if ev.drv == nil {
+		// A skeleton-less backend: the miss is one plain real call.
+		res.Cost, res.Used, _, err = ev.realCall(i, c.catalog(), false, span)
+	} else if res, err = ev.drv.Resolve(i, len(ev.infos[i].q.Scopes) > 1, ce.ids, ev.tables[i].additive, func(top *catalog.Configuration) (float64, []string, *optimizer.Alternatives, error) {
+		return ev.realCall(i, top, true, span)
+	}); err == nil {
+		err = ev.verifyDerived(i, c, res)
 	}
-	cost, used, _, err := ev.realCall(i, c.catalog(), false, span)
 	if err != nil {
+		// A failed skeleton fetch fails the evaluation as it is: its retries
+		// were the whole load the failure may put on the backend.
 		return fail(err)
 	}
-	ce.cost, ce.used = cost, used
-	close(ce.ready)
-	return cost, used, nil
-}
-
-// additive returns the IDs of the derivation pool's additive structures
-// that are statically relevant to event i, ascending — the part of the
-// event's derivation top the pool contributes — computing them once per
-// setDerivePool.
-func (ev *evaluator) additive(i int) []int32 {
-	t := &ev.tables[i]
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.gen != ev.dgen {
-		t.gen, t.additive = ev.dgen, nil
-		for _, x := range ev.dpool {
-			if x.rel.has(i) {
-				t.additive = append(t.additive, x.id)
-			}
-		}
+	if ev.drv != nil {
+		// A derived answer is a fourth cache outcome: no optimizer call
+		// happened for it, so neither ev.calls, the tracker's call
+		// accounting, nor the circuit breaker hears about it (the skeleton
+		// fetch behind it accounted for itself).
+		ev.count(ev.mDerived)
 	}
-	return t.additive
+	ce.cost, ce.used = res.Cost, res.Used
+	close(ce.ready)
+	return ce.cost, ce.used, nil
 }
 
 // realCall issues one accounted optimizer call — a cache-miss leader's own,
@@ -735,70 +708,55 @@ func (ev *evaluator) realCall(i int, cfg *catalog.Configuration, wantAlts bool, 
 	return c, used, alts, nil
 }
 
-// setDerivePool installs the candidate pool of the search phase about to run
-// as the source of every derivation top's additive part, and registers it
-// with the derivation engine; a no-op without an engine. The advisor calls
-// it at a deterministic phase boundary (global enumeration), which keeps
-// every top, and hence the set of real calls issued, independent of
-// scheduling.
-func (ev *evaluator) setDerivePool(cands []catalog.Structure) {
+// setQueryPools installs the candidate pools derivation tops draw their
+// additive part from: event i's top adds the structures of pools[i] (the
+// additive ones, see additivePool) that are statically relevant to it, and
+// events beyond len(pools) add none. Candidate selection gives every event
+// its own pool, the one its Greedy(m,k) draws from, so the per-query
+// searches running concurrently never share or swap one; enumeration gives
+// every event the same pool. Each event's subset is computed here, so the
+// advisor must call it at a deterministic phase boundary, between parallel
+// sections: that keeps every top, and hence the set of real calls issued,
+// independent of scheduling. A no-op without an engine.
+func (ev *evaluator) setQueryPools(pools [][]*structInfo) {
 	if ev.drv == nil {
 		return
 	}
-	pool, reg := ev.additivePool(cands, nil)
-	ev.drv.Register(reg)
-	ev.dpool = pool
-	ev.dgen++
-}
-
-// setQueryPools installs per-query candidate pools for candidate selection:
-// pools[i] is event i's own candidate set, the pool its Greedy(m,k) draws
-// from. Their union is registered with the derivation engine once, and
-// every event gets the additive subset of its own pool under one pool
-// generation, so the per-query searches running concurrently never share or
-// swap a pool; the next setDerivePool supersedes them all. Events beyond
-// len(pools), or without a pool, get an empty subset. The pools are
-// interned on the worker pool (interning order does not matter: IDs never
-// leave the process, and everything they order is a set); the union is
-// registered in event order. A no-op without an engine.
-func (ev *evaluator) setQueryPools(pools [][]catalog.Structure) {
-	if ev.drv == nil {
-		return
-	}
-	ev.dpool = nil
-	ev.dgen++
-	regs := make([][]derive.Keyed, len(pools))
-	ev.pool().each(len(ev.tables), func(i int) {
-		var pool []*structInfo
-		if i < len(pools) {
-			pool, regs[i] = ev.additivePool(pools[i], nil)
-		}
+	for i := range ev.tables {
 		t := &ev.tables[i]
-		t.mu.Lock()
-		t.gen, t.additive = ev.dgen, nil
-		for _, x := range pool {
+		t.additive = nil
+		if i >= len(pools) {
+			continue
+		}
+		for _, x := range pools[i] {
 			if x.rel.has(i) {
 				t.additive = append(t.additive, x.id)
 			}
 		}
-		t.mu.Unlock()
-	})
-	ev.drv.Register(slices.Concat(regs...))
+	}
 }
 
-// additivePool interns a candidate pool, appending its registry entries to
-// reg, and returns its additive structures (non-clustered indexes and
-// views), ascending by ID.
-func (ev *evaluator) additivePool(cands []catalog.Structure, reg []derive.Keyed) ([]*structInfo, []derive.Keyed) {
+// additivePool interns a candidate pool and returns its additive structures
+// (non-clustered indexes and views), ascending by ID.
+func (ev *evaluator) additivePool(cands []catalog.Structure) []*structInfo {
 	var pool []*structInfo
 	for _, s := range cands {
-		x := ev.structure(s)
-		reg = append(reg, derive.Keyed{Key: x.Key, Structure: s})
-		if x.kind == kindIndex || x.kind == kindView {
+		if x := ev.structure(s); x.kind == kindIndex || x.kind == kindView {
 			pool = append(pool, x)
 		}
 	}
-	return sortEnts(pool), reg
+	return sortEnts(pool)
+}
+
+// sharedPools interns one candidate pool and returns it as every event's:
+// enumeration's setQueryPools argument.
+func (ev *evaluator) sharedPools(cands []catalog.Structure) [][]*structInfo {
+	shared := ev.additivePool(cands)
+	pools := make([][]*structInfo, len(ev.tables))
+	for i := range pools {
+		pools[i] = shared
+	}
+	return pools
 }
 
 // bumpDeriveEpoch invalidates plan skeletons after statistics creation; a

@@ -100,9 +100,9 @@ type Progress struct {
 	// skeletons). Streamed live so the calls-saved ratio is visible while
 	// the session runs, not only in the final Result.
 	DerivedEvals int64 `json:"derivedEvals,omitempty"`
-	// DeriveFallbacks breaks down, by reason (atom, eval-error,
-	// used-escape), the real optimizer calls behind derivation: skeleton
-	// fetches and the evaluations replay could not answer.
+	// DeriveFallbacks counts the plan skeletons fetched so far — the real
+	// optimizer calls behind derivation — by event shape ("atom",
+	// "atom-join"; see Recommendation.DeriveFallbacks).
 	DeriveFallbacks map[string]int64 `json:"deriveFallbacks,omitempty"`
 	// Revised reports that this session is a search-only revision of a
 	// persisted costed pool: WhatIfCalls counts only the calls the search
@@ -207,7 +207,7 @@ type tracker struct {
 	jnl *journal.Journal
 
 	// deriveStats, when the evaluator has an engine, snapshots the engine's
-	// derived-eval count and per-reason fallback breakdown for Progress.
+	// derived-eval count and atoms by shape for Progress.
 	// Set once by evaluator.attach before tuning starts.
 	deriveStats func() (int64, map[string]int64)
 

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +17,7 @@ import (
 	"repro/internal/derive"
 	"repro/internal/fault"
 	"repro/internal/journal"
+	"repro/internal/optimizer"
 	"repro/internal/sqlparser"
 	"repro/internal/stats"
 	"repro/internal/whatif"
@@ -416,4 +418,71 @@ func TestSelectionErrorSameAtEveryParallelism(t *testing.T) {
 			t.Errorf("P=%d: error %q, want %q", par, err, want)
 		}
 	}
+}
+
+// outageTuner fails both what-if endpoints — the skeleton fetch and the
+// plain call — while down is set, counting the attempts each one saw during
+// the outage.
+type outageTuner struct {
+	*whatif.Server
+	down        atomic.Bool
+	alts, plain atomic.Int64
+}
+
+func (o *outageTuner) WhatIfCost(stmt sqlparser.Statement, cfg *catalog.Configuration) (float64, []string, error) {
+	if o.down.Load() {
+		o.plain.Add(1)
+		return 0, nil, errors.New("what-if endpoint down")
+	}
+	return o.Server.WhatIfCost(stmt, cfg)
+}
+
+func (o *outageTuner) WhatIfAlternativesCost(stmt sqlparser.Statement, cfg *catalog.Configuration) (float64, []string, *optimizer.Alternatives, error) {
+	if o.down.Load() {
+		o.alts.Add(1)
+		return 0, nil, nil, errors.New("alternatives endpoint down")
+	}
+	return o.Server.WhatIfAlternativesCost(stmt, cfg)
+}
+
+// TestSkeletonFetchFaultRetryBudget: a skeleton fetch that fails every retry
+// fails the evaluation, and the evaluator never re-issues it as a plain
+// what-if call. In the critical baseline stage the escalated budget of 10
+// attempts is the whole load an outage puts on the backend; in the search,
+// the session degrades and no plain attempt reaches the backend afterwards.
+func TestSkeletonFetchFaultRetryBudget(t *testing.T) {
+	fast := fault.Policy{BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}
+	t.Run("baseline", func(t *testing.T) {
+		o := &outageTuner{Server: testServer(t)}
+		o.down.Store(true)
+		if _, err := Tune(o, lookupWorkload(1), Options{Parallelism: 1, Retry: fast, Derive: testDeriveMode(t)}); err == nil {
+			t.Fatal("baseline costing against a dead backend must fail the session")
+		}
+		if o.alts.Load() != 10 || o.plain.Load() != 0 {
+			t.Fatalf("backend saw %d skeleton and %d plain attempts, want 10 and 0", o.alts.Load(), o.plain.Load())
+		}
+	})
+	t.Run("search/P4", func(t *testing.T) {
+		o := &outageTuner{Server: testServer(t)}
+		rec, err := Tune(o, lookupWorkload(16), Options{
+			Parallelism: 4, NoCompression: true, Retry: fast, Derive: testDeriveMode(t),
+			Progress: func(p Progress) {
+				if p.Phase == PhaseCandidates {
+					o.down.Store(true)
+				}
+			},
+		})
+		if err != nil {
+			t.Fatalf("a search-phase outage must degrade the session, not fail it: %v", err)
+		}
+		if rec.StopReason != StopDegraded {
+			t.Fatalf("StopReason = %q, want %q", rec.StopReason, StopDegraded)
+		}
+		if o.alts.Load() == 0 {
+			t.Fatal("the outage never reached a skeleton fetch; the test exercised nothing")
+		}
+		if o.plain.Load() != 0 {
+			t.Fatalf("backend saw %d plain attempts after %d failed skeleton attempts, want 0", o.plain.Load(), o.alts.Load())
+		}
+	})
 }

@@ -19,8 +19,7 @@
 //     base part) scope;
 //  3. if it is absent, fetch it with one accounted real alternatives call,
 //     issued by the engine itself through the caller's Fetch and
-//     single-flighted per (scope, top) — the `atom` of the fallback
-//     accounting;
+//     single-flighted per (scope, top) — an atom, counted by event shape;
 //  4. replay: optimizer.Alternatives.Select restricted to the structures S
 //     holds. For a single-scope query the skeleton carries every plan
 //     alternative costed end-to-end, each gated by the single additive
@@ -39,9 +38,11 @@
 // write cost, the access alternatives locating the affected rows, and one
 // maintenance term per index or view over the target table, each gated by
 // its structure and summed in ascending key order exactly as the optimizer
-// sums them. What does not resolve is reported as a fallback and costed by
-// the caller's ordinary real call: a failed fetch, and the defensive guard
-// against a skeleton that offers no selectable alternative.
+// sums them. The engine is a fact store plus replay, and nothing else costs
+// an event: a failed fetch is the resolution's error, returned to the
+// resolver that issued it and to every resolver waiting on the same fact,
+// and a skeleton that offers no selectable alternative is a backend bug,
+// reported as an error naming the event.
 //
 // The engine exists only where skeletons do: an evaluator builds one iff its
 // backend implements the alternatives call. Over a skeleton-less backend the
@@ -55,22 +56,22 @@
 // names the structures its alternatives need by key; those gate keys are
 // resolved to IDs once, when the fact becomes ready (fetched or restored),
 // so a replay checks a gate with one read of an immutable per-fact map and a
-// binary search of the configuration — no interner lock. Key strings appear
-// only inside skeletons and once each in the persisted Snapshot's Structs
-// table, which its facts index by position.
+// binary search of the configuration — no interner lock. The engine keeps
+// no structures of its own: the interner records each one, a top's
+// configuration is built from it, and key strings appear only inside
+// skeletons and once each in the persisted Snapshot's Structs table — the
+// structures its facts name, which they index by position.
 package derive
 
 import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/catalog"
-	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/optimizer"
 )
@@ -108,40 +109,9 @@ func ParseMode(s string) (Mode, error) {
 // formatting round-trips, not approximation error.
 const VerifyTolerance = 1e-9
 
-// Fallback reasons. Each reason splits by event shape into a single-scope key
-// (the bare reason; DML events count as single-scope) and a join key (reason
-// + "-join"), the currency of FallbacksByReason; the metric series carries
-// them as separate reason/shape labels.
-const (
-	// ReasonAtom marks the engine's own skeleton fetch: the one real call a
-	// (scope, top) pair costs, after which every subset replays.
-	ReasonAtom = "atom"
-	// ReasonError marks a resolution abandoned because the skeleton fetch
-	// failed (cancellation, degradation, backend error); the caller's own
-	// real call reports the definitive error.
-	ReasonError = "eval-error"
-	// ReasonEscape marks a defensive impossibility guard: the backend
-	// returned no skeleton, or one that offers no selectable alternative.
-	// It indicates a backend skeleton bug, never normal operation.
-	ReasonEscape = "used-escape"
-
-	// joinSuffix distinguishes join-event fallbacks from single-scope ones
-	// in the per-reason accounting.
-	joinSuffix = "-join"
-)
-
-// reasonKey returns the accounting key of a fallback: the bare reason for
-// single-scope events, reason + joinSuffix for joins.
-func reasonKey(reason string, join bool) string {
-	if join {
-		return reason + joinSuffix
-	}
-	return reason
-}
-
-// Keyed pairs a structure with its canonical key, the currency the engine
-// and the evaluator exchange (the evaluator already has both on hand, and
-// the engine must not recompute keys on hot paths).
+// Keyed pairs a structure with its canonical key: an entry of a Snapshot's
+// Structs table, and the identity the evaluator's per-structure analysis
+// carries (keys are never recomputed on hot paths).
 type Keyed struct {
 	// Key is Structure.Key(), precomputed.
 	Key string
@@ -253,43 +223,25 @@ func (f *fact) has(rel []int32, key string) bool {
 // closed is the ready channel of facts that never were in flight (Restore).
 var closed = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
 
-// Engine is one tuning session's derivation state: the structure registry,
-// the statistics epoch, and the per-event skeletons. All methods are safe
-// for concurrent use and all are nil-safe, so an evaluator over a
-// skeleton-less backend carries a nil *Engine at zero cost.
+// Engine is one tuning session's derivation state: the statistics epoch and
+// the per-event skeletons, over the structures of its interner. All methods
+// but Resolve are nil-safe, so an evaluator over a skeleton-less backend
+// carries a nil *Engine at zero cost; all are safe for concurrent use.
 type Engine struct {
 	mode Mode
 	in   *Interner
 
-	mu sync.Mutex
-	// structs is the registry: every candidate-pool structure and every
-	// structure of a resolved configuration, by ID, as first registered.
-	structs map[int32]catalog.Structure
-	epoch   int64
-	facts   map[factKey]*fact
+	mu    sync.Mutex
+	epoch int64
+	facts map[factKey]*fact
 
-	atoms       atomic.Int64
+	// atoms counts the skeletons fetched, [0] for single-scope events and
+	// [1] for joins.
+	atoms       [2]atomic.Int64
 	derivations atomic.Int64
-	fallbacks   atomic.Int64
-	// byReason holds one per-reason fallback counter, fixed at New over
-	// the closed reason-key set so workers index it without locking.
-	byReason map[string]*atomic.Int64
-
-	// jnl, when set, receives one derive-fallback journal event per
-	// bailout (nil = journaling off). Set once before tuning starts.
-	jnl *journal.Journal
 
 	mAtoms, mDerivations              *obs.Counter
-	mFallback                         map[string]*obs.Counter
 	mVerifyOK, mVerifyBad, mVerifyErr *obs.Counter
-}
-
-// reasons is the closed fallback-reason-key set, in reporting order: each
-// reason once per shape (single-scope, join).
-var reasons = []string{
-	ReasonAtom, ReasonAtom + joinSuffix,
-	ReasonError, ReasonError + joinSuffix,
-	ReasonEscape, ReasonEscape + joinSuffix,
 }
 
 // New returns an engine in the given mode ("" → On) with its own interner.
@@ -297,17 +249,7 @@ func New(mode Mode) *Engine {
 	if mode == "" {
 		mode = On
 	}
-	e := &Engine{
-		mode:     mode,
-		in:       NewInterner(),
-		structs:  map[int32]catalog.Structure{},
-		facts:    map[factKey]*fact{},
-		byReason: map[string]*atomic.Int64{},
-	}
-	for _, r := range reasons {
-		e.byReason[r] = &atomic.Int64{}
-	}
-	return e
+	return &Engine{mode: mode, in: NewInterner(), facts: map[factKey]*fact{}}
 }
 
 // Interner returns the engine's structure interner, for the caller to key
@@ -337,40 +279,10 @@ func (e *Engine) AttachMetrics(reg *obs.Registry) {
 		"Plan skeletons fetched, one per successful real alternatives call the derivation engine issued.")
 	e.mDerivations = reg.Counter("dta_derive_derivations_total",
 		"Cost evaluations answered by skeleton replay instead of an optimizer call.")
-	const fbHelp = "Real what-if calls behind derivation (skeleton fetches and evaluations replay could not answer), by reason and event shape."
-	e.mFallback = map[string]*obs.Counter{}
-	for _, r := range reasons {
-		base, shape := r, "single"
-		if strings.HasSuffix(r, joinSuffix) {
-			base, shape = strings.TrimSuffix(r, joinSuffix), "join"
-		}
-		e.mFallback[r] = reg.Counter("dta_derive_fallbacks_total", fbHelp, "reason", base, "shape", shape)
-	}
 	const vHelp = "Verify-mode cross-checks of derived costs against real optimizer calls."
 	e.mVerifyOK = reg.Counter("dta_derive_verify_total", vHelp, "result", "match")
 	e.mVerifyBad = reg.Counter("dta_derive_verify_total", vHelp, "result", "mismatch")
 	e.mVerifyErr = reg.Counter("dta_derive_verify_total", vHelp, "result", "error")
-}
-
-// Register adds the structures of a candidate pool — those a search phase
-// may add to tops — to the registry; a structure already registered keeps
-// its first registration. Safe on nil.
-func (e *Engine) Register(pool []Keyed) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, k := range pool {
-		e.register(e.in.ID(k.Key), k.Structure)
-	}
-}
-
-// register adds a structure to the registry; e.mu must be held.
-func (e *Engine) register(id int32, s catalog.Structure) {
-	if _, ok := e.structs[id]; !ok {
-		e.structs[id] = s
-	}
 }
 
 // BumpEpoch starts a new skeleton scope after statistics creation: costs
@@ -395,79 +307,75 @@ func (e *Engine) BumpEpoch() {
 // tops, and hence the real calls issued, are independent of scheduling. It
 // fetches the top's skeleton through fetch if the current scope does not hold
 // it yet (one real call, single-flighted across concurrent resolvers and
-// counted as an atom) and replays the skeleton restricted to rel. Every ID of
-// rel must carry a structure in the interner and every ID of additive must be
-// registered. join reports whether the event is a multi-scope SELECT
-// (per-reason fallback accounting splits by shape). The boolean reports
-// success; on false the caller issues its ordinary real call. Safe on nil
-// (always false).
-func (e *Engine) Resolve(event int, join bool, rel, additive []int32, fetch Fetch) (Result, bool) {
-	if e == nil {
-		return Result{}, false
-	}
+// counted as an atom of the event's shape: join reports a multi-scope SELECT)
+// and replays the skeleton restricted to rel. Every ID of rel and of additive
+// must carry a structure in the interner. A failed fetch returns its error —
+// to the resolver that issued it and to every resolver that waited on it —
+// and leaves no fact behind, so a later resolution fetches afresh; a fetch
+// without a skeleton, or a skeleton with no selectable alternative for rel,
+// is an error too.
+func (e *Engine) Resolve(event int, join bool, rel, additive []int32, fetch Fetch) (Result, error) {
 	top := union(rel, additive)
 	e.mu.Lock()
 	key := factKey{event: event, epoch: e.epoch, top: idString(top)}
 	f, found := e.facts[key]
-	var cfg *catalog.Configuration
 	if !found {
 		f = &fact{ready: make(chan struct{}), top: top}
 		e.facts[key] = f
-		for _, id := range rel {
-			e.register(id, e.in.Structure(id))
-		}
-		cfg = e.topConfig(top)
 	}
 	e.mu.Unlock()
 
 	if found {
 		<-f.ready
 	} else {
-		e.fallback(event, ReasonAtom, join)
-		f.cost, f.used, f.alts, f.err = fetch(cfg)
+		f.cost, f.used, f.alts, f.err = fetch(e.topConfig(top))
+		if f.err == nil && f.alts == nil {
+			f.err = fmt.Errorf("derive: event %d: the backend returned no plan skeleton", event)
+		}
 		if f.err != nil {
 			e.mu.Lock()
 			delete(e.facts, key)
 			e.mu.Unlock()
 		} else {
 			e.compile(f)
-			e.atoms.Add(1)
+			shape := 0
+			if join {
+				shape = 1
+			}
+			e.atoms[shape].Add(1)
 			count(e.mAtoms)
 		}
 		close(f.ready)
 	}
 	if f.err != nil {
-		e.fallback(event, ReasonError, join)
-		return Result{}, false
+		return Result{}, f.err
 	}
-	if f.alts != nil {
-		if cost, used, ok := f.alts.Select(func(k string) bool { return f.has(rel, k) }); ok {
-			e.derivations.Add(1)
-			count(e.mDerivations)
-			return Result{Cost: cost, Used: used}, true
-		}
+	cost, used, ok := f.alts.Select(func(k string) bool { return f.has(rel, k) })
+	if !ok {
+		// Impossible for a well-formed backend: a base access always exists.
+		return Result{}, fmt.Errorf("derive: event %d: the plan skeleton offers no selectable alternative", event)
 	}
-	// A missing skeleton, or one with no selectable alternative, is
-	// impossible for a well-formed backend (a base access always exists);
-	// re-cost for real rather than guess.
-	e.fallback(event, ReasonEscape, join)
-	return Result{}, false
+	e.derivations.Add(1)
+	count(e.mDerivations)
+	return Result{Cost: cost, Used: used}, nil
 }
 
-// topConfig builds the configuration of a top from the registry. Structures
+// topConfig builds the configuration of a top from the interner. Structures
 // are applied in sorted key order so identical tops always produce identical
-// configurations; e.mu must be held. A top's keys are distinct and its base
-// part comes from one configuration — at most one clustered index and one
-// partitioning per table — while the pool adds only additive structures, so
-// Structure.ApplyTo's duplicate and conflict checks could never fire: each
-// structure is added as ApplyTo would add it (a clone) without re-deriving
-// the key of every index already present.
+// configurations. A top's keys are distinct and its base part comes from one
+// configuration — at most one clustered index and one partitioning per table
+// — while the pool adds only additive structures, so Structure.ApplyTo's
+// duplicate and conflict checks could never fire: each structure is added as
+// ApplyTo would add it (a clone) without re-deriving the key of every index
+// already present.
 func (e *Engine) topConfig(top []int32) *catalog.Configuration {
+	e.in.mu.RLock()
+	defer e.in.mu.RUnlock()
 	ids := slices.Clone(top)
-	sort.Slice(ids, func(a, b int) bool { return e.in.Key(ids[a]) < e.in.Key(ids[b]) })
+	slices.SortFunc(ids, func(a, b int32) int { return strings.Compare(e.in.keys[a], e.in.keys[b]) })
 	cfg := catalog.NewConfiguration()
 	for _, id := range ids {
-		switch s := e.structs[id]; {
+		switch s := e.in.structs[id]; {
 		case s.Index != nil:
 			cfg.Indexes = append(cfg.Indexes, s.Index.Clone())
 		case s.View != nil:
@@ -499,17 +407,17 @@ type FactRecord struct {
 	Alts *optimizer.Alternatives `json:"alts,omitempty"`
 }
 
-// Snapshot is the engine's serializable state at one statistics epoch: the
-// structure registry and every fact recorded at the current epoch, both
-// sorted so identical states produce byte-identical JSON whatever order the
-// session interned its structures in. It is the derive half of a
+// Snapshot is the engine's serializable state at one statistics epoch: every
+// fact recorded at the current epoch and the structures those facts name,
+// both sorted so identical states produce byte-identical JSON whatever order
+// the session interned its structures in. It is the derive half of a
 // core.CostedPool: a restored engine answers exactly the evaluations the
 // original engine could answer at its final epoch.
 type Snapshot struct {
 	// Mode is the engine's derivation mode.
 	Mode Mode `json:"mode"`
-	// Structs is the structure registry, sorted by key; facts refer to a
-	// structure by its position here.
+	// Structs holds every structure a fact names, sorted by key; facts refer
+	// to a structure by its position here.
 	Structs []Keyed `json:"structs,omitempty"`
 	// Facts holds the current-epoch facts, sorted by (event, base, node).
 	Facts []FactRecord `json:"facts,omitempty"`
@@ -523,16 +431,12 @@ type Snapshot struct {
 func (e *Engine) Snapshot() *Snapshot { return e.Capture()() }
 
 // Capture is Snapshot in two steps: under the engine's lock it only collects
-// the registry and the current epoch's ready facts (a fact is immutable once
-// ready), and the returned function builds the Snapshot from them without
-// the lock, so resolutions and fetches proceed meanwhile.
+// the current epoch's ready facts (a fact is immutable once ready), and the
+// returned function builds the Snapshot from them without the lock, so
+// resolutions and fetches proceed meanwhile.
 func (e *Engine) Capture() func() *Snapshot {
 	if e == nil {
 		return func() *Snapshot { return nil }
-	}
-	type reg struct {
-		id int32
-		Keyed
 	}
 	type held struct {
 		event int
@@ -540,10 +444,6 @@ func (e *Engine) Capture() func() *Snapshot {
 	}
 	e.mu.Lock()
 	mode := e.mode
-	regs := make([]reg, 0, len(e.structs))
-	for id, st := range e.structs {
-		regs = append(regs, reg{id, Keyed{Structure: st}})
-	}
 	var facts []held
 	for key, f := range e.facts {
 		if key.epoch != e.epoch {
@@ -558,14 +458,25 @@ func (e *Engine) Capture() func() *Snapshot {
 	e.mu.Unlock()
 	return func() *Snapshot {
 		s := &Snapshot{Mode: mode}
-		for i := range regs {
-			regs[i].Key = e.in.Key(regs[i].id)
+		// The Structs table: every structure a fact's top names. Each was
+		// interned before its fact was published, so its ID is below Len.
+		type named struct {
+			id int32
+			Keyed
 		}
-		slices.SortFunc(regs, func(a, b reg) int { return strings.Compare(a.Key, b.Key) })
-		// Every top ID is registered (Resolve registers rel, Register the
-		// pool), so each has a position.
+		var table []named
 		pos := make([]int32, e.in.Len())
-		for p, r := range regs {
+		seen := make([]bool, len(pos))
+		for _, h := range facts {
+			for _, id := range h.f.top {
+				if !seen[id] {
+					seen[id] = true
+					table = append(table, named{id, Keyed{Key: e.in.Key(id), Structure: e.in.Structure(id)}})
+				}
+			}
+		}
+		slices.SortFunc(table, func(a, b named) int { return strings.Compare(a.Key, b.Key) })
+		for p, r := range table {
 			s.Structs = append(s.Structs, r.Keyed)
 			pos[r.id] = int32(p)
 		}
@@ -623,7 +534,8 @@ func (s *Snapshot) Check() error {
 }
 
 // Restore loads a snapshot into the engine at epoch zero, replacing any
-// existing state: the Structs table is interned once, each fact's positions
+// existing facts: the Structs table is interned once (a structure the
+// interner has not seen yet is recorded from it), each fact's positions
 // are remapped to interned IDs, and its gates are compiled. As long as no
 // statistics are created afterwards (the search layer never creates
 // statistics), every restored fact stays valid and resolutions behave
@@ -637,11 +549,9 @@ func (e *Engine) Restore(s *Snapshot) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.epoch = 0
-	e.structs = make(map[int32]catalog.Structure, len(s.Structs))
 	ids := make([]int32, len(s.Structs))
 	for p, k := range s.Structs {
-		ids[p] = e.in.ID(k.Key)
-		e.structs[ids[p]] = k.Structure
+		ids[p], _ = e.in.Intern(k.Key, k.Structure)
 	}
 	e.facts = make(map[factKey]*fact, len(s.Facts))
 	for _, r := range s.Facts {
@@ -676,7 +586,26 @@ func (e *Engine) Atoms() int64 {
 	if e == nil {
 		return 0
 	}
-	return e.atoms.Load()
+	return e.atoms[0].Load() + e.atoms[1].Load()
+}
+
+// AtomsByShape breaks Atoms down by event shape: "atom" for single-scope
+// events (DML included), "atom-join" for multi-scope SELECTs. Zero counts
+// are left out (nil when none, and on a nil engine).
+func (e *Engine) AtomsByShape() map[string]int64 {
+	if e == nil {
+		return nil
+	}
+	var out map[string]int64
+	for shape, key := range [2]string{"atom", "atom-join"} {
+		if n := e.atoms[shape].Load(); n > 0 {
+			if out == nil {
+				out = map[string]int64{}
+			}
+			out[key] = n
+		}
+	}
+	return out
 }
 
 // Derivations reports how many evaluations were answered by derivation.
@@ -688,69 +617,10 @@ func (e *Engine) Derivations() int64 {
 	return e.derivations.Load()
 }
 
-// Fallbacks reports how many real calls stood behind derivation: skeleton
-// fetches plus evaluations replay could not answer. Safe on nil.
-func (e *Engine) Fallbacks() int64 {
-	if e == nil {
-		return 0
-	}
-	return e.fallbacks.Load()
-}
-
-// FallbacksByReason snapshots the per-reason fallback breakdown (only
-// reasons with non-zero counts; nil when none, and on a nil engine).
-func (e *Engine) FallbacksByReason() map[string]int64 {
-	if e == nil {
-		return nil
-	}
-	var out map[string]int64
-	for _, r := range reasons {
-		if n := e.byReason[r].Load(); n > 0 {
-			if out == nil {
-				out = map[string]int64{}
-			}
-			out[r] = n
-		}
-	}
-	return out
-}
-
 // Stats snapshots the derivation counters for progress reporting: the
-// derived-eval count and the per-reason fallback breakdown. Safe on nil.
+// derived-eval count and the atoms by shape. Safe on nil.
 func (e *Engine) Stats() (int64, map[string]int64) {
-	return e.Derivations(), e.FallbacksByReason()
-}
-
-// SetJournal attaches the session's decision journal, so every fallback
-// is recorded as a derive-fallback event with the event index and
-// reason. Call before tuning starts; safe on nil (either side).
-func (e *Engine) SetJournal(j *journal.Journal) {
-	if e == nil {
-		return
-	}
-	e.jnl = j
-}
-
-// fallback counts one fallback of the given workload event under the given
-// reason and shape, and journals it when a journal is attached.
-func (e *Engine) fallback(event int, reason string, join bool) {
-	if e == nil {
-		return
-	}
-	key := reasonKey(reason, join)
-	e.fallbacks.Add(1)
-	if c := e.byReason[key]; c != nil {
-		c.Add(1)
-	}
-	if e.mFallback != nil {
-		count(e.mFallback[key])
-	}
-	if e.jnl != nil {
-		ev := journal.Ev(journal.KindDeriveFallback)
-		ev.Query = event
-		ev.Reason = key
-		e.jnl.Append(ev)
-	}
+	return e.Derivations(), e.AtomsByShape()
 }
 
 // isBase reports whether the structure belongs to the base (shaping) part

@@ -57,16 +57,12 @@ func TestParseMode(t *testing.T) {
 
 func TestNilEngineIsInert(t *testing.T) {
 	var e *Engine
-	e.Register([]Keyed{ixKeyed("t", "x")})
 	e.BumpEpoch()
 	e.VerifyOutcome(true, nil)
 	e.AttachMetrics(nil)
 	e.Restore(nil)
-	if e.Mode() != "" || e.Atoms() != 0 || e.Derivations() != 0 || e.Fallbacks() != 0 || e.Snapshot() != nil {
+	if e.Mode() != "" || e.Atoms() != 0 || e.AtomsByShape() != nil || e.Derivations() != 0 || e.Snapshot() != nil {
 		t.Fatal("nil engine must report zeros")
-	}
-	if _, ok := e.Resolve(0, false, nil, nil, nil); ok {
-		t.Fatal("nil engine must never derive")
 	}
 	if New("").Mode() != On {
 		t.Fatal(`New("") must be On`)
@@ -127,14 +123,13 @@ func (b *skeletonBackend) fetches() int {
 func TestResolveFetchesTopOnceAndReplays(t *testing.T) {
 	e := New(On)
 	b := newSkeletonBackend()
-	e.Register([]Keyed{b.i1, b.i2})
 	pool := ids(e, b.i1, b.i2)
 	top := b.i2.Key + "|" + b.i1.Key // sorted: ix:t(a) < ix:t(x)
 
 	// S = {i1}: the top {i1,i2} is fetched once and {i1} replays from it.
-	res, ok := e.Resolve(7, false, ids(e, b.i1), pool, b.fetch)
-	if !ok || res.Cost != 120 || len(res.Used) != 1 || res.Used[0] != b.i1.Key {
-		t.Fatalf("replay for {i1}: %+v ok=%v", res, ok)
+	res, err := e.Resolve(7, false, ids(e, b.i1), pool, b.fetch)
+	if err != nil || res.Cost != 120 || len(res.Used) != 1 || res.Used[0] != b.i1.Key {
+		t.Fatalf("replay for {i1}: %+v, %v", res, err)
 	}
 	if b.fetches() != 1 || b.tops[0] != top {
 		t.Fatalf("want exactly one fetch of the top %s, got %v", top, b.tops)
@@ -146,9 +141,9 @@ func TestResolveFetchesTopOnceAndReplays(t *testing.T) {
 		rel  []Keyed
 		cost float64
 	}{{nil, 500}, {[]Keyed{b.i2}, 90}, {[]Keyed{b.i2, b.i1}, 90}} {
-		res, ok := e.Resolve(7, false, ids(e, c.rel...), pool, b.fetch)
-		if !ok || res.Cost != c.cost {
-			t.Fatalf("replay for %v: %+v ok=%v, want cost %v", c.rel, res, ok, c.cost)
+		res, err := e.Resolve(7, false, ids(e, c.rel...), pool, b.fetch)
+		if err != nil || res.Cost != c.cost {
+			t.Fatalf("replay for %v: %+v, %v; want cost %v", c.rel, res, err, c.cost)
 		}
 	}
 	if b.fetches() != 1 {
@@ -171,60 +166,78 @@ func TestResolveFetchesTopOnceAndReplays(t *testing.T) {
 	}
 }
 
-// TestResolveFallbackReasons shows a live producer for every reason key the
-// engine reports.
+// TestResolveFallbackReasons: the engine has no second costing path. Every
+// fetch is an atom counted by event shape; a failed fetch returns its error
+// to the resolver that issued it and to every resolver waiting on it, and
+// leaves nothing behind, so a later resolution fetches afresh; a fetch
+// without a skeleton, or a skeleton with nothing selectable, is an error
+// too, and nothing is derived from it.
 func TestResolveFallbackReasons(t *testing.T) {
-	// Atom: every fetch is one, split by shape; with an empty pool S is its
-	// own top.
+	// Atoms, by shape; with an empty pool S is its own top.
 	e := New(On)
 	b := newSkeletonBackend()
-	if _, ok := e.Resolve(0, false, ids(e, b.i1), nil, b.fetch); !ok {
-		t.Fatal("empty pool: S is its own top and must replay from its own skeleton")
+	if _, err := e.Resolve(0, false, ids(e, b.i1), nil, b.fetch); err != nil {
+		t.Fatalf("empty pool: S is its own top and must replay from its own skeleton: %v", err)
 	}
-	if _, ok := e.Resolve(1, true, ids(e, b.i1), nil, b.fetch); !ok {
-		t.Fatal("join event must resolve too")
+	if _, err := e.Resolve(1, true, ids(e, b.i1), nil, b.fetch); err != nil {
+		t.Fatalf("join event must resolve too: %v", err)
 	}
-	if by := e.FallbacksByReason(); by[ReasonAtom] != 1 || by[ReasonAtom+joinSuffix] != 1 || len(by) != 2 {
-		t.Fatalf("atom fallbacks must split by shape, got %v", by)
+	if by := e.AtomsByShape(); by["atom"] != 1 || by["atom-join"] != 1 || len(by) != 2 || e.Atoms() != 2 {
+		t.Fatalf("atoms must split by shape, got %v", by)
 	}
 
-	// Error: the fetch fails. The failed slot is dropped, so the next
-	// resolution fetches again — and succeeds once the backend recovers.
+	// A failed fetch: its leader and every waiter get its error.
 	e = New(On)
 	b = newSkeletonBackend()
-	e.Register([]Keyed{b.i1, b.i2})
 	pool := ids(e, b.i1, b.i2)
-	b.err = errors.New("backend down")
-	if _, ok := e.Resolve(0, false, ids(e, b.i1), pool, b.fetch); ok {
-		t.Fatal("failed fetch must fall back")
+	down := errors.New("backend down")
+	b.err, b.gate = down, make(chan struct{})
+	const resolvers = 4
+	errs := make([]error, resolvers)
+	var started, wg sync.WaitGroup
+	for r := 0; r < resolvers; r++ {
+		started.Add(1)
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			started.Done()
+			_, errs[r] = e.Resolve(0, false, ids(e, b.i1), pool, b.fetch)
+		}(r)
 	}
-	if by := e.FallbacksByReason(); by[ReasonError] != 1 || by[ReasonAtom] != 1 {
-		t.Fatalf("failed fetch must count one atom and one eval-error, got %v", by)
+	started.Wait()
+	close(b.gate)
+	wg.Wait()
+	for r, err := range errs {
+		if !errors.Is(err, down) {
+			t.Fatalf("resolver %d: %v, want the fetch's own error", r, err)
+		}
 	}
-	if e.Atoms() != 0 {
-		t.Fatal("a failed fetch records no skeleton")
+	if b.fetches() > resolvers || e.Atoms() != 0 || e.Derivations() != 0 {
+		t.Fatalf("fetches %d, atoms %d, derivations %d: a failed fetch records nothing", b.fetches(), e.Atoms(), e.Derivations())
 	}
-	b.err = nil
-	if _, ok := e.Resolve(0, false, ids(e, b.i1), pool, b.fetch); !ok || b.fetches() != 2 {
-		t.Fatalf("a failed fetch must not poison the scope (ok=%v fetches=%v)", ok, b.tops)
+	// The failed fact is gone: the next resolution fetches afresh and
+	// succeeds once the backend recovers.
+	fetched := b.fetches()
+	b.err, b.gate = nil, nil
+	if _, err := e.Resolve(0, false, ids(e, b.i1), pool, b.fetch); err != nil || b.fetches() != fetched+1 {
+		t.Fatalf("a failed fetch must not poison the scope (%v, fetches %v)", err, b.tops)
 	}
 
-	// Escape: the backend returns no skeleton, or one nothing can be
-	// selected from.
+	// A fetch without a skeleton, and a skeleton nothing can be selected
+	// from: backend bugs, reported as errors naming the event.
 	e = New(On)
 	b = newSkeletonBackend()
 	b.noAlts = true
-	if _, ok := e.Resolve(0, false, ids(e, b.i1), nil, b.fetch); ok {
-		t.Fatal("a fetch without a skeleton must fall back")
+	if _, err := e.Resolve(3, false, ids(e, b.i1), nil, b.fetch); err == nil || !strings.Contains(err.Error(), "event 3") {
+		t.Fatalf("a fetch without a skeleton must fail naming its event, got %v", err)
 	}
 	b.noAlts, b.alts = false, &optimizer.Alternatives{}
-	if _, ok := e.Resolve(1, true, ids(e, b.i1), nil, b.fetch); ok {
-		t.Fatal("a skeleton without a selectable alternative must fall back")
+	if _, err := e.Resolve(4, true, ids(e, b.i1), nil, b.fetch); err == nil || !strings.Contains(err.Error(), "event 4") {
+		t.Fatalf("a skeleton without a selectable alternative must fail naming its event, got %v", err)
 	}
-	if by := e.FallbacksByReason(); by[ReasonEscape] != 1 || by[ReasonEscape+joinSuffix] != 1 {
-		t.Fatalf("used-escape fallbacks must be counted by shape, got %v", by)
+	if e.Derivations() != 0 {
+		t.Fatalf("derivations = %d from broken skeletons", e.Derivations())
 	}
-
 }
 
 // TestResolveReplaysMaintenanceSkeleton: a DML event resolves like any other —
@@ -244,7 +257,6 @@ func TestResolveReplaysMaintenanceSkeleton(t *testing.T) {
 			{Gate: b.i1.Key, Struct: b.i1.Key, Cost: 5},
 		},
 	}}
-	e.Register([]Keyed{b.i1, b.i2})
 	pool := ids(e, b.i1, b.i2)
 	for _, c := range []struct {
 		rel  []int32
@@ -256,31 +268,30 @@ func TestResolveReplaysMaintenanceSkeleton(t *testing.T) {
 		{ids(e, b.i2), 108, []string{b.i2.Key}},
 		{pool, 23, []string{b.i2.Key, b.i1.Key}},
 	} {
-		res, ok := e.Resolve(0, false, c.rel, pool, b.fetch)
-		if !ok || res.Cost != c.cost || !slices.Equal(res.Used, c.used) {
-			t.Fatalf("rel %v: %v %v (ok %v), want %v %v", c.rel, res.Cost, res.Used, ok, c.cost, c.used)
+		res, err := e.Resolve(0, false, c.rel, pool, b.fetch)
+		if err != nil || res.Cost != c.cost || !slices.Equal(res.Used, c.used) {
+			t.Fatalf("rel %v: %v %v (%v), want %v %v", c.rel, res.Cost, res.Used, err, c.cost, c.used)
 		}
 	}
-	if by := e.FallbacksByReason(); b.fetches() != 1 || by[ReasonAtom] != 1 || len(by) != 1 {
-		t.Fatalf("fetches %d, fallbacks %v: want one single-scope atom", b.fetches(), by)
+	if by := e.AtomsByShape(); b.fetches() != 1 || by["atom"] != 1 || len(by) != 1 {
+		t.Fatalf("fetches %d, atoms %v: want one single-scope atom", b.fetches(), by)
 	}
 }
 
 func TestEpochInvalidatesSkeletons(t *testing.T) {
 	e := New(On)
 	b := newSkeletonBackend()
-	e.Register([]Keyed{b.i1, b.i2})
 	pool := ids(e, b.i1, b.i2)
 
-	if _, ok := e.Resolve(0, false, ids(e, b.i1), pool, b.fetch); !ok {
-		t.Fatal("first resolve should derive")
+	if _, err := e.Resolve(0, false, ids(e, b.i1), pool, b.fetch); err != nil {
+		t.Fatalf("first resolve should derive: %v", err)
 	}
 	e.BumpEpoch()
 	// Skeletons of the previous epoch must not answer: the next resolution
 	// fetches exactly once at the new epoch and replays again.
 	for i := 0; i < 2; i++ {
-		if _, ok := e.Resolve(0, false, ids(e, b.i1), pool, b.fetch); !ok {
-			t.Fatal("post-bump resolve should derive from a fresh skeleton")
+		if _, err := e.Resolve(0, false, ids(e, b.i1), pool, b.fetch); err != nil {
+			t.Fatalf("post-bump resolve should derive from a fresh skeleton: %v", err)
 		}
 	}
 	if b.fetches() != 2 {
@@ -298,7 +309,6 @@ func TestConcurrentResolversShareOneFetch(t *testing.T) {
 	e := New(On)
 	b := newSkeletonBackend()
 	b.gate = make(chan struct{})
-	e.Register([]Keyed{b.i1, b.i2})
 	pool := ids(e, b.i1, b.i2)
 
 	subsets := [][]int32{nil, ids(e, b.i1), ids(e, b.i2), ids(e, b.i2, b.i1)}
@@ -313,8 +323,8 @@ func TestConcurrentResolversShareOneFetch(t *testing.T) {
 			go func(slot int, rel []int32) {
 				defer wg.Done()
 				started.Done()
-				res, ok := e.Resolve(3, false, rel, pool, b.fetch)
-				if ok {
+				res, err := e.Resolve(3, false, rel, pool, b.fetch)
+				if err == nil {
 					got[slot] = res.Cost
 				}
 			}(r*len(subsets)+j, rel)
@@ -336,23 +346,30 @@ func TestConcurrentResolversShareOneFetch(t *testing.T) {
 func TestSnapshotRestoreAnswersWithoutFetching(t *testing.T) {
 	e := New(On)
 	b := newSkeletonBackend()
-	e.Register([]Keyed{b.i1, b.i2})
-	if _, ok := e.Resolve(0, false, ids(e, b.i1), ids(e, b.i1, b.i2), b.fetch); !ok {
-		t.Fatal("resolve should derive")
+	ids(e, ixKeyed("t", "unused")) // interned, but named by no fact
+	if _, err := e.Resolve(0, false, ids(e, b.i1), ids(e, b.i1, b.i2), b.fetch); err != nil {
+		t.Fatalf("resolve should derive: %v", err)
+	}
+	snap := e.Snapshot()
+	if len(snap.Structs) != 2 || snap.Structs[0] != b.i2 || snap.Structs[1] != b.i1 {
+		t.Fatalf("snapshot table %v, want exactly the fact's structures, sorted by key", snap.Structs)
 	}
 
 	// The restoring engine has interned other structures first, so the
-	// snapshot's table positions are not its IDs.
+	// snapshot's table positions are not its IDs; i1 it has never seen, so
+	// its structure comes from the snapshot.
 	r := New(Verify)
 	ids(r, ixKeyed("t", "pad"), b.i2)
-	r.Restore(e.Snapshot())
-	r.Register([]Keyed{b.i1, b.i2})
-	res, ok := r.Resolve(0, false, ids(r, b.i2), ids(r, b.i1, b.i2), func(*catalog.Configuration) (float64, []string, *optimizer.Alternatives, error) {
+	r.Restore(snap)
+	if id, _ := r.Interner().Intern(b.i1.Key, catalog.Structure{}); r.Interner().Structure(id).Index == nil {
+		t.Fatal("restore must record a structure the interner had not seen")
+	}
+	res, err := r.Resolve(0, false, ids(r, b.i2), ids(r, b.i1, b.i2), func(*catalog.Configuration) (float64, []string, *optimizer.Alternatives, error) {
 		t.Fatal("a restored skeleton must answer without a fetch")
 		return 0, nil, nil, nil
 	})
-	if !ok || res.Cost != 90 {
-		t.Fatalf("restored replay for {i2}: %+v ok=%v", res, ok)
+	if err != nil || res.Cost != 90 {
+		t.Fatalf("restored replay for {i2}: %+v, %v", res, err)
 	}
 }
 

@@ -143,7 +143,7 @@ func TestMergeLeavesCycleSafe(t *testing.T) {
 
 func TestWriteText(t *testing.T) {
 	exp := Explain(synthJournal(), []string{"ix:t(a,b)", "ix:u(c)", "ix:never(seen)"})
-	exp.DroppedEvents = map[Kind]int64{KindDeriveFallback: 7}
+	exp.DroppedEvents = map[Kind]int64{KindRetry: 7}
 	var buf bytes.Buffer
 	if err := exp.WriteText(&buf); err != nil {
 		t.Fatal(err)

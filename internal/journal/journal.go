@@ -3,8 +3,8 @@
 // candidates each query's Greedy(m,k) kept, what the enumeration greedy
 // seeded with and what every growth step accepted or rejected (and what
 // the runner-up was), which merge attempts produced kept structures,
-// what drop analysis removed, why cost derivation fell back to a real
-// optimizer call, and when retries or the circuit breaker fired. Traces
+// what drop analysis removed, and when retries or the circuit breaker
+// fired. Traces
 // (internal/obs) answer "where did the time go"; the journal answers
 // "why is this structure in the recommendation" — the explain layer
 // (explain.go) reconstructs per-structure provenance from these events
@@ -13,7 +13,7 @@
 // Emission is purely observational and happens at the pipeline's
 // sequential reduction points, so recommendations are byte-identical
 // with journaling on or off. Memory is bounded per kind: each kind gets
-// its own ring, so a noisy kind (derive fallbacks, retries) can evict
+// its own ring, so a noisy kind (retries) can evict
 // only its own history, never the scarce decision events explain needs.
 package journal
 
@@ -58,10 +58,6 @@ const (
 	// KindDrop records one drop-analysis round: the existing structure
 	// whose removal was cheapest and whether it was actually dropped.
 	KindDrop Kind = "drop"
-	// KindDeriveFallback records one real optimizer call behind cost
-	// derivation, with the fallback reason taxonomy from internal/derive
-	// (atom, eval-error, used-escape).
-	KindDeriveFallback Kind = "derive-fallback"
 	// KindRetry records one failed backend attempt (the retry layer's
 	// per-site transitions; successes are not journaled).
 	KindRetry Kind = "retry"
@@ -103,7 +99,7 @@ const (
 // order documentation and filters enumerate).
 func Kinds() []Kind {
 	return []Kind{KindPhase, KindQuery, KindCandidate, KindSeed, KindStep,
-		KindMerge, KindDrop, KindDeriveFallback, KindRetry, KindBreaker, KindStop,
+		KindMerge, KindDrop, KindRetry, KindBreaker, KindStop,
 		KindRevise, KindDrift, KindDelta, KindFeedback}
 }
 
@@ -157,8 +153,9 @@ type Event struct {
 	RunnerUp string `json:"runnerUp,omitempty"`
 	// RunnerUpCost is the workload cost the runner-up would have reached.
 	RunnerUpCost float64 `json:"runnerUpCost,omitempty"`
-	// Reason carries the derive fallback reason, breaker cause, or stop
-	// reason.
+	// Reason carries the breaker cause (breaker events), the stop reason
+	// (stop), the revised pool's fingerprint (revise), or a daemon's
+	// re-tune trigger (drift) and trigger/path (delta).
 	Reason string `json:"reason,omitempty"`
 	// Site is the backend call site a retry/breaker event fired at.
 	Site string `json:"site,omitempty"`
@@ -173,7 +170,7 @@ func Ev(kind Kind) Event { return Event{Kind: kind, Query: -1, Step: -1} }
 // DefaultPerKindLimit bounds each kind's ring. 16384 events/kind keeps a
 // whole session's decision history for every workload in this repo while
 // capping worst-case memory at a few MB per session however long a
-// stream of derive fallbacks or retries runs.
+// stream of retries or candidate decisions runs.
 const DefaultPerKindLimit = 16384
 
 // ring is one kind's bounded buffer: once full, Append overwrites the

@@ -65,31 +65,31 @@ func TestPerKindBounds(t *testing.T) {
 		e.Step = i
 		j.Append(e)
 	}
-	// Then a flood of fallbacks far over the limit.
+	// Then a flood of retries far over the limit.
 	for i := 0; i < 100; i++ {
-		e := Ev(KindDeriveFallback)
-		e.Reason = "atom"
+		e := Ev(KindRetry)
+		e.Site = "whatif"
 		j.Append(e)
 	}
 
 	steps := j.Events(KindStep)
 	if len(steps) != 2 {
-		t.Fatalf("flood of derive-fallback events evicted greedy steps: %d retained, want 2", len(steps))
+		t.Fatalf("flood of retry events evicted greedy steps: %d retained, want 2", len(steps))
 	}
-	fallbacks := j.Events(KindDeriveFallback)
-	if len(fallbacks) != 4 {
-		t.Fatalf("fallback ring holds %d, want limit 4", len(fallbacks))
+	retries := j.Events(KindRetry)
+	if len(retries) != 4 {
+		t.Fatalf("retry ring holds %d, want limit 4", len(retries))
 	}
 	// The ring keeps the newest events.
-	if got := fallbacks[len(fallbacks)-1].Seq; got != int64(2+100) {
-		t.Errorf("newest fallback Seq = %d, want %d", got, 2+100)
+	if got := retries[len(retries)-1].Seq; got != int64(2+100) {
+		t.Errorf("newest retry Seq = %d, want %d", got, 2+100)
 	}
 	if got := j.Dropped(); got != 96 {
 		t.Errorf("Dropped = %d, want 96", got)
 	}
 	byKind := j.DroppedByKind()
-	if byKind[KindDeriveFallback] != 96 || len(byKind) != 1 {
-		t.Errorf("DroppedByKind = %v, want {derive-fallback: 96}", byKind)
+	if byKind[KindRetry] != 96 || len(byKind) != 1 {
+		t.Errorf("DroppedByKind = %v, want {retry: 96}", byKind)
 	}
 	if j.Len() != 6 {
 		t.Errorf("Len = %d, want 6", j.Len())
@@ -235,7 +235,7 @@ func TestConcurrentAppend(t *testing.T) {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 200; i++ {
-				j.Append(Ev(KindDeriveFallback))
+				j.Append(Ev(KindRetry))
 			}
 		}()
 	}

@@ -41,8 +41,9 @@ type CreateOptions struct {
 	// default, GOMAXPROCS). The server-wide budget (dtaserver
 	// -max-parallelism) caps it. Recommendations do not depend on it.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Derive selects the cost-derivation layer's mode: "on" answers SELECT
-	// cost-cache misses by replaying one plan skeleton per event
+	// Derive selects the cost-derivation layer's mode: "on" answers every
+	// cost-cache miss, SELECT and DML alike, by replaying one plan skeleton
+	// per event
 	// (recommendations unchanged, far fewer optimizer calls), "verify"
 	// additionally cross-checks every derived cost against a real call.
 	// Empty defers to the server default (dtaserver -derive, itself on

@@ -14,9 +14,8 @@ import (
 	"repro/internal/workload"
 )
 
-// dmlWorkload mixes SELECTs with an UPDATE so a derivation-enabled session
-// is guaranteed at least one per-reason fallback (DML events always fall
-// back to a real optimizer call).
+// dmlWorkload mixes SELECTs with an UPDATE, so a derivation-enabled session
+// fetches skeletons for both statement kinds.
 func dmlWorkload() []workload.Statement {
 	return []workload.Statement{
 		{SQL: "SELECT id FROM t WHERE x = 42", Weight: 1},
@@ -177,9 +176,8 @@ func TestExplainEndpoint(t *testing.T) {
 
 // TestProgressStreamDeriveFields asserts the NDJSON progress stream and the
 // terminal snapshot surface the derivation layer's work: derivedEvals and
-// the per-reason deriveFallbacks breakdown (every skeleton fetch counts an
-// "atom"; the workload's UPDATE derives like its SELECTs, so no "dml" reason
-// exists).
+// the deriveFallbacks atoms by shape (every skeleton fetch counts an "atom";
+// the workload's UPDATE derives like its SELECTs, so no "dml" key exists).
 func TestProgressStreamDeriveFields(t *testing.T) {
 	_, ts, _ := newTestAPI(t, 2)
 

@@ -169,7 +169,6 @@ func TestMetricsExposition(t *testing.T) {
 		`dta_cost_cache_requests_total{outcome="derived"}`,
 		"dta_derive_atoms_total",
 		"dta_derive_derivations_total",
-		"dta_derive_fallbacks_total",
 		`dta_derive_verify_total{result="match"}`,
 	} {
 		if !strings.Contains(derived, want) {

@@ -285,8 +285,9 @@ type Result struct {
 	EventsTuned  int     `json:"eventsTuned"`
 	WhatIfCalls  int64   `json:"whatIfCalls"`
 	DerivedEvals int64   `json:"derivedEvals,omitempty"`
-	// DeriveFallbacks breaks down, by reason, the real optimizer calls
-	// behind cost derivation (skeleton fetches, DML, failed resolutions).
+	// DeriveFallbacks counts the real optimizer calls behind cost
+	// derivation — the plan skeletons fetched — by event shape ("atom",
+	// "atom-join"; see core.Recommendation.DeriveFallbacks).
 	DeriveFallbacks map[string]int64 `json:"deriveFallbacks,omitempty"`
 	StatsCreated    int              `json:"statsCreated"`
 	DurationMS      int64            `json:"durationMS"`

@@ -182,27 +182,40 @@ func (s *Server) addOverhead(d float64) {
 // WhatIf optimizes the statement as if cfg were materialized, charging the
 // call to this server.
 func (s *Server) WhatIf(stmt sqlparser.Statement, cfg *catalog.Configuration) (*optimizer.Result, error) {
+	res, _, err := s.optimize(stmt, cfg, false)
+	return res, err
+}
+
+// optimize is the one what-if call: it charges the call to this server,
+// consults the fault injector, and optimizes the statement — returning its
+// plan skeleton too with wantAlts — observing latency and configuration size
+// when metrics are attached. A failed call is still charged: a real backend
+// does the accounting before the optimizer can fail, and retries must show
+// up in the server's load figures.
+func (s *Server) optimize(stmt sqlparser.Statement, cfg *catalog.Configuration, wantAlts bool) (*optimizer.Result, *optimizer.Alternatives, error) {
 	s.whatIfCalls.Add(1)
 	s.addOverhead(WhatIfCallCost)
 	if err := s.injectFault(fault.SiteWhatIf); err != nil {
-		// The failed call is still charged above: a real backend does the
-		// accounting before the optimizer can fail, and retries must show up
-		// in the server's load figures.
-		return nil, err
-	}
-	m := s.metrics.Load()
-	if m == nil {
-		return s.opt.Optimize(stmt, cfg)
+		return nil, nil, err
 	}
 	start := time.Now()
-	res, err := s.opt.Optimize(stmt, cfg)
-	m.latency.Observe(time.Since(start).Seconds())
-	if cfg != nil {
-		m.structsIdx.Observe(float64(len(cfg.Indexes)))
-		m.structsView.Observe(float64(len(cfg.Views)))
-		m.structsPart.Observe(float64(len(cfg.TableParts)))
+	var res *optimizer.Result
+	var alts *optimizer.Alternatives
+	var err error
+	if wantAlts {
+		res, alts, err = s.opt.OptimizeAlternatives(stmt, cfg)
+	} else {
+		res, err = s.opt.Optimize(stmt, cfg)
 	}
-	return res, err
+	if m := s.metrics.Load(); m != nil {
+		m.latency.Observe(time.Since(start).Seconds())
+		if cfg != nil {
+			m.structsIdx.Observe(float64(len(cfg.Indexes)))
+			m.structsView.Observe(float64(len(cfg.Views)))
+			m.structsPart.Observe(float64(len(cfg.TableParts)))
+		}
+	}
+	return res, alts, err
 }
 
 // Cost is WhatIf returning only the estimated cost.
@@ -380,28 +393,7 @@ func (s *Server) WhatIfCost(stmt sqlparser.Statement, cfg *catalog.Configuration
 // performs one optimization and the skeleton falls out of work the optimizer
 // already did.
 func (s *Server) WhatIfAlternativesCost(stmt sqlparser.Statement, cfg *catalog.Configuration) (float64, []string, *optimizer.Alternatives, error) {
-	s.whatIfCalls.Add(1)
-	s.addOverhead(WhatIfCallCost)
-	if err := s.injectFault(fault.SiteWhatIf); err != nil {
-		// Charged above even on failure, matching WhatIf.
-		return 0, nil, nil, err
-	}
-	m := s.metrics.Load()
-	if m == nil {
-		res, alts, err := s.opt.OptimizeAlternatives(stmt, cfg)
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		return res.Cost, res.UsedStructures, alts, nil
-	}
-	start := time.Now()
-	res, alts, err := s.opt.OptimizeAlternatives(stmt, cfg)
-	m.latency.Observe(time.Since(start).Seconds())
-	if cfg != nil {
-		m.structsIdx.Observe(float64(len(cfg.Indexes)))
-		m.structsView.Observe(float64(len(cfg.Views)))
-		m.structsPart.Observe(float64(len(cfg.TableParts)))
-	}
+	res, alts, err := s.optimize(stmt, cfg, true)
 	if err != nil {
 		return 0, nil, nil, err
 	}
