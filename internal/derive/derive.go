@@ -56,7 +56,9 @@
 // names the structures its alternatives need by key; those gate keys are
 // resolved to IDs once, when the fact becomes ready (fetched or restored),
 // so a replay checks a gate with one read of an immutable per-fact map and a
-// binary search of the configuration — no interner lock. The engine keeps
+// binary search of the configuration — no interner lock. A join skeleton's
+// replay form (optimizer.CompiledJoin) is compiled at the same moment, so
+// facts shared across workers are read-only once published. The engine keeps
 // no structures of its own: the interner records each one, a top's
 // configuration is built from it, and key strings appear only inside
 // skeletons and once each in the persisted Snapshot's Structs table — the
@@ -162,13 +164,18 @@ type fact struct {
 }
 
 // compile resolves the fact's gate keys — single-scope component structures,
-// join scope-alternative and probe gates, join view structures, DML access
-// and maintenance-term gates — to IDs, under one interner read lock. Called
-// before the fact is published.
+// the gate table of a join skeleton's compiled replay form, DML access and
+// maintenance-term gates — to IDs, under one interner read lock; the join
+// form is compiled before the lock is taken. Called before the fact is
+// published.
 func (e *Engine) compile(f *fact) {
 	a := f.alts
 	if a == nil {
 		return
+	}
+	var joinGates []string
+	if a.Join != nil {
+		joinGates = a.Join.Compile().Gates()
 	}
 	f.gates = map[string]int32{}
 	e.in.mu.RLock()
@@ -186,18 +193,8 @@ func (e *Engine) compile(f *fact) {
 	for i := range a.Components {
 		gate(a.Components[i].Structure)
 	}
-	if js := a.Join; js != nil {
-		for _, sc := range js.Scopes {
-			for i := range sc.Alts {
-				gate(sc.Alts[i].Gate)
-			}
-		}
-		for i := range js.Probes {
-			gate(js.Probes[i].Gate)
-		}
-		for i := range js.Views {
-			gate(js.Views[i].Structure)
-		}
+	for _, key := range joinGates {
+		gate(key)
 	}
 	if m := a.Maint; m != nil {
 		for i := range m.Access {

@@ -155,28 +155,36 @@ func (c *optContext) accessPaths(s *Scope) []accessPath {
 	return paths
 }
 
-// bestAccess returns the cheapest access path, and the cheapest path whose
-// output order covers wantOrder (nil if none). Exact cost ties break by
-// (operator, structure key) — see pathLess — so the winner never depends on
-// the configuration's structure enumeration order.
-func (c *optContext) bestAccess(s *Scope, wantOrder []string) (best accessPath, ordered *accessPath) {
-	paths := c.accessPaths(s)
-	best = cheapestPath(paths)
-	if len(wantOrder) > 0 {
-		oi := -1
-		for i := range paths {
-			if orderedPrefix(paths[i].plan.Ordered, wantOrder) {
-				if oi < 0 || pathLess(paths[i].plan, paths[oi].plan) {
-					oi = i
-				}
-			}
-		}
-		if oi >= 0 {
-			p := paths[oi]
-			ordered = &p
+// scopePaths returns the access paths of scope i of q, the query being
+// optimized, enumerating them on first use: within one optimization a
+// scope's access paths are fixed, and the plan choice, the join composition
+// and the skeleton capture all read them.
+func (c *optContext) scopePaths(q *QueryInfo, i int) []accessPath {
+	if c.paths == nil {
+		if len(q.Scopes) == 1 {
+			c.paths = c.paths1[:]
+		} else {
+			c.paths = make([][]accessPath, len(q.Scopes))
 		}
 	}
-	return best, ordered
+	if c.paths[i] == nil {
+		c.paths[i] = c.accessPaths(q.Scopes[i])
+	}
+	return c.paths[i]
+}
+
+// orderedPath returns the cheapest path whose output order covers wantOrder
+// (nil if none). Exact cost ties break by (operator, structure key) — see
+// pathLess — so the winner never depends on the configuration's structure
+// enumeration order.
+func orderedPath(paths []accessPath, wantOrder []string) *accessPath {
+	var ordered *accessPath
+	for i := range paths {
+		if orderedPrefix(paths[i].plan.Ordered, wantOrder) && (ordered == nil || pathLess(paths[i].plan, ordered.plan)) {
+			ordered = &paths[i]
+		}
+	}
+	return ordered
 }
 
 // cheapestPath returns the minimum of a scope's access paths by pathLess.

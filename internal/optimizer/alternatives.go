@@ -91,7 +91,7 @@ func (c *optContext) selectAlternatives(q *QueryInfo) *Alternatives {
 	width := s.Table.ColumnWidth(s.Required)
 	want := c.interestingOrder(q)
 	a := &Alternatives{HasOrder: len(want) > 0}
-	for _, p := range c.accessPaths(s) {
+	for _, p := range c.scopePaths(q, 0) {
 		fin := c.finishSelect(q, joined{plan: p.plan, rows: p.rows, width: width})
 		a.Components = append(a.Components, AltComponent{
 			Structure: accessGate(p.plan),
@@ -144,7 +144,7 @@ func (a *Alternatives) Select(has func(string) bool) (float64, []string, bool) {
 		return c.Structure == "" || has(c.Structure)
 	}
 
-	// Access-path selection (bestAccess): minimum by pathLess.
+	// Access-path selection (cheapestPath): minimum by pathLess.
 	var j *AltComponent
 	for i := range a.Components {
 		c := &a.Components[i]

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/sqlparser"
+	"repro/internal/stats"
 )
 
 // altFixture returns the additive structures (non-clustered indexes and
@@ -451,5 +452,85 @@ func TestTieBreakIsOrderIndependent(t *testing.T) {
 	}
 	if len(rf.UsedStructures) != 1 || len(rr.UsedStructures) != 1 || rf.UsedStructures[0] != rr.UsedStructures[0] {
 		t.Fatalf("tie must break identically under both orders: %v vs %v", rf.UsedStructures, rr.UsedStructures)
+	}
+}
+
+// countingSrc wraps a join source and counts how often the composition asks
+// it for each scope's access and each probe group's candidates.
+type countingSrc struct {
+	inner            joinSrc
+	nAccess, nProbes []int
+}
+
+func (s *countingSrc) access(i int) joinStep {
+	s.nAccess[i]++
+	return s.inner.access(i)
+}
+
+func (s *countingSrc) probes(g int) []probeCand {
+	s.nProbes[g]++
+	return s.inner.probes(g)
+}
+
+// TestComposeJoinReadsEachInputOnce pins the hoist of per-scope inputs out
+// of the join-order search: one composition of an n-scope join asks its
+// source for each scope's access exactly once and for each (scope, join
+// column) probe group at most once — exactly once under the subset DP,
+// which reaches every edge from both ends — and the live source it reads
+// is the optimization's scope table, which the plan and the skeleton
+// capture then read without recomputing: the composed chain prices the
+// plan Optimize returns.
+func TestComposeJoinReadsEachInputOnce(t *testing.T) {
+	o := newOpt(testCatalog())
+	cfg := catalog.NewConfiguration()
+	cfg.AddIndex(catalog.NewIndex("t", "d_id"))
+	cfg.AddIndex(catalog.NewIndex("t", "x").WithInclude("d_id"))
+	cfg.AddIndex(catalog.NewIndex("d", "d_id").WithInclude("name"))
+	for _, tc := range []struct {
+		sql    string
+		scopes int
+		greedy bool
+	}{
+		{sql: `SELECT t1.id, d2.name FROM t t1, d d1, t t2, d d2, t t3
+			WHERE t1.d_id = d1.d_id AND t2.d_id = d1.d_id AND t2.x = t3.x
+			AND t3.d_id = d2.d_id AND t1.x = 17`, scopes: 5},
+		{sql: "SELECT t1.id FROM t t1, d, t t2 WHERE t1.d_id = d.d_id AND t2.x = 5", scopes: 3, greedy: true},
+	} {
+		stmt := sqlparser.MustParse(tc.sql)
+		q, err := o.analyze(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &optContext{opt: o, cfg: cfg, wanted: map[string]stats.Request{}}
+		l := c.liveJoin(q)
+		if l.g.n != tc.scopes {
+			t.Fatalf("%q: %d scopes, want %d", tc.sql, l.g.n, tc.scopes)
+		}
+		src := &countingSrc{inner: l, nAccess: make([]int, l.g.n), nProbes: make([]int, len(l.g.groups))}
+		chain, _ := composeJoin(l.g, src)
+		for i, n := range src.nAccess {
+			if n != 1 {
+				t.Fatalf("%q: scope %d access asked %d times, want once", tc.sql, i, n)
+			}
+		}
+		for g, n := range src.nProbes {
+			if n > 1 || (n == 0 && !tc.greedy) {
+				t.Fatalf("%q: probe group %+v asked %d times", tc.sql, l.g.groups[g], n)
+			}
+		}
+		if _, dp := newComposer(l.g, l).composeDP(); dp == tc.greedy {
+			t.Fatalf("%q: subset DP completed = %v, want %v", tc.sql, dp, !tc.greedy)
+		}
+		res, err := o.Optimize(stmt, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := res.Plan
+		for root.Op != "HashJoin" && root.Op != "IndexLoopJoin" {
+			root = root.Children[0]
+		}
+		if got, want := l.plan(chain).String(), root.String(); got != want {
+			t.Fatalf("%q: composed join\n%s differs from the optimized plan's join\n%s", tc.sql, got, want)
+		}
 	}
 }

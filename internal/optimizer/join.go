@@ -5,189 +5,239 @@ import (
 	"math/bits"
 )
 
-// joined is a DP state: the best left-deep plan for a subset of scopes.
+// joined is a finished plan input: a plan with its output rows and width.
 type joined struct {
 	plan  *Plan
 	rows  float64
 	width int // summed required-column width, for page estimates
 }
 
-func (j joined) pages() float64 { return pagesF(j.rows, j.width) }
-
-// joinSrc supplies the per-scope and per-edge inputs the join composition
-// consumes: access paths, join-edge selectivities, index-nested-loop probe
-// candidates, and the hardware model. The live optimizer backs it with the
-// configuration and catalog (liveJoinSrc); a replayed plan skeleton backs it
-// with captured alternatives restricted to a structure subset (replayJoinSrc).
-// Every quantity a joinSrc returns is independent of which *additive*
-// structures the configuration holds beyond availability — the property that
-// lets composeJoin run the bit-identical arithmetic on both sides.
-type joinSrc interface {
-	// scopeCount is the number of scopes joined.
-	scopeCount() int
-	// access returns the cheapest access path of scope i (pathLess minimum
-	// over the available paths) with the scope's output rows and width.
-	access(i int) joined
-	// binding is the scope's display label for plan details.
-	binding(i int) string
-	// edges lists the query's join edges (scope indices and columns).
-	edges() []JoinEdge
-	// edgeSel is the selectivity of edge k (symmetric: the classic
-	// 1/max(distinct) rule does not depend on join direction).
-	edgeSel(k int) float64
-	// probe returns the cheapest index-nested-loop probe plan into scope i on
-	// the join column for the given outer cardinality, or nil when no index
-	// with that leading key is available.
-	probe(i int, col string, outerRows float64) *Plan
-	// hardware is the cost-model hardware the composition prices against.
-	hardware() Hardware
+// joinStep is one state of the join-order search: the cheapest left-deep
+// join found for a set of scopes. It carries only what the composition
+// prices with — cost, output rows and width — plus a back-pointer saying how
+// it was built: the scope joined last and, when an index-nested-loop join
+// won, the winning probe. A singleton state is a scope's cheapest access. No
+// state builds a *Plan: the live optimizer builds the one winning tree from
+// the back-pointers (liveJoin.plan), and replay reads the used structures
+// off them (CompiledJoin.replay).
+type joinStep struct {
+	cost  float64
+	rows  float64
+	width int
+	last  int32 // the scope joined last (the only scope of a singleton)
+	group int32 // the probe group of an index-nested-loop join, -1 otherwise
+	cand  int32 // the winning candidate within that probe group
+	ok    bool  // the state exists (some DP subsets are unreachable)
 }
 
-// joinScopes computes the best left-deep join over all scopes of the query
-// using dynamic programming over connected subsets (greedy fallback above
-// dpMaxTables tables).
-func (c *optContext) joinScopes(q *QueryInfo) joined {
-	return composeJoin(liveJoinSrc{c: c, q: q})
+func (s joinStep) pages() float64 { return pagesF(s.rows, s.width) }
+
+// joinGraph is the configuration-independent shape of a join that live
+// optimization and replay share: the edges with their selectivities, each
+// scope's incident edges and neighbour mask, and the probe groups — one per
+// (scope, join column), ordered by scope and, within a scope, by first
+// appearance along the edge list (the order a skeleton lists its probes in).
+// The live optimizer builds it once per optimization, a compiled skeleton
+// once per fact.
+type joinGraph struct {
+	n      int
+	hw     Hardware
+	edges  []SkeletonEdge
+	nbr    []uint64     // per scope: the scopes an edge joins it to
+	inc    [][]incident // per scope: its edges, in edge order
+	groups []probeGroup
+}
+
+// incident is one edge seen from one of its scopes.
+type incident struct {
+	edge  int32 // index into joinGraph.edges
+	other int32 // the scope at the other end
+	group int32 // the probe group of this scope's join column
+}
+
+// probeGroup names the index-nested-loop probes into one scope on one join
+// column.
+type probeGroup struct {
+	scope int
+	col   string
+}
+
+// newJoinGraph derives the shape of an n-scope join from its edges. Every
+// edge must name scopes below n, and n must be at most 64.
+func newJoinGraph(n int, hw Hardware, edges []SkeletonEdge) *joinGraph {
+	g := &joinGraph{n: n, hw: hw, edges: edges, nbr: make([]uint64, n), inc: make([][]incident, n)}
+	for j := 0; j < n; j++ {
+		first := len(g.groups)
+		for k, e := range edges {
+			var col string
+			var other int
+			switch {
+			case e.L == j:
+				col, other = e.LCol, e.R
+			case e.R == j:
+				col, other = e.RCol, e.L
+			default:
+				continue
+			}
+			gi := first
+			for gi < len(g.groups) && g.groups[gi].col != col {
+				gi++
+			}
+			if gi == len(g.groups) {
+				g.groups = append(g.groups, probeGroup{scope: j, col: col})
+			}
+			g.inc[j] = append(g.inc[j], incident{edge: int32(k), other: int32(other), group: int32(gi)})
+			g.nbr[j] |= 1 << other
+		}
+	}
+	return g
+}
+
+// joinSrc supplies the configuration-dependent inputs of one join
+// composition: each scope's cheapest available access (pathLess minimum:
+// cost, output rows and width) and each probe group's available
+// index-nested-loop candidates. The live optimizer computes them from the
+// configuration and catalog (liveJoin); a compiled skeleton selects them
+// from captured alternatives restricted to a structure subset
+// (replaySrc). composeJoin asks for each scope's access exactly once and
+// for each probe group at most once. Every quantity a joinSrc returns is
+// independent of which *additive* structures the configuration holds beyond
+// availability — the property that lets the composition run the
+// bit-identical arithmetic on both sides.
+type joinSrc interface {
+	access(i int) joinStep
+	probes(g int) []probeCand
 }
 
 const dpMaxTables = 10
 
+// composer is one run of the join-order search: the graph, the source, and
+// the inputs read from it so far.
+type composer struct {
+	g      *joinGraph
+	src    joinSrc
+	access []joinStep
+	probes [][]probeCand
+	asked  []bool
+}
+
 // composeJoin runs the join-order search over a source: DP over connected
 // subsets up to dpMaxTables scopes, greedy beyond that or when the join graph
-// is disconnected. Both the search order and every tie-break are
-// deterministic, so two sources supplying bit-identical inputs produce
-// bit-identical plans — the contract the derivation layer's skeleton replay
-// rests on.
-func composeJoin(src joinSrc) joined {
-	n := src.scopeCount()
-	if n == 1 {
-		return src.access(0)
-	}
-	if n <= dpMaxTables {
-		if res, ok := composeDP(src); ok {
-			return res
+// is disconnected. It returns the winning chain — chain[0] is the first
+// scope's access, chain[k] joins one more scope onto chain[k-1], and the last
+// entry covers every scope — and the probe lists it priced with, by group.
+// Both the search order and every tie-break are deterministic, so two
+// sources supplying bit-identical inputs produce bit-identical chains — the
+// contract the derivation layer's skeleton replay rests on.
+func composeJoin(g *joinGraph, src joinSrc) ([]joinStep, [][]probeCand) {
+	m := newComposer(g, src)
+	if g.n <= dpMaxTables {
+		if chain, ok := m.composeDP(); ok {
+			return chain, m.probes
 		}
 	}
-	return composeGreedy(src)
+	return m.composeGreedy(), m.probes
 }
 
-// composeDP is the dynamic program over connected subsets; ok is false for a
-// disconnected join graph (no complete plan reachable through connected
-// extensions).
-func composeDP(src joinSrc) (joined, bool) {
-	n := src.scopeCount()
-	best := make(map[uint64]joined, 1<<n)
-	// Singletons.
-	for i := 0; i < n; i++ {
-		best[1<<i] = src.access(i)
+// newComposer starts a composition, reading each scope's access.
+func newComposer(g *joinGraph, src joinSrc) *composer {
+	m := &composer{g: g, src: src, access: make([]joinStep, g.n),
+		probes: make([][]probeCand, len(g.groups)), asked: make([]bool, len(g.groups))}
+	for i := range m.access {
+		a := src.access(i)
+		a.last, a.group, a.ok = int32(i), -1, true
+		m.access[i] = a
 	}
+	return m
+}
+
+// probesOf returns probe group g's candidates, asking the source once.
+func (m *composer) probesOf(g int32) []probeCand {
+	if !m.asked[g] {
+		m.probes[g], m.asked[g] = m.src.probes(int(g)), true
+	}
+	return m.probes[g]
+}
+
+// composeDP is the dynamic program over connected subsets, its states
+// indexed by subset; ok is false for a disconnected join graph (no complete
+// plan reachable through connected extensions). Every proper subset of a
+// subset is numerically smaller, so one ascending pass sees each state's
+// inputs complete.
+func (m *composer) composeDP() ([]joinStep, bool) {
+	n := m.g.n
 	full := uint64(1)<<n - 1
-	// Grow subsets by size.
-	for size := 2; size <= n; size++ {
-		for sub := uint64(1); sub <= full; sub++ {
-			if bits.OnesCount64(sub) != size {
+	best := make([]joinStep, full+1)
+	for i, a := range m.access {
+		best[1<<i] = a
+	}
+	for sub := uint64(3); sub <= full; sub++ {
+		if sub&(sub-1) == 0 {
+			continue // a singleton: the scope's access
+		}
+		cur := &best[sub]
+		for rem := sub; rem != 0; rem &= rem - 1 {
+			j := bits.TrailingZeros64(rem)
+			rest := sub &^ (1 << j)
+			left := &best[rest]
+			// Require connectivity unless the query has no joins at all
+			// (cross join fallback).
+			if !left.ok || (m.g.nbr[j]&rest == 0 && len(m.g.edges) > 0) {
 				continue
 			}
-			var cur joined
-			found := false
-			for j := 0; j < n; j++ {
-				bit := uint64(1) << j
-				if sub&bit == 0 {
-					continue
-				}
-				rest := sub &^ bit
-				left, ok := best[rest]
-				if !ok {
-					continue
-				}
-				// Require connectivity unless the subset has no internal
-				// joins at all (cross join fallback).
-				connected := connects(src.edges(), rest, j)
-				if !connected && len(src.edges()) > 0 {
-					continue
-				}
-				cand := composeWith(src, left, rest, j)
-				if !found || cand.plan.Cost < cur.plan.Cost {
-					cur, found = cand, true
-				}
-			}
-			if found {
-				best[sub] = cur
+			if cand := m.composeWith(*left, rest, j); !cur.ok || cand.cost < cur.cost {
+				*cur = cand
 			}
 		}
 	}
-	res, ok := best[full]
-	return res, ok
-}
-
-// connects reports whether scope j has a join edge into the subset.
-func connects(edges []JoinEdge, subset uint64, j int) bool {
-	for _, e := range edges {
-		if e.L == j && subset&(1<<e.R) != 0 {
-			return true
-		}
-		if e.R == j && subset&(1<<e.L) != 0 {
-			return true
-		}
+	if !best[full].ok {
+		return nil, false
 	}
-	return false
+	chain := make([]joinStep, n)
+	for sub, k := full, n-1; k >= 0; k-- {
+		chain[k] = best[sub]
+		sub &^= 1 << chain[k].last
+	}
+	return chain, true
 }
 
 // composeWith extends the left intermediate with scope j, choosing the
 // cheapest of hash join and index nested loops.
-func composeWith(src joinSrc, left joined, leftSet uint64, j int) joined {
-	rightBest := src.access(j)
+func (m *composer) composeWith(left joinStep, leftSet uint64, j int) joinStep {
+	right := m.access[j]
 
-	// Combined cardinality: apply every edge between leftSet and j.
+	// Combined cardinality: apply every edge between leftSet and j (none
+	// for a cartesian product).
 	sel := 1.0
-	var joinCols []string // join columns on the right side, for INL
-	for k, e := range src.edges() {
-		var rcol string
-		switch {
-		case e.L == j && leftSet&(1<<e.R) != 0:
-			rcol = e.LCol
-		case e.R == j && leftSet&(1<<e.L) != 0:
-			rcol = e.RCol
-		default:
-			continue
+	for _, in := range m.g.inc[j] {
+		if leftSet&(1<<in.other) != 0 {
+			sel *= m.g.edges[in.edge].Sel
 		}
-		sel *= src.edgeSel(k)
-		joinCols = append(joinCols, rcol)
 	}
-	outRows := left.rows * rightBest.rows * sel
-	if len(joinCols) == 0 {
-		outRows = left.rows * rightBest.rows // cartesian
-	}
+	outRows := left.rows * right.rows * sel
 	if outRows < 1 {
 		outRows = 1
 	}
-	width := left.width + rightBest.width
-	out := joined{rows: outRows, width: width}
+	out := joinStep{rows: outRows, width: left.width + right.width, last: int32(j), group: -1, ok: true}
 
 	// Hash join (build on the smaller input).
-	buildRows, probeRows := rightBest.rows, left.rows
-	buildPages := rightBest.pages()
-	if left.rows < rightBest.rows {
-		buildRows, probeRows = left.rows, rightBest.rows
+	buildRows, probeRows := right.rows, left.rows
+	buildPages := right.pages()
+	if left.rows < right.rows {
+		buildRows, probeRows = left.rows, right.rows
 		buildPages = left.pages()
 	}
-	hashCost := left.plan.Cost + rightBest.plan.Cost + hashCostHW(src.hardware(), buildRows, buildPages, probeRows)
-	out.plan = &Plan{
-		Op: "HashJoin", Detail: src.binding(j), Cost: hashCost, Rows: outRows,
-		Pages: out.pages(), Children: []*Plan{left.plan, rightBest.plan},
-	}
+	out.cost = left.cost + right.cost + hashCostHW(m.g.hw, buildRows, buildPages, probeRows)
 
-	// Index nested loops: for each join column on the right, look for an
-	// index (clustered or not) whose leading key is that column.
-	for _, jc := range joinCols {
-		if inl := src.probe(j, jc, left.rows); inl != nil {
-			cost := left.plan.Cost + inl.Cost
-			if cost < out.plan.Cost {
-				out.plan = &Plan{
-					Op: "IndexLoopJoin", Detail: src.binding(j) + " via " + inl.Detail,
-					Cost: cost, Rows: outRows, Pages: out.pages(),
-					Children: []*Plan{left.plan, inl}, Structure: inl.Structure,
-				}
+	// Index nested loops: for each join column on the right, the cheapest
+	// available index (clustered or not) whose leading key is that column.
+	for _, in := range m.g.inc[j] {
+		if leftSet&(1<<in.other) == 0 {
+			continue
+		}
+		if c, total, ok := chooseProbe(m.probesOf(in.group), left.rows); ok {
+			if cost := left.cost + total; cost < out.cost {
+				out.cost, out.group, out.cand = cost, in.group, int32(c)
 			}
 		}
 	}
@@ -197,96 +247,141 @@ func composeWith(src joinSrc, left joined, leftSet uint64, j int) joined {
 // composeGreedy builds a left-deep join greedily: start from the cheapest
 // access path, repeatedly add the connected scope with the lowest resulting
 // cost (scanning scopes in index order, so ties and disconnected fallbacks
-// resolve deterministically). It always produces a complete plan.
-func composeGreedy(src joinSrc) joined {
-	n := src.scopeCount()
-	remaining := make([]bool, n)
-	left := n
+// resolve deterministically). It always produces a complete chain.
+func (m *composer) composeGreedy() []joinStep {
+	n := m.g.n
 	// Seed with the scope whose access is cheapest (first wins on exact
 	// ties, in scope order).
 	seed, seedCost := 0, math.Inf(1)
-	for i := 0; i < n; i++ {
-		remaining[i] = true
-		if ap := src.access(i); ap.plan.Cost < seedCost {
-			seed, seedCost = i, ap.plan.Cost
+	for i, a := range m.access {
+		if a.cost < seedCost {
+			seed, seedCost = i, a.cost
 		}
 	}
-	cur := src.access(seed)
-	curSet := uint64(1) << seed
-	remaining[seed] = false
-	left--
-	for left > 0 {
-		bestJ, bestCand, found := -1, joined{}, false
-		connectable := anyConnected(src.edges(), remaining, curSet)
+	chain := append(make([]joinStep, 0, n), m.access[seed])
+	cur := uint64(1) << seed
+	for len(chain) < n {
+		// Prefer connected extensions while any exist.
+		connectable := false
+		for j := 0; j < n && !connectable; j++ {
+			connectable = cur&(1<<j) == 0 && m.g.nbr[j]&cur != 0
+		}
+		var next joinStep
 		for j := 0; j < n; j++ {
-			if !remaining[j] {
+			if cur&(1<<j) != 0 || (connectable && m.g.nbr[j]&cur == 0) {
 				continue
 			}
-			if !connects(src.edges(), curSet, j) && connectable {
-				continue // prefer connected extensions while any exist
-			}
-			cand := composeWith(src, cur, curSet, j)
-			if !found || cand.plan.Cost < bestCand.plan.Cost {
-				bestJ, bestCand, found = j, cand, true
+			if cand := m.composeWith(chain[len(chain)-1], cur, j); !next.ok || cand.cost < next.cost {
+				next = cand
 			}
 		}
-		if !found {
-			for j := 0; j < n; j++ {
-				if remaining[j] {
-					bestJ = j
-					bestCand = composeWith(src, cur, curSet, j)
-					break
-				}
-			}
-		}
-		cur = bestCand
-		curSet |= 1 << bestJ
-		remaining[bestJ] = false
-		left--
+		chain = append(chain, next)
+		cur |= 1 << next.last
 	}
-	return cur
+	return chain
 }
 
-func anyConnected(edges []JoinEdge, remaining []bool, curSet uint64) bool {
-	for _, e := range edges {
-		if remaining[e.L] && curSet&(1<<e.R) != 0 {
-			return true
-		}
-		if remaining[e.R] && curSet&(1<<e.L) != 0 {
-			return true
-		}
+// liveJoin drives the join composition from the live optimizer state — the
+// configuration, catalog and statistics behind the optContext — and is the
+// per-optimization scope table: each scope's access paths (optContext.
+// scopePaths) and each probe group's inputs are computed once and read
+// again by the plan build and the skeleton capture.
+type liveJoin struct {
+	c     *optContext
+	q     *QueryInfo
+	g     *joinGraph
+	best  []accessPath // per scope: its cheapest access path
+	probe []liveProbe  // per probe group, filled when first asked
+}
+
+// liveProbe is one probe group's inputs under the configuration: the rows
+// one probe matches, the scope's residual local selectivity, and the
+// candidates.
+type liveProbe struct {
+	done      bool
+	matchRows float64
+	localSel  float64
+	cands     []probeCand
+}
+
+// liveJoin returns the query's scope table, building the join graph (edge
+// selectivities included) on first use.
+func (c *optContext) liveJoin(q *QueryInfo) *liveJoin {
+	if c.join != nil {
+		return c.join
 	}
-	return false
+	var edges []SkeletonEdge
+	for _, e := range q.Joins {
+		edges = append(edges, SkeletonEdge{
+			L: e.L, R: e.R, LCol: e.LCol, RCol: e.RCol,
+			Sel: c.joinSelectivity(q.Scopes[e.L], e.LCol, q.Scopes[e.R], e.RCol),
+		})
+	}
+	g := newJoinGraph(len(q.Scopes), c.hw(), edges)
+	c.join = &liveJoin{c: c, q: q, g: g, best: make([]accessPath, g.n), probe: make([]liveProbe, len(g.groups))}
+	return c.join
 }
 
-// liveJoinSrc drives the join composition from the live optimizer state: the
-// configuration, catalog, and statistics behind the optContext.
-type liveJoinSrc struct {
-	c *optContext
-	q *QueryInfo
+func (l *liveJoin) access(i int) joinStep {
+	s := l.q.Scopes[i]
+	l.best[i] = cheapestPath(l.c.scopePaths(l.q, i))
+	return joinStep{cost: l.best[i].plan.Cost, rows: l.best[i].rows, width: s.Table.ColumnWidth(s.Required)}
 }
 
-func (s liveJoinSrc) scopeCount() int { return len(s.q.Scopes) }
-
-func (s liveJoinSrc) access(i int) joined {
-	ap, _ := s.c.bestAccess(s.q.Scopes[i], nil)
-	return joined{plan: ap.plan, rows: ap.rows, width: s.q.Scopes[i].Table.ColumnWidth(s.q.Scopes[i].Required)}
+func (l *liveJoin) probes(g int) []probeCand {
+	p := &l.probe[g]
+	if !p.done {
+		grp := l.g.groups[g]
+		s := l.q.Scopes[grp.scope]
+		// Rows matching one probe value.
+		p.matchRows = float64(s.Table.Rows) * l.c.density(s.Table, []string{grp.col})
+		if p.matchRows < 1 {
+			p.matchRows = 1
+		}
+		// Residual local predicates still apply per probe.
+		p.localSel = l.c.scopeSelectivity(s)
+		p.cands = l.c.probeCands(s, grp.col, p.matchRows)
+		p.done = true
+	}
+	return p.cands
 }
 
-func (s liveJoinSrc) binding(i int) string { return s.q.Scopes[i].Binding }
-
-func (s liveJoinSrc) edges() []JoinEdge { return s.q.Joins }
-
-func (s liveJoinSrc) edgeSel(k int) float64 {
-	e := s.q.Joins[k]
-	return s.c.joinSelectivity(s.q.Scopes[e.L], e.LCol, s.q.Scopes[e.R], e.RCol)
+// plan builds the plan tree of a winning chain: the first scope's access
+// plan, then one HashJoin or IndexLoopJoin node per joined scope, priced
+// exactly as the composition priced them.
+func (l *liveJoin) plan(chain []joinStep) *Plan {
+	p := l.best[chain[0].last].plan
+	for k := 1; k < len(chain); k++ {
+		st, outer := chain[k], chain[k-1].rows
+		binding := l.q.Scopes[st.last].Binding
+		if st.group < 0 {
+			p = &Plan{Op: "HashJoin", Detail: binding, Cost: st.cost, Rows: st.rows,
+				Pages: st.pages(), Children: []*Plan{p, l.best[st.last].plan}}
+			continue
+		}
+		pr := &l.probe[st.group]
+		win := pr.cands[st.cand]
+		inl := &Plan{Op: "IndexProbe", Detail: win.detail, Cost: startupCost + outer*win.perProbe,
+			Rows: outer * pr.matchRows * pr.localSel, Structure: win.structure}
+		p = &Plan{Op: "IndexLoopJoin", Detail: binding + " via " + win.detail, Cost: st.cost, Rows: st.rows,
+			Pages: st.pages(), Children: []*Plan{p, inl}, Structure: win.structure}
+	}
+	return p
 }
 
-func (s liveJoinSrc) probe(i int, col string, outerRows float64) *Plan {
-	return s.c.indexLoopCost(s.q.Scopes[i], col, outerRows)
+// joinScopes computes the best left-deep join over all scopes of the query.
+// A single scope is its cheapest access path.
+func (c *optContext) joinScopes(q *QueryInfo) joined {
+	if len(q.Scopes) == 1 {
+		s := q.Scopes[0]
+		best := cheapestPath(c.scopePaths(q, 0))
+		return joined{plan: best.plan, rows: best.rows, width: s.Table.ColumnWidth(s.Required)}
+	}
+	l := c.liveJoin(q)
+	chain, _ := composeJoin(l.g, l)
+	root := chain[len(chain)-1]
+	return joined{plan: l.plan(chain), rows: root.rows, width: root.width}
 }
-
-func (s liveJoinSrc) hardware() Hardware { return s.c.hw() }
 
 // probeCand is one index-nested-loop probe candidate into a scope: the cost
 // of one probe through a specific index (clustered or non-clustered). The
@@ -303,18 +398,17 @@ type probeCand struct {
 // chooseProbe picks the cheapest probe candidate for the given outer
 // cardinality, breaking exact cost ties by structure key (every candidate is
 // an IndexProbe, so the structure key alone completes the pathLess order).
-// Returns the winner and its total cost; ok is false with no candidates.
-func chooseProbe(cands []probeCand, outerRows float64) (probeCand, float64, bool) {
-	var win probeCand
-	var winTotal float64
-	found := false
-	for _, pc := range cands {
-		total := startupCost + outerRows*pc.perProbe
-		if !found || total < winTotal || (total == winTotal && pc.structure < win.structure) {
-			win, winTotal, found = pc, total, true
+// Returns the winner's index and its total cost; ok is false with no
+// candidates.
+func chooseProbe(cands []probeCand, outerRows float64) (int, float64, bool) {
+	win, winTotal := -1, 0.0
+	for i := range cands {
+		total := startupCost + outerRows*cands[i].perProbe
+		if win < 0 || total < winTotal || (total == winTotal && cands[i].structure < cands[win].structure) {
+			win, winTotal = i, total
 		}
 	}
-	return win, winTotal, found
+	return win, winTotal, win >= 0
 }
 
 // probeCands enumerates the INL probe candidates of a scope on the join
@@ -344,26 +438,4 @@ func (c *optContext) probeCands(s *Scope, joinCol string, matchRows float64) []p
 		out = append(out, probeCand{perProbe: perProbe, detail: ix.String(), structure: ix.Key(), gate: ix.Key()})
 	}
 	return out
-}
-
-// indexLoopCost returns a pseudo-plan for probing the right table once per
-// outer row through an index on the join column, or nil when no such index
-// exists. Exact cost ties between candidate indexes break by structure key —
-// never by the order the configuration lists them in — so the chosen probe
-// is the one a skeleton replay of the same candidates chooses.
-func (c *optContext) indexLoopCost(s *Scope, joinCol string, outerRows float64) *Plan {
-	t := s.Table
-	// Rows matching one probe value.
-	matchRows := float64(t.Rows) * c.density(t, []string{joinCol})
-	if matchRows < 1 {
-		matchRows = 1
-	}
-	// Residual local predicates still apply per probe.
-	localSel := c.scopeSelectivity(s)
-	win, total, ok := chooseProbe(c.probeCands(s, joinCol, matchRows), outerRows)
-	if !ok {
-		return nil
-	}
-	return &Plan{Op: "IndexProbe", Detail: win.detail, Cost: total,
-		Rows: outerRows * matchRows * localSel, Structure: win.structure}
 }

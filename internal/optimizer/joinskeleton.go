@@ -1,8 +1,10 @@
 package optimizer
 
 import (
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/catalog"
 )
@@ -77,7 +79,7 @@ type SkeletonEdge struct {
 // SkeletonProbe is one index-nested-loop probe candidate into a scope on a
 // join column: the per-probe cost through a specific index. The replay
 // re-prices it for any outer cardinality as startupCost + outer·PerProbe —
-// the same arithmetic indexLoopCost runs.
+// the same arithmetic chooseProbe runs for the live optimizer.
 type SkeletonProbe struct {
 	Scope    int
 	Col      string
@@ -89,12 +91,12 @@ type SkeletonProbe struct {
 // JoinSkeleton is the plan skeleton of a multi-scope SELECT under one
 // configuration: per-scope access alternatives, join-edge selectivities and
 // probe candidates, matching materialized views costed end-to-end, and the
-// captured finish chain. selectJoin re-runs the optimizer's join-order search
-// and plan arithmetic — through the same composeJoin/finish code paths the
-// live optimizer uses — restricted to any additive-structure subset,
-// reproducing the cost bit-for-bit (paper §2.2's what-if interface served
-// without an optimizer call; the per-scope decomposition is the INUM/CoPhy
-// move, PAPERS.md).
+// captured finish chain. Compile prepares it for replay, which re-runs the
+// optimizer's join-order search and plan arithmetic — through the same
+// composeJoin/finish code paths the live optimizer uses — restricted to any
+// additive-structure subset, reproducing the cost bit-for-bit (paper §2.2's
+// what-if interface served without an optimizer call; the per-scope
+// decomposition is the INUM/CoPhy move, PAPERS.md).
 type JoinSkeleton struct {
 	Scopes []SkeletonScope
 	Edges  []SkeletonEdge
@@ -105,60 +107,40 @@ type JoinSkeleton struct {
 	Views  []AltComponent
 	Finish FinishSpec
 	HW     Hardware
+
+	// compiled is the replay form, built once by the first Compile.
+	compileOnce sync.Once
+	compiled    *CompiledJoin
 }
 
 // joinAlternatives captures the join skeleton of a multi-scope query under
-// the current configuration. The capture only repeats computations the direct
-// optimization performs (access-path enumeration, edge selectivities, probe
-// costing, view matching), so it introduces no new statistic requests beyond
-// dedup and never perturbs the optimization result.
+// the current configuration. It reads the optimization's scope table — the
+// access paths, edge selectivities and probe inputs the join composition
+// already computed — so it repeats no costing the direct optimization did,
+// introduces no new statistic requests beyond dedup (a probe group the
+// greedy order never asked for is computed here, as the composition would
+// have), and never perturbs the optimization result.
 func (c *optContext) joinAlternatives(q *QueryInfo) *JoinSkeleton {
-	js := &JoinSkeleton{Finish: c.finishSpec(q), HW: c.hw()}
+	l := c.liveJoin(q)
+	js := &JoinSkeleton{Edges: l.g.edges, Finish: c.finishSpec(q), HW: c.hw()}
 
-	for _, s := range q.Scopes {
-		sc := SkeletonScope{Binding: s.Binding, Width: s.Table.ColumnWidth(s.Required)}
-		paths := c.accessPaths(s)
-		if len(paths) > 0 {
-			sc.Rows = paths[0].rows // all paths share the filtered cardinality
-		}
-		sc.Alts = scopeAlts(paths)
-		js.Scopes = append(js.Scopes, sc)
-	}
-
-	for _, e := range q.Joins {
-		js.Edges = append(js.Edges, SkeletonEdge{
-			L: e.L, R: e.R, LCol: e.LCol, RCol: e.RCol,
-			Sel: c.joinSelectivity(q.Scopes[e.L], e.LCol, q.Scopes[e.R], e.RCol),
+	for i, s := range q.Scopes {
+		paths := c.scopePaths(q, i)
+		js.Scopes = append(js.Scopes, SkeletonScope{
+			Binding: s.Binding,
+			Rows:    paths[0].rows, // all paths share the filtered cardinality
+			Width:   s.Table.ColumnWidth(s.Required),
+			Alts:    scopeAlts(paths),
 		})
 	}
 
 	// Probe candidates: every (scope, join column) pair the composition can
 	// ask for, i.e. each scope's columns across its join edges.
-	for j, s := range q.Scopes {
-		seen := map[string]bool{}
-		for _, e := range q.Joins {
-			var col string
-			switch {
-			case e.L == j:
-				col = e.LCol
-			case e.R == j:
-				col = e.RCol
-			default:
-				continue
-			}
-			if seen[col] {
-				continue
-			}
-			seen[col] = true
-			matchRows := float64(s.Table.Rows) * c.density(s.Table, []string{col})
-			if matchRows < 1 {
-				matchRows = 1
-			}
-			for _, pc := range c.probeCands(s, col, matchRows) {
-				js.Probes = append(js.Probes, SkeletonProbe{
-					Scope: j, Col: col, Gate: pc.gate, Struct: pc.structure, PerProbe: pc.perProbe,
-				})
-			}
+	for g, grp := range l.g.groups {
+		for _, pc := range l.probes(g) {
+			js.Probes = append(js.Probes, SkeletonProbe{
+				Scope: grp.scope, Col: grp.col, Gate: pc.gate, Struct: pc.structure, PerProbe: pc.perProbe,
+			})
 		}
 	}
 
@@ -204,96 +186,213 @@ func (c *optContext) joinAlternatives(q *QueryInfo) *JoinSkeleton {
 	return js
 }
 
-// replayJoinSrc drives the join composition from a captured skeleton
-// restricted to an additive-structure subset.
-type replayJoinSrc struct {
-	js  *JoinSkeleton
-	es  []JoinEdge
-	has func(string) bool
+// CompiledJoin is a join skeleton prepared for replay: the join graph, each
+// scope's alternatives in scopeAltLess order (so a scope's access is its
+// first available alternative), the probe candidates grouped by (scope,
+// join column), and the views — every one gated by an index into the
+// skeleton's table of distinct gate keys (Gates), so a replay asks about
+// each structure once. It is immutable once
+// built, so concurrent replays share it; it lives in memory only, beside
+// the skeleton, and never changes the skeleton or its JSON.
+type CompiledJoin struct {
+	js     *JoinSkeleton
+	g      *joinGraph
+	gates  []string
+	alts   [][]gatedAlt   // per scope
+	probes [][]gatedProbe // per probe group, in skeleton order
+	views  []gatedView    // in skeleton order
 }
 
-func (s replayJoinSrc) scopeCount() int { return len(s.js.Scopes) }
-
-func (s replayJoinSrc) access(i int) joined {
-	sc := &s.js.Scopes[i]
-	var win *ScopeAlt
-	for k := range sc.Alts {
-		a := &sc.Alts[k]
-		if a.Gate != "" && !s.has(a.Gate) {
-			continue
-		}
-		if win == nil || scopeAltLess(a, win) {
-			win = a
-		}
-	}
-	// win is never nil for a capture-built skeleton: the base scan is
-	// gateless, so every subset keeps at least one alternative.
-	return joined{
-		plan:  &Plan{Op: win.Op, Cost: win.Pre, Structure: win.Struct},
-		rows:  sc.Rows,
-		width: sc.Width,
-	}
+// A gate is an index into CompiledJoin.gates, or -1 for an alternative that
+// every sub-configuration holds.
+type gatedAlt struct {
+	gate int32
+	alt  *ScopeAlt
 }
 
-func (s replayJoinSrc) binding(i int) string { return s.js.Scopes[i].Binding }
+type gatedProbe struct {
+	gate int32
+	cand probeCand
+}
 
-func (s replayJoinSrc) edges() []JoinEdge { return s.es }
+type gatedView struct {
+	gate int32
+	view *AltComponent
+}
 
-func (s replayJoinSrc) edgeSel(k int) float64 { return s.js.Edges[k].Sel }
+// Compile returns the skeleton's replay form, building it on the first call
+// (safe for concurrent use; the skeleton must not change afterwards). It is
+// nil for a skeleton no capture produces — no scopes, more than 64, or an
+// edge naming a scope out of range — whose replay then reports no selectable
+// alternative.
+func (js *JoinSkeleton) Compile() *CompiledJoin {
+	js.compileOnce.Do(func() { js.compiled = js.compile() })
+	return js.compiled
+}
 
-func (s replayJoinSrc) probe(i int, col string, outerRows float64) *Plan {
-	var cands []probeCand
-	for _, p := range s.js.Probes {
-		if p.Scope != i || p.Col != col {
-			continue
-		}
-		if p.Gate != "" && !s.has(p.Gate) {
-			continue
-		}
-		cands = append(cands, probeCand{perProbe: p.PerProbe, structure: p.Struct})
-	}
-	win, total, ok := chooseProbe(cands, outerRows)
-	if !ok {
+func (js *JoinSkeleton) compile() *CompiledJoin {
+	n := len(js.Scopes)
+	if n == 0 || n > 64 {
 		return nil
 	}
-	return &Plan{Op: "IndexProbe", Cost: total, Structure: win.structure}
+	for _, e := range js.Edges {
+		if e.L < 0 || e.L >= n || e.R < 0 || e.R >= n {
+			return nil
+		}
+	}
+	cj := &CompiledJoin{js: js, g: newJoinGraph(n, js.HW, js.Edges), alts: make([][]gatedAlt, n)}
+	index := map[string]int32{}
+	gate := func(key string) int32 {
+		if key == "" {
+			return -1
+		}
+		id, ok := index[key]
+		if !ok {
+			id = int32(len(cj.gates))
+			index[key] = id
+			cj.gates = append(cj.gates, key)
+		}
+		return id
+	}
+	for i := range js.Scopes {
+		sc := &js.Scopes[i]
+		alts := make([]gatedAlt, len(sc.Alts))
+		for k := range sc.Alts {
+			alts[k] = gatedAlt{gate: gate(sc.Alts[k].Gate), alt: &sc.Alts[k]}
+		}
+		slices.SortStableFunc(alts, func(a, b gatedAlt) int {
+			switch {
+			case scopeAltLess(a.alt, b.alt):
+				return -1
+			case scopeAltLess(b.alt, a.alt):
+				return 1
+			}
+			return 0
+		})
+		cj.alts[i] = alts
+	}
+	cj.probes = make([][]gatedProbe, len(cj.g.groups))
+	for _, p := range js.Probes {
+		for g, grp := range cj.g.groups {
+			if grp.scope == p.Scope && grp.col == p.Col {
+				cj.probes[g] = append(cj.probes[g], gatedProbe{gate: gate(p.Gate),
+					cand: probeCand{perProbe: p.PerProbe, structure: p.Struct}})
+				break
+			}
+		}
+	}
+	for i := range js.Views {
+		// A view is always gated by its own structure; one without a key
+		// is never available.
+		if v := &js.Views[i]; v.Structure != "" {
+			cj.views = append(cj.views, gatedView{gate: gate(v.Structure), view: v})
+		}
+	}
+	return cj
 }
 
-func (s replayJoinSrc) hardware() Hardware { return s.js.HW }
+// Gates lists the distinct additive structure keys the skeleton's
+// alternatives, probes and views are gated by (none for a nil CompiledJoin).
+func (cj *CompiledJoin) Gates() []string {
+	if cj == nil {
+		return nil
+	}
+	return cj.gates
+}
 
-// selectJoin replays the optimizer's plan choice for the subset: re-run the
-// join-order search over the available scope alternatives and probes, apply
-// the view rule against the join root's pre-finish cost, and run the captured
-// finish chain. Every step goes through the same code the live optimizer runs
-// (composeJoin, chooseProbe, FinishSpec.finish), so the replayed cost is the
-// float sequence a real optimization of the subset would compute. ok is false
-// only for an empty skeleton.
-func (js *JoinSkeleton) selectJoin(has func(string) bool) (float64, []string, bool) {
-	if len(js.Scopes) == 0 {
-		return 0, nil, false
+// replay replays the optimizer's plan choice for the sub-configuration in
+// which has(i) reports whether the structure gates[i] is present (asked
+// once per gate): re-run the join-order search over the available scope
+// alternatives and probes, apply the view rule against the join root's
+// pre-finish cost, and run the captured finish chain. Every step goes
+// through the code the live optimizer runs (composeJoin, chooseProbe,
+// FinishSpec.finish), so the replayed cost is the float sequence a real
+// optimization of the subset would compute, and the used structures are
+// those of the plan it would choose. ok is false when some scope has no
+// available alternative, which a capture-built skeleton cannot produce (the
+// base scan is gateless).
+func (cj *CompiledJoin) replay(has func(gate int) bool) (float64, []string, bool) {
+	r := &replaySrc{cj: cj, avail: make([]bool, len(cj.gates)), win: make([]*ScopeAlt, len(cj.alts)),
+		buf: make([]probeCand, 0, len(cj.js.Probes))}
+	for i := range r.avail {
+		r.avail[i] = has(i)
 	}
-	edges := make([]JoinEdge, len(js.Edges))
-	for i, e := range js.Edges {
-		edges[i] = JoinEdge{L: e.L, R: e.R, LCol: e.LCol, RCol: e.RCol}
+	for i, alts := range cj.alts {
+		for _, a := range alts {
+			if r.ok(a.gate) {
+				r.win[i] = a.alt
+				break
+			}
+		}
+		if r.win[i] == nil {
+			return 0, nil, false
+		}
 	}
-	root := composeJoin(replayJoinSrc{js: js, es: edges, has: has})
+	chain, probes := composeJoin(cj.g, r)
+	root := chain[len(chain)-1]
 
 	// View rule: the cheapest available matching view competes against the
 	// join root on pre-finish cost (the base plan keeps an exact tie).
 	var vw *AltComponent
-	for i := range js.Views {
-		c := &js.Views[i]
-		if !has(c.Structure) {
-			continue
-		}
-		if vw == nil || altLess(c, vw) {
-			vw = c
+	for _, v := range cj.views {
+		if r.ok(v.gate) && (vw == nil || altLess(v.view, vw)) {
+			vw = v.view
 		}
 	}
-	if vw != nil && vw.Pre < root.plan.Cost {
+	if vw != nil && vw.Pre < root.cost {
 		return vw.Final, append([]string(nil), vw.Used...), true
 	}
 
-	fin := js.Finish.finish(root.plan, root.rows, root.width)
-	return fin.Cost, fin.structureKeys(), true
+	// The used structures of the chain's plan: each access that stays in
+	// the tree (the first scope's, and each hash join's inner) and each
+	// winning probe. The finish chain adds none.
+	used := make([]string, 0, len(chain))
+	for _, st := range chain {
+		key := r.win[st.last].Struct
+		if st.group >= 0 {
+			key = probes[st.group][st.cand].structure
+		}
+		if key != "" {
+			used = append(used, key)
+		}
+	}
+	slices.Sort(used)
+	fin := cj.js.Finish.finish(&Plan{Cost: root.cost}, root.rows, root.width)
+	return fin.Cost, slices.Compact(used), true
+}
+
+// replaySrc drives the join composition from a compiled skeleton restricted
+// to one sub-configuration.
+type replaySrc struct {
+	cj    *CompiledJoin
+	avail []bool      // per gate
+	win   []*ScopeAlt // per scope: its first available alternative
+	buf   []probeCand // backs the available probe lists
+}
+
+func (r *replaySrc) ok(gate int32) bool { return gate < 0 || r.avail[gate] }
+
+func (r *replaySrc) access(i int) joinStep {
+	sc := &r.cj.js.Scopes[i]
+	return joinStep{cost: r.win[i].Pre, rows: sc.Rows, width: sc.Width}
+}
+
+func (r *replaySrc) probes(g int) []probeCand {
+	start := len(r.buf)
+	for _, p := range r.cj.probes[g] {
+		if r.ok(p.gate) {
+			r.buf = append(r.buf, p.cand)
+		}
+	}
+	return r.buf[start:len(r.buf):len(r.buf)]
+}
+
+// selectJoin replays the compiled skeleton for the subset has reports
+// present.
+func (js *JoinSkeleton) selectJoin(has func(string) bool) (float64, []string, bool) {
+	cj := js.Compile()
+	if cj == nil {
+		return 0, nil, false
+	}
+	return cj.replay(func(i int) bool { return has(cj.gates[i]) })
 }

@@ -12,7 +12,6 @@ package optimizer
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/sqlparser"
@@ -68,31 +67,33 @@ type Optimizer struct {
 	Cat   *catalog.Catalog
 	Stats StatsProvider
 	HW    Hardware
-
-	mu      sync.Mutex
-	anCache map[sqlparser.Statement]*QueryInfo
 }
 
-// analyze resolves the statement against the catalog, caching the result
-// per statement node: tuning optimizes the same statement under thousands
-// of configurations, and the analysis is configuration-independent.
+// analysis is the optimizer's entry in a statement's memo slot: the
+// statement's analysis against one catalog.
+type analysis struct {
+	cat *catalog.Catalog
+	q   *QueryInfo
+}
+
+// analyze resolves the statement against the catalog. Tuning optimizes the
+// same statement under thousands of configurations and the analysis is
+// configuration-independent, so it is kept in the statement's own memo slot:
+// it lives exactly as long as the statement, however many statements a
+// session cycles through, and a long-running server that tunes ever new
+// sessions holds the analyses of live statements only. The slot holds the
+// latest catalog's analysis; the QueryInfo.Stmt check rejects a memo copied
+// along with a statement value.
 func (o *Optimizer) analyze(stmt sqlparser.Statement) (*QueryInfo, error) {
-	o.mu.Lock()
-	if q, ok := o.anCache[stmt]; ok {
-		o.mu.Unlock()
-		return q, nil
+	memo := stmt.Memo()
+	if a, _ := memo.Load().(*analysis); a != nil && a.cat == o.Cat && a.q.Stmt == stmt {
+		return a.q, nil
 	}
-	o.mu.Unlock()
 	q, err := Analyze(o.Cat, stmt)
 	if err != nil {
 		return nil, err
 	}
-	o.mu.Lock()
-	if o.anCache == nil {
-		o.anCache = map[sqlparser.Statement]*QueryInfo{}
-	}
-	o.anCache[stmt] = q
-	o.mu.Unlock()
+	memo.Store(&analysis{cat: o.Cat, q: q})
 	return q, nil
 }
 
@@ -136,14 +137,13 @@ func (o *Optimizer) optimize(stmt sqlparser.Statement, cfg *catalog.Configuratio
 	var err error
 	switch s := stmt.(type) {
 	case *sqlparser.Select:
-		plan, err = ctx.optimizeSelect(s)
-		if err == nil && wantAlts {
-			if q, err := o.analyze(s); err == nil {
-				if len(q.Scopes) == 1 {
-					alts = ctx.selectAlternatives(q)
-				} else if len(q.Scopes) > 1 {
-					alts = &Alternatives{Join: ctx.joinAlternatives(q)}
-				}
+		var q *QueryInfo
+		if q, err = o.analyze(s); err == nil {
+			plan = ctx.optimizeSelect(q)
+			if wantAlts && len(q.Scopes) == 1 {
+				alts = ctx.selectAlternatives(q)
+			} else if wantAlts && len(q.Scopes) > 1 {
+				alts = &Alternatives{Join: ctx.joinAlternatives(q)}
 			}
 		}
 	case *sqlparser.Insert, *sqlparser.Update, *sqlparser.Delete:
@@ -167,11 +167,19 @@ func (o *Optimizer) optimize(stmt sqlparser.Statement, cfg *catalog.Configuratio
 	return res, alts, nil
 }
 
-// optContext carries per-optimization state.
+// optContext carries per-optimization state: one statement under one
+// configuration.
 type optContext struct {
 	opt    *Optimizer
 	cfg    *catalog.Configuration
 	wanted map[string]stats.Request // stats we looked for and missed
+
+	// paths holds each scope's access paths once enumerated (scopePaths);
+	// paths1 backs it for a single-scope query without an allocation.
+	paths  [][]accessPath
+	paths1 [1][]accessPath
+	// join is the scope table of a multi-scope SELECT (liveJoin).
+	join *liveJoin
 }
 
 func (c *optContext) hw() Hardware { return c.opt.HW }

@@ -2,7 +2,10 @@ package optimizer
 
 import (
 	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/sqlparser"
@@ -414,5 +417,87 @@ func TestPlanRendering(t *testing.T) {
 	s := res.Plan.String()
 	if s == "" || res.Plan.Rows <= 0 {
 		t.Fatal("plan should render and carry cardinalities")
+	}
+}
+
+// TestAnalysisLivesWithStatement models a long-running server: sessions
+// parse their own copies of the same statement texts and optimize them on
+// one shared optimizer. Each statement is analyzed once however often it is
+// optimized, and once its session drops it the optimizer holds nothing of
+// it: every dropped statement is collected.
+func TestAnalysisLivesWithStatement(t *testing.T) {
+	o := newOpt(testCatalog())
+	texts := []string{
+		"SELECT id FROM t WHERE x = 42",
+		"SELECT a, COUNT(*) FROM t WHERE x < 10 GROUP BY a",
+		"SELECT d.name FROM t, d WHERE t.d_id = d.d_id AND t.x = 17",
+		"UPDATE t SET a = 1 WHERE x = 5",
+		"DELETE FROM t WHERE x = 6",
+	}
+	const sessions = 64
+	var collected atomic.Int64
+	session := func() {
+		for _, text := range texts {
+			stmt := sqlparser.MustParse(text)
+			first, err := o.analyze(stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pass := 0; pass < 2; pass++ {
+				if _, err := o.Optimize(stmt, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if q, _ := o.analyze(stmt); q != first {
+				t.Fatalf("%s: analyzed again", text)
+			}
+			// The WHERE node is reachable only through the statement (and
+			// its analysis), and not from itself, so its finalizer runs
+			// once the statement is unreachable.
+			var where sqlparser.Expr
+			switch s := stmt.(type) {
+			case *sqlparser.Select:
+				where = s.Where
+			case *sqlparser.Update:
+				where = s.Where
+			case *sqlparser.Delete:
+				where = s.Where
+			}
+			runtime.SetFinalizer(where, func(any) { collected.Add(1) })
+		}
+	}
+	for s := 0; s < sessions; s++ {
+		session()
+	}
+	want := int64(sessions * len(texts))
+	for i := 0; i < 200 && collected.Load() < want; i++ {
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := collected.Load(); got != want {
+		t.Fatalf("%d of %d dropped statements collected: the optimizer holds the rest", got, want)
+	}
+}
+
+// TestAnalysisMemoKeys pins what a memoized analysis is reused for: the
+// same statement node under the same catalog. Another catalog, or a copy of
+// the statement value (which carries the memo slot along), is analyzed
+// afresh.
+func TestAnalysisMemoKeys(t *testing.T) {
+	o, other := newOpt(testCatalog()), newOpt(testCatalog())
+	stmt := sqlparser.MustParse("SELECT id FROM t WHERE x = 42").(*sqlparser.Select)
+	q, err := o.analyze(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q2, err := other.analyze(stmt)
+	if err != nil || q2 == q || q2.Stmt != stmt {
+		t.Fatalf("another catalog reused the analysis (err %v)", err)
+	}
+	cp := new(sqlparser.Select)
+	*cp = *stmt
+	q3, err := other.analyze(cp)
+	if err != nil || q3 == q2 || q3.Stmt != cp {
+		t.Fatalf("a statement copy reused the original's analysis (err %v)", err)
 	}
 }

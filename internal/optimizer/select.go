@@ -1,24 +1,14 @@
 package optimizer
 
-import (
-	"repro/internal/sqlparser"
-)
-
-// optimizeSelect plans a SELECT: the best of (a) the join plan over base
-// tables and (b) any matching materialized view, followed by grouping,
-// having, ordering and TOP.
-func (c *optContext) optimizeSelect(s *sqlparser.Select) (*Plan, error) {
-	q, err := c.opt.analyze(s)
-	if err != nil {
-		return nil, err
-	}
-
+// optimizeSelect plans an analyzed SELECT: the best of (a) the join plan
+// over base tables and (b) any matching materialized view, followed by
+// grouping, having, ordering and TOP.
+func (c *optContext) optimizeSelect(q *QueryInfo) *Plan {
 	base := c.basePlan(q)
 	if mv := c.bestViewPlan(q); mv != nil && mv.plan.Cost < base.plan.Cost {
 		base = *mv
 	}
-	plan := c.finishSelect(q, base)
-	return plan, nil
+	return c.finishSelect(q, base)
 }
 
 // basePlan computes the join-over-base-tables plan, using an
@@ -33,8 +23,7 @@ func (c *optContext) basePlan(q *QueryInfo) joined {
 	if len(q.Scopes) == 1 {
 		want := c.interestingOrder(q)
 		if len(want) > 0 {
-			_, op := c.bestAccess(q.Scopes[0], want)
-			if op != nil {
+			if op := orderedPath(c.scopePaths(q, 0), want); op != nil {
 				alt := joined{plan: op.plan, rows: op.rows, width: q.Scopes[0].Table.ColumnWidth(q.Scopes[0].Required)}
 				// Compare end-to-end: the ordered path may lose on access
 				// cost but win by skipping the sort/hash.

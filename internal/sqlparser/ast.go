@@ -3,6 +3,7 @@ package sqlparser
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
 // Statement is any parsed SQL statement.
@@ -10,6 +11,13 @@ type Statement interface {
 	stmtNode()
 	// String deparses the statement back to SQL text.
 	String() string
+	// Memo returns the statement's memo slot, in which a consumer caches a
+	// value it derives from the statement — the optimizer keeps its catalog
+	// analysis there — so the value lives exactly as long as the statement
+	// and nothing has to bound or evict it. The parser never sets or reads
+	// it; the optimizer is its one writer, as an atomic.Value holds a single
+	// concrete type.
+	Memo() *atomic.Value
 }
 
 // Expr is any scalar or boolean expression.
@@ -236,9 +244,14 @@ type Select struct {
 	GroupBy  []*ColName
 	Having   Expr
 	OrderBy  []OrderItem
+
+	memo atomic.Value
 }
 
 func (*Select) stmtNode() {}
+
+// Memo returns the statement's memo slot (see Statement).
+func (s *Select) Memo() *atomic.Value { return &s.memo }
 
 // String deparses the SELECT.
 func (s *Select) String() string {
@@ -306,9 +319,14 @@ type Insert struct {
 	Table   string
 	Columns []string // may be empty (positional)
 	Rows    [][]Expr
+
+	memo atomic.Value
 }
 
 func (*Insert) stmtNode() {}
+
+// Memo returns the statement's memo slot (see Statement).
+func (ins *Insert) Memo() *atomic.Value { return &ins.memo }
 
 // String deparses the INSERT.
 func (ins *Insert) String() string {
@@ -340,9 +358,14 @@ type Update struct {
 	Table string
 	Set   []Assignment
 	Where Expr
+
+	memo atomic.Value
 }
 
 func (*Update) stmtNode() {}
+
+// Memo returns the statement's memo slot (see Statement).
+func (u *Update) Memo() *atomic.Value { return &u.memo }
 
 // String deparses the UPDATE.
 func (u *Update) String() string {
@@ -366,9 +389,14 @@ func (u *Update) String() string {
 type Delete struct {
 	Table string
 	Where Expr
+
+	memo atomic.Value
 }
 
 func (*Delete) stmtNode() {}
+
+// Memo returns the statement's memo slot (see Statement).
+func (d *Delete) Memo() *atomic.Value { return &d.memo }
 
 // String deparses the DELETE.
 func (d *Delete) String() string {
