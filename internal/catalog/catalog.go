@@ -99,15 +99,6 @@ func (t *Table) reindex() {
 	}
 }
 
-// AddColumn appends a column to the table definition.
-func (t *Table) AddColumn(c *Column) {
-	t.Columns = append(t.Columns, c)
-	if t.byName == nil {
-		t.byName = make(map[string]*Column)
-	}
-	t.byName[strings.ToLower(c.Name)] = c
-}
-
 // Column returns the named column, or nil if the table has no such column.
 // Lookup is case-insensitive, matching SQL identifier semantics.
 func (t *Table) Column(name string) *Column {

@@ -331,16 +331,3 @@ func (s Structure) ApplyTo(c *Configuration) bool {
 		return true
 	}
 }
-
-// TableOf returns the table the structure belongs to ("" for views, which
-// span several tables).
-func (s Structure) TableOf() string {
-	switch {
-	case s.Index != nil:
-		return s.Index.Table
-	case s.View != nil:
-		return ""
-	default:
-		return s.PartTable
-	}
-}

@@ -430,7 +430,6 @@ func TuneContext(ctx context.Context, t Tuner, w *workload.Workload, opts Option
 	ctx, tuneSpan := obs.StartSpan(ctx, "pipeline", "tune")
 	defer tuneSpan.End()
 	tr := newTracker(ctx, opts, start)
-	tr.attachSpans(ctx)
 
 	cons := opts.constraints().normalize()
 	if err := cons.validate(t.Catalog()); err != nil {
@@ -446,10 +445,10 @@ func TuneContext(ctx context.Context, t Tuner, w *workload.Workload, opts Option
 		mandatory := st.base.Clone()
 		mandatory.Merge(opts.UserConfig)
 		rec.Config = mandatory.Clone()
-		return finishRecommendation(t, st.ev, tr, rec, st.base, mandatory, opts, start)
+		return finishRecommendation(t, st.ev, rec, st.base, mandatory, opts, start)
 	}
 
-	rec, err = runSearch(t, st, tr, rec, cons, opts, start)
+	rec, err = runSearch(t, st, rec, cons, opts, start)
 	if err != nil {
 		return nil, err
 	}
@@ -513,7 +512,7 @@ func buildCostedState(ctx context.Context, t Tuner, w *workload.Workload, opts O
 	tr.eventsTotal = tuned.Len()
 	tuneSpan.SetArg("events", tuned.Len()).SetArg("compressed", compressed)
 
-	ev := newEvaluator(t, tuned, opts.Derive)
+	ev := newEvaluator(t, tuned, opts.Derive, tr)
 	if opts.Resume != nil {
 		if err := opts.Resume.Check(); err != nil {
 			return nil, nil, err
@@ -521,7 +520,6 @@ func buildCostedState(ctx context.Context, t Tuner, w *workload.Workload, opts O
 		// The skeletons wait for the statistics pass (see warmStart).
 		ev.warmStart(CostingSection{Cache: opts.Resume.Cache})
 	}
-	ev.attach(tr)
 	tr.setPhase(PhaseBaseline)
 	baseCost, err := ev.configCost(base)
 	if err != nil {
@@ -566,7 +564,7 @@ func buildCostedState(ctx context.Context, t Tuner, w *workload.Workload, opts O
 			// measured against the base configuration only — pins, budgets,
 			// and weights are search-layer constraints and must not leak in.
 			tr.setPhase(PhaseCandidates)
-			st.cands, st.gains, st.statBatches, st.statsCreated, err = selectCandidates(t, ev, tr, tuned, base, groups, opts)
+			st.cands, st.gains, st.statBatches, st.statsCreated, err = selectCandidates(t, ev, tuned, base, groups, opts)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -584,14 +582,14 @@ func buildCostedState(ctx context.Context, t Tuner, w *workload.Workload, opts O
 // a fresh full run under the same constraints would also have to cost. The
 // fresh pipeline and Revise both funnel through this one function, which is
 // what makes revision equivalence hold by construction.
-func runSearch(t Tuner, st *costedState, tr *tracker, rec *Recommendation, cons Constraints, opts Options, start time.Time) (*Recommendation, error) {
+func runSearch(t Tuner, st *costedState, rec *Recommendation, cons Constraints, opts Options, start time.Time) (*Recommendation, error) {
 	// Graft the constraints onto the Options downstream consumers read, so
 	// enumerate/merge/finish observe exactly a fresh run's view.
 	opts.StorageBudget = cons.StorageBudget
 	opts.Aligned = cons.Aligned
 	opts.UserConfig = cons.Pinned
 
-	ev := st.ev
+	ev, tr := st.ev, st.ev.tr
 	ev.applySliceWeights(cons.SliceWeights)
 
 	// Baseline under the effective weights. Every per-event cost is already
@@ -601,7 +599,7 @@ func runSearch(t Tuner, st *costedState, tr *tracker, rec *Recommendation, cons 
 	baseCost, err := ev.configCost(st.base)
 	if err != nil {
 		if stopping(err) {
-			return nil, fmt.Errorf("core: session cancelled before baseline costing completed: %w", tr.doCtx().Err())
+			return nil, fmt.Errorf("core: session cancelled before baseline costing completed: %w", tr.ctx.Err())
 		}
 		return nil, err
 	}
@@ -674,7 +672,7 @@ func runSearch(t Tuner, st *costedState, tr *tracker, rec *Recommendation, cons 
 
 	// Enumeration (§2.2, §4): Greedy(m,k) under storage and alignment.
 	tr.setPhase(PhaseEnumeration)
-	chosen, err := enumerate(ev, tr, mandatory, cands, opts)
+	chosen, err := enumerate(ev, mandatory, cands, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -684,7 +682,7 @@ func runSearch(t Tuner, st *costedState, tr *tracker, rec *Recommendation, cons 
 	}
 	rec.Config = finalCfg
 
-	return finishRecommendation(t, ev, tr, rec, base, finalCfg, opts, start)
+	return finishRecommendation(t, ev, rec, base, finalCfg, opts, start)
 }
 
 // finishRecommendation fills cost, storage, and per-query reports. The
@@ -692,11 +690,10 @@ func runSearch(t Tuner, st *costedState, tr *tracker, rec *Recommendation, cons 
 // (almost always) served from the evaluator cache, and the few residual
 // what-if calls must complete even for a stopped session so the partial
 // recommendation carries real costs.
-func finishRecommendation(t Tuner, ev *evaluator, tr *tracker, rec *Recommendation, base, final *catalog.Configuration, opts Options, start time.Time) (*Recommendation, error) {
+func finishRecommendation(t Tuner, ev *evaluator, rec *Recommendation, base, final *catalog.Configuration, opts Options, start time.Time) (*Recommendation, error) {
+	tr := ev.tr
 	rec.StopReason = tr.stopReason()
-	if tr != nil {
-		tr.finishing = true
-	}
+	tr.finishing = true
 	cost, err := ev.configCost(final)
 	if err != nil {
 		return nil, err
@@ -723,19 +720,15 @@ func finishRecommendation(t Tuner, ev *evaluator, tr *tracker, rec *Recommendati
 		rec.StorageBytes = 0
 	}
 
-	if tr != nil {
-		tr.observeCost(cost)
-	}
+	tr.observeCost(cost)
 
 	// Per-query analysis reports (paper §6.3). A cancelled or degraded session skips
 	// them: the caller asked the advisor to stop working, and the partial
 	// recommendation's headline numbers are already in place.
-	if opts.SkipReports || (tr != nil && (tr.cancelled.Load() || tr.degraded.Load())) {
-		return sealRecommendation(ev, tr, rec, start), nil
+	if opts.SkipReports || tr.cancelled.Load() || tr.degraded.Load() {
+		return sealRecommendation(ev, rec, start), nil
 	}
-	if tr != nil {
-		tr.setPhase(PhaseReports)
-	}
+	tr.setPhase(PhaseReports)
 	usage := map[string]*UsageReport{}
 	var totalAfter float64
 	cbase, cfinal := ev.config(base), ev.config(final)
@@ -778,13 +771,14 @@ func finishRecommendation(t Tuner, ev *evaluator, tr *tracker, rec *Recommendati
 		}
 		return rec.Usage[i].Structure < rec.Usage[j].Structure
 	})
-	return sealRecommendation(ev, tr, rec, start), nil
+	return sealRecommendation(ev, rec, start), nil
 }
 
 // sealRecommendation stamps the session totals. What-if calls are counted by
 // the session's own evaluator — not as a server counter delta — so the
 // number stays exact when several sessions share one what-if server.
-func sealRecommendation(ev *evaluator, tr *tracker, rec *Recommendation, start time.Time) *Recommendation {
+func sealRecommendation(ev *evaluator, rec *Recommendation, start time.Time) *Recommendation {
+	tr := ev.tr
 	rec.WhatIfCalls = ev.calls.Load()
 	rec.DerivedEvals = ev.drv.Derivations()
 	rec.DeriveFallbacks = ev.drv.AtomsByShape()
@@ -794,9 +788,7 @@ func sealRecommendation(ev *evaluator, tr *tracker, rec *Recommendation, start t
 		e.Reason = rec.StopReason
 		tr.record(e)
 	}
-	if tr != nil {
-		tr.setPhase(PhaseDone)
-	}
+	tr.setPhase(PhaseDone)
 	return rec
 }
 

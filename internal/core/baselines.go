@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/workload"
@@ -54,8 +56,13 @@ func TuneStaged(t Tuner, w *workload.Workload, opts Options, stages []FeatureMas
 	if last == nil {
 		return nil, fmt.Errorf("core: no stages")
 	}
-	// Rebase the final report against the original base configuration.
-	ev := newEvaluator(t, w, "")
+	// Rebase the final report against the original base configuration. The
+	// rebase is a session of its own under the caller's parallelism, retry
+	// policy, fault injector and breaker settings; it reports no progress.
+	tr := newTracker(context.Background(), Options{
+		Parallelism: opts.Parallelism, Retry: opts.Retry, Faults: opts.Faults, Breaker: opts.Breaker,
+	}, time.Now())
+	ev := newEvaluator(t, w, "", tr)
 	baseCost, err := ev.configCost(base)
 	if err != nil {
 		return nil, err

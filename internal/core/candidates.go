@@ -50,7 +50,8 @@ import (
 //     deduplicated candidate pool, the QueryGains and the session journal,
 //     stopping at the first query that did not finish, as a sequential loop
 //     would.
-func selectCandidates(t Tuner, ev *evaluator, tr *tracker, w *workload.Workload, base *catalog.Configuration, groups *columnGroups, opts Options) ([]catalog.Structure, []QueryGain, []StatBatch, int, error) {
+func selectCandidates(t Tuner, ev *evaluator, w *workload.Workload, base *catalog.Configuration, groups *columnGroups, opts Options) ([]catalog.Structure, []QueryGain, []StatBatch, int, error) {
+	tr := ev.tr
 	perQueryK := opts.PerQueryK
 	if perQueryK <= 0 {
 		perQueryK = 6
@@ -63,7 +64,7 @@ func selectCandidates(t Tuner, ev *evaluator, tr *tracker, w *workload.Workload,
 	// stopped here searches none of them.)
 	pools := make([][]catalog.Structure, len(w.Events))
 	additive := make([][]*structInfo, len(w.Events))
-	ev.pool().each(len(w.Events), func(i int) {
+	tr.pool.each(len(w.Events), func(i int) {
 		if q := ev.analyzed(i); q != nil {
 			pools[i] = generateForQuery(t.Catalog(), q, groups, opts)
 			additive[i] = ev.additivePool(pools[i])
@@ -121,13 +122,13 @@ func selectCandidates(t Tuner, ev *evaluator, tr *tracker, w *workload.Workload,
 	// earliest failure, which only an earlier query can precede.
 	sels := make([]querySelection, n)
 	var failed atomic.Bool
-	phase := tr.spanCtx()
-	ev.pool().each(n, func(i int) {
+	phase := tr.sctx
+	tr.pool.each(n, func(i int) {
 		if failed.Load() || tr.stopped() {
 			return
 		}
-		sels[i] = selectQuery(ev, tr, w.Events[i], i, base, pools[i], phase, greedyOptions{
-			m: opts.GreedyM, k: perQueryK, tr: tr,
+		sels[i] = selectQuery(ev, w.Events[i], i, base, pools[i], phase, greedyOptions{
+			m: opts.GreedyM, k: perQueryK,
 			scope: journal.ScopeQuery, query: i,
 		})
 		if err := sels[i].err; err != nil && !stopping(err) {
@@ -196,7 +197,7 @@ type querySelection struct {
 // runs on a pool worker, so it touches no coordinator state: its spans nest
 // under the given phase span and its journal events go to the returned
 // buffer.
-func selectQuery(ev *evaluator, tr *tracker, e *workload.Event, i int, base *catalog.Configuration, cands []catalog.Structure, phase context.Context, o greedyOptions) (sel querySelection) {
+func selectQuery(ev *evaluator, e *workload.Event, i int, base *catalog.Configuration, cands []catalog.Structure, phase context.Context, o greedyOptions) (sel querySelection) {
 	sel.ran = true
 	ctx, span := obs.StartSpan(phase, "query", "select-candidates")
 	span.SetArg("event", i).SetArg("candidates", len(cands))
@@ -206,7 +207,7 @@ func selectQuery(ev *evaluator, tr *tracker, e *workload.Event, i int, base *cat
 	if len(cands) == 0 {
 		return sel
 	}
-	if tr.journaling() {
+	if ev.tr.journaling() {
 		o.log = &sel.journal
 	}
 	baseCost, _, err := ev.eval(i, ev.config(base), ctx)
@@ -225,7 +226,7 @@ func selectQuery(ev *evaluator, tr *tracker, e *workload.Event, i int, base *cat
 		qe.SQL = e.SQL
 		qe.CostBefore, qe.CostAfter, qe.Gain = baseCost, bestCost, gain
 		qe.Alternatives = len(cands)
-		o.record(qe)
+		o.record(ev.tr, qe)
 		chosenKeys := map[string]bool{}
 		for _, s := range chosen {
 			chosenKeys[s.Key()] = true
@@ -238,7 +239,7 @@ func selectQuery(ev *evaluator, tr *tracker, e *workload.Event, i int, base *cat
 			if ce.Accepted {
 				ce.Gain = gain
 			}
-			o.record(ce)
+			o.record(ev.tr, ce)
 		}
 	}
 	// Deliberately unbudgeted: the storage bound is a search-layer
@@ -301,7 +302,7 @@ func capCandidates(cands []catalog.Structure, benefit map[string]float64, limit 
 // retry outside a critical stage degrades the session (the candidates
 // gathered so far still yield a best-so-far design) instead of failing it.
 func ensureStatistics(t Tuner, tr *tracker, reqs []stats.Request, reduce bool) (int, error) {
-	created, err := fault.Do(tr.doCtx(), tr.retryPolicy(), func() (int, error) {
+	created, err := fault.Do(tr.ctx, tr.retryPolicy(), func() (int, error) {
 		if err := tr.inject(fault.SiteStats); err != nil {
 			return 0, err
 		}

@@ -145,7 +145,7 @@ func (c *checkpointer) count(calls *atomic.Int64) int64 {
 	c.mu.Lock()
 	n := calls.Add(1)
 	var build func() *Checkpoint
-	if n%c.every == 0 && c.ev != nil && c.busy.CompareAndSwap(false, true) {
+	if n%c.every == 0 && c.busy.CompareAndSwap(false, true) {
 		ck := &Checkpoint{Phase: c.tr.phase, EventsTuned: c.tr.eventsTuned, WhatIfCalls: n}
 		drv := c.ev.drv
 		if ck.Phase == PhaseBaseline || ck.Phase == PhaseColGroups {

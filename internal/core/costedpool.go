@@ -288,7 +288,6 @@ func Revise(ctx context.Context, t Tuner, pool *CostedPool, cons Constraints, op
 	defer span.End()
 	tr := newTracker(ctx, opts, start)
 	tr.revised = true
-	tr.attachSpans(ctx)
 
 	cons = cons.normalize()
 	if err := cons.validate(t.Catalog()); err != nil {
@@ -328,16 +327,15 @@ func Revise(ctx context.Context, t Tuner, pool *CostedPool, cons Constraints, op
 		created, err := ensureStatistics(t, tr, b.Requests, !pool.Knobs.DisableStatReduction)
 		if err != nil {
 			if stopping(err) {
-				return nil, fmt.Errorf("core: session cancelled during statistics replay: %w", tr.doCtx().Err())
+				return nil, fmt.Errorf("core: session cancelled during statistics replay: %w", ctx.Err())
 			}
 			return nil, err
 		}
 		statsCreated += created
 	}
 
-	st := pool.warmState(t, w, base, opts.Derive)
+	st := pool.warmState(t, w, base, opts.Derive, tr)
 	ev := st.ev
-	ev.attach(tr)
 	tr.eventsTotal = w.Len()
 	tr.eventsTuned = w.Len() - ev.skippedEvents()
 	span.SetArg("events", w.Len()).SetArg("pool", pool.Fingerprint)
@@ -351,7 +349,7 @@ func Revise(ctx context.Context, t Tuner, pool *CostedPool, cons Constraints, op
 		IngestedEvents: pool.IngestedEvents,
 		IngestedBytes:  pool.IngestedBytes,
 	}
-	rec, err = runSearch(t, st, tr, rec, cons, opts, start)
+	rec, err = runSearch(t, st, rec, cons, opts, start)
 	if err != nil {
 		return nil, err
 	}
@@ -363,9 +361,9 @@ func Revise(ctx context.Context, t Tuner, pool *CostedPool, cons Constraints, op
 
 // warmState is a revision's warm start: the pool's costing-layer state over
 // its workload w and base configuration, with an evaluator warm-started from
-// the pool's costing section.
-func (pool *CostedPool) warmState(t Tuner, w *workload.Workload, base *catalog.Configuration, mode derive.Mode) *costedState {
-	ev := newEvaluator(t, w, mode)
+// the pool's costing section, bound to the session tracker tr.
+func (pool *CostedPool) warmState(t Tuner, w *workload.Workload, base *catalog.Configuration, mode derive.Mode, tr *tracker) *costedState {
+	ev := newEvaluator(t, w, mode, tr)
 	ev.warmStart(pool.CostingSection)
 	return &costedState{
 		ev: ev, tuned: w, base: base,

@@ -21,6 +21,12 @@ import (
 	"repro/internal/workload"
 )
 
+// testTracker is the session tracker tests build bare evaluators under: a
+// real one at Parallelism 1, with no progress callback, journal or metrics.
+func testTracker() *tracker {
+	return newTracker(context.Background(), Options{Parallelism: 1}, time.Now())
+}
+
 // toyBackend builds one of the demonstration databases at toy scale with
 // its constraint base configuration: SYNT1 (single table, SELECT-only),
 // TPC-H (joins, views) or PSOFT (DML beside reads).
@@ -96,8 +102,8 @@ func TestIncrementalCostsMatchFromScratch(t *testing.T) {
 					}
 				}
 			}
-			inc := newEvaluator(srv, tuned, "")
-			ref := newEvaluator(srv, tuned, "")
+			inc := newEvaluator(srv, tuned, "", testTracker())
+			ref := newEvaluator(srv, tuned, "", testTracker())
 			inc.setQueryPools(inc.sharedPools(cands))
 			ref.setQueryPools(ref.sharedPools(cands))
 
@@ -333,8 +339,7 @@ func TestSealedPoolFingerprintGolden(t *testing.T) {
 // nothing, metrics attached.
 func TestCacheHitAllocatesNothing(t *testing.T) {
 	w := parallelWorkload(t)
-	ev := newEvaluator(testServer(t), w, "")
-	ev.attach(newTracker(context.Background(), Options{Metrics: obs.NewRegistry()}.withDefaults(), time.Now()))
+	ev := newEvaluator(testServer(t), w, "", newTracker(context.Background(), Options{Metrics: obs.NewRegistry()}.withDefaults(), time.Now()))
 	cfg := catalog.NewConfiguration()
 	cfg.AddIndex(catalog.NewIndex("t", "x"))
 	cfg.AddIndex(catalog.NewIndex("t", "a").WithInclude("amt"))
@@ -384,7 +389,7 @@ func TestWarmStartResealsIdentically(t *testing.T) {
 	}{{"synt1", FeatureIndexes}, {"tpch", FeatureAll}, {"psoft", FeatureAll}} {
 		t.Run(c.name, func(t *testing.T) {
 			srv, w, pool, opts := sealedToy(t, c.name, c.f)
-			again := pool.warmState(srv, w, pool.Base, opts.Derive).seal(opts)
+			again := pool.warmState(srv, w, pool.Base, opts.Derive, testTracker()).seal(opts)
 			if again.Fingerprint != pool.Fingerprint {
 				t.Fatalf("resealed fingerprint %s, want %s", again.Fingerprint, pool.Fingerprint)
 			}
@@ -400,7 +405,7 @@ func BenchmarkSeal(b *testing.B) {
 	srv, w, pool, opts := sealedToy(b, "psoft", FeatureAll)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sealed := pool.warmState(srv, w, pool.Base, opts.Derive).seal(opts)
+		sealed := pool.warmState(srv, w, pool.Base, opts.Derive, testTracker()).seal(opts)
 		if err := sealed.Check(); err != nil {
 			b.Fatal(err)
 		}
@@ -448,8 +453,7 @@ func BenchmarkSelectCandidates(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				tr := newTracker(context.Background(), o, time.Now())
-				ev := newEvaluator(srv, w, o.Derive)
-				ev.attach(tr)
+				ev := newEvaluator(srv, w, o.Derive, tr)
 				tr.setPhase(PhaseBaseline)
 				if _, err := ev.configCost(base); err != nil {
 					b.Fatal(err)
@@ -460,7 +464,7 @@ func BenchmarkSelectCandidates(b *testing.B) {
 				}
 				tr.setPhase(PhaseCandidates)
 				b.StartTimer()
-				if _, _, _, _, err := selectCandidates(srv, ev, tr, w, base, groups, o); err != nil {
+				if _, _, _, _, err := selectCandidates(srv, ev, w, base, groups, o); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -208,9 +208,9 @@ func TestDeriveMatchesRealCostsOnRandomConfigs(t *testing.T) {
 		)},
 	}
 
-	evOn := newEvaluator(s, w, derive.On)
+	evOn := newEvaluator(s, w, derive.On, testTracker())
 	evOn.setQueryPools(evOn.sharedPools(pool))
-	evOff := newEvaluator(realCallTuner{s}, w, derive.On)
+	evOff := newEvaluator(realCallTuner{s}, w, derive.On, testTracker())
 	if evOff.drv != nil {
 		t.Fatal("a skeleton-less tuner must not get a derivation engine")
 	}
@@ -478,7 +478,7 @@ func TestConcurrentSubsetsShareOneSkeletonFetch(t *testing.T) {
 		cfgs = append(cfgs, cfg)
 	}
 	srv := testServer(t)
-	oracle := newEvaluator(realCallTuner{srv}, w, "")
+	oracle := newEvaluator(realCallTuner{srv}, w, "", testTracker())
 	want := make([]float64, len(cfgs))
 	for j, cfg := range cfgs {
 		c, _, err := oracle.cost(0, oracle.config(cfg))
@@ -492,7 +492,7 @@ func TestConcurrentSubsetsShareOneSkeletonFetch(t *testing.T) {
 		t.Run(fmt.Sprintf("P=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			a := &altCountingTuner{Server: srv}
-			ev := newEvaluator(a, w, "")
+			ev := newEvaluator(a, w, "", testTracker())
 			ev.setQueryPools(ev.sharedPools(pool))
 			got := make([]float64, len(cfgs))
 			errs := make([]error, len(cfgs))
@@ -605,7 +605,7 @@ func TestDeriveFallbackProducersThroughEvaluator(t *testing.T) {
 	} {
 		f := &flakyAltTuner{Server: srv}
 		breakIt(f)
-		ev := newEvaluator(f, w, "")
+		ev := newEvaluator(f, w, "", testTracker())
 		for i := range w.Events {
 			if _, _, err := ev.cost(i, ev.config(cfg)); err == nil {
 				t.Fatalf("%s: event %d costed without a skeleton", name, i)

@@ -59,7 +59,7 @@ func greedyDrop(ev *evaluator, base *catalog.Configuration, pinned map[string]bo
 			frontier = append(frontier, &removal{c: ev.config(cfg), s: s})
 		}
 
-		ev.pool().each(len(frontier), func(i int) {
+		ev.tr.pool.each(len(frontier), func(i int) {
 			r := frontier[i]
 			r.cost, r.ov, r.err = ev.child(ev.all, cur, r.c)
 		})

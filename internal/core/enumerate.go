@@ -18,22 +18,22 @@ import (
 // introduction of alignment candidates described in [4].
 //
 // The evaluation loops run concurrently through greedySearch's worker-pool
-// frontiers (the tracker carries the session pool). There the evaluator
-// mirrors applyAligned on its dense configurations — an index adopts its
-// table's partitioning as an interned variant, a partitioning repartitions
-// the table's indexes the same way — and materializes a catalog clone only
-// for the children that need one; applyAligned stays safe there because it
-// mutates only that clone. The alignment replay below is bookkeeping over
+// frontiers (the evaluator's tracker carries the session pool). There the
+// evaluator mirrors applyAligned on its dense configurations — an index
+// adopts its table's partitioning as an interned variant, a partitioning
+// repartitions the table's indexes the same way — and materializes a catalog
+// clone only for the children that need one; applyAligned stays safe there
+// because it mutates only that clone. The alignment replay below is bookkeeping over
 // cached decisions and stays sequential.
-func enumerate(ev *evaluator, tr *tracker, mandatory *catalog.Configuration, cands []catalog.Structure, opts Options) ([]catalog.Structure, error) {
+func enumerate(ev *evaluator, mandatory *catalog.Configuration, cands []catalog.Structure, opts Options) ([]catalog.Structure, error) {
 	// The enumeration pool is the last candidate set of the session, shared
 	// by every event; it also serves the final configuration costing and the
 	// analysis reports.
 	ev.setQueryPools(ev.sharedPools(cands))
 	g := greedyOptions{
 		m: opts.GreedyM, k: opts.GreedyK,
-		budget: opts.StorageBudget, tr: tr,
-		onStep: func(c float64) { tr.observeCost(c) },
+		budget: opts.StorageBudget,
+		onStep: ev.tr.observeCost,
 		scope:  "enumeration", query: -1,
 	}
 
@@ -59,23 +59,15 @@ func enumerate(ev *evaluator, tr *tracker, mandatory *catalog.Configuration, can
 	}
 	// The chosen structures are re-applied by the caller with plain
 	// ApplyTo; return their aligned forms by replaying the applications.
+	// Replaying also repartitions earlier picks, so the aligned forms are
+	// read off the final configuration.
 	cfg := base.Clone()
-	var aligned []catalog.Structure
 	for _, s := range chosen {
-		before := snapshotKeys(cfg)
 		applyAligned(cfg, s)
-		for _, ns := range cfg.Structures() {
-			if !before[ns.Key()] {
-				aligned = append(aligned, ns)
-			}
-		}
 	}
-	// Replaying also surfaces repartitioned versions of earlier picks; the
-	// final configuration is authoritative, so rebuild from it.
-	final := cfg
-	mandKeys := snapshotKeys(alignConfiguration(mandatory))
-	aligned = aligned[:0]
-	for _, s := range final.Structures() {
+	mandKeys := snapshotKeys(base)
+	var aligned []catalog.Structure
+	for _, s := range cfg.Structures() {
 		if !mandKeys[s.Key()] {
 			aligned = append(aligned, s)
 		}

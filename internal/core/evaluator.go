@@ -59,10 +59,9 @@ type evaluator struct {
 	// tables holds one cost table per event.
 	tables []costTable
 
-	// tr, when set, carries the session's cancellation signal, progress
-	// accounting, and worker pool; cache misses check it before reaching the
-	// optimizer so a cancelled session stops within one what-if call per
-	// worker.
+	// tr carries the session's cancellation signal, progress accounting,
+	// and worker pool; cache misses check it before reaching the optimizer
+	// so a cancelled session stops within one what-if call per worker.
 	tr *tracker
 	// calls counts the what-if optimizer calls this evaluator issued — the
 	// session-exact figure reported in Recommendation.WhatIfCalls (a shared
@@ -87,8 +86,8 @@ type evaluator struct {
 	// call. Written only between parallel sections.
 	weights []float64
 
-	// Cache-behaviour counters (attach caches the registry series once so
-	// the hot path never takes registry locks); all nil without metrics.
+	// Cache-behaviour counters (newEvaluator caches the registry series once
+	// so the hot path never takes registry locks); all nil without metrics.
 	mHits, mMisses, mCoalesced, mDerived *obs.Counter
 }
 
@@ -204,11 +203,15 @@ type structInfo struct {
 }
 
 // newEvaluator analyzes the workload and, iff the backend can return plan
-// skeletons, installs a derivation engine in the given mode ("" = on).
-func newEvaluator(t Tuner, w *workload.Workload, mode derive.Mode) *evaluator {
+// skeletons, installs a derivation engine in the given mode ("" = on). It
+// binds the session tracker tr: the evaluator runs on tr's worker pool, under
+// its stop protocol and call accounting; tr's checkpointer snapshots this
+// evaluator and its Progress snapshots read the engine's counters. The
+// cost-cache metric series are cached here from tr's registry.
+func newEvaluator(t Tuner, w *workload.Workload, mode derive.Mode, tr *tracker) *evaluator {
 	n := len(w.Events)
 	ev := &evaluator{
-		t: t, events: w.Events,
+		t: t, events: w.Events, tr: tr,
 		all:         &scope{events: make([]int, n)},
 		variants:    map[[2]int32]*structInfo{},
 		tableEvents: map[string][]int{},
@@ -245,42 +248,19 @@ func newEvaluator(t Tuner, w *workload.Workload, mode derive.Mode) *evaluator {
 		}
 		ev.infos = append(ev.infos, info)
 	}
-	return ev
-}
-
-// attach binds the session tracker (cancellation, accounting, worker pool)
-// and caches the cost-cache metric series. Entry points that predate
-// TuneContext (TuneStaged) never attach one; the evaluator then runs
-// sequentially with no metrics.
-func (ev *evaluator) attach(tr *tracker) {
-	ev.tr = tr
-	if tr == nil {
-		return
-	}
+	tr.drv = ev.drv
 	if tr.ckpt != nil {
 		tr.ckpt.ev = ev
 	}
-	if ev.drv != nil {
-		// The derivation engine feeds the live Progress counters.
-		tr.deriveStats = ev.drv.Stats
+	if reg := tr.metrics; reg != nil {
+		const help = "What-if cost cache behaviour: served hits, leader misses (one optimizer call each), waits coalesced onto another worker's in-flight call, and misses answered by cost derivation (no optimizer call)."
+		ev.mHits = reg.Counter("dta_cost_cache_requests_total", help, "outcome", "hit")
+		ev.mMisses = reg.Counter("dta_cost_cache_requests_total", help, "outcome", "miss")
+		ev.mCoalesced = reg.Counter("dta_cost_cache_requests_total", help, "outcome", "coalesced")
+		ev.mDerived = reg.Counter("dta_cost_cache_requests_total", help, "outcome", "derived")
+		ev.drv.AttachMetrics(reg)
 	}
-	if tr.metrics == nil {
-		return
-	}
-	const help = "What-if cost cache behaviour: served hits, leader misses (one optimizer call each), waits coalesced onto another worker's in-flight call, and misses answered by cost derivation (no optimizer call)."
-	ev.mHits = tr.metrics.Counter("dta_cost_cache_requests_total", help, "outcome", "hit")
-	ev.mMisses = tr.metrics.Counter("dta_cost_cache_requests_total", help, "outcome", "miss")
-	ev.mCoalesced = tr.metrics.Counter("dta_cost_cache_requests_total", help, "outcome", "coalesced")
-	ev.mDerived = tr.metrics.Counter("dta_cost_cache_requests_total", help, "outcome", "derived")
-	ev.drv.AttachMetrics(tr.metrics)
-}
-
-// pool returns the session's worker pool (nil → sequential).
-func (ev *evaluator) pool() *workerPool {
-	if ev.tr == nil {
-		return nil
-	}
-	return ev.tr.pool
+	return ev
 }
 
 // analyzed returns the analysis of event i (nil if the statement does not
@@ -776,7 +756,7 @@ func (ev *evaluator) verifyDerived(i int, c *config, res derive.Result) error {
 		return nil
 	}
 	tr := ev.tr
-	real, err := fault.Do(tr.doCtx(), tr.retryPolicy(), func() (float64, error) {
+	real, err := fault.Do(tr.ctx, tr.retryPolicy(), func() (float64, error) {
 		if err := tr.inject(fault.SiteWhatIf); err != nil {
 			return 0, err
 		}
@@ -811,7 +791,7 @@ func (ev *evaluator) whatIfCall(i int, cfg *catalog.Configuration, wantAlts bool
 		alts *optimizer.Alternatives
 	}
 	tr := ev.tr
-	r, err := fault.Do(tr.doCtx(), tr.retryPolicy(), func() (res, error) {
+	r, err := fault.Do(tr.ctx, tr.retryPolicy(), func() (res, error) {
 		ev.calls.Add(1)
 		tr.countCall()
 		if err := tr.inject(fault.SiteWhatIf); err != nil {
@@ -877,7 +857,7 @@ func (ev *evaluator) spanParent(span context.Context) context.Context {
 	if span != nil {
 		return span
 	}
-	return ev.tr.spanCtx()
+	return ev.tr.sctx
 }
 
 // costed is a configuration with its per-event costs over a scope (indexed
@@ -904,7 +884,7 @@ func (ev *evaluator) costAll(sc *scope, c *config) (*costed, error) {
 	n := len(sc.events)
 	costs := make([]float64, n)
 	errs := make([]error, n)
-	ev.pool().each(n, func(p int) {
+	ev.tr.pool.each(n, func(p int) {
 		costs[p], _, errs[p] = ev.eval(sc.events[p], c, sc.span)
 	})
 	for _, err := range errs {

@@ -21,10 +21,6 @@ type greedyOptions struct {
 	// §4) instead of plain Structure.ApplyTo.
 	aligned bool
 	valid   validFn
-	// tr carries the session's cancellation and time budget; the search
-	// checks it between candidate evaluations and returns its best subset
-	// so far when stopped (anytime behaviour).
-	tr *tracker
 	// onStep, when set, observes the best configuration's cost after each
 	// completed greedy growth step (progress reporting).
 	onStep func(cost float64)
@@ -44,13 +40,14 @@ type greedyOptions struct {
 	log *[]journal.Event
 }
 
-// record journals one decision event of the search.
-func (o greedyOptions) record(e journal.Event) {
+// record journals one decision event of the search: into the buffer when
+// set, else into the session tracker's journal.
+func (o greedyOptions) record(tr *tracker, e journal.Event) {
 	if o.log != nil {
 		*o.log = append(*o.log, e)
 		return
 	}
-	o.tr.record(e)
+	tr.record(e)
 }
 
 // candidate is one structure of a search's pool, interned once per search:
@@ -96,8 +93,9 @@ type frontierEval struct {
 // count for observability.
 func evalFrontier(ev *evaluator, o greedyOptions, sc *scope, parent *costed, cands []candidate, fits func(*config) bool) ([]frontierEval, int) {
 	res := make([]frontierEval, len(cands))
-	workers := ev.pool().each(len(cands), func(i int) {
-		if o.tr.stopped() {
+	tr := ev.tr
+	workers := tr.pool.each(len(cands), func(i int) {
+		if tr.stopped() {
 			return
 		}
 		c, ok := ev.extend(parent.c, cands[i].s, cands[i].x, o.aligned)
@@ -114,11 +112,11 @@ func evalFrontier(ev *evaluator, o greedyOptions, sc *scope, parent *costed, can
 		}
 		res[i] = frontierEval{c: c, cost: cost, ov: ov, ok: true}
 	})
-	if o.tr != nil && o.tr.metrics != nil && len(cands) > 0 {
-		o.tr.metrics.Histogram("dta_greedy_frontier_size",
+	if tr.metrics != nil && len(cands) > 0 {
+		tr.metrics.Histogram("dta_greedy_frontier_size",
 			"Candidate configurations evaluated per greedy frontier sweep.",
 			obs.CountBuckets).Observe(float64(len(cands)))
-		o.tr.metrics.Histogram("dta_pool_workers_used",
+		tr.metrics.Histogram("dta_pool_workers_used",
 			"Workers participating in one parallel frontier sweep.",
 			obs.CountBuckets).Observe(float64(workers))
 	}
@@ -151,11 +149,12 @@ func better(c float64, k string, bc float64, bk string) bool {
 // from its parent's per-event costs (evaluator.child), and the winner of a
 // frontier carries its own forward.
 //
-// The search is an anytime algorithm: when the session's tracker reports
+// The search is an anytime algorithm: when the evaluator's tracker reports
 // cancellation or an exhausted time budget — checked between candidate
 // evaluations, and surfaced as errStopped from within a cost evaluation —
 // the best subset found so far is returned with a nil error.
 func greedySearch(ev *evaluator, sc *scope, base *catalog.Configuration, cands []catalog.Structure, o greedyOptions) ([]catalog.Structure, error) {
+	tr := ev.tr
 	if o.m < 1 {
 		o.m = 1
 	}
@@ -181,7 +180,7 @@ func greedySearch(ev *evaluator, sc *scope, base *catalog.Configuration, cands [
 		}
 		return c.storage()-baseStorage <= o.budget
 	}
-	expired := func() bool { return o.tr.stopped() }
+	expired := tr.stopped
 	pool := ev.candidates(cands)
 
 	type state struct {
@@ -235,7 +234,7 @@ func greedySearch(ev *evaluator, sc *scope, base *catalog.Configuration, cands [
 	}
 	err = trySubset(0, best, 0)
 	seedSpan.End()
-	if o.scope != "" && o.tr.journaling() && len(best.chosen) > 0 {
+	if o.scope != "" && tr.journaling() && len(best.chosen) > 0 {
 		ev := journal.Ev(journal.KindSeed)
 		ev.Scope, ev.Query = o.scope, o.query
 		for _, s := range best.chosen {
@@ -244,7 +243,7 @@ func greedySearch(ev *evaluator, sc *scope, base *catalog.Configuration, cands [
 		ev.Accepted = true
 		ev.CostBefore, ev.CostAfter = baseCost, best.node.total
 		ev.Alternatives = len(cands)
-		o.record(ev)
+		o.record(tr, ev)
 	}
 	if err != nil {
 		if stopping(err) {
@@ -294,7 +293,7 @@ func greedySearch(ev *evaluator, sc *scope, base *catalog.Configuration, cands [
 				return false, nil
 			}
 			journalStep := func(accepted bool) {
-				if o.scope == "" || !o.tr.journaling() || bestIdx < 0 {
+				if o.scope == "" || !tr.journaling() || bestIdx < 0 {
 					return
 				}
 				ev := journal.Ev(journal.KindStep)
@@ -306,7 +305,7 @@ func greedySearch(ev *evaluator, sc *scope, base *catalog.Configuration, cands [
 				if runnerKey != "" {
 					ev.RunnerUp, ev.RunnerUpCost = runnerKey, runnerCost
 				}
-				o.record(ev)
+				o.record(tr, ev)
 			}
 			if bestIdx < 0 || bestCost >= best.node.total*(1-o.minImprove) {
 				journalStep(false)
@@ -319,8 +318,8 @@ func greedySearch(ev *evaluator, sc *scope, base *catalog.Configuration, cands [
 				node:   best.node.with(w.c, w.cost, w.ov),
 			}
 			stepSpan.SetArg("picked", bestKey).SetArg("cost", bestCost)
-			if o.tr != nil && o.tr.metrics != nil {
-				o.tr.metrics.Counter("dta_greedy_steps_total",
+			if tr.metrics != nil {
+				tr.metrics.Counter("dta_greedy_steps_total",
 					"Completed Greedy(m,k) growth steps.").Inc()
 			}
 			if o.onStep != nil {

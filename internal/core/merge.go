@@ -20,10 +20,6 @@ import (
 //   - partitioned-structure merging [4]: two range partitionings of a table
 //     on the same column merge by unioning their boundary sets.
 func mergeCandidates(cat *catalog.Catalog, cands []catalog.Structure, benefit map[string]float64, opts Options, tr *tracker) []catalog.Structure {
-	var pool *workerPool
-	if tr != nil {
-		pool = tr.pool
-	}
 	// mergePair computes the merged structures one (a, b) candidate pair
 	// yields — pure CPU over the catalog, no shared state — so all pairs
 	// run on the worker pool, canonical keys included.
@@ -60,7 +56,7 @@ func mergeCandidates(cat *catalog.Catalog, cands []catalog.Structure, benefit ma
 		}
 	}
 	merged := make([][]derive.Keyed, len(pairs))
-	pool.each(len(pairs), func(p int) {
+	tr.pool.each(len(pairs), func(p int) {
 		for _, s := range mergePair(cands[pairs[p].i], cands[pairs[p].j]) {
 			merged[p] = append(merged[p], derive.Keyed{Key: s.Key(), Structure: s})
 		}
@@ -96,15 +92,9 @@ func mergeCandidates(cat *catalog.Catalog, cands []catalog.Structure, benefit ma
 			}
 			seen[k] = true
 			out = append(out, m.Structure)
-			if benefit != nil {
-				// A merged structure inherits the larger parent benefit so
-				// pool capping does not starve it.
-				ba, bb := benefit[a], benefit[b]
-				if bb > ba {
-					ba = bb
-				}
-				benefit[k] = ba
-			}
+			// A merged structure inherits the larger parent benefit so pool
+			// capping does not starve it.
+			benefit[k] = max(benefit[a], benefit[b])
 		}
 	}
 	return out

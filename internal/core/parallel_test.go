@@ -32,21 +32,21 @@ func TestWorkerPoolEachCoversAllIndices(t *testing.T) {
 			if n > 0 && workers < 1 {
 				t.Fatalf("par=%d n=%d: workers=%d", par, n, workers)
 			}
-			if max := p.parallelism(); workers > max {
+			if max := p.size; workers > max {
 				t.Fatalf("par=%d n=%d: workers=%d exceeds pool size %d", par, n, workers, max)
 			}
 		}
 	}
 }
 
-func TestWorkerPoolNilIsSequential(t *testing.T) {
-	var p *workerPool
+func TestWorkerPoolSizeOneIsSequential(t *testing.T) {
+	p := newWorkerPool(0) // clamped to the calling goroutine alone
 	order := []int{}
 	if w := p.each(4, func(i int) { order = append(order, i) }); w != 1 {
-		t.Fatalf("nil pool workers = %d", w)
+		t.Fatalf("size-1 pool workers = %d", w)
 	}
 	if !reflect.DeepEqual(order, []int{0, 1, 2, 3}) {
-		t.Fatalf("nil pool order = %v", order)
+		t.Fatalf("size-1 pool order = %v", order)
 	}
 }
 
@@ -182,7 +182,7 @@ func TestSingleFlightCoalescesDuplicateCosts(t *testing.T) {
 		"SELECT id FROM t WHERE x = 42",
 		"SELECT SUM(amt) FROM t WHERE a = 7",
 	)
-	ev := newEvaluator(ct, w, "")
+	ev := newEvaluator(ct, w, "", testTracker())
 	base := catalog.NewConfiguration()
 	withIx := catalog.NewConfiguration()
 	withIx.AddIndex(catalog.NewIndex("t", "x"))

@@ -132,7 +132,7 @@ func TestMergePartitionings(t *testing.T) {
 		{PartTable: "t", Part: catalog.NewPartitionScheme("x", 10, 20)},
 		{PartTable: "t", Part: catalog.NewPartitionScheme("x", 15, 30)},
 	}
-	out := mergeCandidates(cat, cands, map[string]float64{}, Options{}.withDefaults(), nil)
+	out := mergeCandidates(cat, cands, map[string]float64{}, Options{}.withDefaults(), testTracker())
 	if len(out) != 3 {
 		t.Fatalf("expected one merged scheme, got %d structures", len(out))
 	}
@@ -203,7 +203,7 @@ func (c costTuner) WhatIfCallCount() int64                              { return
 // references every column in its predicate, so every candidate index is
 // relevant and the workload cost is exactly cost(cfg).
 func syntheticSearch(cat *catalog.Catalog, sql string, cost func(*catalog.Configuration) float64, cands []catalog.Structure, o greedyOptions) ([]catalog.Structure, error) {
-	ev := newEvaluator(costTuner{cat: cat, cost: cost}, workload.MustNew(sql), "")
+	ev := newEvaluator(costTuner{cat: cat, cost: cost}, workload.MustNew(sql), "", testTracker())
 	return greedySearch(ev, ev.all, catalog.NewConfiguration(), cands, o)
 }
 
@@ -304,7 +304,7 @@ func TestInterestingColumnGroups(t *testing.T) {
 	}
 	sqls = append(sqls, "SELECT id FROM t WHERE amt = 1")
 	w := workload.MustNew(sqls...)
-	ev := newEvaluator(s, w, "")
+	ev := newEvaluator(s, w, "", testTracker())
 	groups, err := interestingColumnGroups(s, ev, w, Options{ColGroupFrac: 0.05}.withDefaults())
 	if err != nil {
 		t.Fatal(err)

@@ -31,15 +31,6 @@ func newWorkerPool(parallelism int) *workerPool {
 	return &workerPool{slots: make(chan struct{}, parallelism-1), size: parallelism}
 }
 
-// parallelism reports the pool's degree (1 for a nil pool: the sequential
-// paths that predate Options.Parallelism pass no pool).
-func (p *workerPool) parallelism() int {
-	if p == nil {
-		return 1
-	}
-	return p.size
-}
-
 // each runs fn(i) for every i in [0, n), distributing the indices over the
 // calling goroutine plus as many helper goroutines as are free (at most
 // size-1, at most n-1). It returns once every index has run, reporting how
@@ -50,7 +41,7 @@ func (p *workerPool) each(n int, fn func(i int)) int {
 	if n <= 0 {
 		return 0
 	}
-	if p == nil || p.size <= 1 || n == 1 {
+	if p.size <= 1 || n == 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}

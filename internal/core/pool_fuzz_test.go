@@ -168,7 +168,7 @@ func parentCheckpointJSON(tb testing.TB) []byte {
 // statistics pass's epoch bump, restore its skeletons. It must survive any
 // decoded input.
 func warmStartCheckpoint(srv Tuner, ck *Checkpoint) {
-	ev := newEvaluator(srv, lookupWorkload(10), "")
+	ev := newEvaluator(srv, lookupWorkload(10), "", testTracker())
 	ev.warmStart(CostingSection{Cache: ck.Cache})
 	ev.bumpDeriveEpoch()
 	ev.warmStart(CostingSection{Skeletons: ck.Skeletons})
@@ -186,7 +186,7 @@ func warmStartPool(srv Tuner, p *CostedPool) {
 	if err != nil {
 		return
 	}
-	p.warmState(srv, w, p.Base, mode)
+	p.warmState(srv, w, p.Base, mode, testTracker())
 }
 
 // FuzzCostedPool feeds arbitrary bytes through what loading a pool file or a

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/derive"
 	"repro/internal/fault"
 	"repro/internal/journal"
 	"repro/internal/obs"
@@ -42,15 +43,6 @@ const (
 	PhaseReports     Phase = "reports"
 	PhaseDone        Phase = "done"
 )
-
-// Phases lists every pipeline phase in execution order — the one exported
-// constant set progress displays, obs spans, journal events, and the
-// service all share.
-func Phases() []Phase {
-	return []Phase{PhaseIngest, PhaseRevise, PhaseBaseline, PhaseDrops,
-		PhaseColGroups, PhaseCandidates, PhaseMerging, PhaseEnumeration,
-		PhaseReports, PhaseDone}
-}
 
 // Stop reasons recorded in Recommendation.StopReason when tuning ends before
 // the search space is exhausted. Either way the recommendation returned is
@@ -144,9 +136,9 @@ func stopping(err error) bool { return errors.Is(err, errStopped) }
 // parts — the stop flags, the atomic call counter, and emit (serialized by
 // cbMu so the Progress callback never runs twice at once).
 //
-// A nil tracker is valid everywhere and means "never stop, never report,
-// run sequentially" — internal entry points that predate TuneContext pass
-// nil.
+// Every costing runs inside a session tracker: TuneContext and Revise build
+// one per session, and TuneStaged's rebase one from the caller's retry,
+// fault, breaker and parallelism settings.
 type tracker struct {
 	ctx       context.Context
 	cb        func(Progress)
@@ -155,7 +147,7 @@ type tracker struct {
 	timeLimit time.Duration
 
 	// pool bounds the session's evaluation concurrency
-	// (Options.Parallelism); nil means sequential.
+	// (Options.Parallelism).
 	pool *workerPool
 
 	// finishing marks the report-building stage: once the search has
@@ -206,34 +198,35 @@ type tracker struct {
 	// byte-identical with it on or off.
 	jnl *journal.Journal
 
-	// deriveStats, when the evaluator has an engine, snapshots the engine's
-	// derived-eval count and atoms by shape for Progress.
-	// Set once by evaluator.attach before tuning starts.
-	deriveStats func() (int64, map[string]int64)
+	// drv is the session evaluator's derivation engine (nil over a
+	// skeleton-less backend, and until newEvaluator sets it); its derived-eval
+	// count and atoms by shape feed every Progress snapshot.
+	drv *derive.Engine
 
 	// cbMu serializes Progress callback invocations: countCall emits
 	// periodic snapshots from pool workers, and callbacks (the service's
 	// session lock, the CLI's stderr writer) expect one caller at a time.
 	cbMu sync.Mutex
 
-	// Observability. tuneCtx carries the session's tune-level span; sctx is
-	// the context of the open phase span, which every span of the phase
-	// without a parent of its own nests under. Both are written only by the
+	// Observability. ctx carries the session's tune-level span; sctx is the
+	// context of the open phase span (ctx between phases), which every span
+	// of the phase without a parent of its own nests under. Both are written only by the
 	// coordinator outside parallel sections; workers only read sctx. Spans
 	// opened below the phase (queries, greedy seeds and steps, the what-if
 	// calls inside them) take their parent explicitly (scope.span), because
 	// per-query searches run concurrently. metrics, when set, receives the
 	// pipeline-shape histograms (phase durations, candidates per query, pool
 	// sizes).
-	tuneCtx   context.Context
 	sctx      context.Context
 	phaseSpan *obs.Span
 	phaseAt   time.Time
 	metrics   *obs.Registry
 }
 
+// newTracker builds the session tracker over ctx, which also carries the
+// session's tune-level span.
 func newTracker(ctx context.Context, opts Options, start time.Time) *tracker {
-	tr := &tracker{ctx: ctx, cb: opts.Progress, start: start, timeLimit: opts.TimeLimit, phase: PhaseBaseline, metrics: opts.Metrics}
+	tr := &tracker{ctx: ctx, sctx: ctx, cb: opts.Progress, start: start, timeLimit: opts.TimeLimit, phase: PhaseBaseline, metrics: opts.Metrics}
 	tr.jnl = journal.FromContext(ctx)
 	if opts.Ingest != nil {
 		tr.ingestEvents = opts.Ingest.Events
@@ -267,26 +260,18 @@ func newTracker(ctx context.Context, opts Options, start time.Time) *tracker {
 
 // journaling reports whether the session has a decision journal attached,
 // so emit sites can skip building events entirely when it is off.
-func (tr *tracker) journaling() bool { return tr != nil && tr.jnl != nil }
+func (tr *tracker) journaling() bool { return tr.jnl != nil }
 
 // record appends one decision event to the session's journal (no-op
 // without one). Callers construct events with journal.Ev so Query/Step
 // default to -1 rather than a misleading zero.
-func (tr *tracker) record(e journal.Event) {
-	if tr == nil {
-		return
-	}
-	tr.jnl.Append(e)
-}
+func (tr *tracker) record(e journal.Event) { tr.jnl.Append(e) }
 
 // retryPolicy returns the resolved per-call retry policy. Critical stages
 // escalate the attempt budget: a permanent failure there fails the whole
 // session, so it is first made astronomically unlikely (at a 10% transient
 // failure rate, ten attempts put permanent failure around 1e-10 per call).
 func (tr *tracker) retryPolicy() fault.Policy {
-	if tr == nil {
-		return fault.Policy{}.WithDefaults()
-	}
 	p := tr.retry
 	if tr.critical() && p.MaxAttempts < 10 {
 		p.MaxAttempts = 10
@@ -295,21 +280,13 @@ func (tr *tracker) retryPolicy() fault.Policy {
 }
 
 // inject consults the session's fault injector (no-op without one).
-func (tr *tracker) inject(site string) error {
-	if tr == nil {
-		return nil
-	}
-	return tr.faults.Inject(site)
-}
+func (tr *tracker) inject(site string) error { return tr.faults.Inject(site) }
 
 // attemptDone observes one backend attempt outcome: it updates the retry
 // metrics, feeds the circuit breaker, and trips the session into degraded
 // mode the moment the breaker opens (outside critical stages, which must
 // run to completion).
 func (tr *tracker) attemptDone(site string, err error) {
-	if tr == nil {
-		return
-	}
 	tr.breaker.Record(err == nil)
 	if err == nil {
 		if c := tr.mRetryOK[site]; c != nil {
@@ -331,15 +308,6 @@ func (tr *tracker) attemptDone(site string, err error) {
 	}
 }
 
-// doCtx returns the context retries run under (Background for the nil
-// tracker and for entry points that predate TuneContext).
-func (tr *tracker) doCtx() context.Context {
-	if tr == nil || tr.ctx == nil {
-		return context.Background()
-	}
-	return tr.ctx
-}
-
 // critical reports whether the pipeline is in a stage that must complete
 // for the session to return anything useful — the baseline costing (no
 // improvement baseline, no result) and the finishing stage (the final
@@ -347,7 +315,7 @@ func (tr *tracker) doCtx() context.Context {
 // these stages retries escalate instead of degrading: a permanent failure
 // there fails the session, so it is made astronomically unlikely first.
 func (tr *tracker) critical() bool {
-	return tr == nil || tr.finishing || tr.phase == PhaseBaseline || tr.phase == PhaseRevise
+	return tr.finishing || tr.phase == PhaseBaseline || tr.phase == PhaseRevise
 }
 
 // degrade trips the session into degraded mode: the search winds down at
@@ -355,9 +323,6 @@ func (tr *tracker) critical() bool {
 // StopReason StopDegraded. Called by pool workers when the breaker trips
 // or a call keeps failing after every retry; safe to call repeatedly.
 func (tr *tracker) degrade() {
-	if tr == nil {
-		return
-	}
 	if tr.degraded.CompareAndSwap(false, true) {
 		if tr.metrics != nil {
 			tr.metrics.Counter("dta_sessions_degraded_total",
@@ -372,33 +337,12 @@ func (tr *tracker) degrade() {
 	}
 }
 
-// attachSpans records the tune-level span context spans nest under.
-func (tr *tracker) attachSpans(ctx context.Context) {
-	if tr == nil {
-		return
-	}
-	tr.tuneCtx = ctx
-	tr.sctx = ctx
-}
-
-// spanCtx returns the context of the open phase span (the tune-level span
-// between phases), the parent of every span that has none of its own.
-func (tr *tracker) spanCtx() context.Context {
-	if tr == nil || tr.sctx == nil {
-		return context.Background()
-	}
-	return tr.sctx
-}
-
 // closePhase ends the open phase span and observes the phase's duration.
 func (tr *tracker) closePhase() {
-	if tr == nil {
-		return
-	}
 	if tr.phaseSpan != nil {
 		tr.phaseSpan.End()
 		tr.phaseSpan = nil
-		tr.sctx = tr.tuneCtx
+		tr.sctx = tr.ctx
 	}
 	if tr.metrics != nil && !tr.phaseAt.IsZero() && tr.phase != "" {
 		tr.metrics.Histogram("dta_phase_duration_seconds",
@@ -416,19 +360,17 @@ func (tr *tracker) closePhase() {
 // original coarse behaviour, while baseline costing and report building
 // always complete.
 func (tr *tracker) ctxStopped() bool {
-	if tr == nil || tr.finishing {
+	if tr.finishing {
 		return false
 	}
 	if tr.cancelled.Load() || tr.degraded.Load() {
 		return true
 	}
-	if tr.ctx != nil {
-		select {
-		case <-tr.ctx.Done():
-			tr.cancelled.Store(true)
-			return true
-		default:
-		}
+	select {
+	case <-tr.ctx.Done():
+		tr.cancelled.Store(true)
+		return true
+	default:
 	}
 	return false
 }
@@ -437,7 +379,7 @@ func (tr *tracker) ctxStopped() bool {
 // budget exhausted. Checked between search steps (and by every pool worker
 // before it starts a candidate).
 func (tr *tracker) stopped() bool {
-	if tr == nil || tr.finishing {
+	if tr.finishing {
 		return false
 	}
 	if tr.ctxStopped() || tr.timedOut.Load() {
@@ -453,8 +395,6 @@ func (tr *tracker) stopped() bool {
 // stopReason renders why the session stopped early ("" = ran to completion).
 func (tr *tracker) stopReason() string {
 	switch {
-	case tr == nil:
-		return ""
 	case tr.cancelled.Load():
 		return StopCancelled
 	case tr.degraded.Load():
@@ -466,13 +406,10 @@ func (tr *tracker) stopReason() string {
 }
 
 func (tr *tracker) setPhase(p Phase) {
-	if tr == nil {
-		return
-	}
 	tr.closePhase()
 	tr.phase = p
-	if p != PhaseDone && tr.tuneCtx != nil {
-		ctx, sp := obs.StartSpan(tr.tuneCtx, "phase", string(p))
+	if p != PhaseDone {
+		ctx, sp := obs.StartSpan(tr.ctx, "phase", string(p))
 		if sp != nil {
 			tr.phaseSpan = sp
 			tr.sctx = ctx
@@ -493,9 +430,6 @@ func (tr *tracker) setPhase(p Phase) {
 // periodic progress snapshot so long costing loops stay observable. Called
 // by whichever pool worker leads a cache miss.
 func (tr *tracker) countCall() {
-	if tr == nil {
-		return
-	}
 	n := tr.ckpt.count(&tr.calls)
 	if tr.cb != nil && n%64 == 0 {
 		tr.emit()
@@ -506,9 +440,6 @@ func (tr *tracker) countCall() {
 // the event's weighted cost reduction, accumulated into an estimate of the
 // improvement available so far.
 func (tr *tracker) eventDone(gain float64) {
-	if tr == nil {
-		return
-	}
 	tr.eventsTuned++
 	if tr.baseCost > 0 && gain > 0 {
 		tr.bestImprovement += gain / tr.baseCost
@@ -519,7 +450,7 @@ func (tr *tracker) eventDone(gain float64) {
 // observeCost replaces the candidate-selection estimate with the measured
 // workload cost of the enumeration search's current best configuration.
 func (tr *tracker) observeCost(cost float64) {
-	if tr == nil || tr.baseCost <= 0 {
+	if tr.baseCost <= 0 {
 		return
 	}
 	if imp := (tr.baseCost - cost) / tr.baseCost; imp >= 0 {
@@ -529,14 +460,10 @@ func (tr *tracker) observeCost(cost float64) {
 }
 
 func (tr *tracker) emit() {
-	if tr == nil || tr.cb == nil {
+	if tr.cb == nil {
 		return
 	}
-	var derived int64
-	var fallbacks map[string]int64
-	if tr.deriveStats != nil {
-		derived, fallbacks = tr.deriveStats()
-	}
+	derived, fallbacks := tr.drv.Stats()
 	tr.cbMu.Lock()
 	defer tr.cbMu.Unlock()
 	tr.cb(Progress{

@@ -1,8 +1,6 @@
 package optimizer
 
 import (
-	"strings"
-
 	"repro/internal/catalog"
 	"repro/internal/sqlparser"
 )
@@ -102,25 +100,7 @@ func (c *optContext) selectAlternatives(q *QueryInfo) *Alternatives {
 			Used:      fin.structureKeys(),
 		})
 	}
-	if len(c.cfg.Views) > 0 {
-		// Single scope: the table set is a singleton and there are no join
-		// predicates, mirroring bestViewPlan's inputs for this query shape.
-		tables := []string{strings.ToLower(s.Table.Name)}
-		joinSet := map[string]bool{}
-		for _, v := range c.cfg.Views {
-			if cand := c.tryView(q, v, tables, joinSet); cand != nil {
-				fin := c.finishSelect(q, *cand)
-				a.Components = append(a.Components, AltComponent{
-					Structure: v.Key(),
-					Op:        cand.plan.Op,
-					View:      true,
-					Pre:       cand.plan.Cost,
-					Final:     fin.Cost,
-					Used:      fin.structureKeys(),
-				})
-			}
-		}
-	}
+	a.Components = append(a.Components, c.viewComponents(q)...)
 	return a
 }
 

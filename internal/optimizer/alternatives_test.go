@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -531,6 +532,89 @@ func TestComposeJoinReadsEachInputOnce(t *testing.T) {
 		}
 		if got, want := l.plan(chain).String(), root.String(); got != want {
 			t.Fatalf("%q: composed join\n%s differs from the optimized plan's join\n%s", tc.sql, got, want)
+		}
+	}
+}
+
+// histCounter wraps a StatsProvider and counts histogram lookups by
+// "table.column".
+type histCounter struct {
+	StatsProvider
+	n map[string]int
+}
+
+func (h *histCounter) HistogramFor(table, column string) *stats.Histogram {
+	h.n[table+"."+column]++
+	return h.StatsProvider.HistogramFor(table, column)
+}
+
+// TestViewsMatchedOncePerOptimization: one optimization matches and costs
+// each configuration view once, and the plan choice and the skeleton capture
+// both read that one match. Costing a matched view reads the histogram of
+// the query's filtered column once, and nothing else the optimization does
+// depends on whether the views are present, so the views add exactly one
+// lookup of that histogram per view, under Optimize and OptimizeAlternatives
+// alike, for a single-scope query and a join.
+func TestViewsMatchedOncePerOptimization(t *testing.T) {
+	cat := testCatalog()
+	jp := catalog.JoinPred{Left: catalog.NewColRef("t", "d_id"), Right: catalog.NewColRef("d", "d_id")}
+	cols := func(cs ...string) []catalog.ColRef {
+		var out []catalog.ColRef
+		for _, c := range cs {
+			tbl, col, _ := strings.Cut(c, ".")
+			out = append(out, catalog.NewColRef(tbl, col))
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		sql   string
+		views []*catalog.MaterializedView
+	}{
+		{"SELECT a FROM t WHERE x < 100", []*catalog.MaterializedView{
+			catalog.NewMaterializedView([]string{"t"}, nil, cols("t.x", "t.a"), nil, nil, 1_000_000),
+			catalog.NewMaterializedView([]string{"t"}, nil, cols("t.x", "t.a", "t.d_id"), nil, nil, 1_000_000),
+		}},
+		{"SELECT t.a, d.name FROM t, d WHERE t.d_id = d.d_id AND t.x < 100", []*catalog.MaterializedView{
+			catalog.NewMaterializedView([]string{"t", "d"}, []catalog.JoinPred{jp}, cols("t.x", "t.a", "d.name"), nil, nil, 1_000_000),
+			catalog.NewMaterializedView([]string{"t", "d"}, []catalog.JoinPred{jp}, cols("t.x", "t.a", "d.name", "d.region"), nil, nil, 1_000_000),
+		}},
+	} {
+		stmt := sqlparser.MustParse(tc.sql)
+		withViews := catalog.NewConfiguration()
+		for _, v := range tc.views {
+			withViews.AddView(v)
+		}
+		lookups := func(cfg *catalog.Configuration, alts bool) int {
+			h := &histCounter{StatsProvider: newOpt(cat).Stats, n: map[string]int{}}
+			o := New(cat, h, DefaultHardware())
+			if !alts {
+				if _, err := o.Optimize(stmt, cfg); err != nil {
+					t.Fatal(err)
+				}
+				return h.n["t.x"]
+			}
+			_, a, err := o.OptimizeAlternatives(stmt, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			views := 0
+			for _, c := range a.Components {
+				if c.View {
+					views++
+				}
+			}
+			if a.Join != nil {
+				views = len(a.Join.Views)
+			}
+			if views != len(cfg.Views) {
+				t.Fatalf("%q: skeleton holds %d views, want all %d to match", tc.sql, views, len(cfg.Views))
+			}
+			return h.n["t.x"]
+		}
+		for _, alts := range []bool{false, true} {
+			if got := lookups(withViews, alts) - lookups(catalog.NewConfiguration(), alts); got != len(tc.views) {
+				t.Errorf("%q (alternatives %v): %d views cost %d extra t.x histogram lookups, want one per view", tc.sql, alts, len(tc.views), got)
+			}
 		}
 	}
 }

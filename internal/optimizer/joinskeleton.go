@@ -2,11 +2,7 @@ package optimizer
 
 import (
 	"slices"
-	"sort"
-	"strings"
 	"sync"
-
-	"repro/internal/catalog"
 )
 
 // ScopeAlt is one access-path alternative of one join scope: the pre-join
@@ -144,45 +140,8 @@ func (c *optContext) joinAlternatives(q *QueryInfo) *JoinSkeleton {
 		}
 	}
 
-	// Matching views, costed end-to-end (mirrors bestViewPlan's inputs;
-	// self-joins match no views).
-	if len(c.cfg.Views) > 0 {
-		seenT := map[string]bool{}
-		var tables []string
-		selfJoin := false
-		for _, s := range q.Scopes {
-			if seenT[s.Table.Name] {
-				selfJoin = true
-				break
-			}
-			seenT[s.Table.Name] = true
-			tables = append(tables, strings.ToLower(s.Table.Name))
-		}
-		if !selfJoin {
-			sort.Strings(tables)
-			joinSet := map[string]bool{}
-			for _, e := range q.Joins {
-				jp := catalog.JoinPred{
-					Left:  catalog.NewColRef(q.Scopes[e.L].Table.Name, e.LCol),
-					Right: catalog.NewColRef(q.Scopes[e.R].Table.Name, e.RCol),
-				}
-				joinSet[jp.String()] = true
-			}
-			for _, v := range c.cfg.Views {
-				if cand := c.tryView(q, v, tables, joinSet); cand != nil {
-					fin := c.finishSelect(q, *cand)
-					js.Views = append(js.Views, AltComponent{
-						Structure: v.Key(),
-						Op:        cand.plan.Op,
-						View:      true,
-						Pre:       cand.plan.Cost,
-						Final:     fin.Cost,
-						Used:      fin.structureKeys(),
-					})
-				}
-			}
-		}
-	}
+	// Matching views, costed end-to-end.
+	js.Views = c.viewComponents(q)
 	return js
 }
 

@@ -14,22 +14,77 @@ import (
 // and (for grouped views) its grouping subsumes the query's grouping with
 // derivable aggregates ([3]-style view matching).
 func (c *optContext) bestViewPlan(q *QueryInfo) *joined {
-	if len(c.cfg.Views) == 0 {
+	var best *joined
+	for _, vp := range c.viewPlans(q) {
+		if best == nil || pathLess(vp.j.plan, best.plan) {
+			best = vp.j
+		}
+	}
+	return best
+}
+
+// viewPlan is a configuration view that answers the query being optimized,
+// with its plan before finishing (tryView).
+type viewPlan struct {
+	v *catalog.MaterializedView
+	j *joined
+}
+
+// viewPlans returns the configuration's views that answer q, the query being
+// optimized, in configuration order, matching and costing each on first use:
+// within one optimization the matches are fixed, and the plan choice and the
+// skeleton capture both read them.
+func (c *optContext) viewPlans(q *QueryInfo) []viewPlan {
+	if c.viewsDone || len(c.cfg.Views) == 0 {
+		return c.views
+	}
+	c.viewsDone = true
+	tables, joinSet, ok := viewInputs(q)
+	if !ok {
 		return nil
 	}
-	// Self-joins reference a table twice; view matching skips those.
+	for _, v := range c.cfg.Views {
+		if j := c.tryView(q, v, tables, joinSet); j != nil {
+			c.views = append(c.views, viewPlan{v: v, j: j})
+		}
+	}
+	return c.views
+}
+
+// viewComponents returns the skeleton components of the views that answer
+// q, each finished end-to-end as optimizeSelect would finish it if the view
+// were chosen.
+func (c *optContext) viewComponents(q *QueryInfo) []AltComponent {
+	var out []AltComponent
+	for _, vp := range c.viewPlans(q) {
+		fin := c.finishSelect(q, *vp.j)
+		out = append(out, AltComponent{
+			Structure: vp.v.Key(),
+			Op:        vp.j.plan.Op,
+			View:      true,
+			Pre:       vp.j.plan.Cost,
+			Final:     fin.Cost,
+			Used:      fin.structureKeys(),
+		})
+	}
+	return out
+}
+
+// viewInputs returns what view matching compares a query against: its table
+// set, lower-cased and sorted, and its join predicates keyed by
+// JoinPred.String. ok is false for a self-join, which references a table
+// twice and matches no view.
+func viewInputs(q *QueryInfo) (tables []string, joinSet map[string]bool, ok bool) {
 	seen := map[string]bool{}
-	var tables []string
 	for _, s := range q.Scopes {
 		if seen[s.Table.Name] {
-			return nil
+			return nil, nil, false
 		}
 		seen[s.Table.Name] = true
 		tables = append(tables, strings.ToLower(s.Table.Name))
 	}
 	sort.Strings(tables)
-
-	joinSet := map[string]bool{}
+	joinSet = map[string]bool{}
 	for _, e := range q.Joins {
 		jp := catalog.JoinPred{
 			Left:  catalog.NewColRef(q.Scopes[e.L].Table.Name, e.LCol),
@@ -37,16 +92,7 @@ func (c *optContext) bestViewPlan(q *QueryInfo) *joined {
 		}
 		joinSet[jp.String()] = true
 	}
-
-	var best *joined
-	for _, v := range c.cfg.Views {
-		if cand := c.tryView(q, v, tables, joinSet); cand != nil {
-			if best == nil || pathLess(cand.plan, best.plan) {
-				best = cand
-			}
-		}
-	}
-	return best
+	return tables, joinSet, true
 }
 
 // ViewMatch describes how a view answers a query.
@@ -62,23 +108,9 @@ type ViewMatch struct {
 // query grouping a subset of the view grouping. The engine uses the same
 // predicate so estimated and actual plans agree on view usage.
 func MatchView(q *QueryInfo, v *catalog.MaterializedView) (ViewMatch, bool) {
-	seen := map[string]bool{}
-	var tables []string
-	for _, s := range q.Scopes {
-		if seen[s.Table.Name] {
-			return ViewMatch{}, false // self-join
-		}
-		seen[s.Table.Name] = true
-		tables = append(tables, strings.ToLower(s.Table.Name))
-	}
-	sort.Strings(tables)
-	joinSet := map[string]bool{}
-	for _, e := range q.Joins {
-		jp := catalog.JoinPred{
-			Left:  catalog.NewColRef(q.Scopes[e.L].Table.Name, e.LCol),
-			Right: catalog.NewColRef(q.Scopes[e.R].Table.Name, e.RCol),
-		}
-		joinSet[jp.String()] = true
+	tables, joinSet, ok := viewInputs(q)
+	if !ok {
+		return ViewMatch{}, false
 	}
 	return matchView(q, v, tables, joinSet)
 }

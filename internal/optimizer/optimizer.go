@@ -180,6 +180,10 @@ type optContext struct {
 	paths1 [1][]accessPath
 	// join is the scope table of a multi-scope SELECT (liveJoin).
 	join *liveJoin
+	// views holds the configuration's views that answer the query, matched
+	// and costed once (viewPlans); viewsDone marks it built.
+	views     []viewPlan
+	viewsDone bool
 }
 
 func (c *optContext) hw() Hardware { return c.opt.HW }

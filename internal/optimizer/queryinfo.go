@@ -167,16 +167,6 @@ type QueryInfo struct {
 	SetColumns     []string
 }
 
-// ScopeIndex returns the index of the scope with the given binding, or -1.
-func (q *QueryInfo) ScopeIndex(binding string) int {
-	for i, s := range q.Scopes {
-		if s.Binding == binding {
-			return i
-		}
-	}
-	return -1
-}
-
 // Analyze resolves a statement against the catalog: tables, per-table
 // predicates, join edges, grouping/ordering/aggregation, and the column sets
 // each table must produce.

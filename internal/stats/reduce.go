@@ -130,6 +130,28 @@ func Satisfied(store *Store, r Request) bool {
 	return true
 }
 
+// Missing returns the requests the store cannot yet serve, the rule every
+// statistics-creating backend applies before it builds anything. With reduce
+// (§5.2) a request counts as served when the store already carries its
+// information (Satisfied), and the rest is reduced to a covering minimal set;
+// without it only an exact statistic serves a request.
+func (s *Store) Missing(reqs []Request, reduce bool) []Request {
+	var missing []Request
+	for _, r := range reqs {
+		if reduce {
+			if !Satisfied(s, r) {
+				missing = append(missing, r)
+			}
+		} else if !s.Has(r.Table, r.Columns) {
+			missing = append(missing, r)
+		}
+	}
+	if reduce {
+		missing = Reduce(missing)
+	}
+	return missing
+}
+
 // Covers verifies that the reduced set carries the same histogram and
 // density information as the full set: every leading column of full has a
 // histogram source in reduced, and every leading prefix (as a set) of full

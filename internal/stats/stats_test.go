@@ -254,6 +254,18 @@ func TestReducePaperExample3(t *testing.T) {
 	if !hasABC || !hasBLead {
 		t.Fatalf("expected (a,b,c) plus a b-leading stat, got %v", red)
 	}
+
+	// Against a store already holding (a,b,c), only the B-leading
+	// information is missing under reduction; without it, every request
+	// that is not an exact statistic is.
+	store := NewStore()
+	store.Add(mustBuild(t, testCatalog(), "t", "a", "b", "c"))
+	if got := store.Missing(reqs, true); len(got) != 1 || got[0].Columns[0] != "b" {
+		t.Fatalf("reduced Missing = %v, want one b-leading stat", got)
+	}
+	if got := store.Missing(reqs, false); len(got) != 4 {
+		t.Fatalf("unreduced Missing = %v, want the 4 inexact requests", got)
+	}
 }
 
 func TestReduceNoOpAndDedup(t *testing.T) {

@@ -89,21 +89,8 @@ func (s *Session) WhatIfCallCount() int64 { return s.Test.WhatIfCallCount() }
 func (s *Session) EnsureStatistics(reqs []stats.Request, reduce bool) (int, error) {
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
-	var missing []stats.Request
-	for _, r := range reqs {
-		if reduce {
-			if !stats.Satisfied(s.Test.Stats, r) {
-				missing = append(missing, r)
-			}
-		} else if !s.Test.Stats.Has(r.Table, r.Columns) {
-			missing = append(missing, r)
-		}
-	}
-	if reduce {
-		missing = stats.Reduce(missing)
-	}
 	created := 0
-	for _, r := range missing {
+	for _, r := range s.Test.Stats.Missing(reqs, reduce) {
 		// Imports already performed stay on the test server, so a retried
 		// EnsureStatistics call after an injected failure resumes with the
 		// remaining statistics — the loop is idempotent.

@@ -227,11 +227,6 @@ func (s *Server) Cost(stmt sqlparser.Statement, cfg *catalog.Configuration) (flo
 	return res.Cost, nil
 }
 
-// HasStatistic reports whether the exact statistic exists on the server.
-func (s *Server) HasStatistic(table string, cols []string) bool {
-	return s.Stats.Has(table, cols)
-}
-
 // statFlight is one in-flight statistics build: done closes once st/err are
 // final, and every caller that found the flight in the inflight table reads
 // the result instead of building a duplicate.
@@ -309,21 +304,8 @@ func (s *Server) buildStatistic(table string, cols []string) (*stats.Statistic, 
 // H-List/D-List greedy cover — so fewer create-statistics statements run.
 // It returns the number of statistics actually created.
 func (s *Server) EnsureStatistics(reqs []stats.Request, reduce bool) (int, error) {
-	var missing []stats.Request
-	for _, r := range reqs {
-		if reduce {
-			if !stats.Satisfied(s.Stats, r) {
-				missing = append(missing, r)
-			}
-		} else if !s.Stats.Has(r.Table, r.Columns) {
-			missing = append(missing, r)
-		}
-	}
-	if reduce {
-		missing = stats.Reduce(missing)
-	}
 	created := 0
-	for _, r := range missing {
+	for _, r := range s.Stats.Missing(reqs, reduce) {
 		_, built, err := s.createStatistic(r.Table, r.Columns)
 		if err != nil {
 			return created, err
@@ -363,13 +345,6 @@ func NewTestServer(name string, prod *Server) *Server {
 	prod.addOverhead(MetadataImportCost)
 	t := NewServer(name, prod.Cat.Clone(), prod.HW)
 	return t
-}
-
-// ResetAccounting zeroes the server's accounting counters.
-func (s *Server) ResetAccounting() {
-	s.whatIfCalls.Store(0)
-	s.statsCreated.Store(0)
-	s.overheadBits.Store(0)
 }
 
 // Catalog returns the server's catalog (core.Tuner interface).

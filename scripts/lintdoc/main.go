@@ -14,10 +14,11 @@
 //
 //	go run ./scripts/lintdoc [-metrics-doc docs/OPERATIONS.md] [packages...]
 //
-// With no arguments it audits the packages the robustness PR put under
-// contract: internal/core, internal/whatif, internal/service, internal/obs,
-// internal/fault, internal/derive, internal/journal. Test files are
-// skipped. The metrics cross-check always scans all of internal/ and cmd/;
+// With no arguments it audits defaultPackages: internal/core,
+// internal/whatif, internal/service, internal/obs, internal/fault,
+// internal/derive, internal/journal, internal/optimizer, internal/catalog,
+// internal/stats, internal/testsrv, internal/workload and internal/drift.
+// Test files are skipped. The metrics cross-check always scans all of internal/ and cmd/;
 // -metrics-doc "" disables it (for trimmed checkouts without docs/).
 package main
 
@@ -42,6 +43,12 @@ var defaultPackages = []string{
 	"internal/fault",
 	"internal/derive",
 	"internal/journal",
+	"internal/optimizer",
+	"internal/catalog",
+	"internal/stats",
+	"internal/testsrv",
+	"internal/workload",
+	"internal/drift",
 }
 
 func main() {
