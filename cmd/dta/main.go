@@ -116,24 +116,10 @@ func run(dbName string, sf float64, wlPath, inputXML, outPath, features string,
 		if err != nil {
 			return err
 		}
-		if doc.Input == nil {
-			return fmt.Errorf("XML input has no <Input> element")
-		}
-		o, err := xmlio.OptionsFromXML(doc.Input.Options)
-		if err != nil {
+		if opts, w, err = xmlio.DecodeInput(doc.Input); err != nil {
 			return err
 		}
-		opts = o
-		opts.EvaluateOnly = doc.Input.EvaluateOnly || evaluate
-		if doc.Input.Configuration != nil {
-			opts.UserConfig = xmlio.ToConfiguration(doc.Input.Configuration)
-		}
-		if doc.Input.Workload != nil {
-			w, err = xmlio.ToWorkload(doc.Input.Workload)
-			if err != nil {
-				return err
-			}
-		}
+		opts.EvaluateOnly = opts.EvaluateOnly || evaluate
 	} else {
 		m, err := xmlio.FeatureMaskFromString(features)
 		if err != nil {
@@ -158,7 +144,7 @@ func run(dbName string, sf float64, wlPath, inputXML, outPath, features string,
 				// pre-compressed workload — same recommendation as the batch
 				// path for the same trace, but memory stays
 				// O(templates × MaxPerTemplate) however long the file is.
-				comp := workload.NewCompressor(workload.CompressOptions{MaxPerTemplate: opts.MaxPerTemplate})
+				comp := workload.NewCompressor(workload.CompressOptions{})
 				if err := workload.StreamTrace(f, func(e *workload.Event, _ int) error {
 					return comp.Add(e)
 				}); err != nil {
@@ -396,8 +382,13 @@ func runRevise(dbName string, sf float64, revisePath, outPath string,
 		cons.Vetoed = splitKeys(vetoKeys)
 	}
 	if pinKeys != "" {
-		if cons.Pinned, err = resolvePins(&pool, splitKeys(pinKeys)); err != nil {
-			return err
+		sts, err := pool.Resolve(splitKeys(pinKeys))
+		if err != nil {
+			return fmt.Errorf("-pin: %w", err)
+		}
+		cons.Pinned = catalog.NewConfiguration()
+		for _, st := range sts {
+			st.ApplyTo(cons.Pinned)
 		}
 	}
 	if reweight != "" {
@@ -470,29 +461,6 @@ func splitKeys(s string) []string {
 		}
 	}
 	return out
-}
-
-// resolvePins maps -pin structure keys to structures, looked up in the
-// pool's candidate set and its base configuration.
-func resolvePins(pool *core.CostedPool, keys []string) (*catalog.Configuration, error) {
-	byKey := map[string]catalog.Structure{}
-	for _, st := range pool.Candidates {
-		byKey[st.Key()] = st
-	}
-	if pool.Base != nil {
-		for _, st := range pool.Base.Structures() {
-			byKey[st.Key()] = st
-		}
-	}
-	pin := catalog.NewConfiguration()
-	for _, k := range keys {
-		st, ok := byKey[k]
-		if !ok {
-			return nil, fmt.Errorf("-pin key %q matches no pool candidate or base structure", k)
-		}
-		st.ApplyTo(pin)
-	}
-	return pin, nil
 }
 
 // parseReweight parses -reweight "sig=mult,sig=mult" into slice weights.

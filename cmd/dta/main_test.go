@@ -1,10 +1,14 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/xmlio"
 )
 
 // TestReviseRefusesOldPoolFormat: a pool file written before the ID-keyed
@@ -36,4 +40,64 @@ func TestDeriveFlagRejectsRemovedOff(t *testing.T) {
 			t.Errorf("-derive %s: %v, want a bad -derive error containing %q", mode, err, want)
 		}
 	}
+}
+
+// TestRevisePin: -revise -pin resolves each key against the pool file's
+// candidates, so a candidate the original run did not recommend lands in
+// the revised recommendation; a key the pool does not hold fails the
+// revision with an error naming it.
+func TestRevisePin(t *testing.T) {
+	dir := t.TempDir()
+	poolPath, recPath := filepath.Join(dir, "tpch.pool.json"), filepath.Join(dir, "rec.xml")
+	if err := run("tpch", 0.002, "", "", recPath, "IDX", 0, false, false, false, 0,
+		false, false, false, true, "", 0, "on", false, "", poolPath); err != nil {
+		t.Fatal(err)
+	}
+	recommended := recommendedKeys(t, recPath)
+	data, err := os.ReadFile(poolPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pool core.CostedPool
+	if err := json.Unmarshal(data, &pool); err != nil {
+		t.Fatal(err)
+	}
+	pin := ""
+	for _, st := range pool.Candidates {
+		if !recommended[st.Key()] {
+			pin = st.Key()
+		}
+	}
+	if pin == "" {
+		t.Fatal("every pool candidate is already recommended; nothing to pin")
+	}
+
+	revPath := filepath.Join(dir, "rev.xml")
+	if err := runRevise("tpch", 0.002, poolPath, revPath, 0, false, pin, "", "", 0, true, ""); err != nil {
+		t.Fatal(err)
+	}
+	if !recommendedKeys(t, revPath)[pin] {
+		t.Fatalf("-pin %s: key missing from the revised recommendation", pin)
+	}
+
+	const unknown = "ix:nosuch(col)"
+	err = runRevise("tpch", 0.002, poolPath, revPath, 0, false, pin+","+unknown, "", "", 0, true, "")
+	if err == nil || !strings.Contains(err.Error(), "-pin") || !strings.Contains(err.Error(), unknown) {
+		t.Fatalf("-pin with an unknown key: %v, want an error naming %q", err, unknown)
+	}
+}
+
+// recommendedKeys reads a recommendation XML file and returns its
+// configuration's structure keys.
+func recommendedKeys(t *testing.T, path string) map[string]bool {
+	t.Helper()
+	doc, err := readXML(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := map[string]bool{}
+	for _, st := range xmlio.ToConfiguration(doc.Output.Recommendation.Configuration).Structures() {
+		keys[st.Key()] = true
+	}
+	return keys
 }

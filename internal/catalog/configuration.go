@@ -240,8 +240,11 @@ func (c *Configuration) Key() string {
 // Structures returns every structure in the configuration as a uniform
 // Structure slice (used by enumeration and reporting): indexes, then views,
 // then table partitionings sorted by table name, so the order is the same
-// on every call.
+// on every call. A nil configuration has none.
 func (c *Configuration) Structures() []Structure {
+	if c == nil {
+		return nil
+	}
 	var out []Structure
 	for _, ix := range c.Indexes {
 		out = append(out, Structure{Index: ix})

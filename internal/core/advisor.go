@@ -115,11 +115,9 @@ type Options struct {
 	AllowDrops bool
 
 	// CompressWorkload enables workload compression (paper §5.1). Default
-	// is on for workloads above CompressThreshold events.
-	CompressWorkload  bool
-	NoCompression     bool // force compression off
-	CompressThreshold int  // default 50
-	MaxPerTemplate    int  // representatives per template (default 4)
+	// is on for workloads above 50 events.
+	CompressWorkload bool
+	NoCompression    bool // force compression off
 
 	// ColGroupFrac is the minimum fraction of total workload cost a column
 	// group must appear in to be interesting (paper §2.2). Default 0.02.
@@ -134,12 +132,6 @@ type Options struct {
 	// then grown greedily to at most k structures. Defaults: m=1, k=24.
 	GreedyM int
 	GreedyK int
-	// PerQueryK bounds the per-query Greedy(m,k) of candidate selection
-	// (default 6 — single queries rarely benefit from more structures).
-	PerQueryK int
-	// CandidatePoolCap bounds the enumeration pool to the highest-benefit
-	// candidates (default 48; 0 keeps the default, negative disables).
-	CandidatePoolCap int
 
 	// Derive selects the cost-derivation layer's mode: on (also the zero
 	// value) or verify. Cost-cache misses, SELECT and DML alike, are
@@ -192,10 +184,6 @@ type Options struct {
 	// registry across every backend and session.
 	Metrics *obs.Registry
 
-	// PartitionCount is the number of ranges partitioning candidates use
-	// (default 12).
-	PartitionCount int
-
 	// Retry is the backoff policy wrapped around every what-if optimizer
 	// call and statistics operation (zero fields get fault.Policy
 	// defaults: 4 attempts, 2ms base backoff). Long tuning sessions
@@ -208,13 +196,6 @@ type Options struct {
 	// (site "stats"), so failure paths are testable deterministically.
 	// Server-scoped injection attaches to whatif.Server instead.
 	Faults *fault.Injector
-
-	// Breaker configures the session's failure-rate circuit breaker
-	// (defaults: trip at a 5% attempt-failure rate after 64 attempts).
-	// A tripped breaker flips the session into degraded mode: the search
-	// stops, and the best-so-far design is returned with
-	// Recommendation.StopReason = StopDegraded.
-	Breaker fault.BreakerConfig
 
 	// CheckpointSink, when set, receives periodic Checkpoint snapshots of
 	// the session's restartable state (the cost cache plus progress
@@ -287,12 +268,6 @@ func (o Options) features() FeatureMask {
 }
 
 func (o Options) withDefaults() Options {
-	if o.CompressThreshold <= 0 {
-		o.CompressThreshold = 50
-	}
-	if o.MaxPerTemplate <= 0 {
-		o.MaxPerTemplate = 4
-	}
 	if o.ColGroupFrac <= 0 {
 		o.ColGroupFrac = 0.02
 	}
@@ -304,9 +279,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.GreedyK <= 0 {
 		o.GreedyK = 24
-	}
-	if o.PartitionCount <= 0 {
-		o.PartitionCount = 12
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
@@ -496,17 +468,20 @@ func buildCostedState(ctx context.Context, t Tuner, w *workload.Workload, opts O
 		return nil, nil, fmt.Errorf("core: base configuration invalid: %w", err)
 	}
 
-	// Workload compression (§5.1). A workload that arrived through the
-	// streaming-ingest path (Options.Ingest) is already the online
-	// compressor's output: re-compressing it would fold representative
-	// weights a second time, so it is tuned as-is.
+	// Workload compression (§5.1), above 50 events, keeping
+	// workload.CompressOptions' default of 4 representatives per template.
+	// A workload that arrived through the streaming-ingest path
+	// (Options.Ingest) is already the online compressor's output:
+	// re-compressing it would fold representative weights a second time, so
+	// it is tuned as-is.
+	const compressThreshold = 50
 	tuned := w
 	compressed := false
 	switch {
 	case opts.Ingest != nil:
 		compressed = opts.Ingest.Events > int64(w.Len())
-	case !opts.NoCompression && (opts.CompressWorkload || w.Len() > opts.CompressThreshold):
-		tuned = workload.Compress(w, workload.CompressOptions{MaxPerTemplate: opts.MaxPerTemplate})
+	case !opts.NoCompression && (opts.CompressWorkload || w.Len() > compressThreshold):
+		tuned = workload.Compress(w, workload.CompressOptions{})
 		compressed = tuned.Len() < w.Len()
 	}
 	tr.eventsTotal = tuned.Len()
@@ -659,11 +634,8 @@ func runSearch(t Tuner, st *costedState, rec *Recommendation, cons Constraints, 
 	}
 
 	// Bound the enumeration pool by benefit.
-	cap := opts.CandidatePoolCap
-	if cap == 0 {
-		cap = 48
-	}
-	cands = capCandidates(cands, benefit, cap)
+	const candidatePoolCap = 48
+	cands = capCandidates(cands, benefit, candidatePoolCap)
 	if opts.Metrics != nil {
 		opts.Metrics.Histogram("dta_enumeration_pool_size",
 			"Candidates entering the enumeration Greedy(m,k).",

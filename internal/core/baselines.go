@@ -58,9 +58,9 @@ func TuneStaged(t Tuner, w *workload.Workload, opts Options, stages []FeatureMas
 	}
 	// Rebase the final report against the original base configuration. The
 	// rebase is a session of its own under the caller's parallelism, retry
-	// policy, fault injector and breaker settings; it reports no progress.
+	// policy and fault injector; it reports no progress.
 	tr := newTracker(context.Background(), Options{
-		Parallelism: opts.Parallelism, Retry: opts.Retry, Faults: opts.Faults, Breaker: opts.Breaker,
+		Parallelism: opts.Parallelism, Retry: opts.Retry, Faults: opts.Faults,
 	}, time.Now())
 	ev := newEvaluator(t, w, "", tr)
 	baseCost, err := ev.configCost(base)

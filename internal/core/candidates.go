@@ -52,10 +52,9 @@ import (
 //     would.
 func selectCandidates(t Tuner, ev *evaluator, w *workload.Workload, base *catalog.Configuration, groups *columnGroups, opts Options) ([]catalog.Structure, []QueryGain, []StatBatch, int, error) {
 	tr := ev.tr
-	perQueryK := opts.PerQueryK
-	if perQueryK <= 0 {
-		perQueryK = 6
-	}
+	// k of each query's Greedy(m,k): single queries rarely benefit from
+	// more structures.
+	const perQueryK = 6
 
 	// Pass 1: candidates — pure syntax, so generated on the pool — then
 	// their statistics, in event order. A stop at query n, or a statistics
@@ -271,10 +270,10 @@ func selectQuery(ev *evaluator, e *workload.Event, i int, base *catalog.Configur
 }
 
 // capCandidates keeps the limit highest-benefit candidates (merged
-// structures inherit the larger parent benefit plus a small bonus so they
-// stay competitive), equal benefits in input order. Bounding the pool keeps
-// the enumeration step's Greedy(m,k) affordable on workloads with many
-// templates. Each candidate's benefit is looked up once, not per comparison.
+// structures inherit the larger parent benefit), equal benefits in input
+// order. Bounding the pool keeps the enumeration step's Greedy(m,k)
+// affordable on workloads with many templates. Each candidate's benefit is
+// looked up once, not per comparison.
 func capCandidates(cands []catalog.Structure, benefit map[string]float64, limit int) []catalog.Structure {
 	if limit <= 0 || len(cands) <= limit {
 		return cands
@@ -480,7 +479,7 @@ func (g *generator) partitionCandidates(sc *optimizer.Scope, eqCols, rangeCols, 
 		if c == nil || !c.Type.Numeric() || c.Max <= c.Min {
 			continue
 		}
-		n := g.opts.PartitionCount
+		const n = 12 // equal-width ranges per candidate
 		bounds := make([]float64, 0, n-1)
 		span := c.Max - c.Min
 		for i := 1; i < n; i++ {

@@ -58,8 +58,6 @@ type PoolKnobs struct {
 	GreedyK int `json:"greedyK,omitempty"`
 	// MaxKeyColumns caps index key width (merging reads it).
 	MaxKeyColumns int `json:"maxKeyColumns,omitempty"`
-	// CandidatePoolCap bounds the enumeration pool by benefit.
-	CandidatePoolCap int `json:"candidatePoolCap,omitempty"`
 	// NoMerging disables the merging step.
 	NoMerging bool `json:"noMerging,omitempty"`
 	// EagerAlignment materializes aligned variants up front (§4 ablation).
@@ -82,7 +80,6 @@ func (o Options) knobs() PoolKnobs {
 		GreedyM:              o.GreedyM,
 		GreedyK:              o.GreedyK,
 		MaxKeyColumns:        o.MaxKeyColumns,
-		CandidatePoolCap:     o.CandidatePoolCap,
 		NoMerging:            o.NoMerging,
 		EagerAlignment:       o.EagerAlignment,
 		AllowDrops:           o.AllowDrops,
@@ -97,7 +94,6 @@ func (k PoolKnobs) apply(o Options) Options {
 	o.GreedyM = k.GreedyM
 	o.GreedyK = k.GreedyK
 	o.MaxKeyColumns = k.MaxKeyColumns
-	o.CandidatePoolCap = k.CandidatePoolCap
 	o.NoMerging = k.NoMerging
 	o.EagerAlignment = k.EagerAlignment
 	o.AllowDrops = k.AllowDrops
@@ -229,6 +225,31 @@ func (p *CostedPool) Check() error {
 	return nil
 }
 
+// Resolve returns the structures the keys name, in key order, looked up
+// among the pool's candidates and base structures and the extra structures
+// (a session's pins, a daemon's accepted set or proposal); a nil pool
+// resolves against extra alone. A key that names none of them fails.
+func (p *CostedPool) Resolve(keys []string, extra ...[]catalog.Structure) ([]catalog.Structure, error) {
+	if p != nil {
+		extra = append([][]catalog.Structure{p.Candidates, p.Base.Structures()}, extra...)
+	}
+	byKey := map[string]catalog.Structure{}
+	for _, sts := range extra {
+		for _, st := range sts {
+			byKey[st.Key()] = st
+		}
+	}
+	out := make([]catalog.Structure, len(keys))
+	for i, k := range keys {
+		st, ok := byKey[k]
+		if !ok {
+			return nil, fmt.Errorf("core: structure key %q matches no pool candidate, base or named structure", k)
+		}
+		out[i] = st
+	}
+	return out, nil
+}
+
 // seal freezes the costing layer's state into a serializable, fingerprinted
 // pool. Called after a successful, uninterrupted run, so the cache and
 // derive snapshots also carry the search phase's facts — a superset of what
@@ -269,7 +290,7 @@ func (st *costedState) seal(opts Options) *CostedPool {
 // t must expose the same catalog (and data) the pool was costed against.
 // Pipeline knobs come from pool.Knobs; opts contributes only session-level
 // fields (Parallelism, Progress, Metrics, TimeLimit, Retry, Faults,
-// Breaker, SkipReports, PoolSink for chained revisions).
+// SkipReports, PoolSink for chained revisions).
 func Revise(ctx context.Context, t Tuner, pool *CostedPool, cons Constraints, opts Options) (*Recommendation, error) {
 	if pool == nil {
 		return nil, fmt.Errorf("core: nil costed pool")

@@ -24,9 +24,6 @@ type greedyOptions struct {
 	// onStep, when set, observes the best configuration's cost after each
 	// completed greedy growth step (progress reporting).
 	onStep func(cost float64)
-	// minImprove is the minimum relative improvement a greedy step must
-	// deliver to continue.
-	minImprove float64
 	// scope labels this search's decision-journal events ("query" for a
 	// per-query candidate selection, "enumeration" for the global
 	// search); empty means the search does not journal. query is the
@@ -160,9 +157,6 @@ func greedySearch(ev *evaluator, sc *scope, base *catalog.Configuration, cands [
 	}
 	if o.k < o.m {
 		o.k = o.m
-	}
-	if o.minImprove <= 0 {
-		o.minImprove = 1e-4
 	}
 	root, err := ev.costAll(sc, ev.config(base))
 	if err != nil {
@@ -307,7 +301,9 @@ func greedySearch(ev *evaluator, sc *scope, base *catalog.Configuration, cands [
 				}
 				o.record(tr, ev)
 			}
-			if bestIdx < 0 || bestCost >= best.node.total*(1-o.minImprove) {
+			// A step must improve the cost by a relative 1e-4 to continue.
+			const minImprove = 1e-4
+			if bestIdx < 0 || bestCost >= best.node.total*(1-minImprove) {
 				journalStep(false)
 				return false, nil
 			}

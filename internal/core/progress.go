@@ -238,7 +238,7 @@ func newTracker(ctx context.Context, opts Options, start time.Time) *tracker {
 	tr.pool = newWorkerPool(opts.Parallelism)
 	tr.retry = opts.Retry.WithDefaults()
 	tr.faults = opts.Faults
-	tr.breaker = fault.NewBreaker(opts.Breaker)
+	tr.breaker = fault.NewBreaker(fault.BreakerConfig{})
 	if opts.CheckpointSink != nil {
 		every := int64(opts.CheckpointEvery)
 		if every <= 0 {

@@ -248,9 +248,18 @@ func (d *Daemon) Snapshot() DaemonSnapshot {
 		Proposed:        entries(d.current, nil, ""),
 	}
 	out.Retunes = maps.Clone(d.retunes)
-	out.Accepted = sortedKeys(structuresByKey(nil, d.accepted))
+	out.Accepted = sortedKeys(byKey(d.accepted))
 	if d.pool != nil {
 		out.PoolFingerprint = d.pool.Fingerprint
+	}
+	return out
+}
+
+// byKey indexes a configuration's structures by key.
+func byKey(cfg *catalog.Configuration) map[string]catalog.Structure {
+	out := map[string]catalog.Structure{}
+	for _, st := range cfg.Structures() {
+		out[st.Key()] = st
 	}
 	return out
 }
@@ -340,7 +349,7 @@ func (m *Manager) addDaemon(id string, b *Backend, wire CreateOptions, opts core
 	opts = m.prepare(b, opts)
 	opts.SkipReports = true
 	if comp == nil {
-		comp = workload.NewCompressor(workload.CompressOptions{MaxPerTemplate: opts.MaxPerTemplate})
+		comp = workload.NewCompressor(workload.CompressOptions{})
 	}
 	m.mu.Lock()
 	d, err := m.daemons.add(id, func(id string) *Daemon {
@@ -572,7 +581,7 @@ func (m *Manager) retuneLocked(ctx context.Context, d *Daemon, b *Backend, trigg
 	// Diff the new proposal against the previous one. Pinned (accepted)
 	// structures never appear in NewStructures — they ride in the base —
 	// but filter defensively so an accepted key can never churn.
-	acc := structuresByKey(nil, d.accepted)
+	acc := byKey(d.accepted)
 	proposal := map[string]catalog.Structure{}
 	for _, st := range rec.NewStructures {
 		if _, pinned := acc[st.Key()]; !pinned {
@@ -686,27 +695,23 @@ func (m *Manager) Feedback(ctx context.Context, id string, req FeedbackRequest) 
 		return nil, fmt.Errorf("service: daemon %s is closed", d.id)
 	}
 
-	byKey := structuresByKey(d.pool, d.accepted)
-	for k, st := range d.current {
-		byKey[k] = st
+	proposed := make([]catalog.Structure, 0, len(d.current))
+	for _, st := range d.current {
+		proposed = append(proposed, st)
+	}
+	keys := append(append([]string(nil), req.Accept...), req.Veto...)
+	sts, err := d.pool.Resolve(keys, d.accepted.Structures(), proposed)
+	if err != nil {
+		return nil, fmt.Errorf("service: feedback for daemon %s: %w", d.id, err)
 	}
 	type change struct {
 		key    string
 		st     catalog.Structure
 		accept bool
 	}
-	var changes []change
-	for _, side := range []struct {
-		keys   []string
-		accept bool
-	}{{req.Accept, true}, {req.Veto, false}} {
-		for _, k := range side.keys {
-			st, ok := byKey[k]
-			if !ok {
-				return nil, fmt.Errorf("service: feedback key %q matches no proposed, pooled, or accepted structure of daemon %s", k, d.id)
-			}
-			changes = append(changes, change{k, st, side.accept})
-		}
+	changes := make([]change, len(keys))
+	for i, k := range keys {
+		changes[i] = change{k, sts[i], i < len(req.Accept)}
 	}
 
 	res := &FeedbackResult{Daemon: d.id}
@@ -714,7 +719,7 @@ func (m *Manager) Feedback(ctx context.Context, id string, req FeedbackRequest) 
 	for _, k := range d.vetoed {
 		vetoSet[k] = true
 	}
-	accSet := structuresByKey(nil, d.accepted)
+	accSet := byKey(d.accepted)
 	for _, c := range changes {
 		if c.accept {
 			delete(vetoSet, c.key)

@@ -201,27 +201,13 @@ func decodeCreate(r *http.Request) (Request, error) {
 		if err != nil {
 			return Request{}, err
 		}
-		if doc.Input == nil {
-			return Request{}, fmt.Errorf("DTAXML document has no Input element")
-		}
-		opts, err := xmlio.OptionsFromXML(doc.Input.Options)
+		opts, w, err := xmlio.DecodeInput(doc.Input)
 		if err != nil {
 			return Request{}, err
 		}
-		opts.EvaluateOnly = doc.Input.EvaluateOnly
-		if doc.Input.Configuration != nil {
-			opts.UserConfig = xmlio.ToConfiguration(doc.Input.Configuration)
-		}
-		req := Request{Options: opts}
+		req := Request{Options: opts, Workload: w}
 		if len(doc.Input.Databases) > 0 {
 			req.Backend = doc.Input.Databases[0]
-		}
-		if doc.Input.Workload != nil {
-			w, err := xmlio.ToWorkload(doc.Input.Workload)
-			if err != nil {
-				return Request{}, err
-			}
-			req.Workload = w
 		}
 		return req, nil
 	}
@@ -261,7 +247,9 @@ func (m *Manager) handleCreate(w http.ResponseWriter, r *http.Request) {
 func (m *Manager) handleCreateTrace(w http.ResponseWriter, r *http.Request) {
 	var copts CreateOptions
 	if o := r.URL.Query().Get("options"); o != "" {
-		if err := json.Unmarshal([]byte(o), &copts); err != nil {
+		dec := json.NewDecoder(strings.NewReader(o))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&copts); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("bad options: %w", err))
 			return
 		}

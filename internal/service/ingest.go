@@ -121,7 +121,7 @@ func (m *Manager) CreateStreaming(req Request, trace io.Reader) (*Session, error
 	// The ingest span precedes the session root span the job runner opens;
 	// both land on the same per-session trace, so the timeline shows
 	// ingest → queued → phases in order.
-	comp := workload.NewCompressor(workload.CompressOptions{MaxPerTemplate: opts.MaxPerTemplate})
+	comp := workload.NewCompressor(workload.CompressOptions{})
 	events, bytes, err := m.ingest(obs.WithTrace(ctx, s.trace), "session", comp, trace, s.publishIngest)
 	if err != nil {
 		// The session never reached the job runner; account its end here.

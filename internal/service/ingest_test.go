@@ -168,10 +168,30 @@ func TestHTTPStreamingIngestMalformedTrace(t *testing.T) {
 		t.Fatalf("empty trace: status=%d body=%s", resp2.StatusCode, raw2)
 	}
 
-	// Bad options JSON never creates a session.
-	resp3, raw3 := postTrace(t, ts.URL, "database=db&options="+url.QueryEscape("{nope"), traceBody(2))
-	if resp3.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw3), "bad options") {
-		t.Fatalf("bad options: status=%d body=%s", resp3.StatusCode, raw3)
+	// Bad options JSON — malformed, or naming a field CreateOptions does
+	// not have — never creates a session.
+	sessions := func() int {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/sessions")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var list []service.Snapshot
+		if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+			t.Fatal(err)
+		}
+		return len(list)
+	}
+	before := sessions()
+	for opts, want := range map[string]string{"{nope": "bad options", `{"storagMB":8}`: "storagMB"} {
+		resp, raw := postTrace(t, ts.URL, "database=db&options="+url.QueryEscape(opts), traceBody(2))
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "bad options") || !strings.Contains(string(raw), want) {
+			t.Fatalf("options %s: status=%d body=%s, want 400 naming %q", opts, resp.StatusCode, raw, want)
+		}
+	}
+	if after := sessions(); after != before {
+		t.Fatalf("bad options created %d sessions", after-before)
 	}
 }
 

@@ -35,6 +35,8 @@ type faultyTuner struct {
 	// When armed, the next what-if call closes reached and blocks on release.
 	armed            atomic.Bool
 	reached, release chan struct{}
+	// armAt > 0 arms the gate at the armAt-th what-if call.
+	armAt, whatifs atomic.Int64
 }
 
 func (f *faultyTuner) fail() error {
@@ -50,6 +52,9 @@ func (f *faultyTuner) fail() error {
 }
 
 func (f *faultyTuner) WhatIfCost(stmt sqlparser.Statement, cfg *catalog.Configuration) (float64, []string, error) {
+	if n := f.armAt.Load(); n > 0 && f.whatifs.Add(1) == n {
+		f.armed.Store(true)
+	}
 	if f.armed.CompareAndSwap(true, false) {
 		close(f.reached)
 		<-f.release

@@ -32,29 +32,6 @@ type ReviseRequest struct {
 	SliceWeights map[string]float64 `json:"sliceWeights,omitempty"`
 }
 
-// structuresByKey indexes the structures a DBA can name by key in a pin,
-// accept or veto: the pool's candidates, its base configuration, and the
-// already pinned (a session's) or accepted (a daemon's) structures — the
-// places a structure seen in a report can have come from.
-func structuresByKey(pool *core.CostedPool, pinned *catalog.Configuration) map[string]catalog.Structure {
-	byKey := map[string]catalog.Structure{}
-	add := func(sts []catalog.Structure) {
-		for _, st := range sts {
-			byKey[st.Key()] = st
-		}
-	}
-	if pool != nil {
-		add(pool.Candidates)
-		if pool.Base != nil {
-			add(pool.Base.Structures())
-		}
-	}
-	if pinned != nil {
-		add(pinned.Structures())
-	}
-	return byKey
-}
-
 // mergeConstraints applies a revision request on top of the parent
 // session's constraints; an unresolvable pin key fails the request.
 func mergeConstraints(cons core.Constraints, pool *core.CostedPool, req ReviseRequest) (core.Constraints, error) {
@@ -74,13 +51,12 @@ func mergeConstraints(cons core.Constraints, pool *core.CostedPool, req ReviseRe
 		if len(req.Pin) == 0 {
 			cons.Pinned = nil
 		} else {
-			byKey := structuresByKey(pool, cons.Pinned)
+			sts, err := pool.Resolve(req.Pin, cons.Pinned.Structures())
+			if err != nil {
+				return cons, fmt.Errorf("service: pin: %w", err)
+			}
 			pin := catalog.NewConfiguration()
-			for _, k := range req.Pin {
-				st, ok := byKey[k]
-				if !ok {
-					return cons, fmt.Errorf("service: pin key %q matches no pool candidate or base structure", k)
-				}
+			for _, st := range sts {
 				st.ApplyTo(pin)
 			}
 			cons.Pinned = pin

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -423,5 +424,118 @@ func TestPersistedDeriveModes(t *testing.T) {
 				t.Fatalf("resumed session: rec=%+v err=%v, want a derived run", rec, err)
 			}
 		})
+	}
+}
+
+// TestResumeServiceWrittenStateDir resumes a state directory the service
+// wrote itself rather than a fixture: a session created over HTTP on a state
+// directory is parked mid-run; its <id>.json carries exactly the request's
+// options and statements; and a copy of the directory resumed on a fresh
+// manager reaches the uninterrupted run's recommendation under the same ID.
+func TestResumeServiceWrittenStateDir(t *testing.T) {
+	var stmts []workload.Statement
+	for i, st := range resumeStatements() {
+		st.Weight = float64(1 + i%3)
+		stmts = append(stmts, st)
+	}
+	body := service.CreateRequest{Database: "db", Statements: stmts, Options: service.CreateOptions{
+		Features: "IDX", StorageMB: 64, TimeLimit: "10m0s", AllowDrops: true, GreedyK: 8,
+		SkipReports: true, Parallelism: 1, Derive: deriveOpt(), RetryAttempts: 3,
+	}}
+	manager := func(dir string) (*service.Manager, *faultyTuner) {
+		ft := &faultyTuner{Tuner: smallServer(t), reached: make(chan struct{}), release: make(chan struct{})}
+		m := service.NewManager(1)
+		if err := m.Register(&service.Backend{Name: "db", Tuner: ft}); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SetStateDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		return m, ft
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	wait := func(s *service.Session) *core.Recommendation {
+		t.Helper()
+		if err := s.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := s.Result()
+		if err != nil || rec == nil || s.State() != service.StateDone {
+			t.Fatalf("session %s: state=%s rec=%v err=%v", s.ID(), s.State(), rec, err)
+		}
+		return rec
+	}
+
+	dir := t.TempDir()
+	m, ft := manager(dir)
+	// The uninterrupted run issues 180 what-if calls and checkpoints after
+	// 128 (the default CheckpointEvery): park it in between.
+	const parkAt = 150
+	ft.armAt.Store(parkAt)
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+	data, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := srv.Client().Post(srv.URL+"/sessions", "application/json", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap service.Snapshot
+	err = json.NewDecoder(resp.Body).Decode(&snap)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != 201 {
+		t.Fatalf("create: status %d, err %v", resp.StatusCode, err)
+	}
+	s, _ := m.Get(snap.ID)
+	select {
+	case <-ft.reached:
+	case <-s.Done():
+		t.Fatalf("session finished after %d what-if calls, before call %d", ft.whatifs.Load(), parkAt)
+	}
+
+	// Parked: the state file is what a killed server leaves behind.
+	raw, err := os.ReadFile(filepath.Join(dir, snap.ID+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st struct {
+		Statements []workload.Statement  `json:"statements"`
+		Options    service.CreateOptions `json:"options"`
+		Checkpoint *core.Checkpoint      `json:"checkpoint"`
+	}
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(st.Options, body.Options) {
+		t.Fatalf("state file options %+v, want the request's %+v", st.Options, body.Options)
+	}
+	if !reflect.DeepEqual(st.Statements, body.Statements) {
+		t.Fatalf("state file statements %+v, want the request's %+v", st.Statements, body.Statements)
+	}
+	if st.Checkpoint == nil {
+		t.Fatalf("state file carries no checkpoint %d calls in", parkAt)
+	}
+	copied := copyDir(t, dir)
+	close(ft.release)
+	ref := wait(s)
+
+	m2, _ := manager(copied)
+	resumed, err := m2.ResumeSessions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resumed) != 1 || resumed[0].ID() != snap.ID {
+		t.Fatalf("resumed %v, want [%s]", resumed, snap.ID)
+	}
+	rec := wait(resumed[0])
+	if got, want := renderStructures(rec), renderStructures(ref); got != want || rec.Cost != ref.Cost || rec.BaseCost != ref.BaseCost {
+		t.Fatalf("resumed recommendation differs from the uninterrupted run:\n%s (cost %v base %v)\nvs\n%s (cost %v base %v)",
+			got, rec.Cost, rec.BaseCost, want, ref.Cost, ref.BaseCost)
+	}
+	if rec.WhatIfCalls >= ref.WhatIfCalls {
+		t.Fatalf("resumed session issued %d calls, the uninterrupted run %d: want a warm start", rec.WhatIfCalls, ref.WhatIfCalls)
 	}
 }

@@ -208,15 +208,11 @@ func wireOptions(o core.Options) (CreateOptions, bool) {
 	representable := o.UserConfig == nil && o.BaseConfig == nil &&
 		o.Progress == nil && o.Metrics == nil &&
 		o.CheckpointSink == nil && o.Resume == nil && o.PoolSink == nil &&
-		len(o.Vetoed) == 0 && len(o.SliceWeights) == 0 &&
-		!o.CompressWorkload && o.CompressThreshold == 0 && o.MaxPerTemplate == 0 &&
+		len(o.Vetoed) == 0 && len(o.SliceWeights) == 0 && !o.CompressWorkload &&
 		o.ColGroupFrac == 0 && !o.NoColGroupRestriction && o.MaxKeyColumns == 0 &&
-		o.PerQueryK == 0 && o.CandidatePoolCap == 0 &&
 		!o.NoMerging && !o.EagerAlignment && !o.DisableStatReduction &&
-		o.PartitionCount == 0 && o.CheckpointEvery == 0 &&
-		o.StorageBudget%(1<<20) == 0 &&
-		o.Retry.BaseDelay == 0 && o.Retry.MaxDelay == 0 && o.Retry.Timeout == 0 &&
-		o.Breaker.FailureRate == 0 && o.Breaker.MinSamples == 0
+		o.CheckpointEvery == 0 && o.StorageBudget%(1<<20) == 0 &&
+		o.Retry.BaseDelay == 0 && o.Retry.MaxDelay == 0 && o.Retry.Timeout == 0
 	if !representable {
 		return CreateOptions{}, false
 	}

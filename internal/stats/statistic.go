@@ -65,7 +65,6 @@ type Sampler interface {
 // BuildOptions controls statistic creation.
 type BuildOptions struct {
 	SampleRows int // rows sampled per statistic; 0 = DefaultSampleRows
-	Buckets    int // histogram steps; 0 = DefaultBuckets
 }
 
 // DefaultSampleRows is the default statistics sampling size.
@@ -109,11 +108,11 @@ func Build(cat *catalog.Catalog, table string, cols []string, sampler Sampler, o
 	lead := t.Column(lc[0])
 	if sampler != nil {
 		if vals := sampler.SampleColumn(t.Name, lc[0], sampleRows); len(vals) > 0 {
-			st.Hist = NewHistogramFromValues(vals, t.Rows, opt.Buckets)
+			st.Hist = NewHistogramFromValues(vals, t.Rows, DefaultBuckets)
 		}
 	}
 	if st.Hist == nil {
-		st.Hist = NewUniformHistogram(lead.Min, lead.Max, t.Rows, lead.Distinct, opt.Buckets)
+		st.Hist = NewUniformHistogram(lead.Min, lead.Max, t.Rows, lead.Distinct, DefaultBuckets)
 	}
 
 	// Densities per leading prefix.

@@ -388,6 +388,32 @@ func FeatureMaskToString(m core.FeatureMask) string {
 	}
 }
 
+// DecodeInput converts a session's Input element into what the advisor
+// runs: the options, carrying the evaluate-only flag and the user-specified
+// configuration, and the workload (nil when the input names none, so the
+// caller's default applies). The one conversion shared by the command-line
+// tool's -input and the tuning service's XML create body.
+func DecodeInput(in *Input) (core.Options, *workload.Workload, error) {
+	if in == nil {
+		return core.Options{}, nil, fmt.Errorf("xmlio: DTAXML document has no Input element")
+	}
+	opts, err := OptionsFromXML(in.Options)
+	if err != nil {
+		return core.Options{}, nil, err
+	}
+	opts.EvaluateOnly = in.EvaluateOnly
+	if in.Configuration != nil {
+		opts.UserConfig = ToConfiguration(in.Configuration)
+	}
+	var w *workload.Workload
+	if in.Workload != nil {
+		if w, err = ToWorkload(in.Workload); err != nil {
+			return core.Options{}, nil, err
+		}
+	}
+	return opts, w, nil
+}
+
 // OptionsFromXML converts TuningOptions to core.Options.
 func OptionsFromXML(x *TuningOptions) (core.Options, error) {
 	var o core.Options

@@ -38,8 +38,9 @@ func TestConfigurationRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDocumentRoundTrip(t *testing.T) {
-	doc := &DTAXML{
+// sampleInput is a session input document with every Input element set.
+func sampleInput() *DTAXML {
+	return &DTAXML{
 		Input: &Input{
 			Server:    "prod",
 			Databases: []string{"tpch"},
@@ -56,6 +57,10 @@ func TestDocumentRoundTrip(t *testing.T) {
 			Configuration: FromConfiguration(sampleConfig()),
 		},
 	}
+}
+
+func TestDocumentRoundTrip(t *testing.T) {
+	doc := sampleInput()
 	var buf bytes.Buffer
 	if err := Encode(&buf, doc); err != nil {
 		t.Fatal(err)
@@ -79,6 +84,39 @@ func TestDocumentRoundTrip(t *testing.T) {
 	cfg := ToConfiguration(back.Input.Configuration)
 	if cfg.Key() != sampleConfig().Key() {
 		t.Fatal("embedded configuration lost")
+	}
+}
+
+// TestDecodeInput: the input's options, evaluate-only flag, user
+// configuration and workload all reach the advisor's inputs; a document
+// without an Input element, or with an unknown feature set, is refused.
+func TestDecodeInput(t *testing.T) {
+	in := sampleInput().Input
+	in.EvaluateOnly = true
+	opts, w, err := DecodeInput(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opts.Features != core.FeatureIndexes|core.FeatureViews || opts.StorageBudget != 512<<20 ||
+		!opts.Aligned || !opts.EvaluateOnly {
+		t.Fatalf("options = %+v", opts)
+	}
+	if opts.UserConfig == nil || opts.UserConfig.Key() != sampleConfig().Key() {
+		t.Fatal("user configuration lost")
+	}
+	if w == nil || w.Len() != 2 {
+		t.Fatalf("workload = %v, want 2 events", w)
+	}
+	in.Workload = nil
+	if _, w, err := DecodeInput(in); err != nil || w != nil {
+		t.Fatalf("input without a workload: w=%v err=%v, want neither", w, err)
+	}
+	if _, _, err := DecodeInput(nil); err == nil || !strings.Contains(err.Error(), "no Input element") {
+		t.Fatalf("nil input: %v", err)
+	}
+	in.Options.FeatureSet = "BOGUS"
+	if _, _, err := DecodeInput(in); err == nil {
+		t.Fatal("bogus feature set must fail")
 	}
 }
 
