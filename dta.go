@@ -127,8 +127,12 @@ func CompressWorkload(w *Workload) *Workload {
 
 // StreamTrace incrementally reads a profiler-style trace, handing each event
 // to sink with its 1-based line number; lines may be arbitrarily long and
-// errors carry the line they occurred on. A sink that folds events into a
-// Compressor tunes traces far larger than memory:
+// errors carry the line they occurred on. Each statement template is parsed
+// once: an event repeating a known template arrives with Stmt nil (its
+// signature and constants are already known), and Compressor.Add parses the
+// events it keeps. A sink that needs the statement parses e.SQL; ReadWorkload
+// parses every event. A sink that folds events into a Compressor tunes
+// traces far larger than memory:
 //
 //	comp := dta.NewCompressor(dta.CompressOptions{})
 //	err  := dta.StreamTrace(f, func(e *dta.Event, _ int) error { return comp.Add(e) })

@@ -27,6 +27,13 @@ func FuzzParse(f *testing.F) {
 		"select\t*\nfrom t",
 		"'unterminated",
 		"SELECT (((((((1",
+		// Long digit strings: the lexer's number conversion at and past
+		// the float64 range, which must be rejected, not turned into ±Inf.
+		"SELECT a FROM t WHERE x = " + strings.Repeat("9", 308),
+		"SELECT a FROM t WHERE x = " + strings.Repeat("9", 309),
+		"SELECT a FROM t WHERE x = 1" + strings.Repeat("0", 400) + ".5",
+		"SELECT a FROM t WHERE x = ." + strings.Repeat("0", 400) + "1",
+		"SELECT TOP " + strings.Repeat("9", 30) + " a FROM t",
 	} {
 		f.Add(seed)
 	}

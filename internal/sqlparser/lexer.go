@@ -9,6 +9,7 @@ package sqlparser
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -51,12 +52,16 @@ type lexer struct {
 
 // lex tokenizes the whole input up front; SQL statements are short enough
 // that this is simpler and faster than a streaming lexer.
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+func lex(src string) ([]token, error) { return lexInto(nil, src) }
+
+// lexInto is lex appending to dst[:0], so a caller that lexes many
+// statements reuses one token buffer.
+func lexInto(dst []token, src string) ([]token, error) {
+	l := &lexer{src: src, toks: dst[:0]}
 	for {
 		t, err := l.next()
 		if err != nil {
-			return nil, err
+			return l.toks[:0], err
 		}
 		l.toks = append(l.toks, t)
 		if t.kind == tokEOF {
@@ -91,13 +96,23 @@ scan:
 	// case-mapping in deparse silently rewrites them to U+FFFD — so the
 	// statement's own signature no longer parses. Reject invalid UTF-8 here,
 	// with the offset, while the byte is still addressable.
-	r, rSize := utf8.DecodeRuneInString(l.src[l.pos:])
-	if r == utf8.RuneError && rSize == 1 {
-		return token{}, fmt.Errorf("sqlparser: invalid UTF-8 byte 0x%02x at %d", c, start)
+	r := rune(c)
+	if c >= utf8.RuneSelf {
+		var rSize int
+		if r, rSize = utf8.DecodeRuneInString(l.src[l.pos:]); r == utf8.RuneError && rSize == 1 {
+			return token{}, fmt.Errorf("sqlparser: invalid UTF-8 byte 0x%02x at %d", c, start)
+		}
 	}
 	switch {
 	case isIdentStart(r):
 		for l.pos < len(l.src) {
+			if b := l.src[l.pos]; b < utf8.RuneSelf { // ASCII: no decoding
+				if !isIdentPart(rune(b)) {
+					break
+				}
+				l.pos++
+				continue
+			}
 			pr, prSize := utf8.DecodeRuneInString(l.src[l.pos:])
 			if pr == utf8.RuneError && prSize == 1 {
 				return token{}, fmt.Errorf("sqlparser: invalid UTF-8 byte 0x%02x at %d", l.src[l.pos], l.pos)
@@ -126,13 +141,23 @@ scan:
 			l.pos++
 		}
 		text := l.src[start:l.pos]
-		var f float64
-		if _, err := fmt.Sscanf(text, "%g", &f); err != nil {
+		// ParseFloat rejects an overflowing digit string (±Inf with
+		// ErrRange), so every number token is finite.
+		f, err := strconv.ParseFloat(text, 64)
+		if err != nil {
 			return token{}, fmt.Errorf("sqlparser: bad number %q at %d", text, start)
 		}
 		return token{kind: tokNumber, text: text, num: f, pos: start}, nil
 	case c == '\'':
 		l.pos++
+		// A string without an escaped quote is its own source slice; only
+		// an escaped quote needs a copy.
+		if end := strings.IndexByte(l.src[l.pos:], '\''); end >= 0 &&
+			(l.pos+end+1 >= len(l.src) || l.src[l.pos+end+1] != '\'') {
+			text := l.src[l.pos : l.pos+end]
+			l.pos += end + 1
+			return token{kind: tokString, text: text, pos: start}, nil
+		}
 		var b strings.Builder
 		for {
 			if l.pos >= len(l.src) {
@@ -176,7 +201,7 @@ scan:
 		return token{}, fmt.Errorf("sqlparser: unexpected '!' at %d", start)
 	case strings.ContainsRune("(),.*=+-/;", rune(c)):
 		l.pos++
-		return token{kind: tokPunct, text: string(c), pos: start}, nil
+		return token{kind: tokPunct, text: l.src[start:l.pos], pos: start}, nil
 	default:
 		return token{}, fmt.Errorf("sqlparser: unexpected character %q at %d", r, start)
 	}

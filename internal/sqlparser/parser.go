@@ -12,6 +12,11 @@ func Parse(sql string) (Statement, error) {
 		return nil, err
 	}
 	p := &parser{toks: toks, src: sql}
+	return p.parse()
+}
+
+// parse parses the whole token stream as one statement.
+func (p *parser) parse() (Statement, error) {
 	stmt, err := p.parseStatement()
 	if err != nil {
 		return nil, err
@@ -37,6 +42,19 @@ type parser struct {
 	toks []token
 	i    int
 	src  string
+	// lits, when track is set, collects the literals made from literal
+	// tokens in the order the tokens were consumed (see
+	// TemplateScanner.Parse).
+	track bool
+	lits  []*Literal
+}
+
+// literal returns a literal node for the token just consumed.
+func (p *parser) literal(l *Literal) *Literal {
+	if p.track {
+		p.lits = append(p.lits, l)
+	}
+	return l
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
@@ -334,7 +352,7 @@ func (p *parser) parsePredicate() (Expr, error) {
 	// parenthesized scalar "(a + b) > 5". Try the boolean reading first and
 	// backtrack to the scalar reading if it fails.
 	if p.peek().kind == tokPunct && p.peek().text == "(" {
-		save := p.i
+		save, saveLits := p.i, len(p.lits)
 		p.advance()
 		e, err := p.parseOrExpr()
 		if err == nil && p.accept(")") {
@@ -342,7 +360,7 @@ func (p *parser) parsePredicate() (Expr, error) {
 			// parseOrExpr, so reaching here means a genuine boolean group.
 			return e, nil
 		}
-		p.i = save // backtrack: parse as scalar comparison below
+		p.i, p.lits = save, p.lits[:saveLits] // backtrack: parse as scalar comparison below
 	}
 	left, err := p.parseExpr()
 	if err != nil {
@@ -473,13 +491,13 @@ func (p *parser) parsePrimary() (Expr, error) {
 	switch t.kind {
 	case tokNumber:
 		p.advance()
-		return &Literal{Kind: LitNumber, F: t.num}, nil
+		return p.literal(&Literal{Kind: LitNumber, F: t.num}), nil
 	case tokString:
 		p.advance()
-		return &Literal{Kind: LitString, S: t.text}, nil
+		return p.literal(&Literal{Kind: LitString, S: t.text}), nil
 	case tokParam:
 		p.advance()
-		return &Literal{Kind: LitParam}, nil
+		return p.literal(&Literal{Kind: LitParam}), nil
 	case tokIdent:
 		name := strings.ToLower(t.text)
 		if aggFuncs[name] && p.toks[p.i+1].kind == tokPunct && p.toks[p.i+1].text == "(" {

@@ -1,6 +1,10 @@
 package workload
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/sqlparser"
+)
 
 // Compressor is the online form of workload compression (paper §5.1): it
 // maintains, per statement template, a bounded greedy k-center clustering of
@@ -58,7 +62,9 @@ func NewCompressor(opt CompressOptions) *Compressor {
 // must be finite and non-negative (the same guard as Workload.Add — a NaN
 // folded in here would poison every representative weight after it); a
 // weight of zero counts as 1. The event itself is not retained: a new
-// representative is a copy.
+// representative is a copy, and when the event came from StreamTrace
+// unparsed, the copy is where its SQL is parsed — so a trace costs one
+// parse per representative, not per event.
 func (c *Compressor) Add(e *Event) error {
 	if err := checkField("weight", e.Weight); err != nil {
 		return fmt.Errorf("workload: %w", err)
@@ -70,14 +76,11 @@ func (c *Compressor) Add(e *Event) error {
 	if w == 0 {
 		w = 1
 	}
-	sig := e.Signature()
+	sig, vec := e.template()
 	t := c.bySig[sig]
 	if t == nil {
 		t = &templateCluster{}
-		c.bySig[sig] = t
-		c.order = append(c.order, t)
 	}
-	vec := litVector(e.Stmt)
 	t.extend(vec)
 
 	// Nearest representative under the ranges observed so far.
@@ -88,13 +91,27 @@ func (c *Compressor) Add(e *Event) error {
 			best, bestD = i, d
 		}
 	}
+	// Far from every representative and there is room: the event opens its
+	// own cluster, as a copy that needs its own statement.
+	open := best < 0 || (bestD > c.threshold && len(t.reps) < c.maxPer)
+	stmt := e.Stmt
+	if open && stmt == nil {
+		var err error
+		if stmt, err = sqlparser.Parse(e.SQL); err != nil {
+			// Unreachable for StreamTrace's events: an unparsed event's
+			// template key is that of a statement that parsed.
+			return fmt.Errorf("workload: %w", err)
+		}
+	}
 	c.events++
 	c.weight += w
-	if best < 0 || (bestD > c.threshold && len(t.reps) < c.maxPer) {
-		// Far from every representative and there is room: the event opens
-		// its own cluster.
+	if open {
+		if len(t.reps) == 0 {
+			c.bySig[sig] = t
+			c.order = append(c.order, t)
+		}
 		cp := *e
-		cp.Weight = w
+		cp.Stmt, cp.Weight = stmt, w
 		t.reps = append(t.reps, &cp)
 		t.vecs = append(t.vecs, vec)
 		return nil

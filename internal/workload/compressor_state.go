@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sqlparser"
 )
@@ -73,11 +74,24 @@ func (c *Compressor) State() *CompressorState {
 // RestoreCompressor rebuilds a compressor from a snapshot. Representative
 // statements are re-parsed and their constant vectors recomputed — both are
 // pure functions of the SQL — while the range state is taken verbatim from
-// the snapshot. A snapshot whose SQL no longer parses, or whose range arrays
-// are inconsistent, is an error.
+// the snapshot. A snapshot Add could never have produced is an error, and
+// the message names the template: SQL that no longer parses or mixes
+// templates; range arrays that are inconsistent, non-finite, or hold a seen
+// position with lo > hi; negative or non-finite weights, durations or
+// totals; knobs that are not positive and finite; more representatives in a
+// template than MaxPerTemplate, or in all than events.
 func RestoreCompressor(st *CompressorState) (*Compressor, error) {
 	if st == nil {
 		return nil, fmt.Errorf("workload: nil compressor state")
+	}
+	if st.MaxPerTemplate <= 0 || !(st.Threshold > 0) || math.IsInf(st.Threshold, 0) {
+		return nil, fmt.Errorf("workload: compressor state knobs maxPerTemplate %d, threshold %v must be positive and finite", st.MaxPerTemplate, st.Threshold)
+	}
+	if st.Events < 0 {
+		return nil, fmt.Errorf("workload: compressor state has negative events %d", st.Events)
+	}
+	if err := checkField("weight", st.Weight); err != nil {
+		return nil, fmt.Errorf("workload: compressor state: %w", err)
 	}
 	c := NewCompressor(CompressOptions{MaxPerTemplate: st.MaxPerTemplate, Threshold: st.Threshold})
 	c.events = st.Events
@@ -85,6 +99,9 @@ func RestoreCompressor(st *CompressorState) (*Compressor, error) {
 	for i, ts := range st.Templates {
 		if len(ts.Reps) == 0 {
 			return nil, fmt.Errorf("workload: compressor state template %d has no representatives", i)
+		}
+		if len(ts.Reps) > c.maxPer {
+			return nil, fmt.Errorf("workload: compressor state template %d has %d representatives, more than maxPerTemplate %d", i, len(ts.Reps), c.maxPer)
 		}
 		if len(ts.Lo) != len(ts.Hi) || len(ts.Lo) != len(ts.Seen) {
 			return nil, fmt.Errorf("workload: compressor state template %d has inconsistent range arrays", i)
@@ -96,10 +113,22 @@ func RestoreCompressor(st *CompressorState) (*Compressor, error) {
 			scale: make([]float64, len(ts.Lo)),
 		}
 		for p := range t.lo {
+			if math.IsNaN(t.lo[p]) || math.IsInf(t.lo[p], 0) || math.IsNaN(t.hi[p]) || math.IsInf(t.hi[p], 0) {
+				return nil, fmt.Errorf("workload: compressor state template %d has a non-finite range at position %d", i, p)
+			}
+			if t.seen[p] && t.lo[p] > t.hi[p] {
+				return nil, fmt.Errorf("workload: compressor state template %d has lo %v > hi %v at position %d", i, t.lo[p], t.hi[p], p)
+			}
 			t.scale[p] = t.hi[p] - t.lo[p]
 		}
 		var sig string
 		for j, r := range ts.Reps {
+			if err := checkField("weight", r.Weight); err != nil {
+				return nil, fmt.Errorf("workload: compressor state template %d rep %d: %w", i, j, err)
+			}
+			if err := checkField("duration", r.Duration); err != nil {
+				return nil, fmt.Errorf("workload: compressor state template %d rep %d: %w", i, j, err)
+			}
 			stmt, err := sqlparser.Parse(r.SQL)
 			if err != nil {
 				return nil, fmt.Errorf("workload: compressor state template %d rep %d: %w", i, j, err)
@@ -122,6 +151,9 @@ func RestoreCompressor(st *CompressorState) (*Compressor, error) {
 		}
 		c.bySig[sig] = t
 		c.order = append(c.order, t)
+	}
+	if reps := c.Len(); c.events < int64(reps) {
+		return nil, fmt.Errorf("workload: compressor state has %d events but %d representatives", c.events, reps)
 	}
 	return c, nil
 }

@@ -3,14 +3,16 @@ package workload
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
 // stateEvents generates a deterministic event stream with several templates,
 // varying constants (so clusters split), and mixed weights/durations.
-func stateEvents(t *testing.T, n int, seed int64) []*Event {
+func stateEvents(t testing.TB, n int, seed int64) []*Event {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	w := &Workload{}
@@ -122,5 +124,62 @@ func TestRestoreCompressorRejectsBadState(t *testing.T) {
 	}}
 	if _, err := RestoreCompressor(bad); err == nil {
 		t.Fatal("duplicate template signature accepted")
+	}
+}
+
+// TestRestoreCompressorRejectsImpossibleState mutates a real snapshot into
+// ones Add can never produce; each must be refused with a message naming
+// the offending template where there is one.
+func TestRestoreCompressorRejectsImpossibleState(t *testing.T) {
+	c := NewCompressor(CompressOptions{})
+	for _, e := range stateEvents(t, 120, 9) {
+		if err := c.Add(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := RestoreCompressor(c.State()); err != nil {
+		t.Fatalf("a real snapshot must restore: %v", err)
+	}
+	cases := []struct {
+		name   string
+		mutate func(st *CompressorState)
+		want   string
+	}{
+		{"negative rep weight", func(st *CompressorState) { st.Templates[0].Reps[0].Weight = -5 }, "template 0 rep 0: negative weight"},
+		{"negative rep duration", func(st *CompressorState) { st.Templates[1].Reps[0].Duration = -2 }, "template 1 rep 0: negative duration"},
+		{"infinite rep weight", func(st *CompressorState) { st.Templates[0].Reps[1].Weight = math.Inf(1) }, "template 0 rep 1: non-finite weight"},
+		{"negative events", func(st *CompressorState) { st.Events = -3 }, "negative events"},
+		{"negative total weight", func(st *CompressorState) { st.Weight = -7 }, "negative weight"},
+		{"NaN total weight", func(st *CompressorState) { st.Weight = math.NaN() }, "non-finite weight"},
+		{"fewer events than representatives", func(st *CompressorState) { st.Events = 2 }, "2 events but"},
+		{"lo above hi on a seen position", func(st *CompressorState) {
+			st.Templates[2].Lo[0], st.Templates[2].Hi[0] = 5, 1
+		}, "template 2 has lo 5 > hi 1"},
+		{"non-finite range", func(st *CompressorState) { st.Templates[1].Hi[0] = math.Inf(1) }, "template 1 has a non-finite range"},
+		{"more reps than the knob", func(st *CompressorState) { st.MaxPerTemplate = 1 }, "more than maxPerTemplate 1"},
+		{"zero maxPerTemplate", func(st *CompressorState) { st.MaxPerTemplate = 0 }, "must be positive"},
+		{"zero threshold", func(st *CompressorState) { st.Threshold = 0 }, "must be positive"},
+		{"negative threshold", func(st *CompressorState) { st.Threshold = -0.1 }, "must be positive"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := c.State()
+			if len(st.Templates) != 3 || len(st.Templates[0].Reps) < 2 {
+				t.Fatalf("fixture changed shape: %d templates", len(st.Templates))
+			}
+			tc.mutate(st)
+			_, err := RestoreCompressor(st)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+	// An unseen position's range is not checked: Add leaves it at 0, 0.
+	st := c.State()
+	st.Templates[0].Lo = append(st.Templates[0].Lo, 3)
+	st.Templates[0].Hi = append(st.Templates[0].Hi, 1)
+	st.Templates[0].Seen = append(st.Templates[0].Seen, false)
+	if _, err := RestoreCompressor(st); err != nil {
+		t.Fatalf("unseen position with lo > hi refused: %v", err)
 	}
 }

@@ -2,7 +2,10 @@ package workload
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -13,8 +16,9 @@ import (
 // StreamTrace sink, so disagreement means state leaked between lines); every
 // accepted event carries finite, strictly positive weight and finite,
 // non-negative duration (the NaN/Inf/negative rejection this reader exists
-// for); and whatever is accepted survives a WriteTrace → ReadTrace round
-// trip byte-for-byte.
+// for); every streamed event's template, parsed or read off a known key,
+// is what a parse of its SQL gives; and whatever is accepted survives a
+// WriteTrace → ReadTrace round trip byte-for-byte.
 func FuzzReadTrace(f *testing.F) {
 	for _, seed := range []string{
 		"SELECT a FROM t WHERE x = 1\n",
@@ -27,6 +31,8 @@ func FuzzReadTrace(f *testing.F) {
 		"1e300\t1e18\tSELECT a FROM t WHERE x = 1\n", // extreme finite fields
 		"2\tnot-a-duration\tignored\n",               // duration folds into SQL, then fails parse
 		"0x1p-3\tSELECT a FROM t\n",                  // hex float weight
+		"1e309\tSELECT a FROM t\n",                   // weight out of float64 range
+		"1\t1e400\tSELECT a FROM t\n",                // duration out of float64 range
 		"#\n#only comments\n",
 		"not sql at all\n",
 		"\t\t\n",
@@ -61,6 +67,9 @@ func FuzzReadTrace(f *testing.F) {
 			if e.SQL != s.SQL || e.Weight != s.Weight || e.Duration != s.Duration {
 				t.Fatalf("event %d differs between readers: %+v vs %+v", i, e, s)
 			}
+			if err := CheckStreamed(s); err != nil {
+				t.Fatalf("streamed event %d: %v", i, err)
+			}
 			if math.IsNaN(e.Weight) || math.IsInf(e.Weight, 0) || e.Weight <= 0 {
 				t.Fatalf("accepted event %d has weight %v", i, e.Weight)
 			}
@@ -86,6 +95,72 @@ func FuzzReadTrace(f *testing.F) {
 		}
 		if fp2 := fingerprint(t, w2); fp2 != fp {
 			t.Fatalf("round trip not a fixed point:\nfirst:\n%s\nsecond:\n%s", fp, fp2)
+		}
+	})
+}
+
+// FuzzRestoreCompressor feeds arbitrary bytes to the compressor-state
+// decoder a continuous tuning daemon resumes from: json.Unmarshal then
+// RestoreCompressor must never panic, and a snapshot it accepts must be one
+// State can write — restoring it and snapshotting again gives the input
+// back, and a second State → Restore → State cycle is the identity.
+func FuzzRestoreCompressor(f *testing.F) {
+	c := NewCompressor(CompressOptions{})
+	for _, e := range stateEvents(f, 60, 5) {
+		if err := c.Add(e); err != nil {
+			f.Fatal(err)
+		}
+	}
+	real, err := json.Marshal(c.State())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(real)
+	// The compressor section of a daemon state file the service wrote.
+	raw, err := os.ReadFile("../service/testdata/state-pr25/d-0001.daemon.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	var daemon struct {
+		Compressor json.RawMessage `json:"compressor"`
+	}
+	if err := json.Unmarshal(raw, &daemon); err != nil || len(daemon.Compressor) == 0 {
+		f.Fatalf("daemon state file has no compressor section: %v", err)
+	}
+	f.Add([]byte(daemon.Compressor))
+	f.Add([]byte(`{"maxPerTemplate":4,"threshold":0.1,"events":3,"weight":-7,"templates":[{"reps":[{"sql":"SELECT a FROM t WHERE x = 1","weight":-5,"duration":-2}],"lo":[5],"hi":[1],"seen":[true]}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var st CompressorState
+		if json.Unmarshal(data, &st) != nil {
+			return
+		}
+		c, err := RestoreCompressor(&st)
+		if err != nil {
+			return
+		}
+		in, err := json.Marshal(&st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s1 := c.State()
+		out, err := json.Marshal(s1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(in) != string(out) {
+			t.Fatalf("accepted snapshot does not round-trip:\n%s\nvs\n%s", in, out)
+		}
+		c2, err := RestoreCompressor(s1)
+		if err != nil {
+			t.Fatalf("State of a restored compressor does not restore: %v", err)
+		}
+		if s2 := c2.State(); !reflect.DeepEqual(s1, s2) {
+			t.Fatalf("State → Restore → State is not the identity:\n%+v\nvs\n%+v", s1, s2)
+		}
+		for sig, w := range c.TemplateWeights() {
+			if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
+				t.Fatalf("template %q restored with weight %v", sig, w)
+			}
 		}
 	})
 }

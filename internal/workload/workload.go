@@ -25,10 +25,31 @@ type Event struct {
 	// Duration is the traced per-execution duration (arbitrary units);
 	// zero when the trace carries no timing.
 	Duration float64
+
+	// sig and vec memoize Signature() and litVector(Stmt) for events the
+	// trace reader built: it knows both from the line's template key, so a
+	// repeat of a known template reaches the sink unparsed (Stmt nil). sig
+	// is "" for events built any other way, and vec is valid iff sig is set.
+	sig string
+	vec []lit
 }
 
 // Signature returns the event's templatization key.
-func (e *Event) Signature() string { return sqlparser.Signature(e.Stmt) }
+func (e *Event) Signature() string {
+	if e.sig != "" {
+		return e.sig
+	}
+	return sqlparser.Signature(e.Stmt)
+}
+
+// template returns the event's signature and constant vector, from the
+// trace reader's memos when it set them.
+func (e *Event) template() (string, []lit) {
+	if e.sig != "" {
+		return e.sig, e.vec
+	}
+	return sqlparser.Signature(e.Stmt), litVector(e.Stmt)
+}
 
 // Workload is an ordered multiset of events.
 type Workload struct {
@@ -160,11 +181,13 @@ func (t Template) Weight() float64 {
 // arbitrarily long (a giant IN-list is still one statement), parse errors
 // and invalid weight/duration fields carry the line number, and non-finite
 // or negative numeric fields are rejected. ReadTrace materializes the whole
-// trace; for traces too large to hold in memory, stream it through
-// StreamTrace into a Compressor instead.
+// trace, and every event it returns is parsed (Stmt set); for traces too
+// large to hold in memory, stream it through StreamTrace into a Compressor
+// instead.
 func ReadTrace(r io.Reader) (*Workload, error) {
 	w := &Workload{}
-	err := StreamTrace(r, func(e *Event, _ int) error {
+	// Every event is kept, so every event is parsed.
+	err := streamTrace(r, true, func(e *Event, _ int) error {
 		w.Events = append(w.Events, e)
 		return nil
 	})
@@ -239,16 +262,33 @@ type lit struct {
 func litVector(s sqlparser.Statement) []lit {
 	var out []lit
 	for _, l := range sqlparser.Constants(s) {
-		switch l.Kind {
-		case sqlparser.LitNumber:
-			out = append(out, lit{num: l.F, isNum: true})
-		case sqlparser.LitString:
-			out = append(out, lit{str: l.S})
-		default:
-			out = append(out, lit{})
-		}
+		out = append(out, litOf(l))
 	}
 	return out
+}
+
+// tokenVector is litVector from a template scan's token literals; it equals
+// litVector(stmt) when the scan's Parse reports the statement exact.
+func tokenVector(ls []sqlparser.Literal) []lit {
+	if len(ls) == 0 {
+		return nil
+	}
+	out := make([]lit, len(ls))
+	for i := range ls {
+		out[i] = litOf(&ls[i])
+	}
+	return out
+}
+
+func litOf(l *sqlparser.Literal) lit {
+	switch l.Kind {
+	case sqlparser.LitNumber:
+		return lit{num: l.F, isNum: true}
+	case sqlparser.LitString:
+		return lit{str: l.S}
+	default:
+		return lit{}
+	}
 }
 
 // litDistance is the normalized L∞ distance between two constant vectors of
