@@ -220,8 +220,10 @@ func (c *Configuration) Validate(cat *Catalog) error {
 	return nil
 }
 
-// Key returns a canonical identity string for the whole configuration,
-// usable as a cache key in what-if cost caching.
+// Key returns a canonical identity string for the set of structures in the
+// configuration. It ignores their listing order and the fields outside each
+// structure's own key (a view's name and row estimate); AppendIdentity is
+// the exact identity an optimizer answer can be cached under.
 func (c *Configuration) Key() string {
 	parts := make([]string, 0, len(c.Indexes)+len(c.Views)+len(c.TableParts))
 	for _, ix := range c.Indexes {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/service"
 	"repro/internal/workload"
 )
@@ -195,6 +196,51 @@ func TestMetricsExposition(t *testing.T) {
 	resp2.Body.Close()
 	if negotiated.WhatIfCalls != mx.WhatIfCalls {
 		t.Fatalf("negotiated JSON WhatIfCalls = %d, want %d", negotiated.WhatIfCalls, mx.WhatIfCalls)
+	}
+
+	// A faulted backend: the server itself fails and delays what-if calls.
+	// Its latency histogram still observes every call it was charged —
+	// failed and delayed ones included, timed from before the injection —
+	// and its plan cache reports hits and misses.
+	faulty := smallServer(t)
+	faulty.Name = "faulty"
+	spec, err := fault.ParseSpec("seed=11;whatif:error:0.2;whatif:latency:0.5:1ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := fault.NewInjector(spec)
+	faulty.SetFaults(in)
+	if err := m.Register(&service.Backend{Name: "faulty", Tuner: faulty, DefaultWorkload: quickWorkload(t, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	runSession(t, ts, `{"database":"faulty"}`)
+	resp4, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err = io.ReadAll(resp4.Body)
+	resp4.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scraped := string(raw)
+	fired := in.Counts()
+	if fired["whatif/error"] == 0 || fired["whatif/latency"] == 0 {
+		t.Fatalf("the fault spec fired too little to test: %v", fired)
+	}
+	label := `{server="faulty"}`
+	if got := promValues(t, scraped, "dta_whatif_call_duration_seconds_count")[label]; int64(got) != faulty.WhatIfCallCount() {
+		t.Fatalf("faulted server: latency histogram count = %v, want its %d charged calls", got, faulty.WhatIfCallCount())
+	}
+	if sum, min := promValues(t, scraped, "dta_whatif_call_duration_seconds_sum")[label], float64(fired["whatif/latency"])*0.001; sum < min {
+		t.Fatalf("faulted server: latency histogram sum = %gs, below the %gs of injected latency", sum, min)
+	}
+	cache := promValues(t, scraped, "dta_whatif_plan_cache_total")
+	if cache[`{outcome="miss",server="faulty"}`] == 0 {
+		t.Fatalf("faulted server: no plan-cache misses reported: %v", cache)
+	}
+	if got := cache[`{outcome="hit",server="faulty"}`]; int64(got) != faulty.Acct().PlanCacheHits {
+		t.Fatalf("faulted server: plan-cache hits = %v, want Acct().PlanCacheHits = %d", got, faulty.Acct().PlanCacheHits)
 	}
 }
 

@@ -2,6 +2,7 @@ package sqlparser
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync/atomic"
 )
@@ -18,6 +19,30 @@ type Statement interface {
 	// it; the optimizer is its one writer, as an atomic.Value holds a single
 	// concrete type.
 	Memo() *atomic.Value
+	// textSlot is the slot Text keeps the deparsed statement in.
+	textSlot() *atomic.Value
+}
+
+// deparsed is a statement's entry in its text slot. The stmt check rejects
+// an entry copied along with a statement value.
+type deparsed struct {
+	stmt Statement
+	text string
+}
+
+// Text returns s.String(), deparsing each statement node once: a parsed
+// statement is never modified, so its text is a pure function of the node,
+// and a caller that keys on the text of the same statements over and over
+// (the what-if server's plan cache) pays for the deparse once. Safe for
+// concurrent use.
+func Text(s Statement) string {
+	slot := s.textSlot()
+	if d, _ := slot.Load().(*deparsed); d != nil && d.stmt == s {
+		return d.text
+	}
+	text := s.String()
+	slot.Store(&deparsed{stmt: s, text: text})
+	return text
 }
 
 // Expr is any scalar or boolean expression.
@@ -74,7 +99,10 @@ func (l *Literal) String() string {
 	}
 }
 
-func trimNum(f float64) string { return fmt.Sprintf("%g", f) }
+// trimNum renders a number in the shortest decimal form that reads back as
+// the same float64, never in exponent form, which the lexer does not read:
+// %g would render 7700000 as 7.7e+06.
+func trimNum(f float64) string { return strconv.FormatFloat(f, 'f', -1, 64) }
 
 // Value returns the literal's numeric interpretation: the number itself, or
 // a stable fold of a string used for dictionary ordering.
@@ -88,8 +116,14 @@ type BinaryExpr struct {
 
 func (*BinaryExpr) exprNode() {}
 
-// String renders "(l op r)".
+// String renders "(l op r)", and a unary minus — which the parser reads as
+// the product (-1 * e) — as "-(e)", which parses back to that product: the
+// literal form would re-parse to ((-1 * 1) * e) and grow on every round
+// trip, and "-e" would turn "- -5" into "--5", a comment.
 func (b *BinaryExpr) String() string {
+	if l, ok := b.Left.(*Literal); ok && b.Op == "*" && l.Kind == LitNumber && l.F == -1 {
+		return "-(" + b.Right.String() + ")"
+	}
 	return "(" + b.Left.String() + " " + b.Op + " " + b.Right.String() + ")"
 }
 
@@ -246,12 +280,15 @@ type Select struct {
 	OrderBy  []OrderItem
 
 	memo atomic.Value
+	text atomic.Value
 }
 
 func (*Select) stmtNode() {}
 
 // Memo returns the statement's memo slot (see Statement).
 func (s *Select) Memo() *atomic.Value { return &s.memo }
+
+func (s *Select) textSlot() *atomic.Value { return &s.text }
 
 // String deparses the SELECT.
 func (s *Select) String() string {
@@ -321,12 +358,15 @@ type Insert struct {
 	Rows    [][]Expr
 
 	memo atomic.Value
+	text atomic.Value
 }
 
 func (*Insert) stmtNode() {}
 
 // Memo returns the statement's memo slot (see Statement).
 func (ins *Insert) Memo() *atomic.Value { return &ins.memo }
+
+func (ins *Insert) textSlot() *atomic.Value { return &ins.text }
 
 // String deparses the INSERT.
 func (ins *Insert) String() string {
@@ -360,12 +400,15 @@ type Update struct {
 	Where Expr
 
 	memo atomic.Value
+	text atomic.Value
 }
 
 func (*Update) stmtNode() {}
 
 // Memo returns the statement's memo slot (see Statement).
 func (u *Update) Memo() *atomic.Value { return &u.memo }
+
+func (u *Update) textSlot() *atomic.Value { return &u.text }
 
 // String deparses the UPDATE.
 func (u *Update) String() string {
@@ -391,12 +434,15 @@ type Delete struct {
 	Where Expr
 
 	memo atomic.Value
+	text atomic.Value
 }
 
 func (*Delete) stmtNode() {}
 
 // Memo returns the statement's memo slot (see Statement).
 func (d *Delete) Memo() *atomic.Value { return &d.memo }
+
+func (d *Delete) textSlot() *atomic.Value { return &d.text }
 
 // String deparses the DELETE.
 func (d *Delete) String() string {

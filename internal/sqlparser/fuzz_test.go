@@ -9,9 +9,11 @@ import (
 // FuzzParse throws arbitrary byte soup at the SQL parser. The parser sits on
 // the trace-ingestion boundary — every line of an untrusted profiler trace
 // reaches it — so it must reject garbage with an error, never a panic, and
-// whatever it does accept must survive templatization: Signature (the
-// workload-compression partition key) must be deterministic, parseable, and
-// a fixed point under its own re-parse.
+// whatever it does accept must survive deparsing and templatization: its
+// String() (the what-if plan cache's statement key) must re-parse to a
+// statement with the same text, and Signature (the workload-compression
+// partition key) must be deterministic, parseable, and a fixed point under
+// its own re-parse.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"SELECT a, COUNT(*) FROM t WHERE x < 10 GROUP BY a",
@@ -34,6 +36,11 @@ func FuzzParse(f *testing.F) {
 		"SELECT a FROM t WHERE x = 1" + strings.Repeat("0", 400) + ".5",
 		"SELECT a FROM t WHERE x = ." + strings.Repeat("0", 400) + "1",
 		"SELECT TOP " + strings.Repeat("9", 30) + " a FROM t",
+		// Unary minus and numbers %g would print in exponent form: the
+		// deparse must read back as itself.
+		"SELECT a FROM t WHERE x = -5 AND y > - -2.5",
+		"SELECT a FROM t WHERE x = (-1 * 5) AND y < -(b + 1)",
+		"SELECT a FROM t WHERE x > 7700000 AND y < 0.00001",
 	} {
 		f.Add(seed)
 	}
@@ -41,6 +48,17 @@ func FuzzParse(f *testing.F) {
 		stmt, err := Parse(sql)
 		if err != nil {
 			return
+		}
+		text := stmt.String()
+		again, err := Parse(text)
+		if err != nil {
+			t.Fatalf("deparse %q of accepted statement %q does not re-parse: %v", text, sql, err)
+		}
+		if text2 := again.String(); text2 != text {
+			t.Fatalf("deparse is not a fixed point: %q → %q", text, text2)
+		}
+		if Text(stmt) != text {
+			t.Fatalf("Text(%q) differs from its String()", sql)
 		}
 		sig := Signature(stmt)
 		if strings.TrimSpace(sig) == "" {

@@ -158,6 +158,13 @@ func TestDeparseRoundTrip(t *testing.T) {
 		"UPDATE t SET a = 1 WHERE b = 2",
 		"DELETE FROM t WHERE id IN (1, 2, 3)",
 		"SELECT SUM(p * (1 - d)) FROM t HAVING SUM(p) > 100",
+		// The three shapes of a minus: unary, doubled, and the product the
+		// parser reads a unary minus as, spelled out.
+		"SELECT a FROM t WHERE x = -5",
+		"SELECT a FROM t WHERE x = - -5",
+		"SELECT a FROM t WHERE x = (-1 * 5)",
+		// Numbers %g would render in exponent form.
+		"SELECT a FROM t WHERE x > 7700000 AND y < 0.00001",
 	}
 	for _, sql := range cases {
 		s1, err := Parse(sql)

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/catalog"
 )
@@ -192,6 +193,9 @@ type Store struct {
 	hists map[string]*Histogram
 	// dens indexes prefix densities by "table|sortedColumnSet".
 	dens map[string]float64
+	// version counts Adds: a reader that saw version v before an
+	// optimization and v again after it read one statistics state.
+	version atomic.Uint64
 }
 
 // NewStore creates an empty statistics store.
@@ -214,7 +218,14 @@ func (s *Store) Add(st *Statistic) {
 	for p := 1; p <= len(st.Columns) && p <= len(st.Densities); p++ {
 		s.dens[st.Table+"|"+canonSet(st.Columns[:p])] = st.Densities[p-1]
 	}
+	s.version.Add(1)
 }
+
+// Version returns the number of Adds so far. It only grows, and it is
+// bumped under the write lock, so a lookup that follows a Version read
+// sees at least the statistics that version counts: equal versions before
+// and after a computation mean it read one statistics state.
+func (s *Store) Version() uint64 { return s.version.Load() }
 
 // Lookup returns the statistic with exactly this ordered column list, or nil.
 func (s *Store) Lookup(table string, cols []string) *Statistic {

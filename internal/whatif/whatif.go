@@ -12,8 +12,8 @@
 // the pool workers of a parallel session: the accounting counters are
 // atomic, statistics creation is single-flight per statistic (concurrent
 // requests for the same statistic coalesce onto one build; distinct
-// statistics build concurrently), and the optimizer itself carries no
-// per-call mutable state.
+// statistics build concurrently), the plan cache is single-flight per
+// question, and the optimizer itself carries no per-call mutable state.
 package whatif
 
 import (
@@ -48,6 +48,10 @@ const MetadataImportCost = 50.0
 type Accounting struct {
 	WhatIfCalls  int64
 	StatsCreated int64
+	// PlanCacheHits counts the alternatives calls the plan cache answered
+	// with another call's optimization. Each is also one of WhatIfCalls: a
+	// hit is charged like any call.
+	PlanCacheHits int64
 	// Overhead is the total simulated duration of statements submitted to
 	// this server, in sequential-page units.
 	Overhead float64
@@ -89,6 +93,12 @@ type Server struct {
 	// Atomic for the same late-attach reason as metrics.
 	faults atomic.Pointer[fault.Injector]
 
+	// plans is the plan cache behind WhatIfAlternativesCost; attaches
+	// counts AttachData calls, the one rewrite of catalog row counts, and
+	// is half of the optimizer-input version that scopes the cache.
+	plans    planCache
+	attaches atomic.Uint64
+
 	opt *optimizer.Optimizer
 }
 
@@ -101,15 +111,19 @@ type serverMetrics struct {
 	structsPart  *obs.Histogram
 	statsCreated *obs.Counter
 	statsPages   *obs.Counter
+	planHit      *obs.Counter
+	planMiss     *obs.Counter
 }
 
 // SetMetrics attaches a metrics registry: every subsequent what-if call
 // feeds a latency histogram and per-structure-kind configuration-size
 // histograms, and statistics creation feeds counters. All series carry a
 // server label, so several servers (production + test) can share one
-// registry. The what-if latency histogram's _count equals WhatIfCallCount —
-// the paper's tuning-cost metric — which is what lets a scrape cross-check
-// the advisor's exact accounting.
+// registry. Every what-if call is observed exactly once — a plan-cache hit,
+// a miss, and a call failed or delayed by the fault injector alike, timed
+// from before the injection — so the latency histogram's _count equals
+// WhatIfCallCount, the paper's tuning-cost metric, which is what lets a
+// scrape cross-check the advisor's exact accounting.
 func (s *Server) SetMetrics(reg *obs.Registry) {
 	if reg == nil {
 		s.metrics.Store(nil)
@@ -128,6 +142,10 @@ func (s *Server) SetMetrics(reg *obs.Registry) {
 			"Statistics built from data samples.", "server", s.Name),
 		statsPages: reg.Counter("dta_stats_sampled_pages_total",
 			"Pages sampled building statistics.", "server", s.Name),
+		planHit: reg.Counter("dta_whatif_plan_cache_total",
+			"Alternatives calls by plan-cache outcome.", "server", s.Name, "outcome", "hit"),
+		planMiss: reg.Counter("dta_whatif_plan_cache_total",
+			"Alternatives calls by plan-cache outcome.", "server", s.Name, "outcome", "miss"),
 	}
 	s.metrics.Store(m)
 }
@@ -151,11 +169,18 @@ func NewServer(name string, cat *catalog.Catalog, hw optimizer.Hardware) *Server
 }
 
 // AttachData associates actual data (making this a production server) and
-// syncs catalog row counts.
+// syncs catalog row counts — which changes the optimizer's input, so the
+// plan cache starts afresh.
 func (s *Server) AttachData(db *engine.Database) {
 	s.Data = db
 	db.SyncRowCounts()
+	s.attaches.Add(1)
 }
+
+// inputVersion is the optimizer-input version that scopes the plan cache:
+// the statistics store's Add count plus the AttachData count. Both only
+// grow, so the sum changes whenever either does.
+func (s *Server) inputVersion() uint64 { return s.Stats.Version() + s.attaches.Load() }
 
 // Optimizer returns the server's optimizer (for direct plan inspection).
 func (s *Server) Optimizer() *optimizer.Optimizer { return s.opt }
@@ -163,9 +188,10 @@ func (s *Server) Optimizer() *optimizer.Optimizer { return s.opt }
 // Acct returns a snapshot of the server's accounting counters.
 func (s *Server) Acct() Accounting {
 	return Accounting{
-		WhatIfCalls:  s.whatIfCalls.Load(),
-		StatsCreated: s.statsCreated.Load(),
-		Overhead:     math.Float64frombits(s.overheadBits.Load()),
+		WhatIfCalls:   s.whatIfCalls.Load(),
+		StatsCreated:  s.statsCreated.Load(),
+		PlanCacheHits: s.plans.hits.Load(),
+		Overhead:      math.Float64frombits(s.overheadBits.Load()),
 	}
 }
 
@@ -182,40 +208,43 @@ func (s *Server) addOverhead(d float64) {
 // WhatIf optimizes the statement as if cfg were materialized, charging the
 // call to this server.
 func (s *Server) WhatIf(stmt sqlparser.Statement, cfg *catalog.Configuration) (*optimizer.Result, error) {
-	res, _, err := s.optimize(stmt, cfg, false)
+	var res *optimizer.Result
+	err := s.call(cfg, func() (err error) {
+		res, err = s.opt.Optimize(stmt, cfg)
+		return err
+	})
 	return res, err
 }
 
-// optimize is the one what-if call: it charges the call to this server,
-// consults the fault injector, and optimizes the statement — returning its
-// plan skeleton too with wantAlts — observing latency and configuration size
-// when metrics are attached. A failed call is still charged: a real backend
-// does the accounting before the optimizer can fail, and retries must show
-// up in the server's load figures.
-func (s *Server) optimize(stmt sqlparser.Statement, cfg *catalog.Configuration, wantAlts bool) (*optimizer.Result, *optimizer.Alternatives, error) {
+// call is the one what-if call: it charges the call to this server,
+// consults the fault injector, and runs answer, observing latency (from
+// before the injection) and configuration size when metrics are attached —
+// whether answer runs, fails or panics, and whether the injector fails the
+// call first. A failed call is still charged: a real backend does the
+// accounting before the optimizer can fail, and retries must show up in the
+// server's load figures.
+func (s *Server) call(cfg *catalog.Configuration, answer func() error) error {
 	s.whatIfCalls.Add(1)
 	s.addOverhead(WhatIfCallCost)
+	defer s.observe(time.Now(), cfg)
 	if err := s.injectFault(fault.SiteWhatIf); err != nil {
-		return nil, nil, err
+		return err
 	}
-	start := time.Now()
-	var res *optimizer.Result
-	var alts *optimizer.Alternatives
-	var err error
-	if wantAlts {
-		res, alts, err = s.opt.OptimizeAlternatives(stmt, cfg)
-	} else {
-		res, err = s.opt.Optimize(stmt, cfg)
+	return answer()
+}
+
+// observe records one what-if call's latency and configuration size.
+func (s *Server) observe(start time.Time, cfg *catalog.Configuration) {
+	m := s.metrics.Load()
+	if m == nil {
+		return
 	}
-	if m := s.metrics.Load(); m != nil {
-		m.latency.Observe(time.Since(start).Seconds())
-		if cfg != nil {
-			m.structsIdx.Observe(float64(len(cfg.Indexes)))
-			m.structsView.Observe(float64(len(cfg.Views)))
-			m.structsPart.Observe(float64(len(cfg.TableParts)))
-		}
+	m.latency.Observe(time.Since(start).Seconds())
+	if cfg != nil {
+		m.structsIdx.Observe(float64(len(cfg.Indexes)))
+		m.structsView.Observe(float64(len(cfg.Views)))
+		m.structsPart.Observe(float64(len(cfg.TableParts)))
 	}
-	return res, alts, err
 }
 
 // Cost is WhatIf returning only the estimated cost.
@@ -366,13 +395,20 @@ func (s *Server) WhatIfCost(stmt sqlparser.Statement, cfg *catalog.Configuration
 // for INSERT/UPDATE/DELETE). It is charged exactly like a single
 // what-if call — same counter, same overhead, same fault site — because it
 // performs one optimization and the skeleton falls out of work the optimizer
-// already did.
+// already did. The answer comes from the server's plan cache when any
+// session asked the same question under the same optimizer input before
+// (see plan); it is shared, so the caller must not modify the used slice
+// or the skeleton.
 func (s *Server) WhatIfAlternativesCost(stmt sqlparser.Statement, cfg *catalog.Configuration) (float64, []string, *optimizer.Alternatives, error) {
-	res, alts, err := s.optimize(stmt, cfg, true)
+	var p *plan
+	err := s.call(cfg, func() (err error) {
+		p, err = s.plan(stmt, cfg)
+		return err
+	})
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	return res.Cost, res.UsedStructures, alts, nil
+	return p.cost, p.used, p.alts, nil
 }
 
 // WhatIfCallCount reports the number of what-if calls issued so far
