@@ -445,6 +445,8 @@ type costedState struct {
 	gains        []QueryGain
 	statBatches  []StatBatch
 	statsCreated int
+	// templates is the tuned workload's distinct template count.
+	templates    int
 	compressed   bool
 	ingestEvents int64
 	ingestBytes  int64
@@ -518,7 +520,7 @@ func buildCostedState(ctx context.Context, t Tuner, w *workload.Workload, opts O
 	rec.SkippedEvents = ev.skippedEvents()
 	rec.EventsTuned -= rec.SkippedEvents
 
-	st := &costedState{ev: ev, tuned: tuned, base: base, compressed: compressed}
+	st := &costedState{ev: ev, tuned: tuned, base: base, templates: rec.TemplatesTuned, compressed: compressed}
 	if opts.Ingest != nil {
 		st.ingestEvents = opts.Ingest.Events
 		st.ingestBytes = opts.Ingest.Bytes

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/canonjson"
 	"repro/internal/derive"
 )
 
@@ -68,6 +69,41 @@ func (c *CostCache) check(events int) error {
 		}
 	}
 	return nil
+}
+
+// writeCanonical writes the section's JSON to w, the bytes json.Marshal
+// produces for it.
+func (c *CostCache) writeCanonical(w *canonjson.Writer) {
+	w.Raw(`{"format":`)
+	w.Int(int64(c.Format))
+	if len(c.Structs) > 0 {
+		w.Raw(`,"structs":`)
+		w.Strings(c.Structs)
+	}
+	if len(c.Entries) > 0 {
+		w.Raw(`,"entries":[`)
+		for i := range c.Entries {
+			e := &c.Entries[i]
+			if i > 0 {
+				w.Raw(",")
+			}
+			w.Raw(`{"e":`)
+			w.Int(int64(e.Event))
+			if len(e.IDs) > 0 {
+				w.Raw(`,"k":`)
+				w.Int32s(e.IDs)
+			}
+			w.Raw(`,"c":`)
+			w.Float(e.Cost)
+			if len(e.Used) > 0 {
+				w.Raw(`,"u":`)
+				w.Int32s(e.Used)
+			}
+			w.Raw("}")
+		}
+		w.Raw("]")
+	}
+	w.Raw("}")
 }
 
 // inTable reports whether every position indexes the key table.

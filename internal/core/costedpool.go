@@ -7,9 +7,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"time"
 
+	"repro/internal/canonjson"
 	"repro/internal/catalog"
 	"repro/internal/derive"
 	"repro/internal/journal"
@@ -171,16 +174,93 @@ type CostedPool struct {
 // ComputeFingerprint returns the pool's content address: the sha256 of its
 // canonical JSON with the Fingerprint field blanked. Identical pools —
 // byte-identical costing-layer output — hash identically; Seal stamps it
-// and Check verifies it on load.
+// and Check verifies it on load. The JSON is streamed into the hash, never
+// held whole.
 func (p *CostedPool) ComputeFingerprint() string {
-	clone := *p
-	clone.Fingerprint = ""
-	b, err := json.Marshal(&clone)
-	if err != nil {
+	h := sha256.New()
+	if p.writeCanonical(h, "") != nil {
 		return ""
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// WriteCanonical writes the pool's canonical JSON to w: exactly the bytes
+// json.Marshal produces for it, or its error. It is the pool's one writer —
+// the fingerprint hashes it, a pool file holds it, and UnmarshalJSON checks
+// a file against it. The two large sections are written by hand: the cost
+// cache's entries, and the skeleton facts, each skeleton as its memoized
+// optimizer.Alternatives.CanonicalJSON; every other field is json.Marshal's.
+func (p *CostedPool) WriteCanonical(w io.Writer) error {
+	return p.writeCanonical(w, p.Fingerprint)
+}
+
+// writeCanonical is WriteCanonical with the Fingerprint field's value given
+// ("" omits it, as json.Marshal omits an empty one).
+func (p *CostedPool) writeCanonical(out io.Writer, fingerprint string) error {
+	w := canonjson.NewWriter(out)
+	w.Raw(`{"statements":`)
+	w.Marshal(p.Statements)
+	if p.Base != nil {
+		w.Raw(`,"base":`)
+		w.Marshal(p.Base)
+	}
+	if len(p.Candidates) > 0 {
+		w.Raw(`,"candidates":`)
+		w.Marshal(p.Candidates)
+	}
+	if len(p.Gains) > 0 {
+		w.Raw(`,"gains":`)
+		w.Marshal(p.Gains)
+	}
+	if len(p.StatBatches) > 0 {
+		w.Raw(`,"statBatches":`)
+		w.Marshal(p.StatBatches)
+	}
+	w.Raw(`,"costCache":`)
+	p.Cache.writeCanonical(w)
+	if p.Skeletons != nil {
+		w.Raw(`,"skeletons":`)
+		p.Skeletons.WriteCanonical(w)
+	}
+	w.Raw(`,"knobs":`)
+	w.Marshal(p.Knobs)
+	intField(w, `,"statsCreated":`, int64(p.StatsCreated))
+	intField(w, `,"templatesTuned":`, int64(p.TemplatesTuned))
+	if p.Compressed {
+		w.Raw(`,"compressed":true`)
+	}
+	intField(w, `,"ingestedEvents":`, p.IngestedEvents)
+	intField(w, `,"ingestedBytes":`, p.IngestedBytes)
+	if fingerprint != "" {
+		w.Raw(`,"fingerprint":`)
+		w.String(fingerprint)
+	}
+	w.Raw("}")
+	return w.Flush()
+}
+
+// intField writes an omitempty integer field: name, then n, unless n is 0.
+func intField(w *canonjson.Writer, name string, n int64) {
+	if n != 0 {
+		w.Raw(name)
+		w.Int(n)
+	}
+}
+
+// errNotCanonical stops UnmarshalJSON's canonical check at the first
+// differing byte.
+var errNotCanonical = errors.New("core: not the canonical JSON")
+
+// matchWriter compares what is written to it against want, failing with
+// errNotCanonical at the first difference.
+type matchWriter struct{ want []byte }
+
+func (m *matchWriter) Write(b []byte) (int, error) {
+	if !bytes.HasPrefix(m.want, b) {
+		return 0, errNotCanonical
+	}
+	m.want = m.want[len(b):]
+	return len(b), nil
 }
 
 // UnmarshalJSON decodes a pool and records whether the bytes were the JSON
@@ -193,15 +273,19 @@ func (p *CostedPool) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, (*plain)(p)); err != nil {
 		return err
 	}
-	canon, err := json.Marshal((*plain)(p))
-	if err != nil {
-		return err
-	}
 	var compact bytes.Buffer
 	if err := json.Compact(&compact, data); err != nil {
 		return err
 	}
-	p.nonCanonical = !bytes.Equal(canon, compact.Bytes())
+	m := &matchWriter{want: compact.Bytes()}
+	switch err := p.WriteCanonical(m); {
+	case err == errNotCanonical:
+		p.nonCanonical = true
+	case err != nil:
+		return err
+	default:
+		p.nonCanonical = len(m.want) > 0
+	}
 	return nil
 }
 
@@ -264,7 +348,7 @@ func (st *costedState) seal(opts Options) *CostedPool {
 		CostingSection: CostingSection{Cache: st.ev.snapshotCache()(), Skeletons: st.ev.drv.Snapshot()},
 		Knobs:          opts.knobs(),
 		StatsCreated:   st.statsCreated,
-		TemplatesTuned: len(st.tuned.Templates()),
+		TemplatesTuned: st.templates,
 		Compressed:     st.compressed,
 	}
 	for _, e := range st.tuned.Events {
@@ -375,9 +459,21 @@ func Revise(ctx context.Context, t Tuner, pool *CostedPool, cons Constraints, op
 		return nil, err
 	}
 	if opts.PoolSink != nil && rec.StopReason == "" {
-		opts.PoolSink(st.seal(opts))
+		opts.PoolSink(st.reseal(pool, opts))
 	}
 	return rec, nil
+}
+
+// reseal is a finished revision's pool. A revision that completed no cost
+// evaluation and fetched no skeleton holds exactly its input pool's costing
+// state under the same knobs, so sealing it would reproduce the input byte
+// for byte: the input pool itself is returned, unsnapshotted and unhashed (a
+// sealed pool is immutable, so sharing it is safe). Anything new is sealed.
+func (st *costedState) reseal(pool *CostedPool, opts Options) *CostedPool {
+	if st.ev.added.Load() == 0 && st.ev.drv.Atoms() == 0 && opts.knobs() == pool.Knobs {
+		return pool
+	}
+	return st.seal(opts)
 }
 
 // warmState is a revision's warm start: the pool's costing-layer state over
@@ -389,7 +485,7 @@ func (pool *CostedPool) warmState(t Tuner, w *workload.Workload, base *catalog.C
 	return &costedState{
 		ev: ev, tuned: w, base: base,
 		cands: pool.Candidates, gains: pool.Gains, statBatches: pool.StatBatches,
-		statsCreated: pool.StatsCreated, compressed: pool.Compressed,
+		statsCreated: pool.StatsCreated, templates: pool.TemplatesTuned, compressed: pool.Compressed,
 		ingestEvents: pool.IngestedEvents, ingestBytes: pool.IngestedBytes,
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/datagen/cust"
 	"repro/internal/datagen/psoft"
 	"repro/internal/datagen/setquery"
 	"repro/internal/datagen/tpch"
@@ -29,7 +30,8 @@ func testTracker() *tracker {
 
 // toyBackend builds one of the demonstration databases at toy scale with
 // its constraint base configuration: SYNT1 (single table, SELECT-only),
-// TPC-H (joins, views) or PSOFT (DML beside reads).
+// TPC-H (joins, views), PSOFT (DML beside reads) or CUST1 (the §7.1
+// order-management mix, primary keys as its base).
 func toyBackend(tb testing.TB, name string) (*whatif.Server, *workload.Workload, *catalog.Configuration) {
 	tb.Helper()
 	var cat *catalog.Catalog
@@ -51,6 +53,14 @@ func toyBackend(tb testing.TB, name string) (*whatif.Server, *workload.Workload,
 		if err == nil {
 			w = psoft.Workload(cat, 300, 1)
 		}
+	case "cust":
+		sc := cust.Cust1(0.005)
+		if db, err = sc.Load(1); err != nil {
+			tb.Fatal(err)
+		}
+		s := whatif.NewServer(name, sc.Catalog, optimizer.DefaultHardware())
+		s.AttachData(db)
+		return s, sc.Workload(200, 1), sc.ConstraintConfig()
 	}
 	if err != nil {
 		tb.Fatal(err)
@@ -397,18 +407,27 @@ func TestWarmStartResealsIdentically(t *testing.T) {
 	}
 }
 
-// BenchmarkSeal times the persisted cost-cache format end to end over a toy
-// PSOFT pool: per iteration, a revision's warm start (intern the tables once,
+// BenchmarkSeal times the persisted costing section end to end over a toy
+// pool: per iteration, a revision's warm start (intern the tables once,
 // remap every entry), a seal (canonical renumbering, the skeleton snapshot,
-// the fingerprint) and Check. Run with -benchmem.
+// the fingerprint) and Check. The PSOFT pool splits its bytes between the
+// cost cache and the skeletons; the TPC-H pool's are mostly join skeletons,
+// as a tpch-fleet pool's are. Run with -benchmem.
 func BenchmarkSeal(b *testing.B) {
-	srv, w, pool, opts := sealedToy(b, "psoft", FeatureAll)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sealed := pool.warmState(srv, w, pool.Base, opts.Derive, testTracker()).seal(opts)
-		if err := sealed.Check(); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		f    FeatureMask
+	}{{"psoft", FeatureAll}, {"tpch", FeatureAll}} {
+		b.Run(c.name, func(b *testing.B) {
+			srv, w, pool, opts := sealedToy(b, c.name, c.f)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sealed := pool.warmState(srv, w, pool.Base, opts.Derive, testTracker()).seal(opts)
+				if err := sealed.Check(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

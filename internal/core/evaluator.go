@@ -69,6 +69,11 @@ type evaluator struct {
 	// a cache-miss leader increments it, so it also stays exact under
 	// parallelism.
 	calls atomic.Int64
+	// added counts the entries this evaluator's own evaluations completed —
+	// successful misses, not the ones warmStart loaded: with the engine's
+	// fetched facts (Atoms) it tells whether a revision recorded anything
+	// its pool does not already hold.
+	added atomic.Int64
 
 	// drv is the session's cost-derivation engine, present iff the backend
 	// returns plan skeletons (AlternativesTuner): cache-miss leaders resolve
@@ -656,6 +661,7 @@ func (ev *evaluator) miss(i int, c *config, h uint64, ce *cacheEntry, span conte
 	}
 	ce.cost, ce.used = res.Cost, res.Used
 	close(ce.ready)
+	ev.added.Add(1)
 	return ce.cost, ce.used, nil
 }
 

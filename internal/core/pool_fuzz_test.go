@@ -192,7 +192,8 @@ func warmStartPool(srv Tuner, p *CostedPool) {
 // FuzzCostedPool feeds arbitrary bytes through what loading a pool file or a
 // session checkpoint does — json.Unmarshal, Check, and the warm start (a
 // revision's; a resume's at both of its restore points) — none of which may
-// panic. Both decoders share the costing section, so they share one corpus:
+// panic; every decoded pool's canonical writer must also emit exactly
+// json.Marshal's bytes for it, or fail as json.Marshal does. Both decoders share the costing section, so they share one corpus:
 // a toy pool, its malformed variants, a toy PSOFT pool carrying DML
 // maintenance skeletons, a toy checkpoint with skeletons, its malformed
 // variants, and a checkpoint written before checkpoints held skeletons.
@@ -213,6 +214,7 @@ func FuzzCostedPool(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p CostedPool
 		if json.Unmarshal(data, &p) == nil {
+			checkCanonical(t, &p)
 			_ = p.Check()
 			warmStartPool(srv, &p)
 		}

@@ -73,6 +73,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/canonjson"
 	"repro/internal/catalog"
 	"repro/internal/obs"
 	"repro/internal/optimizer"
@@ -418,6 +419,60 @@ type Snapshot struct {
 	Structs []Keyed `json:"structs,omitempty"`
 	// Facts holds the current-epoch facts, sorted by (event, base, node).
 	Facts []FactRecord `json:"facts,omitempty"`
+}
+
+// WriteCanonical writes the snapshot's JSON to w: the bytes json.Marshal
+// produces for it, or its error. The fact records are written by hand, each
+// skeleton as its memoized Alternatives.CanonicalJSON, so a skeleton shared
+// by many sealed pools — a revision's and its parent's, or sessions served
+// from one plan cache — is rendered once.
+func (s *Snapshot) WriteCanonical(w *canonjson.Writer) {
+	w.Raw(`{"mode":`)
+	w.String(string(s.Mode))
+	if len(s.Structs) > 0 {
+		w.Raw(`,"structs":`)
+		w.Marshal(s.Structs)
+	}
+	if len(s.Facts) > 0 {
+		w.Raw(`,"facts":[`)
+		for i := range s.Facts {
+			if i > 0 {
+				w.Raw(",")
+			}
+			s.Facts[i].writeCanonical(w)
+		}
+		w.Raw("]")
+	}
+	w.Raw("}")
+}
+
+// writeCanonical writes the record as json.Marshal does.
+func (r *FactRecord) writeCanonical(w *canonjson.Writer) {
+	w.Raw(`{"event":`)
+	w.Int(int64(r.Event))
+	if len(r.Base) > 0 {
+		w.Raw(`,"base":`)
+		w.Int32s(r.Base)
+	}
+	if len(r.Node) > 0 {
+		w.Raw(`,"node":`)
+		w.Int32s(r.Node)
+	}
+	w.Raw(`,"cost":`)
+	w.Float(r.Cost)
+	if len(r.Used) > 0 {
+		w.Raw(`,"used":`)
+		w.Strings(r.Used)
+	}
+	if r.Alts != nil {
+		w.Raw(`,"alts":`)
+		if b, err := r.Alts.CanonicalJSON(); err != nil {
+			w.Fail(err)
+		} else {
+			w.Bytes(b)
+		}
+	}
+	w.Raw("}")
 }
 
 // Snapshot captures the engine's current-epoch state for persistence. Facts

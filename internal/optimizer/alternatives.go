@@ -1,6 +1,9 @@
 package optimizer
 
 import (
+	"encoding/json"
+	"sync"
+
 	"repro/internal/catalog"
 	"repro/internal/sqlparser"
 )
@@ -70,6 +73,24 @@ type Alternatives struct {
 	// Maint is the DML maintenance skeleton (nil for SELECTs, and then
 	// omitted from JSON, so persisted SELECT skeletons keep their bytes).
 	Maint *Maintenance `json:",omitempty"`
+
+	// canon memoizes CanonicalJSON, rendered once by its first caller.
+	canonOnce sync.Once
+	canon     []byte
+	canonErr  error
+}
+
+// CanonicalJSON returns the skeleton's JSON — exactly the bytes json.Marshal
+// produces for it, or its error — rendered once, on first use, and shared by
+// every later caller. A skeleton is immutable once published (a plan cache
+// hands one to many sessions, a revision keeps its pool's), so every sealed
+// pool holding it writes these bytes instead of reflecting over it again.
+// It is deliberately not a MarshalJSON method: encoding/json re-validates a
+// Marshaler's output byte by byte, which costs about what it saves. The
+// returned slice must not be modified.
+func (a *Alternatives) CanonicalJSON() ([]byte, error) {
+	a.canonOnce.Do(func() { a.canon, a.canonErr = json.Marshal(a) })
+	return a.canon, a.canonErr
 }
 
 // OptimizeAlternatives is Optimize plus the plan skeleton: flat components for

@@ -1,12 +1,15 @@
 package optimizer
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/catalog"
@@ -614,6 +617,49 @@ func TestViewsMatchedOncePerOptimization(t *testing.T) {
 		for _, alts := range []bool{false, true} {
 			if got := lookups(withViews, alts) - lookups(catalog.NewConfiguration(), alts); got != len(tc.views) {
 				t.Errorf("%q (alternatives %v): %d views cost %d extra t.x histogram lookups, want one per view", tc.sql, alts, len(tc.views), got)
+			}
+		}
+	}
+}
+
+// TestCanonicalJSONIsMemoizedMarshal: a skeleton's CanonicalJSON is exactly
+// json.Marshal's rendering of it — single-scope, join and DML shapes alike —
+// rendered once and shared by every caller, however many ask at once (a plan
+// cache hands one skeleton to many sealing sessions). Run under -race.
+func TestCanonicalJSONIsMemoizedMarshal(t *testing.T) {
+	cat := testCatalog()
+	o := newOpt(cat)
+	full := applySubset(catalog.NewConfiguration(), joinFixture(), (1<<len(joinFixture()))-1)
+	for _, q := range []string{
+		"SELECT id FROM t WHERE x = 42",
+		"SELECT d.name FROM t, d WHERE t.d_id = d.d_id AND t.x = 17",
+		"UPDATE t SET amt = 1 WHERE x = 7",
+	} {
+		_, alts, err := o.OptimizeAlternatives(sqlparser.MustParse(q), full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(alts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const callers = 8
+		got := make([][]byte, callers)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], _ = alts.CanonicalJSON()
+			}()
+		}
+		wg.Wait()
+		for i, b := range got {
+			if !bytes.Equal(b, want) {
+				t.Fatalf("%q: caller %d got %s, want %s", q, i, b, want)
+			}
+			if &b[0] != &got[0][0] {
+				t.Fatalf("%q: caller %d got its own rendering", q, i)
 			}
 		}
 	}

@@ -144,8 +144,10 @@ type Daemon struct {
 	score     float64
 	// pool is the costed pool retained from the last re-tune; poolDist the
 	// template distribution of its statements, for the coverage check.
+	// poolFile is the fingerprint of the pool file on disk ("" for none).
 	pool     *core.CostedPool
 	poolDist drift.Distribution
+	poolFile string
 	// accepted is the pinned partial configuration built from accept
 	// feedback (paper §6.2 user-specified configuration); vetoed the
 	// structure keys excluded from enumeration.
@@ -572,10 +574,15 @@ func (m *Manager) retuneLocked(ctx context.Context, d *Daemon, b *Backend, trigg
 		}
 		return nil, path, fmt.Errorf("%w: %s (%s/%s): %w", errRetune, d.id, trigger, path, err)
 	}
-	if pool != nil {
+	// A revision that added nothing hands back the retained pool itself, and
+	// a fresh pass can reseal one with the pool file's fingerprint: neither
+	// is re-parsed nor rewritten.
+	if pool != nil && pool != d.pool {
 		d.pool = pool
 		d.poolDist = statementDistribution(pool.Statements)
-		m.writeStateFile(d.id, poolSuffix, pool)
+	}
+	if pool != nil && pool.Fingerprint != d.poolFile && m.writeStateFile(d.id, poolSuffix, pool) {
+		d.poolFile = pool.Fingerprint
 	}
 
 	// Diff the new proposal against the previous one. Pinned (accepted)

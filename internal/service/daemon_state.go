@@ -112,16 +112,9 @@ func (m *Manager) resumeDaemon(st *daemonState) (*Daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts, err := st.Options.toCore()
+	opts, comp, err := st.prepare()
 	if err != nil {
 		return nil, err
-	}
-	var comp *workload.Compressor
-	if st.Comp != nil {
-		comp, err = workload.RestoreCompressor(st.Comp)
-		if err != nil {
-			return nil, fmt.Errorf("compressor snapshot: %w", err)
-		}
 	}
 	threshold := st.Threshold
 	if threshold <= 0 {
@@ -154,10 +147,28 @@ func (m *Manager) resumeDaemon(st *daemonState) (*Daemon, error) {
 		if pool := m.readPool(d.id, st.PoolFingerprint); pool != nil {
 			d.pool = pool
 			d.poolDist = statementDistribution(pool.Statements)
+			d.poolFile = pool.Fingerprint
 		}
 	}
 	d.mu.Unlock()
 	return d, nil
+}
+
+// prepare is the validation a persisted daemon passes before it resumes:
+// its options must map onto core options and its compressor snapshot, if
+// any, must restore.
+func (st *daemonState) prepare() (core.Options, *workload.Compressor, error) {
+	opts, err := st.Options.toCore()
+	if err != nil {
+		return core.Options{}, nil, err
+	}
+	var comp *workload.Compressor
+	if st.Comp != nil {
+		if comp, err = workload.RestoreCompressor(st.Comp); err != nil {
+			return core.Options{}, nil, fmt.Errorf("compressor snapshot: %w", err)
+		}
+	}
+	return opts, comp, nil
 }
 
 // readPool loads a daemon's retained pool file, validating it against the

@@ -668,3 +668,52 @@ func TestDaemonEmptyTrace(t *testing.T) {
 		t.Fatalf("empty later chunk = %+v, want score-0 no-op epoch", res)
 	}
 }
+
+// TestDaemonKeepsUnchangedPoolFile: a revise-path re-tune that costs
+// nothing new hands the daemon back the pool it already retains, so the pool
+// file on disk is neither rewritten nor replaced; a re-tune that does cost
+// something new replaces it.
+func TestDaemonKeepsUnchangedPoolFile(t *testing.T) {
+	dir := t.TempDir()
+	m := newDaemonManager(t)
+	if err := m.SetStateDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	d, err := m.CreateDaemon(service.DaemonRequest{Database: "db", Options: daemonOpts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, d.ID()+".pool.json")
+	stat := func() os.FileInfo {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi
+	}
+	ingest(t, m, d.ID(), chunkBase(400, 0))
+	prev, fp := stat(), d.Snapshot().PoolFingerprint
+	kept, replaced := 0, 0
+	// Reweight, back, and reweight again: the first revision costs the
+	// reweighted search, the later ones find every cost in the pool.
+	for i, c := range []string{chunkReweight(400, 400), chunkBase(2000, 800), chunkReweight(4000, 2800)} {
+		res := ingest(t, m, d.ID(), c)
+		if !res.Retuned || res.Path != service.PathRevise {
+			t.Fatalf("epoch %d: retuned %v path %q, want a revise re-tune", i, res.Retuned, res.Path)
+		}
+		cur, curFP := stat(), d.Snapshot().PoolFingerprint
+		switch same := os.SameFile(prev, cur) && cur.ModTime().Equal(prev.ModTime()); {
+		case curFP == fp && same:
+			kept++
+		case curFP != fp && !same:
+			replaced++
+		default:
+			t.Fatalf("epoch %d: pool %s → %s, file kept: %v", i, fp, curFP, same)
+		}
+		prev, fp = cur, curFP
+	}
+	if kept == 0 || replaced == 0 {
+		t.Fatalf("%d epochs kept the pool file and %d replaced it; want both", kept, replaced)
+	}
+}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -81,23 +82,46 @@ func (m *Manager) statePath(id, suffix string) string {
 
 // writeStateFile persists v as id's state file of the given kind,
 // atomically (temp file + rename): a crash mid-write leaves the previous
-// version intact rather than a truncated file. Failures are logged, never
-// fatal — persistence is best-effort beside the live object.
-func (m *Manager) writeStateFile(id, suffix string, v any) {
+// version intact rather than a truncated file. A costed pool is streamed
+// through its canonical writer — the bytes its fingerprint hashes — and
+// anything else is json.Marshal'd. It reports whether the file was written;
+// failures are logged, never fatal — persistence is best-effort beside the
+// live object.
+func (m *Manager) writeStateFile(id, suffix string, v any) bool {
 	path := m.statePath(id, suffix)
 	if path == "" {
-		return
+		return false
 	}
-	data, err := json.Marshal(v)
+	tmp := path + ".tmp"
+	err := writeFile(tmp, v)
 	if err == nil {
-		tmp := path + ".tmp"
-		if err = os.WriteFile(tmp, data, 0o644); err == nil {
-			err = os.Rename(tmp, path)
-		}
+		err = os.Rename(tmp, path)
 	}
 	if err != nil {
+		// A half-streamed temp file is only litter (scans skip "*.tmp"), so
+		// failing to remove it changes nothing.
+		_ = os.Remove(tmp)
 		m.log.Warn("state file write", "file", id+suffix, "err", err)
+		return false
 	}
+	return true
+}
+
+// writeFile writes v's JSON to the file at path.
+func writeFile(path string, v any) error {
+	if p, ok := v.(*core.CostedPool); ok {
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+		if err != nil {
+			return err
+		}
+		err = p.WriteCanonical(f)
+		return cmp.Or(err, f.Close())
+	}
+	data, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, data, 0o644)
 }
 
 // removeStateFile deletes id's state file of the given kind. A session's
@@ -164,17 +188,14 @@ func (m *Manager) ResumeSessions() ([]*Session, error) {
 		if _, live := m.Get(st.ID); live {
 			return nil
 		}
-		req, err := st.toRequest()
+		req, refused, err := st.prepare()
 		if err != nil {
 			return err
 		}
-		if st.Checkpoint != nil {
-			if err := st.Checkpoint.Check(); err != nil {
-				// Written by an older binary (or damaged): the session still
-				// resumes, cold, and reaches the same recommendation.
-				m.log.Warn("checkpoint refused", "session", st.ID, "err", err)
-				st.Checkpoint = nil
-			}
+		if refused != nil {
+			// Written by an older binary (or damaged): the session still
+			// resumes, cold, and reaches the same recommendation.
+			m.log.Warn("checkpoint refused", "session", st.ID, "err", refused)
 		}
 		s, err := m.create(req, st.ID, st.Checkpoint)
 		if err != nil {
@@ -190,6 +211,21 @@ func (m *Manager) ResumeSessions() ([]*Session, error) {
 		return nil
 	})
 	return resumed, err
+}
+
+// prepare is the validation a persisted session passes before it resumes:
+// its request must rebuild, and a checkpoint that fails Checkpoint.Check is
+// dropped (refused says why), so the session resumes cold.
+func (st *sessionState) prepare() (req Request, refused error, err error) {
+	if req, err = st.toRequest(); err != nil {
+		return Request{}, nil, err
+	}
+	if st.Checkpoint != nil {
+		if refused = st.Checkpoint.Check(); refused != nil {
+			st.Checkpoint = nil
+		}
+	}
+	return req, refused, nil
 }
 
 // toRequest rebuilds the service request a persisted session was created

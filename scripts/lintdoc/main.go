@@ -17,7 +17,8 @@
 // With no arguments it audits defaultPackages: internal/core,
 // internal/whatif, internal/service, internal/obs, internal/fault,
 // internal/derive, internal/journal, internal/optimizer, internal/catalog,
-// internal/stats, internal/testsrv, internal/workload and internal/drift.
+// internal/stats, internal/testsrv, internal/workload, internal/drift and
+// internal/canonjson.
 // Test files are skipped. The metrics cross-check always scans all of internal/ and cmd/;
 // -metrics-doc "" disables it (for trimmed checkouts without docs/).
 package main
@@ -49,6 +50,7 @@ var defaultPackages = []string{
 	"internal/testsrv",
 	"internal/workload",
 	"internal/drift",
+	"internal/canonjson",
 }
 
 func main() {
