@@ -124,8 +124,6 @@ type Options struct {
 	ColGroupFrac float64
 	// NoColGroupRestriction disables the restriction (ITW-style search).
 	NoColGroupRestriction bool
-	// MaxKeyColumns caps index key width (default 3).
-	MaxKeyColumns int
 
 	// GreedyM and GreedyK parameterize the enumeration step's Greedy(m,k)
 	// (paper §2.2): the seed is chosen optimally among subsets of size ≤ m,
@@ -270,9 +268,6 @@ func (o Options) features() FeatureMask {
 func (o Options) withDefaults() Options {
 	if o.ColGroupFrac <= 0 {
 		o.ColGroupFrac = 0.02
-	}
-	if o.MaxKeyColumns <= 0 {
-		o.MaxKeyColumns = 3
 	}
 	if o.GreedyM <= 0 {
 		o.GreedyM = 1
@@ -494,8 +489,9 @@ func buildCostedState(ctx context.Context, t Tuner, w *workload.Workload, opts O
 		if err := opts.Resume.Check(); err != nil {
 			return nil, nil, err
 		}
-		// The skeletons wait for the statistics pass (see warmStart).
-		ev.warmStart(CostingSection{Cache: opts.Resume.Cache})
+		if opts.Resume.early() {
+			ev.warmStart(opts.Resume.CostingSection) // see warmStart
+		}
 	}
 	tr.setPhase(PhaseBaseline)
 	baseCost, err := ev.configCost(base)
@@ -569,10 +565,11 @@ func runSearch(t Tuner, st *costedState, rec *Recommendation, cons Constraints, 
 	ev, tr := st.ev, st.ev.tr
 	ev.applySliceWeights(cons.SliceWeights)
 
-	// Baseline under the effective weights. Every per-event cost is already
-	// cached, so this is a pure re-fold: without slice weights it
-	// reproduces the costing layer's baseline bit-for-bit, and a revision
-	// recomputes its own baseline without optimizer calls.
+	// Baseline under the effective weights. In a fresh run that created
+	// statistics this is where the baseline is costed under them (the epoch
+	// bump emptied the cost cache; events without candidates fetch their
+	// skeleton afresh). A revision's is a pure re-fold of cached costs,
+	// without optimizer calls.
 	baseCost, err := ev.configCost(st.base)
 	if err != nil {
 		if stopping(err) {
@@ -710,11 +707,15 @@ func finishRecommendation(t Tuner, ev *evaluator, rec *Recommendation, base, fin
 		if ev.analyzed(i) == nil {
 			continue // skipped statement: no report
 		}
-		before, _, err := ev.cost(i, cbase)
+		before, err := ev.eval(i, cbase, nil)
 		if err != nil {
 			return nil, err
 		}
-		after, used, err := ev.cost(i, cfinal)
+		after, err := ev.eval(i, cfinal, nil)
+		if err != nil {
+			return nil, err
+		}
+		used, err := ev.used(i, cfinal)
 		if err != nil {
 			return nil, err
 		}

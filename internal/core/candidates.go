@@ -105,14 +105,15 @@ func selectCandidates(t Tuner, ev *evaluator, w *workload.Workload, base *catalo
 		statsCreated += created
 	}
 	pools = pools[:n]
-	if statsCreated > 0 {
-		// New statistics change optimizer estimates; skeletons fetched
-		// before them no longer predict fresh calls.
-		ev.bumpDeriveEpoch()
-	}
-	if opts.Resume != nil {
-		// A resumed session's skeleton restore point (see warmStart).
-		ev.warmStart(CostingSection{Skeletons: opts.Resume.Skeletons})
+	// New statistics change optimizer estimates: skeletons fetched and costs
+	// computed before the pass are not comparable with costs after it. The
+	// epoch starts afresh even when the pass created nothing (the backend
+	// already held every statistic), so the calls a session issues do not
+	// depend on which statistics its backend held beforehand.
+	ev.bumpEpoch()
+	if opts.Resume != nil && !opts.Resume.early() {
+		// A resumed session's restore point (see warmStart).
+		ev.warmStart(opts.Resume.CostingSection)
 	}
 	ev.setQueryPools(additive[:n])
 
@@ -209,7 +210,7 @@ func selectQuery(ev *evaluator, e *workload.Event, i int, base *catalog.Configur
 	if ev.tr.journaling() {
 		o.log = &sel.journal
 	}
-	baseCost, _, err := ev.eval(i, ev.config(base), ctx)
+	baseCost, err := ev.eval(i, ev.config(base), ctx)
 	if err != nil {
 		sel.err = err
 		return sel
@@ -258,7 +259,7 @@ func selectQuery(ev *evaluator, e *workload.Event, i int, base *catalog.Configur
 	for _, s := range chosen {
 		s.ApplyTo(bestCfg)
 	}
-	bestCost, _, err := ev.eval(i, ev.config(bestCfg), ctx)
+	bestCost, err := ev.eval(i, ev.config(bestCfg), ctx)
 	if err != nil {
 		sel.err = err
 		return sel
@@ -369,6 +370,10 @@ func generateForQuery(cat *catalog.Catalog, q *optimizer.QueryInfo, groups *colu
 	return g.out
 }
 
+// maxKeyColumns caps a generated index's key width: the column-group
+// restriction grows groups up to it, and merging allows two columns more.
+const maxKeyColumns = 3
+
 type generator struct {
 	cat    *catalog.Catalog
 	q      *optimizer.QueryInfo
@@ -387,7 +392,7 @@ func (g *generator) add(s catalog.Structure) {
 }
 
 func (g *generator) addIndex(table string, keys []string, include []string, clustered bool) {
-	if len(keys) == 0 || len(keys) > g.opts.MaxKeyColumns {
+	if len(keys) == 0 || len(keys) > maxKeyColumns {
 		return
 	}
 	if !g.groups.interesting(table, keys...) {
@@ -422,10 +427,10 @@ func (g *generator) indexCandidates(sc *optimizer.Scope, eqCols, rangeCols, join
 
 	// Equality chain (most selective first), optionally closed by a range.
 	if len(eqCols) > 0 {
-		key := capCols(eqCols, g.opts.MaxKeyColumns)
+		key := capCols(eqCols, maxKeyColumns)
 		g.addIndex(table, key, nil, false)
 		g.addIndex(table, key, required, false)
-		if len(rangeCols) > 0 && len(key) < g.opts.MaxKeyColumns {
+		if len(rangeCols) > 0 && len(key) < maxKeyColumns {
 			withRange := append(append([]string(nil), key...), rangeCols[0])
 			g.addIndex(table, withRange, nil, false)
 			g.addIndex(table, withRange, required, false)
@@ -445,19 +450,19 @@ func (g *generator) indexCandidates(sc *optimizer.Scope, eqCols, rangeCols, join
 	// Grouping: an index ordered on the grouping columns enables stream
 	// aggregation; covering it makes it self-sufficient.
 	if len(groupCols) > 0 {
-		g.addIndex(table, capCols(groupCols, g.opts.MaxKeyColumns), nil, false)
-		g.addIndex(table, capCols(groupCols, g.opts.MaxKeyColumns), required, false)
+		g.addIndex(table, capCols(groupCols, maxKeyColumns), nil, false)
+		g.addIndex(table, capCols(groupCols, maxKeyColumns), required, false)
 		g.addIndex(table, groupCols[:1], nil, true) // clustered on the leading group column
 		// Range + grouping covering index (Example 1's (X, A) index).
 		if len(rangeCols) > 0 {
-			key := append([]string{rangeCols[0]}, capCols(groupCols, g.opts.MaxKeyColumns-1)...)
+			key := append([]string{rangeCols[0]}, capCols(groupCols, maxKeyColumns-1)...)
 			g.addIndex(table, key, required, false)
 		}
 	}
 	// Ordering.
 	if len(orderCols) > 0 {
-		g.addIndex(table, capCols(orderCols, g.opts.MaxKeyColumns), nil, false)
-		g.addIndex(table, capCols(orderCols, g.opts.MaxKeyColumns), required, false)
+		g.addIndex(table, capCols(orderCols, maxKeyColumns), nil, false)
+		g.addIndex(table, capCols(orderCols, maxKeyColumns), required, false)
 		g.addIndex(table, orderCols[:1], nil, true)
 	}
 	// Equality clustering (cheap, non-redundant).

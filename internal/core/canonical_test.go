@@ -94,7 +94,9 @@ func TestWriteCanonicalMatchesMarshal(t *testing.T) {
 			checkCanonical(t, &bare)
 			full := decoded
 			full.Compressed, full.StatsCreated, full.IngestedEvents, full.IngestedBytes = true, 3, 1<<40, -5
-			full.Skeletons = &derive.Snapshot{Mode: "<&>", Facts: []derive.FactRecord{{Event: 2, Cost: 1e-9, Used: []string{" \xff"}}}}
+			full.Skeletons = &derive.Snapshot{Structs: []derive.Keyed{{Key: "<&> \xff"}}, Facts: []derive.FactRecord{{Event: 2, Base: []int32{0}, Node: []int32{0}}}}
+			checkCanonical(t, &full)
+			full.Skeletons = &derive.Snapshot{}
 			checkCanonical(t, &full)
 
 			// NaN fails both ways, in a cost-cache entry and inside a skeleton
@@ -104,7 +106,7 @@ func TestWriteCanonicalMatchesMarshal(t *testing.T) {
 			nan.Cache.Entries[0].Cost = math.NaN()
 			checkCanonical(t, &nan)
 			inf := decoded
-			inf.Skeletons = &derive.Snapshot{Mode: derive.On, Facts: []derive.FactRecord{{Alts: &optimizer.Alternatives{
+			inf.Skeletons = &derive.Snapshot{Facts: []derive.FactRecord{{Alts: &optimizer.Alternatives{
 				Components: []optimizer.AltComponent{{Pre: math.Inf(-1)}}}}}}
 			checkCanonical(t, &inf)
 		})

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -11,11 +12,15 @@ import (
 	"repro/internal/derive"
 )
 
-// CostCacheFormat is the version of the persisted cost-cache layout. Format 1
+// CostCacheFormat is the version of the persisted costing layout. Format 1
 // was the unversioned string-keyed form (one rendered key per entry, under
-// the JSON key "cache"); it decodes to an empty section with format 0 and is
-// refused, never misread.
-const CostCacheFormat = 2
+// the JSON key "cache"); it decodes to an empty section with format 0. Format
+// 2 also stored each entry's used structures, each skeleton fact's cost and
+// used structures, the skeleton section's derive mode and the pools'
+// maxKeyColumns knob; format 3 drops them all (the per-query report replays
+// used structures from the facts). An older section is refused, never
+// misread.
+const CostCacheFormat = 3
 
 // CostCache is the persisted form of the evaluator's cost cache, shared by
 // checkpoints and sealed pools. Structs spells every structure key the
@@ -33,15 +38,13 @@ type CostCache struct {
 	Entries []CostEntry `json:"entries,omitempty"`
 }
 
-// CostEntry is one cost-cache entry: the optimizer's answer (cost and used
-// structures) for event Event under the configuration whose structures
-// relevant to the event are IDs. IDs are ascending positions in the
-// section's Structs; Used keeps the plan's own order.
+// CostEntry is one cost-cache entry: the optimizer-estimated cost of event
+// Event under the configuration whose structures relevant to the event are
+// IDs, ascending positions in the section's Structs.
 type CostEntry struct {
 	Event int     `json:"e"`
 	IDs   []int32 `json:"k,omitempty"`
 	Cost  float64 `json:"c"`
-	Used  []int32 `json:"u,omitempty"`
 }
 
 // check validates the section's shape: the format, a strictly ascending key
@@ -60,7 +63,7 @@ func (c *CostCache) check(events int) error {
 		switch {
 		case e.Event < 0 || (events >= 0 && e.Event >= events):
 			return fmt.Errorf("cost-cache entry %d: event %d out of range", i, e.Event)
-		case !c.inTable(e.IDs) || !c.inTable(e.Used):
+		case !c.inTable(e.IDs):
 			return fmt.Errorf("cost-cache entry %d: structure ID out of range", i)
 		case !ascending(e.IDs):
 			return fmt.Errorf("cost-cache entry %d: IDs not strictly ascending", i)
@@ -95,10 +98,6 @@ func (c *CostCache) writeCanonical(w *canonjson.Writer) {
 			}
 			w.Raw(`,"c":`)
 			w.Float(e.Cost)
-			if len(e.Used) > 0 {
-				w.Raw(`,"u":`)
-				w.Int32s(e.Used)
-			}
 			w.Raw("}")
 		}
 		w.Raw("]")
@@ -154,6 +153,12 @@ type Checkpoint struct {
 // Resume checkpoint that fails it.
 func (ck *Checkpoint) Check() error { return ck.check("checkpoint", -1) }
 
+// early reports whether the checkpoint was captured before candidate
+// selection, whose statistics pass may bump the epoch: a resumed session
+// loads it at start, and any later one right after that pass (see
+// warmStart).
+func (ck *Checkpoint) early() bool { return ck.Phase == PhaseBaseline || ck.Phase == PhaseColGroups }
+
 // checkpointer drives periodic snapshots: every Options.CheckpointEvery
 // what-if calls, the worker counting the boundary call captures the
 // session's state under mu, then copies it into a Checkpoint for the sink
@@ -183,11 +188,7 @@ func (c *checkpointer) count(calls *atomic.Int64) int64 {
 	var build func() *Checkpoint
 	if n%c.every == 0 && c.busy.CompareAndSwap(false, true) {
 		ck := &Checkpoint{Phase: c.tr.phase, EventsTuned: c.tr.eventsTuned, WhatIfCalls: n}
-		drv := c.ev.drv
-		if ck.Phase == PhaseBaseline || ck.Phase == PhaseColGroups {
-			drv = nil // no skeleton section yet: see warmStart
-		}
-		cache, skeletons := c.ev.snapshotCache(), drv.Capture()
+		cache, skeletons := c.ev.snapshotCache(), c.ev.drv.Capture()
 		build = func() *Checkpoint { ck.Cache, ck.Skeletons = cache(), skeletons(); return ck }
 	}
 	c.mu.Unlock()
@@ -201,7 +202,7 @@ func (c *checkpointer) count(calls *atomic.Int64) int64 {
 // snapshotCache collects every completed, successful cache entry (immutable
 // once ready) and returns the function that copies them into the persisted
 // form, which may run while workers evaluate on. The copy touches only the
-// table's distinct keys, sorted once, and each entry's used keys. In-flight
+// table's distinct keys, sorted once. In-flight
 // entries are skipped — their leaders will finish after the crash the
 // checkpoint guards against, and a resumed run recomputes them.
 func (ev *evaluator) snapshotCache() func() CostCache {
@@ -232,34 +233,23 @@ func (ev *evaluator) snapshotCache() func() CostCache {
 		// collected entry's IDs were interned before the entry was published, so
 		// they are all below Len now, even while workers intern more.
 		keys := make([]string, ev.in.Len()) // interned ID → key, for the IDs entries name
-		pos := map[string]int32{}           // table key → position (filled once sorted)
-		nIDs, nUsed := 0, 0
+		var named []int32                   // the IDs entries name
+		nIDs := 0
 		for _, h := range entries {
 			nIDs += len(h.ce.ids)
-			nUsed += len(h.ce.used)
 			for _, id := range h.ce.ids {
 				if keys[id] == "" {
 					keys[id] = ev.in.Key(id)
-					pos[keys[id]] = 0
+					named = append(named, id)
 				}
 			}
-			for _, k := range h.ce.used {
-				pos[k] = 0
-			}
 		}
-		c := CostCache{Format: CostCacheFormat, Structs: make([]string, 0, len(pos))}
-		for k := range pos {
-			c.Structs = append(c.Structs, k)
-		}
-		slices.Sort(c.Structs)
-		for p, k := range c.Structs {
-			pos[k] = int32(p)
-		}
+		slices.SortFunc(named, func(a, b int32) int { return strings.Compare(keys[a], keys[b]) })
+		c := CostCache{Format: CostCacheFormat, Structs: make([]string, len(named))}
 		remap := make([]int32, len(keys))
-		for id, k := range keys {
-			if k != "" {
-				remap[id] = pos[k]
-			}
+		for p, id := range named {
+			c.Structs[p] = keys[id]
+			remap[id] = int32(p)
 		}
 
 		// Every entry's canonical IDs, ascending, in one backing array.
@@ -282,35 +272,27 @@ func (ev *evaluator) snapshotCache() func() CostCache {
 			slices.SortFunc(entries[lo:hi], func(a, b held) int { return slices.Compare(ids[a.lo:a.hi], ids[b.lo:b.hi]) })
 			lo = hi
 		}
-		used := make([]int32, 0, nUsed)
 		c.Entries = make([]CostEntry, len(entries))
 		for j, h := range entries {
-			start := len(used)
-			for _, k := range h.ce.used {
-				used = append(used, pos[k])
-			}
-			c.Entries[j] = CostEntry{Event: int(h.event), IDs: ids[h.lo:h.hi:h.hi], Cost: h.ce.cost, Used: used[start:len(used):len(used)]}
+			c.Entries[j] = CostEntry{Event: int(h.event), IDs: ids[h.lo:h.hi:h.hi], Cost: h.ce.cost}
 		}
 		return c
 	}
 }
 
 // warmStart loads a persisted costing section — the one warm start of
-// Revise and of resume: it restores the skeleton facts (at derive epoch 0,
-// replacing the engine's) and pre-populates the cost cache, interning each
-// persisted table once and ignoring entries that name no event of this
-// workload or a position outside their table. Called between parallel
-// sections. Facts hold only under the statistics they were fetched under:
-//   - Capture: a checkpoint carries skeletons only once its session's
-//     statistics pass is over; no what-if call is issued between the
-//     candidate-selection phase marker and that pass's epoch bump, so the
-//     phase tells. Before it every evaluation is of the base configuration
-//     and a fetch's top is the requested key, so the cache holds every answer.
-//   - Resume loads the cache at session start and the skeletons right after
-//     its own statistics pass's epoch bump, before the query pools are
-//     installed (selectCandidates). Restored at start, the bump would hide
-//     them; before it they would answer pre-statistics derivations.
-//   - Revise restores both at start: a search never creates statistics.
+// Revise and of resume: it restores the skeleton facts into the engine's
+// current epoch and pre-populates the cost cache, interning each persisted
+// table once and ignoring entries that name no event of this workload or a
+// position outside their table. Called between parallel sections, and only
+// under the statistics state the section was captured in:
+//   - Revise loads its pool at start: a search never creates statistics.
+//   - Resume loads its checkpoint at the one point its phase names (see
+//     Checkpoint.early): a baseline or column-groups checkpoint at session
+//     start, any later one right after candidate selection's statistics
+//     pass and its epoch bump. No what-if call is issued between that
+//     phase marker and the bump, so a later checkpoint holds only costs
+//     and facts of the final statistics.
 func (ev *evaluator) warmStart(s CostingSection) {
 	ev.drv.Restore(s.Skeletons)
 	c := s.Cache
@@ -320,17 +302,13 @@ func (ev *evaluator) warmStart(s CostingSection) {
 	}
 	var buf []int32
 	for _, e := range c.Entries {
-		if e.Event < 0 || e.Event >= len(ev.tables) || !c.inTable(e.Used) {
+		if e.Event < 0 || e.Event >= len(ev.tables) {
 			continue
 		}
 		var ok bool
 		if buf, ok = derive.Remap(buf[:0], e.IDs, ids); !ok {
 			continue
 		}
-		var used []string
-		for _, p := range e.Used {
-			used = append(used, c.Structs[p])
-		}
-		ev.tables[e.Event].claim(hashIDs(buf), buf, &cacheEntry{ready: closedReady, cost: e.Cost, used: used})
+		ev.tables[e.Event].claim(hashIDs(buf), buf, &cacheEntry{ready: closedReady, cost: e.Cost})
 	}
 }

@@ -53,7 +53,7 @@ func interestingColumnGroups(t Tuner, ev *evaluator, w *workload.Workload, opts 
 		if q == nil {
 			continue
 		}
-		c, _, err := ev.cost(i, cbase)
+		c, err := ev.eval(i, cbase, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -84,10 +84,10 @@ func interestingColumnGroups(t Tuner, ev *evaluator, w *workload.Workload, opts 
 		}
 	}
 
-	// Levels 2..MaxKeyColumns, bottom-up: extend only groups whose members
+	// Levels 2..maxKeyColumns, bottom-up: extend only groups whose members
 	// are all individually frequent (the apriori property), counting the
 	// co-occurrence cost.
-	for size := 2; size <= opts.MaxKeyColumns; size++ {
+	for size := 2; size <= maxKeyColumns; size++ {
 		costOf = map[string]float64{}
 		for _, o := range occs {
 			// Columns of this occurrence that are frequent singletons.

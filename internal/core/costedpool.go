@@ -59,8 +59,6 @@ type PoolKnobs struct {
 	GreedyM int `json:"greedyM,omitempty"`
 	// GreedyK bounds the enumeration configuration size.
 	GreedyK int `json:"greedyK,omitempty"`
-	// MaxKeyColumns caps index key width (merging reads it).
-	MaxKeyColumns int `json:"maxKeyColumns,omitempty"`
 	// NoMerging disables the merging step.
 	NoMerging bool `json:"noMerging,omitempty"`
 	// EagerAlignment materializes aligned variants up front (§4 ablation).
@@ -82,7 +80,6 @@ func (o Options) knobs() PoolKnobs {
 		Features:             o.features(),
 		GreedyM:              o.GreedyM,
 		GreedyK:              o.GreedyK,
-		MaxKeyColumns:        o.MaxKeyColumns,
 		NoMerging:            o.NoMerging,
 		EagerAlignment:       o.EagerAlignment,
 		AllowDrops:           o.AllowDrops,
@@ -96,7 +93,6 @@ func (k PoolKnobs) apply(o Options) Options {
 	o.Features = k.Features
 	o.GreedyM = k.GreedyM
 	o.GreedyK = k.GreedyK
-	o.MaxKeyColumns = k.MaxKeyColumns
 	o.NoMerging = k.NoMerging
 	o.EagerAlignment = k.EagerAlignment
 	o.AllowDrops = k.AllowDrops

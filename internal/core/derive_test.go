@@ -224,13 +224,24 @@ func TestDeriveMatchesRealCostsOnRandomConfigs(t *testing.T) {
 			}
 		}
 		for i := range w.Events {
-			cOn, uOn, err := evOn.cost(i, evOn.config(cfg))
+			// Costs through the search's path; used structures through the
+			// report's, which replays them from a covering fact.
+			con, coff := evOn.config(cfg), evOff.config(cfg)
+			cOn, err := evOn.eval(i, con, nil)
 			if err != nil {
 				t.Fatalf("trial %d event %d (derive on): %v", trial, i, err)
 			}
-			cOff, uOff, err := evOff.cost(i, evOff.config(cfg))
+			uOn, err := evOn.used(i, con)
+			if err != nil {
+				t.Fatalf("trial %d event %d (derive on, used): %v", trial, i, err)
+			}
+			cOff, err := evOff.eval(i, coff, nil)
 			if err != nil {
 				t.Fatalf("trial %d event %d (real-call oracle): %v", trial, i, err)
+			}
+			uOff, err := evOff.used(i, coff)
+			if err != nil {
+				t.Fatalf("trial %d event %d (real-call oracle, used): %v", trial, i, err)
 			}
 			if cOn != cOff {
 				t.Fatalf("trial %d event %d: derived cost %v != real cost %v", trial, i, cOn, cOff)
@@ -481,7 +492,7 @@ func TestConcurrentSubsetsShareOneSkeletonFetch(t *testing.T) {
 	oracle := newEvaluator(realCallTuner{srv}, w, "", testTracker())
 	want := make([]float64, len(cfgs))
 	for j, cfg := range cfgs {
-		c, _, err := oracle.cost(0, oracle.config(cfg))
+		c, err := oracle.eval(0, oracle.config(cfg), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -501,7 +512,7 @@ func TestConcurrentSubsetsShareOneSkeletonFetch(t *testing.T) {
 				wg.Add(1)
 				go func(j int, cfg *catalog.Configuration) {
 					defer wg.Done()
-					got[j], _, errs[j] = ev.cost(0, ev.config(cfg))
+					got[j], errs[j] = ev.eval(0, ev.config(cfg), nil)
 				}(j, cfg)
 			}
 			wg.Wait()
@@ -607,7 +618,7 @@ func TestDeriveFallbackProducersThroughEvaluator(t *testing.T) {
 		breakIt(f)
 		ev := newEvaluator(f, w, "", testTracker())
 		for i := range w.Events {
-			if _, _, err := ev.cost(i, ev.config(cfg)); err == nil {
+			if _, err := ev.eval(i, ev.config(cfg), nil); err == nil {
 				t.Fatalf("%s: event %d costed without a skeleton", name, i)
 			}
 		}

@@ -495,16 +495,18 @@ func (ev *evaluator) extend(p *config, s catalog.Structure, x *structInfo, align
 
 // costTable is one event's slice of the cost cache: entries keyed by the
 // hash of their ID-set key, collisions chained, under mu. It also holds the
-// event's additive pool subset for derivation (setQueryPools), written only
-// between parallel sections.
+// event's additive pool subset for derivation (setQueryPools) and the
+// entries of the previous statistics epoch (stale, see bumpEpoch), both
+// written only between parallel sections.
 type costTable struct {
 	mu       sync.RWMutex
 	entries  map[uint64]*cacheEntry
+	stale    map[uint64]*cacheEntry
 	additive []int32
 }
 
 // cacheEntry is one single-flight cost slot. The leader that created the
-// entry fills cost/used/err and then closes ready; concurrent readers of the
+// entry fills cost/err and then closes ready; concurrent readers of the
 // same key block on ready instead of issuing a duplicate optimizer call. A
 // failed entry is removed from the table before ready closes, so a later
 // call (the finishing-mode retry after a cancelled search) computes it
@@ -514,7 +516,6 @@ type cacheEntry struct {
 	next  *cacheEntry
 	ready chan struct{}
 	cost  float64
-	used  []string
 	err   error
 }
 
@@ -531,9 +532,10 @@ func hashIDs(ids []int32) uint64 {
 	return h
 }
 
-// find returns the entry for ids, or nil; t.mu must be held.
-func (t *costTable) find(h uint64, ids []int32) *cacheEntry {
-	for ce := t.entries[h]; ce != nil; ce = ce.next {
+// find returns the entry for ids in a hash-chained entry map (a table's
+// entries or stale, under its mu), or nil.
+func find(entries map[uint64]*cacheEntry, h uint64, ids []int32) *cacheEntry {
+	for ce := entries[h]; ce != nil; ce = ce.next {
 		if slices.Equal(ce.ids, ids) {
 			return ce
 		}
@@ -547,7 +549,7 @@ func (t *costTable) find(h uint64, ids []int32) *cacheEntry {
 func (t *costTable) claim(h uint64, ids []int32, fresh *cacheEntry) (ce *cacheEntry, created bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if ce := t.find(h, ids); ce != nil {
+	if ce := find(t.entries, h, ids); ce != nil {
 		return ce, false
 	}
 	if t.entries == nil {
@@ -582,30 +584,24 @@ func (t *costTable) drop(h uint64, ce *cacheEntry) {
 	}
 }
 
-// cost evaluates event i under configuration c, nesting any what-if span it
-// opens under the tracker's phase span.
-func (ev *evaluator) cost(i int, c *config) (float64, []string, error) {
-	return ev.eval(i, c, nil)
-}
-
 // eval evaluates event i under configuration c — the evaluator's one
 // evaluation entry: every search, costing, report, and checkpoint path
 // reads per-event costs through it. span parents the what-if spans a miss
 // opens (nil: the tracker's phase span). A cache hit takes one read lock
 // and allocates nothing.
-func (ev *evaluator) eval(i int, c *config, span context.Context) (float64, []string, error) {
+func (ev *evaluator) eval(i int, c *config, span context.Context) (float64, error) {
 	if ev.infos[i].q == nil {
 		// The statement does not resolve against the catalog (e.g. it
 		// references objects of a database not being tuned); it is skipped
 		// rather than failing the whole tuning session.
-		return 0, nil, nil
+		return 0, nil
 	}
 	var buf [64]int32
 	ids := c.key(i, buf[:0])
 	h := hashIDs(ids)
 	t := &ev.tables[i]
 	t.mu.RLock()
-	ce := t.find(h, ids)
+	ce := find(t.entries, h, ids)
 	t.mu.RUnlock()
 	if ce == nil {
 		var leader bool
@@ -622,30 +618,35 @@ func (ev *evaluator) eval(i int, c *config, span context.Context) (float64, []st
 		ev.count(ev.mCoalesced)
 		<-ce.ready
 	}
-	return ce.cost, ce.used, ce.err
+	return ce.cost, ce.err
 }
 
 // miss is the cache-miss leader's path: this goroutine owns the entry and
 // issues the one call (or derivation) behind it.
-func (ev *evaluator) miss(i int, c *config, h uint64, ce *cacheEntry, span context.Context) (float64, []string, error) {
-	fail := func(err error) (float64, []string, error) {
+func (ev *evaluator) miss(i int, c *config, h uint64, ce *cacheEntry, span context.Context) (float64, error) {
+	fail := func(err error) (float64, error) {
 		ce.err = err
 		ev.tables[i].drop(h, ce)
 		close(ce.ready)
-		return 0, nil, err
+		return 0, err
 	}
 	if ev.tr.ctxStopped() {
+		// A cancelled or degraded session's best-so-far result is measured
+		// with a cost of the previous statistics epoch where it has one.
+		if old := find(ev.tables[i].stale, h, ce.ids); old != nil && old.err == nil {
+			ce.cost = old.cost
+			close(ce.ready)
+			return ce.cost, nil
+		}
 		return fail(errStopped)
 	}
-	var res derive.Result
+	var cost float64
 	var err error
 	if ev.drv == nil {
 		// A skeleton-less backend: the miss is one plain real call.
-		res.Cost, res.Used, _, err = ev.realCall(i, c.catalog(), false, span)
-	} else if res, err = ev.drv.Resolve(i, len(ev.infos[i].q.Scopes) > 1, ce.ids, ev.tables[i].additive, func(top *catalog.Configuration) (float64, []string, *optimizer.Alternatives, error) {
-		return ev.realCall(i, top, true, span)
-	}); err == nil {
-		err = ev.verifyDerived(i, c, res)
+		cost, _, _, err = ev.realCall(i, c.catalog(), false, span)
+	} else if cost, err = ev.resolve(i, ce.ids, span); err == nil {
+		err = ev.verifyDerived(i, c, cost)
 	}
 	if err != nil {
 		// A failed skeleton fetch fails the evaluation as it is: its retries
@@ -659,10 +660,44 @@ func (ev *evaluator) miss(i int, c *config, h uint64, ce *cacheEntry, span conte
 		// fetch behind it accounted for itself).
 		ev.count(ev.mDerived)
 	}
-	ce.cost, ce.used = res.Cost, res.Used
+	ce.cost = cost
 	close(ce.ready)
 	ev.added.Add(1)
-	return ce.cost, ce.used, nil
+	return cost, nil
+}
+
+// resolve derives event i's cost under the configuration whose structures
+// relevant to it are ids, through the engine: the skeleton behind it, if
+// not held yet, is fetched with one accounted real call (see realCall).
+func (ev *evaluator) resolve(i int, ids []int32, span context.Context) (float64, error) {
+	return ev.drv.Resolve(i, len(ev.infos[i].q.Scopes) > 1, ids, ev.tables[i].additive, func(top *catalog.Configuration) (*optimizer.Alternatives, error) {
+		_, _, alts, err := ev.realCall(i, top, true, span)
+		return alts, err
+	})
+}
+
+// used returns the keys of the structures event i's plan uses under c, for
+// the per-query report: replayed from a current-epoch fact covering the
+// event's cost-cache key — fetching the key's own only for a warm-started
+// cost whose fact was not persisted — or, over a skeleton-less backend,
+// from one accounted real call.
+func (ev *evaluator) used(i int, c *config) ([]string, error) {
+	if ev.infos[i].q == nil {
+		return nil, nil
+	}
+	if ev.drv == nil {
+		_, used, _, err := ev.realCall(i, c.catalog(), false, nil)
+		return used, err
+	}
+	ids := c.key(i, nil)
+	if used, ok := ev.drv.Used(i, ids); ok {
+		return used, nil
+	}
+	if _, err := ev.resolve(i, ids, nil); err != nil {
+		return nil, err
+	}
+	used, _ := ev.drv.Used(i, ids)
+	return used, nil
 }
 
 // realCall issues one accounted optimizer call — a cache-miss leader's own,
@@ -745,9 +780,18 @@ func (ev *evaluator) sharedPools(cands []catalog.Structure) [][]*structInfo {
 	return pools
 }
 
-// bumpDeriveEpoch invalidates plan skeletons after statistics creation; a
-// no-op without an engine.
-func (ev *evaluator) bumpDeriveEpoch() { ev.drv.BumpEpoch() }
+// bumpEpoch scopes costing to new statistics: the engine drops its
+// skeletons and the cost cache empties, so every later cost — the baseline
+// included — shares the recommendation's statistics. The old entries stay
+// as stale, read only by a session that stops before re-costing them (see
+// miss). Called between parallel sections.
+func (ev *evaluator) bumpEpoch() {
+	ev.drv.BumpEpoch()
+	for i := range ev.tables {
+		t := &ev.tables[i]
+		t.stale, t.entries = t.entries, nil
+	}
+}
 
 // verifyDerived cross-checks a derived cost against a real optimizer call
 // (Mode Verify only). The cross-check call runs under the session's retry
@@ -757,7 +801,7 @@ func (ev *evaluator) bumpDeriveEpoch() { ev.drv.BumpEpoch() }
 // cross-check the backend cannot answer (faults exhausted retries) is
 // counted and skipped; a cost divergence beyond derive.VerifyTolerance
 // fails the evaluation.
-func (ev *evaluator) verifyDerived(i int, c *config, res derive.Result) error {
+func (ev *evaluator) verifyDerived(i int, c *config, cost float64) error {
 	if ev.drv.Mode() != derive.Verify {
 		return nil
 	}
@@ -773,11 +817,11 @@ func (ev *evaluator) verifyDerived(i int, c *config, res derive.Result) error {
 		ev.drv.VerifyOutcome(false, err)
 		return nil
 	}
-	diff := math.Abs(real - res.Cost)
-	scale := math.Max(math.Abs(real), math.Abs(res.Cost))
+	diff := math.Abs(real - cost)
+	scale := math.Max(math.Abs(real), math.Abs(cost))
 	if diff > derive.VerifyTolerance*math.Max(scale, 1) {
 		ev.drv.VerifyOutcome(false, nil)
-		return fmt.Errorf("derive: verify mismatch on event %d: derived cost %.9g, real what-if cost %.9g", i, res.Cost, real)
+		return fmt.Errorf("derive: verify mismatch on event %d: derived cost %.9g, real what-if cost %.9g", i, cost, real)
 	}
 	ev.drv.VerifyOutcome(true, nil)
 	return nil
@@ -891,7 +935,7 @@ func (ev *evaluator) costAll(sc *scope, c *config) (*costed, error) {
 	costs := make([]float64, n)
 	errs := make([]error, n)
 	ev.tr.pool.each(n, func(p int) {
-		costs[p], _, errs[p] = ev.eval(sc.events[p], c, sc.span)
+		costs[p], errs[p] = ev.eval(sc.events[p], c, sc.span)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -914,7 +958,7 @@ func (ev *evaluator) child(sc *scope, p *costed, c *config) (float64, []override
 		if !touched.has(i) {
 			continue
 		}
-		cost, _, err := ev.eval(i, c, sc.span)
+		cost, err := ev.eval(i, c, sc.span)
 		if err != nil {
 			return 0, nil, err
 		}

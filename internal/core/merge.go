@@ -28,10 +28,10 @@ func mergeCandidates(cat *catalog.Catalog, cands []catalog.Structure, benefit ma
 		case a.Index != nil && b.Index != nil && a.Index.Table == b.Index.Table &&
 			a.Index.Clustered == b.Index.Clustered:
 			var ms []catalog.Structure
-			if m := mergeIndexes(a.Index, b.Index, opts.MaxKeyColumns+2); m != nil {
+			if m := mergeIndexes(a.Index, b.Index, maxKeyColumns+2); m != nil {
 				ms = append(ms, catalog.Structure{Index: m})
 			}
-			if m := mergeIndexes(b.Index, a.Index, opts.MaxKeyColumns+2); m != nil {
+			if m := mergeIndexes(b.Index, a.Index, maxKeyColumns+2); m != nil {
 				ms = append(ms, catalog.Structure{Index: m})
 			}
 			return ms

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/datagen/psoft"
@@ -55,11 +56,8 @@ func toyDMLPoolJSON(tb testing.TB) []byte {
 // the malformed pools and checkpoints.
 func sectionMutations(tb testing.TB) map[string]func(s *CostingSection) {
 	return map[string]func(s *CostingSection){
-		"id-out-of-range": func(s *CostingSection) { s.Cache.Entries[0].IDs = []int32{int32(len(s.Cache.Structs))} },
-		"id-negative":     func(s *CostingSection) { s.Cache.Entries[0].IDs = []int32{-1} },
-		"used-out-of-range": func(s *CostingSection) {
-			s.Cache.Entries[0].Used = []int32{1 << 20}
-		},
+		"id-out-of-range":    func(s *CostingSection) { s.Cache.Entries[0].IDs = []int32{int32(len(s.Cache.Structs))} },
+		"id-negative":        func(s *CostingSection) { s.Cache.Entries[0].IDs = []int32{-1} },
 		"event-out-of-range": func(s *CostingSection) { s.Cache.Entries[len(s.Cache.Entries)-1].Event = 1 << 30 },
 		"event-negative":     func(s *CostingSection) { s.Cache.Entries[0].Event = -1 },
 		"duplicate-entry":    func(s *CostingSection) { s.Cache.Entries = append(s.Cache.Entries, s.Cache.Entries[0]) },
@@ -145,12 +143,13 @@ func toyCheckpointJSON(tb testing.TB, srv Tuner) []byte {
 	return data
 }
 
-// parentCheckpointJSON returns the checkpoint of the service's state-pr25
-// fixture: a session state file written by a binary whose checkpoints held
-// no skeleton section.
-func parentCheckpointJSON(tb testing.TB) []byte {
+// parentCheckpointJSON returns the checkpoint of one of the service's
+// state-directory fixtures: state-pr42, written by a binary with the current
+// costing format, or state-pr25, written by one with cost-cache format 2
+// whose checkpoints held no skeleton section.
+func parentCheckpointJSON(tb testing.TB, fixture string) []byte {
 	tb.Helper()
-	data, err := os.ReadFile(filepath.Join("..", "service", "testdata", "state-pr25", "s-0001.json"))
+	data, err := os.ReadFile(filepath.Join("..", "service", "testdata", fixture, "s-0001.json"))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -164,14 +163,18 @@ func parentCheckpointJSON(tb testing.TB) []byte {
 }
 
 // warmStartCheckpoint is what a resumed session does with a decoded
-// checkpoint: load its cost cache at session start, then, after the
-// statistics pass's epoch bump, restore its skeletons. It must survive any
-// decoded input.
+// checkpoint: load its costing section at session start or, after the
+// statistics pass's epoch bump, at the point its phase names. It must
+// survive any decoded input.
 func warmStartCheckpoint(srv Tuner, ck *Checkpoint) {
 	ev := newEvaluator(srv, lookupWorkload(10), "", testTracker())
-	ev.warmStart(CostingSection{Cache: ck.Cache})
-	ev.bumpDeriveEpoch()
-	ev.warmStart(CostingSection{Skeletons: ck.Skeletons})
+	if ck.early() {
+		ev.warmStart(ck.CostingSection)
+	}
+	ev.bumpEpoch()
+	if !ck.early() {
+		ev.warmStart(ck.CostingSection)
+	}
 }
 
 // warmStartPool is what a revision does with a decoded pool before its
@@ -196,7 +199,9 @@ func warmStartPool(srv Tuner, p *CostedPool) {
 // json.Marshal's bytes for it, or fail as json.Marshal does. Both decoders share the costing section, so they share one corpus:
 // a toy pool, its malformed variants, a toy PSOFT pool carrying DML
 // maintenance skeletons, a toy checkpoint with skeletons, its malformed
-// variants, and a checkpoint written before checkpoints held skeletons.
+// variants, the checkpoints of the service's state-pr42 fixture and of its
+// state-pr25 one (an older format, written before checkpoints held
+// skeletons), and the state-pr42 daemon's pool file.
 func FuzzCostedPool(f *testing.F) {
 	srv := testServer(f)
 	seed := toyPoolJSON(f, srv)
@@ -210,7 +215,13 @@ func FuzzCostedPool(f *testing.F) {
 	for _, data := range malformedCheckpoints(f, ck) {
 		f.Add(data)
 	}
-	f.Add(parentCheckpointJSON(f))
+	f.Add(parentCheckpointJSON(f, "state-pr42"))
+	f.Add(parentCheckpointJSON(f, "state-pr25"))
+	daemonPool, err := os.ReadFile(filepath.Join("..", "service", "testdata", "state-pr42", "d-0001.pool.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(daemonPool)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p CostedPool
 		if json.Unmarshal(data, &p) == nil {
@@ -245,17 +256,19 @@ func TestCheckRejectsMalformedPools(t *testing.T) {
 // TestCheckRejectsMalformedCheckpoints: every malformed checkpoint variant
 // fails Check — but an out-of-range event, which only a workload can bound,
 // and which the warm start ignores — and still warm-starts without
-// panicking; the checkpoints it derives from pass.
+// panicking; the checkpoints it derives from pass, and one of the older
+// format is refused by it.
 func TestCheckRejectsMalformedCheckpoints(t *testing.T) {
 	srv := testServer(t)
 	seed := toyCheckpointJSON(t, srv)
-	for _, data := range [][]byte{seed, parentCheckpointJSON(t)} {
+	for _, data := range [][]byte{seed, parentCheckpointJSON(t, "state-pr42"), parentCheckpointJSON(t, "state-pr25")} {
 		var ck Checkpoint
 		if err := json.Unmarshal(data, &ck); err != nil {
 			t.Fatal(err)
 		}
-		if err := ck.Check(); err != nil {
-			t.Fatalf("seed checkpoint: %v", err)
+		err := ck.Check()
+		if old := ck.Cache.Format != CostCacheFormat; (err != nil) != old || (old && !strings.Contains(err.Error(), "cost-cache format 2")) {
+			t.Fatalf("seed checkpoint (format %d): Check = %v", ck.Cache.Format, err)
 		}
 	}
 	for name, data := range malformedCheckpoints(t, seed) {

@@ -353,13 +353,14 @@ func TestRevisePoolCheck(t *testing.T) {
 	}
 }
 
-// TestReviseRevisesPoolWithoutDMLFacts: a pool sealed before DML statements
-// had skeletons (same format 2; its skeleton section holds SELECT facts only,
-// and DML costs sit in its cost cache) is still a valid pool. A revision over
-// it that reaches uncached DML costs fetches their maintenance skeletons and
-// derives the rest, so it returns the recommendation the sealing binary's own
-// revision returned — pinned below — with fewer real calls than that
-// revision's 16.
+// TestReviseRevisesPoolWithoutDMLFacts: a pool whose skeleton section holds
+// SELECT facts only, with the DML costs in its cost cache — one sealed before
+// DML statements had skeletons, carried over to the current costing format
+// by dropping the fields that format no longer has — is a valid pool. A
+// revision over it that reaches uncached DML costs fetches their maintenance
+// skeletons and derives the rest, so it returns the recommendation the
+// sealing binary's own revision returned — pinned below — with fewer real
+// calls than that revision's 16.
 func TestReviseRevisesPoolWithoutDMLFacts(t *testing.T) {
 	f, err := os.Open(filepath.Join("testdata", "psoft-pool-no-dml-facts.json.gz"))
 	if err != nil {
@@ -392,5 +393,34 @@ func TestReviseRevisesPoolWithoutDMLFacts(t *testing.T) {
 	}
 	if rec.WhatIfCalls == 0 || rec.WhatIfCalls >= sealerCalls {
 		t.Fatalf("revision issued %d real calls, want some but fewer than the sealing binary's %d", rec.WhatIfCalls, sealerCalls)
+	}
+}
+
+// TestReportUsedWithoutFacts: the per-query report replays each event's
+// used structures from a skeleton fact covering its cost-cache key. A
+// revision over the intact pool finds one for every event and issues no
+// call; one over the same pool with its skeleton section gone fetches the
+// facts the report needs and reports exactly the same.
+func TestReportUsedWithoutFacts(t *testing.T) {
+	srv := testServer(t)
+	var pool *CostedPool
+	if _, err := Tune(srv, parallelWorkload(t), Options{Parallelism: 1, SkipReports: true, PoolSink: func(p *CostedPool) { pool = p }}); err != nil {
+		t.Fatal(err)
+	}
+	intact, err := Revise(context.Background(), srv, pool, Constraints{}, Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := *pool
+	bare.Skeletons = nil
+	stripped, err := Revise(context.Background(), srv, &bare, Constraints{}, Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(intact.Reports) == 0 || planFingerprint(stripped) != planFingerprint(intact) {
+		t.Fatalf("reports over the pool without facts differ:\n%s\nvs\n%s", planFingerprint(stripped), planFingerprint(intact))
+	}
+	if intact.WhatIfCalls != 0 || stripped.WhatIfCalls == 0 {
+		t.Fatalf("what-if calls %d over the intact pool (want 0), %d without its facts (want some)", intact.WhatIfCalls, stripped.WhatIfCalls)
 	}
 }

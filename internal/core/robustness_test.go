@@ -184,15 +184,20 @@ func TestRetryMasksTransientFaults(t *testing.T) {
 // session resumed from a mid-run checkpoint (round-tripped through JSON, as
 // the service persists it) produces the identical recommendation to an
 // uninterrupted run, and pays no call the interrupted run had paid before
-// the snapshot except those still in flight when it fired. The boundary
-// call that fires the snapshot is counted but not yet made, so it is always
-// re-paid; each other pool worker leads at most one more. Hence
-// full − ck + 1 ≤ resumed ≤ full − ck + P, an equality at P=1. The
-// baseline leg's checkpoint fires before the statistics pass, so it carries
-// no skeleton section: the cost cache holds every answer then. The
+// the snapshot except those still in flight when it fired, and — for a
+// checkpoint past the statistics pass, which it loads only after its own —
+// the pre-statistics costing it re-pays up to that restore point (pre; the
+// checkpoint's costs all postdate the statistics). The boundary call that
+// fires the snapshot is counted but not yet made, so it is always re-paid;
+// each other pool worker leads at most one more. Hence
+// full − ck + 1 + pre ≤ resumed ≤ full − ck + P + pre, an equality at P=1.
+// The baseline leg's checkpoint fires before the statistics pass, so it
+// loads at session start (pre = 0). Every checkpoint over the skeleton
+// backend carries its skeleton section. The
 // uninterrupted run's own call count is pinned too (fullMax: what the
 // skeleton engine pays for the workload, and what it pays without
-// skeletons), so a rise there cannot hide inside the relative band.
+// skeletons, report included), so a rise there cannot hide inside the
+// relative band.
 func TestCheckpointResume(t *testing.T) {
 	skeletons := func(tb testing.TB) Tuner { return testServer(tb) }
 	for _, leg := range []struct {
@@ -203,27 +208,30 @@ func TestCheckpointResume(t *testing.T) {
 		fullMax  int64
 	}{
 		{"skeletons", skeletons, 25, false, 50},
-		{"real-call", func(tb testing.TB) Tuner { return realCallTuner{testServer(tb)} }, 25, false, 100},
+		{"real-call", func(tb testing.TB) Tuner { return realCallTuner{testServer(tb)} }, 25, false, 120},
 		{"baseline", skeletons, 3, true, 50},
 	} {
 		for _, par := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/P%d", leg.name, par), func(t *testing.T) {
-				full, ck, resumed := checkpointResume(t, leg.srv, par, leg.every)
+				full, ck, resumed, pre := checkpointResume(t, leg.srv, par, leg.every)
 				if full.WhatIfCalls > leg.fullMax {
 					t.Fatalf("uninterrupted run paid %d calls, was %d", full.WhatIfCalls, leg.fullMax)
 				}
 				if (ck.Phase == PhaseBaseline) != leg.baseline || ck.Phase == PhaseColGroups {
 					t.Fatalf("first checkpoint fired in %s", ck.Phase)
 				}
-				if _, alts := leg.srv(t).(AlternativesTuner); (ck.Skeletons != nil) != (alts && !leg.baseline) {
+				if _, alts := leg.srv(t).(AlternativesTuner); (ck.Skeletons != nil) != alts {
 					t.Fatalf("checkpoint in %s carries skeletons: %v", ck.Phase, ck.Skeletons != nil)
 				}
-				lo := full.WhatIfCalls - ck.WhatIfCalls + 1
-				if hi := lo - 1 + int64(par); resumed.WhatIfCalls < lo || resumed.WhatIfCalls > hi {
-					t.Fatalf("resumed session paid %d calls, want [%d, %d] (full %d, checkpoint at %d)",
-						resumed.WhatIfCalls, lo, hi, full.WhatIfCalls, ck.WhatIfCalls)
+				if leg.baseline != (pre == 0) {
+					t.Fatalf("resumed session paid %d calls before its restore point", pre)
 				}
-				t.Logf("full %d, checkpoint at %d, resumed %d", full.WhatIfCalls, ck.WhatIfCalls, resumed.WhatIfCalls)
+				lo := full.WhatIfCalls - ck.WhatIfCalls + 1 + pre
+				if hi := lo - 1 + int64(par); resumed.WhatIfCalls < lo || resumed.WhatIfCalls > hi {
+					t.Fatalf("resumed session paid %d calls, want [%d, %d] (full %d, checkpoint at %d, %d before the restore point)",
+						resumed.WhatIfCalls, lo, hi, full.WhatIfCalls, ck.WhatIfCalls, pre)
+				}
+				t.Logf("full %d, checkpoint at %d, resumed %d (%d before the restore point)", full.WhatIfCalls, ck.WhatIfCalls, resumed.WhatIfCalls, pre)
 			})
 		}
 	}
@@ -233,8 +241,10 @@ func TestCheckpointResume(t *testing.T) {
 // checkpointing every `every` calls, resumes a session on a fresh backend
 // from its first checkpoint (JSON round-tripped), and checks the
 // scheduling-independent half of the contract: identical recommendation and
-// costs, fewer optimizer calls.
-func checkpointResume(t *testing.T, srv func(testing.TB) Tuner, parallelism, every int) (full *Recommendation, first *Checkpoint, resumed *Recommendation) {
+// costs, fewer optimizer calls. pre is the calls the resumed session paid
+// before loading a checkpoint captured past column groups: those of its
+// phases before candidate selection (0 for an earlier checkpoint).
+func checkpointResume(t *testing.T, srv func(testing.TB) Tuner, parallelism, every int) (full *Recommendation, first *Checkpoint, resumed *Recommendation, pre int64) {
 	t.Helper()
 	w := lookupWorkload(10)
 	// CheckpointEvery counts real optimizer calls; keep it small enough that
@@ -274,7 +284,13 @@ func checkpointResume(t *testing.T, srv func(testing.TB) Tuner, parallelism, eve
 
 	// Resume on a fresh server — the post-crash world: no statistics, cold
 	// caches, only the checkpoint file.
-	resumed, err = Tune(srv(t), w, Options{NoCompression: true, Resume: &restored, Derive: testDeriveMode(t), Parallelism: parallelism})
+	late := restored.Phase != PhaseBaseline && restored.Phase != PhaseColGroups
+	progress := func(p Progress) {
+		if late && p.Phase == PhaseCandidates && pre == 0 {
+			pre = p.WhatIfCalls
+		}
+	}
+	resumed, err = Tune(srv(t), w, Options{NoCompression: true, Resume: &restored, Derive: testDeriveMode(t), Parallelism: parallelism, Progress: progress})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +304,7 @@ func checkpointResume(t *testing.T, srv func(testing.TB) Tuner, parallelism, eve
 	if resumed.WhatIfCalls >= full.WhatIfCalls {
 		t.Fatalf("resume saved no optimizer calls: %d vs %d", resumed.WhatIfCalls, full.WhatIfCalls)
 	}
-	return full, &restored, resumed
+	return full, &restored, resumed, pre
 }
 
 // TestDegradedSkipsReports verifies a degraded session behaves like a

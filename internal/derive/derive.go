@@ -122,40 +122,23 @@ type Keyed struct {
 	Structure catalog.Structure
 }
 
-// Result is a derived cost evaluation: the exact cost and used-structure
-// set a real optimizer call on the configuration would have returned.
-type Result struct {
-	// Cost is the optimizer-estimated cost.
-	Cost float64
-	// Used holds the keys of the structures the plan uses.
-	Used []string
-}
-
 // Fetch issues one accounted real alternatives call for a top configuration
-// and returns the optimizer's answer with the plan skeleton. It must not
-// call back into the engine.
-type Fetch func(top *catalog.Configuration) (cost float64, used []string, alts *optimizer.Alternatives, err error)
+// and returns the statement's plan skeleton under it. It must not call back
+// into the engine.
+type Fetch func(top *catalog.Configuration) (*optimizer.Alternatives, error)
 
-// factKey addresses one skeleton: replay needs identical statements,
-// identical statistics, and identical base-table shapes, so a fact is scoped
-// to (event, statistics epoch) and keyed by its top's interned ID set — which
-// also fixes the base part, since a top adds only additive structures.
-type factKey struct {
-	event int
-	epoch int64
-	top   string // idString of the top's ascending IDs
-}
-
-// fact is one single-flight skeleton slot. The resolver that created it
-// fills the fetched answer, compiles its gates and closes ready; concurrent
-// resolvers of the same key wait on ready instead of fetching again. A failed
-// fact is removed from the map before ready closes, so a later resolution
-// fetches afresh.
+// fact is one single-flight skeleton slot, addressed by its event and its
+// top's interned ID set within the current statistics epoch: replay needs
+// identical statements, identical statistics and identical base-table
+// shapes, and a top adds only additive structures, so the top fixes the base
+// part. The resolver that created it fills the fetched skeleton, compiles
+// its gates and closes ready; concurrent resolvers of the same top wait on
+// ready instead of fetching again. A failed fact is removed from the store
+// before ready closes, so a later resolution fetches afresh.
 type fact struct {
 	ready chan struct{}
 	top   []int32 // the top's IDs, ascending
-	cost  float64
-	used  []string
+	base  []int32 // the top's base-part IDs, ascending
 	alts  *optimizer.Alternatives
 	// gates maps each gate key of alts naming a structure of the top to its
 	// ID; immutable once ready closes. A gate outside the top can never be
@@ -166,9 +149,9 @@ type fact struct {
 
 // compile resolves the fact's gate keys — single-scope component structures,
 // the gate table of a join skeleton's compiled replay form, DML access and
-// maintenance-term gates — to IDs, under one interner read lock; the join
-// form is compiled before the lock is taken. Called before the fact is
-// published.
+// maintenance-term gates — to IDs and collects the top's base part, under
+// one interner read lock; the join form is compiled before the lock is
+// taken. Called before the fact is published.
 func (e *Engine) compile(f *fact) {
 	a := f.alts
 	if a == nil {
@@ -181,6 +164,11 @@ func (e *Engine) compile(f *fact) {
 	f.gates = map[string]int32{}
 	e.in.mu.RLock()
 	defer e.in.mu.RUnlock()
+	for _, id := range f.top {
+		if isBase(e.in.structs[id]) {
+			f.base = append(f.base, id)
+		}
+	}
 	gate := func(key string) {
 		if key == "" {
 			return
@@ -218,6 +206,23 @@ func (f *fact) has(rel []int32, key string) bool {
 	return in
 }
 
+// covers reports whether the fact answers rel exactly: its top holds every
+// structure of rel, and rel holds its whole base part — the top of rel's
+// own scope is rel plus additive structures only.
+func (f *fact) covers(rel []int32) bool {
+	return subset(rel, f.top) && subset(f.base, rel)
+}
+
+// subset reports whether every ID of a is in b, which is ascending.
+func subset(a, b []int32) bool {
+	for _, id := range a {
+		if _, ok := slices.BinarySearch(b, id); !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // closed is the ready channel of facts that never were in flight (Restore).
 var closed = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
 
@@ -229,9 +234,10 @@ type Engine struct {
 	mode Mode
 	in   *Interner
 
-	mu    sync.Mutex
-	epoch int64
-	facts map[factKey]*fact
+	mu sync.Mutex
+	// facts holds the current statistics epoch's facts, in flight or
+	// ready, per event.
+	facts map[int][]*fact
 
 	// atoms counts the skeletons fetched, [0] for single-scope events and
 	// [1] for joins.
@@ -247,7 +253,7 @@ func New(mode Mode) *Engine {
 	if mode == "" {
 		mode = On
 	}
-	return &Engine{mode: mode, in: NewInterner(), facts: map[factKey]*fact{}}
+	return &Engine{mode: mode, in: NewInterner(), facts: map[int][]*fact{}}
 }
 
 // Interner returns the engine's structure interner, for the caller to key
@@ -284,18 +290,28 @@ func (e *Engine) AttachMetrics(reg *obs.Registry) {
 }
 
 // BumpEpoch starts a new skeleton scope after statistics creation: costs
-// computed under different statistics states are not comparable, so
-// skeletons of the previous epoch stop answering and the next resolution of
-// each (event, top) fetches afresh. The caller's cost cache is untouched —
-// first-touch semantics there are exactly what derivation must reproduce.
-// Safe on nil.
+// computed under different statistics states are not comparable, so the
+// previous epoch's skeletons are dropped and the next resolution of each
+// (event, top) fetches afresh. The caller clears its cost cache at the
+// same point, so every cost it holds afterwards was replayed from a fact of
+// the new epoch. Safe on nil.
 func (e *Engine) BumpEpoch() {
 	if e == nil {
 		return
 	}
 	e.mu.Lock()
-	e.epoch++
+	e.facts = map[int][]*fact{}
 	e.mu.Unlock()
+}
+
+// held returns the event's fact for top, or nil; e.mu must be held.
+func (e *Engine) held(event int, top []int32) *fact {
+	for _, f := range e.facts[event] {
+		if slices.Equal(f.top, top) {
+			return f
+		}
+	}
+	return nil
 }
 
 // Resolve derives the cost of the configuration whose structures relevant to
@@ -311,28 +327,29 @@ func (e *Engine) BumpEpoch() {
 // to the resolver that issued it and to every resolver that waited on it —
 // and leaves no fact behind, so a later resolution fetches afresh; a fetch
 // without a skeleton, or a skeleton with no selectable alternative for rel,
-// is an error too.
-func (e *Engine) Resolve(event int, join bool, rel, additive []int32, fetch Fetch) (Result, error) {
+// is an error too. The replay is cost-only; Used replays a fact for the
+// plan's structures.
+func (e *Engine) Resolve(event int, join bool, rel, additive []int32, fetch Fetch) (float64, error) {
 	top := union(rel, additive)
 	e.mu.Lock()
-	key := factKey{event: event, epoch: e.epoch, top: idString(top)}
-	f, found := e.facts[key]
+	f := e.held(event, top)
+	found := f != nil
 	if !found {
 		f = &fact{ready: make(chan struct{}), top: top}
-		e.facts[key] = f
+		e.facts[event] = append(e.facts[event], f)
 	}
 	e.mu.Unlock()
 
 	if found {
 		<-f.ready
 	} else {
-		f.cost, f.used, f.alts, f.err = fetch(e.topConfig(top))
+		f.alts, f.err = fetch(e.topConfig(top))
 		if f.err == nil && f.alts == nil {
 			f.err = fmt.Errorf("derive: event %d: the backend returned no plan skeleton", event)
 		}
 		if f.err != nil {
 			e.mu.Lock()
-			delete(e.facts, key)
+			e.facts[event] = slices.DeleteFunc(slices.Clone(e.facts[event]), func(g *fact) bool { return g == f })
 			e.mu.Unlock()
 		} else {
 			e.compile(f)
@@ -346,16 +363,42 @@ func (e *Engine) Resolve(event int, join bool, rel, additive []int32, fetch Fetc
 		close(f.ready)
 	}
 	if f.err != nil {
-		return Result{}, f.err
+		return 0, f.err
 	}
-	cost, used, ok := f.alts.Select(func(k string) bool { return f.has(rel, k) })
+	cost, ok := f.alts.Cost(func(k string) bool { return f.has(rel, k) })
 	if !ok {
 		// Impossible for a well-formed backend: a base access always exists.
-		return Result{}, fmt.Errorf("derive: event %d: the plan skeleton offers no selectable alternative", event)
+		return 0, fmt.Errorf("derive: event %d: the plan skeleton offers no selectable alternative", event)
 	}
 	e.derivations.Add(1)
 	count(e.mDerivations)
-	return Result{Cost: cost, Used: used}, nil
+	return cost, nil
+}
+
+// Used returns the keys of the structures the plan of the event uses under
+// the configuration whose structures relevant to it are rel (interned IDs,
+// ascending), replayed from a current-epoch fact of the event that covers
+// rel: its top holds rel, and its base part is rel's. Any covering fact
+// answers exactly what a real call would, by the same contract Resolve's
+// replay rests on. ok is false when no fact covers rel. Safe on nil.
+func (e *Engine) Used(event int, rel []int32) (used []string, ok bool) {
+	if e == nil {
+		return nil, false
+	}
+	e.mu.Lock()
+	facts := e.facts[event]
+	e.mu.Unlock()
+	for _, f := range facts {
+		select {
+		case <-f.ready:
+			if f.err == nil && f.covers(rel) {
+				_, used, ok = f.alts.Select(func(k string) bool { return f.has(rel, k) })
+				return used, ok
+			}
+		default: // in flight
+		}
+	}
+	return nil, false
 }
 
 // topConfig builds the configuration of a top from the interner. Structures
@@ -386,10 +429,10 @@ func (e *Engine) topConfig(top []int32) *catalog.Configuration {
 }
 
 // FactRecord is one serialized skeleton fetch: the event it belongs to, the
-// base part of its scope, the structures of its top, and the optimizer's
-// answer (cost, used structures, plan skeleton). Structures are positions in
-// the Snapshot's Structs table, ascending. Facts serialize only for the
-// current statistics epoch, so a restored engine never mixes epochs.
+// base part of its scope, the structures of its top, and the plan skeleton.
+// Structures are positions in the Snapshot's Structs table, ascending. Facts
+// serialize only for the current statistics epoch, so a restored engine
+// never mixes epochs.
 type FactRecord struct {
 	// Event is the workload event index the fact belongs to.
 	Event int `json:"event"`
@@ -397,10 +440,6 @@ type FactRecord struct {
 	Base []int32 `json:"base,omitempty"`
 	// Node lists the structures of the fact's top configuration.
 	Node []int32 `json:"node,omitempty"`
-	// Cost is the recorded optimizer cost.
-	Cost float64 `json:"cost"`
-	// Used holds the used-structure keys of the winning plan.
-	Used []string `json:"used,omitempty"`
 	// Alts is the plan skeleton.
 	Alts *optimizer.Alternatives `json:"alts,omitempty"`
 }
@@ -412,8 +451,6 @@ type FactRecord struct {
 // core.CostedPool: a restored engine answers exactly the evaluations the
 // original engine could answer at its final epoch.
 type Snapshot struct {
-	// Mode is the engine's derivation mode.
-	Mode Mode `json:"mode"`
 	// Structs holds every structure a fact names, sorted by key; facts refer
 	// to a structure by its position here.
 	Structs []Keyed `json:"structs,omitempty"`
@@ -427,14 +464,15 @@ type Snapshot struct {
 // by many sealed pools — a revision's and its parent's, or sessions served
 // from one plan cache — is rendered once.
 func (s *Snapshot) WriteCanonical(w *canonjson.Writer) {
-	w.Raw(`{"mode":`)
-	w.String(string(s.Mode))
+	w.Raw("{")
+	sep := ""
 	if len(s.Structs) > 0 {
-		w.Raw(`,"structs":`)
+		w.Raw(`"structs":`)
 		w.Marshal(s.Structs)
+		sep = ","
 	}
 	if len(s.Facts) > 0 {
-		w.Raw(`,"facts":[`)
+		w.Raw(sep + `"facts":[`)
 		for i := range s.Facts {
 			if i > 0 {
 				w.Raw(",")
@@ -458,12 +496,6 @@ func (r *FactRecord) writeCanonical(w *canonjson.Writer) {
 		w.Raw(`,"node":`)
 		w.Int32s(r.Node)
 	}
-	w.Raw(`,"cost":`)
-	w.Float(r.Cost)
-	if len(r.Used) > 0 {
-		w.Raw(`,"used":`)
-		w.Strings(r.Used)
-	}
 	if r.Alts != nil {
 		w.Raw(`,"alts":`)
 		if b, err := r.Alts.CanonicalJSON(); err != nil {
@@ -475,11 +507,9 @@ func (r *FactRecord) writeCanonical(w *canonjson.Writer) {
 	w.Raw("}")
 }
 
-// Snapshot captures the engine's current-epoch state for persistence. Facts
-// recorded under older statistics epochs are deliberately dropped: they can
-// never answer a resolution at the final epoch, and omitting them keeps the
-// snapshot's fingerprint a pure function of the reusable state. Safe on nil
-// (returns nil).
+// Snapshot captures the engine's current-epoch state for persistence (the
+// engine holds no older facts: they could never answer a resolution at the
+// final epoch). Safe on nil (returns nil).
 func (e *Engine) Snapshot() *Snapshot { return e.Capture()() }
 
 // Capture is Snapshot in two steps: under the engine's lock it only collects
@@ -495,21 +525,19 @@ func (e *Engine) Capture() func() *Snapshot {
 		f     *fact
 	}
 	e.mu.Lock()
-	mode := e.mode
 	var facts []held
-	for key, f := range e.facts {
-		if key.epoch != e.epoch {
-			continue
-		}
-		select {
-		case <-f.ready:
-			facts = append(facts, held{key.event, f})
-		default: // fetch in flight: not yet a fact worth persisting
+	for event, list := range e.facts {
+		for _, f := range list {
+			select {
+			case <-f.ready:
+				facts = append(facts, held{event, f})
+			default: // fetch in flight: not yet a fact worth persisting
+			}
 		}
 	}
 	e.mu.Unlock()
 	return func() *Snapshot {
-		s := &Snapshot{Mode: mode}
+		s := &Snapshot{}
 		// The Structs table: every structure a fact's top names. Each was
 		// interned before its fact was published, so its ID is below Len.
 		type named struct {
@@ -534,7 +562,7 @@ func (e *Engine) Capture() func() *Snapshot {
 		}
 		for _, h := range facts {
 			f := h.f
-			r := FactRecord{Event: h.event, Cost: f.cost, Used: append([]string(nil), f.used...), Alts: f.alts}
+			r := FactRecord{Event: h.event, Alts: f.alts}
 			r.Node = make([]int32, len(f.top))
 			for i, id := range f.top {
 				r.Node[i] = pos[id]
@@ -585,35 +613,35 @@ func (s *Snapshot) Check() error {
 	return nil
 }
 
-// Restore loads a snapshot into the engine at epoch zero, replacing any
-// existing facts: the Structs table is interned once (a structure the
-// interner has not seen yet is recorded from it), each fact's positions
-// are remapped to interned IDs, and its gates are compiled. As long as no
-// statistics are created afterwards (the search layer never creates
-// statistics), every restored fact stays valid and resolutions behave
-// exactly as they would have on the original engine at its final epoch. A
-// fact naming a position outside the table is skipped (a later resolution
-// of it simply fetches). Safe on nil (either side).
+// Restore loads a snapshot into the engine's current statistics epoch,
+// beside the facts it holds (a fact it already holds for the same event and
+// top is kept): the Structs table is interned once (a structure the
+// interner has not seen yet is recorded from it), each fact's positions are
+// remapped to interned IDs, and its gates are compiled. The caller restores
+// a snapshot only under the statistics state it was captured in, so every
+// restored fact answers exactly what it answered on the original engine. A
+// fact naming a position outside the table, or holding no skeleton, is
+// skipped (a later resolution of it simply fetches). Safe on nil (either
+// side).
 func (e *Engine) Restore(s *Snapshot) {
 	if e == nil || s == nil {
 		return
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.epoch = 0
 	ids := make([]int32, len(s.Structs))
 	for p, k := range s.Structs {
 		ids[p], _ = e.in.Intern(k.Key, k.Structure)
 	}
-	e.facts = make(map[factKey]*fact, len(s.Facts))
+	empty := len(e.facts) == 0 // nothing to keep: skip the lookups
 	for _, r := range s.Facts {
 		top, ok := Remap(nil, r.Node, ids)
-		if !ok {
+		if !ok || r.Alts == nil || !empty && e.held(r.Event, top) != nil {
 			continue
 		}
-		f := &fact{ready: closed, top: top, cost: r.Cost, used: append([]string(nil), r.Used...), alts: r.Alts}
+		f := &fact{ready: closed, top: top, alts: r.Alts}
 		e.compile(f)
-		e.facts[factKey{event: r.Event, top: idString(top)}] = f
+		e.facts[r.Event] = append(e.facts[r.Event], f)
 	}
 }
 

@@ -86,7 +86,7 @@ func newSkeletonBackend() *skeletonBackend {
 	return &skeletonBackend{i1: ixKeyed("t", "x"), i2: ixKeyed("t", "a")}
 }
 
-func (b *skeletonBackend) fetch(top *catalog.Configuration) (float64, []string, *optimizer.Alternatives, error) {
+func (b *skeletonBackend) fetch(top *catalog.Configuration) (*optimizer.Alternatives, error) {
 	var keys []string
 	for _, ix := range top.Indexes {
 		keys = append(keys, ix.Key())
@@ -98,10 +98,10 @@ func (b *skeletonBackend) fetch(top *catalog.Configuration) (float64, []string, 
 		<-b.gate
 	}
 	if b.err != nil {
-		return 0, nil, nil, b.err
+		return nil, b.err
 	}
 	if b.noAlts {
-		return 90, []string{b.i2.Key}, nil, nil
+		return nil, nil
 	}
 	alts := b.alts
 	if alts == nil {
@@ -111,7 +111,7 @@ func (b *skeletonBackend) fetch(top *catalog.Configuration) (float64, []string, 
 			{Structure: b.i2.Key, Op: "IndexSeek", Pre: 70, Final: 90, Used: []string{b.i2.Key}},
 		}}
 	}
-	return 90, []string{b.i2.Key}, alts, nil
+	return alts, nil
 }
 
 func (b *skeletonBackend) fetches() int {
@@ -127,9 +127,12 @@ func TestResolveFetchesTopOnceAndReplays(t *testing.T) {
 	top := b.i2.Key + "|" + b.i1.Key // sorted: ix:t(a) < ix:t(x)
 
 	// S = {i1}: the top {i1,i2} is fetched once and {i1} replays from it.
-	res, err := e.Resolve(7, false, ids(e, b.i1), pool, b.fetch)
-	if err != nil || res.Cost != 120 || len(res.Used) != 1 || res.Used[0] != b.i1.Key {
-		t.Fatalf("replay for {i1}: %+v, %v", res, err)
+	cost, err := e.Resolve(7, false, ids(e, b.i1), pool, b.fetch)
+	if err != nil || cost != 120 {
+		t.Fatalf("replay for {i1}: %v, %v", cost, err)
+	}
+	if used, ok := e.Used(7, ids(e, b.i1)); !ok || !slices.Equal(used, []string{b.i1.Key}) {
+		t.Fatalf("used for {i1}: %v, %v", used, ok)
 	}
 	if b.fetches() != 1 || b.tops[0] != top {
 		t.Fatalf("want exactly one fetch of the top %s, got %v", top, b.tops)
@@ -141,9 +144,9 @@ func TestResolveFetchesTopOnceAndReplays(t *testing.T) {
 		rel  []Keyed
 		cost float64
 	}{{nil, 500}, {[]Keyed{b.i2}, 90}, {[]Keyed{b.i2, b.i1}, 90}} {
-		res, err := e.Resolve(7, false, ids(e, c.rel...), pool, b.fetch)
-		if err != nil || res.Cost != c.cost {
-			t.Fatalf("replay for %v: %+v, %v; want cost %v", c.rel, res, err, c.cost)
+		cost, err := e.Resolve(7, false, ids(e, c.rel...), pool, b.fetch)
+		if err != nil || cost != c.cost {
+			t.Fatalf("replay for %v: %v, %v; want cost %v", c.rel, cost, err, c.cost)
 		}
 	}
 	if b.fetches() != 1 {
@@ -268,9 +271,10 @@ func TestResolveReplaysMaintenanceSkeleton(t *testing.T) {
 		{ids(e, b.i2), 108, []string{b.i2.Key}},
 		{pool, 23, []string{b.i2.Key, b.i1.Key}},
 	} {
-		res, err := e.Resolve(0, false, c.rel, pool, b.fetch)
-		if err != nil || res.Cost != c.cost || !slices.Equal(res.Used, c.used) {
-			t.Fatalf("rel %v: %v %v (%v), want %v %v", c.rel, res.Cost, res.Used, err, c.cost, c.used)
+		cost, err := e.Resolve(0, false, c.rel, pool, b.fetch)
+		used, ok := e.Used(0, c.rel)
+		if err != nil || !ok || cost != c.cost || !slices.Equal(used, c.used) {
+			t.Fatalf("rel %v: %v %v (%v, %v), want %v %v", c.rel, cost, used, err, ok, c.cost, c.used)
 		}
 	}
 	if by := e.AtomsByShape(); b.fetches() != 1 || by["atom"] != 1 || len(by) != 1 {
@@ -323,9 +327,9 @@ func TestConcurrentResolversShareOneFetch(t *testing.T) {
 			go func(slot int, rel []int32) {
 				defer wg.Done()
 				started.Done()
-				res, err := e.Resolve(3, false, rel, pool, b.fetch)
+				cost, err := e.Resolve(3, false, rel, pool, b.fetch)
 				if err == nil {
-					got[slot] = res.Cost
+					got[slot] = cost
 				}
 			}(r*len(subsets)+j, rel)
 		}
@@ -364,12 +368,62 @@ func TestSnapshotRestoreAnswersWithoutFetching(t *testing.T) {
 	if id, _ := r.Interner().Intern(b.i1.Key, catalog.Structure{}); r.Interner().Structure(id).Index == nil {
 		t.Fatal("restore must record a structure the interner had not seen")
 	}
-	res, err := r.Resolve(0, false, ids(r, b.i2), ids(r, b.i1, b.i2), func(*catalog.Configuration) (float64, []string, *optimizer.Alternatives, error) {
+	cost, err := r.Resolve(0, false, ids(r, b.i2), ids(r, b.i1, b.i2), func(*catalog.Configuration) (*optimizer.Alternatives, error) {
 		t.Fatal("a restored skeleton must answer without a fetch")
-		return 0, nil, nil, nil
+		return nil, nil
 	})
-	if err != nil || res.Cost != 90 {
-		t.Fatalf("restored replay for {i2}: %+v, %v", res, err)
+	if err != nil || cost != 90 {
+		t.Fatalf("restored replay for {i2}: %v, %v", cost, err)
+	}
+	if used, ok := r.Used(0, ids(r, b.i1)); !ok || !slices.Equal(used, []string{b.i1.Key}) {
+		t.Fatalf("restored fact must answer used for {i1}: %v, %v", used, ok)
+	}
+}
+
+// TestUsedReplaysCoveringFact: Used answers from any current-epoch fact of
+// the event whose top holds the key and whose base part the key holds whole
+// — never from a fact of another event, of another base part or of an
+// older epoch.
+func TestUsedReplaysCoveringFact(t *testing.T) {
+	e := New(On)
+	b := newSkeletonBackend()
+	cl := keyed(catalog.Structure{Index: &catalog.Index{Table: "t", KeyColumns: []string{"a"}, Clustered: true}})
+	pool := ids(e, b.i1, b.i2)
+	if _, err := e.Resolve(0, false, nil, pool, b.fetch); err != nil {
+		t.Fatal(err)
+	}
+	if used, ok := e.Used(0, ids(e, b.i2)); !ok || !slices.Equal(used, []string{b.i2.Key}) {
+		t.Fatalf("a subset of the top: used %v, %v", used, ok)
+	}
+	for _, c := range []struct {
+		what  string
+		event int
+		rel   []int32
+	}{
+		{"another event", 1, ids(e, b.i2)},
+		{"a structure outside the top", 0, ids(e, b.i2, ixKeyed("t", "z"))},
+		{"another base part", 0, ids(e, cl, b.i2)},
+	} {
+		if used, ok := e.Used(c.event, c.rel); ok {
+			t.Fatalf("%s: answered %v", c.what, used)
+		}
+	}
+	// A fact whose base part the key lacks does not cover it either.
+	if _, err := e.Resolve(2, false, ids(e, cl), pool, b.fetch); err != nil {
+		t.Fatal(err)
+	}
+	if used, ok := e.Used(2, ids(e, b.i1)); ok {
+		t.Fatalf("a fact with a clustered index answered a key without it: %v", used)
+	}
+	if _, ok := e.Used(2, ids(e, cl, b.i1)); !ok {
+		t.Fatal("the key of the fact's own scope must be answered")
+	}
+	e.BumpEpoch()
+	if used, ok := e.Used(0, ids(e, b.i2)); ok {
+		t.Fatalf("a fact of an older epoch answered: %v", used)
+	}
+	if b.fetches() != 2 {
+		t.Fatalf("Used must never fetch, got %v", b.tops)
 	}
 }
 

@@ -129,12 +129,3 @@ func union(a, b []int32) []int32 {
 	}
 	return out
 }
-
-// idString packs an ID list into a comparable map key.
-func idString(ids []int32) string {
-	b := make([]byte, 0, 4*len(ids))
-	for _, id := range ids {
-		b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	}
-	return string(b)
-}

@@ -125,21 +125,38 @@ func (c *optContext) selectAlternatives(q *QueryInfo) *Alternatives {
 	return a
 }
 
-// Select replays the optimizer's plan choice over the alternatives available
-// under a sub-configuration: has reports whether an additive structure key is
-// present. Because every component cost is config-independent (the same
-// arithmetic produces bit-identical floats under the sub-configuration) and
-// every selection minimizes the pathLess total order, the replayed choice is
-// exactly the choice a real optimization of that configuration would make.
-// ok is false only when no alternative is available, which cannot happen for
-// a skeleton built by selectAlternatives (a base scan always exists).
-// Multi-scope and DML skeletons dispatch to the join and maintenance replays.
+// Cost replays the optimizer's plan choice over the alternatives available
+// under a sub-configuration — has reports whether an additive structure key
+// is present — and returns the cost of the chosen plan. Because every
+// component cost is config-independent (the same arithmetic produces
+// bit-identical floats under the sub-configuration) and every selection
+// minimizes the pathLess total order, the replayed choice is exactly the
+// choice a real optimization of that configuration would make. ok is false
+// only when no alternative is available, which cannot happen for a skeleton
+// built by selectAlternatives (a base scan always exists). Multi-scope and
+// DML skeletons dispatch to the join and maintenance replays. It is the
+// derivation layer's replay, and it collects no used structures: a
+// single-scope or DML replay allocates nothing.
+func (a *Alternatives) Cost(has func(string) bool) (float64, bool) {
+	return a.replay(has, nil)
+}
+
+// Select is Cost plus the used-structure keys of the chosen plan: the replay
+// a per-query usage report runs once per event.
 func (a *Alternatives) Select(has func(string) bool) (float64, []string, bool) {
+	var used []string
+	cost, ok := a.replay(has, &used)
+	return cost, used, ok
+}
+
+// replay is Cost, storing the chosen plan's used structures in *used when
+// used is non-nil.
+func (a *Alternatives) replay(has func(string) bool, used *[]string) (float64, bool) {
 	if a.Join != nil {
-		return a.Join.selectJoin(has)
+		return a.Join.replay(has, used)
 	}
 	if a.Maint != nil {
-		return a.Maint.selectMaint(has)
+		return a.Maint.replay(has, used)
 	}
 	avail := func(c *AltComponent) bool {
 		return c.Structure == "" || has(c.Structure)
@@ -157,7 +174,7 @@ func (a *Alternatives) Select(has func(string) bool) (float64, []string, bool) {
 		}
 	}
 	if j == nil {
-		return 0, nil, false
+		return 0, false
 	}
 	chosen := j
 
@@ -196,5 +213,8 @@ func (a *Alternatives) Select(has func(string) bool) (float64, []string, bool) {
 	if vw != nil && vw.Pre < chosen.Pre {
 		chosen = vw
 	}
-	return chosen.Final, append([]string(nil), chosen.Used...), true
+	if used != nil {
+		*used = append([]string(nil), chosen.Used...)
+	}
+	return chosen.Final, true
 }

@@ -54,14 +54,15 @@ type Maintenance struct {
 	Terms []MaintTerm
 }
 
-// selectMaint replays the maintenance sum over the structures has reports
-// present. ok is false only when an UPDATE/DELETE skeleton offers no
-// available access path, which a capture-built one cannot (the base scan is
-// gateless).
-func (m *Maintenance) selectMaint(has func(string) bool) (float64, []string, bool) {
+// replay replays the maintenance sum over the structures has reports
+// present, storing the used structures (the winning access's and every
+// maintained one's) in *used when used is non-nil. ok is false only when an
+// UPDATE/DELETE skeleton offers no available access path, which a
+// capture-built one cannot (the base scan is gateless).
+func (m *Maintenance) replay(has func(string) bool, used *[]string) (float64, bool) {
 	avail := func(gate string) bool { return gate == "" || has(gate) }
 	cost := m.Fixed
-	var used []string
+	var keys []string
 	if len(m.Access) > 0 {
 		var win *ScopeAlt
 		for k := range m.Access {
@@ -71,21 +72,26 @@ func (m *Maintenance) selectMaint(has func(string) bool) (float64, []string, boo
 			}
 		}
 		if win == nil {
-			return 0, nil, false
+			return 0, false
 		}
 		cost += win.Pre
-		if win.Struct != "" {
-			used = append(used, win.Struct)
+		if used != nil && win.Struct != "" {
+			keys = append(keys, win.Struct)
 		}
 	}
 	for _, t := range m.Terms {
 		if avail(t.Gate) {
 			cost += t.Cost
-			used = append(used, t.Struct)
+			if used != nil {
+				keys = append(keys, t.Struct)
+			}
 		}
 	}
-	slices.Sort(used)
-	return cost, slices.Compact(used), true
+	if used != nil {
+		slices.Sort(keys)
+		*used = slices.Compact(keys)
+	}
+	return cost, true
 }
 
 // optimizeDML costs an INSERT, UPDATE or DELETE — locating the affected rows

@@ -267,10 +267,10 @@ func (cj *CompiledJoin) Gates() []string {
 // through the code the live optimizer runs (composeJoin, chooseProbe,
 // FinishSpec.finish), so the replayed cost is the float sequence a real
 // optimization of the subset would compute, and the used structures are
-// those of the plan it would choose. ok is false when some scope has no
-// available alternative, which a capture-built skeleton cannot produce (the
-// base scan is gateless).
-func (cj *CompiledJoin) replay(has func(gate int) bool) (float64, []string, bool) {
+// those of the plan it would choose, stored in *used when used is non-nil.
+// ok is false when some scope has no available alternative, which a
+// capture-built skeleton cannot produce (the base scan is gateless).
+func (cj *CompiledJoin) replay(has func(gate int) bool, used *[]string) (float64, bool) {
 	r := &replaySrc{cj: cj, avail: make([]bool, len(cj.gates)), win: make([]*ScopeAlt, len(cj.alts)),
 		buf: make([]probeCand, 0, len(cj.js.Probes))}
 	for i := range r.avail {
@@ -284,7 +284,7 @@ func (cj *CompiledJoin) replay(has func(gate int) bool) (float64, []string, bool
 			}
 		}
 		if r.win[i] == nil {
-			return 0, nil, false
+			return 0, false
 		}
 	}
 	chain, probes := composeJoin(cj.g, r)
@@ -299,25 +299,31 @@ func (cj *CompiledJoin) replay(has func(gate int) bool) (float64, []string, bool
 		}
 	}
 	if vw != nil && vw.Pre < root.cost {
-		return vw.Final, append([]string(nil), vw.Used...), true
+		if used != nil {
+			*used = append([]string(nil), vw.Used...)
+		}
+		return vw.Final, true
 	}
 
-	// The used structures of the chain's plan: each access that stays in
-	// the tree (the first scope's, and each hash join's inner) and each
-	// winning probe. The finish chain adds none.
-	used := make([]string, 0, len(chain))
-	for _, st := range chain {
-		key := r.win[st.last].Struct
-		if st.group >= 0 {
-			key = probes[st.group][st.cand].structure
+	if used != nil {
+		// The used structures of the chain's plan: each access that stays
+		// in the tree (the first scope's, and each hash join's inner) and
+		// each winning probe. The finish chain adds none.
+		keys := make([]string, 0, len(chain))
+		for _, st := range chain {
+			key := r.win[st.last].Struct
+			if st.group >= 0 {
+				key = probes[st.group][st.cand].structure
+			}
+			if key != "" {
+				keys = append(keys, key)
+			}
 		}
-		if key != "" {
-			used = append(used, key)
-		}
+		slices.Sort(keys)
+		*used = slices.Compact(keys)
 	}
-	slices.Sort(used)
 	fin := cj.js.Finish.finish(&Plan{Cost: root.cost}, root.rows, root.width)
-	return fin.Cost, slices.Compact(used), true
+	return fin.Cost, true
 }
 
 // replaySrc drives the join composition from a compiled skeleton restricted
@@ -346,12 +352,12 @@ func (r *replaySrc) probes(g int) []probeCand {
 	return r.buf[start:len(r.buf):len(r.buf)]
 }
 
-// selectJoin replays the compiled skeleton for the subset has reports
-// present.
-func (js *JoinSkeleton) selectJoin(has func(string) bool) (float64, []string, bool) {
+// replay replays the compiled skeleton for the subset has reports present,
+// storing the used structures in *used when used is non-nil.
+func (js *JoinSkeleton) replay(has func(string) bool, used *[]string) (float64, bool) {
 	cj := js.Compile()
 	if cj == nil {
-		return 0, nil, false
+		return 0, false
 	}
-	return cj.replay(func(i int) bool { return has(cj.gates[i]) })
+	return cj.replay(func(i int) bool { return has(cj.gates[i]) }, used)
 }

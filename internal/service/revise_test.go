@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/service"
 	"repro/internal/workload"
 )
@@ -279,5 +280,89 @@ func TestShutdownDisarmsPoolRetention(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, snap.ID+".pool.json")); err != nil {
 		t.Errorf("retention timer fired after Shutdown: pool file: %v", err)
+	}
+}
+
+// TestRevisionLinksParentPoolFile: a revision that keeps its parent's pool
+// (same constraints: nothing new costed) does not write a second copy of
+// it — its <id>.pool.json is a hard link to the parent's — while a vetoing
+// revision, which costs new configurations, writes its own pool file. The
+// link outlives the parent's retention expiry: the child's file stays a
+// readable, valid pool.
+func TestRevisionLinksParentPoolFile(t *testing.T) {
+	m, ts, _ := newTestAPI(t, 2)
+	dir := t.TempDir()
+	if err := m.SetStateDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	// The parent's pool expires; its revisions' pools do not (the TTL is
+	// read when a pool is retained).
+	m.SetPoolRetention(time.Second)
+	resp, parent := postJSON(t, ts.URL+"/sessions", service.CreateRequest{
+		Database: "db",
+		Statements: []workload.Statement{
+			{SQL: "SELECT id FROM t WHERE x = 42", Weight: 1},
+			{SQL: "SELECT a, COUNT(*) FROM t WHERE x < 10 GROUP BY a", Weight: 1},
+			{SQL: "SELECT SUM(amt) FROM t WHERE a = 7", Weight: 1},
+		},
+		Options: service.CreateOptions{Features: "IDX"},
+	})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("POST /sessions = %d", resp.StatusCode)
+	}
+	snap := waitTerminal(t, ts.URL, parent.ID)
+	if snap.State != service.StateDone || snap.Result == nil || len(snap.Result.Structures) == 0 {
+		t.Fatalf("parent: %+v", snap)
+	}
+	m.SetPoolRetention(0)
+	revise := func(body map[string]any) service.Snapshot {
+		t.Helper()
+		code, child := patchJSON(t, ts.URL+"/sessions/"+parent.ID, body)
+		if code != http.StatusCreated {
+			t.Fatalf("PATCH %v = %d", body, code)
+		}
+		if s := waitTerminal(t, ts.URL, child.ID); s.State != service.StateDone {
+			t.Fatalf("revision %v: %+v", body, s)
+		}
+		return child
+	}
+	same := revise(map[string]any{})
+	// Vetoing one candidate sends the search through configurations the
+	// parent never costed.
+	ps, _ := m.Get(parent.ID)
+	vetoed := revise(map[string]any{"veto": []string{ps.Pool().Candidates[0].Key()}})
+
+	stat := func(id string) os.FileInfo {
+		t.Helper()
+		fi, err := os.Stat(filepath.Join(dir, id+".pool.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi
+	}
+	if !os.SameFile(stat(parent.ID), stat(same.ID)) {
+		t.Error("a revision that kept its parent's pool wrote a second copy of it")
+	}
+	if os.SameFile(stat(parent.ID), stat(vetoed.ID)) {
+		t.Error("a vetoing revision shares its parent's pool file")
+	}
+
+	deadline := time.Now().Add(30 * time.Second)
+	for ps.Pool() != nil && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if _, err := os.Stat(filepath.Join(dir, parent.ID+".pool.json")); !os.IsNotExist(err) {
+		t.Fatalf("parent pool file survived its retention expiry: %v", err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, same.ID+".pool.json"))
+	if err != nil {
+		t.Fatalf("the revision's linked pool file went with its parent's: %v", err)
+	}
+	var pool core.CostedPool
+	if err := json.Unmarshal(data, &pool); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.Check(); err != nil || pool.Fingerprint != snap.PoolFingerprint {
+		t.Fatalf("linked pool file: %v (fingerprint %s, parent's %s)", err, pool.Fingerprint, snap.PoolFingerprint)
 	}
 }

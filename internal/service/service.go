@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -558,7 +559,27 @@ func (m *Manager) retainPool(s *Session, p *core.CostedPool) {
 	if !had {
 		m.gPools.Add(1)
 	}
-	m.writeStateFile(s.id, poolSuffix, p)
+	if !m.linkParentPool(s, p) {
+		m.writeStateFile(s.id, poolSuffix, p)
+	}
+}
+
+// linkParentPool hard-links a revision's <id>.pool.json to its parent's
+// when the revision kept the parent's pool object — it costed nothing new,
+// so core.Revise handed back its input — instead of writing a byte-identical
+// copy; each name outlives the other's removal. It reports whether the link
+// was made: with persistence off, for another pool, or when the link fails
+// (the parent's file expired, say), the caller writes the file.
+func (m *Manager) linkParentPool(s *Session, p *core.CostedPool) bool {
+	parent, ok := m.Get(s.revisedFrom)
+	if !ok {
+		return false
+	}
+	parent.mu.Lock()
+	same := parent.pool == p
+	parent.mu.Unlock()
+	from, to := m.statePath(parent.id, poolSuffix), m.statePath(s.id, poolSuffix)
+	return same && from != "" && os.Link(from, to) == nil
 }
 
 // disarmPoolExpiry stops the session's pending retention timer, if any; s.mu

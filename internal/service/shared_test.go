@@ -120,17 +120,18 @@ func resumeStateDir(t *testing.T, fixture string) (rec, ref *core.Recommendation
 	return rec, ref, daemon, res, buf.String()
 }
 
-// TestResumeParentWrittenStateDir resumes testdata/state-pr18 — a state
-// directory written by a binary from before the ID-keyed cost-cache format
-// (a session parked mid-run after a checkpoint, a daemon after its initial
-// tune with its pool beside it). Both persisted cost caches are refused by
-// their format, never misread: the session resumes under its original ID
-// cold — its checkpoint refused and logged — and reaches exactly the
-// uninterrupted run's recommendation with as many calls; the daemon keeps
-// its delta history but comes back without its pool, so its next reweight
-// epoch takes the fresh path.
+// TestResumeParentWrittenStateDir resumes testdata/state-pr25 — a state
+// directory written by a binary with cost-cache format 2, before the
+// costing format dropped its used structures and dead fields (a session
+// parked mid-run after a checkpoint, a daemon after its initial tune with
+// its pool beside it). Both persisted costing sections are refused by their
+// format, never misread: the session resumes under its original ID cold —
+// its checkpoint refused and logged — and reaches exactly the uninterrupted
+// run's recommendation with as many calls; the daemon keeps its delta
+// history but comes back without its pool, so its next reweight epoch takes
+// the fresh path.
 func TestResumeParentWrittenStateDir(t *testing.T) {
-	rec, ref, daemon, res, logs := resumeStateDir(t, "state-pr18")
+	rec, ref, daemon, res, logs := resumeStateDir(t, "state-pr25")
 	if rec.WhatIfCalls != ref.WhatIfCalls {
 		t.Fatalf("cold resume issued %d calls, the uninterrupted run %d", rec.WhatIfCalls, ref.WhatIfCalls)
 	}
@@ -141,19 +142,20 @@ func TestResumeParentWrittenStateDir(t *testing.T) {
 		t.Fatalf("post-resume reweight epoch path = %q, want %q (no pool)", res.Path, service.PathFresh)
 	}
 	for _, want := range []string{"checkpoint refused", "pool refused"} {
-		if !strings.Contains(logs, want) || !strings.Contains(logs, "cost-cache format 0") {
+		if !strings.Contains(logs, want) || !strings.Contains(logs, "cost-cache format 2") {
 			t.Fatalf("log lacks %q naming the format:\n%s", want, logs)
 		}
 	}
 }
 
-// TestResumeStateDir resumes testdata/state-pr25, the same scenario written
-// by a binary with the ID-keyed cost-cache format: the session starts warm
+// TestResumeStateDir resumes testdata/state-pr42, the same scenario written
+// by a binary with the current costing format (its checkpoint was captured
+// in candidate selection, skeleton facts included): the session starts warm
 // from its checkpoint (fewer calls than the uninterrupted run, same
 // recommendation) and the daemon's retained pool comes back, proven by the
 // next reweight epoch taking the revise path.
 func TestResumeStateDir(t *testing.T) {
-	rec, ref, daemon, res, logs := resumeStateDir(t, "state-pr25")
+	rec, ref, daemon, res, logs := resumeStateDir(t, "state-pr42")
 	if rec.WhatIfCalls >= ref.WhatIfCalls {
 		t.Fatalf("resumed session issued %d calls, the uninterrupted run %d: want a warm start", rec.WhatIfCalls, ref.WhatIfCalls)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -15,18 +16,21 @@ import (
 // checked), a pool file decoded and checked — its canonical form and content
 // address, against the bytes the canonical writer emits — and a daemon file
 // decoded and prepared (its options mapped, its compressor restored). None of
-// it may panic. Seeds: the three files of testdata/state-pr25.
+// it may panic. Seeds: the three files of testdata/state-pr42 (the current
+// format) and of testdata/state-pr25 (cost-cache format 2).
 func FuzzStateFile(f *testing.F) {
-	files, err := filepath.Glob(filepath.Join("testdata", "state-pr25", "*.json"))
-	if err != nil || len(files) != 3 {
-		f.Fatalf("state-pr25 seeds: %v (%d files)", err, len(files))
-	}
-	for _, name := range files {
-		data, err := os.ReadFile(name)
-		if err != nil {
-			f.Fatal(err)
+	for _, fixture := range []string{"state-pr42", "state-pr25"} {
+		files, err := filepath.Glob(filepath.Join("testdata", fixture, "*.json"))
+		if err != nil || len(files) != 3 {
+			f.Fatalf("%s seeds: %v (%d files)", fixture, err, len(files))
 		}
-		f.Add(data)
+		for _, name := range files {
+			data, err := os.ReadFile(name)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(data)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ss sessionState
@@ -44,34 +48,46 @@ func FuzzStateFile(f *testing.F) {
 	})
 }
 
-// TestStateFileSeedsPass: the fuzz seeds are valid files, each passing the
-// validation of its own kind — so the fuzzer starts from inputs that reach
-// past the decoders.
+// TestStateFileSeedsPass: the fuzz seeds are decodable files, each passing
+// the validation of its own kind — so the fuzzer starts from inputs that
+// reach past the decoders — but for the costing sections of state-pr25,
+// which the validation refuses by their older format.
 func TestStateFileSeedsPass(t *testing.T) {
-	dir := filepath.Join("testdata", "state-pr25")
-	read := func(name string, v any) {
-		t.Helper()
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(data, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var ss sessionState
-	read("s-0001.json", &ss)
-	if _, refused, err := ss.prepare(); err != nil || refused != nil {
-		t.Fatalf("session: %v, checkpoint refused: %v", err, refused)
-	}
-	var pool core.CostedPool
-	read("d-0001.pool.json", &pool)
-	if err := pool.Check(); err != nil {
-		t.Fatalf("pool: %v", err)
-	}
-	var ds daemonState
-	read("d-0001.daemon.json", &ds)
-	if _, comp, err := ds.prepare(); err != nil || comp == nil {
-		t.Fatalf("daemon: %v (compressor %v)", err, comp != nil)
+	for _, fixture := range []string{"state-pr42", "state-pr25"} {
+		t.Run(fixture, func(t *testing.T) {
+			read := func(name string, v any) {
+				t.Helper()
+				data, err := os.ReadFile(filepath.Join("testdata", fixture, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := json.Unmarshal(data, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// refusal checks err against the fixture: nil for the current
+			// format, a refusal naming format 2 for the older one.
+			refusal := func(what string, err error) {
+				t.Helper()
+				if old := fixture == "state-pr25"; (err != nil) != old || (old && !strings.Contains(err.Error(), "cost-cache format 2")) {
+					t.Fatalf("%s: %v", what, err)
+				}
+			}
+			var ss sessionState
+			read("s-0001.json", &ss)
+			_, refused, err := ss.prepare()
+			if err != nil {
+				t.Fatalf("session: %v", err)
+			}
+			refusal("checkpoint", refused)
+			var pool core.CostedPool
+			read("d-0001.pool.json", &pool)
+			refusal("pool", pool.Check())
+			var ds daemonState
+			read("d-0001.daemon.json", &ds)
+			if _, comp, err := ds.prepare(); err != nil || comp == nil {
+				t.Fatalf("daemon: %v (compressor %v)", err, comp != nil)
+			}
+		})
 	}
 }
