@@ -342,16 +342,3 @@ func (g ColumnGroup) Contains(col string) bool {
 	i := sort.SearchStrings(g.Columns, lc)
 	return i < len(g.Columns) && g.Columns[i] == lc
 }
-
-// Subsumes reports whether g contains every column of other (same table).
-func (g ColumnGroup) Subsumes(other ColumnGroup) bool {
-	if g.Table != other.Table {
-		return false
-	}
-	for _, c := range other.Columns {
-		if !g.Contains(c) {
-			return false
-		}
-	}
-	return true
-}

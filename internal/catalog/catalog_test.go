@@ -362,13 +362,6 @@ func TestColumnGroup(t *testing.T) {
 	if !g.Contains("A") || g.Contains("c") {
 		t.Fatal("Contains is wrong")
 	}
-	big := NewColumnGroup("orders", "a", "b", "c")
-	if !big.Subsumes(g) || g.Subsumes(big) {
-		t.Fatal("Subsumes is wrong")
-	}
-	if big.Subsumes(NewColumnGroup("lineitem", "a")) {
-		t.Fatal("Subsumes must require same table")
-	}
 }
 
 func TestColumnGroupCanonicalProperty(t *testing.T) {

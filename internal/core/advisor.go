@@ -119,9 +119,6 @@ type Options struct {
 	CompressWorkload bool
 	NoCompression    bool // force compression off
 
-	// ColGroupFrac is the minimum fraction of total workload cost a column
-	// group must appear in to be interesting (paper §2.2). Default 0.02.
-	ColGroupFrac float64
 	// NoColGroupRestriction disables the restriction (ITW-style search).
 	NoColGroupRestriction bool
 
@@ -197,7 +194,8 @@ type Options struct {
 
 	// CheckpointSink, when set, receives periodic Checkpoint snapshots of
 	// the session's restartable state (the cost cache plus progress
-	// markers), every CheckpointEvery what-if calls (default 128). The
+	// markers), every CheckpointEvery what-if calls (default 128) from
+	// candidate selection's statistics pass on. The
 	// tuning service persists them under its -state-dir so a killed
 	// server resumes in-flight sessions on restart.
 	CheckpointSink  func(*Checkpoint)
@@ -266,9 +264,6 @@ func (o Options) features() FeatureMask {
 }
 
 func (o Options) withDefaults() Options {
-	if o.ColGroupFrac <= 0 {
-		o.ColGroupFrac = 0.02
-	}
 	if o.GreedyM <= 0 {
 		o.GreedyM = 1
 	}
@@ -488,9 +483,6 @@ func buildCostedState(ctx context.Context, t Tuner, w *workload.Workload, opts O
 	if opts.Resume != nil {
 		if err := opts.Resume.Check(); err != nil {
 			return nil, nil, err
-		}
-		if opts.Resume.early() {
-			ev.warmStart(opts.Resume.CostingSection) // see warmStart
 		}
 	}
 	tr.setPhase(PhaseBaseline)
@@ -750,11 +742,11 @@ func finishRecommendation(t Tuner, ev *evaluator, rec *Recommendation, base, fin
 }
 
 // sealRecommendation stamps the session totals. What-if calls are counted by
-// the session's own evaluator — not as a server counter delta — so the
+// the session's own tracker — not as a server counter delta — so the
 // number stays exact when several sessions share one what-if server.
 func sealRecommendation(ev *evaluator, rec *Recommendation, start time.Time) *Recommendation {
 	tr := ev.tr
-	rec.WhatIfCalls = ev.calls.Load()
+	rec.WhatIfCalls = tr.calls.Load()
 	rec.DerivedEvals = ev.drv.Derivations()
 	rec.DeriveFallbacks = ev.drv.AtomsByShape()
 	rec.Duration = time.Since(start)

@@ -285,6 +285,21 @@ func TestIntegratedBeatsOrMatchesStaged(t *testing.T) {
 	}
 }
 
+// TestStagedCountsEveryCall: a staged tune reports every what-if call it
+// issued — each stage's and the final rebase against the original base
+// configuration — so its WhatIfCalls equals the backend's own count.
+func TestStagedCountsEveryCall(t *testing.T) {
+	s := testServer(t)
+	before := s.WhatIfCallCount()
+	rec, err := TuneStaged(s, lookupWorkload(12), Options{NoCompression: true, Parallelism: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served := s.WhatIfCallCount() - before; rec.WhatIfCalls != served {
+		t.Fatalf("staged tune reports %d what-if calls, the backend served %d", rec.WhatIfCalls, served)
+	}
+}
+
 func TestITWBaseline(t *testing.T) {
 	s := testServer(t)
 	var sqls []string

@@ -79,7 +79,7 @@ func TuneStaged(t Tuner, w *workload.Workload, opts Options, stages []FeatureMas
 	}
 	last.NewStructures = newStructures(base, cur)
 	last.StorageBytes = cur.StorageBytes(t.Catalog()) - base.StorageBytes(t.Catalog())
-	last.WhatIfCalls = totalCalls
+	last.WhatIfCalls = totalCalls + tr.calls.Load()
 	return last, nil
 }
 

@@ -111,7 +111,8 @@ func selectCandidates(t Tuner, ev *evaluator, w *workload.Workload, base *catalo
 	// already held every statistic), so the calls a session issues do not
 	// depend on which statistics its backend held beforehand.
 	ev.bumpEpoch()
-	if opts.Resume != nil && !opts.Resume.early() {
+	tr.startCheckpoints(opts, ev)
+	if opts.Resume != nil {
 		// A resumed session's restore point (see warmStart).
 		ev.warmStart(opts.Resume.CostingSection)
 	}

@@ -149,15 +149,16 @@ type Checkpoint struct {
 	CostingSection
 }
 
-// Check validates the checkpoint's costing section; TuneContext refuses a
-// Resume checkpoint that fails it.
-func (ck *Checkpoint) Check() error { return ck.check("checkpoint", -1) }
-
-// early reports whether the checkpoint was captured before candidate
-// selection, whose statistics pass may bump the epoch: a resumed session
-// loads it at start, and any later one right after that pass (see
-// warmStart).
-func (ck *Checkpoint) early() bool { return ck.Phase == PhaseBaseline || ck.Phase == PhaseColGroups }
+// Check validates the checkpoint's costing section and refuses one captured
+// before candidate selection's statistics pass (an older binary wrote such
+// checkpoints; their costs predate the statistics a resumed session
+// restores under); TuneContext refuses a Resume checkpoint that fails it.
+func (ck *Checkpoint) Check() error {
+	if ck.Phase == PhaseBaseline || ck.Phase == PhaseColGroups {
+		return fmt.Errorf("core: checkpoint: captured in phase %q, before the statistics pass", ck.Phase)
+	}
+	return ck.check("checkpoint", -1)
+}
 
 // checkpointer drives periodic snapshots: every Options.CheckpointEvery
 // what-if calls, the worker counting the boundary call captures the
@@ -287,12 +288,11 @@ func (ev *evaluator) snapshotCache() func() CostCache {
 // position outside their table. Called between parallel sections, and only
 // under the statistics state the section was captured in:
 //   - Revise loads its pool at start: a search never creates statistics.
-//   - Resume loads its checkpoint at the one point its phase names (see
-//     Checkpoint.early): a baseline or column-groups checkpoint at session
-//     start, any later one right after candidate selection's statistics
-//     pass and its epoch bump. No what-if call is issued between that
-//     phase marker and the bump, so a later checkpoint holds only costs
-//     and facts of the final statistics.
+//   - Resume loads its checkpoint right after candidate selection's
+//     statistics pass and its epoch bump, where checkpoints start (see
+//     tracker.startCheckpoints), so a checkpoint holds only costs and facts
+//     of the final statistics. A resumed session re-pays its work before
+//     that point.
 func (ev *evaluator) warmStart(s CostingSection) {
 	ev.drv.Restore(s.Skeletons)
 	c := s.Cache

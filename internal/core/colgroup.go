@@ -6,6 +6,10 @@ import (
 	"repro/internal/workload"
 )
 
+// colGroupFrac is the minimum fraction of total workload cost a column group
+// must appear in to be interesting (paper §2.2).
+const colGroupFrac = 0.02
+
 // columnGroups is the output of the column-group restriction step: the set
 // of "interesting" column groups for the workload. Indexes and partitioning
 // considered by the advisor are limited to these groups (paper §2.2), which
@@ -27,7 +31,7 @@ func (g *columnGroups) interesting(table string, cols ...string) bool {
 // interestingColumnGroups mines the frequent column groups of the workload
 // bottom-up in the style of frequent-itemset mining [5]: a column group is
 // interesting when the events referencing all of its columns together
-// account for at least ColGroupFrac of the total workload cost. Costs are
+// account for at least colGroupFrac of the total workload cost. Costs are
 // the optimizer-estimated costs under the base configuration, so expensive
 // queries weigh more than cheap ones.
 func interestingColumnGroups(t Tuner, ev *evaluator, w *workload.Workload, opts Options) (*columnGroups, error) {
@@ -63,7 +67,7 @@ func interestingColumnGroups(t Tuner, ev *evaluator, w *workload.Workload, opts 
 			occs = append(occs, occurrence{table: cols.table, cols: cols.cols, cost: cost})
 		}
 	}
-	threshold := totalCost * opts.ColGroupFrac
+	threshold := totalCost * colGroupFrac
 
 	// Level 1: frequent single columns.
 	costOf := map[string]float64{}

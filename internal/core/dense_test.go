@@ -151,9 +151,9 @@ func TestIncrementalCostsMatchFromScratch(t *testing.T) {
 				if !slices.Equal(got.c.ents, inc.config(got.c.catalog()).ents) {
 					t.Fatalf("step %d (%s): dense configuration differs from its catalog form", step, op)
 				}
-				if inc.calls.Load() != ref.calls.Load() || inc.drv.Derivations() != ref.drv.Derivations() || inc.drv.Atoms() != ref.drv.Atoms() {
+				if inc.tr.calls.Load() != ref.tr.calls.Load() || inc.drv.Derivations() != ref.drv.Derivations() || inc.drv.Atoms() != ref.drv.Atoms() {
 					t.Fatalf("step %d (%s): calls/derived/atoms %d/%d/%d incrementally, %d/%d/%d from scratch", step, op,
-						inc.calls.Load(), inc.drv.Derivations(), inc.drv.Atoms(), ref.calls.Load(), ref.drv.Derivations(), ref.drv.Atoms())
+						inc.tr.calls.Load(), inc.drv.Derivations(), inc.drv.Atoms(), ref.tr.calls.Load(), ref.drv.Derivations(), ref.drv.Atoms())
 				}
 			}
 
@@ -230,7 +230,7 @@ func TestIncrementalCostsMatchFromScratch(t *testing.T) {
 					cur = next
 				}
 			}
-			t.Logf("ops %v, calls %d, derived %d", ops, inc.calls.Load(), inc.drv.Derivations())
+			t.Logf("ops %v, calls %d, derived %d", ops, inc.tr.calls.Load(), inc.drv.Derivations())
 			if ops["clustered"] == 0 || ops["unclustered"] == 0 {
 				t.Fatalf("the walk never toggled a clustered index under a partitioned table: %v", ops)
 			}

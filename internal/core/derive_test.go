@@ -254,8 +254,8 @@ func TestDeriveMatchesRealCostsOnRandomConfigs(t *testing.T) {
 	if evOn.drv.Derivations() == 0 {
 		t.Fatal("no derivations happened; the property test is vacuous")
 	}
-	if evOn.calls.Load() >= evOff.calls.Load() {
-		t.Fatalf("derivation must cut real calls: on=%d oracle=%d", evOn.calls.Load(), evOff.calls.Load())
+	if evOn.tr.calls.Load() >= evOff.tr.calls.Load() {
+		t.Fatalf("derivation must cut real calls: on=%d oracle=%d", evOn.tr.calls.Load(), evOff.tr.calls.Load())
 	}
 }
 
@@ -524,8 +524,8 @@ func TestConcurrentSubsetsShareOneSkeletonFetch(t *testing.T) {
 					t.Errorf("configuration %d: derived cost %v != oracle cost %v", j, got[j], want[j])
 				}
 			}
-			if a.served.Load() != 1 || ev.calls.Load() != 1 {
-				t.Fatalf("backend served %d calls (accounted %d), want exactly one skeleton fetch", a.served.Load(), ev.calls.Load())
+			if a.served.Load() != 1 || ev.tr.calls.Load() != 1 {
+				t.Fatalf("backend served %d calls (accounted %d), want exactly one skeleton fetch", a.served.Load(), ev.tr.calls.Load())
 			}
 			if by := ev.drv.AtomsByShape(); by["atom"] != 1 || len(by) != 1 {
 				t.Fatalf("atoms = %v, want exactly one single-scope atom", by)

@@ -63,12 +63,6 @@ type evaluator struct {
 	// and worker pool; cache misses check it before reaching the optimizer
 	// so a cancelled session stops within one what-if call per worker.
 	tr *tracker
-	// calls counts the what-if optimizer calls this evaluator issued — the
-	// session-exact figure reported in Recommendation.WhatIfCalls (a shared
-	// server's global counter would mix concurrent sessions together). Only
-	// a cache-miss leader increments it, so it also stays exact under
-	// parallelism.
-	calls atomic.Int64
 	// added counts the entries this evaluator's own evaluations completed —
 	// successful misses, not the ones warmStart loaded: with the engine's
 	// fetched facts (Atoms) it tells whether a revision recorded anything
@@ -210,9 +204,9 @@ type structInfo struct {
 // newEvaluator analyzes the workload and, iff the backend can return plan
 // skeletons, installs a derivation engine in the given mode ("" = on). It
 // binds the session tracker tr: the evaluator runs on tr's worker pool, under
-// its stop protocol and call accounting; tr's checkpointer snapshots this
-// evaluator and its Progress snapshots read the engine's counters. The
-// cost-cache metric series are cached here from tr's registry.
+// its stop protocol and call accounting; its Progress snapshots read the
+// engine's counters. The cost-cache metric series are cached here from tr's
+// registry.
 func newEvaluator(t Tuner, w *workload.Workload, mode derive.Mode, tr *tracker) *evaluator {
 	n := len(w.Events)
 	ev := &evaluator{
@@ -254,9 +248,6 @@ func newEvaluator(t Tuner, w *workload.Workload, mode derive.Mode, tr *tracker) 
 		ev.infos = append(ev.infos, info)
 	}
 	tr.drv = ev.drv
-	if tr.ckpt != nil {
-		tr.ckpt.ev = ev
-	}
 	if reg := tr.metrics; reg != nil {
 		const help = "What-if cost cache behaviour: served hits, leader misses (one optimizer call each), waits coalesced onto another worker's in-flight call, and misses answered by cost derivation (no optimizer call)."
 		ev.mHits = reg.Counter("dta_cost_cache_requests_total", help, "outcome", "hit")
@@ -655,9 +646,9 @@ func (ev *evaluator) miss(i int, c *config, h uint64, ce *cacheEntry, span conte
 	}
 	if ev.drv != nil {
 		// A derived answer is a fourth cache outcome: no optimizer call
-		// happened for it, so neither ev.calls, the tracker's call
-		// accounting, nor the circuit breaker hears about it (the skeleton
-		// fetch behind it accounted for itself).
+		// happened for it, so neither the tracker's call accounting nor the
+		// circuit breaker hears about it (the skeleton fetch behind it
+		// accounted for itself).
 		ev.count(ev.mDerived)
 	}
 	ce.cost = cost
@@ -796,8 +787,8 @@ func (ev *evaluator) bumpEpoch() {
 // verifyDerived cross-checks a derived cost against a real optimizer call
 // (Mode Verify only). The cross-check call runs under the session's retry
 // policy but outside its what-if accounting: it is diagnostic load, not
-// part of producing the recommendation, so ev.calls, the tracker, and the
-// circuit breaker stay untouched — dta_derive_verify_total records it. A
+// part of producing the recommendation, so the tracker and the circuit
+// breaker stay untouched — dta_derive_verify_total records it. A
 // cross-check the backend cannot answer (faults exhausted retries) is
 // counted and skipped; a cost divergence beyond derive.VerifyTolerance
 // fails the evaluation.
@@ -829,7 +820,7 @@ func (ev *evaluator) verifyDerived(i int, c *config, cost float64) error {
 
 // whatIfCall issues a cache-miss leader's optimizer call under the session's
 // retry policy and fault injector. Every attempt — retries included — is
-// charged to the session's what-if accounting (ev.calls and the tracker),
+// charged to the session's what-if accounting (the tracker's call count),
 // feeds the circuit breaker, and increments dta_retries_total, so the
 // reported call count reflects the real load placed on the backend. With
 // wantAlts set (the backend is then an AlternativesTuner) the same single
@@ -842,7 +833,6 @@ func (ev *evaluator) whatIfCall(i int, cfg *catalog.Configuration, wantAlts bool
 	}
 	tr := ev.tr
 	r, err := fault.Do(tr.ctx, tr.retryPolicy(), func() (res, error) {
-		ev.calls.Add(1)
 		tr.countCall()
 		if err := tr.inject(fault.SiteWhatIf); err != nil {
 			return res{}, err

@@ -206,7 +206,7 @@ func TestSingleFlightCoalescesDuplicateCosts(t *testing.T) {
 	// Distinct keys: 2 events × base, plus the event(s) whose relevant set
 	// changes under the index. The exact count matters less than equality
 	// with the evaluator's own accounting and the absence of duplicates.
-	if got, issued := ct.calls.Load(), ev.calls.Load(); got != issued {
+	if got, issued := ct.calls.Load(), ev.tr.calls.Load(); got != issued {
 		t.Fatalf("tuner saw %d calls, evaluator accounted %d", got, issued)
 	}
 	if got := ct.calls.Load(); got > 4 {

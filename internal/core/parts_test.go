@@ -297,18 +297,25 @@ func TestGreedySeedOptimalWithInteraction(t *testing.T) {
 
 func TestInterestingColumnGroups(t *testing.T) {
 	s := testServer(t)
-	var sqls []string
 	// Column x dominates the workload; column amt appears once, cheaply.
-	for i := 0; i < 30; i++ {
-		sqls = append(sqls, "SELECT id FROM t WHERE x = 5 AND a = 3")
+	mine := func(dominant int, opts Options) (*columnGroups, *evaluator, *workload.Workload) {
+		t.Helper()
+		var sqls []string
+		for i := 0; i < dominant; i++ {
+			sqls = append(sqls, "SELECT id FROM t WHERE x = 5 AND a = 3")
+		}
+		sqls = append(sqls, "SELECT id FROM t WHERE amt = 1")
+		w := workload.MustNew(sqls...)
+		ev := newEvaluator(s, w, "", testTracker())
+		groups, err := interestingColumnGroups(s, ev, w, opts.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return groups, ev, w
 	}
-	sqls = append(sqls, "SELECT id FROM t WHERE amt = 1")
-	w := workload.MustNew(sqls...)
-	ev := newEvaluator(s, w, "", testTracker())
-	groups, err := interestingColumnGroups(s, ev, w, Options{ColGroupFrac: 0.05}.withDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
+
+	// 1 of 61 events falls under the 2% threshold.
+	groups, ev, w := mine(60, Options{})
 	if !groups.interesting("t", "x") || !groups.interesting("t", "a") {
 		t.Fatal("dominant columns must be interesting")
 	}
@@ -320,6 +327,11 @@ func TestInterestingColumnGroups(t *testing.T) {
 	}
 	if groups.interesting("t", "x", "amt") {
 		t.Fatal("pair with a pruned member must be pruned (apriori)")
+	}
+
+	// 1 of 31 events clears it: the threshold, not the column, decides.
+	if groups, _, _ := mine(30, Options{}); !groups.interesting("t", "amt") {
+		t.Fatal("a column in 1 of 31 events must be interesting at the 2% threshold")
 	}
 
 	// Disabled restriction admits everything.

@@ -163,18 +163,12 @@ func parentCheckpointJSON(tb testing.TB, fixture string) []byte {
 }
 
 // warmStartCheckpoint is what a resumed session does with a decoded
-// checkpoint: load its costing section at session start or, after the
-// statistics pass's epoch bump, at the point its phase names. It must
-// survive any decoded input.
+// checkpoint: load its costing section after the statistics pass's epoch
+// bump. It must survive any decoded input.
 func warmStartCheckpoint(srv Tuner, ck *Checkpoint) {
 	ev := newEvaluator(srv, lookupWorkload(10), "", testTracker())
-	if ck.early() {
-		ev.warmStart(ck.CostingSection)
-	}
 	ev.bumpEpoch()
-	if !ck.early() {
-		ev.warmStart(ck.CostingSection)
-	}
+	ev.warmStart(ck.CostingSection)
 }
 
 // warmStartPool is what a revision does with a decoded pool before its
@@ -194,7 +188,7 @@ func warmStartPool(srv Tuner, p *CostedPool) {
 
 // FuzzCostedPool feeds arbitrary bytes through what loading a pool file or a
 // session checkpoint does — json.Unmarshal, Check, and the warm start (a
-// revision's; a resume's at both of its restore points) — none of which may
+// revision's; a resume's at its restore point) — none of which may
 // panic; every decoded pool's canonical writer must also emit exactly
 // json.Marshal's bytes for it, or fail as json.Marshal does. Both decoders share the costing section, so they share one corpus:
 // a toy pool, its malformed variants, a toy PSOFT pool carrying DML
@@ -256,8 +250,8 @@ func TestCheckRejectsMalformedPools(t *testing.T) {
 // TestCheckRejectsMalformedCheckpoints: every malformed checkpoint variant
 // fails Check — but an out-of-range event, which only a workload can bound,
 // and which the warm start ignores — and still warm-starts without
-// panicking; the checkpoints it derives from pass, and one of the older
-// format is refused by it.
+// panicking; the checkpoints it derives from pass, one of the older format
+// is refused by it, and so is one captured before the statistics pass.
 func TestCheckRejectsMalformedCheckpoints(t *testing.T) {
 	srv := testServer(t)
 	seed := toyCheckpointJSON(t, srv)
@@ -269,6 +263,16 @@ func TestCheckRejectsMalformedCheckpoints(t *testing.T) {
 		err := ck.Check()
 		if old := ck.Cache.Format != CostCacheFormat; (err != nil) != old || (old && !strings.Contains(err.Error(), "cost-cache format 2")) {
 			t.Fatalf("seed checkpoint (format %d): Check = %v", ck.Cache.Format, err)
+		}
+	}
+	for _, phase := range []Phase{PhaseBaseline, PhaseColGroups} {
+		var ck Checkpoint
+		if err := json.Unmarshal(seed, &ck); err != nil {
+			t.Fatal(err)
+		}
+		ck.Phase = phase
+		if err := ck.Check(); err == nil || !strings.Contains(err.Error(), "before the statistics pass") {
+			t.Fatalf("checkpoint captured in %s: Check = %v", phase, err)
 		}
 	}
 	for name, data := range malformedCheckpoints(t, seed) {

@@ -163,7 +163,9 @@ type tracker struct {
 	// and statistics operation runs under, the session-scoped fault
 	// injector (nil outside fault-testing), the circuit breaker fed by
 	// every attempt outcome, and the periodic checkpointer (nil without a
-	// sink). All written once at construction, read by pool workers.
+	// sink, and until candidate selection's epoch bump: see
+	// startCheckpoints). Written between parallel sections, read by pool
+	// workers.
 	retry   fault.Policy
 	faults  *fault.Injector
 	breaker *fault.Breaker
@@ -177,7 +179,7 @@ type tracker struct {
 	phase           Phase
 	eventsTotal     int
 	eventsTuned     int
-	calls           atomic.Int64
+	calls           atomic.Int64 // what-if calls issued (see countCall)
 	baseCost        float64
 	bestImprovement float64
 
@@ -238,14 +240,7 @@ func newTracker(ctx context.Context, opts Options, start time.Time) *tracker {
 	tr.pool = newWorkerPool(opts.Parallelism)
 	tr.retry = opts.Retry.WithDefaults()
 	tr.faults = opts.Faults
-	tr.breaker = fault.NewBreaker(fault.BreakerConfig{})
-	if opts.CheckpointSink != nil {
-		every := int64(opts.CheckpointEvery)
-		if every <= 0 {
-			every = 128
-		}
-		tr.ckpt = &checkpointer{sink: opts.CheckpointSink, every: every, tr: tr}
-	}
+	tr.breaker = fault.NewBreaker()
 	if tr.metrics != nil {
 		const rhelp = "Backend call attempts made under the session retry policy, by call site and outcome."
 		tr.mRetryOK = map[string]*obs.Counter{}
@@ -426,9 +421,27 @@ func (tr *tracker) setPhase(p Phase) {
 	tr.emit()
 }
 
+// startCheckpoints installs the periodic checkpointer over ev (none without
+// a sink). Candidate selection calls it at its epoch bump, so no checkpoint
+// holds state from before the statistics pass and a resumed session
+// restores at that one point (see warmStart). Called between parallel
+// sections.
+func (tr *tracker) startCheckpoints(opts Options, ev *evaluator) {
+	if opts.CheckpointSink == nil {
+		return
+	}
+	every := int64(opts.CheckpointEvery)
+	if every <= 0 {
+		every = 128
+	}
+	tr.ckpt = &checkpointer{sink: opts.CheckpointSink, every: every, tr: tr, ev: ev}
+}
+
 // countCall charges one what-if optimizer call to the session and emits a
 // periodic progress snapshot so long costing loops stay observable. Called
-// by whichever pool worker leads a cache miss.
+// by whichever pool worker leads a cache miss, so the count is exact under
+// parallelism; it is what Recommendation.WhatIfCalls reports (a shared
+// server's global counter would mix concurrent sessions together).
 func (tr *tracker) countCall() {
 	n := tr.ckpt.count(&tr.calls)
 	if tr.cb != nil && n%64 == 0 {

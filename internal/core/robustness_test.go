@@ -184,16 +184,19 @@ func TestRetryMasksTransientFaults(t *testing.T) {
 // session resumed from a mid-run checkpoint (round-tripped through JSON, as
 // the service persists it) produces the identical recommendation to an
 // uninterrupted run, and pays no call the interrupted run had paid before
-// the snapshot except those still in flight when it fired, and — for a
-// checkpoint past the statistics pass, which it loads only after its own —
-// the pre-statistics costing it re-pays up to that restore point (pre; the
-// checkpoint's costs all postdate the statistics). The boundary call that
-// fires the snapshot is counted but not yet made, so it is always re-paid;
-// each other pool worker leads at most one more. Hence
-// full − ck + 1 + pre ≤ resumed ≤ full − ck + P + pre, an equality at P=1.
-// The baseline leg's checkpoint fires before the statistics pass, so it
-// loads at session start (pre = 0). Every checkpoint over the skeleton
-// backend carries its skeleton section. The
+// the snapshot except those still in flight when it fired, and the
+// pre-statistics costing it re-pays up to its one restore point (pre, the
+// calls the uninterrupted run had paid at candidate selection's epoch bump;
+// the checkpoint's costs all postdate the statistics). The boundary call
+// that fires the snapshot is counted but not yet made, so it is always
+// re-paid; each other pool worker leads at most one more. Hence
+// full − ck + 1 + pre ≤ resumed ≤ full − ck + P + pre, an equality at P=1;
+// the resume saves calls whenever ck > pre + P (at P=4 the baseline leg's
+// checkpoint, two calls past the bump, may hold no answer yet).
+// Checkpoints start at the bump, so the first one is the first boundary
+// after it — on the baseline leg, whose interval is shorter than the
+// pre-statistics costing, still in candidate selection. Every checkpoint
+// over the skeleton backend carries its skeleton section. The
 // uninterrupted run's own call count is pinned too (fullMax: what the
 // skeleton engine pays for the workload, and what it pays without
 // skeletons, report included), so a rise there cannot hide inside the
@@ -204,7 +207,7 @@ func TestCheckpointResume(t *testing.T) {
 		name     string
 		srv      func(testing.TB) Tuner
 		every    int
-		baseline bool // the checkpoint fires during baseline costing
+		baseline bool // the interval is shorter than the pre-statistics costing
 		fullMax  int64
 	}{
 		{"skeletons", skeletons, 25, false, 50},
@@ -213,18 +216,25 @@ func TestCheckpointResume(t *testing.T) {
 	} {
 		for _, par := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/P%d", leg.name, par), func(t *testing.T) {
-				full, ck, resumed, pre := checkpointResume(t, leg.srv, par, leg.every)
+				full, bump, ck, resumed, pre := checkpointResume(t, leg.srv, par, leg.every)
 				if full.WhatIfCalls > leg.fullMax {
 					t.Fatalf("uninterrupted run paid %d calls, was %d", full.WhatIfCalls, leg.fullMax)
 				}
-				if (ck.Phase == PhaseBaseline) != leg.baseline || ck.Phase == PhaseColGroups {
+				every := int64(leg.every)
+				if want := (bump/every + 1) * every; ck.WhatIfCalls != want {
+					t.Fatalf("first checkpoint at call %d, want the first boundary after the epoch bump at %d: %d", ck.WhatIfCalls, bump, want)
+				}
+				if ck.Phase == PhaseBaseline || ck.Phase == PhaseColGroups || (leg.baseline && ck.Phase != PhaseCandidates) {
 					t.Fatalf("first checkpoint fired in %s", ck.Phase)
+				}
+				if leg.baseline != (bump > every) {
+					t.Fatalf("interval %d against %d pre-statistics calls: the leg tests the wrong case", every, bump)
 				}
 				if _, alts := leg.srv(t).(AlternativesTuner); (ck.Skeletons != nil) != alts {
 					t.Fatalf("checkpoint in %s carries skeletons: %v", ck.Phase, ck.Skeletons != nil)
 				}
-				if leg.baseline != (pre == 0) {
-					t.Fatalf("resumed session paid %d calls before its restore point", pre)
+				if pre != bump {
+					t.Fatalf("resumed session paid %d calls before its restore point, the uninterrupted run %d", pre, bump)
 				}
 				lo := full.WhatIfCalls - ck.WhatIfCalls + 1 + pre
 				if hi := lo - 1 + int64(par); resumed.WhatIfCalls < lo || resumed.WhatIfCalls > hi {
@@ -241,12 +251,22 @@ func TestCheckpointResume(t *testing.T) {
 // checkpointing every `every` calls, resumes a session on a fresh backend
 // from its first checkpoint (JSON round-tripped), and checks the
 // scheduling-independent half of the contract: identical recommendation and
-// costs, fewer optimizer calls. pre is the calls the resumed session paid
-// before loading a checkpoint captured past column groups: those of its
-// phases before candidate selection (0 for an earlier checkpoint).
-func checkpointResume(t *testing.T, srv func(testing.TB) Tuner, parallelism, every int) (full *Recommendation, first *Checkpoint, resumed *Recommendation, pre int64) {
+// costs. bump and pre are the calls the uninterrupted and the resumed
+// session had paid on entering candidate selection, whose statistics pass
+// and epoch bump follow without a what-if call in between.
+func checkpointResume(t *testing.T, srv func(testing.TB) Tuner, parallelism, every int) (full *Recommendation, bump int64, first *Checkpoint, resumed *Recommendation, pre int64) {
 	t.Helper()
 	w := lookupWorkload(10)
+	// atBump records the call count of the first candidate-selection
+	// snapshot: the one its phase marker emits.
+	atBump := func(calls *int64) func(Progress) {
+		*calls = -1
+		return func(p Progress) {
+			if p.Phase == PhaseCandidates && *calls < 0 {
+				*calls = p.WhatIfCalls
+			}
+		}
+	}
 	// CheckpointEvery counts real optimizer calls; keep it small enough that
 	// a checkpoint lands even when derivation (DTA_DERIVE=verify in CI's
 	// fault matrix) answers most evaluations without a call.
@@ -254,6 +274,7 @@ func checkpointResume(t *testing.T, srv func(testing.TB) Tuner, parallelism, eve
 		NoCompression:   true,
 		Derive:          testDeriveMode(t),
 		Parallelism:     parallelism,
+		Progress:        atBump(&bump),
 		CheckpointEvery: every,
 		CheckpointSink: func(ck *Checkpoint) {
 			if first == nil {
@@ -266,9 +287,6 @@ func checkpointResume(t *testing.T, srv func(testing.TB) Tuner, parallelism, eve
 	}
 	if first == nil {
 		t.Fatalf("no checkpoint emitted over %d what-if calls", full.WhatIfCalls)
-	}
-	if first.WhatIfCalls != int64(every) {
-		t.Fatalf("first checkpoint reports %d calls, want its boundary %d", first.WhatIfCalls, every)
 	}
 
 	// Round-trip through JSON exactly as the service's state files do;
@@ -284,13 +302,7 @@ func checkpointResume(t *testing.T, srv func(testing.TB) Tuner, parallelism, eve
 
 	// Resume on a fresh server — the post-crash world: no statistics, cold
 	// caches, only the checkpoint file.
-	late := restored.Phase != PhaseBaseline && restored.Phase != PhaseColGroups
-	progress := func(p Progress) {
-		if late && p.Phase == PhaseCandidates && pre == 0 {
-			pre = p.WhatIfCalls
-		}
-	}
-	resumed, err = Tune(srv(t), w, Options{NoCompression: true, Resume: &restored, Derive: testDeriveMode(t), Parallelism: parallelism, Progress: progress})
+	resumed, err = Tune(srv(t), w, Options{NoCompression: true, Resume: &restored, Derive: testDeriveMode(t), Parallelism: parallelism, Progress: atBump(&pre)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,10 +313,7 @@ func checkpointResume(t *testing.T, srv func(testing.TB) Tuner, parallelism, eve
 		t.Fatalf("resumed costs differ: %.9f/%.9f vs %.9f/%.9f",
 			resumed.BaseCost, resumed.Cost, full.BaseCost, full.Cost)
 	}
-	if resumed.WhatIfCalls >= full.WhatIfCalls {
-		t.Fatalf("resume saved no optimizer calls: %d vs %d", resumed.WhatIfCalls, full.WhatIfCalls)
-	}
-	return full, &restored, resumed, pre
+	return full, bump, &restored, resumed, pre
 }
 
 // TestDegradedSkipsReports verifies a degraded session behaves like a

@@ -18,9 +18,6 @@ import (
 	"repro/internal/workload"
 )
 
-// Names lists the available demonstration databases.
-func Names() []string { return []string{"tpch", "psoft", "synt1"} }
-
 // Build creates one of the demonstration servers with data loaded and
 // returns it with the database's built-in workload.
 func Build(name string, sf float64) (*whatif.Server, *workload.Workload, error) {

@@ -2,50 +2,33 @@ package fault
 
 import "sync/atomic"
 
-// BreakerConfig parameterizes a Breaker.
-type BreakerConfig struct {
-	// FailureRate is the failure fraction (over all recorded attempts) at
-	// which the breaker trips (≤ 0 → 0.05).
-	FailureRate float64
-	// MinSamples is the minimum number of recorded attempts before the
-	// rate is evaluated — a breaker must not trip on the first unlucky
-	// call (≤ 0 → 64).
-	MinSamples int64
-}
-
-// withDefaults resolves zero fields to the package defaults.
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.FailureRate <= 0 {
-		c.FailureRate = 0.05
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 64
-	}
-	return c
-}
+// The breaker trips once at least breakerMinSamples attempts have been
+// recorded and breakerFailureRate of them or more failed: a breaker must
+// not trip on the first unlucky call.
+const (
+	breakerFailureRate = 0.05
+	breakerMinSamples  = 64
+)
 
 // Breaker is a one-way failure-rate circuit breaker: Record every attempt's
-// outcome, and once at least MinSamples attempts have been recorded with a
-// failure fraction of FailureRate or more, Tripped flips to true and stays
-// there. The tuning pipeline maps a tripped breaker to degraded mode —
-// stop searching, return the best design found so far — so the breaker
-// deliberately never closes again within a session: a backend that already
-// proved flaky mid-search cannot be trusted for the remainder.
+// outcome, and once at least breakerMinSamples attempts have been recorded
+// with a failure fraction of breakerFailureRate or more, Tripped flips to
+// true and stays there. The tuning pipeline maps a tripped breaker to
+// degraded mode — stop searching, return the best design found so far — so
+// the breaker deliberately never closes again within a session: a backend
+// that already proved flaky mid-search cannot be trusted for the remainder.
 //
 // A nil Breaker records nothing and never trips. All methods are safe for
 // concurrent use by pool workers.
 type Breaker struct {
-	cfg      BreakerConfig
 	attempts atomic.Int64
 	failures atomic.Int64
 	open     atomic.Bool
 }
 
-// NewBreaker builds a breaker (zero config fields get defaults: 5% failure
-// rate over at least 64 attempts).
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{cfg: cfg.withDefaults()}
-}
+// NewBreaker builds a breaker that trips at a 5% failure rate over at
+// least 64 attempts.
+func NewBreaker() *Breaker { return &Breaker{} }
 
 // Record observes one attempt outcome and trips the breaker when the
 // failure rate crosses the threshold.
@@ -58,7 +41,7 @@ func (b *Breaker) Record(ok bool) {
 	if !ok {
 		f = b.failures.Add(1)
 	}
-	if n >= b.cfg.MinSamples && float64(f) >= b.cfg.FailureRate*float64(n) {
+	if n >= breakerMinSamples && float64(f) >= breakerFailureRate*float64(n) {
 		b.open.Store(true)
 	}
 }

@@ -1,8 +1,8 @@
 // Package fault is the tuning system's robustness substrate: deterministic,
 // seedable fault injection (so failure paths are testable in CI), retry with
-// exponential backoff and per-attempt timeouts around expensive backend
-// calls, and a failure-rate circuit breaker that lets a tuning session
-// degrade gracefully instead of crashing.
+// exponential backoff around expensive backend calls, and a failure-rate
+// circuit breaker that lets a tuning session degrade gracefully instead of
+// crashing.
 //
 // The paper's advisor is designed to run for hours against production
 // servers under a tuning time bound (§2, §6): it must tolerate flaky

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,8 +21,10 @@ func TestParseSpec(t *testing.T) {
 	if spec.Rules[1].Kind != KindLatency || spec.Rules[1].Delay != 5*time.Millisecond {
 		t.Fatalf("latency rule: %+v", spec.Rules[1])
 	}
-	if got := spec.Sites(); len(got) != 3 || got[0] != "import" {
-		t.Fatalf("sites: %v", got)
+	for i, site := range []string{"whatif", "import", "stats"} {
+		if spec.Rules[i].Site != site {
+			t.Fatalf("rule %d site %q, want %q", i, spec.Rules[i].Site, site)
+		}
 	}
 	// Round-trip through String.
 	spec2, err := ParseSpec(spec.String())
@@ -178,40 +179,24 @@ func TestDoHonoursContext(t *testing.T) {
 	}
 }
 
-func TestDoAttemptTimeout(t *testing.T) {
-	// calls is atomic: the timed-out first attempt's goroutine is abandoned,
-	// not killed, and races the second attempt on anything it still touches.
-	var calls atomic.Int64
-	release := make(chan struct{})
-	defer close(release)
-	_, err := Do(context.Background(),
-		Policy{MaxAttempts: 2, BaseDelay: time.Microsecond, Timeout: 5 * time.Millisecond},
-		func() (int, error) {
-			if calls.Add(1) == 1 {
-				<-release // hang well past the timeout
-			}
-			return 7, nil
-		}, nil)
-	if err != nil {
-		t.Fatalf("second attempt should succeed: %v", err)
-	}
-}
-
 func TestBreakerTripsAtThreshold(t *testing.T) {
-	b := NewBreaker(BreakerConfig{FailureRate: 0.5, MinSamples: 10})
-	for i := 0; i < 9; i++ {
-		b.Record(i%2 == 0)
-	}
-	if b.Tripped() {
-		t.Fatal("tripped below MinSamples")
-	}
-	b.Record(false) // 10 samples, 5 failures = 50%
-	if !b.Tripped() {
-		t.Fatal("should trip at the threshold")
-	}
-	att, fail := b.Counts()
-	if att != 10 || fail != 5 {
-		t.Fatalf("counts %d/%d", att, fail)
+	// 63 samples never trip, however many fail; the 64th trips the breaker
+	// once at least 5% of the samples (4 of 64) failed.
+	for _, failures := range []int{3, 4, 63} {
+		b := NewBreaker()
+		for i := 0; i < 63; i++ {
+			b.Record(i >= failures)
+		}
+		if b.Tripped() {
+			t.Fatalf("%d failures: tripped below 64 samples", failures)
+		}
+		b.Record(true)
+		if want := failures >= 4; b.Tripped() != want {
+			t.Fatalf("%d failures of 64: tripped=%v, want %v", failures, b.Tripped(), want)
+		}
+		if att, fail := b.Counts(); att != 64 || fail != int64(failures) {
+			t.Fatalf("counts %d/%d", att, fail)
+		}
 	}
 
 	var nb *Breaker

@@ -2,21 +2,13 @@ package fault
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"time"
 )
 
-// ErrAttemptTimeout is returned (and then possibly retried) when one
-// attempt exceeded the policy's per-attempt Timeout. The attempt's
-// goroutine is abandoned — its eventual result is discarded — which is the
-// only way to bound an in-process optimizer call that cannot observe a
-// context.
-var ErrAttemptTimeout = errors.New("fault: attempt timed out")
-
-// Policy parameterizes Do: how many attempts, how the backoff between them
-// grows, and how long a single attempt may run.
+// Policy parameterizes Do: how many attempts and how the backoff between
+// them grows.
 type Policy struct {
 	// MaxAttempts is the total number of attempts, first try included
 	// (≤ 0 → 4).
@@ -26,9 +18,6 @@ type Policy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the backoff (≤ 0 → 250ms).
 	MaxDelay time.Duration
-	// Timeout bounds one attempt's wall time (0 = unbounded). A timed-out
-	// attempt counts as a failed attempt and is retried.
-	Timeout time.Duration
 }
 
 // WithDefaults resolves zero fields to the package defaults.
@@ -60,20 +49,13 @@ func (p Policy) backoff(n int) time.Duration {
 	return time.Duration(half + rand.Int63n(2*half))
 }
 
-// result carries one attempt's outcome across the timeout boundary.
-type result[T any] struct {
-	v   T
-	err error
-}
-
 // Do runs fn under the policy: up to MaxAttempts attempts with exponential
-// backoff between them, each attempt bounded by Timeout. Panics inside fn
-// (including injected ones) are recovered into errors and retried like any
-// failure. onResult, when non-nil, observes every attempt's outcome in
-// order (attempt numbering from 1) — the hook the circuit breaker and the
-// retry metrics hang off. Do stops early when ctx is done, returning the
-// context error (a cancelled tuning session must not sit out backoff
-// sleeps).
+// backoff between them. Panics inside fn (including injected ones) are
+// recovered into errors and retried like any failure. onResult, when
+// non-nil, observes every attempt's outcome in order (attempt numbering
+// from 1) — the hook the circuit breaker and the retry metrics hang off. Do
+// stops early when ctx is done, returning the context error (a cancelled
+// tuning session must not sit out backoff sleeps).
 func Do[T any](ctx context.Context, p Policy, fn func() (T, error), onResult func(attempt int, err error)) (T, error) {
 	p = p.WithDefaults()
 	var zero T
@@ -82,7 +64,7 @@ func Do[T any](ctx context.Context, p Policy, fn func() (T, error), onResult fun
 		if err := ctx.Err(); err != nil {
 			return zero, err
 		}
-		v, err := runAttempt(p, fn)
+		v, err := recovered(fn)
 		if onResult != nil {
 			onResult(attempt, err)
 		}
@@ -100,29 +82,6 @@ func Do[T any](ctx context.Context, p Policy, fn func() (T, error), onResult fun
 		}
 	}
 	return zero, fmt.Errorf("fault: %d attempts failed: %w", p.MaxAttempts, lastErr)
-}
-
-// runAttempt runs one recovered attempt, enforcing the per-attempt timeout.
-// Results travel by value through a channel, so an abandoned (timed-out)
-// attempt cannot race the caller.
-func runAttempt[T any](p Policy, fn func() (T, error)) (T, error) {
-	if p.Timeout <= 0 {
-		return recovered(fn)
-	}
-	ch := make(chan result[T], 1)
-	go func() {
-		v, err := recovered(fn)
-		ch <- result[T]{v, err}
-	}()
-	timer := time.NewTimer(p.Timeout)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		return r.v, r.err
-	case <-timer.C:
-		var zero T
-		return zero, fmt.Errorf("%w after %s", ErrAttemptTimeout, p.Timeout)
-	}
 }
 
 // recovered invokes fn, converting a panic (e.g. an injected one) into an

@@ -2,7 +2,6 @@ package fault
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -115,18 +114,4 @@ func (s *Spec) String() string {
 		parts = append(parts, r.String())
 	}
 	return strings.Join(parts, ";")
-}
-
-// Sites lists the distinct sites the spec injects at, sorted.
-func (s *Spec) Sites() []string {
-	set := map[string]bool{}
-	for _, r := range s.Rules {
-		set[r.Site] = true
-	}
-	out := make([]string, 0, len(set))
-	for site := range set {
-		out = append(out, site)
-	}
-	sort.Strings(out)
-	return out
 }

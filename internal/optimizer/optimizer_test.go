@@ -37,7 +37,7 @@ func newOpt(cat *catalog.Catalog) *Optimizer {
 	store := stats.NewStore()
 	for _, t := range cat.Tables() {
 		for _, col := range t.Columns {
-			st, err := stats.Build(cat, t.Name, []string{col.Name}, nil, stats.BuildOptions{})
+			st, err := stats.Build(cat, t.Name, []string{col.Name}, nil)
 			if err != nil {
 				panic(err)
 			}

@@ -23,7 +23,7 @@ func toyTPCH(tb testing.TB) (*catalog.Catalog, *optimizer.Optimizer) {
 	store := stats.NewStore()
 	for _, t := range cat.Tables() {
 		for _, col := range t.Columns {
-			st, err := stats.Build(cat, t.Name, []string{col.Name}, nil, stats.BuildOptions{})
+			st, err := stats.Build(cat, t.Name, []string{col.Name}, nil)
 			if err != nil {
 				tb.Fatal(err)
 			}

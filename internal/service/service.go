@@ -155,10 +155,6 @@ type Session struct {
 	revisions []string
 }
 
-// RevisedFrom returns the parent session ID for sessions created by
-// PATCH /sessions/{id} revision; "" for fresh sessions.
-func (s *Session) RevisedFrom() string { return s.revisedFrom }
-
 // Pool returns the session's retained costed pool: nil while the session
 // runs, set after a successful completion, nil again once the pool
 // retention TTL expires.

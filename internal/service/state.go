@@ -245,10 +245,10 @@ func wireOptions(o core.Options) (CreateOptions, bool) {
 		o.Progress == nil && o.Metrics == nil &&
 		o.CheckpointSink == nil && o.Resume == nil && o.PoolSink == nil &&
 		len(o.Vetoed) == 0 && len(o.SliceWeights) == 0 && !o.CompressWorkload &&
-		o.ColGroupFrac == 0 && !o.NoColGroupRestriction &&
+		!o.NoColGroupRestriction &&
 		!o.NoMerging && !o.EagerAlignment && !o.DisableStatReduction &&
 		o.CheckpointEvery == 0 && o.StorageBudget%(1<<20) == 0 &&
-		o.Retry.BaseDelay == 0 && o.Retry.MaxDelay == 0 && o.Retry.Timeout == 0
+		o.Retry.BaseDelay == 0 && o.Retry.MaxDelay == 0
 	if !representable {
 		return CreateOptions{}, false
 	}

@@ -64,8 +64,8 @@ func FuzzParse(f *testing.F) {
 		if strings.TrimSpace(sig) == "" {
 			t.Fatalf("accepted statement %q has empty signature", sql)
 		}
-		if h := SignatureHash(stmt); len(h) != 16 {
-			t.Fatalf("signature hash %q is not 8 bytes hex", h)
+		if sig2 := Signature(again); sig2 != sig {
+			t.Fatalf("deparse changed the template of %q: %q → %q", sql, sig, sig2)
 		}
 		if !utf8.ValidString(sig) {
 			// The deparser only ever concatenates input substrings and ASCII,

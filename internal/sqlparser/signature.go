@@ -1,10 +1,5 @@
 package sqlparser
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-)
-
 // Signature returns the templatization key of a statement: the deparsed SQL
 // with every constant replaced by a '?' placeholder. Two statements have the
 // same signature iff they are identical in all respects except for the
@@ -12,13 +7,6 @@ import (
 // workload by this key.
 func Signature(s Statement) string {
 	return stripConstants(s).String()
-}
-
-// SignatureHash returns a short stable hash of the signature, convenient as
-// a map key and in reports.
-func SignatureHash(s Statement) string {
-	h := sha256.Sum256([]byte(Signature(s)))
-	return hex.EncodeToString(h[:8])
 }
 
 // stripConstants deep-copies the statement with all literals replaced by

@@ -133,21 +133,6 @@ func (h *Histogram) Max() float64 {
 	return h.Buckets[len(h.Buckets)-1].Hi
 }
 
-// Distinct returns the estimated number of distinct values.
-func (h *Histogram) Distinct() float64 {
-	if h == nil {
-		return 0
-	}
-	var d float64
-	for _, b := range h.Buckets {
-		d += b.Distinct
-	}
-	if d < 1 {
-		d = 1
-	}
-	return d
-}
-
 // SelLess estimates the fraction of rows with value < v (strict), using
 // linear interpolation within the containing bucket.
 func (h *Histogram) SelLess(v float64) float64 {

@@ -63,12 +63,7 @@ type Sampler interface {
 	SampleRows(table string, columns []string, n int) [][]float64
 }
 
-// BuildOptions controls statistic creation.
-type BuildOptions struct {
-	SampleRows int // rows sampled per statistic; 0 = DefaultSampleRows
-}
-
-// DefaultSampleRows is the default statistics sampling size.
+// DefaultSampleRows is the number of rows sampled per statistic.
 const DefaultSampleRows = 30000
 
 // Build creates a statistic on the ordered column list of the table. When a
@@ -76,7 +71,7 @@ const DefaultSampleRows = 30000
 // otherwise it is synthesized from catalog metadata under independence and
 // uniformity assumptions. The returned statistic carries the sampling I/O
 // cost that its creation would impose on the server holding the data.
-func Build(cat *catalog.Catalog, table string, cols []string, sampler Sampler, opt BuildOptions) (*Statistic, error) {
+func Build(cat *catalog.Catalog, table string, cols []string, sampler Sampler) (*Statistic, error) {
 	t := cat.ResolveTable(table)
 	if t == nil {
 		return nil, fmt.Errorf("stats: unknown table %q", table)
@@ -91,16 +86,11 @@ func Build(cat *catalog.Catalog, table string, cols []string, sampler Sampler, o
 			return nil, fmt.Errorf("stats: table %q has no column %q", table, c)
 		}
 	}
-	sampleRows := opt.SampleRows
-	if sampleRows <= 0 {
-		sampleRows = DefaultSampleRows
-	}
-
 	st := &Statistic{Table: strings.ToLower(t.Name), Columns: lc}
 	// Creating a statistic samples a fixed number of pages from the table
 	// regardless of how many columns the statistic has — which is exactly
 	// why creating fewer, wider statistics wins (paper §5.2).
-	samplePages := catalog.PagesFor(int64(sampleRows), t.RowWidth())
+	samplePages := catalog.PagesFor(int64(DefaultSampleRows), t.RowWidth())
 	if tp := t.Pages(); samplePages > tp {
 		samplePages = tp
 	}
@@ -108,7 +98,7 @@ func Build(cat *catalog.Catalog, table string, cols []string, sampler Sampler, o
 
 	lead := t.Column(lc[0])
 	if sampler != nil {
-		if vals := sampler.SampleColumn(t.Name, lc[0], sampleRows); len(vals) > 0 {
+		if vals := sampler.SampleColumn(t.Name, lc[0], DefaultSampleRows); len(vals) > 0 {
 			st.Hist = NewHistogramFromValues(vals, t.Rows, DefaultBuckets)
 		}
 	}
@@ -118,7 +108,7 @@ func Build(cat *catalog.Catalog, table string, cols []string, sampler Sampler, o
 
 	// Densities per leading prefix.
 	if sampler != nil {
-		if rows := sampler.SampleRows(t.Name, lc, sampleRows); len(rows) > 0 {
+		if rows := sampler.SampleRows(t.Name, lc, DefaultSampleRows); len(rows) > 0 {
 			st.Densities = densitiesFromSample(rows, t.Rows, len(lc))
 		}
 	}

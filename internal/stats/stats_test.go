@@ -106,7 +106,7 @@ func testCatalog() *catalog.Catalog {
 
 func TestBuildFromMetadata(t *testing.T) {
 	cat := testCatalog()
-	st, err := Build(cat, "t", []string{"A", "B"}, nil, BuildOptions{})
+	st, err := Build(cat, "t", []string{"A", "B"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,13 +126,13 @@ func TestBuildFromMetadata(t *testing.T) {
 	if st.SampledPages <= 0 {
 		t.Fatal("creation must charge sampling I/O")
 	}
-	if _, err := Build(cat, "t", []string{"zz"}, nil, BuildOptions{}); err == nil {
+	if _, err := Build(cat, "t", []string{"zz"}, nil); err == nil {
 		t.Fatal("unknown column must fail")
 	}
-	if _, err := Build(cat, "nope", []string{"a"}, nil, BuildOptions{}); err == nil {
+	if _, err := Build(cat, "nope", []string{"a"}, nil); err == nil {
 		t.Fatal("unknown table must fail")
 	}
-	if _, err := Build(cat, "t", nil, nil, BuildOptions{}); err == nil {
+	if _, err := Build(cat, "t", nil, nil); err == nil {
 		t.Fatal("empty column list must fail")
 	}
 }
@@ -162,7 +162,7 @@ func TestBuildFromSampler(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		s.rows = append(s.rows, []float64{float64(i % 10), 5})
 	}
-	st, err := Build(cat, "t", []string{"a", "b"}, s, BuildOptions{SampleRows: 1000})
+	st, err := Build(cat, "t", []string{"a", "b"}, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +181,8 @@ func TestBuildFromSampler(t *testing.T) {
 func TestStoreLookups(t *testing.T) {
 	cat := testCatalog()
 	store := NewStore()
-	ab, _ := Build(cat, "t", []string{"a", "b"}, nil, BuildOptions{})
-	c, _ := Build(cat, "t", []string{"c"}, nil, BuildOptions{})
+	ab, _ := Build(cat, "t", []string{"a", "b"}, nil)
+	c, _ := Build(cat, "t", []string{"c"}, nil)
 	store.Add(ab)
 	store.Add(c)
 
@@ -216,7 +216,7 @@ func TestStoreLookups(t *testing.T) {
 
 func mustBuild(t *testing.T, cat *catalog.Catalog, table string, cols ...string) *Statistic {
 	t.Helper()
-	st, err := Build(cat, table, cols, nil, BuildOptions{})
+	st, err := Build(cat, table, cols, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

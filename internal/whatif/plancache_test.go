@@ -242,7 +242,7 @@ func waitParked(tb testing.TB) {
 // statistics, and so does the next call.
 func TestPlanCacheStatsRaceNeverPublishes(t *testing.T) {
 	s := prodServer(t)
-	st, err := stats.Build(s.Cat, "t", []string{"a"}, engine.NewSampler(s.Data), stats.BuildOptions{})
+	st, err := stats.Build(s.Cat, "t", []string{"a"}, engine.NewSampler(s.Data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestPlanCacheConcurrentStatsChurn(t *testing.T) {
 	s := prodServer(t)
 	var built []*stats.Statistic
 	for _, cols := range [][]string{{"a"}, {"b"}, {"a", "b"}} {
-		st, err := stats.Build(s.Cat, "t", cols, engine.NewSampler(s.Data), stats.BuildOptions{})
+		st, err := stats.Build(s.Cat, "t", cols, engine.NewSampler(s.Data))
 		if err != nil {
 			t.Fatal(err)
 		}

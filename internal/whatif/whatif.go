@@ -314,7 +314,7 @@ func (s *Server) buildStatistic(table string, cols []string) (*stats.Statistic, 
 	if err := s.injectFault(fault.SiteStats); err != nil {
 		return nil, err
 	}
-	st, err := stats.Build(s.Cat, table, cols, engine.NewSampler(s.Data), stats.BuildOptions{})
+	st, err := stats.Build(s.Cat, table, cols, engine.NewSampler(s.Data))
 	if err != nil {
 		return nil, err
 	}

@@ -14,13 +14,10 @@
 //
 //	go run ./scripts/lintdoc [-metrics-doc docs/OPERATIONS.md] [packages...]
 //
-// With no arguments it audits defaultPackages: internal/core,
-// internal/whatif, internal/service, internal/obs, internal/fault,
-// internal/derive, internal/journal, internal/optimizer, internal/catalog,
-// internal/stats, internal/testsrv, internal/workload, internal/drift and
-// internal/canonjson.
-// Test files are skipped. The metrics cross-check always scans all of internal/ and cmd/;
-// -metrics-doc "" disables it (for trimmed checkouts without docs/).
+// With no arguments it audits every package under internal/ (testdata
+// directories excluded). Test files are skipped. The metrics cross-check
+// always scans all of internal/ and cmd/; -metrics-doc "" disables it (for
+// trimmed checkouts without docs/).
 package main
 
 import (
@@ -29,36 +26,24 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
-
-// defaultPackages are the directories audited when none are given.
-var defaultPackages = []string{
-	"internal/core",
-	"internal/whatif",
-	"internal/service",
-	"internal/obs",
-	"internal/fault",
-	"internal/derive",
-	"internal/journal",
-	"internal/optimizer",
-	"internal/catalog",
-	"internal/stats",
-	"internal/testsrv",
-	"internal/workload",
-	"internal/drift",
-	"internal/canonjson",
-}
 
 func main() {
 	metricsDoc := flag.String("metrics-doc", "docs/OPERATIONS.md", "metrics reference to cross-check registered dta_* series against (\"\" disables)")
 	flag.Parse()
 	dirs := flag.Args()
 	if len(dirs) == 0 {
-		dirs = defaultPackages
+		var err error
+		if dirs, err = internalPackages(); err != nil {
+			fmt.Fprintln(os.Stderr, "lintdoc:", err)
+			os.Exit(2)
+		}
 	}
 	var problems []string
 	for _, dir := range dirs {
@@ -85,6 +70,28 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lintdoc: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
+}
+
+// internalPackages lists every directory under internal/ that holds
+// non-test Go files, skipping testdata as the go tool does.
+func internalPackages() ([]string, error) {
+	var dirs []string
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir():
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+		case strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go"):
+			if dir := filepath.Dir(path); !slices.Contains(dirs, dir) {
+				dirs = append(dirs, dir)
+			}
+		}
+		return nil
+	})
+	return dirs, err
 }
 
 // lintDir parses one package directory (tests excluded) and returns one
