@@ -1,6 +1,8 @@
 package catalog
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -495,5 +497,54 @@ func TestValidateFirstBadPartitioningIsStable(t *testing.T) {
 		if err := cfg.Validate(cat); err == nil || err.Error() != want {
 			t.Fatalf("call %d: Validate = %v, want %q", i, err, want)
 		}
+	}
+}
+
+// TestPartitionSchemeStringMatchesFmt pins PartitionScheme.String, which a
+// partitioned structure's key embeds, to its fmt-era rendering ("%g" per
+// boundary inside "RANGE(%s) [%s]"): keys, and so pool fingerprints and
+// persisted state, must not move when the rendering is cut to one append
+// pass. Covered: 200k random floats (raw bit patterns and integer- and
+// decimal-valued boundaries), the special values and the edges of the 'g'
+// form's exponent switch.
+func TestPartitionSchemeStringMatchesFmt(t *testing.T) {
+	want := func(p *PartitionScheme) string {
+		parts := make([]string, len(p.Boundaries))
+		for i, b := range p.Boundaries {
+			parts[i] = fmt.Sprintf("%g", b)
+		}
+		return fmt.Sprintf("RANGE(%s) [%s]", p.Column, strings.Join(parts, ", "))
+	}
+	check := func(p *PartitionScheme) {
+		t.Helper()
+		if got, w := p.String(), want(p); got != w {
+			t.Fatalf("String() = %q, fmt renders %q", got, w)
+		}
+	}
+	special := []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1e21, 1e20, 1e-7, 1e-4, 1e-5,
+		123456789, 0.1, -2.5, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64,
+	}
+	for _, f := range special {
+		check(&PartitionScheme{Column: "c", Boundaries: []float64{f}})
+	}
+	check(&PartitionScheme{Column: "o_orderdate", Boundaries: special})
+	check(&PartitionScheme{Column: "empty"})
+
+	rng := rand.New(rand.NewSource(1))
+	const n = 200_000
+	p := &PartitionScheme{Column: "k", Boundaries: make([]float64, 4)}
+	for i := 0; i < n; i += len(p.Boundaries) {
+		for j := range p.Boundaries {
+			switch (i + j) % 3 {
+			case 0:
+				p.Boundaries[j] = math.Float64frombits(rng.Uint64())
+			case 1:
+				p.Boundaries[j] = float64(rng.Int63n(1 << 40))
+			default:
+				p.Boundaries[j] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20))
+			}
+		}
+		check(p)
 	}
 }

@@ -3,6 +3,7 @@ package catalog
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -76,16 +77,19 @@ func (p *PartitionScheme) String() string {
 	if p == nil {
 		return "NONE"
 	}
-	parts := make([]string, len(p.Boundaries))
-	for i, b := range p.Boundaries {
-		parts[i] = trimFloat(b)
+	// strconv's shortest 'g' form is fmt's %g, byte for byte, so keys
+	// rendered here match keys persisted by earlier versions.
+	b := make([]byte, 0, len("RANGE() []")+len(p.Column)+12*len(p.Boundaries))
+	b = append(b, "RANGE("...)
+	b = append(b, p.Column...)
+	b = append(b, ") ["...)
+	for i, f := range p.Boundaries {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = strconv.AppendFloat(b, f, 'g', -1, 64)
 	}
-	return fmt.Sprintf("RANGE(%s) [%s]", p.Column, strings.Join(parts, ", "))
-}
-
-func trimFloat(f float64) string {
-	s := fmt.Sprintf("%g", f)
-	return s
+	return string(append(b, ']'))
 }
 
 // Index is a (possibly clustered, possibly partitioned) B-tree index.

@@ -20,7 +20,7 @@
 //  3. if it is absent, fetch it with one accounted real alternatives call,
 //     issued by the engine itself through the caller's Fetch and
 //     single-flighted per (scope, top) — an atom, counted by event shape;
-//  4. replay: optimizer.Alternatives.Select restricted to the structures S
+//  4. replay: optimizer.Alternatives.Replay restricted to the structures S
 //     holds. For a single-scope query the skeleton carries every plan
 //     alternative costed end-to-end, each gated by the single additive
 //     structure it needs; for a join it carries per-scope access and probe
@@ -53,12 +53,14 @@
 // evaluator shares for its own cost-cache keys: Resolve takes the event's
 // cache key and its additive pool subset (which the evaluator precomputes
 // from its relevance bitsets) as ID sets, and tops are ID sets. A skeleton
-// names the structures its alternatives need by key; those gate keys are
-// resolved to IDs once, when the fact becomes ready (fetched or restored),
-// so a replay checks a gate with one read of an immutable per-fact map and a
-// binary search of the configuration — no interner lock. A join skeleton's
-// replay form (optimizer.CompiledJoin) is compiled at the same moment, so
-// facts shared across workers are read-only once published. The engine keeps
+// names the structures its alternatives need in its gate table
+// (optimizer.Alternatives.Gates); the table is resolved to IDs once, when
+// the fact becomes ready (fetched or restored), into a slice in the table's
+// order, so a replay fills each gate's availability with one binary search
+// of the configuration into a stack buffer — no string, no map, no interner
+// lock — and the skeleton replays over it by position. The skeleton's
+// replay form is compiled at the same moment, so facts shared across
+// workers are read-only once published. The engine keeps
 // no structures of its own: the interner records each one, a top's
 // configuration is built from it, and key strings appear only inside
 // skeletons and once each in the persisted Snapshot's Structs table — the
@@ -140,28 +142,25 @@ type fact struct {
 	top   []int32 // the top's IDs, ascending
 	base  []int32 // the top's base-part IDs, ascending
 	alts  *optimizer.Alternatives
-	// gates maps each gate key of alts naming a structure of the top to its
-	// ID; immutable once ready closes. A gate outside the top can never be
-	// satisfied by a subset of it, so it is absent.
-	gates map[string]int32
-	err   error
+	// gateIDs holds the ID of each entry of alts' gate table, in its order,
+	// or -1 for a gate outside the top: no subset of the top can satisfy
+	// it. Immutable once ready closes.
+	gateIDs []int32
+	err     error
 }
 
-// compile resolves the fact's gate keys — single-scope component structures,
-// the gate table of a join skeleton's compiled replay form, DML access and
-// maintenance-term gates — to IDs and collects the top's base part, under
-// one interner read lock; the join form is compiled before the lock is
+// compile resolves the fact's skeleton gate table (Alternatives.Gates: the
+// structures its single-scope components, join alternatives, probes and
+// views, or DML access paths and maintenance terms are gated by) to IDs, in
+// the table's order, and collects the top's base part, under one interner
+// read lock; the skeleton's replay form is compiled before the lock is
 // taken. Called before the fact is published.
 func (e *Engine) compile(f *fact) {
-	a := f.alts
-	if a == nil {
+	if f.alts == nil {
 		return
 	}
-	var joinGates []string
-	if a.Join != nil {
-		joinGates = a.Join.Compile().Gates()
-	}
-	f.gates = map[string]int32{}
+	gates := f.alts.Gates()
+	f.gateIDs = make([]int32, len(gates))
 	e.in.mu.RLock()
 	defer e.in.mu.RUnlock()
 	for _, id := range f.top {
@@ -169,41 +168,39 @@ func (e *Engine) compile(f *fact) {
 			f.base = append(f.base, id)
 		}
 	}
-	gate := func(key string) {
-		if key == "" {
-			return
-		}
+	for i, key := range gates {
+		f.gateIDs[i] = -1
 		if id, ok := e.in.ids[key]; ok {
 			if _, in := slices.BinarySearch(f.top, id); in {
-				f.gates[key] = id
+				f.gateIDs[i] = id
 			}
-		}
-	}
-	for i := range a.Components {
-		gate(a.Components[i].Structure)
-	}
-	for _, key := range joinGates {
-		gate(key)
-	}
-	if m := a.Maint; m != nil {
-		for i := range m.Access {
-			gate(m.Access[i].Gate)
-		}
-		for i := range m.Terms {
-			gate(m.Terms[i].Gate)
 		}
 	}
 }
 
-// has reports whether rel (ascending IDs, a subset of the fact's top) holds
-// the structure a gate key names.
-func (f *fact) has(rel []int32, key string) bool {
-	id, ok := f.gates[key]
-	if !ok {
-		return false
+// Stack buffer sizes: Resolve builds a top, and a replay its gates'
+// availability, in a fixed array on the stack; a larger one spills to the
+// heap.
+const (
+	maxStackTop   = 128
+	maxStackGates = 64
+)
+
+// replay replays the fact's skeleton for rel (ascending IDs, a subset of
+// the fact's top), storing the plan's used structures in *used when used is
+// non-nil: each gate is available when rel holds its structure, one binary
+// search per gate.
+func (f *fact) replay(rel []int32, used *[]string) (float64, bool) {
+	var buf [maxStackGates]bool
+	avail := buf[:0]
+	for _, id := range f.gateIDs {
+		in := false
+		if id >= 0 {
+			_, in = slices.BinarySearch(rel, id)
+		}
+		avail = append(avail, in)
 	}
-	_, in := slices.BinarySearch(rel, id)
-	return in
+	return f.alts.Replay(avail, used)
 }
 
 // covers reports whether the fact answers rel exactly: its top holds every
@@ -330,12 +327,13 @@ func (e *Engine) held(event int, top []int32) *fact {
 // is an error too. The replay is cost-only; Used replays a fact for the
 // plan's structures.
 func (e *Engine) Resolve(event int, join bool, rel, additive []int32, fetch Fetch) (float64, error) {
-	top := union(rel, additive)
+	var buf [maxStackTop]int32
+	top := union(buf[:0], rel, additive)
 	e.mu.Lock()
 	f := e.held(event, top)
 	found := f != nil
 	if !found {
-		f = &fact{ready: make(chan struct{}), top: top}
+		f = &fact{ready: make(chan struct{}), top: slices.Clone(top)}
 		e.facts[event] = append(e.facts[event], f)
 	}
 	e.mu.Unlock()
@@ -343,7 +341,7 @@ func (e *Engine) Resolve(event int, join bool, rel, additive []int32, fetch Fetc
 	if found {
 		<-f.ready
 	} else {
-		f.alts, f.err = fetch(e.topConfig(top))
+		f.alts, f.err = fetch(e.topConfig(f.top))
 		if f.err == nil && f.alts == nil {
 			f.err = fmt.Errorf("derive: event %d: the backend returned no plan skeleton", event)
 		}
@@ -365,7 +363,7 @@ func (e *Engine) Resolve(event int, join bool, rel, additive []int32, fetch Fetc
 	if f.err != nil {
 		return 0, f.err
 	}
-	cost, ok := f.alts.Cost(func(k string) bool { return f.has(rel, k) })
+	cost, ok := f.replay(rel, nil)
 	if !ok {
 		// Impossible for a well-formed backend: a base access always exists.
 		return 0, fmt.Errorf("derive: event %d: the plan skeleton offers no selectable alternative", event)
@@ -392,7 +390,7 @@ func (e *Engine) Used(event int, rel []int32) (used []string, ok bool) {
 		select {
 		case <-f.ready:
 			if f.err == nil && f.covers(rel) {
-				_, used, ok = f.alts.Select(func(k string) bool { return f.has(rel, k) })
+				_, ok = f.replay(rel, &used)
 				return used, ok
 			}
 		default: // in flight

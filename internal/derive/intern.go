@@ -108,10 +108,10 @@ func Remap(dst, positions, ids []int32) (out []int32, ok bool) {
 	return dst, true
 }
 
-// union merges two ascending ID lists into a new ascending list without
-// duplicates.
-func union(a, b []int32) []int32 {
-	out := make([]int32, 0, len(a)+len(b))
+// union appends the merge of two ascending ID lists to out[:0], ascending
+// and without duplicates, and returns it.
+func union(out, a, b []int32) []int32 {
+	out = out[:0]
 	i, j := 0, 0
 	for i < len(a) || j < len(b) {
 		switch {

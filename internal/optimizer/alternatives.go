@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"encoding/json"
+	"slices"
 	"sync"
 
 	"repro/internal/catalog"
@@ -56,7 +57,7 @@ func altLess(a, b *AltComponent) bool {
 // Alternatives is the plan skeleton of one statement under one
 // configuration, such that the statement's cost and used structures under any
 // sub-configuration — same base structures, any subset of the additive ones —
-// follow from Select without another optimizer call. Single-scope SELECTs
+// follow from Replay without another optimizer call. Single-scope SELECTs
 // carry flat end-to-end components; multi-scope SELECTs carry a JoinSkeleton
 // whose per-scope alternatives compose through the join cost function;
 // INSERT/UPDATE/DELETE carry a Maintenance sum.
@@ -66,7 +67,7 @@ type Alternatives struct {
 	// views). Empty when Join or Maint is set.
 	Components []AltComponent
 	// HasOrder reports whether the query has an interesting order, enabling
-	// the ordered-alternative rule during Select.
+	// the ordered-alternative rule during Replay.
 	HasOrder bool
 	// Join is the multi-scope skeleton (nil for single-scope SELECTs).
 	Join *JoinSkeleton
@@ -78,6 +79,10 @@ type Alternatives struct {
 	canonOnce sync.Once
 	canon     []byte
 	canonErr  error
+
+	// rf is the replay form, compiled once by its first caller.
+	rfOnce sync.Once
+	rf     *replayForm
 }
 
 // CanonicalJSON returns the skeleton's JSON — exactly the bytes json.Marshal
@@ -125,48 +130,138 @@ func (c *optContext) selectAlternatives(q *QueryInfo) *Alternatives {
 	return a
 }
 
-// Cost replays the optimizer's plan choice over the alternatives available
-// under a sub-configuration — has reports whether an additive structure key
-// is present — and returns the cost of the chosen plan. Because every
-// component cost is config-independent (the same arithmetic produces
-// bit-identical floats under the sub-configuration) and every selection
-// minimizes the pathLess total order, the replayed choice is exactly the
-// choice a real optimization of that configuration would make. ok is false
-// only when no alternative is available, which cannot happen for a skeleton
-// built by selectAlternatives (a base scan always exists). Multi-scope and
-// DML skeletons dispatch to the join and maintenance replays. It is the
-// derivation layer's replay, and it collects no used structures: a
-// single-scope or DML replay allocates nothing.
-func (a *Alternatives) Cost(has func(string) bool) (float64, bool) {
-	return a.replay(has, nil)
+// Gates lists the distinct additive structure keys the skeleton's
+// alternatives are gated by, in first-seen order: a single-scope skeleton's
+// component structures, a DML skeleton's access-path and maintenance-term
+// gates, a join skeleton's scope-alternative, probe and view gates. Replay
+// reads the availability of each by its position here. The table is
+// compiled once, on first use, with the rest of the replay form (safe for
+// concurrent use; the skeleton must not change afterwards), and must not be
+// modified.
+func (a *Alternatives) Gates() []string { return a.form().gates }
+
+// replayForm is a skeleton prepared for replay: its gate table and each
+// alternative's gate as an index into it (-1: ungated, available under
+// every sub-configuration). It lives in memory only, beside the skeleton,
+// and never changes the skeleton or its JSON.
+type replayForm struct {
+	gates  []string
+	comp   []int32       // per Components entry
+	access []int32       // per Maint.Access entry
+	terms  []int32       // per Maint.Terms entry
+	join   *compiledJoin // nil unless Join is set and well formed
 }
 
-// Select is Cost plus the used-structure keys of the chosen plan: the replay
-// a per-query usage report runs once per event.
+// form returns the skeleton's replay form, compiling it on the first call.
+func (a *Alternatives) form() *replayForm {
+	a.rfOnce.Do(func() { a.rf = a.compile() })
+	return a.rf
+}
+
+// compile builds the replay form of the skeleton's one shape (the shape
+// Replay dispatches on).
+func (a *Alternatives) compile() *replayForm {
+	f := &replayForm{}
+	switch {
+	case a.Join != nil:
+		f.join = a.Join.compile(f)
+	case a.Maint != nil:
+		f.gates = make([]string, 0, len(a.Maint.Access)+len(a.Maint.Terms))
+		f.access = make([]int32, len(a.Maint.Access))
+		for k := range a.Maint.Access {
+			f.access[k] = f.gate(a.Maint.Access[k].Gate)
+		}
+		f.terms = make([]int32, len(a.Maint.Terms))
+		for k := range a.Maint.Terms {
+			f.terms[k] = f.gate(a.Maint.Terms[k].Gate)
+		}
+	default:
+		f.gates = make([]string, 0, len(a.Components))
+		f.comp = make([]int32, len(a.Components))
+		for k := range a.Components {
+			f.comp[k] = f.gate(a.Components[k].Structure)
+		}
+	}
+	return f
+}
+
+// gate returns key's index in the gate table, entering it on first sight;
+// the empty key is ungated (-1). A skeleton gates on a few dozen structures
+// at most, so a scan beats a map.
+func (f *replayForm) gate(key string) int32 {
+	if key == "" {
+		return -1
+	}
+	if i := slices.Index(f.gates, key); i >= 0 {
+		return int32(i)
+	}
+	f.gates = append(f.gates, key)
+	return int32(len(f.gates) - 1)
+}
+
+// Replay replays the optimizer's plan choice over the alternatives available
+// under a sub-configuration — avail[i] reports whether the structure
+// Gates()[i] is present — and returns the cost of the chosen plan, storing
+// its used-structure keys in *used when used is non-nil. Because every
+// alternative's cost is config-independent (the same arithmetic produces
+// bit-identical floats under the sub-configuration) and every selection
+// minimizes the pathLess total order, the replayed choice is exactly the
+// choice a real optimization of that configuration would make. Each shape
+// has this one replay: the flat components' selection, the join
+// composition, the maintenance sum. ok is false when avail does not hold
+// one entry per gate, and when no alternative is available, which a
+// skeleton the optimizer built cannot produce (a base access always
+// exists). A cost-only replay (used nil) allocates nothing.
+func (a *Alternatives) Replay(avail []bool, used *[]string) (float64, bool) {
+	f := a.form()
+	if len(avail) != len(f.gates) {
+		return 0, false
+	}
+	switch {
+	case a.Join != nil:
+		if f.join == nil {
+			return 0, false
+		}
+		return f.join.replay(avail, used)
+	case a.Maint != nil:
+		return a.Maint.replay(f, avail, used)
+	}
+	return a.replayFlat(f.comp, avail, used)
+}
+
+// Cost is the cost-only Replay for the sub-configuration whose additive
+// structures has reports present, asking has once per gate.
+func (a *Alternatives) Cost(has func(string) bool) (float64, bool) {
+	var buf [64]bool
+	return a.Replay(availOf(buf[:0], a.Gates(), has), nil)
+}
+
+// Select is Cost plus the used-structure keys of the chosen plan.
 func (a *Alternatives) Select(has func(string) bool) (float64, []string, bool) {
+	var buf [64]bool
 	var used []string
-	cost, ok := a.replay(has, &used)
+	cost, ok := a.Replay(availOf(buf[:0], a.Gates(), has), &used)
 	return cost, used, ok
 }
 
-// replay is Cost, storing the chosen plan's used structures in *used when
-// used is non-nil.
-func (a *Alternatives) replay(has func(string) bool, used *[]string) (float64, bool) {
-	if a.Join != nil {
-		return a.Join.replay(has, used)
+// availOf appends has(key) for each gate key to dst.
+func availOf(dst []bool, gates []string, has func(string) bool) []bool {
+	for _, key := range gates {
+		dst = append(dst, has(key))
 	}
-	if a.Maint != nil {
-		return a.Maint.replay(has, used)
-	}
-	avail := func(c *AltComponent) bool {
-		return c.Structure == "" || has(c.Structure)
-	}
+	return dst
+}
+
+// replayFlat is Replay over single-scope components, gate holding each
+// one's gate.
+func (a *Alternatives) replayFlat(gate []int32, avail []bool, used *[]string) (float64, bool) {
+	on := func(k int) bool { return gate[k] < 0 || avail[gate[k]] }
 
 	// Access-path selection (cheapestPath): minimum by pathLess.
 	var j *AltComponent
-	for i := range a.Components {
-		c := &a.Components[i]
-		if c.View || !avail(c) {
+	for k := range a.Components {
+		c := &a.Components[k]
+		if c.View || !on(k) {
 			continue
 		}
 		if j == nil || altLess(c, j) {
@@ -183,9 +278,9 @@ func (a *Alternatives) replay(has func(string) bool, used *[]string) (float64, b
 	// the incumbent keeps an exact tie).
 	if a.HasOrder {
 		var alt *AltComponent
-		for i := range a.Components {
-			c := &a.Components[i]
-			if c.View || !avail(c) || !c.Ordered {
+		for k := range a.Components {
+			c := &a.Components[k]
+			if c.View || !on(k) || !c.Ordered {
 				continue
 			}
 			if alt == nil || altLess(c, alt) {
@@ -201,9 +296,9 @@ func (a *Alternatives) replay(has func(string) bool, used *[]string) (float64, b
 	// base access on pre-finish cost (optimizeSelect's view rule; the base
 	// access keeps an exact tie).
 	var vw *AltComponent
-	for i := range a.Components {
-		c := &a.Components[i]
-		if !c.View || !avail(c) {
+	for k := range a.Components {
+		c := &a.Components[k]
+		if !c.View || !on(k) {
 			continue
 		}
 		if vw == nil || altLess(c, vw) {

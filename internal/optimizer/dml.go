@@ -54,20 +54,21 @@ type Maintenance struct {
 	Terms []MaintTerm
 }
 
-// replay replays the maintenance sum over the structures has reports
-// present, storing the used structures (the winning access's and every
+// replay replays the maintenance sum over the structures avail reports
+// present — f is the skeleton's replay form, avail indexed by its gate
+// table — storing the used structures (the winning access's and every
 // maintained one's) in *used when used is non-nil. ok is false only when an
 // UPDATE/DELETE skeleton offers no available access path, which a
 // capture-built one cannot (the base scan is gateless).
-func (m *Maintenance) replay(has func(string) bool, used *[]string) (float64, bool) {
-	avail := func(gate string) bool { return gate == "" || has(gate) }
+func (m *Maintenance) replay(f *replayForm, avail []bool, used *[]string) (float64, bool) {
+	on := func(gate int32) bool { return gate < 0 || avail[gate] }
 	cost := m.Fixed
 	var keys []string
 	if len(m.Access) > 0 {
 		var win *ScopeAlt
 		for k := range m.Access {
 			a := &m.Access[k]
-			if avail(a.Gate) && (win == nil || scopeAltLess(a, win)) {
+			if on(f.access[k]) && (win == nil || scopeAltLess(a, win)) {
 				win = a
 			}
 		}
@@ -79,8 +80,8 @@ func (m *Maintenance) replay(has func(string) bool, used *[]string) (float64, bo
 			keys = append(keys, win.Struct)
 		}
 	}
-	for _, t := range m.Terms {
-		if avail(t.Gate) {
+	for k, t := range m.Terms {
+		if on(f.terms[k]) {
 			cost += t.Cost
 			if used != nil {
 				keys = append(keys, t.Struct)

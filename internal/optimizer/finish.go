@@ -70,11 +70,15 @@ func (c *optContext) finishSpec(q *QueryInfo) FinishSpec {
 	return s
 }
 
-// finish appends the captured chain on top of the input plan. This is THE
-// finish implementation: the live optimizer's finishSelect and the skeleton
-// replay both run it, so a replayed cost is the same float sequence the
+// finish runs the captured chain over an input of the given cost, output
+// order, rows and width and returns the finished cost. When plan is the
+// input's plan tree it also returns the finished tree, one node per step;
+// when plan is nil it builds nothing and returns a nil plan. This is THE
+// finish implementation: the live optimizer's finishSelect builds plans
+// with it and the skeleton replay costs with it, both running the same float
+// operations in the same order, so a replayed cost is the float sequence the
 // optimizer would compute.
-func (s *FinishSpec) finish(plan *Plan, rows float64, width int) *Plan {
+func (s *FinishSpec) finish(plan *Plan, cost float64, ordered []string, rows float64, width int) (float64, *Plan) {
 	// Post-join residual filters.
 	for _, sel := range s.PostSels {
 		rows *= sel
@@ -89,43 +93,53 @@ func (s *FinishSpec) finish(plan *Plan, rows float64, width int) *Plan {
 		if s.HasGroup {
 			groups = capGroups(s.GroupDistinct, rows)
 		}
-		if s.HasGroup && orderedPrefix(plan.Ordered, s.Want) {
-			cost := plan.Cost + rows*cpuPerRow
-			plan = &Plan{Op: "StreamAggregate", Cost: cost, Rows: groups,
-				Pages: pagesF(groups, width), Children: []*Plan{plan}, Ordered: plan.Ordered}
+		if s.HasGroup && orderedPrefix(ordered, s.Want) {
+			cost += rows * cpuPerRow
+			plan = grow(plan, "StreamAggregate", "", cost, groups, pagesF(groups, width), ordered)
 		} else {
-			cost := plan.Cost + hashCostHW(s.HW, groups, pagesF(groups, width), rows)
-			plan = &Plan{Op: "HashAggregate", Cost: cost, Rows: groups,
-				Pages: pagesF(groups, width), Children: []*Plan{plan}}
+			cost += hashCostHW(s.HW, groups, pagesF(groups, width), rows)
+			ordered = nil
+			plan = grow(plan, "HashAggregate", "", cost, groups, pagesF(groups, width), nil)
 		}
 		rows = groups
 	}
 
 	if s.HasHaving {
 		rows = math.Max(1, rows*0.3)
-		plan = &Plan{Op: "Filter", Detail: "HAVING", Cost: plan.Cost + rows*cpuPerRow,
-			Rows: rows, Pages: pagesF(rows, width), Children: []*Plan{plan}, Ordered: plan.Ordered}
+		cost += rows * cpuPerRow
+		plan = grow(plan, "Filter", "HAVING", cost, rows, pagesF(rows, width), ordered)
 	}
 
 	if s.Distinct {
 		d := math.Max(1, rows/2)
-		plan = &Plan{Op: "HashDistinct", Cost: plan.Cost + hashCostHW(s.HW, d, pagesF(d, width), rows),
-			Rows: d, Pages: pagesF(d, width), Children: []*Plan{plan}}
+		cost += hashCostHW(s.HW, d, pagesF(d, width), rows)
+		ordered = nil
+		plan = grow(plan, "HashDistinct", "", cost, d, pagesF(d, width), nil)
 		rows = d
 	}
 
 	// Ordering.
 	if s.HasOrderBy {
-		if !s.OrderOK || !orderedPrefix(plan.Ordered, s.OrderWant) {
-			plan = &Plan{Op: "Sort", Cost: plan.Cost + sortCostHW(s.HW, rows, pagesF(rows, width)),
-				Rows: rows, Pages: pagesF(rows, width), Children: []*Plan{plan}, Ordered: s.OrderWant}
+		if !s.OrderOK || !orderedPrefix(ordered, s.OrderWant) {
+			cost += sortCostHW(s.HW, rows, pagesF(rows, width))
+			ordered = s.OrderWant
+			plan = grow(plan, "Sort", "", cost, rows, pagesF(rows, width), ordered)
 		}
 	}
 
 	if s.Top > 0 && float64(s.Top) < rows {
 		rows = float64(s.Top)
-		plan = &Plan{Op: "Top", Cost: plan.Cost + startupCost, Rows: rows,
-			Pages: pagesF(rows, width), Children: []*Plan{plan}, Ordered: plan.Ordered}
+		cost += startupCost
+		plan = grow(plan, "Top", "", cost, rows, pagesF(rows, width), ordered)
 	}
-	return plan
+	return cost, plan
+}
+
+// grow puts one finish step's node on top of the plan built so far, or
+// builds nothing when the chain runs cost-only (plan is nil).
+func grow(plan *Plan, op, detail string, cost, rows, pages float64, ordered []string) *Plan {
+	if plan == nil {
+		return nil
+	}
+	return &Plan{Op: op, Detail: detail, Cost: cost, Rows: rows, Pages: pages, Children: []*Plan{plan}, Ordered: ordered}
 }

@@ -3,6 +3,7 @@ package optimizer
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // joined is a finished plan input: a plan with its output rows and width.
@@ -19,7 +20,7 @@ type joined struct {
 // won, the winning probe. A singleton state is a scope's cheapest access. No
 // state builds a *Plan: the live optimizer builds the one winning tree from
 // the back-pointers (liveJoin.plan), and replay reads the used structures
-// off them (CompiledJoin.replay).
+// off them (compiledJoin.replay).
 type joinStep struct {
 	cost  float64
 	rows  float64
@@ -99,7 +100,7 @@ func newJoinGraph(n int, hw Hardware, edges []SkeletonEdge) *joinGraph {
 // index-nested-loop candidates. The live optimizer computes them from the
 // configuration and catalog (liveJoin); a compiled skeleton selects them
 // from captured alternatives restricted to a structure subset
-// (replaySrc). composeJoin asks for each scope's access exactly once and
+// (replaySrc). compose asks for each scope's access exactly once and
 // for each probe group at most once. Every quantity a joinSrc returns is
 // independent of which *additive* structures the configuration holds beyond
 // availability — the property that lets the composition run the
@@ -111,27 +112,37 @@ type joinSrc interface {
 
 const dpMaxTables = 10
 
-// composer is one run of the join-order search: the graph, the source, and
-// the inputs read from it so far.
+// composer is one run of the join-order search: the graph, the source, the
+// inputs read from it so far, and the DP table and chain the search fills.
+// The live optimizer composes with a fresh composer; skeleton replay resets
+// a pooled one, whose slices keep their arrays from one replay to the next.
 type composer struct {
 	g      *joinGraph
 	src    joinSrc
 	access []joinStep
 	probes [][]probeCand
 	asked  []bool
+	best   []joinStep // the DP table, indexed by subset
+	chain  []joinStep
 }
 
-// composeJoin runs the join-order search over a source: DP over connected
-// subsets up to dpMaxTables scopes, greedy beyond that or when the join graph
-// is disconnected. It returns the winning chain — chain[0] is the first
-// scope's access, chain[k] joins one more scope onto chain[k-1], and the last
-// entry covers every scope — and the probe lists it priced with, by group.
+// composeJoin runs the join-order search over a source with a fresh
+// composer (compose).
+func composeJoin(g *joinGraph, src joinSrc) ([]joinStep, [][]probeCand) {
+	return newComposer(g, src).compose()
+}
+
+// compose runs the join-order search the composer was reset for: DP over
+// connected subsets up to dpMaxTables scopes, greedy beyond that or when
+// the join graph is disconnected. It returns the winning chain — chain[0]
+// is the first scope's access, chain[k] joins one more scope onto
+// chain[k-1], and the last entry covers every scope — and the probe lists
+// it priced with, by group; both live in the composer until its next reset.
 // Both the search order and every tie-break are deterministic, so two
 // sources supplying bit-identical inputs produce bit-identical chains — the
 // contract the derivation layer's skeleton replay rests on.
-func composeJoin(g *joinGraph, src joinSrc) ([]joinStep, [][]probeCand) {
-	m := newComposer(g, src)
-	if g.n <= dpMaxTables {
+func (m *composer) compose() ([]joinStep, [][]probeCand) {
+	if m.g.n <= dpMaxTables {
 		if chain, ok := m.composeDP(); ok {
 			return chain, m.probes
 		}
@@ -139,16 +150,37 @@ func composeJoin(g *joinGraph, src joinSrc) ([]joinStep, [][]probeCand) {
 	return m.composeGreedy(), m.probes
 }
 
-// newComposer starts a composition, reading each scope's access.
+// newComposer starts a composition with a fresh composer.
 func newComposer(g *joinGraph, src joinSrc) *composer {
-	m := &composer{g: g, src: src, access: make([]joinStep, g.n),
-		probes: make([][]probeCand, len(g.groups)), asked: make([]bool, len(g.groups))}
+	m := &composer{}
+	m.reset(g, src)
+	return m
+}
+
+// reset starts a composition over a source, reading each scope's access.
+// Every input slot is cleared, and the composer's slices are reused when
+// large enough.
+func (m *composer) reset(g *joinGraph, src joinSrc) {
+	m.g, m.src = g, src
+	m.access = resize(m.access, g.n)
+	m.probes = resize(m.probes, len(g.groups))
+	m.asked = resize(m.asked, len(g.groups))
 	for i := range m.access {
 		a := src.access(i)
 		a.last, a.group, a.ok = int32(i), -1, true
 		m.access[i] = a
 	}
-	return m
+}
+
+// resize returns a slice of n zero elements, reusing s's array when it
+// holds n.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // probesOf returns probe group g's candidates, asking the source once.
@@ -167,7 +199,8 @@ func (m *composer) probesOf(g int32) []probeCand {
 func (m *composer) composeDP() ([]joinStep, bool) {
 	n := m.g.n
 	full := uint64(1)<<n - 1
-	best := make([]joinStep, full+1)
+	m.best = resize(m.best, int(full+1))
+	best := m.best
 	for i, a := range m.access {
 		best[1<<i] = a
 	}
@@ -193,7 +226,8 @@ func (m *composer) composeDP() ([]joinStep, bool) {
 	if !best[full].ok {
 		return nil, false
 	}
-	chain := make([]joinStep, n)
+	m.chain = resize(m.chain, n)
+	chain := m.chain
 	for sub, k := full, n-1; k >= 0; k-- {
 		chain[k] = best[sub]
 		sub &^= 1 << chain[k].last
@@ -258,7 +292,7 @@ func (m *composer) composeGreedy() []joinStep {
 			seed, seedCost = i, a.cost
 		}
 	}
-	chain := append(make([]joinStep, 0, n), m.access[seed])
+	chain := append(slices.Grow(m.chain[:0], n), m.access[seed])
 	cur := uint64(1) << seed
 	for len(chain) < n {
 		// Prefer connected extensions while any exist.
@@ -278,6 +312,7 @@ func (m *composer) composeGreedy() []joinStep {
 		chain = append(chain, next)
 		cur |= 1 << next.last
 	}
+	m.chain = chain
 	return chain
 }
 

@@ -87,12 +87,13 @@ type SkeletonProbe struct {
 // JoinSkeleton is the plan skeleton of a multi-scope SELECT under one
 // configuration: per-scope access alternatives, join-edge selectivities and
 // probe candidates, matching materialized views costed end-to-end, and the
-// captured finish chain. Compile prepares it for replay, which re-runs the
-// optimizer's join-order search and plan arithmetic — through the same
-// composeJoin/finish code paths the live optimizer uses — restricted to any
-// additive-structure subset, reproducing the cost bit-for-bit (paper §2.2's
-// what-if interface served without an optimizer call; the per-scope
-// decomposition is the INUM/CoPhy move, PAPERS.md).
+// captured finish chain. Its Alternatives' replay form compiles it once
+// (compiledJoin); replay re-runs the optimizer's join-order search and plan
+// arithmetic — through the same compose/finish code paths the live
+// optimizer uses — restricted to any additive-structure subset, reproducing
+// the cost bit-for-bit (paper §2.2's what-if interface served without an
+// optimizer call; the per-scope decomposition is the INUM/CoPhy move,
+// PAPERS.md).
 type JoinSkeleton struct {
 	Scopes []SkeletonScope
 	Edges  []SkeletonEdge
@@ -103,10 +104,6 @@ type JoinSkeleton struct {
 	Views  []AltComponent
 	Finish FinishSpec
 	HW     Hardware
-
-	// compiled is the replay form, built once by the first Compile.
-	compileOnce sync.Once
-	compiled    *CompiledJoin
 }
 
 // joinAlternatives captures the join skeleton of a multi-scope query under
@@ -145,24 +142,23 @@ func (c *optContext) joinAlternatives(q *QueryInfo) *JoinSkeleton {
 	return js
 }
 
-// CompiledJoin is a join skeleton prepared for replay: the join graph, each
+// compiledJoin is a join skeleton prepared for replay: the join graph, each
 // scope's alternatives in scopeAltLess order (so a scope's access is its
 // first available alternative), the probe candidates grouped by (scope,
 // join column), and the views — every one gated by an index into the
-// skeleton's table of distinct gate keys (Gates), so a replay asks about
-// each structure once. It is immutable once
-// built, so concurrent replays share it; it lives in memory only, beside
-// the skeleton, and never changes the skeleton or its JSON.
-type CompiledJoin struct {
+// skeleton's gate table (Alternatives.Gates), so a replay reads each
+// structure's availability by position. It is immutable once built, so
+// concurrent replays share it; it lives in memory only, beside the
+// skeleton, and never changes the skeleton or its JSON.
+type compiledJoin struct {
 	js     *JoinSkeleton
 	g      *joinGraph
-	gates  []string
 	alts   [][]gatedAlt   // per scope
 	probes [][]gatedProbe // per probe group, in skeleton order
 	views  []gatedView    // in skeleton order
 }
 
-// A gate is an index into CompiledJoin.gates, or -1 for an alternative that
+// A gate is an index into the gate table, or -1 for an alternative that
 // every sub-configuration holds.
 type gatedAlt struct {
 	gate int32
@@ -179,17 +175,11 @@ type gatedView struct {
 	view *AltComponent
 }
 
-// Compile returns the skeleton's replay form, building it on the first call
-// (safe for concurrent use; the skeleton must not change afterwards). It is
-// nil for a skeleton no capture produces — no scopes, more than 64, or an
-// edge naming a scope out of range — whose replay then reports no selectable
-// alternative.
-func (js *JoinSkeleton) Compile() *CompiledJoin {
-	js.compileOnce.Do(func() { js.compiled = js.compile() })
-	return js.compiled
-}
-
-func (js *JoinSkeleton) compile() *CompiledJoin {
+// compile builds the join's replay form, entering its gate keys into the
+// form's gate table. It returns nil for a skeleton no capture produces — no
+// scopes, more than 64, or an edge naming a scope out of range — whose
+// replay then reports no selectable alternative.
+func (js *JoinSkeleton) compile(f *replayForm) *compiledJoin {
 	n := len(js.Scopes)
 	if n == 0 || n > 64 {
 		return nil
@@ -199,25 +189,12 @@ func (js *JoinSkeleton) compile() *CompiledJoin {
 			return nil
 		}
 	}
-	cj := &CompiledJoin{js: js, g: newJoinGraph(n, js.HW, js.Edges), alts: make([][]gatedAlt, n)}
-	index := map[string]int32{}
-	gate := func(key string) int32 {
-		if key == "" {
-			return -1
-		}
-		id, ok := index[key]
-		if !ok {
-			id = int32(len(cj.gates))
-			index[key] = id
-			cj.gates = append(cj.gates, key)
-		}
-		return id
-	}
+	cj := &compiledJoin{js: js, g: newJoinGraph(n, js.HW, js.Edges), alts: make([][]gatedAlt, n)}
 	for i := range js.Scopes {
 		sc := &js.Scopes[i]
 		alts := make([]gatedAlt, len(sc.Alts))
 		for k := range sc.Alts {
-			alts[k] = gatedAlt{gate: gate(sc.Alts[k].Gate), alt: &sc.Alts[k]}
+			alts[k] = gatedAlt{gate: f.gate(sc.Alts[k].Gate), alt: &sc.Alts[k]}
 		}
 		slices.SortStableFunc(alts, func(a, b gatedAlt) int {
 			switch {
@@ -234,7 +211,7 @@ func (js *JoinSkeleton) compile() *CompiledJoin {
 	for _, p := range js.Probes {
 		for g, grp := range cj.g.groups {
 			if grp.scope == p.Scope && grp.col == p.Col {
-				cj.probes[g] = append(cj.probes[g], gatedProbe{gate: gate(p.Gate),
+				cj.probes[g] = append(cj.probes[g], gatedProbe{gate: f.gate(p.Gate),
 					cand: probeCand{perProbe: p.PerProbe, structure: p.Struct}})
 				break
 			}
@@ -244,38 +221,33 @@ func (js *JoinSkeleton) compile() *CompiledJoin {
 		// A view is always gated by its own structure; one without a key
 		// is never available.
 		if v := &js.Views[i]; v.Structure != "" {
-			cj.views = append(cj.views, gatedView{gate: gate(v.Structure), view: v})
+			cj.views = append(cj.views, gatedView{gate: f.gate(v.Structure), view: v})
 		}
 	}
 	return cj
 }
 
-// Gates lists the distinct additive structure keys the skeleton's
-// alternatives, probes and views are gated by (none for a nil CompiledJoin).
-func (cj *CompiledJoin) Gates() []string {
-	if cj == nil {
-		return nil
-	}
-	return cj.gates
-}
-
 // replay replays the optimizer's plan choice for the sub-configuration in
-// which has(i) reports whether the structure gates[i] is present (asked
-// once per gate): re-run the join-order search over the available scope
-// alternatives and probes, apply the view rule against the join root's
-// pre-finish cost, and run the captured finish chain. Every step goes
-// through the code the live optimizer runs (composeJoin, chooseProbe,
+// which avail[i] reports whether the gate table's structure i is present:
+// re-run the join-order search over the available scope alternatives and
+// probes, apply the view rule against the join root's pre-finish cost, and
+// run the captured finish chain, cost-only. Every step goes through the
+// code the live optimizer runs (composer.compose, chooseProbe,
 // FinishSpec.finish), so the replayed cost is the float sequence a real
 // optimization of the subset would compute, and the used structures are
 // those of the plan it would choose, stored in *used when used is non-nil.
 // ok is false when some scope has no available alternative, which a
-// capture-built skeleton cannot produce (the base scan is gateless).
-func (cj *CompiledJoin) replay(has func(gate int) bool, used *[]string) (float64, bool) {
-	r := &replaySrc{cj: cj, avail: make([]bool, len(cj.gates)), win: make([]*ScopeAlt, len(cj.alts)),
-		buf: make([]probeCand, 0, len(cj.js.Probes))}
-	for i := range r.avail {
-		r.avail[i] = has(i)
-	}
+// capture-built skeleton cannot produce (the base scan is gateless). The
+// working memory comes from replayScratchPool, so a cost-only replay
+// allocates nothing once the pool is warm.
+func (cj *compiledJoin) replay(avail []bool, used *[]string) (float64, bool) {
+	s := replayScratchPool.Get().(*replayScratch)
+	defer replayScratchPool.Put(s)
+	r := &s.src
+	r.cj = cj
+	r.avail = append(r.avail[:0], avail...)
+	r.win = resize(r.win, len(cj.alts))
+	r.buf = slices.Grow(r.buf[:0], len(cj.js.Probes))
 	for i, alts := range cj.alts {
 		for _, a := range alts {
 			if r.ok(a.gate) {
@@ -287,7 +259,8 @@ func (cj *CompiledJoin) replay(has func(gate int) bool, used *[]string) (float64
 			return 0, false
 		}
 	}
-	chain, probes := composeJoin(cj.g, r)
+	s.comp.reset(cj.g, r)
+	chain, probes := s.comp.compose()
 	root := chain[len(chain)-1]
 
 	// View rule: the cheapest available matching view competes against the
@@ -308,7 +281,8 @@ func (cj *CompiledJoin) replay(has func(gate int) bool, used *[]string) (float64
 	if used != nil {
 		// The used structures of the chain's plan: each access that stays
 		// in the tree (the first scope's, and each hash join's inner) and
-		// each winning probe. The finish chain adds none.
+		// each winning probe. The finish chain adds none. The keys are
+		// copied out of the scratch, which goes back to the pool.
 		keys := make([]string, 0, len(chain))
 		for _, st := range chain {
 			key := r.win[st.last].Struct
@@ -322,14 +296,26 @@ func (cj *CompiledJoin) replay(has func(gate int) bool, used *[]string) (float64
 		slices.Sort(keys)
 		*used = slices.Compact(keys)
 	}
-	fin := cj.js.Finish.finish(&Plan{Cost: root.cost}, root.rows, root.width)
-	return fin.Cost, true
+	cost, _ := cj.js.Finish.finish(nil, root.cost, nil, root.rows, root.width)
+	return cost, true
 }
+
+// replayScratch is one join replay's working memory: the source's
+// availability, winners and probe lists, and the composer's inputs, DP
+// table and chain.
+type replayScratch struct {
+	src  replaySrc
+	comp composer
+}
+
+// replayScratchPool recycles join replay scratch across replays and
+// skeletons; each replay resizes and clears what it reads.
+var replayScratchPool = sync.Pool{New: func() any { return new(replayScratch) }}
 
 // replaySrc drives the join composition from a compiled skeleton restricted
 // to one sub-configuration.
 type replaySrc struct {
-	cj    *CompiledJoin
+	cj    *compiledJoin
 	avail []bool      // per gate
 	win   []*ScopeAlt // per scope: its first available alternative
 	buf   []probeCand // backs the available probe lists
@@ -350,14 +336,4 @@ func (r *replaySrc) probes(g int) []probeCand {
 		}
 	}
 	return r.buf[start:len(r.buf):len(r.buf)]
-}
-
-// replay replays the compiled skeleton for the subset has reports present,
-// storing the used structures in *used when used is non-nil.
-func (js *JoinSkeleton) replay(has func(string) bool, used *[]string) (float64, bool) {
-	cj := js.Compile()
-	if cj == nil {
-		return 0, false
-	}
-	return cj.replay(func(i int) bool { return has(cj.gates[i]) }, used)
 }

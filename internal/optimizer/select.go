@@ -65,5 +65,6 @@ func (c *optContext) interestingOrder(q *QueryInfo) []string {
 // and running the shared finish chain over it.
 func (c *optContext) finishSelect(q *QueryInfo, in joined) *Plan {
 	spec := c.finishSpec(q)
-	return spec.finish(in.plan, in.rows, in.width)
+	_, plan := spec.finish(in.plan, in.plan.Cost, in.plan.Ordered, in.rows, in.width)
+	return plan
 }

@@ -263,46 +263,63 @@ func TestJoinPlanGolden(t *testing.T) {
 	}
 }
 
-// TestCompiledJoinConcurrentReplay replays one join skeleton from several
-// goroutines at once, as the derivation engine's workers share a fact: the
-// first replays race to compile the skeleton and every replay shares the
-// compiled form and the recycled DP tables. Each must still return the
-// direct optimization's cost and used set.
+// TestCompiledJoinConcurrentReplay replays the join skeletons of every wide
+// join case from several goroutines at once, as the derivation engine's
+// workers share facts: the first replays race to compile each skeleton, and
+// every replay borrows pooled scratch (the DP table, the chain, the
+// composer's inputs, the source's availability and probe lists) that the
+// replay before it — of another skeleton, scope count or composition (the
+// disconnected case composes greedily), over another subset — left behind.
+// Each worker walks every (skeleton, subset) pair from its own offset, so
+// consecutive replays switch skeletons; each must still return the direct
+// optimization's cost and used set. Run under -race.
 func TestCompiledJoinConcurrentReplay(t *testing.T) {
 	cat, o := toyTPCH(t)
-	c := wideJoinCases(t, cat)[1] // Q8: seven scopes
 	base := tpch.ConstraintConfig(cat)
-	stmt := sqlparser.MustParse(c.sql)
-	_, alts, err := o.OptimizeAlternatives(stmt, subsetConfig(base, c.pool, 1<<len(c.pool)-1))
-	if err != nil {
-		t.Fatal(err)
+	type replay struct {
+		c    wideJoinCase
+		alts *optimizer.Alternatives
+		mask int
+		want *optimizer.Result
 	}
-	want := make([]*optimizer.Result, 1<<len(c.pool))
-	for mask := range want {
-		if want[mask], err = o.Optimize(stmt, subsetConfig(base, c.pool, mask)); err != nil {
+	var all []replay
+	for _, c := range wideJoinCases(t, cat) {
+		stmt := sqlparser.MustParse(c.sql)
+		_, alts, err := o.OptimizeAlternatives(stmt, subsetConfig(base, c.pool, 1<<len(c.pool)-1))
+		if err != nil {
 			t.Fatal(err)
 		}
+		for mask := 0; mask < 1<<len(c.pool); mask++ {
+			want, err := o.Optimize(stmt, subsetConfig(base, c.pool, mask))
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, replay{c: c, alts: alts, mask: mask, want: want})
+		}
 	}
+	// Order the walk by subset, so consecutive replays switch skeletons.
+	slices.SortStableFunc(all, func(a, b replay) int { return a.mask - b.mask })
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for k := range want {
-				mask := (k + w*len(want)/4) % len(want)
-				got, used, ok := alts.Select(func(key string) bool {
-					for i, s := range c.pool {
-						if mask&(1<<i) != 0 && s.Key() == key {
+			for k := range all {
+				r := all[(k+w*len(all)/4)%len(all)]
+				got, used, ok := r.alts.Select(func(key string) bool {
+					for i, s := range r.c.pool {
+						if r.mask&(1<<i) != 0 && s.Key() == key {
 							return true
 						}
 					}
 					return false
 				})
 				slices.Sort(used)
-				wantUsed := slices.Clone(want[mask].UsedStructures)
+				wantUsed := slices.Clone(r.want.UsedStructures)
 				slices.Sort(wantUsed)
-				if !ok || got != want[mask].Cost || !slices.Equal(used, wantUsed) {
-					t.Errorf("worker %d mask %b: replay (%v, %v, %v) != direct (%v, %v)", w, mask, got, used, ok, want[mask].Cost, wantUsed)
+				if !ok || got != r.want.Cost || !slices.Equal(used, wantUsed) {
+					t.Errorf("worker %d %s mask %b: replay (%v, %v, %v) != direct (%v, %v)",
+						w, r.c.name, r.mask, got, used, ok, r.want.Cost, wantUsed)
 					return
 				}
 			}
