@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,22 +12,29 @@ import (
 	"repro/internal/xmlio"
 )
 
-// TestReviseRefusesOldPoolFormat: a pool file written before the ID-keyed
-// cost-cache format (its cache under "cache", one rendered key per entry)
-// is refused by -revise with a message naming the format, before any
-// database is built — never revised against a cache it would misread.
+// TestReviseRefusesOldPoolFormat: pool files written by older binaries —
+// the unversioned string-keyed form (its cache under "cache", one rendered
+// key per entry) and costing format 3 (a versioned cost cache beside the
+// facts) — are refused by -revise with a message naming the format, before
+// any database is built, never revised against a section it would misread.
 func TestReviseRefusesOldPoolFormat(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "old.pool.json")
-	old := `{"statements":[{"sql":"SELECT id FROM t WHERE x = 1","weight":1}],` +
-		`"cache":[{"key":"0\u0000ix:t(x)","cost":12.5,"used":["ix:t(x)"]}],` +
-		`"derive":{"mode":"on","facts":[{"event":0,"node":"ix:t(x)","cost":12.5}]},` +
-		`"knobs":{"features":1},"fingerprint":"3f0c"}`
-	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	err := runRevise("tpch", 0.002, path, "", 0, false, "", "", "", 0, true, "")
-	if err == nil || !strings.Contains(err.Error(), "cost-cache format 0") || !strings.Contains(err.Error(), "dta -pool") {
-		t.Fatalf("-revise on an old pool file: %v, want a refusal naming the format", err)
+	for format, old := range map[int]string{
+		0: `{"statements":[{"sql":"SELECT id FROM t WHERE x = 1","weight":1}],` +
+			`"cache":[{"key":"0\u0000ix:t(x)","cost":12.5,"used":["ix:t(x)"]}],` +
+			`"derive":{"mode":"on","facts":[{"event":0,"node":"ix:t(x)","cost":12.5}]},` +
+			`"knobs":{"features":1},"fingerprint":"3f0c"}`,
+		3: `{"statements":[{"sql":"SELECT id FROM t WHERE x = 1","weight":1}],` +
+			`"costCache":{"format":3,"structs":["ix:t(x)"],"entries":[{"e":0,"k":[0],"c":12.5}]},` +
+			`"knobs":{"features":1},"fingerprint":"3f0c"}`,
+	} {
+		path := filepath.Join(t.TempDir(), "old.pool.json")
+		if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := runRevise("tpch", 0.002, path, "", 0, false, "", "", "", 0, true, "")
+		if want := fmt.Sprintf("costing format %d,", format); err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "dta -pool") {
+			t.Fatalf("-revise on a format-%d pool file: %v, want a refusal naming the format", format, err)
+		}
 	}
 }
 

@@ -1,20 +1,16 @@
 // Package canonjson streams JSON byte-identical to encoding/json's Marshal
-// for the few shapes the persisted costing sections are made of — integers,
-// floats, strings, lists of them, and pre-rendered values — so a large
-// section can be hashed or written without reflection and without holding
-// its whole encoding in memory. Every rule encoding/json applies is copied:
-// floats switch between 'f' and 'e' formatting at 1e-6 and 1e21 and drop the
-// exponent's leading zero, NaN and ±Inf fail with json.UnsupportedValueError,
-// and strings are escaped with its HTML-safe rules (<, >, & and U+2028/
-// U+2029 escaped, invalid UTF-8 replaced by U+FFFD). Anything else is handed
-// to json.Marshal through Marshal.
+// for the few shapes the persisted costing section is made of — integers,
+// strings, integer lists and pre-rendered values — so a large section can
+// be hashed or written without reflection and without holding its whole
+// encoding in memory. Every rule encoding/json applies is copied: strings
+// are escaped with its HTML-safe rules (<, >, & and U+2028/U+2029 escaped,
+// invalid UTF-8 replaced by U+FFFD). Anything else is handed to
+// json.Marshal through Marshal.
 package canonjson
 
 import (
 	"encoding/json"
 	"io"
-	"math"
-	"reflect"
 	"strconv"
 	"unicode/utf8"
 )
@@ -91,16 +87,6 @@ func (w *Writer) Int(n int64) {
 	}
 }
 
-// Float writes a float64 as json.Marshal does.
-func (w *Writer) Float(f float64) {
-	if w.err != nil {
-		return
-	}
-	if w.buf, w.err = appendFloat(w.buf, f); w.err == nil {
-		w.spill()
-	}
-}
-
 // String writes a string as json.Marshal does.
 func (w *Writer) String(s string) {
 	if w.err == nil {
@@ -125,23 +111,6 @@ func (w *Writer) Int32s(ns []int32) {
 	w.spill()
 }
 
-// Strings writes a list of strings as json.Marshal writes a non-nil
-// []string.
-func (w *Writer) Strings(ss []string) {
-	if w.err != nil {
-		return
-	}
-	w.buf = append(w.buf, '[')
-	for i, s := range ss {
-		if i > 0 {
-			w.buf = append(w.buf, ',')
-		}
-		w.buf = appendString(w.buf, s)
-	}
-	w.buf = append(w.buf, ']')
-	w.spill()
-}
-
 // Marshal writes json.Marshal(v), or records its error.
 func (w *Writer) Marshal(v any) {
 	if w.err != nil {
@@ -153,29 +122,6 @@ func (w *Writer) Marshal(v any) {
 		return
 	}
 	w.Bytes(b)
-}
-
-// appendFloat appends f as json.Marshal renders a float64: like
-// strconv's shortest representation, in 'e' form below 1e-6 and from 1e21
-// up with a one-digit negative exponent unpadded. NaN and ±Inf fail with the
-// error json.Marshal returns for them.
-func appendFloat(b []byte, f float64) ([]byte, error) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return b, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// e-09 → e-9
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b, nil
 }
 
 const hex = "0123456789abcdef"

@@ -113,8 +113,9 @@ func selectCandidates(t Tuner, ev *evaluator, w *workload.Workload, base *catalo
 	ev.bumpEpoch()
 	tr.startCheckpoints(opts, ev)
 	if opts.Resume != nil {
-		// A resumed session's restore point (see warmStart).
-		ev.warmStart(opts.Resume.CostingSection)
+		// A resumed session's one restore point: its checkpoint's facts are
+		// all of the final statistics, and it re-pays its work before here.
+		ev.drv.Restore(opts.Resume.Skeletons)
 	}
 	ev.setQueryPools(additive[:n])
 

@@ -35,7 +35,7 @@ type Constraints struct {
 	// SliceWeights rescales workload slices: template signature →
 	// multiplier applied to every matching event's weight in workload
 	// cost folds. Missing signatures keep multiplier 1. Per-event costs
-	// (and hence the pool's cached atoms) are weight-independent, so
+	// (and hence the pool's skeleton facts) are weight-independent, so
 	// reweighting is always answerable from the pool.
 	SliceWeights map[string]float64 `json:"sliceWeights,omitempty"`
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -101,33 +100,14 @@ func (k PoolKnobs) apply(o Options) Options {
 	return o
 }
 
-// CostingSection is the persisted costing state checkpoints and sealed pools
-// share: the cost cache and, when the backend offers them, the derivation
-// engine's skeleton facts (see warmStart for when a checkpoint holds them).
-type CostingSection struct {
-	Cache     CostCache        `json:"costCache"`
-	Skeletons *derive.Snapshot `json:"skeletons,omitempty"`
-}
-
-// check validates both sections' shape, naming what in the error; events
-// bounds the cost cache's event indexes (negative = unknown). A section
-// written by an older binary fails it.
-func (s *CostingSection) check(what string, events int) error {
-	if err := cmp.Or(s.Cache.check(events), s.Skeletons.Check()); err != nil {
-		return fmt.Errorf("core: %s: %w", what, err)
-	}
-	return nil
-}
-
 // CostedPool is the serializable boundary between the pipeline's two
 // layers: everything the costing layer produced — the compressed workload,
 // the base configuration, the candidate structures with their per-query
-// gains, the statistics-creation log, the cost cache's atoms, and the
-// derivation engine's plan facts — and nothing the search layer decides.
-// It is immutable once sealed and content-addressed by Fingerprint, like
-// cost-cache checkpoints; Revise consumes one together with a Constraints
-// value and re-runs only the search layer, never issuing a what-if call
-// the pool can't answer or derive (beyond configurations the new
+// gains, the statistics-creation log and the derivation engine's plan
+// facts — and nothing the search layer decides. It is immutable once sealed
+// and content-addressed by Fingerprint; Revise consumes one together with a
+// Constraints value and re-runs only the search layer, never issuing a
+// what-if call the pool's facts can answer (beyond configurations the new
 // constraints genuinely make reachable for the first time).
 type CostedPool struct {
 	// Statements is the tuned (post-compression) workload, with weights.
@@ -141,9 +121,8 @@ type CostedPool struct {
 	Gains []QueryGain `json:"gains,omitempty"`
 	// StatBatches logs the statistics-creation calls, in issue order.
 	StatBatches []StatBatch `json:"statBatches,omitempty"`
-	// CostingSection holds the cost cache's completed entries (the costed
-	// atoms) and the skeleton facts — the section checkpoints persist. The
-	// cost cache's format versions the pool.
+	// CostingSection holds the skeleton facts — the section checkpoints
+	// persist — and the costing format that versions the pool.
 	CostingSection
 	// Knobs pins the pipeline parameters the pool was costed under.
 	Knobs PoolKnobs `json:"knobs"`
@@ -183,9 +162,9 @@ func (p *CostedPool) ComputeFingerprint() string {
 // WriteCanonical writes the pool's canonical JSON to w: exactly the bytes
 // json.Marshal produces for it, or its error. It is the pool's one writer —
 // the fingerprint hashes it, a pool file holds it, and UnmarshalJSON checks
-// a file against it. The two large sections are written by hand: the cost
-// cache's entries, and the skeleton facts, each skeleton as its memoized
-// optimizer.Alternatives.CanonicalJSON; every other field is json.Marshal's.
+// a file against it. The large section, the skeleton facts, is written by
+// hand, each skeleton as its memoized optimizer.Alternatives.CanonicalJSON;
+// every other field is json.Marshal's.
 func (p *CostedPool) WriteCanonical(w io.Writer) error {
 	return p.writeCanonical(w, p.Fingerprint)
 }
@@ -212,11 +191,16 @@ func (p *CostedPool) writeCanonical(out io.Writer, fingerprint string) error {
 		w.Raw(`,"statBatches":`)
 		w.Marshal(p.StatBatches)
 	}
-	w.Raw(`,"costCache":`)
-	p.Cache.writeCanonical(w)
+	w.Raw(`,"costingFormat":`)
+	w.Int(int64(p.Format))
 	if p.Skeletons != nil {
 		w.Raw(`,"skeletons":`)
 		p.Skeletons.WriteCanonical(w)
+	}
+	if p.OldCache != nil { // only a decoded older pool, which Check refuses
+		w.Raw(`,"costCache":{"format":`)
+		w.Int(int64(p.OldCache.Format))
+		w.Raw("}")
 	}
 	w.Raw(`,"knobs":`)
 	w.Marshal(p.Knobs)
@@ -285,10 +269,10 @@ func (p *CostedPool) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Check verifies the pool before it is trusted: the cost-cache format (a
-// pool written by an older binary is refused), the shape of the cost-cache
-// and skeleton sections, that the pool was decoded from its canonical JSON,
-// and the content address.
+// Check verifies the pool before it is trusted: the costing format (a pool
+// written by an older binary is refused), the shape of the skeleton
+// section, that the pool was decoded from its canonical JSON, and the
+// content address.
 func (p *CostedPool) Check() error {
 	if err := p.check("costed pool", len(p.Statements)); err != nil {
 		return err
@@ -331,17 +315,17 @@ func (p *CostedPool) Resolve(keys []string, extra ...[]catalog.Structure) ([]cat
 }
 
 // seal freezes the costing layer's state into a serializable, fingerprinted
-// pool. Called after a successful, uninterrupted run, so the cache and
-// derive snapshots also carry the search phase's facts — a superset of what
-// the search started from, which can only turn a revision's real calls into
-// hits, never change a value.
+// pool. Called after a successful, uninterrupted run, so the skeleton
+// snapshot also carries the search phase's facts — a superset of what the
+// search started from, which can only turn a revision's real calls into
+// replays, never change a value.
 func (st *costedState) seal(opts Options) *CostedPool {
 	p := &CostedPool{
 		Base:           st.base.Clone(),
 		Candidates:     st.cands,
 		Gains:          st.gains,
 		StatBatches:    st.statBatches,
-		CostingSection: CostingSection{Cache: st.ev.snapshotCache()(), Skeletons: st.ev.drv.Snapshot()},
+		CostingSection: CostingSection{Format: CostingFormat, Skeletons: st.ev.drv.Snapshot()},
 		Knobs:          opts.knobs(),
 		StatsCreated:   st.statsCreated,
 		TemplatesTuned: st.templates,
@@ -357,8 +341,9 @@ func (st *costedState) seal(opts Options) *CostedPool {
 }
 
 // Revise re-runs only the search layer against a previously sealed costed
-// pool under new constraints (CoPhy-style interactive tuning): the costed
-// atoms, derive facts, and candidate gains are reused verbatim, so a
+// pool under new constraints (CoPhy-style interactive tuning): the skeleton
+// facts and candidate gains are reused verbatim — every evaluation a fact
+// covers is replayed from it — so a
 // changed storage bound, alignment toggle, pinned/vetoed structure set, or
 // workload-slice reweighting yields a fresh recommendation in search time
 // — typically with zero new what-if optimizer calls. The result is
@@ -460,24 +445,26 @@ func Revise(ctx context.Context, t Tuner, pool *CostedPool, cons Constraints, op
 	return rec, nil
 }
 
-// reseal is a finished revision's pool. A revision that completed no cost
-// evaluation and fetched no skeleton holds exactly its input pool's costing
-// state under the same knobs, so sealing it would reproduce the input byte
-// for byte: the input pool itself is returned, unsnapshotted and unhashed (a
-// sealed pool is immutable, so sharing it is safe). Anything new is sealed.
+// reseal is a finished revision's pool. A revision that fetched no skeleton
+// holds exactly its input pool's facts under the same knobs, so sealing it
+// would reproduce the input byte for byte: the input pool itself is
+// returned, unsnapshotted and unhashed (a sealed pool is immutable, so
+// sharing it is safe). A revision that fetched something is sealed.
 func (st *costedState) reseal(pool *CostedPool, opts Options) *CostedPool {
-	if st.ev.added.Load() == 0 && st.ev.drv.Atoms() == 0 && opts.knobs() == pool.Knobs {
+	if st.ev.drv.Atoms() == 0 && opts.knobs() == pool.Knobs {
 		return pool
 	}
 	return st.seal(opts)
 }
 
 // warmState is a revision's warm start: the pool's costing-layer state over
-// its workload w and base configuration, with an evaluator warm-started from
-// the pool's costing section, bound to the session tracker tr.
+// its workload w and base configuration, with an evaluator whose engine holds
+// the pool's facts, bound to the session tracker tr. A search never creates
+// statistics, so the facts are restored under the state they were fetched
+// in.
 func (pool *CostedPool) warmState(t Tuner, w *workload.Workload, base *catalog.Configuration, mode derive.Mode, tr *tracker) *costedState {
 	ev := newEvaluator(t, w, mode, tr)
-	ev.warmStart(pool.CostingSection)
+	ev.drv.Restore(pool.Skeletons)
 	return &costedState{
 		ev: ev, tuned: w, base: base,
 		cands: pool.Candidates, gains: pool.Gains, statBatches: pool.StatBatches,

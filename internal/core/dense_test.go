@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -234,11 +235,34 @@ func TestIncrementalCostsMatchFromScratch(t *testing.T) {
 			if ops["clustered"] == 0 || ops["unclustered"] == 0 {
 				t.Fatalf("the walk never toggled a clustered index under a partitioned table: %v", ops)
 			}
-			if got, want := fmt.Sprint(inc.snapshotCache()()), fmt.Sprint(ref.snapshotCache()()); got != want {
+			if got, want := cacheContents(inc), cacheContents(ref); got != want {
 				t.Fatal("incremental and from-scratch cost caches differ")
 			}
 		})
 	}
+}
+
+// cacheContents renders an evaluator's completed cost-cache entries by
+// event, each key spelled as its sorted structure keys, so that two
+// evaluators' caches compare whatever order they interned structures in.
+func cacheContents(ev *evaluator) string {
+	var b strings.Builder
+	for i := range ev.tables {
+		var lines []string
+		for _, ce := range ev.tables[i].entries {
+			for ; ce != nil; ce = ce.next {
+				keys := make([]string, len(ce.ids))
+				for j, id := range ce.ids {
+					keys[j] = ev.in.Key(id)
+				}
+				slices.Sort(keys)
+				lines = append(lines, fmt.Sprintf("%d %q %v %v", i, keys, ce.cost, ce.err))
+			}
+		}
+		slices.Sort(lines)
+		b.WriteString(strings.Join(lines, "\n"))
+	}
+	return b.String()
 }
 
 // removeStructure deletes s from cfg the way drop analysis does.
@@ -265,8 +289,8 @@ func clusteredCandidate(cands []catalog.Structure, table string) *catalog.Struct
 }
 
 // TestSealedPoolFingerprintGolden pins, exactly, what a P=1 tune of each
-// input produces: the sealed pool's content address (the persisted cost
-// cache and derive facts, numbered by sorted structure key), the real what-if
+// input produces: the sealed pool's content address (the persisted derive
+// facts, numbered by sorted structure key), the real what-if
 // calls, the derived evaluations and the improvement. The inputs are a
 // plain pool, one with drops, partitioning and lazy alignment, and the
 // three toy demonstration databases (SYNT1 indexes only; TPC-H and PSOFT
@@ -296,7 +320,10 @@ func clusteredCandidate(cands []catalog.Structure, table string) *catalog.Struct
 // derived evaluations, one re-fetched skeleton per event whose base
 // configuration no post-statistics fact covers yet (aligned-with-drops +1
 // call, PSOFT +16), and every improvement measured against the
-// post-statistics BaseCost.
+// post-statistics BaseCost. Every fingerprint moved once more with the
+// costing format 4 bump, which drops the persisted cost cache: a pool's
+// costing section is its facts alone; calls, derived evaluations and
+// improvements did not move.
 func TestSealedPoolFingerprintGolden(t *testing.T) {
 	type input func(testing.TB) (*whatif.Server, *workload.Workload, Options)
 	toy := func(name string, f FeatureMask) input {
@@ -315,19 +342,19 @@ func TestSealedPoolFingerprintGolden(t *testing.T) {
 	}{
 		{"parallel-workload", func(tb testing.TB) (*whatif.Server, *workload.Workload, Options) {
 			return testServer(tb), parallelWorkload(tb), Options{}
-		}, "c98970faeb1a18e76a6483f15777c6100213b5776d83569a9c09839dfe8b32b9", 36, 375, 0.9007869434316275},
+		}, "29400e9aa05745fefe65ad4179f79a77939632a5161924e4fe37d964b2a09f42", 36, 375, 0.9007869434316275},
 		{"aligned-with-drops", func(tb testing.TB) (*whatif.Server, *workload.Workload, Options) {
 			return reviseServer(tb), reviseWorkload(tb), Options{
 				Features: FeatureIndexes | FeaturePartitioning, BaseConfig: reviseBase(),
 				AllowDrops: true, StorageBudget: 64 << 20, Aligned: true,
 			}
-		}, "73cc4425ed14ee6a73f2a185c842abed9af748bc9858c6982c1113787bbae3ec", 45, 408, 0.6956985672804847},
+		}, "bb7261bd1e38cb75c613bf6522ac64bf515b53ccfcbbe24484307f39afc05951", 45, 408, 0.6956985672804847},
 		{"toy-synt1", toy("synt1", FeatureIndexes),
-			"8645866dd24789d28164a2df0a1edd78835feb28897247cdf97654d171244f60", 354, 22918, 0.9005581123088328},
+			"9a0713aa885c80ec92e164ed5a862bce89aa6639ab7fea6f64fc3afdc8b59d30", 354, 22918, 0.9005581123088328},
 		{"toy-tpch", toy("tpch", FeatureAll),
-			"09bb843a7bd3c374fd184932fef165fb39fa3dfee701782f9f618b04a1e0fdcf", 171, 4604, 0.6840020359076524},
+			"9c1534791057b60e3037bb7e84743da7e69bd25fa40bf69d74ae4c94b9f84c8b", 171, 4604, 0.6840020359076524},
 		{"toy-psoft", toy("psoft", FeatureAll),
-			"1a3bc68d817536464d6d0770bf4cb1df64a6d2dcff97389c081f107c8fd371c5", 1100, 4280, 0.5558741812917586},
+			"6748a7eed30fceb4213fb0e03c4fdf8e11c340ae25538183ce164bab63398cdf", 1100, 4280, 0.5558741812917586},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			srv, w, opts := c.in(t)
@@ -396,9 +423,9 @@ func sealedToy(tb testing.TB, name string, f FeatureMask) (*whatif.Server, *work
 }
 
 // TestWarmStartResealsIdentically: warm-starting an evaluator from a sealed
-// pool and sealing it again reproduces the pool byte for byte — the cost
-// cache and skeleton facts survive the round trip through the ID-keyed
-// format, whatever order the second session interned the tables in.
+// pool and sealing it again reproduces the pool byte for byte — the
+// skeleton facts survive the round trip through the ID-keyed format,
+// whatever order the second session interned the tables in.
 func TestWarmStartResealsIdentically(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -415,11 +442,10 @@ func TestWarmStartResealsIdentically(t *testing.T) {
 }
 
 // BenchmarkSeal times the persisted costing section end to end over a toy
-// pool: per iteration, a revision's warm start (intern the tables once,
-// remap every entry), a seal (canonical renumbering, the skeleton snapshot,
-// the fingerprint) and Check. The PSOFT pool splits its bytes between the
-// cost cache and the skeletons; the TPC-H pool's are mostly join skeletons,
-// as a tpch-fleet pool's are. Run with -benchmem.
+// pool: per iteration, a revision's warm start (intern the table once,
+// restore and compile every fact), a seal (canonical renumbering, the
+// skeleton snapshot, the fingerprint) and Check. The TPC-H pool's bytes are
+// mostly join skeletons, as a tpch-fleet pool's are. Run with -benchmem.
 func BenchmarkSeal(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -438,11 +464,57 @@ func BenchmarkSeal(b *testing.B) {
 	}
 }
 
+// BenchmarkRevise times a whole revision as the service runs one, over the
+// toy PSOFT, TPC-H and SYNT1 pools with the storage budget halved: the warm
+// start (restoring the pool's facts), the search with every evaluation
+// replayed from a fact that covers it, and the PoolSink hand-off — the
+// input pool itself when the revision fetched nothing, else a new seal. Run
+// with -benchmem; pool-bytes is the size of the pool file the revision
+// leaves, its canonical JSON.
+func BenchmarkRevise(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		f    FeatureMask
+	}{{"psoft", FeatureAll}, {"tpch", FeatureAll}, {"synt1", FeatureIndexes}} {
+		b.Run(c.name, func(b *testing.B) {
+			srv, w, base := toyBackend(b, c.name)
+			var pool, sealed *CostedPool
+			rec, err := Tune(srv, w, Options{Features: c.f, BaseConfig: base, Parallelism: 1, SkipReports: true, PoolSink: func(p *CostedPool) { pool = p }})
+			if err != nil {
+				b.Fatal(err)
+			}
+			cons := Constraints{StorageBudget: rec.StorageBytes / 2}
+			opts := Options{Parallelism: 1, SkipReports: true, PoolSink: func(p *CostedPool) { sealed = p }}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Revise(context.Background(), srv, pool, cons, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			var size countingWriter
+			if err := sealed.WriteCanonical(&size); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(size), "pool-bytes")
+		})
+	}
+}
+
+// countingWriter counts the bytes written to it.
+type countingWriter int64
+
+func (n *countingWriter) Write(p []byte) (int, error) {
+	*n += countingWriter(len(p))
+	return len(p), nil
+}
+
 // BenchmarkEnumerate times the search layer over a sealed toy SYNT1 pool:
 // one storage-halved revision per iteration — drop analysis, merging, and
-// the enumeration Greedy(m,k) — every evaluation served by the pool's cost
-// cache and derive facts. Run with -benchmem; ns/op and allocs/op track the
-// evaluator's hit path without the repository benchmark's full runs.
+// the enumeration Greedy(m,k) — every evaluation replayed from the pool's
+// derive facts. Run with -benchmem; ns/op and allocs/op track the search
+// layer without the repository benchmark's full runs.
 func BenchmarkEnumerate(b *testing.B) {
 	srv, w, base := toyBackend(b, "synt1")
 	var pool *CostedPool

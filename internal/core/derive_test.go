@@ -440,10 +440,9 @@ func TestDeriveModeNormalisedAtBoundary(t *testing.T) {
 			}
 
 			// Revise normalises the same way: the knob as a user might have
-			// spelled it in a hand-edited pool (cost cache dropped, so the
-			// revision has to derive from the pool's skeletons again).
+			// spelled it in a hand-edited pool (the revision derives every
+			// cost from the pool's skeletons).
 			pool.Knobs.Derive = c.mode
-			pool.Cache.Entries = nil
 			reg = obs.NewRegistry()
 			rev, err := Revise(context.Background(), srv, pool, Constraints{StorageBudget: 1 << 20}, Options{Metrics: reg})
 			if err != nil {

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/catalog"
 	"repro/internal/derive"
@@ -63,11 +62,6 @@ type evaluator struct {
 	// and worker pool; cache misses check it before reaching the optimizer
 	// so a cancelled session stops within one what-if call per worker.
 	tr *tracker
-	// added counts the entries this evaluator's own evaluations completed —
-	// successful misses, not the ones warmStart loaded: with the engine's
-	// fetched facts (Atoms) it tells whether a revision recorded anything
-	// its pool does not already hold.
-	added atomic.Int64
 
 	// drv is the session's cost-derivation engine, present iff the backend
 	// returns plan skeletons (AlternativesTuner): cache-miss leaders resolve
@@ -510,19 +504,6 @@ type cacheEntry struct {
 	err   error
 }
 
-// closedReady is the ready channel of entries that never were in flight.
-var closedReady = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
-
-// hashIDs hashes an ID-set key (FNV-1a over the IDs).
-func hashIDs(ids []int32) uint64 {
-	h := uint64(14695981039346656037)
-	for _, id := range ids {
-		h ^= uint64(uint32(id))
-		h *= 1099511628211
-	}
-	return h
-}
-
 // find returns the entry for ids in a hash-chained entry map (a table's
 // entries or stale, under its mu), or nil.
 func find(entries map[uint64]*cacheEntry, h uint64, ids []int32) *cacheEntry {
@@ -534,10 +515,9 @@ func find(entries map[uint64]*cacheEntry, h uint64, ids []int32) *cacheEntry {
 	return nil
 }
 
-// claim returns the entry for ids, inserting fresh — a new in-flight entry
-// when nil, else a complete one — if there is none; created reports the
-// insertion.
-func (t *costTable) claim(h uint64, ids []int32, fresh *cacheEntry) (ce *cacheEntry, created bool) {
+// claim returns the entry for ids, inserting a new in-flight one if there is
+// none; created reports the insertion.
+func (t *costTable) claim(h uint64, ids []int32) (ce *cacheEntry, created bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if ce := find(t.entries, h, ids); ce != nil {
@@ -546,12 +526,9 @@ func (t *costTable) claim(h uint64, ids []int32, fresh *cacheEntry) (ce *cacheEn
 	if t.entries == nil {
 		t.entries = map[uint64]*cacheEntry{}
 	}
-	if fresh == nil {
-		fresh = &cacheEntry{ready: make(chan struct{})}
-	}
-	fresh.ids, fresh.next = slices.Clone(ids), t.entries[h]
-	t.entries[h] = fresh
-	return fresh, true
+	ce = &cacheEntry{ids: slices.Clone(ids), next: t.entries[h], ready: make(chan struct{})}
+	t.entries[h] = ce
+	return ce, true
 }
 
 // drop unlinks a failed entry.
@@ -589,14 +566,14 @@ func (ev *evaluator) eval(i int, c *config, span context.Context) (float64, erro
 	}
 	var buf [64]int32
 	ids := c.key(i, buf[:0])
-	h := hashIDs(ids)
+	h := derive.HashIDs(ids)
 	t := &ev.tables[i]
 	t.mu.RLock()
 	ce := find(t.entries, h, ids)
 	t.mu.RUnlock()
 	if ce == nil {
 		var leader bool
-		if ce, leader = t.claim(h, ids, nil); leader {
+		if ce, leader = t.claim(h, ids); leader {
 			return ev.miss(i, c, h, ce, span)
 		}
 	}
@@ -653,7 +630,6 @@ func (ev *evaluator) miss(i int, c *config, h uint64, ce *cacheEntry, span conte
 	}
 	ce.cost = cost
 	close(ce.ready)
-	ev.added.Add(1)
 	return cost, nil
 }
 
@@ -668,10 +644,11 @@ func (ev *evaluator) resolve(i int, ids []int32, span context.Context) (float64,
 }
 
 // used returns the keys of the structures event i's plan uses under c, for
-// the per-query report: replayed from a current-epoch fact covering the
-// event's cost-cache key — fetching the key's own only for a warm-started
-// cost whose fact was not persisted — or, over a skeleton-less backend,
-// from one accounted real call.
+// the per-query report, which evaluates c first: replayed from the
+// current-epoch fact that cost was resolved from, which covers the event's
+// cost-cache key, or, over a skeleton-less backend, from one accounted real
+// call. (Only a cancelled or degraded session holds costs of an older
+// epoch, and it writes no report.)
 func (ev *evaluator) used(i int, c *config) ([]string, error) {
 	if ev.infos[i].q == nil {
 		return nil, nil
@@ -680,14 +657,10 @@ func (ev *evaluator) used(i int, c *config) ([]string, error) {
 		_, used, _, err := ev.realCall(i, c.catalog(), false, nil)
 		return used, err
 	}
-	ids := c.key(i, nil)
-	if used, ok := ev.drv.Used(i, ids); ok {
-		return used, nil
+	used, ok := ev.drv.Used(i, c.key(i, nil))
+	if !ok {
+		return nil, fmt.Errorf("core: event %d: no skeleton fact covers its reported configuration", i)
 	}
-	if _, err := ev.resolve(i, ids, nil); err != nil {
-		return nil, err
-	}
-	used, _ := ev.drv.Used(i, ids)
 	return used, nil
 }
 

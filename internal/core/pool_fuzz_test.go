@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/datagen/psoft"
 	"repro/internal/derive"
 	"repro/internal/workload"
@@ -50,31 +51,41 @@ func toyDMLPoolJSON(tb testing.TB) []byte {
 	return data
 }
 
-// sectionMutations are hostile edits of a costing section — structure IDs
-// out of range or negative, bad event indexes, duplicate entries, unsorted
-// ID lists, skeleton facts naming no structure, an old format — shared by
-// the malformed pools and checkpoints.
+// sectionMutations are hostile edits of a costing section — structure
+// positions out of range, negative or unsorted, bad event indexes, duplicate
+// or unordered facts, a base part that is not its top's, a fact without a
+// skeleton, an unsorted or empty structure table entry, an old format —
+// shared by the malformed pools and checkpoints.
 func sectionMutations(tb testing.TB) map[string]func(s *CostingSection) {
+	// fact returns the index of the first fact whose top satisfies ok.
+	fact := func(s *CostingSection, what string, ok func(r derive.FactRecord) bool) int {
+		i := slices.IndexFunc(s.Skeletons.Facts, ok)
+		if i < 0 {
+			tb.Fatalf("seed section has no fact with %s", what)
+		}
+		return i
+	}
 	return map[string]func(s *CostingSection){
-		"id-out-of-range":    func(s *CostingSection) { s.Cache.Entries[0].IDs = []int32{int32(len(s.Cache.Structs))} },
-		"id-negative":        func(s *CostingSection) { s.Cache.Entries[0].IDs = []int32{-1} },
-		"event-out-of-range": func(s *CostingSection) { s.Cache.Entries[len(s.Cache.Entries)-1].Event = 1 << 30 },
-		"event-negative":     func(s *CostingSection) { s.Cache.Entries[0].Event = -1 },
-		"duplicate-entry":    func(s *CostingSection) { s.Cache.Entries = append(s.Cache.Entries, s.Cache.Entries[0]) },
-		"unsorted-ids": func(s *CostingSection) {
-			for i := range s.Cache.Entries {
-				if ids := s.Cache.Entries[i].IDs; len(ids) > 1 {
-					slices.Reverse(ids)
-					return
-				}
-			}
-			tb.Fatal("seed section has no multi-structure cost-cache key")
-		},
-		"duplicate-ids":     func(s *CostingSection) { s.Cache.Entries[0].IDs = []int32{0, 0} },
-		"unsorted-table":    func(s *CostingSection) { slices.Reverse(s.Cache.Structs) },
 		"fact-out-of-range": func(s *CostingSection) { s.Skeletons.Facts[0].Node = []int32{int32(len(s.Skeletons.Structs)) + 3} },
 		"fact-negative":     func(s *CostingSection) { s.Skeletons.Facts[0].Node = []int32{-7} },
-		"old-format":        func(s *CostingSection) { s.Cache.Format = 0 },
+		"event-out-of-range": func(s *CostingSection) {
+			s.Skeletons.Facts[len(s.Skeletons.Facts)-1].Event = 1 << 30
+		},
+		"event-negative":  func(s *CostingSection) { s.Skeletons.Facts[0].Event = -1 },
+		"duplicate-fact":  func(s *CostingSection) { s.Skeletons.Facts = append(s.Skeletons.Facts, s.Skeletons.Facts[0]) },
+		"unordered-facts": func(s *CostingSection) { slices.Reverse(s.Skeletons.Facts) },
+		"unsorted-node": func(s *CostingSection) {
+			slices.Reverse(s.Skeletons.Facts[fact(s, "a multi-structure top", func(r derive.FactRecord) bool { return len(r.Node) > 1 })].Node)
+		},
+		"duplicate-node-ids": func(s *CostingSection) { s.Skeletons.Facts[0].Node = []int32{0, 0} },
+		"base-not-top-base": func(s *CostingSection) {
+			r := &s.Skeletons.Facts[fact(s, "an additive structure", func(r derive.FactRecord) bool { return len(r.Base) < len(r.Node) })]
+			r.Base = slices.Clone(r.Node)
+		},
+		"no-skeleton":    func(s *CostingSection) { s.Skeletons.Facts[0].Alts = nil },
+		"unsorted-table": func(s *CostingSection) { slices.Reverse(s.Skeletons.Structs) },
+		"no-structure":   func(s *CostingSection) { s.Skeletons.Structs[0].Structure = catalog.Structure{} },
+		"old-format":     func(s *CostingSection) { s.Format = CostingFormat - 1 },
 	}
 }
 
@@ -144,9 +155,9 @@ func toyCheckpointJSON(tb testing.TB, srv Tuner) []byte {
 }
 
 // parentCheckpointJSON returns the checkpoint of one of the service's
-// state-directory fixtures: state-pr42, written by a binary with the current
-// costing format, or state-pr25, written by one with cost-cache format 2
-// whose checkpoints held no skeleton section.
+// state-directory fixtures: state-pr45, written by a binary with the current
+// costing format, or state-pr42, written by one with costing format 3,
+// which also persisted the cost cache.
 func parentCheckpointJSON(tb testing.TB, fixture string) []byte {
 	tb.Helper()
 	data, err := os.ReadFile(filepath.Join("..", "service", "testdata", fixture, "s-0001.json"))
@@ -163,17 +174,17 @@ func parentCheckpointJSON(tb testing.TB, fixture string) []byte {
 }
 
 // warmStartCheckpoint is what a resumed session does with a decoded
-// checkpoint: load its costing section after the statistics pass's epoch
+// checkpoint: restore its skeleton facts after the statistics pass's epoch
 // bump. It must survive any decoded input.
 func warmStartCheckpoint(srv Tuner, ck *Checkpoint) {
 	ev := newEvaluator(srv, lookupWorkload(10), "", testTracker())
 	ev.bumpEpoch()
-	ev.warmStart(ck.CostingSection)
+	ev.drv.Restore(ck.Skeletons)
 }
 
 // warmStartPool is what a revision does with a decoded pool before its
-// search: rebuild the workload, restore the skeleton facts and load the cost
-// cache. It must survive any decoded input.
+// search: rebuild the workload and restore the skeleton facts. It must
+// survive any decoded input.
 func warmStartPool(srv Tuner, p *CostedPool) {
 	mode, err := derive.ParseMode(string(p.Knobs.Derive))
 	if err != nil {
@@ -193,9 +204,9 @@ func warmStartPool(srv Tuner, p *CostedPool) {
 // json.Marshal's bytes for it, or fail as json.Marshal does. Both decoders share the costing section, so they share one corpus:
 // a toy pool, its malformed variants, a toy PSOFT pool carrying DML
 // maintenance skeletons, a toy checkpoint with skeletons, its malformed
-// variants, the checkpoints of the service's state-pr42 fixture and of its
-// state-pr25 one (an older format, written before checkpoints held
-// skeletons), and the state-pr42 daemon's pool file.
+// variants, the checkpoints of the service's state-pr45 fixture and of its
+// state-pr42 one (costing format 3, which persisted the cost cache beside
+// the facts), and the state-pr45 daemon's pool file.
 func FuzzCostedPool(f *testing.F) {
 	srv := testServer(f)
 	seed := toyPoolJSON(f, srv)
@@ -209,9 +220,9 @@ func FuzzCostedPool(f *testing.F) {
 	for _, data := range malformedCheckpoints(f, ck) {
 		f.Add(data)
 	}
+	f.Add(parentCheckpointJSON(f, "state-pr45"))
 	f.Add(parentCheckpointJSON(f, "state-pr42"))
-	f.Add(parentCheckpointJSON(f, "state-pr25"))
-	daemonPool, err := os.ReadFile(filepath.Join("..", "service", "testdata", "state-pr42", "d-0001.pool.json"))
+	daemonPool, err := os.ReadFile(filepath.Join("..", "service", "testdata", "state-pr45", "d-0001.pool.json"))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -255,14 +266,14 @@ func TestCheckRejectsMalformedPools(t *testing.T) {
 func TestCheckRejectsMalformedCheckpoints(t *testing.T) {
 	srv := testServer(t)
 	seed := toyCheckpointJSON(t, srv)
-	for _, data := range [][]byte{seed, parentCheckpointJSON(t, "state-pr42"), parentCheckpointJSON(t, "state-pr25")} {
+	for _, data := range [][]byte{seed, parentCheckpointJSON(t, "state-pr45"), parentCheckpointJSON(t, "state-pr42")} {
 		var ck Checkpoint
 		if err := json.Unmarshal(data, &ck); err != nil {
 			t.Fatal(err)
 		}
 		err := ck.Check()
-		if old := ck.Cache.Format != CostCacheFormat; (err != nil) != old || (old && !strings.Contains(err.Error(), "cost-cache format 2")) {
-			t.Fatalf("seed checkpoint (format %d): Check = %v", ck.Cache.Format, err)
+		if old := ck.Format != CostingFormat; (err != nil) != old || (old && !strings.Contains(err.Error(), "costing format 3")) {
+			t.Fatalf("seed checkpoint (format %d): Check = %v", ck.Format, err)
 		}
 	}
 	for _, phase := range []Phase{PhaseBaseline, PhaseColGroups} {

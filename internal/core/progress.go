@@ -421,10 +421,10 @@ func (tr *tracker) setPhase(p Phase) {
 	tr.emit()
 }
 
-// startCheckpoints installs the periodic checkpointer over ev (none without
-// a sink). Candidate selection calls it at its epoch bump, so no checkpoint
-// holds state from before the statistics pass and a resumed session
-// restores at that one point (see warmStart). Called between parallel
+// startCheckpoints installs the periodic checkpointer over ev's skeleton
+// facts (none without a sink). Candidate selection calls it at its epoch
+// bump, so no checkpoint holds state from before the statistics pass and a
+// resumed session restores at that one point. Called between parallel
 // sections.
 func (tr *tracker) startCheckpoints(opts Options, ev *evaluator) {
 	if opts.CheckpointSink == nil {
@@ -434,7 +434,7 @@ func (tr *tracker) startCheckpoints(opts Options, ev *evaluator) {
 	if every <= 0 {
 		every = 128
 	}
-	tr.ckpt = &checkpointer{sink: opts.CheckpointSink, every: every, tr: tr, ev: ev}
+	tr.ckpt = &checkpointer{sink: opts.CheckpointSink, every: every, tr: tr, drv: ev.drv}
 }
 
 // countCall charges one what-if optimizer call to the session and emits a

@@ -3,7 +3,6 @@ package core
 import (
 	"compress/gzip"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -292,7 +291,7 @@ func TestVetoExcludesMergedStructures(t *testing.T) {
 
 // TestReviseZeroCallsOnSelectOnlyWorkload checks the CoPhy headline on a
 // SELECT-only workload with derivation on: a storage-bound revision against
-// the pool answers every evaluation from cached atoms or derived facts —
+// the pool answers every evaluation by replaying its facts —
 // zero new what-if optimizer calls.
 func TestReviseZeroCallsOnSelectOnlyWorkload(t *testing.T) {
 	w := workload.MustNew(
@@ -327,10 +326,10 @@ func TestReviseZeroCallsOnSelectOnlyWorkload(t *testing.T) {
 	}
 }
 
-// TestRevisePoolCheck ensures tampered pools, and pools whose cost-cache
+// TestRevisePoolCheck ensures tampered pools, and pools whose costing
 // section predates the current format, are rejected.
 func TestRevisePoolCheck(t *testing.T) {
-	p := &CostedPool{Statements: []workload.Statement{{SQL: "SELECT 1", Weight: 1}}, CostingSection: CostingSection{Cache: CostCache{Format: CostCacheFormat}}}
+	p := &CostedPool{Statements: []workload.Statement{{SQL: "SELECT 1", Weight: 1}}, CostingSection: CostingSection{Format: CostingFormat}}
 	if err := p.Check(); err == nil {
 		t.Fatal("unstamped pool passed Check")
 	}
@@ -354,13 +353,14 @@ func TestRevisePoolCheck(t *testing.T) {
 }
 
 // TestReviseRevisesPoolWithoutDMLFacts: a pool whose skeleton section holds
-// SELECT facts only, with the DML costs in its cost cache — one sealed before
-// DML statements had skeletons, carried over to the current costing format
-// by dropping the fields that format no longer has — is a valid pool. A
-// revision over it that reaches uncached DML costs fetches their maintenance
-// skeletons and derives the rest, so it returns the recommendation the
-// sealing binary's own revision returned — pinned below — with fewer real
-// calls than that revision's 16.
+// SELECT facts only — one sealed before DML statements had skeletons,
+// carried over to the current costing format by dropping what that format
+// no longer has — is a valid pool. A revision over it replays the SELECT
+// facts it holds and fetches the maintenance skeletons (and any other top
+// no fact covers) it needs, so it returns exactly the recommendation the
+// real-call oracle's revision of the same pool returns, with fewer calls;
+// the pool it seals holds those facts, and revising that one again costs
+// nothing and returns the same.
 func TestReviseRevisesPoolWithoutDMLFacts(t *testing.T) {
 	f, err := os.Open(filepath.Join("testdata", "psoft-pool-no-dml-facts.json.gz"))
 	if err != nil {
@@ -378,29 +378,38 @@ func TestReviseRevisesPoolWithoutDMLFacts(t *testing.T) {
 	if err := pool.Check(); err != nil {
 		t.Fatalf("a pool without DML facts must stay valid: %v", err)
 	}
+	revise := func(srv Tuner, p *CostedPool) (*Recommendation, *CostedPool) {
+		t.Helper()
+		sealed := p
+		rec, err := Revise(context.Background(), srv, p, Constraints{StorageBudget: 47104}, Options{Parallelism: 1, SkipReports: true, PoolSink: func(q *CostedPool) { sealed = q }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec, sealed
+	}
 	srv, _, _ := toyBackend(t, "psoft")
-	rec, err := Revise(context.Background(), srv, &pool, Constraints{StorageBudget: 47104}, Options{Parallelism: 1, SkipReports: true})
-	if err != nil {
-		t.Fatal(err)
+	rec, sealed := revise(srv, &pool)
+	oracleSrv, _, _ := toyBackend(t, "psoft")
+	oracle, _ := revise(realCallTuner{oracleSrv}, &pool)
+	if got, want := planFingerprint(rec), planFingerprint(oracle); got != want {
+		t.Fatalf("revision differs from the real-call oracle's:\n%s\nvs\n%s", got, want)
 	}
-	// The sealing binary's revision, reduced by planFingerprint and hashed.
-	const (
-		sealerPrint = "a0f1e4745d134b69a694a4be697617f06ba007904df2d9ca40f07b76455b2313"
-		sealerCalls = 16
-	)
-	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(planFingerprint(rec)))); got != sealerPrint {
-		t.Fatalf("revision differs from the sealing binary's (improvement %v):\n%s", rec.Improvement, planFingerprint(rec))
+	if rec.WhatIfCalls == 0 || rec.WhatIfCalls >= oracle.WhatIfCalls || sealed == &pool {
+		t.Fatalf("revision issued %d calls (the oracle %d) and sealed a new pool %v: want some calls, fewer than the oracle's, and a new pool",
+			rec.WhatIfCalls, oracle.WhatIfCalls, sealed != &pool)
 	}
-	if rec.WhatIfCalls == 0 || rec.WhatIfCalls >= sealerCalls {
-		t.Fatalf("revision issued %d real calls, want some but fewer than the sealing binary's %d", rec.WhatIfCalls, sealerCalls)
+	again, kept := revise(srv, sealed)
+	if planFingerprint(again) != planFingerprint(rec) || again.WhatIfCalls != 0 || kept != sealed {
+		t.Fatalf("revising the sealed pool again: %d calls, pool kept %v, plan\n%s", again.WhatIfCalls, kept == sealed, planFingerprint(again))
 	}
+	t.Logf("calls: revision %d, oracle %d", rec.WhatIfCalls, oracle.WhatIfCalls)
 }
 
 // TestReportUsedWithoutFacts: the per-query report replays each event's
 // used structures from a skeleton fact covering its cost-cache key. A
 // revision over the intact pool finds one for every event and issues no
 // call; one over the same pool with its skeleton section gone fetches the
-// facts the report needs and reports exactly the same.
+// facts its search and report need and reports exactly the same.
 func TestReportUsedWithoutFacts(t *testing.T) {
 	srv := testServer(t)
 	var pool *CostedPool
@@ -423,4 +432,114 @@ func TestReportUsedWithoutFacts(t *testing.T) {
 	if intact.WhatIfCalls != 0 || stripped.WhatIfCalls == 0 {
 		t.Fatalf("what-if calls %d over the intact pool (want 0), %d without its facts (want some)", intact.WhatIfCalls, stripped.WhatIfCalls)
 	}
+}
+
+// TestReviseAnswersFromRestoredFacts: a revision replays every evaluation a
+// restored skeleton fact covers, whatever top it asks for, so it fetches
+// only for structures its pool never costed for the event. On every toy,
+// at P=1 and P=4, the revisions under the pool's own constraints and with
+// the storage budget halved fetch nothing and hand back their input pool;
+// a veto of a recommended structure changes what merging builds, and it may
+// fetch only tops naming a structure no restored fact of their event names.
+// Every revision's recommendation is byte-identical to a fresh tune's under
+// the same constraints, and its call count is the same at both
+// parallelisms.
+func TestReviseAnswersFromRestoredFacts(t *testing.T) {
+	for _, c := range canonicalToys {
+		t.Run(c.name, func(t *testing.T) {
+			calls := map[string]int64{}
+			for _, par := range []int{1, 4} {
+				srv, w, base := toyBackend(t, c.name)
+				opts := Options{Features: c.f, BaseConfig: base, Parallelism: par}
+				var pool *CostedPool
+				sealing := opts
+				sealing.PoolSink = func(p *CostedPool) { pool = p }
+				rec, err := Tune(srv, w, sealing)
+				if err != nil {
+					t.Fatal(err)
+				}
+				veto := rec.NewStructures[0].Key()
+				for _, leg := range []struct {
+					name  string
+					cons  Constraints
+					fresh func(Options) Options
+				}{
+					{"same", Constraints{}, func(o Options) Options { return o }},
+					{"storage-halved", Constraints{StorageBudget: rec.StorageBytes / 2},
+						func(o Options) Options { o.StorageBudget = rec.StorageBytes / 2; return o }},
+					{"veto", Constraints{Vetoed: []string{veto}},
+						func(o Options) Options { o.Vetoed = []string{veto}; return o }},
+				} {
+					var got *CostedPool
+					rev, err := Revise(context.Background(), srv, pool, leg.cons, Options{Parallelism: par, PoolSink: func(p *CostedPool) { got = p }})
+					if err != nil {
+						t.Fatal(err)
+					}
+					fresh := rec
+					if leg.name != "same" {
+						if fresh, err = Tune(srv, w, leg.fresh(opts)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if a, b := normalizeRec(t, rev), normalizeRec(t, fresh); a != b {
+						t.Errorf("P=%d %s: revision differs from a fresh tune\nrevised: %s\nfresh: %s", par, leg.name, a, b)
+					}
+					fetched := rev.DeriveFallbacks != nil
+					if fetched != (rev.WhatIfCalls > 0) || fetched != (got != pool) {
+						t.Errorf("P=%d %s: %d calls, fetched %v, input pool kept %v", par, leg.name, rev.WhatIfCalls, rev.DeriveFallbacks, got == pool)
+					}
+					if fetched && leg.name != "veto" {
+						t.Errorf("P=%d %s: fetched %v, want nothing", par, leg.name, rev.DeriveFallbacks)
+					}
+					if fetched {
+						if n := factsOfKnownStructures(pool, got); n > 0 {
+							t.Errorf("P=%d %s: %d fetched facts name only structures the pool's facts of their event name", par, leg.name, n)
+						}
+					}
+					if par == 1 {
+						calls[leg.name] = rev.WhatIfCalls
+					} else if rev.WhatIfCalls != calls[leg.name] {
+						t.Errorf("%s: %d calls at P=4, %d at P=1", leg.name, rev.WhatIfCalls, calls[leg.name])
+					}
+				}
+			}
+			t.Logf("revision calls %v", calls)
+		})
+	}
+}
+
+// factsOfKnownStructures counts the facts of sealed that pool lacks whose top
+// names only structures some fact of pool names for the same event.
+func factsOfKnownStructures(pool, sealed *CostedPool) int {
+	type top struct {
+		event int
+		keys  string
+	}
+	known := map[int]map[string]bool{}
+	old := map[top]bool{}
+	for _, f := range pool.Skeletons.Facts {
+		if known[f.Event] == nil {
+			known[f.Event] = map[string]bool{}
+		}
+		var keys []string
+		for _, p := range f.Node {
+			known[f.Event][pool.Skeletons.Structs[p].Key] = true
+			keys = append(keys, pool.Skeletons.Structs[p].Key)
+		}
+		old[top{f.Event, strings.Join(keys, "\n")}] = true
+	}
+	n := 0
+	for _, f := range sealed.Skeletons.Facts {
+		var keys []string
+		all := true
+		for _, p := range f.Node {
+			k := sealed.Skeletons.Structs[p].Key
+			keys = append(keys, k)
+			all = all && known[f.Event][k]
+		}
+		if all && !old[top{f.Event, strings.Join(keys, "\n")}] {
+			n++
+		}
+	}
+	return n
 }

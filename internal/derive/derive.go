@@ -16,8 +16,9 @@
 //
 //  1. compute the top of S;
 //  2. look up the top's skeleton in the current (event, statistics epoch,
-//     base part) scope;
-//  3. if it is absent, fetch it with one accounted real alternatives call,
+//     base part) scope — or, when a revision or a resumed session restored
+//     persisted facts into it, any restored fact whose top holds S;
+//  3. if both are absent, fetch it with one accounted real alternatives call,
 //     issued by the engine itself through the caller's Fetch and
 //     single-flighted per (scope, top) — an atom, counted by event shape;
 //  4. replay: optimizer.Alternatives.Replay restricted to the structures S
@@ -220,6 +221,14 @@ func subset(a, b []int32) bool {
 	return true
 }
 
+// scope addresses the restored facts of one event and base part; base is
+// the hash of the base part's IDs (HashIDs), and covers tells facts of
+// colliding base parts apart.
+type scope struct {
+	event int
+	base  uint64
+}
+
 // closed is the ready channel of facts that never were in flight (Restore).
 var closed = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
 
@@ -235,6 +244,10 @@ type Engine struct {
 	// facts holds the current statistics epoch's facts, in flight or
 	// ready, per event.
 	facts map[int][]*fact
+	// restored indexes the facts Restore loaded into the current epoch by
+	// their scope, so Resolve can answer a request no fact matches exactly
+	// from one that covers it. Written only by Restore and BumpEpoch.
+	restored map[scope][]*fact
 
 	// atoms counts the skeletons fetched, [0] for single-scope events and
 	// [1] for joins.
@@ -288,16 +301,16 @@ func (e *Engine) AttachMetrics(reg *obs.Registry) {
 
 // BumpEpoch starts a new skeleton scope after statistics creation: costs
 // computed under different statistics states are not comparable, so the
-// previous epoch's skeletons are dropped and the next resolution of each
-// (event, top) fetches afresh. The caller clears its cost cache at the
-// same point, so every cost it holds afterwards was replayed from a fact of
-// the new epoch. Safe on nil.
+// previous epoch's skeletons, restored ones included, are dropped and the
+// next resolution of each (event, top) fetches afresh. The caller clears its
+// cost cache at the same point, so every cost it holds afterwards was
+// replayed from a fact of the new epoch. Safe on nil.
 func (e *Engine) BumpEpoch() {
 	if e == nil {
 		return
 	}
 	e.mu.Lock()
-	e.facts = map[int][]*fact{}
+	e.facts, e.restored = map[int][]*fact{}, nil
 	e.mu.Unlock()
 }
 
@@ -311,16 +324,45 @@ func (e *Engine) held(event int, top []int32) *fact {
 	return nil
 }
 
+// covering returns a restored fact of the event that covers rel — its base
+// part is rel's and its top holds rel — or nil. Restored facts are all ready
+// before the first resolution of their epoch, so whether one answers a
+// request depends on the request alone, never on scheduling. e.mu must be
+// held.
+func (e *Engine) covering(event int, rel []int32) *fact {
+	if len(e.restored) == 0 {
+		return nil
+	}
+	var buf [maxStackTop]int32
+	base := buf[:0]
+	e.in.mu.RLock()
+	for _, id := range rel {
+		if isBase(e.in.structs[id]) {
+			base = append(base, id)
+		}
+	}
+	e.in.mu.RUnlock()
+	for _, f := range e.restored[scope{event, HashIDs(base)}] {
+		if f.covers(rel) {
+			return f
+		}
+	}
+	return nil
+}
+
 // Resolve derives the cost of the configuration whose structures relevant to
 // the event are rel (interned IDs, ascending): its top is rel plus additive —
 // the IDs of the current candidate pool's additive plan alternatives for the
 // event, ascending, which the caller must derive from the pool alone so that
 // tops, and hence the real calls issued, are independent of scheduling. It
-// fetches the top's skeleton through fetch if the current scope does not hold
-// it yet (one real call, single-flighted across concurrent resolvers and
-// counted as an atom of the event's shape: join reports a multi-scope SELECT)
-// and replays the skeleton restricted to rel. Every ID of rel and of additive
-// must carry a structure in the interner. A failed fetch returns its error —
+// replays the top's skeleton restricted to rel; when the current scope holds
+// no fact for the top, it replays a restored fact that covers rel instead,
+// and only when there is none either fetches the top's skeleton through
+// fetch (one real call, single-flighted across concurrent resolvers and
+// counted as an atom of the event's shape: join reports a multi-scope
+// SELECT). A revision or a resumed session therefore answers from its
+// restored facts every evaluation they cover, whatever top it asks for.
+// Every ID of rel and of additive must carry a structure in the interner. A failed fetch returns its error —
 // to the resolver that issued it and to every resolver that waited on it —
 // and leaves no fact behind, so a later resolution fetches afresh; a fetch
 // without a skeleton, or a skeleton with no selectable alternative for rel,
@@ -331,6 +373,9 @@ func (e *Engine) Resolve(event int, join bool, rel, additive []int32, fetch Fetc
 	top := union(buf[:0], rel, additive)
 	e.mu.Lock()
 	f := e.held(event, top)
+	if f == nil {
+		f = e.covering(event, rel)
+	}
 	found := f != nil
 	if !found {
 		f = &fact{ready: make(chan struct{}), top: slices.Clone(top)}
@@ -445,9 +490,10 @@ type FactRecord struct {
 // Snapshot is the engine's serializable state at one statistics epoch: every
 // fact recorded at the current epoch and the structures those facts name,
 // both sorted so identical states produce byte-identical JSON whatever order
-// the session interned its structures in. It is the derive half of a
-// core.CostedPool: a restored engine answers exactly the evaluations the
-// original engine could answer at its final epoch.
+// the session interned its structures in. It is the whole costing record of
+// a core.CostedPool and a checkpoint: a restored engine answers exactly the
+// evaluations the original engine could answer at its final epoch, and,
+// through its covering lookup, any other its facts cover.
 type Snapshot struct {
 	// Structs holds every structure a fact names, sorted by key; facts refer
 	// to a structure by its position here.
@@ -573,39 +619,61 @@ func (e *Engine) Capture() func() *Snapshot {
 			}
 			s.Facts = append(s.Facts, r)
 		}
-		slices.SortFunc(s.Facts, func(a, b FactRecord) int {
-			if a.Event != b.Event {
-				return cmp.Compare(a.Event, b.Event)
-			}
-			if c := slices.Compare(a.Base, b.Base); c != 0 {
-				return c
-			}
-			return slices.Compare(a.Node, b.Node)
-		})
+		slices.SortFunc(s.Facts, compareFacts)
 		return s
 	}
 }
 
-// Check validates a snapshot's shape: a strictly ascending Structs table and
-// facts whose positions index it, each list strictly ascending. Restore
-// skips a fact that fails this; Check lets a loader refuse the whole
-// snapshot instead. Safe on nil.
-func (s *Snapshot) Check() error {
+// compareFacts orders fact records by event, then base part, then top.
+func compareFacts(a, b FactRecord) int {
+	if a.Event != b.Event {
+		return cmp.Compare(a.Event, b.Event)
+	}
+	if c := slices.Compare(a.Base, b.Base); c != 0 {
+		return c
+	}
+	return slices.Compare(a.Node, b.Node)
+}
+
+// Check validates a snapshot's shape: a strictly ascending Structs table of
+// structures, and facts in canonical order, without duplicates, each holding
+// a skeleton, naming an event in range (events bounds the indexes; negative
+// = unknown), and listing strictly ascending positions that index the table,
+// its base part exactly the base structures of its top. Restore skips a
+// fact it cannot use; Check lets a loader refuse the whole snapshot
+// instead. Safe on nil.
+func (s *Snapshot) Check(events int) error {
 	if s == nil {
 		return nil
 	}
-	for i := 1; i < len(s.Structs); i++ {
-		if s.Structs[i-1].Key >= s.Structs[i].Key {
+	for i, k := range s.Structs {
+		if isZero(k.Structure) {
+			return fmt.Errorf("derive: snapshot structure %d names no structure", i)
+		}
+		if i > 0 && s.Structs[i-1].Key >= k.Key {
 			return fmt.Errorf("derive: snapshot structure table not strictly ascending at %d", i)
 		}
 	}
 	for i, r := range s.Facts {
-		for _, list := range [][]int32{r.Base, r.Node} {
-			for j, p := range list {
-				if p < 0 || int(p) >= len(s.Structs) || (j > 0 && list[j-1] >= p) {
-					return fmt.Errorf("derive: snapshot fact %d: structure positions out of range or not strictly ascending", i)
-				}
+		switch {
+		case r.Event < 0 || (events >= 0 && r.Event >= events):
+			return fmt.Errorf("derive: snapshot fact %d: event %d out of range", i, r.Event)
+		case r.Alts == nil:
+			return fmt.Errorf("derive: snapshot fact %d holds no skeleton", i)
+		case i > 0 && compareFacts(s.Facts[i-1], r) >= 0:
+			return fmt.Errorf("derive: snapshot fact %d: out of order or duplicate", i)
+		}
+		var base []int32
+		for j, p := range r.Node {
+			if p < 0 || int(p) >= len(s.Structs) || (j > 0 && r.Node[j-1] >= p) {
+				return fmt.Errorf("derive: snapshot fact %d: structure positions out of range or not strictly ascending", i)
 			}
+			if isBase(s.Structs[p].Structure) {
+				base = append(base, p)
+			}
+		}
+		if !slices.Equal(base, r.Base) {
+			return fmt.Errorf("derive: snapshot fact %d: base part is not its top's base structures", i)
 		}
 	}
 	return nil
@@ -615,12 +683,14 @@ func (s *Snapshot) Check() error {
 // beside the facts it holds (a fact it already holds for the same event and
 // top is kept): the Structs table is interned once (a structure the
 // interner has not seen yet is recorded from it), each fact's positions are
-// remapped to interned IDs, and its gates are compiled. The caller restores
-// a snapshot only under the statistics state it was captured in, so every
-// restored fact answers exactly what it answered on the original engine. A
-// fact naming a position outside the table, or holding no skeleton, is
-// skipped (a later resolution of it simply fetches). Safe on nil (either
-// side).
+// remapped to interned IDs, its gates are compiled, and it is indexed by
+// its scope for Resolve's covering lookup. The caller restores a snapshot
+// only under the statistics state it was captured in, and before the first
+// resolution of that epoch, so every restored fact answers exactly what it
+// answered on the original engine and the fetches a session issues stay a
+// function of what it asks. A fact naming a position outside the table, or
+// holding no skeleton, is skipped (a later resolution of it simply
+// fetches). Safe on nil (either side).
 func (e *Engine) Restore(s *Snapshot) {
 	if e == nil || s == nil {
 		return
@@ -633,13 +703,18 @@ func (e *Engine) Restore(s *Snapshot) {
 	}
 	empty := len(e.facts) == 0 // nothing to keep: skip the lookups
 	for _, r := range s.Facts {
-		top, ok := Remap(nil, r.Node, ids)
+		top, ok := remap(nil, r.Node, ids)
 		if !ok || r.Alts == nil || !empty && e.held(r.Event, top) != nil {
 			continue
 		}
 		f := &fact{ready: closed, top: top, alts: r.Alts}
 		e.compile(f)
 		e.facts[r.Event] = append(e.facts[r.Event], f)
+		if e.restored == nil {
+			e.restored = map[scope][]*fact{}
+		}
+		k := scope{r.Event, HashIDs(f.base)}
+		e.restored[k] = append(e.restored[k], f)
 	}
 }
 

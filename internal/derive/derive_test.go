@@ -380,6 +380,56 @@ func TestSnapshotRestoreAnswersWithoutFetching(t *testing.T) {
 	}
 }
 
+// TestResolveAnswersFromCoveringRestoredFact: a resolution whose own top no
+// fact matches replays a restored fact of its event and base part whose top
+// holds every structure it asks for, without a fetch; it fetches when the
+// request names a structure outside every such top, another base part or
+// another event. Facts the engine fetched itself never answer another top —
+// so a fresh session's fetches depend on what it asks alone — and restored
+// facts answer nothing after the epoch they were restored into.
+func TestResolveAnswersFromCoveringRestoredFact(t *testing.T) {
+	e := New(On)
+	b := newSkeletonBackend()
+	if _, err := e.Resolve(0, false, nil, ids(e, b.i1, b.i2), b.fetch); err != nil {
+		t.Fatal(err)
+	}
+	// The engine's own fact answers only its own top.
+	if _, err := e.Resolve(0, false, ids(e, b.i2), ids(e, b.i2), b.fetch); err != nil || b.fetches() != 2 {
+		t.Fatalf("a fetched fact answered another top: %v, fetches %v", err, b.tops)
+	}
+
+	r := New(On)
+	rb := newSkeletonBackend()
+	i3, cl := ixKeyed("t", "z"), keyed(catalog.Structure{Index: &catalog.Index{Table: "t", KeyColumns: []string{"a"}, Clustered: true}})
+	r.Restore(e.Snapshot())
+	for _, c := range []struct {
+		what          string
+		event         int
+		rel, additive []Keyed
+		cost          float64
+		fetched       int
+	}{
+		{"a smaller top", 0, []Keyed{b.i2}, []Keyed{b.i2}, 90, 0},
+		{"a top with a structure the request lacks", 0, []Keyed{b.i1}, []Keyed{b.i1, i3}, 120, 0},
+		{"the empty set under a new pool", 0, nil, []Keyed{i3}, 500, 0},
+		{"a structure outside every top", 0, []Keyed{i3}, nil, 500, 1},
+		{"another base part", 0, []Keyed{cl, b.i1}, nil, 120, 2},
+		{"another event", 1, []Keyed{b.i1}, nil, 120, 3},
+	} {
+		cost, err := r.Resolve(c.event, false, ids(r, c.rel...), ids(r, c.additive...), rb.fetch)
+		if err != nil || cost != c.cost || rb.fetches() != c.fetched {
+			t.Fatalf("%s: cost %v, %v, fetches %v; want %v after %d fetches", c.what, cost, err, rb.tops, c.cost, c.fetched)
+		}
+	}
+	if r.Atoms() != 3 || r.Derivations() != 6 {
+		t.Fatalf("atoms %d, derivations %d; want 3 and 6", r.Atoms(), r.Derivations())
+	}
+	r.BumpEpoch()
+	if _, err := r.Resolve(0, false, ids(r, b.i2), ids(r, b.i2), rb.fetch); err != nil || rb.fetches() != 4 {
+		t.Fatalf("a restored fact answered after the epoch bump: %v, fetches %v", err, rb.tops)
+	}
+}
+
 // TestUsedReplaysCoveringFact: Used answers from any current-epoch fact of
 // the event whose top holds the key and whose base part the key holds whole
 // — never from a fact of another event, of another base part or of an

@@ -12,9 +12,9 @@ import (
 // interned under each key. A session's evaluator and its derivation engine
 // share one interner, so cost-cache keys, skeleton scopes, tops and compiled
 // replay gates are all sets of the same small integers. Interner IDs depend
-// on interning order, so persisted state never carries them: a Snapshot (and
-// the evaluator's persisted cost cache) spells each key once in a sorted
-// table and refers to structures by their position in it. IDs are never
+// on interning order, so persisted state never carries them: a Snapshot
+// spells each key once in a sorted table and refers to structures by their
+// position in it. IDs are never
 // reused or renumbered: merged and lazily-aligned structures born during the
 // search are simply appended. Safe for concurrent use.
 type Interner struct {
@@ -26,12 +26,6 @@ type Interner struct {
 
 // NewInterner returns an empty interner.
 func NewInterner() *Interner { return &Interner{ids: map[string]int32{}} }
-
-// ID returns the key's ID, assigning the next free one on first sight.
-func (in *Interner) ID(key string) int32 {
-	id, _ := in.Intern(key, catalog.Structure{})
-	return id
-}
 
 // Intern returns the ID of s, whose canonical key is key, and the structure
 // recorded for that ID: the first non-zero one interned under the key (s
@@ -74,8 +68,8 @@ func (in *Interner) Key(id int32) string {
 	return in.keys[id]
 }
 
-// Structure returns the structure recorded for an interned ID (zero when the
-// ID was only ever parsed from a persisted key).
+// Structure returns the structure recorded for an interned ID (zero when
+// only a snapshot that Check would refuse ever named it).
 func (in *Interner) Structure(id int32) catalog.Structure {
 	in.mu.RLock()
 	defer in.mu.RUnlock()
@@ -85,12 +79,12 @@ func (in *Interner) Structure(id int32) catalog.Structure {
 // isZero reports whether s names no structure.
 func isZero(s catalog.Structure) bool { return s.Index == nil && s.View == nil && s.Part == nil }
 
-// Remap translates table positions — structures as a persisted table numbers
+// remap translates table positions — structures as a persisted table numbers
 // them — into interned IDs through ids (position → interned ID) and appends
 // them to dst, ascending. ok is false, and dst comes back unchanged, when a
 // position is out of range or two positions name the same structure, which
 // no well-formed state produces.
-func Remap(dst, positions, ids []int32) (out []int32, ok bool) {
+func remap(dst, positions, ids []int32) (out []int32, ok bool) {
 	n := len(dst)
 	for _, p := range positions {
 		if p < 0 || int(p) >= len(ids) {
@@ -106,6 +100,17 @@ func Remap(dst, positions, ids []int32) (out []int32, ok bool) {
 		}
 	}
 	return dst, true
+}
+
+// HashIDs hashes an ascending ID list (FNV-1a over the IDs): the key of an
+// evaluator's cost-table entry and of a restored fact's scope.
+func HashIDs(ids []int32) uint64 {
+	h := uint64(14695981039346656037)
+	for _, id := range ids {
+		h ^= uint64(uint32(id))
+		h *= 1099511628211
+	}
+	return h
 }
 
 // union appends the merge of two ascending ID lists to out[:0], ascending

@@ -525,6 +525,7 @@ func (m *Manager) retuneLocked(ctx context.Context, d *Daemon, b *Backend, trigg
 	if d.pool != nil && drift.Covers(d.poolDist, cur) {
 		path = PathRevise
 	}
+	var dist drift.Distribution // the template distribution of a fresh pass's pool
 	j := job{
 		kind: "re-tune", who: &d.tuned, name: "retune",
 		args: map[string]any{"trigger": trigger, "score": score, "path": path},
@@ -552,6 +553,9 @@ func (m *Manager) retuneLocked(ctx context.Context, d *Daemon, b *Backend, trigg
 			cp := *e
 			w.Events = append(w.Events, &cp)
 		}
+		// The pool a fresh pass seals holds exactly w's events (it runs
+		// uncompressed), so its distribution is w's: nothing to re-parse.
+		dist = distribution(w)
 		j.opts = d.opts
 		// The workload is already the compressor's representative set;
 		// batch-compressing it again would be a no-op pass over every event.
@@ -574,12 +578,15 @@ func (m *Manager) retuneLocked(ctx context.Context, d *Daemon, b *Backend, trigg
 		}
 		return nil, path, fmt.Errorf("%w: %s (%s/%s): %w", errRetune, d.id, trigger, path, err)
 	}
-	// A revision that added nothing hands back the retained pool itself, and
-	// a fresh pass can reseal one with the pool file's fingerprint: neither
-	// is re-parsed nor rewritten.
+	// A revision that fetched nothing hands back the retained pool itself,
+	// and a fresh pass can reseal one with the pool file's fingerprint:
+	// neither is rewritten. A resealed pool holds its parent's statements,
+	// so only a fresh pass moves the pool's distribution.
 	if pool != nil && pool != d.pool {
 		d.pool = pool
-		d.poolDist = statementDistribution(pool.Statements)
+		if path == PathFresh {
+			d.poolDist = dist
+		}
 	}
 	if pool != nil && pool.Fingerprint != d.poolFile && m.writeStateFile(d.id, poolSuffix, pool) {
 		d.poolFile = pool.Fingerprint
@@ -638,13 +645,10 @@ func (m *Manager) retuneLocked(ctx context.Context, d *Daemon, b *Backend, trigg
 	return &delta, path, nil
 }
 
-// statementDistribution computes the template distribution of a pool's
-// statements, the base of the revise-path coverage check and multipliers.
-func statementDistribution(stmts []workload.Statement) drift.Distribution {
-	w, err := workload.FromStatements(stmts)
-	if err != nil {
-		return nil
-	}
+// distribution computes the template distribution of a workload's events:
+// for a pool's workload, the base of the revise-path coverage check and
+// multipliers.
+func distribution(w *workload.Workload) drift.Distribution {
 	out := drift.Distribution{}
 	for _, e := range w.Events {
 		out[e.Signature()] += e.Weight

@@ -154,6 +154,16 @@ func (m *Manager) resumeDaemon(st *daemonState) (*Daemon, error) {
 	return d, nil
 }
 
+// statementDistribution computes the template distribution of a resumed
+// pool's statements, parsing them once.
+func statementDistribution(stmts []workload.Statement) drift.Distribution {
+	w, err := workload.FromStatements(stmts)
+	if err != nil {
+		return nil
+	}
+	return distribution(w)
+}
+
 // prepare is the validation a persisted daemon passes before it resumes:
 // its options must map onto core options and its compressor snapshot, if
 // any, must restore.

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -669,10 +670,41 @@ func TestDaemonEmptyTrace(t *testing.T) {
 	}
 }
 
-// TestDaemonKeepsUnchangedPoolFile: a revise-path re-tune that costs
-// nothing new hands the daemon back the pool it already retains, so the pool
-// file on disk is neither rewritten nor replaced; a re-tune that does cost
-// something new replaces it.
+// TestDaemonPoolDistributionWithoutReparse: the distribution a daemon keeps
+// for its retained pool — taken from the tuned snapshot on the fresh path,
+// kept on the revise path — equals the one its pool's statements parse to,
+// after a fresh epoch, a revise epoch and a second fresh epoch.
+func TestDaemonPoolDistributionWithoutReparse(t *testing.T) {
+	m := newDaemonManager(t)
+	d, err := m.CreateDaemon(service.DaemonRequest{Database: "db", Options: daemonOpts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range []struct {
+		chunk string
+		path  string
+	}{
+		{chunkBase(400, 0), service.PathFresh},
+		{chunkReweight(400, 400), service.PathRevise},
+		{chunkNew(2000, 800), service.PathFresh},
+	} {
+		if res := ingest(t, m, d.ID(), c.chunk); !res.Retuned || res.Path != c.path {
+			t.Fatalf("epoch %d: %+v, want a %s re-tune", i, res, c.path)
+		}
+		held, parsed := d.PoolDistributions()
+		if len(parsed) == 0 || !reflect.DeepEqual(held, parsed) {
+			t.Fatalf("epoch %d (%s): pool distribution %v, its statements parse to %v", i, c.path, held, parsed)
+		}
+	}
+}
+
+// TestDaemonKeepsUnchangedPoolFile: a revise-path re-tune that fetches no
+// skeleton hands the daemon back the pool it already retains, so the pool
+// file on disk is neither rewritten nor replaced; a re-tune that seals a new
+// pool replaces it. Reweighting is answered from the pool's facts, so every
+// reweight epoch — and a forced re-tune vetoing the whole proposal, whose
+// search meets no structure the facts do not name — keeps the file; new
+// templates take the fresh path, which seals a new pool.
 func TestDaemonKeepsUnchangedPoolFile(t *testing.T) {
 	dir := t.TempDir()
 	m := newDaemonManager(t)
@@ -694,26 +726,38 @@ func TestDaemonKeepsUnchangedPoolFile(t *testing.T) {
 	}
 	ingest(t, m, d.ID(), chunkBase(400, 0))
 	prev, fp := stat(), d.Snapshot().PoolFingerprint
-	kept, replaced := 0, 0
-	// Reweight, back, and reweight again: the first revision costs the
-	// reweighted search, the later ones find every cost in the pool.
-	for i, c := range []string{chunkReweight(400, 400), chunkBase(2000, 800), chunkReweight(4000, 2800)} {
-		res := ingest(t, m, d.ID(), c)
-		if !res.Retuned || res.Path != service.PathRevise {
-			t.Fatalf("epoch %d: retuned %v path %q, want a revise re-tune", i, res.Retuned, res.Path)
-		}
+	// check asserts whether the last re-tune kept the pool file.
+	check := func(what string, wantKept bool) {
+		t.Helper()
 		cur, curFP := stat(), d.Snapshot().PoolFingerprint
-		switch same := os.SameFile(prev, cur) && cur.ModTime().Equal(prev.ModTime()); {
-		case curFP == fp && same:
-			kept++
-		case curFP != fp && !same:
-			replaced++
-		default:
-			t.Fatalf("epoch %d: pool %s → %s, file kept: %v", i, fp, curFP, same)
+		same := os.SameFile(prev, cur) && cur.ModTime().Equal(prev.ModTime())
+		if same != (curFP == fp) || same != wantKept {
+			t.Fatalf("%s: pool %s → %s, file kept: %v, want %v", what, fp, curFP, same, wantKept)
 		}
 		prev, fp = cur, curFP
 	}
-	if kept == 0 || replaced == 0 {
-		t.Fatalf("%d epochs kept the pool file and %d replaced it; want both", kept, replaced)
+	// Reweight, back, and reweight again.
+	for i, c := range []string{chunkReweight(400, 400), chunkBase(2000, 800), chunkReweight(4000, 2800)} {
+		res := ingest(t, m, d.ID(), c)
+		if !res.Retuned || res.Path != service.PathRevise || res.Delta.WhatIfCalls != 0 {
+			t.Fatalf("epoch %d: %+v, want a revise re-tune without calls", i, res)
+		}
+		check(fmt.Sprintf("epoch %d", i), true)
 	}
+	var veto []string
+	for _, e := range d.Snapshot().Proposed {
+		veto = append(veto, e.Key)
+	}
+	fb, err := m.Feedback(context.Background(), d.ID(), service.FeedbackRequest{Veto: veto, Retune: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(veto) == 0 || fb.Delta == nil || fb.Delta.Path != service.PathRevise || fb.Delta.WhatIfCalls != 0 {
+		t.Fatalf("vetoing %v: delta %+v, want a revise re-tune without calls", veto, fb.Delta)
+	}
+	check("veto", true)
+	if res := ingest(t, m, d.ID(), chunkNew(2000, 6800)); !res.Retuned || res.Path != service.PathFresh {
+		t.Fatalf("new templates: %+v, want a fresh re-tune", res)
+	}
+	check("new templates", false)
 }

@@ -12,7 +12,10 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/datagen/tpch"
+	"repro/internal/optimizer"
 	"repro/internal/service"
+	"repro/internal/whatif"
 	"repro/internal/workload"
 )
 
@@ -284,13 +287,25 @@ func TestShutdownDisarmsPoolRetention(t *testing.T) {
 }
 
 // TestRevisionLinksParentPoolFile: a revision that keeps its parent's pool
-// (same constraints: nothing new costed) does not write a second copy of
-// it — its <id>.pool.json is a hard link to the parent's — while a vetoing
-// revision, which costs new configurations, writes its own pool file. The
-// link outlives the parent's retention expiry: the child's file stays a
-// readable, valid pool.
+// (it fetches no skeleton: every evaluation is answered from the pool's
+// facts) does not write a second copy of it — its <id>.pool.json is a hard
+// link to the parent's — while a vetoing revision, whose search meets
+// merged structures no fact names and fetches for them, writes its own pool
+// file. The link outlives the parent's retention expiry: the child's file
+// stays a readable, valid pool. The parent tunes the toy TPC-H database
+// with every feature, whose merging reacts to a veto.
 func TestRevisionLinksParentPoolFile(t *testing.T) {
 	m, ts, _ := newTestAPI(t, 2)
+	cat := tpch.Catalog(0.002)
+	db, err := tpch.Load(cat, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := whatif.NewServer("tpch", cat, optimizer.DefaultHardware())
+	srv.AttachData(db)
+	if err := m.Register(&service.Backend{Name: "tpch", Tuner: srv, BaseConfig: tpch.ConstraintConfig(cat)}); err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 	if err := m.SetStateDir(dir); err != nil {
 		t.Fatal(err)
@@ -298,14 +313,13 @@ func TestRevisionLinksParentPoolFile(t *testing.T) {
 	// The parent's pool expires; its revisions' pools do not (the TTL is
 	// read when a pool is retained).
 	m.SetPoolRetention(time.Second)
+	var stmts []workload.Statement
+	for _, e := range tpch.Workload().Events {
+		stmts = append(stmts, workload.Statement{SQL: e.SQL, Weight: e.Weight})
+	}
 	resp, parent := postJSON(t, ts.URL+"/sessions", service.CreateRequest{
-		Database: "db",
-		Statements: []workload.Statement{
-			{SQL: "SELECT id FROM t WHERE x = 42", Weight: 1},
-			{SQL: "SELECT a, COUNT(*) FROM t WHERE x < 10 GROUP BY a", Weight: 1},
-			{SQL: "SELECT SUM(amt) FROM t WHERE a = 7", Weight: 1},
-		},
-		Options: service.CreateOptions{Features: "IDX"},
+		Database: "tpch", Statements: stmts,
+		Options: service.CreateOptions{Features: "ALL", SkipReports: true, Parallelism: 1},
 	})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("POST /sessions = %d", resp.StatusCode)
@@ -327,10 +341,12 @@ func TestRevisionLinksParentPoolFile(t *testing.T) {
 		return child
 	}
 	same := revise(map[string]any{})
-	// Vetoing one candidate sends the search through configurations the
-	// parent never costed.
 	ps, _ := m.Get(parent.ID)
-	vetoed := revise(map[string]any{"veto": []string{ps.Pool().Candidates[0].Key()}})
+	rec, err := ps.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vetoed := revise(map[string]any{"veto": []string{rec.NewStructures[0].Key()}})
 
 	stat := func(id string) os.FileInfo {
 		t.Helper()

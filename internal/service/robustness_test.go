@@ -432,6 +432,9 @@ func TestPersistedDeriveModes(t *testing.T) {
 // directory is parked mid-run; its <id>.json carries exactly the request's
 // options and statements; and a copy of the directory resumed on a fresh
 // manager reaches the uninterrupted run's recommendation under the same ID.
+// The backend offers no skeletons, so its checkpoint holds no facts to
+// replay and the resumed session pays exactly the uninterrupted run's calls
+// (TestResumeStateDir resumes a checkpoint with facts, warm).
 func TestResumeServiceWrittenStateDir(t *testing.T) {
 	var stmts []workload.Statement
 	for i, st := range resumeStatements() {
@@ -469,7 +472,7 @@ func TestResumeServiceWrittenStateDir(t *testing.T) {
 
 	dir := t.TempDir()
 	m, ft := manager(dir)
-	// The uninterrupted run issues 180 what-if calls and checkpoints after
+	// The uninterrupted run issues 192 what-if calls and checkpoints after
 	// 128 (the default CheckpointEvery): park it in between.
 	const parkAt = 150
 	ft.armAt.Store(parkAt)
@@ -535,7 +538,8 @@ func TestResumeServiceWrittenStateDir(t *testing.T) {
 		t.Fatalf("resumed recommendation differs from the uninterrupted run:\n%s (cost %v base %v)\nvs\n%s (cost %v base %v)",
 			got, rec.Cost, rec.BaseCost, want, ref.Cost, ref.BaseCost)
 	}
-	if rec.WhatIfCalls >= ref.WhatIfCalls {
-		t.Fatalf("resumed session issued %d calls, the uninterrupted run %d: want a warm start", rec.WhatIfCalls, ref.WhatIfCalls)
+	if st.Checkpoint.Skeletons != nil || rec.WhatIfCalls != ref.WhatIfCalls {
+		t.Fatalf("checkpoint skeletons %v; resumed session issued %d calls, the uninterrupted run %d: want no facts and equal calls",
+			st.Checkpoint.Skeletons != nil, rec.WhatIfCalls, ref.WhatIfCalls)
 	}
 }

@@ -120,18 +120,18 @@ func resumeStateDir(t *testing.T, fixture string) (rec, ref *core.Recommendation
 	return rec, ref, daemon, res, buf.String()
 }
 
-// TestResumeParentWrittenStateDir resumes testdata/state-pr25 — a state
-// directory written by a binary with cost-cache format 2, before the
-// costing format dropped its used structures and dead fields (a session
-// parked mid-run after a checkpoint, a daemon after its initial tune with
-// its pool beside it). Both persisted costing sections are refused by their
-// format, never misread: the session resumes under its original ID cold —
-// its checkpoint refused and logged — and reaches exactly the uninterrupted
-// run's recommendation with as many calls; the daemon keeps its delta
-// history but comes back without its pool, so its next reweight epoch takes
-// the fresh path.
+// TestResumeParentWrittenStateDir resumes testdata/state-pr42 — a state
+// directory written by a binary with costing format 3, which persisted the
+// cost cache beside the skeleton facts (a session parked mid-run after a
+// checkpoint, a daemon after its initial tune with its pool beside it).
+// Both persisted costing sections are refused by their format, never
+// misread: the session resumes under its original ID cold — its checkpoint
+// refused and logged — and reaches exactly the uninterrupted run's
+// recommendation with as many calls; the daemon keeps its delta history but
+// comes back without its pool, so its next reweight epoch takes the fresh
+// path.
 func TestResumeParentWrittenStateDir(t *testing.T) {
-	rec, ref, daemon, res, logs := resumeStateDir(t, "state-pr25")
+	rec, ref, daemon, res, logs := resumeStateDir(t, "state-pr42")
 	if rec.WhatIfCalls != ref.WhatIfCalls {
 		t.Fatalf("cold resume issued %d calls, the uninterrupted run %d", rec.WhatIfCalls, ref.WhatIfCalls)
 	}
@@ -142,26 +142,27 @@ func TestResumeParentWrittenStateDir(t *testing.T) {
 		t.Fatalf("post-resume reweight epoch path = %q, want %q (no pool)", res.Path, service.PathFresh)
 	}
 	for _, want := range []string{"checkpoint refused", "pool refused"} {
-		if !strings.Contains(logs, want) || !strings.Contains(logs, "cost-cache format 2") {
+		if !strings.Contains(logs, want) || !strings.Contains(logs, "costing format 3") {
 			t.Fatalf("log lacks %q naming the format:\n%s", want, logs)
 		}
 	}
 }
 
-// TestResumeStateDir resumes testdata/state-pr42, the same scenario written
+// TestResumeStateDir resumes testdata/state-pr45, the same scenario written
 // by a binary with the current costing format (its checkpoint was captured
-// in candidate selection, skeleton facts included): the session starts warm
-// from its checkpoint (fewer calls than the uninterrupted run, same
-// recommendation) and the daemon's retained pool comes back, proven by the
-// next reweight epoch taking the revise path.
+// in candidate selection and holds skeleton facts alone): the session
+// starts warm from its checkpoint's facts (fewer calls than the
+// uninterrupted run, same recommendation) and the daemon's retained pool
+// comes back, proven by the next reweight epoch taking the revise path.
 func TestResumeStateDir(t *testing.T) {
-	rec, ref, daemon, res, logs := resumeStateDir(t, "state-pr42")
+	rec, ref, daemon, res, logs := resumeStateDir(t, "state-pr45")
 	if rec.WhatIfCalls >= ref.WhatIfCalls {
 		t.Fatalf("resumed session issued %d calls, the uninterrupted run %d: want a warm start", rec.WhatIfCalls, ref.WhatIfCalls)
 	}
 	if daemon.PoolFingerprint == "" || res.Path != service.PathRevise {
 		t.Fatalf("daemon pool %q, post-resume reweight path %q: want the pool back and the revise path\n%s", daemon.PoolFingerprint, res.Path, logs)
 	}
+	t.Logf("resumed %d calls, uninterrupted %d", rec.WhatIfCalls, ref.WhatIfCalls)
 }
 
 // TestResumeIgnoresLeftoverTempFiles simulates a crash between the state

@@ -16,10 +16,10 @@ import (
 // checked), a pool file decoded and checked — its canonical form and content
 // address, against the bytes the canonical writer emits — and a daemon file
 // decoded and prepared (its options mapped, its compressor restored). None of
-// it may panic. Seeds: the three files of testdata/state-pr42 (the current
-// format) and of testdata/state-pr25 (cost-cache format 2).
+// it may panic. Seeds: the three files of testdata/state-pr45 (the current
+// format) and of testdata/state-pr42 (costing format 3).
 func FuzzStateFile(f *testing.F) {
-	for _, fixture := range []string{"state-pr42", "state-pr25"} {
+	for _, fixture := range []string{"state-pr45", "state-pr42"} {
 		files, err := filepath.Glob(filepath.Join("testdata", fixture, "*.json"))
 		if err != nil || len(files) != 3 {
 			f.Fatalf("%s seeds: %v (%d files)", fixture, err, len(files))
@@ -50,10 +50,10 @@ func FuzzStateFile(f *testing.F) {
 
 // TestStateFileSeedsPass: the fuzz seeds are decodable files, each passing
 // the validation of its own kind — so the fuzzer starts from inputs that
-// reach past the decoders — but for the costing sections of state-pr25,
+// reach past the decoders — but for the costing sections of state-pr42,
 // which the validation refuses by their older format.
 func TestStateFileSeedsPass(t *testing.T) {
-	for _, fixture := range []string{"state-pr42", "state-pr25"} {
+	for _, fixture := range []string{"state-pr45", "state-pr42"} {
 		t.Run(fixture, func(t *testing.T) {
 			read := func(name string, v any) {
 				t.Helper()
@@ -66,10 +66,10 @@ func TestStateFileSeedsPass(t *testing.T) {
 				}
 			}
 			// refusal checks err against the fixture: nil for the current
-			// format, a refusal naming format 2 for the older one.
+			// format, a refusal naming format 3 for the older one.
 			refusal := func(what string, err error) {
 				t.Helper()
-				if old := fixture == "state-pr25"; (err != nil) != old || (old && !strings.Contains(err.Error(), "cost-cache format 2")) {
+				if old := fixture == "state-pr42"; (err != nil) != old || (old && !strings.Contains(err.Error(), "costing format 3")) {
 					t.Fatalf("%s: %v", what, err)
 				}
 			}

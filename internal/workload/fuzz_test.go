@@ -117,7 +117,7 @@ func FuzzRestoreCompressor(f *testing.F) {
 	}
 	f.Add(real)
 	// The compressor section of a daemon state file the service wrote.
-	raw, err := os.ReadFile("../service/testdata/state-pr25/d-0001.daemon.json")
+	raw, err := os.ReadFile("../service/testdata/state-pr45/d-0001.daemon.json")
 	if err != nil {
 		f.Fatal(err)
 	}
