@@ -548,3 +548,23 @@ func TestPartitionSchemeStringMatchesFmt(t *testing.T) {
 		check(p)
 	}
 }
+
+// TestCompareColRefsIsStringOrder: join predicates are canonicalized by
+// comparing their sides' "table.column" forms without building them; the
+// comparison must be exactly the string order, '.' included.
+func TestCompareColRefsIsStringOrder(t *testing.T) {
+	names := []string{"", "a", "ab", "a_b", "a.b", "b", "t", "t1", "A"}
+	for _, at := range names {
+		for _, ac := range names {
+			for _, bt := range names {
+				for _, bc := range names {
+					a, b := ColRef{at, ac}, ColRef{bt, bc}
+					got, want := compareColRefs(a, b), strings.Compare(a.String(), b.String())
+					if (got < 0) != (want < 0) || (got == 0) != (want == 0) {
+						t.Fatalf("compareColRefs(%q, %q) = %d, strings.Compare = %d", a, b, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -3,6 +3,7 @@ package catalog
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 )
 
 // AppendIdentity appends an encoding of every field of every structure of
@@ -46,7 +47,15 @@ func (c *Configuration) AppendIdentity(b []byte) []byte {
 		b = binary.AppendVarint(b, v.Rows)
 		b = v.Partitioning.appendIdentity(b)
 	}
-	tables := c.PartitionedTables()
+	// The partitioned tables in sorted order (PartitionedTables' order),
+	// gathered in a stack buffer: a plan-cache hit renders this identity
+	// and allocates nothing.
+	var buf [16]string
+	tables := buf[:0]
+	for t := range c.TableParts {
+		tables = append(tables, t)
+	}
+	slices.Sort(tables)
 	b = binary.AppendUvarint(b, uint64(len(tables)))
 	for _, t := range tables {
 		b = appendString(b, t)

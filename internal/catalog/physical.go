@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -77,9 +78,13 @@ func (p *PartitionScheme) String() string {
 	if p == nil {
 		return "NONE"
 	}
-	// strconv's shortest 'g' form is fmt's %g, byte for byte, so keys
-	// rendered here match keys persisted by earlier versions.
-	b := make([]byte, 0, len("RANGE() []")+len(p.Column)+12*len(p.Boundaries))
+	return string(p.appendTo(make([]byte, 0, len("RANGE() []")+len(p.Column)+12*len(p.Boundaries))))
+}
+
+// appendTo appends the String form of the (non-nil) scheme to b. strconv's
+// shortest 'g' form is fmt's %g, byte for byte, so keys rendered here match
+// keys persisted by earlier versions.
+func (p *PartitionScheme) appendTo(b []byte) []byte {
 	b = append(b, "RANGE("...)
 	b = append(b, p.Column...)
 	b = append(b, ") ["...)
@@ -89,7 +94,7 @@ func (p *PartitionScheme) String() string {
 		}
 		b = strconv.AppendFloat(b, f, 'g', -1, 64)
 	}
-	return string(append(b, ']'))
+	return append(b, ']')
 }
 
 // Index is a (possibly clustered, possibly partitioned) B-tree index.
@@ -160,30 +165,41 @@ func contains(cols []string, c string) bool {
 }
 
 // Key returns a canonical identity string: two indexes with the same key are
-// the same physical design structure.
+// the same physical design structure. It is rendered in a stack buffer, so
+// the string itself is usually the only allocation.
 func (ix *Index) Key() string {
-	var b strings.Builder
+	var buf [256]byte
+	b := buf[:0]
 	if ix.Clustered {
-		b.WriteString("cix:")
+		b = append(b, "cix:"...)
 	} else {
-		b.WriteString("ix:")
+		b = append(b, "ix:"...)
 	}
-	b.WriteString(ix.Table)
-	b.WriteByte('(')
-	b.WriteString(strings.Join(ix.KeyColumns, ","))
-	b.WriteByte(')')
+	b = append(append(b, ix.Table...), '(')
+	b = appendJoined(b, ix.KeyColumns)
+	b = append(b, ')')
 	if len(ix.IncludeCols) > 0 {
-		inc := append([]string(nil), ix.IncludeCols...)
-		sort.Strings(inc)
-		b.WriteString(" include(")
-		b.WriteString(strings.Join(inc, ","))
-		b.WriteByte(')')
+		var incBuf [16]string
+		inc := append(incBuf[:0], ix.IncludeCols...)
+		slices.Sort(inc)
+		b = append(b, " include("...)
+		b = append(appendJoined(b, inc), ')')
 	}
 	if ix.Partitioning != nil {
-		b.WriteString(" part ")
-		b.WriteString(ix.Partitioning.String())
+		b = ix.Partitioning.appendTo(append(b, " part "...))
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendJoined appends the strings to b, comma-separated.
+func appendJoined(b []byte, ss []string) []byte {
+	for i, s := range ss {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, s...)
+	}
+	return b
 }
 
 // String renders a DDL-like description for reports.
@@ -250,6 +266,41 @@ func NewColRef(table, column string) ColRef {
 // String renders "table.column".
 func (c ColRef) String() string { return c.Table + "." + c.Column }
 
+// appendTo appends the String form to b.
+func (c ColRef) appendTo(b []byte) []byte {
+	return append(append(append(b, c.Table...), '.'), c.Column...)
+}
+
+// compareColRefs compares the String forms of two references, as strings,
+// without building them.
+func compareColRefs(a, b ColRef) int {
+	byteAt := func(c ColRef, i int) (byte, bool) {
+		switch {
+		case i < len(c.Table):
+			return c.Table[i], true
+		case i == len(c.Table):
+			return '.', true
+		case i-len(c.Table)-1 < len(c.Column):
+			return c.Column[i-len(c.Table)-1], true
+		}
+		return 0, false
+	}
+	for i := 0; ; i++ {
+		x, okA := byteAt(a, i)
+		y, okB := byteAt(b, i)
+		switch {
+		case !okA && !okB:
+			return 0
+		case !okA:
+			return -1
+		case !okB:
+			return 1
+		case x != y:
+			return int(x) - int(y)
+		}
+	}
+}
+
 // JoinPred is an equality join predicate between two columns.
 type JoinPred struct {
 	Left, Right ColRef
@@ -257,7 +308,7 @@ type JoinPred struct {
 
 // Canon returns the predicate with sides ordered canonically.
 func (j JoinPred) Canon() JoinPred {
-	if j.Left.String() > j.Right.String() {
+	if compareColRefs(j.Left, j.Right) > 0 {
 		return JoinPred{Left: j.Right, Right: j.Left}
 	}
 	return j
@@ -265,8 +316,13 @@ func (j JoinPred) Canon() JoinPred {
 
 // String renders "a.x = b.y".
 func (j JoinPred) String() string {
+	return string(j.appendTo(nil))
+}
+
+// appendTo appends the String form to b.
+func (j JoinPred) appendTo(b []byte) []byte {
 	c := j.Canon()
-	return c.Left.String() + " = " + c.Right.String()
+	return c.Right.appendTo(append(c.Left.appendTo(b), " = "...))
 }
 
 // Agg is an aggregate output of a materialized view.
@@ -277,10 +333,16 @@ type Agg struct {
 
 // String renders "SUM(t.c)".
 func (a Agg) String() string {
+	return string(a.appendTo(nil))
+}
+
+// appendTo appends the String form to b.
+func (a Agg) appendTo(b []byte) []byte {
+	b = append(b, strings.ToUpper(a.Func)...)
 	if a.Col.Column == "" {
-		return strings.ToUpper(a.Func) + "(*)"
+		return append(b, "(*)"...)
 	}
-	return strings.ToUpper(a.Func) + "(" + a.Col.String() + ")"
+	return append(a.Col.appendTo(append(b, '(')), ')')
 }
 
 // MaterializedView is the structural description of a materialized view
@@ -390,45 +452,46 @@ func (v *MaterializedView) References(table string) bool {
 	return i < len(v.Tables) && v.Tables[i] == lt
 }
 
-// Key returns the canonical identity of the view.
+// Key returns the canonical identity of the view. It is rendered in a stack
+// buffer, so the string itself is usually the only allocation.
 func (v *MaterializedView) Key() string {
-	var b strings.Builder
-	b.WriteString("mv:")
-	b.WriteString(strings.Join(v.Tables, ","))
-	b.WriteString(" join{")
+	var buf [512]byte
+	b := append(buf[:0], "mv:"...)
+	b = appendJoined(b, v.Tables)
+	b = append(b, " join{"...)
 	for i, j := range v.JoinPreds {
 		if i > 0 {
-			b.WriteByte(';')
+			b = append(b, ';')
 		}
-		b.WriteString(j.String())
+		b = j.appendTo(b)
 	}
-	b.WriteString("} out{")
-	for i, c := range v.OutputColumns {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(c.String())
-	}
-	b.WriteString("} grp{")
-	for i, c := range v.GroupBy {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(c.String())
-	}
-	b.WriteString("} agg{")
+	b = append(b, "} out{"...)
+	b = appendColRefList(b, v.OutputColumns)
+	b = append(b, "} grp{"...)
+	b = appendColRefList(b, v.GroupBy)
+	b = append(b, "} agg{"...)
 	for i, a := range v.Aggs {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(a.String())
+		b = a.appendTo(b)
 	}
-	b.WriteByte('}')
+	b = append(b, '}')
 	if v.Partitioning != nil {
-		b.WriteString(" part ")
-		b.WriteString(v.Partitioning.String())
+		b = v.Partitioning.appendTo(append(b, " part "...))
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendColRefList appends the references' String forms to b, comma-separated.
+func appendColRefList(b []byte, cols []ColRef) []byte {
+	for i, c := range cols {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = c.appendTo(b)
+	}
+	return b
 }
 
 // String renders a short human-readable description.

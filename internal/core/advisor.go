@@ -430,8 +430,9 @@ type costedState struct {
 	tuned *workload.Workload
 	// base is the validated base configuration candidate selection ran
 	// against (before any drop analysis, which is a search-layer decision).
-	base         *catalog.Configuration
-	cands        []catalog.Structure
+	base *catalog.Configuration
+	// cands is the candidate pool, each candidate with its key.
+	cands        []derive.Keyed
 	gains        []QueryGain
 	statBatches  []StatBatch
 	statsCreated int
@@ -613,7 +614,7 @@ func runSearch(t Tuner, st *costedState, rec *Recommendation, cons Constraints, 
 	if !opts.NoMerging && !tr.stopped() {
 		tr.setPhase(PhaseMerging)
 		before := len(cands)
-		cands = cons.vetoFilter(mergeCandidates(t.Catalog(), cands, benefit, opts, tr))
+		cands = cons.vetoFilter(mergeCandidates(t.Catalog(), cands, benefit, tr))
 		if opts.Metrics != nil {
 			opts.Metrics.Histogram("dta_merge_pool_size",
 				"Candidate pool size entering/leaving the merging step (§2.2).",

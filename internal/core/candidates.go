@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync/atomic"
 
 	"repro/internal/catalog"
+	"repro/internal/derive"
 	"repro/internal/fault"
 	"repro/internal/journal"
 	"repro/internal/obs"
@@ -22,7 +24,9 @@ import (
 // each query's unweighted selection outcome (the QueryGains the search layer
 // turns into per-structure benefits under its effective weights) and the
 // statistics-creation log (the StatBatches a revision replays on a fresh
-// backend).
+// backend). Every candidate carries the key it was generated under
+// (derive.Keyed) through the search and into the returned pool, so no
+// structure is re-keyed downstream.
 //
 // This is the heart of the costing layer, and it is deliberately
 // independent of every search-layer constraint: the per-query search runs
@@ -50,7 +54,7 @@ import (
 //     deduplicated candidate pool, the QueryGains and the session journal,
 //     stopping at the first query that did not finish, as a sequential loop
 //     would.
-func selectCandidates(t Tuner, ev *evaluator, w *workload.Workload, base *catalog.Configuration, groups *columnGroups, opts Options) ([]catalog.Structure, []QueryGain, []StatBatch, int, error) {
+func selectCandidates(t Tuner, ev *evaluator, w *workload.Workload, base *catalog.Configuration, groups *columnGroups, opts Options) ([]derive.Keyed, []QueryGain, []StatBatch, int, error) {
 	tr := ev.tr
 	// k of each query's Greedy(m,k): single queries rarely benefit from
 	// more structures.
@@ -61,7 +65,7 @@ func selectCandidates(t Tuner, ev *evaluator, w *workload.Workload, base *catalo
 	// failure there that degrades the session, limits pass 2 to the queries
 	// before it, whose statistics exist. (The stop is sticky, so a session
 	// stopped here searches none of them.)
-	pools := make([][]catalog.Structure, len(w.Events))
+	pools := make([][]derive.Keyed, len(w.Events))
 	additive := make([][]*structInfo, len(w.Events))
 	tr.pool.each(len(w.Events), func(i int) {
 		if q := ev.analyzed(i); q != nil {
@@ -119,9 +123,11 @@ func selectCandidates(t Tuner, ev *evaluator, w *workload.Workload, base *catalo
 	}
 	ev.setQueryPools(additive[:n])
 
-	// Pass 2: every query's search, on the pool. After a query fails for
-	// real, queries not yet started are skipped: pass 3 returns the
-	// earliest failure, which only an earlier query can precede.
+	// Pass 2: every query's search, on the pool, each from the base
+	// configuration interned once here. After a query fails for real,
+	// queries not yet started are skipped: pass 3 returns the earliest
+	// failure, which only an earlier query can precede.
+	cbase := ev.config(base)
 	sels := make([]querySelection, n)
 	var failed atomic.Bool
 	phase := tr.sctx
@@ -129,7 +135,7 @@ func selectCandidates(t Tuner, ev *evaluator, w *workload.Workload, base *catalo
 		if failed.Load() || tr.stopped() {
 			return
 		}
-		sels[i] = selectQuery(ev, w.Events[i], i, base, pools[i], phase, greedyOptions{
+		sels[i] = selectQuery(ev, w.Events[i], i, cbase, pools[i], phase, greedyOptions{
 			m: opts.GreedyM, k: perQueryK,
 			scope: journal.ScopeQuery, query: i,
 		})
@@ -139,8 +145,8 @@ func selectCandidates(t Tuner, ev *evaluator, w *workload.Workload, base *catalo
 	})
 
 	// Pass 3: fold in event order.
-	pool := map[string]catalog.Structure{}
-	var order []string
+	seen := map[string]bool{}
+	var out []derive.Keyed
 	var gains []QueryGain
 	for i := range sels {
 		sel := &sels[i]
@@ -159,20 +165,15 @@ func selectCandidates(t Tuner, ev *evaluator, w *workload.Workload, base *catalo
 		if len(sel.chosen) > 0 {
 			g := QueryGain{Query: i, BaseCost: sel.baseCost, BestCost: sel.bestCost}
 			for _, s := range sel.chosen {
-				key := s.Key()
-				if _, dup := pool[key]; !dup {
-					pool[key] = s
-					order = append(order, key)
+				if !seen[s.Key] {
+					seen[s.Key] = true
+					out = append(out, s)
 				}
-				g.Structures = append(g.Structures, key)
+				g.Structures = append(g.Structures, s.Key)
 			}
 			gains = append(gains, g)
 		}
 		tr.eventDone(sel.gain)
-	}
-	out := make([]catalog.Structure, 0, len(order))
-	for _, k := range order {
-		out = append(out, pool[k])
 	}
 	return out, gains, batches, statsCreated, nil
 }
@@ -184,7 +185,7 @@ type querySelection struct {
 	// ran reports that the search ran (false: skipped, because the session
 	// had stopped or an earlier query had failed).
 	ran                bool
-	chosen             []catalog.Structure
+	chosen             []derive.Keyed
 	baseCost, bestCost float64
 	// gain is the query's weighted cost reduction.
 	gain float64
@@ -195,11 +196,11 @@ type querySelection struct {
 }
 
 // selectQuery runs one query's candidate selection: its base cost, a
-// Greedy(m,k) over its candidates, and the cost of the chosen subset. It
-// runs on a pool worker, so it touches no coordinator state: its spans nest
-// under the given phase span and its journal events go to the returned
-// buffer.
-func selectQuery(ev *evaluator, e *workload.Event, i int, base *catalog.Configuration, cands []catalog.Structure, phase context.Context, o greedyOptions) (sel querySelection) {
+// Greedy(m,k) over its candidates, and the cost of the chosen subset (the
+// search's own best configuration). It runs on a pool worker, so it touches
+// no coordinator state: its spans nest under the given phase span and its
+// journal events go to the returned buffer.
+func selectQuery(ev *evaluator, e *workload.Event, i int, base *config, cands []derive.Keyed, phase context.Context, o greedyOptions) (sel querySelection) {
 	sel.ran = true
 	ctx, span := obs.StartSpan(phase, "query", "select-candidates")
 	span.SetArg("event", i).SetArg("candidates", len(cands))
@@ -212,14 +213,14 @@ func selectQuery(ev *evaluator, e *workload.Event, i int, base *catalog.Configur
 	if ev.tr.journaling() {
 		o.log = &sel.journal
 	}
-	baseCost, err := ev.eval(i, ev.config(base), ctx)
+	baseCost, err := ev.eval(i, base, ctx)
 	if err != nil {
 		sel.err = err
 		return sel
 	}
 	// journalQuery records the query's selection outcome: one summary event
 	// plus one accept/reject event per generated candidate.
-	journalQuery := func(bestCost, gain float64, chosen []catalog.Structure) {
+	journalQuery := func(bestCost, gain float64, chosen []derive.Keyed) {
 		if o.log == nil {
 			return
 		}
@@ -231,13 +232,13 @@ func selectQuery(ev *evaluator, e *workload.Event, i int, base *catalog.Configur
 		o.record(ev.tr, qe)
 		chosenKeys := map[string]bool{}
 		for _, s := range chosen {
-			chosenKeys[s.Key()] = true
+			chosenKeys[s.Key] = true
 		}
 		for _, s := range cands {
 			ce := journal.Ev(journal.KindCandidate)
 			ce.Query = i
-			ce.Structure = s.Key()
-			ce.Accepted = chosenKeys[s.Key()]
+			ce.Structure = s.Key
+			ce.Accepted = chosenKeys[s.Key]
 			if ce.Accepted {
 				ce.Gain = gain
 			}
@@ -248,7 +249,7 @@ func selectQuery(ev *evaluator, e *workload.Event, i int, base *catalog.Configur
 	// constraint, and pruning candidates here would make the costed pool
 	// budget-specific — the enumeration greedy enforces the bound where it
 	// belongs.
-	chosen, err := greedySearch(ev, eventScope(i, ctx), base, cands, o)
+	chosen, best, err := greedySearch(ev, eventScope(i, ctx), base, cands, o)
 	if err != nil {
 		sel.err = err
 		return sel
@@ -257,11 +258,7 @@ func selectQuery(ev *evaluator, e *workload.Event, i int, base *catalog.Configur
 		journalQuery(baseCost, 0, nil)
 		return sel
 	}
-	bestCfg := base.Clone()
-	for _, s := range chosen {
-		s.ApplyTo(bestCfg)
-	}
-	bestCost, err := ev.eval(i, ev.config(bestCfg), ctx)
+	bestCost, err := ev.eval(i, best, ctx)
 	if err != nil {
 		sel.err = err
 		return sel
@@ -277,22 +274,32 @@ func selectQuery(ev *evaluator, e *workload.Event, i int, base *catalog.Configur
 // order. Bounding the pool keeps the enumeration step's Greedy(m,k)
 // affordable on workloads with many templates. Each candidate's benefit is
 // looked up once, not per comparison.
-func capCandidates(cands []catalog.Structure, benefit map[string]float64, limit int) []catalog.Structure {
+func capCandidates(cands []derive.Keyed, benefit map[string]float64, limit int) []derive.Keyed {
 	if limit <= 0 || len(cands) <= limit {
 		return cands
 	}
 	type ranked struct {
-		s       catalog.Structure
+		pos     int
 		benefit float64
 	}
 	sorted := make([]ranked, len(cands))
 	for i, s := range cands {
-		sorted[i] = ranked{s, benefit[s.Key()]}
+		sorted[i] = ranked{i, benefit[s.Key]}
 	}
-	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].benefit > sorted[b].benefit })
-	out := make([]catalog.Structure, limit)
+	// Higher benefit first, equal benefits in input order: a stable sort's
+	// order, from an unstable sort with the position as the tie-break.
+	slices.SortFunc(sorted, func(a, b ranked) int {
+		if a.benefit != b.benefit {
+			if a.benefit > b.benefit {
+				return -1
+			}
+			return 1
+		}
+		return a.pos - b.pos
+	})
+	out := make([]derive.Keyed, limit)
 	for i := range out {
-		out[i] = sorted[i].s
+		out[i] = cands[sorted[i].pos]
 	}
 	return out
 }
@@ -326,9 +333,10 @@ func ensureStatistics(t Tuner, tr *tracker, reqs []stats.Request, reduce bool) (
 
 // statRequests lists the statistics needed to simulate the candidates: one
 // per index key-column list, one per partitioning column.
-func statRequests(cands []catalog.Structure) []stats.Request {
+func statRequests(cands []derive.Keyed) []stats.Request {
 	var reqs []stats.Request
-	for _, s := range cands {
+	for _, k := range cands {
+		s := k.Structure
 		switch {
 		case s.Index != nil:
 			reqs = append(reqs, stats.Request{Table: s.Index.Table, Columns: s.Index.KeyColumns})
@@ -344,12 +352,13 @@ func statRequests(cands []catalog.Structure) []stats.Request {
 // analyzed statement, without the column-group restriction.
 func GenerateCandidates(cat *catalog.Catalog, q *optimizer.QueryInfo, opts Options) []catalog.Structure {
 	opts = opts.withDefaults()
-	return generateForQuery(cat, q, &columnGroups{disabled: true}, opts)
+	return structures(generateForQuery(cat, q, &columnGroups{disabled: true}, opts))
 }
 
 // generateForQuery produces the syntactically relevant structures for one
-// analyzed statement, restricted to interesting column groups.
-func generateForQuery(cat *catalog.Catalog, q *optimizer.QueryInfo, groups *columnGroups, opts Options) []catalog.Structure {
+// analyzed statement, restricted to interesting column groups, each with its
+// key.
+func generateForQuery(cat *catalog.Catalog, q *optimizer.QueryInfo, groups *columnGroups, opts Options) []derive.Keyed {
 	g := &generator{cat: cat, q: q, groups: groups, opts: opts, seen: map[string]bool{}}
 	feats := opts.features()
 
@@ -381,15 +390,17 @@ type generator struct {
 	q      *optimizer.QueryInfo
 	groups *columnGroups
 	opts   Options
-	out    []catalog.Structure
+	out    []derive.Keyed
 	seen   map[string]bool
 }
 
+// add keeps a generated structure unless an identical one was generated
+// before. Its key, rendered here, travels with it from now on.
 func (g *generator) add(s catalog.Structure) {
 	k := s.Key()
 	if !g.seen[k] {
 		g.seen[k] = true
-		g.out = append(g.out, s)
+		g.out = append(g.out, derive.Keyed{Key: k, Structure: s})
 	}
 }
 
@@ -695,6 +706,31 @@ func dedupStrings(in []string) []string {
 			seen[s] = true
 			out = append(out, s)
 		}
+	}
+	return out
+}
+
+// keyed pairs each structure with its key: the birth of a candidate list
+// that did not come from generation or merging (a sealed pool's).
+func keyed(ss []catalog.Structure) []derive.Keyed {
+	if len(ss) == 0 {
+		return nil
+	}
+	out := make([]derive.Keyed, len(ss))
+	for i, s := range ss {
+		out[i] = derive.Keyed{Key: s.Key(), Structure: s}
+	}
+	return out
+}
+
+// structures drops the keys of a keyed list (nil for an empty one).
+func structures(ks []derive.Keyed) []catalog.Structure {
+	if len(ks) == 0 {
+		return nil
+	}
+	out := make([]catalog.Structure, len(ks))
+	for i, k := range ks {
+		out[i] = k.Structure
 	}
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/catalog"
+	"repro/internal/derive"
 )
 
 // Constraints is the complete input of the search layer beyond the costed
@@ -84,7 +85,7 @@ func (c Constraints) pinnedKeys() map[string]bool {
 
 // vetoFilter returns cands minus the vetoed structure keys, preserving
 // order. The input slice is never mutated.
-func (c Constraints) vetoFilter(cands []catalog.Structure) []catalog.Structure {
+func (c Constraints) vetoFilter(cands []derive.Keyed) []derive.Keyed {
 	if len(c.Vetoed) == 0 {
 		return cands
 	}
@@ -92,9 +93,9 @@ func (c Constraints) vetoFilter(cands []catalog.Structure) []catalog.Structure {
 	for _, k := range c.Vetoed {
 		veto[k] = true
 	}
-	out := make([]catalog.Structure, 0, len(cands))
+	out := make([]derive.Keyed, 0, len(cands))
 	for _, s := range cands {
-		if !veto[s.Key()] {
+		if !veto[s.Key] {
 			out = append(out, s)
 		}
 	}

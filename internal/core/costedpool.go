@@ -322,7 +322,7 @@ func (p *CostedPool) Resolve(keys []string, extra ...[]catalog.Structure) ([]cat
 func (st *costedState) seal(opts Options) *CostedPool {
 	p := &CostedPool{
 		Base:           st.base.Clone(),
-		Candidates:     st.cands,
+		Candidates:     structures(st.cands),
 		Gains:          st.gains,
 		StatBatches:    st.statBatches,
 		CostingSection: CostingSection{Format: CostingFormat, Skeletons: st.ev.drv.Snapshot()},
@@ -467,7 +467,7 @@ func (pool *CostedPool) warmState(t Tuner, w *workload.Workload, base *catalog.C
 	ev.drv.Restore(pool.Skeletons)
 	return &costedState{
 		ev: ev, tuned: w, base: base,
-		cands: pool.Candidates, gains: pool.Gains, statBatches: pool.StatBatches,
+		cands: keyed(pool.Candidates), gains: pool.Gains, statBatches: pool.StatBatches,
 		statsCreated: pool.StatsCreated, templates: pool.TemplatesTuned, compressed: pool.Compressed,
 		ingestEvents: pool.IngestedEvents, ingestBytes: pool.IngestedBytes,
 	}

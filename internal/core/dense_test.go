@@ -115,8 +115,8 @@ func TestIncrementalCostsMatchFromScratch(t *testing.T) {
 			}
 			inc := newEvaluator(srv, tuned, "", testTracker())
 			ref := newEvaluator(srv, tuned, "", testTracker())
-			inc.setQueryPools(inc.sharedPools(cands))
-			ref.setQueryPools(ref.sharedPools(cands))
+			inc.setQueryPools(inc.sharedPools(keyed(cands)))
+			ref.setQueryPools(ref.sharedPools(keyed(cands)))
 
 			fromScratch := func(c *config) *costed {
 				t.Helper()
@@ -182,14 +182,14 @@ func TestIncrementalCostsMatchFromScratch(t *testing.T) {
 				case r < 3: // Greedy-style growth
 					s := cands[rnd.Intn(len(cands))]
 					op = "grow"
-					c, ok = inc.extend(cur.c, s, inc.candidates([]catalog.Structure{s})[0].x, false)
+					c, ok = inc.extend(cur.c, s, inc.candidates(keyed([]catalog.Structure{s}))[0].x, false)
 				case r < 5: // lazily aligned growth, repartitioning when a partitioning is drawn
 					s := cands[rnd.Intn(len(cands))]
 					if len(parts) > 0 && rnd.Intn(2) == 0 {
 						s = parts[rnd.Intn(len(parts))]
 					}
 					op = "grow-aligned"
-					c, ok = inc.extend(cur.c, s, inc.candidates([]catalog.Structure{s})[0].x, true)
+					c, ok = inc.extend(cur.c, s, inc.candidates(keyed([]catalog.Structure{s}))[0].x, true)
 				case r < 7: // drop-style removal
 					cfg := cur.c.catalog().Clone()
 					all := cfg.Structures()
@@ -214,7 +214,7 @@ func TestIncrementalCostsMatchFromScratch(t *testing.T) {
 						c, ok = inc.config(clone), true
 					} else if s := clusteredCandidate(clustered, table); s != nil {
 						op = "clustered"
-						c, ok = inc.extend(cur.c, *s, inc.candidates([]catalog.Structure{*s})[0].x, false)
+						c, ok = inc.extend(cur.c, *s, inc.candidates(keyed([]catalog.Structure{*s}))[0].x, false)
 					}
 				}
 				if !ok {

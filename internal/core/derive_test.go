@@ -209,7 +209,7 @@ func TestDeriveMatchesRealCostsOnRandomConfigs(t *testing.T) {
 	}
 
 	evOn := newEvaluator(s, w, derive.On, testTracker())
-	evOn.setQueryPools(evOn.sharedPools(pool))
+	evOn.setQueryPools(evOn.sharedPools(keyed(pool)))
 	evOff := newEvaluator(realCallTuner{s}, w, derive.On, testTracker())
 	if evOff.drv != nil {
 		t.Fatal("a skeleton-less tuner must not get a derivation engine")
@@ -503,7 +503,7 @@ func TestConcurrentSubsetsShareOneSkeletonFetch(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			a := &altCountingTuner{Server: srv}
 			ev := newEvaluator(a, w, "", testTracker())
-			ev.setQueryPools(ev.sharedPools(pool))
+			ev.setQueryPools(ev.sharedPools(keyed(pool)))
 			got := make([]float64, len(cfgs))
 			errs := make([]error, len(cfgs))
 			var wg sync.WaitGroup

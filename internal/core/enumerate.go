@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/catalog"
+	"repro/internal/derive"
 )
 
 // enumerate runs the Enumeration step (paper §2.2): a Greedy(m,k) search
@@ -25,7 +26,7 @@ import (
 // clone only for the children that need one; applyAligned stays safe there
 // because it mutates only that clone. The alignment replay below is bookkeeping over
 // cached decisions and stays sequential.
-func enumerate(ev *evaluator, mandatory *catalog.Configuration, cands []catalog.Structure, opts Options) ([]catalog.Structure, error) {
+func enumerate(ev *evaluator, mandatory *catalog.Configuration, cands []derive.Keyed, opts Options) ([]catalog.Structure, error) {
 	// The enumeration pool is the last candidate set of the session, shared
 	// by every event; it also serves the final configuration costing and the
 	// analysis reports.
@@ -38,7 +39,8 @@ func enumerate(ev *evaluator, mandatory *catalog.Configuration, cands []catalog.
 	}
 
 	if !opts.Aligned {
-		return greedySearch(ev, ev.all, mandatory, cands, g)
+		chosen, _, err := greedySearch(ev, ev.all, ev.config(mandatory), cands, g)
+		return structures(chosen), err
 	}
 
 	if opts.EagerAlignment {
@@ -47,13 +49,14 @@ func enumerate(ev *evaluator, mandatory *catalog.Configuration, cands []catalog.
 		cands = expandAlignedVariants(cands)
 		g.valid = func(cfg *catalog.Configuration) bool { return cfg.Aligned() }
 		base := alignConfiguration(mandatory)
-		return greedySearch(ev, ev.all, base, cands, g)
+		chosen, _, err := greedySearch(ev, ev.all, ev.config(base), cands, g)
+		return structures(chosen), err
 	}
 
 	// Lazy alignment.
 	g.aligned = true
 	base := alignConfiguration(mandatory)
-	chosen, err := greedySearch(ev, ev.all, base, cands, g)
+	chosen, _, err := greedySearch(ev, ev.all, ev.config(base), cands, g)
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +66,7 @@ func enumerate(ev *evaluator, mandatory *catalog.Configuration, cands []catalog.
 	// read off the final configuration.
 	cfg := base.Clone()
 	for _, s := range chosen {
-		applyAligned(cfg, s)
+		applyAligned(cfg, s.Structure)
 	}
 	mandKeys := snapshotKeys(base)
 	var aligned []catalog.Structure
@@ -119,25 +122,26 @@ func alignConfiguration(cfg *catalog.Configuration) *catalog.Configuration {
 // partitioning candidate) pair on the same table, the partitioned variant of
 // the index. The pool can grow multiplicatively — the cost the lazy scheme
 // avoids.
-func expandAlignedVariants(cands []catalog.Structure) []catalog.Structure {
-	out := append([]catalog.Structure(nil), cands...)
+func expandAlignedVariants(cands []derive.Keyed) []derive.Keyed {
+	out := append([]derive.Keyed(nil), cands...)
 	seen := map[string]bool{}
 	for _, s := range cands {
-		seen[s.Key()] = true
+		seen[s.Key] = true
 	}
 	for _, p := range cands {
-		if p.Part == nil {
+		if p.Structure.Part == nil {
 			continue
 		}
 		for _, s := range cands {
-			if s.Index == nil || s.Index.Table != p.PartTable {
+			if s.Structure.Index == nil || s.Structure.Index.Table != p.Structure.PartTable {
 				continue
 			}
-			v := s.Index.Clone()
-			v.Partitioning = p.Part.Clone()
-			st := catalog.Structure{Index: v}
-			if !seen[st.Key()] {
-				seen[st.Key()] = true
+			v := s.Structure.Index.Clone()
+			v.Partitioning = p.Structure.Part.Clone()
+			st := derive.Keyed{Structure: catalog.Structure{Index: v}}
+			st.Key = st.Structure.Key()
+			if !seen[st.Key] {
+				seen[st.Key] = true
 				out = append(out, st)
 			}
 		}

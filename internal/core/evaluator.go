@@ -258,9 +258,17 @@ func newEvaluator(t Tuner, w *workload.Workload, mode derive.Mode, tr *tracker) 
 func (ev *evaluator) analyzed(i int) *optimizer.QueryInfo { return ev.infos[i].q }
 
 // structure returns the interned analysis of s, computing it on first sight.
+// It renders s's key: a structure that already travels with its key is
+// interned through intern instead.
 func (ev *evaluator) structure(s catalog.Structure) *structInfo {
-	key := s.Key()
-	id, s := ev.in.Intern(key, s)
+	return ev.intern(derive.Keyed{Key: s.Key(), Structure: s})
+}
+
+// intern returns the interned analysis of a keyed structure, computing it on
+// first sight.
+func (ev *evaluator) intern(k derive.Keyed) *structInfo {
+	key := k.Key
+	id, s := ev.in.Intern(key, k.Structure)
 	ev.smu.RLock()
 	if int(id) < len(ev.structs) && ev.structs[id] != nil {
 		x := ev.structs[id]
@@ -723,10 +731,10 @@ func (ev *evaluator) setQueryPools(pools [][]*structInfo) {
 
 // additivePool interns a candidate pool and returns its additive structures
 // (non-clustered indexes and views), ascending by ID.
-func (ev *evaluator) additivePool(cands []catalog.Structure) []*structInfo {
+func (ev *evaluator) additivePool(cands []derive.Keyed) []*structInfo {
 	var pool []*structInfo
 	for _, s := range cands {
-		if x := ev.structure(s); x.kind == kindIndex || x.kind == kindView {
+		if x := ev.intern(s); x.kind == kindIndex || x.kind == kindView {
 			pool = append(pool, x)
 		}
 	}
@@ -735,7 +743,7 @@ func (ev *evaluator) additivePool(cands []catalog.Structure) []*structInfo {
 
 // sharedPools interns one candidate pool and returns it as every event's:
 // enumeration's setQueryPools argument.
-func (ev *evaluator) sharedPools(cands []catalog.Structure) [][]*structInfo {
+func (ev *evaluator) sharedPools(cands []derive.Keyed) [][]*structInfo {
 	shared := ev.additivePool(cands)
 	pools := make([][]*structInfo, len(ev.tables))
 	for i := range pools {

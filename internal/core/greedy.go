@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/catalog"
+	"repro/internal/derive"
 	"repro/internal/journal"
 	"repro/internal/obs"
 )
@@ -47,24 +48,29 @@ func (o greedyOptions) record(tr *tracker, e journal.Event) {
 	tr.record(e)
 }
 
-// candidate is one structure of a search's pool, interned once per search:
-// x is the structure applying s adds (partitionings are keyed by the
-// lower-cased table, as Configuration stores them) and key is s's own key,
-// the tie-break and journal currency.
+// candidate is one structure of a search's pool with its own key — the
+// tie-break and journal currency — interned once per search: x is the
+// structure applying it adds (partitionings are keyed by the lower-cased
+// table, as Configuration stores them).
 type candidate struct {
-	s   catalog.Structure
-	x   *structInfo
-	key string
+	derive.Keyed
+	x *structInfo
 }
 
-func (ev *evaluator) candidates(cands []catalog.Structure) []candidate {
+// candidates interns a search's pool under the keys the candidates carry;
+// only a partitioning named by a table that is not lower-case is re-keyed,
+// as the structure applying it adds.
+func (ev *evaluator) candidates(cands []derive.Keyed) []candidate {
 	out := make([]candidate, len(cands))
-	for i, s := range cands {
-		applied := s
-		if s.Index == nil && s.View == nil {
-			applied.PartTable = strings.ToLower(s.PartTable)
+	for i, k := range cands {
+		applied := k
+		if s := k.Structure; s.Index == nil && s.View == nil {
+			if t := strings.ToLower(s.PartTable); t != s.PartTable {
+				applied.Structure.PartTable = t
+				applied.Key = applied.Structure.Key()
+			}
 		}
-		out[i] = candidate{s: s, x: ev.structure(applied), key: s.Key()}
+		out[i] = candidate{Keyed: k, x: ev.intern(applied)}
 	}
 	return out
 }
@@ -95,7 +101,7 @@ func evalFrontier(ev *evaluator, o greedyOptions, sc *scope, parent *costed, can
 		if tr.stopped() {
 			return
 		}
-		c, ok := ev.extend(parent.c, cands[i].s, cands[i].x, o.aligned)
+		c, ok := ev.extend(parent.c, cands[i].Structure, cands[i].x, o.aligned)
 		if !ok {
 			return
 		}
@@ -135,8 +141,10 @@ func better(c float64, k string, bc float64, bk string) bool {
 // greedySearch implements the Greedy(m,k) algorithm of [8] (paper §2.2):
 // the optimal subset of at most m structures is found by exhaustive
 // enumeration, then structures are added greedily up to k total, as long as
-// cost improves and the storage budget holds. It returns the chosen
-// structures (possibly none).
+// cost improves and the storage budget holds. The search starts from the
+// interned base configuration root. It returns the chosen structures
+// (possibly none), with their keys, and the configuration they form over
+// root.
 //
 // Each frontier — the candidates considered at one seed-enumeration level
 // or in one greedy growth step — is evaluated concurrently on the session's
@@ -150,7 +158,7 @@ func better(c float64, k string, bc float64, bk string) bool {
 // cancellation or an exhausted time budget — checked between candidate
 // evaluations, and surfaced as errStopped from within a cost evaluation —
 // the best subset found so far is returned with a nil error.
-func greedySearch(ev *evaluator, sc *scope, base *catalog.Configuration, cands []catalog.Structure, o greedyOptions) ([]catalog.Structure, error) {
+func greedySearch(ev *evaluator, sc *scope, base *config, cands []derive.Keyed, o greedyOptions) ([]derive.Keyed, *config, error) {
 	tr := ev.tr
 	if o.m < 1 {
 		o.m = 1
@@ -158,12 +166,12 @@ func greedySearch(ev *evaluator, sc *scope, base *catalog.Configuration, cands [
 	if o.k < o.m {
 		o.k = o.m
 	}
-	root, err := ev.costAll(sc, ev.config(base))
+	root, err := ev.costAll(sc, base)
 	if err != nil {
 		if stopping(err) {
-			return nil, nil // stopped before the search began: choose nothing
+			return nil, base, nil // stopped before the search began: choose nothing
 		}
-		return nil, err
+		return nil, nil, err
 	}
 	baseCost := root.total
 	baseStorage := root.c.storage()
@@ -178,7 +186,7 @@ func greedySearch(ev *evaluator, sc *scope, base *catalog.Configuration, cands [
 	pool := ev.candidates(cands)
 
 	type state struct {
-		chosen []catalog.Structure
+		chosen []derive.Keyed
 		node   *costed
 	}
 	best := state{node: root}
@@ -214,7 +222,7 @@ func greedySearch(ev *evaluator, sc *scope, base *catalog.Configuration, cands [
 			}
 			i := start + j
 			next := state{
-				chosen: append(append([]catalog.Structure(nil), cur.chosen...), cands[i]),
+				chosen: append(append([]derive.Keyed(nil), cur.chosen...), cands[i]),
 				node:   cur.node.with(r.c, r.cost, r.ov),
 			}
 			if improves {
@@ -232,7 +240,7 @@ func greedySearch(ev *evaluator, sc *scope, base *catalog.Configuration, cands [
 		ev := journal.Ev(journal.KindSeed)
 		ev.Scope, ev.Query = o.scope, o.query
 		for _, s := range best.chosen {
-			ev.Structures = append(ev.Structures, s.Key())
+			ev.Structures = append(ev.Structures, s.Key)
 		}
 		ev.Accepted = true
 		ev.CostBefore, ev.CostAfter = baseCost, best.node.total
@@ -241,9 +249,9 @@ func greedySearch(ev *evaluator, sc *scope, base *catalog.Configuration, cands [
 	}
 	if err != nil {
 		if stopping(err) {
-			return best.chosen, nil
+			return best.chosen, best.node.c, nil
 		}
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Greedy growth to k. Each growth step — one sweep over the candidate
@@ -276,11 +284,11 @@ func greedySearch(ev *evaluator, sc *scope, base *catalog.Configuration, cands [
 					continue
 				}
 				alternatives++
-				if bestIdx < 0 || better(r.cost, pool[i].key, bestCost, bestKey) {
+				if bestIdx < 0 || better(r.cost, pool[i].Key, bestCost, bestKey) {
 					runnerCost, runnerKey = bestCost, bestKey
-					bestIdx, bestCost, bestKey = i, r.cost, pool[i].key
-				} else if runnerKey == "" || better(r.cost, pool[i].key, runnerCost, runnerKey) {
-					runnerCost, runnerKey = r.cost, pool[i].key
+					bestIdx, bestCost, bestKey = i, r.cost, pool[i].Key
+				} else if runnerKey == "" || better(r.cost, pool[i].Key, runnerCost, runnerKey) {
+					runnerCost, runnerKey = r.cost, pool[i].Key
 				}
 			}
 			if expired() {
@@ -326,13 +334,13 @@ func greedySearch(ev *evaluator, sc *scope, base *catalog.Configuration, cands [
 		stepSpan.End()
 		if err != nil {
 			if stopping(err) {
-				return best.chosen, nil
+				return best.chosen, best.node.c, nil
 			}
-			return nil, err
+			return nil, nil, err
 		}
 		if !grew {
 			break
 		}
 	}
-	return best.chosen, nil
+	return best.chosen, best.node.c, nil
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"slices"
+	"strings"
+
 	"repro/internal/catalog"
 	"repro/internal/derive"
 	"repro/internal/journal"
@@ -19,64 +22,64 @@ import (
 //     grouping columns, outputs and aggregates;
 //   - partitioned-structure merging [4]: two range partitionings of a table
 //     on the same column merge by unioning their boundary sets.
-func mergeCandidates(cat *catalog.Catalog, cands []catalog.Structure, benefit map[string]float64, opts Options, tr *tracker) []catalog.Structure {
-	// mergePair computes the merged structures one (a, b) candidate pair
-	// yields — pure CPU over the catalog, no shared state — so all pairs
-	// run on the worker pool, canonical keys included.
-	mergePair := func(a, b catalog.Structure) []catalog.Structure {
-		switch {
-		case a.Index != nil && b.Index != nil && a.Index.Table == b.Index.Table &&
-			a.Index.Clustered == b.Index.Clustered:
-			var ms []catalog.Structure
-			if m := mergeIndexes(a.Index, b.Index, maxKeyColumns+2); m != nil {
-				ms = append(ms, catalog.Structure{Index: m})
-			}
-			if m := mergeIndexes(b.Index, a.Index, maxKeyColumns+2); m != nil {
-				ms = append(ms, catalog.Structure{Index: m})
-			}
-			return ms
-		case a.View != nil && b.View != nil:
-			if m := mergeViews(cat, a.View, b.View); m != nil {
-				return []catalog.Structure{{View: m}}
-			}
-		case a.Part != nil && b.Part != nil && a.PartTable == b.PartTable &&
-			a.Part.Column == b.Part.Column:
-			merged := catalog.NewPartitionScheme(a.Part.Column,
-				append(append([]float64(nil), a.Part.Boundaries...), b.Part.Boundaries...)...)
-			return []catalog.Structure{{PartTable: a.PartTable, Part: merged}}
-		}
-		return nil
-	}
-
-	type pair struct{ i, j int }
-	var pairs []pair
-	for i := 0; i < len(cands); i++ {
+//
+// Each candidate is paired with every later one, in pool order; a pair
+// yields up to two merged structures (both index orders), each keyed at
+// birth. The pairs are never materialized: each candidate's merges with the
+// candidates after it are computed on the worker pool into the candidate's
+// own row, then folded row by row — the pair order.
+func mergeCandidates(cat *catalog.Catalog, cands []derive.Keyed, benefit map[string]float64, tr *tracker) []derive.Keyed {
+	cols := indexColumns(cands)
+	// mergeRow computes the merged structures candidate i yields with every
+	// later candidate — pure CPU over the catalog, no shared state.
+	mergeRow := func(i int) []merged {
+		var out []merged
+		a := cands[i].Structure
 		for j := i + 1; j < len(cands); j++ {
-			pairs = append(pairs, pair{i, j})
+			b := cands[j].Structure
+			switch {
+			case a.Index != nil && b.Index != nil && a.Index.Table == b.Index.Table &&
+				a.Index.Clustered == b.Index.Clustered:
+				if m := cols.merge(i, j, a.Index.Clustered, maxKeyColumns+2); m != nil {
+					out = append(out, newMerged(j, catalog.Structure{Index: m}))
+				}
+				if m := cols.merge(j, i, a.Index.Clustered, maxKeyColumns+2); m != nil {
+					out = append(out, newMerged(j, catalog.Structure{Index: m}))
+				}
+			case a.View != nil && b.View != nil:
+				if m := mergeViews(cat, a.View, b.View); m != nil {
+					out = append(out, newMerged(j, catalog.Structure{View: m}))
+				}
+			case a.Part != nil && b.Part != nil && a.PartTable == b.PartTable &&
+				a.Part.Column == b.Part.Column:
+				m := catalog.NewPartitionScheme(a.Part.Column,
+					append(append([]float64(nil), a.Part.Boundaries...), b.Part.Boundaries...)...)
+				out = append(out, newMerged(j, catalog.Structure{PartTable: a.PartTable, Part: m}))
+			}
 		}
+		return out
 	}
-	merged := make([][]derive.Keyed, len(pairs))
-	tr.pool.each(len(pairs), func(p int) {
-		for _, s := range mergePair(cands[pairs[p].i], cands[pairs[p].j]) {
-			merged[p] = append(merged[p], derive.Keyed{Key: s.Key(), Structure: s})
-		}
-	})
+	rows := make([][]merged, len(cands))
+	tr.pool.each(len(cands), func(i int) { rows[i] = mergeRow(i) })
 
 	// Fold sequentially in pair order: dedup against the pool and inherit
 	// parent benefits exactly as the sequential pairwise loop did, so the
 	// output order (and therefore everything downstream) is independent of
 	// parallelism.
-	out := append([]catalog.Structure(nil), cands...)
-	keys := make([]string, len(cands))
-	seen := map[string]bool{}
-	for i, s := range cands {
-		keys[i] = s.Key()
-		seen[keys[i]] = true
+	total := len(cands)
+	for _, row := range rows {
+		total += len(row)
 	}
-	for p, ms := range merged {
-		a, b := keys[pairs[p].i], keys[pairs[p].j]
-		for _, m := range ms {
-			k := m.Key
+	out := append(make([]derive.Keyed, 0, total), cands...)
+	seen := make(map[string]bool, total)
+	for _, s := range cands {
+		seen[s.Key] = true
+	}
+	tr.jnl.Reserve(journal.KindMerge, total-len(cands))
+	for i, row := range rows {
+		a := cands[i].Key
+		for _, m := range row {
+			b, k := cands[m.with].Key, m.Key
 			if tr.journaling() {
 				// Journal every merge attempt at the sequential fold — kept
 				// merges and duplicates alike — so explain can walk a
@@ -91,7 +94,7 @@ func mergeCandidates(cat *catalog.Catalog, cands []catalog.Structure, benefit ma
 				continue
 			}
 			seen[k] = true
-			out = append(out, m.Structure)
+			out = append(out, m.Keyed)
 			// A merged structure inherits the larger parent benefit so pool
 			// capping does not starve it.
 			benefit[k] = max(benefit[a], benefit[b])
@@ -100,39 +103,126 @@ func mergeCandidates(cat *catalog.Catalog, cands []catalog.Structure, benefit ma
 	return out
 }
 
-// mergeIndexes builds first ⊕ second: first's key, then second's key columns
-// not already present, with included columns unioned (minus key columns).
-// Returns nil when the merge degenerates (identical key, or too wide).
-func mergeIndexes(first, second *catalog.Index, maxKey int) *catalog.Index {
-	key := append([]string(nil), first.KeyColumns...)
-	have := map[string]bool{}
-	for _, c := range key {
-		have[c] = true
+// merged is one merged structure of a candidate's row: with is the index of
+// the later candidate it was merged with.
+type merged struct {
+	with int
+	derive.Keyed
+}
+
+func newMerged(with int, s catalog.Structure) merged {
+	return merged{with: with, Keyed: derive.Keyed{Key: s.Key(), Structure: s}}
+}
+
+// mergeColumns is the merging step's view of the pool's indexes: every
+// column name interned to an ID — two columns share one iff their names are
+// equal, so unions over IDs are unions over names — and each index
+// candidate's table and columns in that form.
+type mergeColumns struct {
+	// lower holds each ID's name lower-cased, as catalog.NewIndex stores it.
+	lower []string
+	// ix holds each candidate's columns (zero for other structures).
+	ix []indexCols
+}
+
+// indexCols is an index's lower-cased table and its key and included
+// columns as IDs.
+type indexCols struct {
+	table        string
+	key, include []int32
+}
+
+// indexColumns interns the columns of the pool's indexes.
+func indexColumns(cands []derive.Keyed) *mergeColumns {
+	mc := &mergeColumns{ix: make([]indexCols, len(cands))}
+	ids := map[string]int32{}
+	id := func(name string) int32 {
+		v, ok := ids[name]
+		if !ok {
+			v = int32(len(mc.lower))
+			ids[name] = v
+			mc.lower = append(mc.lower, strings.ToLower(name))
+		}
+		return v
 	}
-	for _, c := range second.KeyColumns {
-		if !have[c] {
-			have[c] = true
-			key = append(key, c)
+	n := 0
+	for _, c := range cands {
+		if ix := c.Structure.Index; ix != nil {
+			n += len(ix.KeyColumns) + len(ix.IncludeCols)
 		}
 	}
-	if len(key) == len(first.KeyColumns) && len(second.IncludeCols) == 0 {
-		return nil // second adds nothing
+	arena := make([]int32, 0, n)
+	for i, c := range cands {
+		ix := c.Structure.Index
+		if ix == nil {
+			continue
+		}
+		start := len(arena)
+		for _, name := range ix.KeyColumns {
+			arena = append(arena, id(name))
+		}
+		mid := len(arena)
+		for _, name := range ix.IncludeCols {
+			arena = append(arena, id(name))
+		}
+		mc.ix[i] = indexCols{table: strings.ToLower(ix.Table), key: arena[start:mid:mid], include: arena[mid:len(arena):len(arena)]}
 	}
-	if len(key) > maxKey {
+	return mc
+}
+
+// merge builds index candidate f ⊕ index candidate s: f's key, then s's key
+// columns not already present, with included columns unioned (minus key
+// columns) — what catalog.NewIndex and WithInclude build from the names.
+// Returns nil when the merge degenerates (s adds nothing, or the key would
+// be wider than maxKey), decided by counting the key union over IDs before
+// anything is allocated.
+func (mc *mergeColumns) merge(f, s int, clustered bool, maxKey int) *catalog.Index {
+	fc, sc := mc.ix[f], mc.ix[s]
+	// added reports whether s's key column i joins the merged key.
+	added := func(i int) bool {
+		c := sc.key[i]
+		return !slices.Contains(fc.key, c) && !slices.Contains(sc.key[:i], c)
+	}
+	width := len(fc.key)
+	for i := range sc.key {
+		if added(i) {
+			width++
+		}
+	}
+	if width == len(fc.key) && len(sc.include) == 0 {
+		return nil // s adds nothing
+	}
+	if width > maxKey {
 		return nil
 	}
-	var include []string
-	incSeen := map[string]bool{}
-	for _, c := range append(append([]string(nil), first.IncludeCols...), second.IncludeCols...) {
-		if !have[c] && !incSeen[c] {
-			incSeen[c] = true
-			include = append(include, c)
+	// Included columns: f's then s's, minus every key column of either
+	// parent, each once; a clustered index has none.
+	var incBuf [32]int32
+	inc := incBuf[:0]
+	if !clustered {
+		for _, part := range [2][]int32{fc.include, sc.include} {
+			for _, c := range part {
+				if !slices.Contains(fc.key, c) && !slices.Contains(sc.key, c) && !slices.Contains(inc, c) {
+					inc = append(inc, c)
+				}
+			}
 		}
 	}
-	m := catalog.NewIndex(first.Table, key...)
-	m.Clustered = first.Clustered
-	if len(include) > 0 && !m.Clustered {
-		m = m.WithInclude(include...)
+	names := make([]string, 0, width+len(inc))
+	for _, c := range fc.key {
+		names = append(names, mc.lower[c])
+	}
+	for i, c := range sc.key {
+		if added(i) {
+			names = append(names, mc.lower[c])
+		}
+	}
+	for _, c := range inc {
+		names = append(names, mc.lower[c])
+	}
+	m := &catalog.Index{Table: fc.table, KeyColumns: names[:width:width], Clustered: clustered}
+	if len(inc) > 0 {
+		m.IncludeCols = names[width:]
 	}
 	return m
 }

@@ -16,7 +16,7 @@ import (
 func TestMergeIndexes(t *testing.T) {
 	a := catalog.NewIndex("t", "a", "b").WithInclude("x")
 	b := catalog.NewIndex("t", "a", "c").WithInclude("y")
-	m := mergeIndexes(a, b, 5)
+	m := mergeTwo(a, b, 5)
 	if m == nil {
 		t.Fatal("merge should succeed")
 	}
@@ -34,12 +34,18 @@ func TestMergeIndexes(t *testing.T) {
 		}
 	}
 	// Degenerate merges return nil.
-	if mergeIndexes(a, catalog.NewIndex("t", "a", "b"), 5) != nil {
+	if mergeTwo(a, catalog.NewIndex("t", "a", "b"), 5) != nil {
 		t.Fatal("second index adding nothing should not merge")
 	}
-	if mergeIndexes(a, catalog.NewIndex("t", "c", "d", "e", "f"), 4) != nil {
+	if mergeTwo(a, catalog.NewIndex("t", "c", "d", "e", "f"), 4) != nil {
 		t.Fatal("too-wide merges must be rejected")
 	}
+}
+
+// mergeTwo merges two indexes as mergeCandidates does, over their column
+// IDs.
+func mergeTwo(a, b *catalog.Index, maxKey int) *catalog.Index {
+	return indexColumns(keyed([]catalog.Structure{{Index: a}, {Index: b}})).merge(0, 1, a.Clustered, maxKey)
 }
 
 func TestMergeIndexesCoverageProperty(t *testing.T) {
@@ -51,7 +57,7 @@ func TestMergeIndexesCoverageProperty(t *testing.T) {
 			return ix.WithInclude(cols[int(inc)%len(cols)])
 		}
 		a, b := mk(ka, ia), mk(kb, ib)
-		m := mergeIndexes(a, b, 10)
+		m := mergeTwo(a, b, 10)
 		if m == nil {
 			return true // degenerate merge is allowed
 		}
@@ -132,11 +138,11 @@ func TestMergePartitionings(t *testing.T) {
 		{PartTable: "t", Part: catalog.NewPartitionScheme("x", 10, 20)},
 		{PartTable: "t", Part: catalog.NewPartitionScheme("x", 15, 30)},
 	}
-	out := mergeCandidates(cat, cands, map[string]float64{}, Options{}.withDefaults(), testTracker())
+	out := mergeCandidates(cat, keyed(cands), map[string]float64{}, testTracker())
 	if len(out) != 3 {
 		t.Fatalf("expected one merged scheme, got %d structures", len(out))
 	}
-	merged := out[2].Part
+	merged := out[2].Structure.Part
 	if merged.Partitions() != 5 { // boundaries {10,15,20,30}
 		t.Fatalf("merged partitions = %d", merged.Partitions())
 	}
@@ -150,14 +156,14 @@ func TestCapCandidates(t *testing.T) {
 		cands = append(cands, s)
 		benefit[s.Key()] = float64(i)
 	}
-	capped := capCandidates(cands, benefit, 2)
+	capped := structures(capCandidates(keyed(cands), benefit, 2))
 	if len(capped) != 2 {
 		t.Fatalf("capped = %d", len(capped))
 	}
 	if capped[0].Index.KeyColumns[0] != "e" || capped[1].Index.KeyColumns[0] != "d" {
 		t.Fatalf("highest benefit must survive: %v", capped)
 	}
-	if got := capCandidates(cands, benefit, -1); len(got) != len(cands) {
+	if got := capCandidates(keyed(cands), benefit, -1); len(got) != len(cands) {
 		t.Fatal("negative cap disables capping")
 	}
 }
@@ -176,7 +182,7 @@ func TestCapCandidatesKeepsInputOrderOnTies(t *testing.T) {
 		}
 	}
 	var got []string
-	for _, s := range capCandidates(cands, benefit, 5) {
+	for _, s := range structures(capCandidates(keyed(cands), benefit, 5)) {
 		got = append(got, s.Index.KeyColumns[0])
 	}
 	if want := []string{"a", "b", "f", "e", "d"}; !reflect.DeepEqual(got, want) {
@@ -204,7 +210,8 @@ func (c costTuner) WhatIfCallCount() int64                              { return
 // relevant and the workload cost is exactly cost(cfg).
 func syntheticSearch(cat *catalog.Catalog, sql string, cost func(*catalog.Configuration) float64, cands []catalog.Structure, o greedyOptions) ([]catalog.Structure, error) {
 	ev := newEvaluator(costTuner{cat: cat, cost: cost}, workload.MustNew(sql), "", testTracker())
-	return greedySearch(ev, ev.all, catalog.NewConfiguration(), cands, o)
+	chosen, _, err := greedySearch(ev, ev.all, ev.config(catalog.NewConfiguration()), keyed(cands), o)
+	return structures(chosen), err
 }
 
 // Each chosen structure reduces cost by a known amount.

@@ -221,12 +221,13 @@ func subset(a, b []int32) bool {
 	return true
 }
 
-// scope addresses the restored facts of one event and base part; base is
-// the hash of the base part's IDs (HashIDs), and covers tells facts of
-// colliding base parts apart.
+// scope addresses the facts of one event and ID set: a top (an index of
+// every fact) or a base part (the index of restored facts). hash is the
+// hash of the IDs (HashIDs); a lookup compares the full set, so colliding
+// sets are told apart.
 type scope struct {
 	event int
-	base  uint64
+	hash  uint64
 }
 
 // closed is the ready channel of facts that never were in flight (Restore).
@@ -242,8 +243,9 @@ type Engine struct {
 
 	mu sync.Mutex
 	// facts holds the current statistics epoch's facts, in flight or
-	// ready, per event.
+	// ready, per event; tops indexes the same facts by their top.
 	facts map[int][]*fact
+	tops  map[scope][]*fact
 	// restored indexes the facts Restore loaded into the current epoch by
 	// their scope, so Resolve can answer a request no fact matches exactly
 	// from one that covers it. Written only by Restore and BumpEpoch.
@@ -263,7 +265,7 @@ func New(mode Mode) *Engine {
 	if mode == "" {
 		mode = On
 	}
-	return &Engine{mode: mode, in: NewInterner(), facts: map[int][]*fact{}}
+	return &Engine{mode: mode, in: NewInterner(), facts: map[int][]*fact{}, tops: map[scope][]*fact{}}
 }
 
 // Interner returns the engine's structure interner, for the caller to key
@@ -310,18 +312,39 @@ func (e *Engine) BumpEpoch() {
 		return
 	}
 	e.mu.Lock()
-	e.facts, e.restored = map[int][]*fact{}, nil
+	e.facts, e.tops, e.restored = map[int][]*fact{}, map[scope][]*fact{}, nil
 	e.mu.Unlock()
 }
 
 // held returns the event's fact for top, or nil; e.mu must be held.
 func (e *Engine) held(event int, top []int32) *fact {
-	for _, f := range e.facts[event] {
+	for _, f := range e.tops[scope{event, HashIDs(top)}] {
 		if slices.Equal(f.top, top) {
 			return f
 		}
 	}
 	return nil
+}
+
+// hold records a fact of the event in both indexes; e.mu must be held.
+func (e *Engine) hold(event int, f *fact) {
+	e.facts[event] = append(e.facts[event], f)
+	k := scope{event, HashIDs(f.top)}
+	e.tops[k] = append(e.tops[k], f)
+}
+
+// release removes a failed fact of the event from both indexes; e.mu must
+// be held. The event's list is replaced, not edited, because Used walks it
+// outside the lock.
+func (e *Engine) release(event int, f *fact) {
+	other := func(g *fact) bool { return g == f }
+	e.facts[event] = slices.DeleteFunc(slices.Clone(e.facts[event]), other)
+	k := scope{event, HashIDs(f.top)}
+	if list := slices.DeleteFunc(e.tops[k], other); len(list) > 0 {
+		e.tops[k] = list
+	} else {
+		delete(e.tops, k)
+	}
 }
 
 // covering returns a restored fact of the event that covers rel — its base
@@ -379,7 +402,7 @@ func (e *Engine) Resolve(event int, join bool, rel, additive []int32, fetch Fetc
 	found := f != nil
 	if !found {
 		f = &fact{ready: make(chan struct{}), top: slices.Clone(top)}
-		e.facts[event] = append(e.facts[event], f)
+		e.hold(event, f)
 	}
 	e.mu.Unlock()
 
@@ -392,7 +415,7 @@ func (e *Engine) Resolve(event int, join bool, rel, additive []int32, fetch Fetc
 		}
 		if f.err != nil {
 			e.mu.Lock()
-			e.facts[event] = slices.DeleteFunc(slices.Clone(e.facts[event]), func(g *fact) bool { return g == f })
+			e.release(event, f)
 			e.mu.Unlock()
 		} else {
 			e.compile(f)
@@ -449,9 +472,10 @@ func (e *Engine) Used(event int, rel []int32) (used []string, ok bool) {
 // configurations. A top's keys are distinct and its base part comes from one
 // configuration — at most one clustered index and one partitioning per table
 // — while the pool adds only additive structures, so Structure.ApplyTo's
-// duplicate and conflict checks could never fire: each structure is added as
-// ApplyTo would add it (a clone) without re-deriving the key of every index
-// already present.
+// duplicate and conflict checks could never fire: each structure is added
+// as the interner records it, without a clone and without re-deriving the
+// key of every index already present. Interned structures are immutable
+// (see Interner), so the configuration may share them with the backend.
 func (e *Engine) topConfig(top []int32) *catalog.Configuration {
 	e.in.mu.RLock()
 	defer e.in.mu.RUnlock()
@@ -461,11 +485,11 @@ func (e *Engine) topConfig(top []int32) *catalog.Configuration {
 	for _, id := range ids {
 		switch s := e.in.structs[id]; {
 		case s.Index != nil:
-			cfg.Indexes = append(cfg.Indexes, s.Index.Clone())
+			cfg.Indexes = append(cfg.Indexes, s.Index)
 		case s.View != nil:
-			cfg.Views = append(cfg.Views, s.View.Clone())
+			cfg.Views = append(cfg.Views, s.View)
 		default:
-			cfg.SetTablePartitioning(s.PartTable, s.Part.Clone())
+			cfg.SetTablePartitioning(s.PartTable, s.Part)
 		}
 	}
 	return cfg
@@ -709,7 +733,7 @@ func (e *Engine) Restore(s *Snapshot) {
 		}
 		f := &fact{ready: closed, top: top, alts: r.Alts}
 		e.compile(f)
-		e.facts[r.Event] = append(e.facts[r.Event], f)
+		e.hold(r.Event, f)
 		if e.restored == nil {
 			e.restored = map[scope][]*fact{}
 		}

@@ -17,6 +17,13 @@ import (
 // position in it. IDs are never
 // reused or renumbered: merged and lazily-aligned structures born during the
 // search are simply appended. Safe for concurrent use.
+//
+// Interned structures are immutable. The structure recorded under an ID is
+// shared, not copied: the engine hands it to the backend inside every top
+// configuration it fetches (and a what-if server's plan cache may keep what
+// the optimizer read of it), and snapshots persist it. Nothing may mutate a
+// structure once it is interned — code that derives a structure from another
+// (lazy alignment's variants, merging) clones first and mutates the clone.
 type Interner struct {
 	mu      sync.RWMutex
 	ids     map[string]int32

@@ -52,6 +52,20 @@ func TestTable2Shape(t *testing.T) {
 		t.Errorf("CUST4: hand=%.2f dta=%.2f", c4.QualityHand, c4.QualityDTA)
 	}
 	t.Log("\n" + Table2String(rows))
+
+	// At the scale EXPERIMENTS.md reports, every row's three costs share the
+	// tune's statistics state, so DTA — which never recommends a design
+	// costlier than the raw one — cannot read worse than raw.
+	full, err := Table2(Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range full {
+		if r.QualityDTA < 0 {
+			t.Errorf("default scale, %s: DTA quality %.4f is below raw", r.Name, r.QualityDTA)
+		}
+	}
+	t.Log("\n" + Table2String(full))
 }
 
 func TestSec72Shape(t *testing.T) {

@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -290,6 +291,26 @@ func (j *Journal) Append(e Event) {
 	}
 	if droppedNow && mDrop != nil {
 		mDrop.Inc()
+	}
+}
+
+// Reserve makes room for n more events of the kind (up to the ring's
+// bound), so the appends that follow do not grow the ring one doubling at a
+// time. A caller about to append many events of one kind — merging
+// journals one per merge attempt — calls it first. No-op on a nil journal.
+func (j *Journal) Reserve(kind Kind, n int) {
+	if j == nil || n <= 0 {
+		return
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	r := j.rings[kind]
+	if r == nil {
+		r = &ring{}
+		j.rings[kind] = r
+	}
+	if room := j.limit - len(r.buf); !r.full && room > 0 {
+		r.buf = slices.Grow(r.buf, min(n, room))
 	}
 }
 

@@ -65,7 +65,9 @@ func TestPerKindBounds(t *testing.T) {
 		e.Step = i
 		j.Append(e)
 	}
-	// Then a flood of retries far over the limit.
+	// Then a flood of retries far over the limit, room reserved for all of
+	// them first: the reservation stops at the bound.
+	j.Reserve(KindRetry, 100)
 	for i := 0; i < 100; i++ {
 		e := Ev(KindRetry)
 		e.Site = "whatif"
@@ -93,6 +95,12 @@ func TestPerKindBounds(t *testing.T) {
 	}
 	if j.Len() != 6 {
 		t.Errorf("Len = %d, want 6", j.Len())
+	}
+	// A reservation after the bound shrank below a ring's length is a no-op.
+	j.SetLimit(1)
+	j.Reserve(KindStep, 3)
+	if len(j.Events(KindStep)) != 2 {
+		t.Errorf("a reservation changed the retained steps")
 	}
 }
 
@@ -196,6 +204,7 @@ func TestAttachMetrics(t *testing.T) {
 func TestNilJournalIsSafe(t *testing.T) {
 	var j *Journal
 	j.Append(Ev(KindStep)) // must not panic
+	j.Reserve(KindStep, 10)
 	j.SetLimit(10)
 	j.AttachMetrics(obs.NewRegistry())
 	if j.Len() != 0 || j.Dropped() != 0 || j.Events() != nil || j.Name() != "" {

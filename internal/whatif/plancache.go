@@ -50,22 +50,27 @@ type plan struct {
 	alts    *optimizer.Alternatives
 }
 
-// planKey is the question an alternatives call asks: the statement's text
-// and the configuration's identity.
-func planKey(stmt sqlparser.Statement, cfg *catalog.Configuration) string {
-	text := sqlparser.Text(stmt)
-	b := make([]byte, 0, len(text)+512)
-	b = append(append(b, text...), 0)
-	return string(cfg.AppendIdentity(b))
+// keyBufs pools the buffers plan renders its keys into, so a call renders
+// the question without allocating once the pool is warm.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendPlanKey appends the question an alternatives call asks to b: the
+// statement's text and the configuration's identity.
+func appendPlanKey(b []byte, stmt sqlparser.Statement, cfg *catalog.Configuration) []byte {
+	b = append(append(b, sqlparser.Text(stmt)...), 0)
+	return cfg.AppendIdentity(b)
 }
 
 // plan answers one alternatives call from the plan cache, optimizing the
 // statement when no other call has answered the question under the current
-// optimizer input.
+// optimizer input. The key is rendered into a pooled buffer and looked up
+// without building a string; only a leader stores one.
 func (s *Server) plan(stmt sqlparser.Statement, cfg *catalog.Configuration) (*plan, error) {
-	key := planKey(stmt, cfg)
+	buf := keyBufs.Get().(*[]byte)
+	defer keyBufs.Put(buf)
+	*buf = appendPlanKey((*buf)[:0], stmt, cfg)
 	for {
-		p, leader := s.claim(key)
+		p, key, leader := s.claim(*buf)
 		if leader {
 			return s.lead(key, p, stmt, cfg)
 		}
@@ -81,24 +86,27 @@ func (s *Server) plan(stmt sqlparser.Statement, cfg *catalog.Configuration) (*pl
 }
 
 // claim returns the key's slot, and whether the caller is its leader (the
-// slot is new and the caller must fill it). The version is read under the
-// cache lock, so the versions claims see never go backwards.
-func (s *Server) claim(key string) (*plan, bool) {
+// slot is new and the caller must fill it); a leader also gets the key as
+// the string the slot is stored under. The lookup compares the full key and
+// builds no string. The version is read under the cache lock, so the
+// versions claims see never go backwards.
+func (s *Server) claim(key []byte) (*plan, string, bool) {
 	c := &s.plans
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if v := s.inputVersion(); v != c.version || c.plans == nil {
 		c.version, c.plans = v, map[string]*plan{}
 	}
-	if p, ok := c.plans[key]; ok {
-		return p, false
+	if p, ok := c.plans[string(key)]; ok {
+		return p, "", false
 	}
 	if len(c.plans) >= planCacheSize {
 		c.plans = map[string]*plan{}
 	}
 	p := &plan{ready: make(chan struct{}), version: c.version}
-	c.plans[key] = p
-	return p, true
+	k := string(key)
+	c.plans[k] = p
+	return p, k, true
 }
 
 // lead optimizes the statement for the slot and settles it: published when

@@ -121,6 +121,32 @@ func TestPlanCacheHitIsAChargedCall(t *testing.T) {
 	expectHits(t, s, 1, "reordered configuration")
 }
 
+// TestPlanCacheHitAllocatesNothing: a warm plan-cache hit — the answer most
+// skeleton fetches of a fleet of sessions get — renders its key into a
+// pooled buffer and looks it up without building a string, so with metrics
+// detached it allocates nothing. The race detector's sync.Pool drops pooled
+// items at random, so the test runs only without it.
+func TestPlanCacheHitAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled buffers at random under the race detector")
+	}
+	s := prodServer(t)
+	s.SetMetrics(nil)
+	stmt := sqlparser.MustParse("SELECT a, b FROM t WHERE a = 5 AND b < -3")
+	cfg := indexOnA()
+	cfg.SetTablePartitioning("t", catalog.NewPartitionScheme("a", 10, 50))
+	ask(t, s, stmt, cfg)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, _, err := s.WhatIfAlternativesCost(stmt, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a warm plan-cache hit allocated %.1f times, want 0", allocs)
+	}
+	expectHits(t, s, 101, "after the measured hits")
+}
+
 // TestPlanCacheInvalidation: creating a statistic, importing one and
 // attaching data each change what the optimizer reads, so the next call is
 // a miss that reflects the new state.
