@@ -478,7 +478,7 @@ func buildCostedState(ctx context.Context, t Tuner, w *workload.Workload, opts O
 		compressed = tuned.Len() < w.Len()
 	}
 	tr.eventsTotal = tuned.Len()
-	tuneSpan.SetArg("events", tuned.Len()).SetArg("compressed", compressed)
+	tuneSpan.SetInt("events", tuned.Len()).SetBool("compressed", compressed)
 
 	ev := newEvaluator(t, tuned, opts.Derive, tr)
 	if opts.Resume != nil {

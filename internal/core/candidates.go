@@ -153,9 +153,7 @@ func selectCandidates(t Tuner, ev *evaluator, w *workload.Workload, base *catalo
 		if !sel.ran {
 			break // the session stopped before this query's search began
 		}
-		for _, e := range sel.journal {
-			tr.record(e)
-		}
+		tr.flush(sel.journal)
 		if sel.err != nil {
 			if stopping(sel.err) {
 				break // keep the candidates gathered so far
@@ -190,8 +188,9 @@ type querySelection struct {
 	// gain is the query's weighted cost reduction.
 	gain float64
 	// journal buffers the query's decision events (its Greedy(m,k)'s seed
-	// and steps, then the query summary and per-candidate verdicts).
-	journal []journal.Event
+	// and steps, then the query summary and per-candidate verdicts); nil
+	// when the session does not journal.
+	journal *journal.Buffer
 	err     error
 }
 
@@ -203,16 +202,15 @@ type querySelection struct {
 func selectQuery(ev *evaluator, e *workload.Event, i int, base *config, cands []derive.Keyed, phase context.Context, o greedyOptions) (sel querySelection) {
 	sel.ran = true
 	ctx, span := obs.StartSpan(phase, "query", "select-candidates")
-	span.SetArg("event", i).SetArg("candidates", len(cands))
+	span.SetInt("event", i).SetInt("candidates", len(cands))
 	defer func() {
-		span.SetArg("gain", sel.gain).End()
+		span.SetFloat("gain", sel.gain).End()
 	}()
 	if len(cands) == 0 {
 		return sel
 	}
-	if ev.tr.journaling() {
-		o.log = &sel.journal
-	}
+	sel.journal = ev.tr.buffer()
+	o.log = sel.journal
 	baseCost, err := ev.eval(i, base, ctx)
 	if err != nil {
 		sel.err = err
@@ -230,15 +228,11 @@ func selectQuery(ev *evaluator, e *workload.Event, i int, base *config, cands []
 		qe.CostBefore, qe.CostAfter, qe.Gain = baseCost, bestCost, gain
 		qe.Alternatives = len(cands)
 		o.record(ev.tr, qe)
-		chosenKeys := map[string]bool{}
-		for _, s := range chosen {
-			chosenKeys[s.Key] = true
-		}
 		for _, s := range cands {
 			ce := journal.Ev(journal.KindCandidate)
 			ce.Query = i
 			ce.Structure = s.Key
-			ce.Accepted = chosenKeys[s.Key]
+			ce.Accepted = slices.ContainsFunc(chosen, func(c derive.Keyed) bool { return c.Key == s.Key })
 			if ce.Accepted {
 				ce.Gain = gain
 			}

@@ -84,7 +84,10 @@ func (ck *Checkpoint) Check() error {
 // the n−1 calls before it, lacking only those in flight. The capture only
 // references ready (immutable) skeleton facts; the copy runs beside the
 // other workers. busy keeps sinks from overlapping; a boundary reached while
-// one runs is skipped.
+// one runs is skipped, and so is one that would add no fact to the last
+// checkpoint's (a resumed session replays facts alone, so such a checkpoint
+// would resume exactly as the last one does) — over a skeleton-less backend,
+// every boundary.
 type checkpointer struct {
 	sink  func(*Checkpoint)
 	every int64
@@ -92,6 +95,8 @@ type checkpointer struct {
 	busy  atomic.Bool
 	tr    *tracker
 	drv   *derive.Engine
+	// facts is how many facts the last checkpoint carried; mu guards it.
+	facts int
 }
 
 // count charges one call about to be issued to calls, snapshotting at
@@ -104,11 +109,15 @@ func (c *checkpointer) count(calls *atomic.Int64) int64 {
 	n := calls.Add(1)
 	var build func() *Checkpoint
 	if n%c.every == 0 && c.busy.CompareAndSwap(false, true) {
-		ck := &Checkpoint{Phase: c.tr.phase, EventsTuned: c.tr.eventsTuned, WhatIfCalls: n}
-		skeletons := c.drv.Capture()
-		build = func() *Checkpoint {
-			ck.CostingSection = CostingSection{Format: CostingFormat, Skeletons: skeletons()}
-			return ck
+		if facts, skeletons := c.drv.Capture(); facts > c.facts {
+			c.facts = facts
+			ck := &Checkpoint{Phase: c.tr.phase, EventsTuned: c.tr.eventsTuned, WhatIfCalls: n}
+			build = func() *Checkpoint {
+				ck.CostingSection = CostingSection{Format: CostingFormat, Skeletons: skeletons()}
+				return ck
+			}
+		} else {
+			c.busy.Store(false)
 		}
 	}
 	c.mu.Unlock()

@@ -424,7 +424,7 @@ func Revise(ctx context.Context, t Tuner, pool *CostedPool, cons Constraints, op
 	ev := st.ev
 	tr.eventsTotal = w.Len()
 	tr.eventsTuned = w.Len() - ev.skippedEvents()
-	span.SetArg("events", w.Len()).SetArg("pool", pool.Fingerprint)
+	span.SetInt("events", w.Len()).SetString("pool", pool.Fingerprint)
 
 	rec := &Recommendation{
 		EventsTuned:    w.Len() - ev.skippedEvents(),

@@ -682,7 +682,7 @@ func (ev *evaluator) realCall(i int, cfg *catalog.Configuration, wantAlts bool, 
 	_, sp := obs.StartSpan(ev.spanParent(span), "whatif", "what-if")
 	c, used, alts, err := ev.whatIfCall(i, cfg, wantAlts)
 	if err != nil {
-		sp.SetArg("event", i).SetArg("error", err.Error()).End()
+		sp.SetInt("event", i).SetString("error", err.Error()).End()
 		if ev.tr.ctxStopped() {
 			// Cancelled (or already degraded) mid-retry: wind down without
 			// charging the failure to the backend.
@@ -697,7 +697,7 @@ func (ev *evaluator) realCall(i int, cfg *catalog.Configuration, wantAlts bool, 
 		}
 		return 0, nil, nil, err
 	}
-	sp.SetArg("event", i).SetArg("cost", c).End()
+	sp.SetInt("event", i).SetFloat("cost", c).End()
 	return c, used, alts, nil
 }
 

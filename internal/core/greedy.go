@@ -35,14 +35,14 @@ type greedyOptions struct {
 	// appending them to the session journal: a per-query search runs on a
 	// pool worker beside other queries' searches, and its coordinator
 	// appends the buffer in event order.
-	log *[]journal.Event
+	log *journal.Buffer
 }
 
 // record journals one decision event of the search: into the buffer when
 // set, else into the session tracker's journal.
 func (o greedyOptions) record(tr *tracker, e journal.Event) {
 	if o.log != nil {
-		*o.log = append(*o.log, e)
+		o.log.Add(e)
 		return
 	}
 	tr.record(e)
@@ -198,7 +198,7 @@ func greedySearch(ev *evaluator, sc *scope, base *config, cands []derive.Keyed, 
 	// preorder update sequence (costs are deterministic, so prefetching them
 	// concurrently changes nothing but wall-clock).
 	seedCtx, seedSpan := obs.StartSpan(ev.spanParent(sc.span), "greedy", "greedy-seed")
-	seedSpan.SetArg("m", o.m).SetArg("candidates", len(cands))
+	seedSpan.SetInt("m", o.m).SetInt("candidates", len(cands))
 	seedScope := sc.under(seedCtx)
 	var trySubset func(start int, cur state, size int) error
 	trySubset = func(start int, cur state, size int) error {
@@ -260,13 +260,13 @@ func greedySearch(ev *evaluator, sc *scope, base *config, cands []derive.Keyed, 
 	// cache warms up.
 	for step := 0; len(best.chosen) < o.k && !expired(); step++ {
 		stepCtx, stepSpan := obs.StartSpan(ev.spanParent(sc.span), "greedy", "greedy-step")
-		stepSpan.SetArg("step", step).SetArg("chosen", len(best.chosen))
+		stepSpan.SetInt("step", step).SetInt("chosen", len(best.chosen))
 		grew, err := func() (bool, error) {
 			// One sweep over the candidate pool: evaluate the whole frontier
 			// in parallel, then pick the winner sequentially in candidate
 			// order (ties broken by structure key — see better).
 			res, workers := evalFrontier(ev, o, sc.under(stepCtx), best.node, pool, fits)
-			stepSpan.SetArg("workers", workers)
+			stepSpan.SetInt("workers", workers)
 			bestIdx := -1
 			bestCost := math.Inf(1)
 			bestKey := ""
@@ -321,7 +321,7 @@ func greedySearch(ev *evaluator, sc *scope, base *config, cands []derive.Keyed, 
 				chosen: append(best.chosen, cands[bestIdx]),
 				node:   best.node.with(w.c, w.cost, w.ov),
 			}
-			stepSpan.SetArg("picked", bestKey).SetArg("cost", bestCost)
+			stepSpan.SetString("picked", bestKey).SetFloat("cost", bestCost)
 			if tr.metrics != nil {
 				tr.metrics.Counter("dta_greedy_steps_total",
 					"Completed Greedy(m,k) growth steps.").Inc()

@@ -75,20 +75,25 @@ func mergeCandidates(cat *catalog.Catalog, cands []derive.Keyed, benefit map[str
 	for _, s := range cands {
 		seen[s.Key] = true
 	}
-	tr.jnl.Reserve(journal.KindMerge, total-len(cands))
+	// Journal every merge attempt at the sequential fold — kept merges and
+	// duplicates alike — so explain can walk a recommended structure back to
+	// its pre-merging leaves. Each candidate's key is interned once, and a
+	// merge names its parents by their IDs.
+	jb := tr.buffer()
+	var ids []uint32
+	if jb != nil {
+		tr.jnl.Reserve(journal.KindMerge, total-len(cands))
+		ids = make([]uint32, len(cands))
+		for i := range cands {
+			ids[i] = jb.Intern(cands[i].Key)
+		}
+	}
 	for i, row := range rows {
 		a := cands[i].Key
 		for _, m := range row {
 			b, k := cands[m.with].Key, m.Key
-			if tr.journaling() {
-				// Journal every merge attempt at the sequential fold — kept
-				// merges and duplicates alike — so explain can walk a
-				// recommended structure back to its pre-merging leaves.
-				ev := journal.Ev(journal.KindMerge)
-				ev.Structure = k
-				ev.Parents = []string{a, b}
-				ev.Accepted = !seen[k]
-				tr.record(ev)
+			if jb != nil {
+				jb.AddMerge(jb.Intern(k), ids[i], ids[m.with], !seen[k])
 			}
 			if seen[k] {
 				continue
@@ -100,6 +105,7 @@ func mergeCandidates(cat *catalog.Catalog, cands []derive.Keyed, benefit map[str
 			benefit[k] = max(benefit[a], benefit[b])
 		}
 	}
+	tr.flush(jb)
 	return out
 }
 

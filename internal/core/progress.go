@@ -262,6 +262,30 @@ func (tr *tracker) journaling() bool { return tr.jnl != nil }
 // default to -1 rather than a misleading zero.
 func (tr *tracker) record(e journal.Event) { tr.jnl.Append(e) }
 
+// journalBuffers recycles the journal buffers per-query searches and the
+// merge fold fill, across queries and sessions.
+var journalBuffers = sync.Pool{New: func() any { return new(journal.Buffer) }}
+
+// buffer returns an empty journal buffer, or nil when the session does not
+// journal.
+func (tr *tracker) buffer() *journal.Buffer {
+	if !tr.journaling() {
+		return nil
+	}
+	return journalBuffers.Get().(*journal.Buffer)
+}
+
+// flush appends b's events to the session's journal and recycles b. No-op
+// on nil.
+func (tr *tracker) flush(b *journal.Buffer) {
+	if b == nil {
+		return
+	}
+	tr.jnl.AppendBuffer(b)
+	b.Reset()
+	journalBuffers.Put(b)
+}
+
 // retryPolicy returns the resolved per-call retry policy. Critical stages
 // escalate the attempt budget: a permanent failure there fails the whole
 // session, so it is first made astronomically unlikely (at a 10% transient

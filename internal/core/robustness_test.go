@@ -195,12 +195,15 @@ func TestRetryMasksTransientFaults(t *testing.T) {
 // uninterrupted run fetched. Hence resumed ≤ full − ck + P + pre; the resume
 // saves calls whenever ck > pre + P (at P=4 the baseline leg's checkpoint,
 // two calls past the bump, may hold no answer yet). Over the real-call
-// backend a checkpoint holds nothing to replay, and the resumed session pays
-// exactly the uninterrupted run's calls. Checkpoints start at the bump, so
-// the first one is the first boundary after it — on the baseline leg, whose
-// interval is shorter than the pre-statistics costing, still in candidate
-// selection. Every checkpoint over the skeleton backend carries its
-// skeleton section. The
+// backend a checkpoint would hold nothing to replay, so none is written, and
+// the session resumes cold, paying exactly the uninterrupted run's calls.
+// Checkpoints start at the bump, and a boundary whose checkpoint would add
+// no fact writes none, so the first one is the first boundary after the
+// bump at which a fact is ready — at P=1 the first boundary after it; at
+// P=4 every fetch since the bump may still be in flight there — on the
+// baseline leg, whose interval is shorter than the pre-statistics costing,
+// still in candidate selection. Every checkpoint over the skeleton backend
+// carries its skeleton section. The
 // uninterrupted run's own call count is pinned too (fullMax: what the
 // skeleton engine pays for the workload, and what it pays without
 // skeletons, report included), so a rise there cannot hide inside the
@@ -224,9 +227,19 @@ func TestCheckpointResume(t *testing.T) {
 				if full.WhatIfCalls > leg.fullMax {
 					t.Fatalf("uninterrupted run paid %d calls, was %d", full.WhatIfCalls, leg.fullMax)
 				}
+				_, alts := leg.srv(t).(AlternativesTuner)
+				if (ck != nil) != alts {
+					t.Fatalf("checkpoint emitted: %v; backend offers skeletons: %v", ck != nil, alts)
+				}
+				if ck == nil {
+					if resumed.WhatIfCalls != full.WhatIfCalls {
+						t.Fatalf("cold resume paid %d calls, the uninterrupted run %d", resumed.WhatIfCalls, full.WhatIfCalls)
+					}
+					return
+				}
 				every := int64(leg.every)
-				if want := (bump/every + 1) * every; ck.WhatIfCalls != want {
-					t.Fatalf("first checkpoint at call %d, want the first boundary after the epoch bump at %d: %d", ck.WhatIfCalls, bump, want)
+				if first := (bump/every + 1) * every; ck.WhatIfCalls%every != 0 || ck.WhatIfCalls < first || (par == 1 && ck.WhatIfCalls != first) {
+					t.Fatalf("first checkpoint at call %d, want a boundary from the first after the epoch bump at %d (%d; exactly it at P=1)", ck.WhatIfCalls, bump, first)
 				}
 				if ck.Phase == PhaseBaseline || ck.Phase == PhaseColGroups || (leg.baseline && ck.Phase != PhaseCandidates) {
 					t.Fatalf("first checkpoint fired in %s", ck.Phase)
@@ -234,16 +247,13 @@ func TestCheckpointResume(t *testing.T) {
 				if leg.baseline != (bump > every) {
 					t.Fatalf("interval %d against %d pre-statistics calls: the leg tests the wrong case", every, bump)
 				}
-				if _, alts := leg.srv(t).(AlternativesTuner); (ck.Skeletons != nil) != alts {
-					t.Fatalf("checkpoint in %s carries skeletons: %v", ck.Phase, ck.Skeletons != nil)
+				if ck.Skeletons == nil {
+					t.Fatalf("checkpoint in %s carries no skeletons", ck.Phase)
 				}
 				if pre != bump {
 					t.Fatalf("resumed session paid %d calls before its restore point, the uninterrupted run %d", pre, bump)
 				}
-				lo, hi := full.WhatIfCalls, full.WhatIfCalls
-				if ck.Skeletons != nil {
-					lo, hi = pre, full.WhatIfCalls-ck.WhatIfCalls+int64(par)+pre
-				}
+				lo, hi := pre, full.WhatIfCalls-ck.WhatIfCalls+int64(par)+pre
 				if resumed.WhatIfCalls < lo || resumed.WhatIfCalls > hi {
 					t.Fatalf("resumed session paid %d calls, want [%d, %d] (full %d, checkpoint at %d, %d before the restore point)",
 						resumed.WhatIfCalls, lo, hi, full.WhatIfCalls, ck.WhatIfCalls, pre)
@@ -256,7 +266,8 @@ func TestCheckpointResume(t *testing.T) {
 
 // checkpointResume tunes a workload uninterrupted at the given parallelism,
 // checkpointing every `every` calls, resumes a session on a fresh backend
-// from its first checkpoint (JSON round-tripped), and checks the
+// from its first checkpoint (JSON round-tripped; cold, and first nil, when
+// none was emitted), and checks the
 // scheduling-independent half of the contract: identical recommendation and
 // costs. bump and pre are the calls the uninterrupted and the resumed
 // session had paid on entering candidate selection, whose statistics pass
@@ -292,24 +303,22 @@ func checkpointResume(t *testing.T, srv func(testing.TB) Tuner, parallelism, eve
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first == nil {
-		t.Fatalf("no checkpoint emitted over %d what-if calls", full.WhatIfCalls)
-	}
-
 	// Round-trip through JSON exactly as the service's state files do;
 	// float costs must survive bit-exactly.
-	data, err := json.Marshal(first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var restored Checkpoint
-	if err := json.Unmarshal(data, &restored); err != nil {
-		t.Fatal(err)
+	var restored *Checkpoint
+	if first != nil {
+		data, err := json.Marshal(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, &restored); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Resume on a fresh server — the post-crash world: no statistics, cold
 	// caches, only the checkpoint file.
-	resumed, err = Tune(srv(t), w, Options{NoCompression: true, Resume: &restored, Derive: testDeriveMode(t), Parallelism: parallelism, Progress: atBump(&pre)})
+	resumed, err = Tune(srv(t), w, Options{NoCompression: true, Resume: restored, Derive: testDeriveMode(t), Parallelism: parallelism, Progress: atBump(&pre)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +329,7 @@ func checkpointResume(t *testing.T, srv func(testing.TB) Tuner, parallelism, eve
 		t.Fatalf("resumed costs differ: %.9f/%.9f vs %.9f/%.9f",
 			resumed.BaseCost, resumed.Cost, full.BaseCost, full.Cost)
 	}
-	return full, bump, &restored, resumed, pre
+	return full, bump, restored, resumed, pre
 }
 
 // TestDegradedSkipsReports verifies a degraded session behaves like a

@@ -578,15 +578,21 @@ func (r *FactRecord) writeCanonical(w *canonjson.Writer) {
 // Snapshot captures the engine's current-epoch state for persistence (the
 // engine holds no older facts: they could never answer a resolution at the
 // final epoch). Safe on nil (returns nil).
-func (e *Engine) Snapshot() *Snapshot { return e.Capture()() }
+func (e *Engine) Snapshot() *Snapshot {
+	_, build := e.Capture()
+	return build()
+}
 
 // Capture is Snapshot in two steps: under the engine's lock it only collects
 // the current epoch's ready facts (a fact is immutable once ready), and the
 // returned function builds the Snapshot from them without the lock, so
-// resolutions and fetches proceed meanwhile.
-func (e *Engine) Capture() func() *Snapshot {
+// resolutions and fetches proceed meanwhile. n is how many facts it
+// collected: within an epoch ready facts are only ever added (a failed
+// fetch leaves before its fact turns ready), so an equal n at a later
+// capture means the same facts.
+func (e *Engine) Capture() (n int, build func() *Snapshot) {
 	if e == nil {
-		return func() *Snapshot { return nil }
+		return 0, func() *Snapshot { return nil }
 	}
 	type held struct {
 		event int
@@ -604,7 +610,7 @@ func (e *Engine) Capture() func() *Snapshot {
 		}
 	}
 	e.mu.Unlock()
-	return func() *Snapshot {
+	return len(facts), func() *Snapshot {
 		s := &Snapshot{}
 		// The Structs table: every structure a fact's top names. Each was
 		// interned before its fact was published, so its ID is below Len.

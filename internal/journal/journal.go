@@ -18,12 +18,12 @@
 package journal
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -98,11 +98,14 @@ const (
 // Kinds lists every event kind in its canonical order (the order
 // WriteNDJSON groups nothing by — events are sequence-ordered — but the
 // order documentation and filters enumerate).
-func Kinds() []Kind {
-	return []Kind{KindPhase, KindQuery, KindCandidate, KindSeed, KindStep,
-		KindMerge, KindDrop, KindRetry, KindBreaker, KindStop,
-		KindRevise, KindDrift, KindDelta, KindFeedback}
-}
+func Kinds() []Kind { return slices.Clone(kinds[:]) }
+
+// kinds is Kinds' list; a record stores its kind as the index here.
+var kinds = [...]Kind{KindPhase, KindQuery, KindCandidate, KindSeed, KindStep,
+	KindMerge, KindDrop, KindRetry, KindBreaker, KindStop,
+	KindRevise, KindDrift, KindDelta, KindFeedback}
+
+const numKinds = len(kinds)
 
 // Event is one journal entry. Seq and T are stamped by Append; the rest
 // is set by the emit site. Query and Step always serialize (-1 = not
@@ -169,58 +172,91 @@ type Event struct {
 func Ev(kind Kind) Event { return Event{Kind: kind, Query: -1, Step: -1} }
 
 // DefaultPerKindLimit bounds each kind's ring. 16384 events/kind keeps a
-// whole session's decision history for every workload in this repo while
-// capping worst-case memory at a few MB per session however long a
-// stream of retries or candidate decisions runs.
+// whole session's decision history for every workload in this repo. At 88
+// bytes a record, the rings of all fourteen kinds hold at most about 20 MB
+// per journal however long a stream of retries or candidate decisions runs;
+// the string table and arena beside them stay within twice what the live
+// records name (see Journal), and the strings themselves are the keys and
+// texts the pipeline already holds.
 const DefaultPerKindLimit = 16384
 
-// ring is one kind's bounded buffer: once full, Append overwrites the
+// ring is one kind's bounded buffer: once full, an append overwrites the
 // oldest entry and counts the loss.
 type ring struct {
-	buf     []Event
+	buf     []record
 	next    int // index the next append writes (buf is full once wrapped)
 	full    bool
 	dropped int64
 }
 
-func (r *ring) append(e Event, limit int) {
-	if len(r.buf) < limit && !r.full {
-		r.buf = append(r.buf, e)
-		if len(r.buf) == limit {
-			r.next = 0
-			r.full = true
+// append adds r, reporting whether it overwrote an older record.
+func (g *ring) append(r record, limit int) bool {
+	if len(g.buf) < limit && !g.full {
+		g.buf = append(g.buf, r)
+		if len(g.buf) == limit {
+			g.next = 0
+			g.full = true
 		}
-		return
+		return false
 	}
 	// Full (or the limit shrank): overwrite the oldest slot.
-	if r.next >= len(r.buf) {
-		r.next = 0
+	if g.next >= len(g.buf) {
+		g.next = 0
 	}
-	r.buf[r.next] = e
-	r.next = (r.next + 1) % len(r.buf)
-	r.full = true
-	r.dropped++
+	g.buf[g.next] = r
+	g.next = (g.next + 1) % len(g.buf)
+	g.full = true
+	g.dropped++
+	return true
 }
 
 // Journal is one session's bounded decision-event stream. The zero
 // value is not usable; call New. All methods are safe for concurrent
 // use and safe on a nil receiver (a nil *Journal is "journaling off"),
 // so emit sites never need a guard.
+//
+// Events are stored as records (see record): fixed-width, pointer-free,
+// their strings IDs into the journal's string table and their key lists
+// spans of a uint32 arena. The public Event is rendered only when read.
+// Appending a buffer adds each of its strings that a record names to the
+// table once (no lookup: a key shared by two buffers takes two entries), so
+// without overwrites every entry is named by a live record. Overwritten
+// records free nothing, so once a ring has overwritten, the table and the
+// arena are rebuilt from the live records whenever either holds more than
+// twice what those records named at the last rebuild, plus compactSlack.
 type Journal struct {
 	name string
+	// created anchors record times: a record keeps its append time as a
+	// monotonic offset from it.
+	created time.Time
 
 	mu    sync.Mutex
 	seq   int64
 	limit int
-	rings map[Kind]*ring
+	rings [numKinds]ring
+	// strs is the string table; strs[0] is "".
+	strs  []string
+	arena []uint32
+	// liveStrs and liveArena are the table's and arena's sizes right
+	// after the last rebuild; overwrote reports a ring overwrite since.
+	liveStrs, liveArena int
+	overwrote           bool
+	// one is Append's single-event buffer; remap is AppendBuffer's
+	// buffer-to-journal ID scratch.
+	one   Buffer
+	remap []uint32
 
-	mEvents  map[Kind]*obs.Counter
-	mDropped map[Kind]*obs.Counter
+	mEvents  [numKinds]*obs.Counter
+	mDropped [numKinds]*obs.Counter
 }
+
+// compactSlack is how far the string table and the arena may grow past twice
+// their live size before a rebuild, so a small journal never rebuilds.
+const compactSlack = 256
 
 // New creates an empty journal. name labels exports (the session ID).
 func New(name string) *Journal {
-	return &Journal{name: name, limit: DefaultPerKindLimit, rings: map[Kind]*ring{}}
+	return &Journal{name: name, created: time.Now(), limit: DefaultPerKindLimit, strs: []string{""}}
 }
 
 // Name returns the label the journal was created with.
@@ -252,12 +288,11 @@ func (j *Journal) AttachMetrics(reg *obs.Registry) {
 	if j == nil || reg == nil {
 		return
 	}
-	mEvents := map[Kind]*obs.Counter{}
-	mDropped := map[Kind]*obs.Counter{}
-	for _, k := range Kinds() {
-		mEvents[k] = reg.Counter("dta_journal_events_total",
+	var mEvents, mDropped [numKinds]*obs.Counter
+	for c, k := range kinds {
+		mEvents[c] = reg.Counter("dta_journal_events_total",
 			"Decision-journal events appended, by event kind.", "kind", string(k))
-		mDropped[k] = reg.Counter("dta_journal_dropped_total",
+		mDropped[c] = reg.Counter("dta_journal_dropped_total",
 			"Decision-journal events overwritten by their kind's bounded ring.", "kind", string(k))
 	}
 	j.mu.Lock()
@@ -267,31 +302,148 @@ func (j *Journal) AttachMetrics(reg *obs.Registry) {
 }
 
 // Append stamps e with the next sequence number and the current time and
-// records it in its kind's ring. No-op on a nil journal.
+// records it in its kind's ring. It panics on a kind outside Kinds or a
+// scope other than ScopeQuery, ScopeEnumeration and "". No-op on a nil
+// journal.
 func (j *Journal) Append(e Event) {
 	if j == nil {
 		return
 	}
 	j.mu.Lock()
-	j.seq++
-	e.Seq = j.seq
-	e.T = time.Now().UTC()
-	r := j.rings[e.Kind]
-	if r == nil {
-		r = &ring{}
-		j.rings[e.Kind] = r
+	defer j.mu.Unlock()
+	j.one.Add(e)
+	j.appendLocked(&j.one)
+	j.one.Reset()
+}
+
+// AppendBuffer appends b's events in order, as Append would one by one,
+// but under one lock and one clock read: they share an append time. b is
+// left as it was; Reset it to reuse it. No-op on a nil journal.
+func (j *Journal) AppendBuffer(b *Buffer) {
+	if j == nil || b == nil || len(b.recs) == 0 {
+		return
 	}
-	before := r.dropped
-	r.append(e, j.limit)
-	mEvent, mDrop := j.mEvents[e.Kind], j.mDropped[e.Kind]
-	droppedNow := r.dropped > before
-	j.mu.Unlock()
-	if mEvent != nil {
-		mEvent.Inc()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.appendLocked(b)
+}
+
+// appendLocked moves b's records into the rings, mapping its local string
+// IDs into the journal's table and copying its blocks into the arena, then
+// rebuilds the table if it has outgrown its bound. j.mu must be held.
+func (j *Journal) appendLocked(b *Buffer) {
+	at := int64(time.Since(j.created))
+	// Grow the table and the arena once for the whole buffer.
+	j.strs, j.arena = slices.Grow(j.strs, len(b.strs)), slices.Grow(j.arena, len(b.arena))
+	remap := append(j.remap[:0], make([]uint32, len(b.strs)+1)...)
+	id := func(local uint32) uint32 {
+		if local == 0 {
+			return 0
+		}
+		if remap[local] == 0 {
+			remap[local] = j.intern(b.strs[local-1])
+		}
+		return remap[local]
 	}
-	if droppedNow && mDrop != nil {
-		mDrop.Inc()
+	for _, r := range b.recs {
+		j.seq++
+		r.seq, r.at = j.seq, at
+		j.place(&r, b.arena, id)
+		if j.rings[r.kind].append(r, j.limit) {
+			j.overwrote = true
+			if c := j.mDropped[r.kind]; c != nil {
+				c.Inc()
+			}
+		}
+		if c := j.mEvents[r.kind]; c != nil {
+			c.Inc()
+		}
 	}
+	j.remap = remap
+	if j.overwrote && (len(j.strs) > 2*j.liveStrs+compactSlack || len(j.arena) > 2*j.liveArena+compactSlack) {
+		j.compact()
+	}
+}
+
+// intern adds s to the journal's string table and returns its ID.
+func (j *Journal) intern(s string) uint32 {
+	j.strs = append(j.strs, s)
+	return uint32(len(j.strs) - 1)
+}
+
+// place maps r's string IDs through id and copies its block, if any, from
+// src into the journal's arena. j.mu must be held.
+func (j *Journal) place(r *record, src []uint32, id func(uint32) uint32) {
+	r.structure, r.runnerUp, r.text = id(r.structure), id(r.runnerUp), id(r.text)
+	switch {
+	case r.flags&flagParents != 0:
+		r.a, r.b = id(r.a), id(r.b)
+	case r.flags&flagBlock != 0:
+		start := len(j.arena)
+		j.arena = copyBlock(j.arena, src[r.a:r.a+r.b], id)
+		r.a, r.b = uint32(start), uint32(len(j.arena)-start)
+	}
+}
+
+// compact rebuilds the string table and the arena, at their exact sizes,
+// from the live records alone. It allocates new slices rather than editing
+// the old ones, which readers may still hold (see snapshot). j.mu must be
+// held.
+func (j *Journal) compact() {
+	// Number the strings the live records name, in record order, and count
+	// their blocks' words.
+	remap := make([]uint32, len(j.strs))
+	n, words := uint32(1), 0
+	mark := func(o uint32) {
+		if o != 0 && remap[o] == 0 {
+			remap[o] = n
+			n++
+		}
+	}
+	for k := range j.rings {
+		for i := range j.rings[k].buf {
+			r := &j.rings[k].buf[i]
+			r.eachID(j.arena, mark)
+			if r.flags&flagBlock != 0 {
+				words += int(r.b)
+			}
+		}
+	}
+	strs := make([]string, n)
+	for o, id := range remap {
+		if id != 0 {
+			strs[id] = j.strs[o]
+		}
+	}
+	oldArena := j.arena
+	j.strs, j.arena = strs, make([]uint32, 0, words)
+	id := func(o uint32) uint32 { return remap[o] }
+	for k := range j.rings {
+		for i := range j.rings[k].buf {
+			j.place(&j.rings[k].buf[i], oldArena, id)
+		}
+	}
+	j.liveStrs, j.liveArena, j.overwrote = len(j.strs), len(j.arena), false
+}
+
+// Trim releases the journal's spare capacity: every ring is cut to its
+// length, and the string table and arena are rebuilt at their exact sizes.
+// The service trims a session's journal when its job ends, so a finished
+// session's journal is retained at the size of what it holds. Appends after
+// it grow the journal as usual. No-op on a nil journal.
+func (j *Journal) Trim() {
+	if j == nil {
+		return
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for k := range j.rings {
+		if r := &j.rings[k]; cap(r.buf) > len(r.buf) {
+			r.buf = slices.Clone(r.buf)
+		}
+	}
+	j.remap = nil
+	j.compact()
 }
 
 // Reserve makes room for n more events of the kind (up to the ring's
@@ -302,13 +454,10 @@ func (j *Journal) Reserve(kind Kind, n int) {
 	if j == nil || n <= 0 {
 		return
 	}
+	c := kindCode(kind)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	r := j.rings[kind]
-	if r == nil {
-		r = &ring{}
-		j.rings[kind] = r
-	}
+	r := &j.rings[c]
 	if room := j.limit - len(r.buf); !r.full && room > 0 {
 		r.buf = slices.Grow(r.buf, min(n, room))
 	}
@@ -322,8 +471,8 @@ func (j *Journal) Len() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	n := 0
-	for _, r := range j.rings {
-		n += len(r.buf)
+	for k := range j.rings {
+		n += len(j.rings[k].buf)
 	}
 	return n
 }
@@ -336,8 +485,8 @@ func (j *Journal) Dropped() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	var n int64
-	for _, r := range j.rings {
-		n += r.dropped
+	for k := range j.rings {
+		n += j.rings[k].dropped
 	}
 	return n
 }
@@ -350,42 +499,63 @@ func (j *Journal) DroppedByKind() map[Kind]int64 {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := map[Kind]int64{}
-	for k, r := range j.rings {
-		if r.dropped > 0 {
-			out[k] = r.dropped
+	var out map[Kind]int64
+	for c := range j.rings {
+		if d := j.rings[c].dropped; d > 0 {
+			if out == nil {
+				out = map[Kind]int64{}
+			}
+			out[kinds[c]] = d
 		}
 	}
-	if len(out) == 0 {
-		return nil
-	}
 	return out
+}
+
+// snapshot copies the retained records of the kinds want admits (nil: all),
+// sequence-ordered, with the table and arena they name. The table and the
+// arena are only ever appended to or replaced whole, so the copies' prefixes
+// stay valid after the lock is released.
+func (j *Journal) snapshot(want func(Kind) bool) (recs []record, strs []string, arena []uint32) {
+	j.mu.Lock()
+	n := 0
+	for c := range j.rings {
+		if want == nil || want(kinds[c]) {
+			n += len(j.rings[c].buf)
+		}
+	}
+	if n > 0 {
+		recs = make([]record, 0, n)
+		for c := range j.rings {
+			if want == nil || want(kinds[c]) {
+				recs = append(recs, j.rings[c].buf...)
+			}
+		}
+	}
+	strs, arena = j.strs, j.arena
+	j.mu.Unlock()
+	slices.SortFunc(recs, func(a, b record) int { return cmp.Compare(a.seq, b.seq) })
+	return recs, strs, arena
 }
 
 // Events returns the retained events, sequence-ordered. With kinds given,
 // only those kinds are returned. The result is a copy; mutating it does
 // not affect the journal.
-func (j *Journal) Events(kinds ...Kind) []Event {
+func (j *Journal) Events(only ...Kind) []Event {
 	if j == nil {
 		return nil
 	}
-	var want map[Kind]bool
-	if len(kinds) > 0 {
-		want = map[Kind]bool{}
-		for _, k := range kinds {
-			want[k] = true
-		}
+	var want func(Kind) bool
+	if len(only) > 0 {
+		want = func(k Kind) bool { return slices.Contains(only, k) }
 	}
-	j.mu.Lock()
-	var out []Event
-	for k, r := range j.rings {
-		if want != nil && !want[k] {
-			continue
-		}
-		out = append(out, r.buf...)
+	recs, strs, arena := j.snapshot(want)
+	if len(recs) == 0 {
+		return nil
 	}
-	j.mu.Unlock()
-	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
+	out := make([]Event, len(recs))
+	for i := range recs {
+		out[i] = recs[i].event(strs, arena, j.created)
+	}
 	return out
 }
 
@@ -396,12 +566,14 @@ func (j *Journal) WriteNDJSON(w io.Writer, filter map[Kind]bool) error {
 	if j == nil {
 		return nil
 	}
+	var want func(Kind) bool
+	if filter != nil {
+		want = func(k Kind) bool { return filter[k] }
+	}
+	recs, strs, arena := j.snapshot(want)
 	enc := json.NewEncoder(w)
-	for _, e := range j.Events() {
-		if filter != nil && !filter[e.Kind] {
-			continue
-		}
-		if err := enc.Encode(e); err != nil {
+	for i := range recs {
+		if err := enc.Encode(recs[i].event(strs, arena, j.created)); err != nil {
 			return err
 		}
 	}

@@ -14,7 +14,7 @@
 // HTTP.
 //
 // Everything here is safe for concurrent use. Both halves are nil-tolerant:
-// a nil *Span no-ops on End/SetArg, and StartSpan on a context without a
+// a nil *Span no-ops on End and its argument setters, and StartSpan on a context without a
 // Trace returns a nil span, so instrumented code paths pay almost nothing
 // when observation is off.
 package obs

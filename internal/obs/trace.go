@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,7 +33,40 @@ type spanRecord struct {
 	cat, name  string
 	start      time.Time
 	dur        time.Duration
-	args       map[string]any
+	args       []spanArg
+}
+
+// spanArg is one typed span argument: an int, a float, a string or a bool,
+// by kind; n holds the bits of the first, second and fourth. The Chrome
+// export renders it; nothing is boxed before then.
+type spanArg struct {
+	key  string
+	s    string
+	n    uint64
+	kind argKind
+}
+
+type argKind uint8
+
+const (
+	argInt argKind = iota
+	argFloat
+	argString
+	argBool
+)
+
+// value returns the argument as the Chrome export's JSON renders it.
+func (a spanArg) value() any {
+	switch a.kind {
+	case argInt:
+		return int64(a.n)
+	case argFloat:
+		return math.Float64frombits(a.n)
+	case argString:
+		return a.s
+	default:
+		return a.n != 0
+	}
 }
 
 // DefaultSpanLimit bounds the spans kept per trace. At roughly a hundred
@@ -91,19 +125,49 @@ type Span struct {
 	id, parent int64
 	cat, name  string
 	start      time.Time
-	args       map[string]any
+	args       []spanArg
 }
 
-// SetArg attaches one key/value to the span (rendered in the trace viewer's
-// args pane). It returns the span for chaining and no-ops on nil.
-func (s *Span) SetArg(key string, v any) *Span {
+// SetInt attaches an integer argument to the span (rendered in the trace
+// viewer's args pane), replacing any argument of the same key. The setters
+// return the span for chaining and no-op on nil.
+func (s *Span) SetInt(key string, v int) *Span {
+	return s.set(spanArg{key: key, kind: argInt, n: uint64(v)})
+}
+
+// SetFloat attaches a float argument to the span.
+func (s *Span) SetFloat(key string, v float64) *Span {
+	return s.set(spanArg{key: key, kind: argFloat, n: math.Float64bits(v)})
+}
+
+// SetString attaches a string argument to the span.
+func (s *Span) SetString(key, v string) *Span {
+	return s.set(spanArg{key: key, kind: argString, s: v})
+}
+
+// SetBool attaches a boolean argument to the span.
+func (s *Span) SetBool(key string, v bool) *Span {
+	a := spanArg{key: key, kind: argBool}
+	if v {
+		a.n = 1
+	}
+	return s.set(a)
+}
+
+func (s *Span) set(a spanArg) *Span {
 	if s == nil {
 		return nil
 	}
-	if s.args == nil {
-		s.args = map[string]any{}
+	for i := range s.args {
+		if s.args[i].key == a.key {
+			s.args[i] = a
+			return s
+		}
 	}
-	s.args[key] = v
+	if s.args == nil {
+		s.args = make([]spanArg, 0, 2) // a what-if call's event and cost
+	}
+	s.args = append(s.args, a)
 	return s
 }
 
@@ -216,11 +280,9 @@ func (t *Trace) WriteChromeTrace(w io.Writer) error {
 			selfUs = 0 // clock skew between parent and child reads
 		}
 		selfBySite[r.cat+"/"+r.name] += selfUs
-		// Fresh args map per event: r.args is shared with the span record,
-		// and mutating it here would race with a concurrent export.
 		args := make(map[string]any, len(r.args)+2)
-		for k, v := range r.args {
-			args[k] = v
+		for _, a := range r.args {
+			args[a.key] = a.value()
 		}
 		args["selfUs"] = selfUs
 		if r.parent != 0 {

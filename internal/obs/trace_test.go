@@ -14,7 +14,7 @@ func TestSpanNesting(t *testing.T) {
 	ctx, root := StartSpan(ctx, "session", "session s-0001")
 	phaseCtx, phase := StartSpan(ctx, "phase", "candidate-selection")
 	_, call := StartSpan(phaseCtx, "whatif", "what-if")
-	call.SetArg("event", 3)
+	call.SetInt("event", 3)
 	call.End()
 	phase.End()
 	root.End()
@@ -36,7 +36,7 @@ func TestSpanNesting(t *testing.T) {
 	if byName["what-if"].parent != byName["candidate-selection"].id {
 		t.Fatal("what-if not parented to phase")
 	}
-	if byName["what-if"].args["event"] != 3 {
+	if args := byName["what-if"].args; len(args) != 1 || args[0].value() != int64(3) {
 		t.Fatalf("args = %v", byName["what-if"].args)
 	}
 }
@@ -46,7 +46,7 @@ func TestNilSpanAndNoTraceContext(t *testing.T) {
 	if sp != nil {
 		t.Fatal("expected nil span without a trace")
 	}
-	sp.SetArg("k", "v") // must not panic
+	sp.SetString("k", "v").SetInt("n", 1).SetFloat("f", 1).SetBool("b", true) // must not panic
 	sp.End()
 	if TraceFrom(ctx) != nil {
 		t.Fatal("trace appeared from nowhere")

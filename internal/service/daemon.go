@@ -528,7 +528,9 @@ func (m *Manager) retuneLocked(ctx context.Context, d *Daemon, b *Backend, trigg
 	var dist drift.Distribution // the template distribution of a fresh pass's pool
 	j := job{
 		kind: "re-tune", who: &d.tuned, name: "retune",
-		args: map[string]any{"trigger": trigger, "score": score, "path": path},
+		args: func(sp *obs.Span) {
+			sp.SetString("trigger", trigger).SetFloat("score", score).SetString("path", path)
+		},
 	}
 	switch path {
 	case PathRevise:

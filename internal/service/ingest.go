@@ -66,11 +66,11 @@ func (m *Manager) ingest(ctx context.Context, cat string, comp *workload.Compres
 		err = fmt.Errorf("service: trace contains no statements")
 	}
 	if err != nil {
-		sp.SetArg("error", err.Error()).End()
+		sp.SetString("error", err.Error()).End()
 		return events, bytes, err
 	}
-	sp.SetArg("events", events).SetArg("bytes", bytes).
-		SetArg("templates", comp.Templates()).SetArg("representatives", comp.Len()).End()
+	sp.SetInt("events", int(events)).SetInt("bytes", int(bytes)).
+		SetInt("templates", comp.Templates()).SetInt("representatives", comp.Len()).End()
 	return events, bytes, nil
 }
 

@@ -23,9 +23,9 @@ type job struct {
 	kind string
 	who  *tuned
 	// name is the root span's ("session s-0001", "retune"), in who's class
-	// as category; args are attached to it up front.
+	// as category; args, when set, attaches its arguments up front.
 	name string
-	args map[string]any
+	args func(*obs.Span)
 	// started, when set, is told that the job left the queue.
 	started func()
 	// opts are the prepared options handed to exec with the runner's
@@ -87,8 +87,8 @@ func (m *Manager) prepare(b *Backend, opts core.Options) core.Options {
 func (m *Manager) runJob(ctx context.Context, j job) outcome {
 	ctx = journal.WithContext(obs.WithTrace(ctx, j.who.trace), j.who.journal)
 	ctx, root := obs.StartSpan(ctx, j.who.class, j.name)
-	for k, v := range j.args {
-		root.SetArg(k, v)
+	if j.args != nil {
+		j.args(root)
 	}
 	out := outcome{state: StateCancelled}
 	_, queued := obs.StartSpan(ctx, j.who.class, "queued")
@@ -101,11 +101,17 @@ func (m *Manager) runJob(ctx context.Context, j job) outcome {
 		queued.End()
 	}
 	m.account(j, out)
-	root.SetArg("state", string(out.state))
+	root.SetString("state", string(out.state))
 	if out.rec != nil {
-		root.SetArg("whatIfCalls", out.rec.WhatIfCalls).SetArg("improvement", out.rec.Improvement)
+		root.SetInt("whatIfCalls", int(out.rec.WhatIfCalls)).SetFloat("improvement", out.rec.Improvement)
 	}
 	root.End()
+	// A session's journal is complete once its one job ends: keep it at the
+	// size of what it holds. A daemon's grows on through its re-tunes, which
+	// would only regrow a trimmed one.
+	if j.who.class == "session" {
+		j.who.journal.Trim()
+	}
 	return out
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // ReviseRequest is the JSON body of PATCH /sessions/{id}: the constraint
@@ -118,7 +119,9 @@ func (m *Manager) Revise(parentID string, req ReviseRequest) (*Session, error) {
 	go func() {
 		out := m.runJob(ctx, s.job(m, job{
 			kind: "revision",
-			args: map[string]any{"backend": b.Name, "revisedFrom": parent.id, "pool": pool.Fingerprint},
+			args: func(sp *obs.Span) {
+				sp.SetString("backend", b.Name).SetString("revisedFrom", parent.id).SetString("pool", pool.Fingerprint)
+			},
 			opts: m.prepare(b, core.Options{}),
 			exec: func(ctx context.Context, opts core.Options) (*core.Recommendation, error) {
 				return core.Revise(ctx, b.Tuner, pool, cons, opts)

@@ -311,8 +311,10 @@ func TestRevisionLinksParentPoolFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The parent's pool expires; its revisions' pools do not (the TTL is
-	// read when a pool is retained).
-	m.SetPoolRetention(time.Second)
+	// read when a pool is retained). Its TTL outlasts the test: the pool
+	// expires through ExpirePool once the revisions are checked, so no
+	// timer can remove the file while they run.
+	m.SetPoolRetention(time.Hour)
 	var stmts []workload.Statement
 	for _, e := range tpch.Workload().Events {
 		stmts = append(stmts, workload.Statement{SQL: e.SQL, Weight: e.Weight})
@@ -363,6 +365,7 @@ func TestRevisionLinksParentPoolFile(t *testing.T) {
 		t.Error("a vetoing revision shares its parent's pool file")
 	}
 
+	m.ExpirePool(ps)
 	deadline := time.Now().Add(30 * time.Second)
 	for ps.Pool() != nil && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)

@@ -17,6 +17,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/catalog"
@@ -392,7 +393,9 @@ type Manager struct {
 	daemons  directory[*Daemon]
 	// stateDir, when set via SetStateDir, holds the JSON state files of
 	// in-flight sessions, retained pools and daemons; see state.go.
-	stateDir string
+	// stateWrites counts the state files written.
+	stateDir    string
+	stateWrites atomic.Int64
 
 	// Lifecycle series, cached at construction so the job runner never takes
 	// registry locks. They are the only lifecycle counters: Metrics() (the
@@ -776,7 +779,7 @@ func (s *Session) job(m *Manager, j job) job {
 func (m *Manager) run(ctx context.Context, s *Session, b *Backend, w *workload.Workload, opts core.Options) {
 	out := m.runJob(ctx, s.job(m, job{
 		kind: "session",
-		args: map[string]any{"backend": b.Name, "events": w.Len()},
+		args: func(sp *obs.Span) { sp.SetString("backend", b.Name).SetInt("events", w.Len()) },
 		opts: opts,
 		exec: func(ctx context.Context, opts core.Options) (*core.Recommendation, error) {
 			return core.TuneContext(ctx, b.Tuner, w, opts)

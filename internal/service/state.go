@@ -104,6 +104,7 @@ func (m *Manager) writeStateFile(id, suffix string, v any) bool {
 		m.log.Warn("state file write", "file", id+suffix, "err", err)
 		return false
 	}
+	m.stateWrites.Add(1)
 	return true
 }
 
