@@ -78,9 +78,13 @@ func toyBackend(tb testing.TB, name string) (*whatif.Server, *workload.Workload,
 // a partitioned table — every per-event cost an incremental evaluation
 // carries or re-costs, and every weighted total it folds, is bit-identical
 // to a from-scratch evaluation of the same configuration on a fresh
-// evaluator, which also issues exactly as many real calls and derivations
-// and ends with a byte-identical cost cache. The dense form of every child
-// must equal the interned form of its materialized catalog configuration.
+// evaluator, which also issues exactly as many real calls and skeleton
+// fetches and ends with a byte-identical cost cache (the join events' — flat
+// events keep no entries). The incremental walk derives no more than the
+// from-scratch one: every flat evaluation is a replay, and the walk carries
+// the parent's cost of every event the child cannot change instead of
+// evaluating it. The dense form of every child must equal the interned form
+// of its materialized catalog configuration.
 func TestIncrementalCostsMatchFromScratch(t *testing.T) {
 	for _, name := range []string{"synt1", "tpch", "psoft"} {
 		t.Run(name, func(t *testing.T) {
@@ -152,8 +156,8 @@ func TestIncrementalCostsMatchFromScratch(t *testing.T) {
 				if !slices.Equal(got.c.ents, inc.config(got.c.catalog()).ents) {
 					t.Fatalf("step %d (%s): dense configuration differs from its catalog form", step, op)
 				}
-				if inc.tr.calls.Load() != ref.tr.calls.Load() || inc.drv.Derivations() != ref.drv.Derivations() || inc.drv.Atoms() != ref.drv.Atoms() {
-					t.Fatalf("step %d (%s): calls/derived/atoms %d/%d/%d incrementally, %d/%d/%d from scratch", step, op,
+				if inc.tr.calls.Load() != ref.tr.calls.Load() || inc.drv.Derivations() > ref.drv.Derivations() || inc.drv.Atoms() != ref.drv.Atoms() {
+					t.Fatalf("step %d (%s): calls/derived/atoms %d/%d/%d incrementally, %d/%d/%d from scratch (derived may only be fewer)", step, op,
 						inc.tr.calls.Load(), inc.drv.Derivations(), inc.drv.Atoms(), ref.tr.calls.Load(), ref.drv.Derivations(), ref.drv.Atoms())
 				}
 			}
@@ -323,7 +327,11 @@ func clusteredCandidate(cands []catalog.Structure, table string) *catalog.Struct
 // post-statistics BaseCost. Every fingerprint moved once more with the
 // costing format 4 bump, which drops the persisted cost cache: a pool's
 // costing section is its facts alone; calls, derived evaluations and
-// improvements did not move.
+// improvements did not move. The derived column moved alone when flat
+// (single-scope and DML) evaluations stopped taking a cost-cache entry:
+// every flat evaluation is now a replay and counted, where only a cache miss
+// was (375 → 521, 408 → 770, 22,918 → 42,178, 4,604 → 5,163, 4,280 →
+// 13,391); fingerprints, calls and improvements did not move.
 func TestSealedPoolFingerprintGolden(t *testing.T) {
 	type input func(testing.TB) (*whatif.Server, *workload.Workload, Options)
 	toy := func(name string, f FeatureMask) input {
@@ -342,19 +350,19 @@ func TestSealedPoolFingerprintGolden(t *testing.T) {
 	}{
 		{"parallel-workload", func(tb testing.TB) (*whatif.Server, *workload.Workload, Options) {
 			return testServer(tb), parallelWorkload(tb), Options{}
-		}, "29400e9aa05745fefe65ad4179f79a77939632a5161924e4fe37d964b2a09f42", 36, 375, 0.9007869434316275},
+		}, "29400e9aa05745fefe65ad4179f79a77939632a5161924e4fe37d964b2a09f42", 36, 521, 0.9007869434316275},
 		{"aligned-with-drops", func(tb testing.TB) (*whatif.Server, *workload.Workload, Options) {
 			return reviseServer(tb), reviseWorkload(tb), Options{
 				Features: FeatureIndexes | FeaturePartitioning, BaseConfig: reviseBase(),
 				AllowDrops: true, StorageBudget: 64 << 20, Aligned: true,
 			}
-		}, "bb7261bd1e38cb75c613bf6522ac64bf515b53ccfcbbe24484307f39afc05951", 45, 408, 0.6956985672804847},
+		}, "bb7261bd1e38cb75c613bf6522ac64bf515b53ccfcbbe24484307f39afc05951", 45, 770, 0.6956985672804847},
 		{"toy-synt1", toy("synt1", FeatureIndexes),
-			"9a0713aa885c80ec92e164ed5a862bce89aa6639ab7fea6f64fc3afdc8b59d30", 354, 22918, 0.9005581123088328},
+			"9a0713aa885c80ec92e164ed5a862bce89aa6639ab7fea6f64fc3afdc8b59d30", 354, 42178, 0.9005581123088328},
 		{"toy-tpch", toy("tpch", FeatureAll),
-			"9c1534791057b60e3037bb7e84743da7e69bd25fa40bf69d74ae4c94b9f84c8b", 171, 4604, 0.6840020359076524},
+			"9c1534791057b60e3037bb7e84743da7e69bd25fa40bf69d74ae4c94b9f84c8b", 171, 5163, 0.6840020359076524},
 		{"toy-psoft", toy("psoft", FeatureAll),
-			"6748a7eed30fceb4213fb0e03c4fdf8e11c340ae25538183ce164bab63398cdf", 1100, 4280, 0.5558741812917586},
+			"6748a7eed30fceb4213fb0e03c4fdf8e11c340ae25538183ce164bab63398cdf", 1100, 13391, 0.5558741812917586},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			srv, w, opts := c.in(t)
@@ -378,9 +386,10 @@ func TestSealedPoolFingerprintGolden(t *testing.T) {
 	}
 }
 
-// TestCacheHitAllocatesNothing: an evaluation served from the cost cache —
-// the search's innermost operation — takes one read lock and allocates
-// nothing, metrics attached.
+// TestCacheHitAllocatesNothing: a repeated evaluation — the search's
+// innermost operation — allocates nothing, metrics attached: a join event's
+// is served from the cost cache under one read lock, a flat event's is
+// replayed from its ready fact.
 func TestCacheHitAllocatesNothing(t *testing.T) {
 	w := parallelWorkload(t)
 	ev := newEvaluator(testServer(t), w, "", newTracker(context.Background(), Options{Metrics: obs.NewRegistry()}.withDefaults(), time.Now()))

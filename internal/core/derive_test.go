@@ -51,8 +51,10 @@ type realCallTuner struct{ Tuner }
 // partitioning, so composed join-skeleton replay is exercised) and the toy
 // PSOFT database with every feature (INSERT/UPDATE/DELETE beside reads, so
 // maintenance-skeleton replay is exercised). For each input every leg must
-// produce the identical recommendation; within a leg
-// the what-if call count must not depend on parallelism (on TPC-H only the
+// produce the identical recommendation; within a leg neither
+// the what-if call count nor the derived-evaluation count (every flat
+// evaluation is a replay, every join one a cache miss's) may depend on
+// parallelism (on TPC-H only the
 // derive-on leg runs at both levels there and on PSOFT: the oracle and verify
 // legs pay a real call per evaluation and dominate the test's run time);
 // derivation must actually cut calls; on TPC-H the fallbacks must be split by
@@ -130,6 +132,9 @@ func TestDeriveModeEquivalence(t *testing.T) {
 			for _, name := range []string{oracle, "on", "verify"} {
 				if p4, ok := calls[id(name, 4)]; ok && calls[id(name, 1)] != p4 {
 					t.Errorf("%s: WhatIfCalls depends on parallelism: P1=%d P4=%d", name, calls[id(name, 1)], p4)
+				}
+				if p4, ok := derived[id(name, 4)]; ok && derived[id(name, 1)] != p4 {
+					t.Errorf("%s: DerivedEvals depends on parallelism: P1=%d P4=%d", name, derived[id(name, 1)], p4)
 				}
 			}
 			if calls[id("on", 1)] >= calls[id(oracle, 1)] {
@@ -630,6 +635,51 @@ func TestDeriveFallbackProducersThroughEvaluator(t *testing.T) {
 		}
 		if f.plain.Load() != 0 {
 			t.Fatalf("%s: backend served %d plain calls; a failed skeleton fetch must not be re-issued as one", name, f.plain.Load())
+		}
+	}
+}
+
+// TestCoveringReplayExact is the property the engine's settled index rests
+// on, run as Verify mode runs it: at every derived evaluation of a full tune
+// — toy SYNT1, TPC-H and PSOFT with every feature, at parallelism 1 and 4 —
+// every ready fact of the event that covers the evaluation's key replays the
+// derived cost bit for bit (derive.Engine.CheckCovering), so whichever fact
+// answers a request, the cost is the same. The check must actually compare
+// facts beyond the one that answered, and the recommendation must equal the
+// derive-on one.
+func TestCoveringReplayExact(t *testing.T) {
+	for _, name := range []string{"synt1", "tpch", "psoft"} {
+		for _, par := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/P%d", name, par), func(t *testing.T) {
+				var prints [2]string
+				var cover, bad float64
+				var derived int64
+				for leg, mode := range []derive.Mode{derive.On, derive.Verify} {
+					srv, w, base := toyBackend(t, name)
+					reg := obs.NewRegistry()
+					rec, err := Tune(srv, w, Options{Features: FeatureAll, BaseConfig: base, Parallelism: par, Derive: mode, Metrics: reg})
+					if err != nil {
+						t.Fatalf("%s: %v", mode, err)
+					}
+					prints[leg], derived = planFingerprint(rec), rec.DerivedEvals
+					const help = "Verify-mode cross-checks of derived costs against real optimizer calls."
+					cover = reg.Counter("dta_derive_verify_total", help, "result", "cover").Value()
+					bad = reg.Counter("dta_derive_verify_total", help, "result", "mismatch").Value()
+				}
+				if bad != 0 {
+					t.Fatalf("%v covering-fact or real-call mismatches", bad)
+				}
+				// Each derived evaluation's own fact covers its key; only
+				// more agreeing facts than evaluations show that other
+				// covering facts were compared.
+				if cover <= float64(derived) {
+					t.Fatalf("%v covering facts cross-checked over %d derived evaluations: no fact beyond the answering one was compared", cover, derived)
+				}
+				if prints[0] != prints[1] {
+					t.Fatalf("verify-mode recommendation drifts from derive-on:\n%s\n%s", prints[0], prints[1])
+				}
+				t.Logf("%v covering facts cross-checked over %d derived evaluations", cover, derived)
+			})
 		}
 	}
 }

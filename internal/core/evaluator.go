@@ -16,11 +16,19 @@ import (
 	"repro/internal/workload"
 )
 
-// evaluator computes workload costs under configurations, caching per-event
-// costs keyed by the subset of configuration structures that can possibly
-// affect the event. Two configurations differing only in structures
-// irrelevant to an event share the event's cached cost, which is what makes
-// Greedy(m,k) over thousands of configurations affordable.
+// evaluator computes workload costs under configurations, keyed per event by
+// the subset of configuration structures that can possibly affect the event.
+// Two configurations differing only in structures irrelevant to an event
+// share the event's cost, which is what makes Greedy(m,k) over thousands of
+// configurations affordable.
+//
+// With a derivation engine, a flat event — a single-scope SELECT, or an
+// INSERT, UPDATE or DELETE — takes no memo: its replay costs less than a
+// cache entry would, so every evaluation goes straight to the engine, whose
+// fact store is the single-flight layer (see derive.Engine.Resolve), and a
+// later phase reuses an earlier one's facts through the barrier setQueryPools
+// sets. A join event, and every event over a skeleton-less backend, keeps a
+// per-event cost cache (costTable).
 //
 // Everything on the search's hot path is dense: every structure is interned
 // to a small integer ID (the interner is shared with the derivation engine)
@@ -33,8 +41,9 @@ import (
 //
 // The cache is concurrency-safe and single-flight: when several pool
 // workers ask for the same key, the first becomes the leader and issues the
-// one optimizer call while the rest wait on the entry's ready channel — so
-// the what-if call count of a run is independent of its parallelism. The
+// one optimizer call (or join replay) while the rest wait on the entry's
+// ready channel — so, as with the engine's facts, the what-if call count of a
+// run is independent of its parallelism. The
 // immutable per-event analysis (eventInfo) is precomputed at construction
 // and only read afterwards.
 type evaluator struct {
@@ -55,7 +64,9 @@ type evaluator struct {
 	tableEvents map[string][]int
 	words       int
 
-	// tables holds one cost table per event.
+	// tables holds one cost table per event: the cache of a join event, or
+	// of any event without an engine, and every event's additive pool
+	// subset.
 	tables []costTable
 
 	// tr carries the session's cancellation signal, progress accounting,
@@ -64,11 +75,11 @@ type evaluator struct {
 	tr *tracker
 
 	// drv is the session's cost-derivation engine, present iff the backend
-	// returns plan skeletons (AlternativesTuner): cache-miss leaders resolve
-	// every cost through it, and it fetches the skeletons it needs with
-	// real calls of its own. Over a skeleton-less backend it is nil and
-	// every miss is a plain real call — the oracle derivation is tested
-	// against.
+	// returns plan skeletons (AlternativesTuner): flat evaluations and
+	// join cache-miss leaders resolve every cost through it, and it fetches
+	// the skeletons it needs with real calls of its own. Over a
+	// skeleton-less backend it is nil and every miss is a plain real call —
+	// the oracle derivation is tested against.
 	drv *derive.Engine
 
 	// weights, when non-nil, overrides each event's workload weight in the
@@ -81,6 +92,10 @@ type evaluator struct {
 
 	// Cache-behaviour counters (newEvaluator caches the registry series once
 	// so the hot path never takes registry locks); all nil without metrics.
+	// mDerived counts evaluations answered by replay: no optimizer call
+	// happened for them, so neither the tracker's call accounting nor the
+	// circuit breaker hears about them (the skeleton fetch behind one
+	// accounted for itself).
 	mHits, mMisses, mCoalesced, mDerived *obs.Counter
 }
 
@@ -243,7 +258,7 @@ func newEvaluator(t Tuner, w *workload.Workload, mode derive.Mode, tr *tracker) 
 	}
 	tr.drv = ev.drv
 	if reg := tr.metrics; reg != nil {
-		const help = "What-if cost cache behaviour: served hits, leader misses (one optimizer call each), waits coalesced onto another worker's in-flight call, and misses answered by cost derivation (no optimizer call)."
+		const help = "What-if cost evaluations by outcome: served cache hits, real optimizer calls (misses), waits coalesced onto another worker's in-flight entry, and evaluations answered by skeleton replay (derived: every single-scope or DML evaluation, and every join cache miss, with a derivation engine)."
 		ev.mHits = reg.Counter("dta_cost_cache_requests_total", help, "outcome", "hit")
 		ev.mMisses = reg.Counter("dta_cost_cache_requests_total", help, "outcome", "miss")
 		ev.mCoalesced = reg.Counter("dta_cost_cache_requests_total", help, "outcome", "coalesced")
@@ -486,11 +501,12 @@ func (ev *evaluator) extend(p *config, s catalog.Structure, x *structInfo, align
 	return &config{ents: sortEnts(ents), from: p, add: s, aligned: aligned}, true
 }
 
-// costTable is one event's slice of the cost cache: entries keyed by the
-// hash of their ID-set key, collisions chained, under mu. It also holds the
-// event's additive pool subset for derivation (setQueryPools) and the
-// entries of the previous statistics epoch (stale, see bumpEpoch), both
-// written only between parallel sections.
+// costTable is one event's slice of the cost cache — a join event's, or any
+// event's without an engine: entries keyed by the hash of their ID-set key,
+// collisions chained, under mu. It also holds the event's additive pool
+// subset for derivation (setQueryPools) and, without an engine, the entries
+// of the previous statistics epoch (stale, see bumpEpoch), both written only
+// between parallel sections.
 type costTable struct {
 	mu       sync.RWMutex
 	entries  map[uint64]*cacheEntry
@@ -562,11 +578,12 @@ func (t *costTable) drop(h uint64, ce *cacheEntry) {
 
 // eval evaluates event i under configuration c — the evaluator's one
 // evaluation entry: every search, costing, report, and checkpoint path
-// reads per-event costs through it. span parents the what-if spans a miss
-// opens (nil: the tracker's phase span). A cache hit takes one read lock
-// and allocates nothing.
+// reads per-event costs through it. span parents the what-if spans a fetch
+// or miss opens (nil: the tracker's phase span). A flat evaluation against a
+// ready fact, and a cache hit, allocate nothing.
 func (ev *evaluator) eval(i int, c *config, span context.Context) (float64, error) {
-	if ev.infos[i].q == nil {
+	q := ev.infos[i].q
+	if q == nil {
 		// The statement does not resolve against the catalog (e.g. it
 		// references objects of a database not being tuned); it is skipped
 		// rather than failing the whole tuning session.
@@ -574,6 +591,9 @@ func (ev *evaluator) eval(i int, c *config, span context.Context) (float64, erro
 	}
 	var buf [64]int32
 	ids := c.key(i, buf[:0])
+	if ev.drv != nil && len(q.Scopes) <= 1 {
+		return ev.derived(i, c, ids, span)
+	}
 	h := derive.HashIDs(ids)
 	t := &ev.tables[i]
 	t.mu.RLock()
@@ -597,6 +617,48 @@ func (ev *evaluator) eval(i int, c *config, span context.Context) (float64, erro
 	return ce.cost, ce.err
 }
 
+// derived costs event i under c, whose structures relevant to it are ids,
+// through the engine: the flat path of every single-scope or DML
+// evaluation, which takes no cost-cache entry (the engine's fact store
+// single-flights the fetch behind it, and the replay is cheaper than a memo
+// of its answer), and a join cache-miss leader's. A stopped session answers
+// from facts alone (see halted). A failed skeleton fetch fails the
+// evaluation as it is: its retries were the whole load the failure may put
+// on the backend.
+func (ev *evaluator) derived(i int, c *config, ids []int32, span context.Context) (float64, error) {
+	cost, ok, err := ev.halted(i, ids)
+	if !ok && err == nil {
+		if cost, err = ev.resolve(i, ids, span); err == nil {
+			err = ev.verifyDerived(i, c, ids, cost)
+		}
+	}
+	if err != nil {
+		return 0, err
+	}
+	ev.count(ev.mDerived)
+	return cost, nil
+}
+
+// halted answers an evaluation of a cancelled or degraded session from the
+// engine's facts alone (derive.Engine.Lookup: a ready current-epoch fact
+// covering ids, else one of the previous statistics epoch), so its
+// best-so-far result is measured without loading a backend it has given up
+// on. A stopped session that finds none gets errStopped. In finishing mode,
+// which must cost the final configuration, a cancelled or degraded session
+// tries the lookup first and otherwise (ok false, no error) goes on to
+// fetch. A running session is never answered here.
+func (ev *evaluator) halted(i int, ids []int32) (cost float64, ok bool, err error) {
+	tr := ev.tr
+	stopped := tr.ctxStopped()
+	if !stopped && !(tr.finishing && tr.halted()) {
+		return 0, false, nil
+	}
+	if cost, ok = ev.drv.Lookup(i, ids); ok || !stopped {
+		return cost, ok, nil
+	}
+	return 0, false, errStopped
+}
+
 // miss is the cache-miss leader's path: this goroutine owns the entry and
 // issues the one call (or derivation) behind it.
 func (ev *evaluator) miss(i int, c *config, h uint64, ce *cacheEntry, span context.Context) (float64, error) {
@@ -606,35 +668,25 @@ func (ev *evaluator) miss(i int, c *config, h uint64, ce *cacheEntry, span conte
 		close(ce.ready)
 		return 0, err
 	}
-	if ev.tr.ctxStopped() {
-		// A cancelled or degraded session's best-so-far result is measured
-		// with a cost of the previous statistics epoch where it has one.
-		if old := find(ev.tables[i].stale, h, ce.ids); old != nil && old.err == nil {
-			ce.cost = old.cost
-			close(ce.ready)
-			return ce.cost, nil
-		}
-		return fail(errStopped)
-	}
 	var cost float64
 	var err error
-	if ev.drv == nil {
+	if ev.drv != nil {
+		cost, err = ev.derived(i, c, ce.ids, span)
+	} else if ev.tr.ctxStopped() {
+		// A skeleton-less backend's cancelled or degraded session measures
+		// its best-so-far result with a cost of the previous statistics
+		// epoch where it has one.
+		old := find(ev.tables[i].stale, h, ce.ids)
+		if old == nil || old.err != nil {
+			return fail(errStopped)
+		}
+		cost = old.cost
+	} else {
 		// A skeleton-less backend: the miss is one plain real call.
 		cost, _, _, err = ev.realCall(i, c.catalog(), false, span)
-	} else if cost, err = ev.resolve(i, ce.ids, span); err == nil {
-		err = ev.verifyDerived(i, c, cost)
 	}
 	if err != nil {
-		// A failed skeleton fetch fails the evaluation as it is: its retries
-		// were the whole load the failure may put on the backend.
 		return fail(err)
-	}
-	if ev.drv != nil {
-		// A derived answer is a fourth cache outcome: no optimizer call
-		// happened for it, so neither the tracker's call accounting nor the
-		// circuit breaker hears about it (the skeleton fetch behind it
-		// accounted for itself).
-		ev.count(ev.mDerived)
 	}
 	ce.cost = cost
 	close(ce.ready)
@@ -652,10 +704,10 @@ func (ev *evaluator) resolve(i int, ids []int32, span context.Context) (float64,
 }
 
 // used returns the keys of the structures event i's plan uses under c, for
-// the per-query report, which evaluates c first: replayed from the
-// current-epoch fact that cost was resolved from, which covers the event's
-// cost-cache key, or, over a skeleton-less backend, from one accounted real
-// call. (Only a cancelled or degraded session holds costs of an older
+// the per-query report, which evaluates c first: replayed from a
+// current-epoch fact that covers the event's key (the one that cost was
+// resolved from does), or, over a skeleton-less backend, from one accounted
+// real call. (Only a cancelled or degraded session reads costs of an older
 // epoch, and it writes no report.)
 func (ev *evaluator) used(i int, c *config) ([]string, error) {
 	if ev.infos[i].q == nil {
@@ -710,11 +762,15 @@ func (ev *evaluator) realCall(i int, cfg *catalog.Configuration, wantAlts bool, 
 // every event the same pool. Each event's subset is computed here, so the
 // advisor must call it at a deterministic phase boundary, between parallel
 // sections: that keeps every top, and hence the set of real calls issued,
-// independent of scheduling. A no-op without an engine.
+// independent of scheduling. It is also the engine's phase barrier
+// (derive.Engine.Settle): every fact ready now may answer any later request
+// it covers, so a later phase reuses what an earlier one computed. A no-op
+// without an engine.
 func (ev *evaluator) setQueryPools(pools [][]*structInfo) {
 	if ev.drv == nil {
 		return
 	}
+	ev.drv.Settle()
 	for i := range ev.tables {
 		t := &ev.tables[i]
 		t.additive = nil
@@ -752,30 +808,40 @@ func (ev *evaluator) sharedPools(cands []derive.Keyed) [][]*structInfo {
 	return pools
 }
 
-// bumpEpoch scopes costing to new statistics: the engine drops its
-// skeletons and the cost cache empties, so every later cost — the baseline
-// included — shares the recommendation's statistics. The old entries stay
-// as stale, read only by a session that stops before re-costing them (see
-// miss). Called between parallel sections.
+// bumpEpoch scopes costing to new statistics: the engine starts a new
+// skeleton scope and the cost cache empties, so every later cost — the
+// baseline included — shares the recommendation's statistics. A session
+// that stops before re-costing an evaluation reads the old epoch's facts
+// from the engine (see halted); without an engine, the old entries stay as
+// stale for it (see miss). Called between parallel sections.
 func (ev *evaluator) bumpEpoch() {
 	ev.drv.BumpEpoch()
 	for i := range ev.tables {
 		t := &ev.tables[i]
-		t.stale, t.entries = t.entries, nil
+		if ev.drv == nil {
+			t.stale = t.entries
+		}
+		t.entries = nil
 	}
 }
 
-// verifyDerived cross-checks a derived cost against a real optimizer call
-// (Mode Verify only). The cross-check call runs under the session's retry
-// policy but outside its what-if accounting: it is diagnostic load, not
-// part of producing the recommendation, so the tracker and the circuit
-// breaker stay untouched — dta_derive_verify_total records it. A
-// cross-check the backend cannot answer (faults exhausted retries) is
-// counted and skipped; a cost divergence beyond derive.VerifyTolerance
-// fails the evaluation.
-func (ev *evaluator) verifyDerived(i int, c *config, cost float64) error {
+// verifyDerived cross-checks a derived cost of event i under c, whose key is
+// ids (Mode Verify only): first against every other ready fact covering the
+// key, bit for bit (derive.Engine.CheckCovering: the settled index answers
+// from any of them), then against a real optimizer call. The cross-check
+// call runs under the session's retry policy but outside its what-if
+// accounting: it is diagnostic load, not part of producing the
+// recommendation, so the tracker and the circuit breaker stay untouched —
+// dta_derive_verify_total records it. A cross-check the backend cannot
+// answer (faults exhausted retries) is counted and skipped; a covering fact
+// that disagrees, or a cost divergence beyond derive.VerifyTolerance, fails
+// the evaluation.
+func (ev *evaluator) verifyDerived(i int, c *config, ids []int32, cost float64) error {
 	if ev.drv.Mode() != derive.Verify {
 		return nil
+	}
+	if _, err := ev.drv.CheckCovering(i, ids, cost); err != nil {
+		return err
 	}
 	tr := ev.tr
 	real, err := fault.Do(tr.ctx, tr.retryPolicy(), func() (float64, error) {

@@ -394,6 +394,13 @@ func (tr *tracker) ctxStopped() bool {
 	return false
 }
 
+// halted reports whether the session was cancelled or degraded, finishing
+// mode or not: the finishing stage still costs a stopped session's final
+// configuration, and asks this to prefer facts it already holds.
+func (tr *tracker) halted() bool {
+	return tr.cancelled.Load() || tr.degraded.Load() || tr.ctx.Err() != nil
+}
+
 // stopped reports whether the search should stop: context cancelled or time
 // budget exhausted. Checked between search steps (and by every pool worker
 // before it starts a candidate).

@@ -16,8 +16,11 @@
 //
 //  1. compute the top of S;
 //  2. look up the top's skeleton in the current (event, statistics epoch,
-//     base part) scope — or, when a revision or a resumed session restored
-//     persisted facts into it, any restored fact whose top holds S;
+//     base part) scope — or any settled fact of the scope whose top holds S:
+//     a fact that was ready at the last phase barrier (Settle), or one a
+//     revision or a resumed session restored. A ready fact of the running
+//     phase answers only its own top, so which requests fetch never depends
+//     on which worker's fetch finished first;
 //  3. if both are absent, fetch it with one accounted real alternatives call,
 //     issued by the engine itself through the caller's Fetch and
 //     single-flighted per (scope, top) — an atom, counted by event shape;
@@ -34,12 +37,17 @@
 // So one atomic call per (event, pool, epoch, base part) answers every
 // configuration the search explores, a fetch is always issued at the current
 // statistics epoch (BumpEpoch simply starts a new scope), and the engine
-// never re-enters the caller's cost cache. INSERT, UPDATE and DELETE events
-// take the same path: their skeleton (optimizer.Maintenance) is the fixed
-// write cost, the access alternatives locating the affected rows, and one
-// maintenance term per index or view over the target table, each gated by
-// its structure and summed in ascending key order exactly as the optimizer
-// sums them. The engine is a fact store plus replay, and nothing else costs
+// never re-enters the caller's cost cache. The fact store is itself a
+// single-flight layer: the evaluator sends a single-scope or DML evaluation
+// straight to Resolve, with no memo of its own, and a later phase reuses an
+// earlier phase's facts through the settled index, as a cost cache would
+// reuse its entries. A stopped session reads facts alone (Lookup): a ready
+// one of the current epoch, else one of the previous epoch, never a fetch.
+// INSERT, UPDATE and DELETE events take the same path: their skeleton
+// (optimizer.Maintenance) is the fixed write cost, the access alternatives
+// locating the affected rows, and one maintenance term per index or view
+// over the target table, each gated by its structure and summed in
+// ascending key order exactly as the optimizer sums them. The engine is a fact store plus replay, and nothing else costs
 // an event: a failed fetch is the resolution's error, returned to the
 // resolver that issued it and to every resolver waiting on the same fact,
 // and a skeleton that offers no selectable alternative is a backend bug,
@@ -55,11 +63,12 @@
 // cache key and its additive pool subset (which the evaluator precomputes
 // from its relevance bitsets) as ID sets, and tops are ID sets. A skeleton
 // names the structures its alternatives need in its gate table
-// (optimizer.Alternatives.Gates); the table is resolved to IDs once, when
-// the fact becomes ready (fetched or restored), into a slice in the table's
-// order, so a replay fills each gate's availability with one binary search
-// of the configuration into a stack buffer — no string, no map, no interner
-// lock — and the skeleton replays over it by position. The skeleton's
+// (optimizer.Alternatives.Gates); the table is resolved to positions in the
+// top once, when the fact becomes ready (fetched or restored), into a slice
+// in the table's order, so a replay marks the top positions the
+// configuration holds with one merge and fills each gate's availability
+// from the marks into a stack buffer — no string, no map, no interner lock —
+// and the skeleton replays over it by position. The skeleton's
 // replay form is compiled at the same moment, so facts shared across
 // workers are read-only once published. The engine keeps
 // no structures of its own: the interner records each one, a top's
@@ -71,6 +80,7 @@ package derive
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -143,25 +153,26 @@ type fact struct {
 	top   []int32 // the top's IDs, ascending
 	base  []int32 // the top's base-part IDs, ascending
 	alts  *optimizer.Alternatives
-	// gateIDs holds the ID of each entry of alts' gate table, in its order,
-	// or -1 for a gate outside the top: no subset of the top can satisfy
-	// it. Immutable once ready closes.
-	gateIDs []int32
-	err     error
+	// gates holds, for each entry of alts' gate table in its order, the
+	// position in top of the structure it names, or -1 for a gate outside
+	// the top: no subset of the top can satisfy it. Immutable once ready
+	// closes.
+	gates []int32
+	err   error
 }
 
 // compile resolves the fact's skeleton gate table (Alternatives.Gates: the
 // structures its single-scope components, join alternatives, probes and
-// views, or DML access paths and maintenance terms are gated by) to IDs, in
-// the table's order, and collects the top's base part, under one interner
-// read lock; the skeleton's replay form is compiled before the lock is
-// taken. Called before the fact is published.
+// views, or DML access paths and maintenance terms are gated by) to
+// positions in the top, in the table's order, and collects the top's base
+// part, under one interner read lock; the skeleton's replay form is compiled
+// before the lock is taken. Called before the fact is published.
 func (e *Engine) compile(f *fact) {
 	if f.alts == nil {
 		return
 	}
 	gates := f.alts.Gates()
-	f.gateIDs = make([]int32, len(gates))
+	f.gates = make([]int32, len(gates))
 	e.in.mu.RLock()
 	defer e.in.mu.RUnlock()
 	for _, id := range f.top {
@@ -170,18 +181,18 @@ func (e *Engine) compile(f *fact) {
 		}
 	}
 	for i, key := range gates {
-		f.gateIDs[i] = -1
+		f.gates[i] = -1
 		if id, ok := e.in.ids[key]; ok {
-			if _, in := slices.BinarySearch(f.top, id); in {
-				f.gateIDs[i] = id
+			if p, in := slices.BinarySearch(f.top, id); in {
+				f.gates[i] = int32(p)
 			}
 		}
 	}
 }
 
-// Stack buffer sizes: Resolve builds a top, and a replay its gates'
-// availability, in a fixed array on the stack; a larger one spills to the
-// heap.
+// Stack buffer sizes: Resolve builds a top, and a replay its marks over the
+// top and its gates' availability, in a fixed array on the stack; a larger
+// one spills to the heap.
 const (
 	maxStackTop   = 128
 	maxStackGates = 64
@@ -189,17 +200,27 @@ const (
 
 // replay replays the fact's skeleton for rel (ascending IDs, a subset of
 // the fact's top), storing the plan's used structures in *used when used is
-// non-nil: each gate is available when rel holds its structure, one binary
-// search per gate.
+// non-nil: one merge of rel into the top marks the top positions rel holds,
+// and each gate is available when its position is marked.
 func (f *fact) replay(rel []int32, used *[]string) (float64, bool) {
+	var held [maxStackTop]bool
+	in := held[:]
+	if len(f.top) > len(in) {
+		in = make([]bool, len(f.top))
+	}
+	p := 0
+	for _, id := range rel {
+		for p < len(f.top) && f.top[p] < id {
+			p++
+		}
+		if p < len(f.top) && f.top[p] == id {
+			in[p] = true
+		}
+	}
 	var buf [maxStackGates]bool
 	avail := buf[:0]
-	for _, id := range f.gateIDs {
-		in := false
-		if id >= 0 {
-			_, in = slices.BinarySearch(rel, id)
-		}
-		avail = append(avail, in)
+	for _, pos := range f.gates {
+		avail = append(avail, pos >= 0 && in[pos])
 	}
 	return f.alts.Replay(avail, used)
 }
@@ -222,9 +243,9 @@ func subset(a, b []int32) bool {
 }
 
 // scope addresses the facts of one event and ID set: a top (an index of
-// every fact) or a base part (the index of restored facts). hash is the
-// hash of the IDs (HashIDs); a lookup compares the full set, so colliding
-// sets are told apart.
+// every fact) or a base part (a coverIndex). hash is the hash of the IDs
+// (HashIDs); a lookup compares the full set, so colliding sets are told
+// apart.
 type scope struct {
 	event int
 	hash  uint64
@@ -246,10 +267,14 @@ type Engine struct {
 	// ready, per event; tops indexes the same facts by their top.
 	facts map[int][]*fact
 	tops  map[scope][]*fact
-	// restored indexes the facts Restore loaded into the current epoch by
-	// their scope, so Resolve can answer a request no fact matches exactly
-	// from one that covers it. Written only by Restore and BumpEpoch.
-	restored map[scope][]*fact
+	// settled indexes the current epoch's facts that were ready at the last
+	// phase barrier (Settle), and the facts Restore loaded, by their event
+	// and base part, so Resolve can answer a request no fact matches exactly
+	// from one that covers it. Written only by Settle, Restore and
+	// BumpEpoch.
+	settled coverIndex
+	// prev holds the previous epoch's facts per event, for Lookup alone.
+	prev map[int][]*fact
 
 	// atoms counts the skeletons fetched, [0] for single-scope events and
 	// [1] for joins.
@@ -258,6 +283,7 @@ type Engine struct {
 
 	mAtoms, mDerivations              *obs.Counter
 	mVerifyOK, mVerifyBad, mVerifyErr *obs.Counter
+	mVerifyCover                      *obs.Counter
 }
 
 // New returns an engine in the given mode ("" → On) with its own interner.
@@ -299,21 +325,73 @@ func (e *Engine) AttachMetrics(reg *obs.Registry) {
 	e.mVerifyOK = reg.Counter("dta_derive_verify_total", vHelp, "result", "match")
 	e.mVerifyBad = reg.Counter("dta_derive_verify_total", vHelp, "result", "mismatch")
 	e.mVerifyErr = reg.Counter("dta_derive_verify_total", vHelp, "result", "error")
+	e.mVerifyCover = reg.Counter("dta_derive_verify_total", vHelp, "result", "cover")
 }
 
 // BumpEpoch starts a new skeleton scope after statistics creation: costs
 // computed under different statistics states are not comparable, so the
-// previous epoch's skeletons, restored ones included, are dropped and the
-// next resolution of each (event, top) fetches afresh. The caller clears its
-// cost cache at the same point, so every cost it holds afterwards was
-// replayed from a fact of the new epoch. Safe on nil.
+// previous epoch's skeletons, restored ones included, no longer answer
+// Resolve or Used, and the next resolution of each (event, top) fetches
+// afresh. The caller clears its cost cache at the same point, so every cost
+// it holds afterwards was replayed from a fact of the new epoch. The
+// previous epoch's facts stay for Lookup alone: a session that stops before
+// re-costing an evaluation answers it from them. Safe on nil.
 func (e *Engine) BumpEpoch() {
 	if e == nil {
 		return
 	}
 	e.mu.Lock()
-	e.facts, e.tops, e.restored = map[int][]*fact{}, map[scope][]*fact{}, nil
+	e.prev = e.facts
+	e.facts, e.tops, e.settled = map[int][]*fact{}, map[scope][]*fact{}, nil
 	e.mu.Unlock()
+}
+
+// Settle is the phase barrier: every fact of the current epoch that is ready
+// now — fetched by an earlier phase, or restored — may from here on answer
+// any request it covers (see Resolve). The caller calls it between parallel
+// sections, where no fetch is in flight, at a point fixed by the pipeline,
+// so which facts are settled never depends on scheduling. Safe on nil.
+func (e *Engine) Settle() {
+	if e == nil {
+		return
+	}
+	e.mu.Lock()
+	e.settled = e.readyIndex()
+	e.mu.Unlock()
+}
+
+// coverIndex indexes facts by their event and base part (the scope of
+// HashIDs of the base IDs), each list sorted by top so the choice among
+// covering facts is deterministic.
+type coverIndex map[scope][]*fact
+
+// readyIndex indexes every ready fact of the current epoch; e.mu must be
+// held.
+func (e *Engine) readyIndex() coverIndex {
+	x := coverIndex{}
+	for event, list := range e.facts {
+		for _, f := range list {
+			if ready(f) {
+				k := scope{event, HashIDs(f.base)}
+				x[k] = append(x[k], f)
+			}
+		}
+	}
+	for _, list := range x {
+		slices.SortFunc(list, func(a, b *fact) int { return slices.Compare(a.top, b.top) })
+	}
+	return x
+}
+
+// ready reports whether a fact's fetch has succeeded: its ready channel is
+// closed and it holds no error.
+func ready(f *fact) bool {
+	select {
+	case <-f.ready:
+		return f.err == nil
+	default: // in flight
+		return false
+	}
 }
 
 // held returns the event's fact for top, or nil; e.mu must be held.
@@ -347,13 +425,13 @@ func (e *Engine) release(event int, f *fact) {
 	}
 }
 
-// covering returns a restored fact of the event that covers rel — its base
-// part is rel's and its top holds rel — or nil. Restored facts are all ready
-// before the first resolution of their epoch, so whether one answers a
-// request depends on the request alone, never on scheduling. e.mu must be
-// held.
+// covering returns a settled fact of the event that covers rel — its base
+// part is rel's and its top holds rel — or nil. Settled facts were all ready
+// at the last phase barrier, or restored before the first resolution of
+// their epoch, so whether one answers a request depends on the request and
+// the phase alone, never on scheduling. e.mu must be held.
 func (e *Engine) covering(event int, rel []int32) *fact {
-	if len(e.restored) == 0 {
+	if len(e.settled) == 0 {
 		return nil
 	}
 	var buf [maxStackTop]int32
@@ -365,7 +443,7 @@ func (e *Engine) covering(event int, rel []int32) *fact {
 		}
 	}
 	e.in.mu.RUnlock()
-	for _, f := range e.restored[scope{event, HashIDs(base)}] {
+	for _, f := range e.settled[scope{event, HashIDs(base)}] {
 		if f.covers(rel) {
 			return f
 		}
@@ -379,13 +457,16 @@ func (e *Engine) covering(event int, rel []int32) *fact {
 // event, ascending, which the caller must derive from the pool alone so that
 // tops, and hence the real calls issued, are independent of scheduling. It
 // replays the top's skeleton restricted to rel; when the current scope holds
-// no fact for the top, it replays a restored fact that covers rel instead,
-// and only when there is none either fetches the top's skeleton through
-// fetch (one real call, single-flighted across concurrent resolvers and
-// counted as an atom of the event's shape: join reports a multi-scope
-// SELECT). A revision or a resumed session therefore answers from its
-// restored facts every evaluation they cover, whatever top it asks for.
-// Every ID of rel and of additive must carry a structure in the interner. A failed fetch returns its error —
+// no fact for the top, it replays a settled fact that covers rel instead (one
+// an earlier phase fetched, or one restored), and only when there is none
+// either fetches the top's skeleton through fetch (one real call,
+// single-flighted across concurrent resolvers and counted as an atom of the
+// event's shape: join reports a multi-scope SELECT). A later phase, a
+// revision or a resumed session therefore answers from settled facts every
+// evaluation they cover, whatever top it asks for, and a request fetches
+// exactly when no earlier phase's fact covers it and its own top is not
+// held. Every ID of rel and of additive must carry a structure in the
+// interner. A failed fetch returns its error —
 // to the resolver that issued it and to every resolver that waited on it —
 // and leaves no fact behind, so a later resolution fetches afresh; a fetch
 // without a skeleton, or a skeleton with no selectable alternative for rel,
@@ -441,6 +522,75 @@ func (e *Engine) Resolve(event int, join bool, rel, additive []int32, fetch Fetc
 	return cost, nil
 }
 
+// Lookup answers the cost of the configuration whose structures relevant to
+// the event are rel (interned IDs, ascending) from the facts the engine
+// already holds, never fetching: a ready current-epoch fact of the event that
+// covers rel, else a covering fact of the previous epoch — the answer of a
+// session that stopped before re-costing the evaluation under its new
+// statistics. ok is false when neither exists. A fact's choice never changes
+// the cost: any covering fact replays exactly what a real call would. Safe
+// on nil.
+func (e *Engine) Lookup(event int, rel []int32) (cost float64, ok bool) {
+	if e == nil {
+		return 0, false
+	}
+	e.mu.Lock()
+	facts, prev := e.facts[event], e.prev[event]
+	e.mu.Unlock()
+	f := readyCovering(facts, rel)
+	if f == nil {
+		f = readyCovering(prev, rel)
+	}
+	if f == nil {
+		return 0, false
+	}
+	if cost, ok = f.replay(rel, nil); ok {
+		e.derivations.Add(1)
+		count(e.mDerivations)
+	}
+	return cost, ok
+}
+
+// CheckCovering replays rel against every ready current-epoch fact of the
+// event that covers it and compares each replayed cost with cost, bit for
+// bit: the property the settled index rests on, that any covering fact
+// answers exactly what a real call would. It returns how many facts it
+// compared, and an error naming the event at the first disagreement; each
+// agreeing fact counts as dta_derive_verify_total{result="cover"}, a
+// disagreement as a mismatch. Verify mode runs it on every derived cost.
+// Safe on nil.
+func (e *Engine) CheckCovering(event int, rel []int32, cost float64) (int, error) {
+	if e == nil {
+		return 0, nil
+	}
+	e.mu.Lock()
+	facts := e.facts[event]
+	e.mu.Unlock()
+	n := 0
+	for _, f := range facts {
+		if !ready(f) || !f.covers(rel) {
+			continue
+		}
+		n++
+		if c, ok := f.replay(rel, nil); !ok || math.Float64bits(c) != math.Float64bits(cost) {
+			count(e.mVerifyBad)
+			return n, fmt.Errorf("derive: verify mismatch on event %d: a covering fact replays %v where the derived cost is %v", event, c, cost)
+		}
+		count(e.mVerifyCover)
+	}
+	return n, nil
+}
+
+// readyCovering returns a ready fact among facts that covers rel, or nil.
+func readyCovering(facts []*fact, rel []int32) *fact {
+	for _, f := range facts {
+		if ready(f) && f.covers(rel) {
+			return f
+		}
+	}
+	return nil
+}
+
 // Used returns the keys of the structures the plan of the event uses under
 // the configuration whose structures relevant to it are rel (interned IDs,
 // ascending), replayed from a current-epoch fact of the event that covers
@@ -454,15 +604,9 @@ func (e *Engine) Used(event int, rel []int32) (used []string, ok bool) {
 	e.mu.Lock()
 	facts := e.facts[event]
 	e.mu.Unlock()
-	for _, f := range facts {
-		select {
-		case <-f.ready:
-			if f.err == nil && f.covers(rel) {
-				_, ok = f.replay(rel, &used)
-				return used, ok
-			}
-		default: // in flight
-		}
+	if f := readyCovering(facts, rel); f != nil {
+		_, ok = f.replay(rel, &used)
+		return used, ok
 	}
 	return nil, false
 }
@@ -576,8 +720,8 @@ func (r *FactRecord) writeCanonical(w *canonjson.Writer) {
 }
 
 // Snapshot captures the engine's current-epoch state for persistence (the
-// engine holds no older facts: they could never answer a resolution at the
-// final epoch). Safe on nil (returns nil).
+// previous epoch's facts, which only Lookup reads, could never answer a
+// resolution at the final epoch). Safe on nil (returns nil).
 func (e *Engine) Snapshot() *Snapshot {
 	_, build := e.Capture()
 	return build()
@@ -602,10 +746,8 @@ func (e *Engine) Capture() (n int, build func() *Snapshot) {
 	var facts []held
 	for event, list := range e.facts {
 		for _, f := range list {
-			select {
-			case <-f.ready:
+			if ready(f) { // a fetch in flight is not yet a fact worth persisting
 				facts = append(facts, held{event, f})
-			default: // fetch in flight: not yet a fact worth persisting
 			}
 		}
 	}
@@ -713,10 +855,11 @@ func (s *Snapshot) Check(events int) error {
 // beside the facts it holds (a fact it already holds for the same event and
 // top is kept): the Structs table is interned once (a structure the
 // interner has not seen yet is recorded from it), each fact's positions are
-// remapped to interned IDs, its gates are compiled, and it is indexed by
-// its scope for Resolve's covering lookup. The caller restores a snapshot
-// only under the statistics state it was captured in, and before the first
-// resolution of that epoch, so every restored fact answers exactly what it
+// remapped to interned IDs, its gates are compiled, and it is settled (a
+// restore is a phase barrier): indexed by its scope for Resolve's covering
+// lookup. The caller restores a snapshot only under the statistics state it
+// was captured in, and before the first resolution of that epoch, so every
+// restored fact answers exactly what it
 // answered on the original engine and the fetches a session issues stay a
 // function of what it asks. A fact naming a position outside the table, or
 // holding no skeleton, is skipped (a later resolution of it simply
@@ -740,12 +883,8 @@ func (e *Engine) Restore(s *Snapshot) {
 		f := &fact{ready: closed, top: top, alts: r.Alts}
 		e.compile(f)
 		e.hold(r.Event, f)
-		if e.restored == nil {
-			e.restored = map[scope][]*fact{}
-		}
-		k := scope{r.Event, HashIDs(f.base)}
-		e.restored[k] = append(e.restored[k], f)
 	}
+	e.settled = e.readyIndex()
 }
 
 // VerifyOutcome feeds one Verify-mode cross-check result into the engine's

@@ -61,6 +61,13 @@ func TestNilEngineIsInert(t *testing.T) {
 	e.VerifyOutcome(true, nil)
 	e.AttachMetrics(nil)
 	e.Restore(nil)
+	e.Settle()
+	if _, ok := e.Lookup(0, nil); ok {
+		t.Fatal("nil engine must answer no lookup")
+	}
+	if n, err := e.CheckCovering(0, nil, 1); n != 0 || err != nil {
+		t.Fatal("nil engine must check nothing")
+	}
 	if e.Mode() != "" || e.Atoms() != 0 || e.AtomsByShape() != nil || e.Derivations() != 0 || e.Snapshot() != nil {
 		t.Fatal("nil engine must report zeros")
 	}
@@ -384,9 +391,10 @@ func TestSnapshotRestoreAnswersWithoutFetching(t *testing.T) {
 // fact matches replays a restored fact of its event and base part whose top
 // holds every structure it asks for, without a fetch; it fetches when the
 // request names a structure outside every such top, another base part or
-// another event. Facts the engine fetched itself never answer another top —
-// so a fresh session's fetches depend on what it asks alone — and restored
-// facts answer nothing after the epoch they were restored into.
+// another event. Facts the engine fetched itself answer no other top before
+// a phase barrier (TestSettleBarrierRule) — so a session's fetches depend on
+// what it asks alone — and restored facts answer nothing after the epoch
+// they were restored into.
 func TestResolveAnswersFromCoveringRestoredFact(t *testing.T) {
 	e := New(On)
 	b := newSkeletonBackend()
@@ -427,6 +435,113 @@ func TestResolveAnswersFromCoveringRestoredFact(t *testing.T) {
 	r.BumpEpoch()
 	if _, err := r.Resolve(0, false, ids(r, b.i2), ids(r, b.i2), rb.fetch); err != nil || rb.fetches() != 4 {
 		t.Fatalf("a restored fact answered after the epoch bump: %v, fetches %v", err, rb.tops)
+	}
+}
+
+// TestSettleBarrierRule: after a phase barrier (Settle) a fact fetched
+// before it answers any request it covers, without a fetch, whatever top
+// the request asks for; a ready fact of the running phase answers only its
+// own top, so a request it merely covers fetches its own; restored facts
+// keep covering across a barrier; and BumpEpoch empties the index, so no
+// fact of the previous epoch answers a resolution.
+func TestSettleBarrierRule(t *testing.T) {
+	e := New(On)
+	b := newSkeletonBackend()
+	pool := ids(e, b.i1, b.i2)
+	resolve := func(rel, additive []int32, cost float64, fetches int) {
+		t.Helper()
+		got, err := e.Resolve(0, false, rel, additive, b.fetch)
+		if err != nil || got != cost || b.fetches() != fetches {
+			t.Fatalf("Resolve(%v, %v) = %v, %v after fetches %v; want %v after %d", rel, additive, got, err, b.tops, cost, fetches)
+		}
+	}
+	resolve(nil, pool, 500, 1) // the running phase fetches the top {i1, i2}
+	// That ready fact covers {i2}, but it is of the running phase: the
+	// request fetches its own top {i2}.
+	resolve(ids(e, b.i2), ids(e, b.i2), 90, 2)
+
+	e.Settle()
+	// Both facts are settled now: {i1} under the pool {i1} is answered by
+	// the fact of top {i1, i2}, and {} under a new pool {i1} by either.
+	resolve(ids(e, b.i1), ids(e, b.i1), 120, 2)
+	resolve(nil, ids(e, b.i1), 500, 2)
+	// A fact fetched after the barrier is of the running phase again: a
+	// request it covers under another top fetches its own.
+	i3 := ixKeyed("t", "z")
+	resolve(ids(e, i3), ids(e, b.i1, i3), 500, 3)
+	resolve(ids(e, i3), ids(e, i3), 500, 4)
+
+	// Restored facts cover across a barrier, beside the facts fetched
+	// since the restore.
+	r := New(On)
+	rb := newSkeletonBackend()
+	r.Restore(e.Snapshot())
+	if _, err := r.Resolve(1, false, ids(r, b.i1), nil, rb.fetch); err != nil || rb.fetches() != 1 {
+		t.Fatalf("another event must fetch: %v, %v", err, rb.tops)
+	}
+	r.Settle()
+	if c, err := r.Resolve(0, false, ids(r, b.i1), nil, rb.fetch); err != nil || c != 120 || rb.fetches() != 1 {
+		t.Fatalf("a restored fact stopped covering after a barrier: %v, %v, fetches %v", c, err, rb.tops)
+	}
+
+	e.BumpEpoch()
+	resolve(ids(e, b.i1), ids(e, b.i1), 120, 5)
+}
+
+// TestLookupNeverFetches: Lookup — a stopped session's read — answers from
+// a ready current-epoch fact that covers the request, settled or not, else
+// from a covering fact of the previous epoch, and never fetches; a request
+// no fact covers gets no answer.
+func TestLookupNeverFetches(t *testing.T) {
+	e := New(On)
+	b := newSkeletonBackend()
+	i3 := ixKeyed("t", "z")
+	if _, err := e.Resolve(0, false, nil, ids(e, b.i1, b.i2), b.fetch); err != nil {
+		t.Fatal(err)
+	}
+	lookup := func(what string, event int, rel []int32, cost float64, ok bool) {
+		t.Helper()
+		if got, found := e.Lookup(event, rel); found != ok || got != cost {
+			t.Fatalf("%s: Lookup = %v, %v; want %v, %v", what, got, found, cost, ok)
+		}
+	}
+	lookup("a running-phase fact", 0, ids(e, b.i1), 120, true)
+	lookup("a structure outside the top", 0, ids(e, i3), 0, false)
+	lookup("another event", 1, ids(e, b.i1), 0, false)
+	e.BumpEpoch()
+	lookup("a previous-epoch fact", 0, ids(e, b.i2), 90, true)
+	b.alts = &optimizer.Alternatives{Components: []optimizer.AltComponent{{Structure: "", Op: "HeapScan", Pre: 400, Final: 450}}}
+	if _, err := e.Resolve(0, false, nil, ids(e, i3), b.fetch); err != nil {
+		t.Fatal(err)
+	}
+	lookup("the current epoch before the previous one", 0, nil, 450, true)
+	e.BumpEpoch()
+	lookup("a fact two epochs old", 0, ids(e, b.i2), 0, false)
+	if b.fetches() != 2 {
+		t.Fatalf("Lookup must never fetch, got %v", b.tops)
+	}
+}
+
+// TestCheckCoveringFindsDisagreement: CheckCovering compares every ready
+// current-epoch fact covering a key — two here — and names the event when
+// one replays a different cost.
+func TestCheckCoveringFindsDisagreement(t *testing.T) {
+	e := New(Verify)
+	b := newSkeletonBackend()
+	if _, err := e.Resolve(5, false, nil, ids(e, b.i1, b.i2), b.fetch); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Resolve(5, false, nil, ids(e, b.i1), b.fetch); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := e.CheckCovering(5, ids(e, b.i1), 120); n != 2 || err != nil {
+		t.Fatalf("two agreeing facts: compared %d, %v", n, err)
+	}
+	if n, err := e.CheckCovering(5, ids(e, b.i2), 90); n != 1 || err != nil {
+		t.Fatalf("one covering fact: compared %d, %v", n, err)
+	}
+	if _, err := e.CheckCovering(5, ids(e, b.i1), 121); err == nil || !strings.Contains(err.Error(), "event 5") {
+		t.Fatalf("a disagreeing fact must fail naming its event, got %v", err)
 	}
 }
 

@@ -11,20 +11,24 @@ import (
 )
 
 // readyShape is one event whose fact is ready in its engine: the statement,
-// the additive pool its top holds, and every subset of the pool as an
-// interned, ascending ID set.
+// the additive pool its top holds, every subset of the pool as an interned,
+// ascending ID set, and the additive pool a request names.
 type readyShape struct {
-	name    string
-	e       *Engine
-	join    bool
-	pool    []int32
-	subsets [][]int32
-	fetch   Fetch
+	name     string
+	e        *Engine
+	join     bool
+	pool     []int32
+	subsets  [][]int32
+	additive []int32
+	fetch    Fetch
 }
 
 // readyShapes returns a ready fact of each skeleton shape over the toy TPC-H
 // catalog — a single-scope SELECT, a DML maintenance sum and a four-scope
-// join — each fetched once from a real optimizer at its pool's top.
+// join — each fetched once from a real optimizer at its pool's top and asked
+// for under that pool, and last the single-scope fact past a phase barrier,
+// asked for with no additive pool: an earlier phase's fact answering
+// requests by covering, whose tops are not its own.
 func readyShapes(tb testing.TB) []*readyShape {
 	tb.Helper()
 	cat := tpch.Catalog(0.002)
@@ -62,6 +66,7 @@ func readyShapes(tb testing.TB) []*readyShape {
 			ks = append(ks, keyed(st))
 		}
 		s.pool = ids(s.e, ks...)
+		s.additive = s.pool
 		for mask := 0; mask < 1<<len(ks); mask++ {
 			var sub []Keyed
 			for i, k := range ks {
@@ -72,7 +77,7 @@ func readyShapes(tb testing.TB) []*readyShape {
 			s.subsets = append(s.subsets, ids(s.e, sub...))
 		}
 		for _, rel := range s.subsets {
-			if _, err := s.e.Resolve(0, s.join, rel, s.pool, s.fetch); err != nil {
+			if _, err := s.e.Resolve(0, s.join, rel, s.additive, s.fetch); err != nil {
 				tb.Fatalf("%s: %v", c.name, err)
 			}
 		}
@@ -81,16 +86,20 @@ func readyShapes(tb testing.TB) []*readyShape {
 		}
 		out = append(out, s)
 	}
-	return out
+	covering := *out[0]
+	covering.name, covering.additive = "earlier-phase-covering", nil
+	covering.e.Settle()
+	return append(out, &covering)
 }
 
 // TestResolveAllocatesNothing: resolving a configuration against a ready
-// fact — every cost-cache miss after a skeleton's first fetch — builds its
-// top in a stack buffer and replays over the fact's gate IDs with no string
-// lookup, and allocates nothing, for single-scope, DML and join skeletons
-// alike (a join replay's working memory is pooled). The race detector's
-// sync.Pool drops pooled items at random, so the join leg runs only
-// without it.
+// fact — every flat evaluation, and every join cost-cache miss, after a
+// skeleton's first fetch — builds its top in a stack buffer and replays over
+// the fact's gate positions with no string lookup, and allocates nothing,
+// for single-scope, DML and join skeletons alike (a join replay's working
+// memory is pooled), and for an earlier phase's fact answering by covering.
+// The race detector's sync.Pool drops pooled items at random, so the join
+// leg runs only without it.
 func TestResolveAllocatesNothing(t *testing.T) {
 	for _, s := range readyShapes(t) {
 		if s.join && raceEnabled {
@@ -98,7 +107,7 @@ func TestResolveAllocatesNothing(t *testing.T) {
 		}
 		for _, rel := range s.subsets {
 			allocs := testing.AllocsPerRun(50, func() {
-				if _, err := s.e.Resolve(0, s.join, rel, s.pool, s.fetch); err != nil {
+				if _, err := s.e.Resolve(0, s.join, rel, s.additive, s.fetch); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -113,16 +122,17 @@ func TestResolveAllocatesNothing(t *testing.T) {
 }
 
 // BenchmarkResolve measures Resolve against a ready fact — the engine's
-// cost per cost-cache miss once the event's skeleton is held — for each
-// skeleton shape: one iteration resolves every subset of the shape's
-// five-structure pool (32 resolutions).
+// cost per flat evaluation (and per join cost-cache miss) once the event's
+// skeleton is held — for each skeleton shape, and for an earlier phase's
+// fact answering by covering: one iteration resolves every subset of the
+// shape's five-structure pool (32 resolutions).
 func BenchmarkResolve(b *testing.B) {
 	for _, s := range readyShapes(b) {
 		b.Run(s.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, rel := range s.subsets {
-					if _, err := s.e.Resolve(0, s.join, rel, s.pool, s.fetch); err != nil {
+					if _, err := s.e.Resolve(0, s.join, rel, s.additive, s.fetch); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,11 +101,34 @@ func (t *Trace) SpanCount() int {
 	return len(t.spans)
 }
 
+// SpanCap returns how many span records the trace's storage has room for:
+// SpanCount plus the spare capacity Trim releases.
+func (t *Trace) SpanCap() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return cap(t.spans)
+}
+
 // Dropped returns the number of spans discarded over the limit.
 func (t *Trace) Dropped() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.dropped
+}
+
+// Trim releases the trace's spare capacity: the span list is cut to its
+// length. The service trims a session's trace when its job ends, so a
+// finished session's trace is retained at the size of what it holds. Spans
+// collected after it grow the trace as usual. No-op on a nil trace.
+func (t *Trace) Trim() {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if cap(t.spans) > len(t.spans) {
+		t.spans = slices.Clone(t.spans)
+	}
 }
 
 func (t *Trace) collect(r spanRecord) {

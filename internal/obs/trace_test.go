@@ -114,3 +114,38 @@ func TestChromeTraceExport(t *testing.T) {
 		t.Fatalf("categories missing: %v", seen)
 	}
 }
+
+// TestTraceTrim: Trim cuts the span list to its length, exports the same
+// Chrome trace as before it, and spans collected afterwards still land.
+func TestTraceTrim(t *testing.T) {
+	var nilTrace *Trace
+	nilTrace.Trim()
+	tr := NewTrace("s-0007")
+	ctx := WithTrace(context.Background(), tr)
+	for i := 0; i < 5; i++ {
+		_, sp := StartSpan(ctx, "c", "s")
+		sp.SetInt("i", i).End()
+	}
+	if tr.SpanCap() == tr.SpanCount() {
+		t.Fatalf("5 appended spans left no spare capacity (cap %d); the test exercises nothing", tr.SpanCap())
+	}
+	var before, after bytes.Buffer
+	if err := tr.WriteChromeTrace(&before); err != nil {
+		t.Fatal(err)
+	}
+	tr.Trim()
+	if tr.SpanCap() != tr.SpanCount() || tr.SpanCount() != 5 {
+		t.Fatalf("after Trim: cap %d, len %d; want both 5", tr.SpanCap(), tr.SpanCount())
+	}
+	if err := tr.WriteChromeTrace(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatalf("Trim changed the export:\n%s\n%s", before.String(), after.String())
+	}
+	_, sp := StartSpan(ctx, "c", "late")
+	sp.End()
+	if tr.SpanCount() != 6 {
+		t.Fatalf("a span after Trim was lost: %d spans", tr.SpanCount())
+	}
+}

@@ -106,11 +106,12 @@ func (m *Manager) runJob(ctx context.Context, j job) outcome {
 		root.SetInt("whatIfCalls", int(out.rec.WhatIfCalls)).SetFloat("improvement", out.rec.Improvement)
 	}
 	root.End()
-	// A session's journal is complete once its one job ends: keep it at the
-	// size of what it holds. A daemon's grows on through its re-tunes, which
-	// would only regrow a trimmed one.
+	// A session's journal and trace are complete once its one job ends:
+	// keep them at the size of what they hold. A daemon's grow on through
+	// its re-tunes, which would only regrow trimmed ones.
 	if j.who.class == "session" {
 		j.who.journal.Trim()
+		j.who.trace.Trim()
 	}
 	return out
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/journal"
+	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/workload"
 )
@@ -297,6 +298,35 @@ func decodeTrace(t *testing.T, ts *httptest.Server, id string) (spans int, cats 
 		t.Fatalf("otherData.selfTimeUs sums to %d, per-span selfUs to %d", aggSelf, perSpanSelf)
 	}
 	return doc.OtherData.Spans, cats
+}
+
+// TestFinishedSessionTraceTrimmed: once a session's job ends, its trace is
+// kept at the size of what it holds — no spare span capacity — and still
+// exports a complete, self-consistent Chrome trace.
+func TestFinishedSessionTraceTrimmed(t *testing.T) {
+	m, ts, _ := newTestAPI(t, 2)
+	resp, snap := postJSON(t, ts.URL+"/sessions", map[string]any{"database": "db"})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d", resp.StatusCode)
+	}
+	if final := waitTerminal(t, ts.URL, snap.ID); final.State != service.StateDone {
+		t.Fatalf("state %s (error %q)", final.State, final.Error)
+	}
+	var tr *obs.Trace
+	for _, s := range m.Sessions() {
+		if s.ID() == snap.ID {
+			tr = s.Trace()
+		}
+	}
+	if tr == nil {
+		t.Fatalf("session %s not listed", snap.ID)
+	}
+	if tr.SpanCount() == 0 || tr.SpanCap() != tr.SpanCount() {
+		t.Fatalf("finished session's trace holds %d spans in room for %d, want no spare room", tr.SpanCount(), tr.SpanCap())
+	}
+	if spans, cats := decodeTrace(t, ts, snap.ID); spans != tr.SpanCount() || cats["session"] == 0 {
+		t.Fatalf("trimmed trace exports %d spans (cats %v), holds %d", spans, cats, tr.SpanCount())
+	}
 }
 
 // TestTraceExportCancelledSession cancels a session parked mid-search and
