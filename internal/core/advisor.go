@@ -560,7 +560,7 @@ func runSearch(t Tuner, st *costedState, rec *Recommendation, cons Constraints, 
 
 	// Baseline under the effective weights. In a fresh run that created
 	// statistics this is where the baseline is costed under them (the epoch
-	// bump emptied the cost cache; events without candidates fetch their
+	// bump started a new fact scope; events without candidates fetch their
 	// skeleton afresh). A revision's is a pure re-fold of cached costs,
 	// without optimizer calls.
 	baseCost, err := ev.configCost(st.base)

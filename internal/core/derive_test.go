@@ -639,7 +639,7 @@ func TestDeriveFallbackProducersThroughEvaluator(t *testing.T) {
 	}
 }
 
-// TestCoveringReplayExact is the property the engine's settled index rests
+// TestCoveringReplayExact is the property the engine's settled facts rest
 // on, run as Verify mode runs it: at every derived evaluation of a full tune
 // — toy SYNT1, TPC-H and PSOFT with every feature, at parallelism 1 and 4 —
 // every ready fact of the event that covers the evaluation's key replays the
@@ -681,5 +681,53 @@ func TestCoveringReplayExact(t *testing.T) {
 				t.Logf("%v covering facts cross-checked over %d derived evaluations", cover, derived)
 			})
 		}
+	}
+}
+
+// TestVerifyRemembersRealCosts: Verify mode calls the real optimizer once per
+// (event, key) and statistics epoch. A repeated sweep over the same
+// configuration issues no cross-check call; after the epoch bump every key
+// is called afresh, because new statistics change the real cost. A
+// remembered cost still checks every derived one: a wrong one fails the
+// evaluation.
+func TestVerifyRemembersRealCosts(t *testing.T) {
+	a := &altCountingTuner{Server: testServer(t)}
+	w := parallelWorkload(t)
+	ev := newEvaluator(a, w, derive.Verify, testTracker())
+	cfg := catalog.NewConfiguration()
+	cfg.AddIndex(catalog.NewIndex("t", "x"))
+	c := ev.config(cfg)
+	sweep := func() int64 {
+		t.Helper()
+		before := a.plain.Load()
+		for i := range w.Events {
+			if _, err := ev.eval(i, c, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return a.plain.Load() - before
+	}
+	first := sweep()
+	if first == 0 {
+		t.Fatal("no cross-check call issued")
+	}
+	if again := sweep(); again != 0 {
+		t.Fatalf("a repeated sweep issued %d cross-check calls, want 0", again)
+	}
+	ev.bumpEpoch()
+	if fresh := sweep(); fresh != first {
+		t.Fatalf("after the epoch bump a sweep issued %d cross-check calls, want %d", fresh, first)
+	}
+	for k, real := range ev.verified {
+		ev.verified[k] = real*2 + 1
+	}
+	var failed int
+	for i := range w.Events {
+		if _, err := ev.eval(i, c, nil); err != nil {
+			failed++
+		}
+	}
+	if failed != len(ev.verified) {
+		t.Fatalf("%d evaluations failed against %d wrong remembered costs", failed, len(ev.verified))
 	}
 }

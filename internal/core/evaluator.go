@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -22,28 +23,26 @@ import (
 // share the event's cost, which is what makes Greedy(m,k) over thousands of
 // configurations affordable.
 //
-// With a derivation engine, a flat event — a single-scope SELECT, or an
-// INSERT, UPDATE or DELETE — takes no memo: its replay costs less than a
-// cache entry would, so every evaluation goes straight to the engine, whose
-// fact store is the single-flight layer (see derive.Engine.Resolve), and a
-// later phase reuses an earlier one's facts through the barrier setQueryPools
-// sets. A join event, and every event over a skeleton-less backend, keeps a
-// per-event cost cache (costTable).
+// With a derivation engine every evaluation, join or flat, takes no memo: it
+// goes straight to the engine, whose fact store is the single-flight layer
+// (see derive.Engine.Resolve), and a later phase reuses an earlier one's
+// facts through the barrier setQueryPools sets. Only over a skeleton-less
+// backend does the evaluator keep a per-event cost cache (costTable): that
+// plain real-call evaluator is the oracle the equivalence tests compare
+// derivation against.
 //
 // Everything on the search's hot path is dense: every structure is interned
 // to a small integer ID (the interner is shared with the derivation engine)
 // together with the set of events it can affect, a configuration is the
-// ID-sorted list of its interned structures, and an event's cost-cache key is
-// that list masked by the event's relevance — looked up in a per-event table
-// by hash, without building a string or allocating. A configuration grown or
-// shrunk from a costed parent re-costs only the events one of the changed
-// structures can affect (see child).
+// ID-sorted list of its interned structures, and an event's key is that list
+// masked by the event's relevance, built in a stack buffer. A configuration
+// grown or shrunk from a costed parent re-costs only the events one of the
+// changed structures can affect (see child).
 //
-// The cache is concurrency-safe and single-flight: when several pool
-// workers ask for the same key, the first becomes the leader and issues the
-// one optimizer call (or join replay) while the rest wait on the entry's
-// ready channel — so, as with the engine's facts, the what-if call count of a
-// run is independent of its parallelism. The
+// Both layers are concurrency-safe and single-flight: when several pool
+// workers ask for the same skeleton (or, without an engine, the same key),
+// the first issues the one optimizer call while the rest wait for it — so
+// the what-if call count of a run is independent of its parallelism. The
 // immutable per-event analysis (eventInfo) is precomputed at construction
 // and only read afterwards.
 type evaluator struct {
@@ -64,10 +63,19 @@ type evaluator struct {
 	tableEvents map[string][]int
 	words       int
 
-	// tables holds one cost table per event: the cache of a join event, or
-	// of any event without an engine, and every event's additive pool
-	// subset.
+	// tables holds one cost table per event, only without an engine: the
+	// oracle's memo of its real calls.
 	tables []costTable
+
+	// additive holds, per event, the IDs of its additive pool subset that
+	// derivation tops add (see setQueryPools); only with an engine.
+	additive [][]int32
+
+	// verified remembers, in Verify mode only, the real cost of every
+	// (event, key) the cross-check has called in the current statistics
+	// epoch (see verifyDerived), under vmu.
+	vmu      sync.Mutex
+	verified map[string]float64
 
 	// tr carries the session's cancellation signal, progress accounting,
 	// and worker pool; cache misses check it before reaching the optimizer
@@ -75,11 +83,11 @@ type evaluator struct {
 	tr *tracker
 
 	// drv is the session's cost-derivation engine, present iff the backend
-	// returns plan skeletons (AlternativesTuner): flat evaluations and
-	// join cache-miss leaders resolve every cost through it, and it fetches
-	// the skeletons it needs with real calls of its own. Over a
-	// skeleton-less backend it is nil and every miss is a plain real call —
-	// the oracle derivation is tested against.
+	// returns plan skeletons (AlternativesTuner): every evaluation resolves
+	// its cost through it, and it fetches the skeletons it needs with real
+	// calls of its own. Over a skeleton-less backend it is nil and every
+	// cache miss is a plain real call — the oracle derivation is tested
+	// against.
 	drv *derive.Engine
 
 	// weights, when non-nil, overrides each event's workload weight in the
@@ -224,13 +232,20 @@ func newEvaluator(t Tuner, w *workload.Workload, mode derive.Mode, tr *tracker) 
 		variants:    map[[2]int32]*structInfo{},
 		tableEvents: map[string][]int{},
 		words:       (n + 63) / 64,
-		tables:      make([]costTable, n),
 	}
 	if _, ok := t.(AlternativesTuner); ok {
 		ev.drv = derive.New(mode)
 		ev.in = ev.drv.Interner()
+		ev.additive = make([][]int32, n)
+		if ev.drv.Mode() == derive.Verify {
+			ev.verified = map[string]float64{}
+		}
 	} else {
 		ev.in = derive.NewInterner()
+		ev.tables = make([]costTable, n)
+		for i := range ev.tables {
+			ev.tables[i].entries = map[string]*cacheEntry{}
+		}
 	}
 	for i, e := range w.Events {
 		ev.all.events[i] = i
@@ -258,7 +273,7 @@ func newEvaluator(t Tuner, w *workload.Workload, mode derive.Mode, tr *tracker) 
 	}
 	tr.drv = ev.drv
 	if reg := tr.metrics; reg != nil {
-		const help = "What-if cost evaluations by outcome: served cache hits, real optimizer calls (misses), waits coalesced onto another worker's in-flight entry, and evaluations answered by skeleton replay (derived: every single-scope or DML evaluation, and every join cache miss, with a derivation engine)."
+		const help = "What-if cost evaluations by outcome: real optimizer calls (misses, skeleton fetches included), evaluations answered by skeleton replay (derived: every evaluation with a derivation engine), and, over a skeleton-less backend only, served cache hits and waits coalesced onto another worker's in-flight entry."
 		ev.mHits = reg.Counter("dta_cost_cache_requests_total", help, "outcome", "hit")
 		ev.mMisses = reg.Counter("dta_cost_cache_requests_total", help, "outcome", "miss")
 		ev.mCoalesced = reg.Counter("dta_cost_cache_requests_total", help, "outcome", "coalesced")
@@ -450,7 +465,7 @@ func (c *config) affects(x *structInfo, i int) bool {
 }
 
 // key appends to buf the IDs of the structures that can affect event i under
-// this configuration — the event's cost-cache key.
+// this configuration — the event's key.
 func (c *config) key(i int, buf []int32) []int32 {
 	for _, x := range c.ents {
 		if c.affects(x, i) {
@@ -501,17 +516,14 @@ func (ev *evaluator) extend(p *config, s catalog.Structure, x *structInfo, align
 	return &config{ents: sortEnts(ents), from: p, add: s, aligned: aligned}, true
 }
 
-// costTable is one event's slice of the cost cache — a join event's, or any
-// event's without an engine: entries keyed by the hash of their ID-set key,
-// collisions chained, under mu. It also holds the event's additive pool
-// subset for derivation (setQueryPools) and, without an engine, the entries
-// of the previous statistics epoch (stale, see bumpEpoch), both written only
-// between parallel sections.
+// costTable is one event's slice of the oracle's cost cache (a
+// skeleton-less backend's): entries keyed by their ID list's bytes (idKey),
+// under mu, and the entries of the previous statistics epoch (stale, see
+// bumpEpoch), written only between parallel sections.
 type costTable struct {
-	mu       sync.RWMutex
-	entries  map[uint64]*cacheEntry
-	stale    map[uint64]*cacheEntry
-	additive []int32
+	mu      sync.RWMutex
+	entries map[string]*cacheEntry
+	stale   map[string]*cacheEntry
 }
 
 // cacheEntry is one single-flight cost slot. The leader that created the
@@ -521,69 +533,29 @@ type costTable struct {
 // call (the finishing-mode retry after a cancelled search) computes it
 // afresh.
 type cacheEntry struct {
-	ids   []int32 // the key: relevant structure IDs, ascending
-	next  *cacheEntry
 	ready chan struct{}
 	cost  float64
 	err   error
 }
 
-// find returns the entry for ids in a hash-chained entry map (a table's
-// entries or stale, under its mu), or nil.
-func find(entries map[uint64]*cacheEntry, h uint64, ids []int32) *cacheEntry {
-	for ce := entries[h]; ce != nil; ce = ce.next {
-		if slices.Equal(ce.ids, ids) {
-			return ce
-		}
+// idKey appends ids to b as little-endian bytes: a map key spelling an ID
+// list, which a lookup converts to a string without allocating.
+func idKey(b []byte, ids []int32) []byte {
+	for _, id := range ids {
+		b = binary.LittleEndian.AppendUint32(b, uint32(id))
 	}
-	return nil
-}
-
-// claim returns the entry for ids, inserting a new in-flight one if there is
-// none; created reports the insertion.
-func (t *costTable) claim(h uint64, ids []int32) (ce *cacheEntry, created bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if ce := find(t.entries, h, ids); ce != nil {
-		return ce, false
-	}
-	if t.entries == nil {
-		t.entries = map[uint64]*cacheEntry{}
-	}
-	ce = &cacheEntry{ids: slices.Clone(ids), next: t.entries[h], ready: make(chan struct{})}
-	t.entries[h] = ce
-	return ce, true
-}
-
-// drop unlinks a failed entry.
-func (t *costTable) drop(h uint64, ce *cacheEntry) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	head := t.entries[h]
-	if head == ce {
-		if ce.next == nil {
-			delete(t.entries, h)
-		} else {
-			t.entries[h] = ce.next
-		}
-		return
-	}
-	for p := head; p != nil; p = p.next {
-		if p.next == ce {
-			p.next = ce.next
-			return
-		}
-	}
+	return b
 }
 
 // eval evaluates event i under configuration c — the evaluator's one
 // evaluation entry: every search, costing, report, and checkpoint path
 // reads per-event costs through it. span parents the what-if spans a fetch
-// or miss opens (nil: the tracker's phase span). A flat evaluation against a
-// ready fact, and a cache hit, allocate nothing.
+// or miss opens (nil: the tracker's phase span). With an engine every
+// evaluation resolves through it (derived); without one it is served by the
+// oracle's cost cache. An evaluation against a ready fact, and a cache hit,
+// allocate nothing.
 func (ev *evaluator) eval(i int, c *config, span context.Context) (float64, error) {
-	q := ev.infos[i].q
-	if q == nil {
+	if ev.infos[i].q == nil {
 		// The statement does not resolve against the catalog (e.g. it
 		// references objects of a database not being tuned); it is skipped
 		// rather than failing the whole tuning session.
@@ -591,19 +563,26 @@ func (ev *evaluator) eval(i int, c *config, span context.Context) (float64, erro
 	}
 	var buf [64]int32
 	ids := c.key(i, buf[:0])
-	if ev.drv != nil && len(q.Scopes) <= 1 {
+	if ev.drv != nil {
 		return ev.derived(i, c, ids, span)
 	}
-	h := derive.HashIDs(ids)
+	var kb [256]byte
+	key := idKey(kb[:0], ids)
 	t := &ev.tables[i]
 	t.mu.RLock()
-	ce := find(t.entries, h, ids)
+	ce := t.entries[string(key)]
 	t.mu.RUnlock()
 	if ce == nil {
-		var leader bool
-		if ce, leader = t.claim(h, ids); leader {
-			return ev.miss(i, c, h, ce, span)
+		k := string(key)
+		t.mu.Lock()
+		if ce = t.entries[k]; ce == nil {
+			// This goroutine leads: it issues the key's one call.
+			ce = &cacheEntry{ready: make(chan struct{})}
+			t.entries[k] = ce
+			t.mu.Unlock()
+			return ev.miss(i, c, k, ce, span)
 		}
+		t.mu.Unlock()
 	}
 	select {
 	case <-ce.ready:
@@ -618,13 +597,12 @@ func (ev *evaluator) eval(i int, c *config, span context.Context) (float64, erro
 }
 
 // derived costs event i under c, whose structures relevant to it are ids,
-// through the engine: the flat path of every single-scope or DML
-// evaluation, which takes no cost-cache entry (the engine's fact store
-// single-flights the fetch behind it, and the replay is cheaper than a memo
-// of its answer), and a join cache-miss leader's. A stopped session answers
-// from facts alone (see halted). A failed skeleton fetch fails the
-// evaluation as it is: its retries were the whole load the failure may put
-// on the backend.
+// through the engine: the one path of every evaluation with an engine, which
+// takes no cost-cache entry (the engine's fact store single-flights the
+// fetch behind it, and the replay is cheaper than a memo of its answer). A
+// stopped session answers from facts alone (see halted). A failed skeleton
+// fetch fails the evaluation as it is: its retries were the whole load the
+// failure may put on the backend.
 func (ev *evaluator) derived(i int, c *config, ids []int32, span context.Context) (float64, error) {
 	cost, ok, err := ev.halted(i, ids)
 	if !ok && err == nil {
@@ -659,45 +637,38 @@ func (ev *evaluator) halted(i int, ids []int32) (cost float64, ok bool, err erro
 	return 0, false, errStopped
 }
 
-// miss is the cache-miss leader's path: this goroutine owns the entry and
-// issues the one call (or derivation) behind it.
-func (ev *evaluator) miss(i int, c *config, h uint64, ce *cacheEntry, span context.Context) (float64, error) {
-	fail := func(err error) (float64, error) {
-		ce.err = err
-		ev.tables[i].drop(h, ce)
-		close(ce.ready)
-		return 0, err
-	}
+// miss is the oracle's cache-miss leader's path: this goroutine owns the
+// entry under key and issues the one real call behind it.
+func (ev *evaluator) miss(i int, c *config, key string, ce *cacheEntry, span context.Context) (float64, error) {
 	var cost float64
 	var err error
-	if ev.drv != nil {
-		cost, err = ev.derived(i, c, ce.ids, span)
-	} else if ev.tr.ctxStopped() {
-		// A skeleton-less backend's cancelled or degraded session measures
-		// its best-so-far result with a cost of the previous statistics
-		// epoch where it has one.
-		old := find(ev.tables[i].stale, h, ce.ids)
-		if old == nil || old.err != nil {
-			return fail(errStopped)
+	if ev.tr.ctxStopped() {
+		// A cancelled or degraded session measures its best-so-far result
+		// with a cost of the previous statistics epoch where it has one.
+		err = errStopped
+		if old := ev.tables[i].stale[key]; old != nil && old.err == nil {
+			cost, err = old.cost, nil
 		}
-		cost = old.cost
 	} else {
-		// A skeleton-less backend: the miss is one plain real call.
 		cost, _, _, err = ev.realCall(i, c.catalog(), false, span)
 	}
 	if err != nil {
-		return fail(err)
+		ce.err = err
+		t := &ev.tables[i]
+		t.mu.Lock()
+		delete(t.entries, key)
+		t.mu.Unlock()
 	}
 	ce.cost = cost
 	close(ce.ready)
-	return cost, nil
+	return cost, err
 }
 
 // resolve derives event i's cost under the configuration whose structures
 // relevant to it are ids, through the engine: the skeleton behind it, if
 // not held yet, is fetched with one accounted real call (see realCall).
 func (ev *evaluator) resolve(i int, ids []int32, span context.Context) (float64, error) {
-	return ev.drv.Resolve(i, len(ev.infos[i].q.Scopes) > 1, ids, ev.tables[i].additive, func(top *catalog.Configuration) (*optimizer.Alternatives, error) {
+	return ev.drv.Resolve(i, len(ev.infos[i].q.Scopes) > 1, ids, ev.additive[i], func(top *catalog.Configuration) (*optimizer.Alternatives, error) {
 		_, _, alts, err := ev.realCall(i, top, true, span)
 		return alts, err
 	})
@@ -771,15 +742,14 @@ func (ev *evaluator) setQueryPools(pools [][]*structInfo) {
 		return
 	}
 	ev.drv.Settle()
-	for i := range ev.tables {
-		t := &ev.tables[i]
-		t.additive = nil
+	for i := range ev.additive {
+		ev.additive[i] = nil
 		if i >= len(pools) {
 			continue
 		}
 		for _, x := range pools[i] {
 			if x.rel.has(i) {
-				t.additive = append(t.additive, x.id)
+				ev.additive[i] = append(ev.additive[i], x.id)
 			}
 		}
 	}
@@ -801,7 +771,7 @@ func (ev *evaluator) additivePool(cands []derive.Keyed) []*structInfo {
 // enumeration's setQueryPools argument.
 func (ev *evaluator) sharedPools(cands []derive.Keyed) [][]*structInfo {
 	shared := ev.additivePool(cands)
-	pools := make([][]*structInfo, len(ev.tables))
+	pools := make([][]*structInfo, len(ev.events))
 	for i := range pools {
 		pools[i] = shared
 	}
@@ -809,33 +779,35 @@ func (ev *evaluator) sharedPools(cands []derive.Keyed) [][]*structInfo {
 }
 
 // bumpEpoch scopes costing to new statistics: the engine starts a new
-// skeleton scope and the cost cache empties, so every later cost — the
+// skeleton scope and Verify's remembered real costs are forgotten, or,
+// without an engine, the cost cache empties, so every later cost — the
 // baseline included — shares the recommendation's statistics. A session
 // that stops before re-costing an evaluation reads the old epoch's facts
 // from the engine (see halted); without an engine, the old entries stay as
 // stale for it (see miss). Called between parallel sections.
 func (ev *evaluator) bumpEpoch() {
 	ev.drv.BumpEpoch()
+	clear(ev.verified)
 	for i := range ev.tables {
 		t := &ev.tables[i]
-		if ev.drv == nil {
-			t.stale = t.entries
-		}
-		t.entries = nil
+		t.stale, t.entries = t.entries, map[string]*cacheEntry{}
 	}
 }
 
 // verifyDerived cross-checks a derived cost of event i under c, whose key is
 // ids (Mode Verify only): first against every other ready fact covering the
-// key, bit for bit (derive.Engine.CheckCovering: the settled index answers
-// from any of them), then against a real optimizer call. The cross-check
-// call runs under the session's retry policy but outside its what-if
+// key, bit for bit (derive.Engine.CheckCovering: any settled one may answer
+// it), then against the real optimizer's cost of the key, called once per
+// (event, key) and statistics epoch and remembered in verified; every
+// derived cost is compared against the remembered one. The cross-check call
+// runs under the session's retry policy but outside its what-if
 // accounting: it is diagnostic load, not part of producing the
 // recommendation, so the tracker and the circuit breaker stay untouched —
-// dta_derive_verify_total records it. A cross-check the backend cannot
-// answer (faults exhausted retries) is counted and skipped; a covering fact
-// that disagrees, or a cost divergence beyond derive.VerifyTolerance, fails
-// the evaluation.
+// dta_derive_verify_total records it. Two workers may both call a key
+// neither has remembered yet; both get the same answer. A cross-check the
+// backend cannot answer (faults exhausted retries) is counted and skipped; a
+// covering fact that disagrees, or a cost divergence beyond
+// derive.VerifyTolerance, fails the evaluation.
 func (ev *evaluator) verifyDerived(i int, c *config, ids []int32, cost float64) error {
 	if ev.drv.Mode() != derive.Verify {
 		return nil
@@ -843,17 +815,28 @@ func (ev *evaluator) verifyDerived(i int, c *config, ids []int32, cost float64) 
 	if _, err := ev.drv.CheckCovering(i, ids, cost); err != nil {
 		return err
 	}
-	tr := ev.tr
-	real, err := fault.Do(tr.ctx, tr.retryPolicy(), func() (float64, error) {
-		if err := tr.inject(fault.SiteWhatIf); err != nil {
-			return 0, err
+	var kb [260]byte
+	key := idKey(binary.LittleEndian.AppendUint32(kb[:0], uint32(i)), ids)
+	ev.vmu.Lock()
+	real, ok := ev.verified[string(key)]
+	ev.vmu.Unlock()
+	if !ok {
+		tr := ev.tr
+		var err error
+		real, err = fault.Do(tr.ctx, tr.retryPolicy(), func() (float64, error) {
+			if err := tr.inject(fault.SiteWhatIf); err != nil {
+				return 0, err
+			}
+			c, _, err := ev.t.WhatIfCost(ev.events[i].Stmt, c.catalog())
+			return c, err
+		}, nil)
+		if err != nil {
+			ev.drv.VerifyOutcome(false, err)
+			return nil
 		}
-		c, _, err := ev.t.WhatIfCost(ev.events[i].Stmt, c.catalog())
-		return c, err
-	}, nil)
-	if err != nil {
-		ev.drv.VerifyOutcome(false, err)
-		return nil
+		ev.vmu.Lock()
+		ev.verified[string(key)] = real
+		ev.vmu.Unlock()
 	}
 	diff := math.Abs(real - cost)
 	scale := math.Max(math.Abs(real), math.Abs(cost))
@@ -983,10 +966,10 @@ func (ev *evaluator) costAll(sc *scope, c *config) (*costed, error) {
 }
 
 // child evaluates c, a configuration derived from the costed parent p: only
-// the events whose cost-cache key can differ between the two — those a
-// structure in their symmetric difference is relevant to — are re-costed;
-// every other event carries p's cost, which is exactly what its unchanged key
-// would have served from the cache. The total is folded over all events in
+// the events whose key can differ between the two — those a structure in
+// their symmetric difference is relevant to — are re-costed; every other
+// event carries p's cost, which is exactly what its unchanged key evaluates
+// to. The total is folded over all events in
 // event order, so it is bit-identical to a from-scratch evaluation.
 func (ev *evaluator) child(sc *scope, p *costed, c *config) (float64, []override, error) {
 	touched := ev.touched(p.c, c)
@@ -1004,10 +987,10 @@ func (ev *evaluator) child(sc *scope, p *costed, c *config) (float64, []override
 	return ev.fold(sc, p.costs, ov), ov, nil
 }
 
-// touched returns the events whose cost-cache key can differ between a and
-// b: those relevant to a structure only one of them holds. That covers the
-// one configuration-dependent case too: a clustered index is relevant to
-// every event on its table, so adding or removing one marks every event its
+// touched returns the events whose key can differ between a and b: those
+// relevant to a structure only one of them holds. That covers the one
+// configuration-dependent case too: a clustered index is relevant to every
+// event on its table, so adding or removing one marks every event its
 // table's partitioning can be conditionally relevant to.
 func (ev *evaluator) touched(a, b *config) eventSet {
 	t := make(eventSet, ev.words)

@@ -1,5 +1,5 @@
 // Package derive implements the cost-derivation layer between the advisor's
-// single-flight cost cache and the what-if backend, in the spirit of INUM
+// evaluator and the what-if backend, in the spirit of INUM
 // and CoPhy (Dash et al.): instead of issuing one optimizer call per
 // (event, relevant-structure-subset), it issues one real call per event and
 // candidate pool — returning the statement's *plan skeleton* — and answers
@@ -15,15 +15,16 @@
 // of it. Resolution has exactly one path:
 //
 //  1. compute the top of S;
-//  2. look up the top's skeleton in the current (event, statistics epoch,
-//     base part) scope — or any settled fact of the scope whose top holds S:
-//     a fact that was ready at the last phase barrier (Settle), or one a
-//     revision or a resumed session restored. A ready fact of the running
-//     phase answers only its own top, so which requests fetch never depends
-//     on which worker's fetch finished first;
+//  2. look up the top's skeleton among the event's facts of the current
+//     statistics epoch — or the first settled fact of the event that covers
+//     S (its base part is S's, its top holds S): a fact that was ready at
+//     the last phase barrier (Settle), or one a revision or a resumed
+//     session restored. A ready fact of the running phase answers only its
+//     own top, so which requests fetch never depends on which worker's
+//     fetch finished first;
 //  3. if both are absent, fetch it with one accounted real alternatives call,
 //     issued by the engine itself through the caller's Fetch and
-//     single-flighted per (scope, top) — an atom, counted by event shape;
+//     single-flighted per (event, top) — an atom, counted by event shape;
 //  4. replay: optimizer.Alternatives.Replay restricted to the structures S
 //     holds. For a single-scope query the skeleton carries every plan
 //     alternative costed end-to-end, each gated by the single additive
@@ -37,21 +38,24 @@
 // So one atomic call per (event, pool, epoch, base part) answers every
 // configuration the search explores, a fetch is always issued at the current
 // statistics epoch (BumpEpoch simply starts a new scope), and the engine
-// never re-enters the caller's cost cache. The fact store is itself a
-// single-flight layer: the evaluator sends a single-scope or DML evaluation
-// straight to Resolve, with no memo of its own, and a later phase reuses an
-// earlier phase's facts through the settled index, as a cost cache would
-// reuse its entries. A stopped session reads facts alone (Lookup): a ready
+// never calls back into the caller. The fact store is the evaluator's one
+// single-flight layer: every evaluation, join or flat, goes straight to
+// Resolve with no memo of its own, and a later phase reuses an earlier
+// phase's facts through the settled ones, as a cost cache would reuse its
+// entries. The store is one list of facts per event: an exact top is found
+// by scanning it, and the phase barrier sorts it by top and marks its facts
+// settled. A stopped session reads facts alone (Lookup): a ready
 // one of the current epoch, else one of the previous epoch, never a fetch.
 // INSERT, UPDATE and DELETE events take the same path: their skeleton
 // (optimizer.Maintenance) is the fixed write cost, the access alternatives
 // locating the affected rows, and one maintenance term per index or view
 // over the target table, each gated by its structure and summed in
-// ascending key order exactly as the optimizer sums them. The engine is a fact store plus replay, and nothing else costs
-// an event: a failed fetch is the resolution's error, returned to the
-// resolver that issued it and to every resolver waiting on the same fact,
-// and a skeleton that offers no selectable alternative is a backend bug,
-// reported as an error naming the event.
+// ascending key order exactly as the optimizer sums them. The engine is a
+// fact store plus replay, and nothing else costs an event: a failed fetch
+// is the resolution's error, returned to the resolver that issued it and to
+// every resolver waiting on the same fact, and a skeleton that offers no
+// selectable alternative is a backend bug, reported as an error naming the
+// event.
 //
 // The engine exists only where skeletons do: an evaluator builds one iff its
 // backend implements the alternatives call. Over a skeleton-less backend the
@@ -59,9 +63,9 @@
 // tests and Verify mode compare against.
 //
 // Internally a structure is a dense ID from the engine's Interner, which the
-// evaluator shares for its own cost-cache keys: Resolve takes the event's
-// cache key and its additive pool subset (which the evaluator precomputes
-// from its relevance bitsets) as ID sets, and tops are ID sets. A skeleton
+// evaluator shares for its own per-event keys: Resolve takes the event's
+// relevant structures and its additive pool subset (which the evaluator
+// precomputes from its relevance bitsets) as ID sets, and tops are ID sets. A skeleton
 // names the structures its alternatives need in its gate table
 // (optimizer.Alternatives.Gates); the table is resolved to positions in the
 // top once, when the fact becomes ready (fetched or restored), into a slice
@@ -97,7 +101,7 @@ type Mode string
 
 // Modes. The zero value ("") means On everywhere a mode is accepted.
 const (
-	// On answers cost-cache misses by skeleton replay.
+	// On answers every evaluation by skeleton replay.
 	On Mode = "on"
 	// Verify derives like On but cross-checks every derived cost against a
 	// real optimizer call; divergence beyond VerifyTolerance is an error.
@@ -159,6 +163,10 @@ type fact struct {
 	// closes.
 	gates []int32
 	err   error
+	// settled marks a fact that was ready at the last phase barrier, or was
+	// restored: only a settled fact answers a request for another top (see
+	// covering). Read and written under the engine's lock.
+	settled bool
 }
 
 // compile resolves the fact's skeleton gate table (Alternatives.Gates: the
@@ -242,15 +250,6 @@ func subset(a, b []int32) bool {
 	return true
 }
 
-// scope addresses the facts of one event and ID set: a top (an index of
-// every fact) or a base part (a coverIndex). hash is the hash of the IDs
-// (HashIDs); a lookup compares the full set, so colliding sets are told
-// apart.
-type scope struct {
-	event int
-	hash  uint64
-}
-
 // closed is the ready channel of facts that never were in flight (Restore).
 var closed = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
 
@@ -264,15 +263,10 @@ type Engine struct {
 
 	mu sync.Mutex
 	// facts holds the current statistics epoch's facts, in flight or
-	// ready, per event; tops indexes the same facts by their top.
+	// ready, one list per event. The last phase barrier (Settle, or a
+	// Restore) sorted each list by top and marked every fact in it settled;
+	// facts fetched since follow, unsettled.
 	facts map[int][]*fact
-	tops  map[scope][]*fact
-	// settled indexes the current epoch's facts that were ready at the last
-	// phase barrier (Settle), and the facts Restore loaded, by their event
-	// and base part, so Resolve can answer a request no fact matches exactly
-	// from one that covers it. Written only by Settle, Restore and
-	// BumpEpoch.
-	settled coverIndex
 	// prev holds the previous epoch's facts per event, for Lookup alone.
 	prev map[int][]*fact
 
@@ -291,11 +285,11 @@ func New(mode Mode) *Engine {
 	if mode == "" {
 		mode = On
 	}
-	return &Engine{mode: mode, in: NewInterner(), facts: map[int][]*fact{}, tops: map[scope][]*fact{}}
+	return &Engine{mode: mode, in: NewInterner(), facts: map[int][]*fact{}}
 }
 
 // Interner returns the engine's structure interner, for the caller to key
-// its own cost cache by the same IDs (nil on a nil engine).
+// its evaluations by the same IDs (nil on a nil engine).
 func (e *Engine) Interner() *Interner {
 	if e == nil {
 		return nil
@@ -332,17 +326,18 @@ func (e *Engine) AttachMetrics(reg *obs.Registry) {
 // computed under different statistics states are not comparable, so the
 // previous epoch's skeletons, restored ones included, no longer answer
 // Resolve or Used, and the next resolution of each (event, top) fetches
-// afresh. The caller clears its cost cache at the same point, so every cost
-// it holds afterwards was replayed from a fact of the new epoch. The
-// previous epoch's facts stay for Lookup alone: a session that stops before
-// re-costing an evaluation answers it from them. Safe on nil.
+// afresh. The caller forgets every cost of the old epoch it remembers at
+// the same point, so every cost it reads afterwards was replayed from a fact
+// of the new epoch. The previous epoch's facts stay for Lookup alone: a
+// session that stops before re-costing an evaluation answers it from them.
+// Safe on nil.
 func (e *Engine) BumpEpoch() {
 	if e == nil {
 		return
 	}
 	e.mu.Lock()
 	e.prev = e.facts
-	e.facts, e.tops, e.settled = map[int][]*fact{}, map[scope][]*fact{}, nil
+	e.facts = map[int][]*fact{}
 	e.mu.Unlock()
 }
 
@@ -356,31 +351,24 @@ func (e *Engine) Settle() {
 		return
 	}
 	e.mu.Lock()
-	e.settled = e.readyIndex()
+	e.settle()
 	e.mu.Unlock()
 }
 
-// coverIndex indexes facts by their event and base part (the scope of
-// HashIDs of the base IDs), each list sorted by top so the choice among
-// covering facts is deterministic.
-type coverIndex map[scope][]*fact
-
-// readyIndex indexes every ready fact of the current epoch; e.mu must be
-// held.
-func (e *Engine) readyIndex() coverIndex {
-	x := coverIndex{}
+// settle marks every ready fact of the current epoch settled and replaces
+// each event's list with a copy sorted by top, so the choice among covering
+// facts is deterministic; e.mu must be held. The list is replaced, not
+// sorted in place, because Used, Lookup and CheckCovering walk it outside
+// the lock.
+func (e *Engine) settle() {
 	for event, list := range e.facts {
 		for _, f := range list {
-			if ready(f) {
-				k := scope{event, HashIDs(f.base)}
-				x[k] = append(x[k], f)
-			}
+			f.settled = ready(f)
 		}
-	}
-	for _, list := range x {
+		list = slices.Clone(list)
 		slices.SortFunc(list, func(a, b *fact) int { return slices.Compare(a.top, b.top) })
+		e.facts[event] = list
 	}
-	return x
 }
 
 // ready reports whether a fact's fetch has succeeded: its ready channel is
@@ -396,7 +384,7 @@ func ready(f *fact) bool {
 
 // held returns the event's fact for top, or nil; e.mu must be held.
 func (e *Engine) held(event int, top []int32) *fact {
-	for _, f := range e.tops[scope{event, HashIDs(top)}] {
+	for _, f := range e.facts[event] {
 		if slices.Equal(f.top, top) {
 			return f
 		}
@@ -404,47 +392,22 @@ func (e *Engine) held(event int, top []int32) *fact {
 	return nil
 }
 
-// hold records a fact of the event in both indexes; e.mu must be held.
-func (e *Engine) hold(event int, f *fact) {
-	e.facts[event] = append(e.facts[event], f)
-	k := scope{event, HashIDs(f.top)}
-	e.tops[k] = append(e.tops[k], f)
-}
-
-// release removes a failed fact of the event from both indexes; e.mu must
-// be held. The event's list is replaced, not edited, because Used walks it
-// outside the lock.
+// release removes a failed fact of the event; e.mu must be held. The
+// event's list is replaced, not edited, because Used walks it outside the
+// lock.
 func (e *Engine) release(event int, f *fact) {
-	other := func(g *fact) bool { return g == f }
-	e.facts[event] = slices.DeleteFunc(slices.Clone(e.facts[event]), other)
-	k := scope{event, HashIDs(f.top)}
-	if list := slices.DeleteFunc(e.tops[k], other); len(list) > 0 {
-		e.tops[k] = list
-	} else {
-		delete(e.tops, k)
-	}
+	e.facts[event] = slices.DeleteFunc(slices.Clone(e.facts[event]), func(g *fact) bool { return g == f })
 }
 
-// covering returns a settled fact of the event that covers rel — its base
-// part is rel's and its top holds rel — or nil. Settled facts were all ready
-// at the last phase barrier, or restored before the first resolution of
-// their epoch, so whether one answers a request depends on the request and
-// the phase alone, never on scheduling. e.mu must be held.
+// covering returns the first settled fact of the event that covers rel — its
+// base part is rel's and its top holds rel — or nil. Settled facts were all
+// ready at the last phase barrier, or restored before the first resolution
+// of their epoch, and the barrier sorted them by top, so which one answers a
+// request depends on the request and the phase alone, never on scheduling.
+// e.mu must be held.
 func (e *Engine) covering(event int, rel []int32) *fact {
-	if len(e.settled) == 0 {
-		return nil
-	}
-	var buf [maxStackTop]int32
-	base := buf[:0]
-	e.in.mu.RLock()
-	for _, id := range rel {
-		if isBase(e.in.structs[id]) {
-			base = append(base, id)
-		}
-	}
-	e.in.mu.RUnlock()
-	for _, f := range e.settled[scope{event, HashIDs(base)}] {
-		if f.covers(rel) {
+	for _, f := range e.facts[event] {
+		if f.settled && f.covers(rel) {
 			return f
 		}
 	}
@@ -483,7 +446,7 @@ func (e *Engine) Resolve(event int, join bool, rel, additive []int32, fetch Fetc
 	found := f != nil
 	if !found {
 		f = &fact{ready: make(chan struct{}), top: slices.Clone(top)}
-		e.hold(event, f)
+		e.facts[event] = append(e.facts[event], f)
 	}
 	e.mu.Unlock()
 
@@ -553,7 +516,7 @@ func (e *Engine) Lookup(event int, rel []int32) (cost float64, ok bool) {
 
 // CheckCovering replays rel against every ready current-epoch fact of the
 // event that covers it and compares each replayed cost with cost, bit for
-// bit: the property the settled index rests on, that any covering fact
+// bit: the property settled facts rest on, that any covering fact
 // answers exactly what a real call would. It returns how many facts it
 // compared, and an error naming the event at the first disagreement; each
 // agreeing fact counts as dta_derive_verify_total{result="cover"}, a
@@ -855,13 +818,12 @@ func (s *Snapshot) Check(events int) error {
 // beside the facts it holds (a fact it already holds for the same event and
 // top is kept): the Structs table is interned once (a structure the
 // interner has not seen yet is recorded from it), each fact's positions are
-// remapped to interned IDs, its gates are compiled, and it is settled (a
-// restore is a phase barrier): indexed by its scope for Resolve's covering
-// lookup. The caller restores a snapshot only under the statistics state it
-// was captured in, and before the first resolution of that epoch, so every
-// restored fact answers exactly what it
-// answered on the original engine and the fetches a session issues stay a
-// function of what it asks. A fact naming a position outside the table, or
+// remapped to interned IDs, its gates are compiled, and every ready fact is
+// settled (a restore is a phase barrier), so Resolve's covering lookup
+// reaches it. The caller restores a snapshot only under the statistics
+// state it was captured in, and before the first resolution of that epoch,
+// so every restored fact answers exactly what it answered on the original
+// engine and the fetches a session issues stay a function of what it asks. A fact naming a position outside the table, or
 // holding no skeleton, is skipped (a later resolution of it simply
 // fetches). Safe on nil (either side).
 func (e *Engine) Restore(s *Snapshot) {
@@ -882,9 +844,9 @@ func (e *Engine) Restore(s *Snapshot) {
 		}
 		f := &fact{ready: closed, top: top, alts: r.Alts}
 		e.compile(f)
-		e.hold(r.Event, f)
+		e.facts[r.Event] = append(e.facts[r.Event], f)
 	}
-	e.settled = e.readyIndex()
+	e.settle()
 }
 
 // VerifyOutcome feeds one Verify-mode cross-check result into the engine's

@@ -10,7 +10,7 @@ import (
 // Interner gives every physical design structure a dense, append-only ID,
 // keyed by its canonical Structure.Key(), and remembers the first structure
 // interned under each key. A session's evaluator and its derivation engine
-// share one interner, so cost-cache keys, skeleton scopes, tops and compiled
+// share one interner, so evaluation keys, skeleton facts, tops and compiled
 // replay gates are all sets of the same small integers. Interner IDs depend
 // on interning order, so persisted state never carries them: a Snapshot
 // spells each key once in a sorted table and refers to structures by their
@@ -107,17 +107,6 @@ func remap(dst, positions, ids []int32) (out []int32, ok bool) {
 		}
 	}
 	return dst, true
-}
-
-// HashIDs hashes an ascending ID list (FNV-1a over the IDs): the key of an
-// evaluator's cost-table entry and of a restored fact's scope.
-func HashIDs(ids []int32) uint64 {
-	h := uint64(14695981039346656037)
-	for _, id := range ids {
-		h ^= uint64(uint32(id))
-		h *= 1099511628211
-	}
-	return h
 }
 
 // union appends the merge of two ascending ID lists to out[:0], ascending

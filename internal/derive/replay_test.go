@@ -93,8 +93,8 @@ func readyShapes(tb testing.TB) []*readyShape {
 }
 
 // TestResolveAllocatesNothing: resolving a configuration against a ready
-// fact — every flat evaluation, and every join cost-cache miss, after a
-// skeleton's first fetch — builds its top in a stack buffer and replays over
+// fact — every evaluation, join or flat, after a skeleton's first fetch —
+// builds its top in a stack buffer and replays over
 // the fact's gate positions with no string lookup, and allocates nothing,
 // for single-scope, DML and join skeletons alike (a join replay's working
 // memory is pooled), and for an earlier phase's fact answering by covering.
@@ -122,8 +122,7 @@ func TestResolveAllocatesNothing(t *testing.T) {
 }
 
 // BenchmarkResolve measures Resolve against a ready fact — the engine's
-// cost per flat evaluation (and per join cost-cache miss) once the event's
-// skeleton is held — for each skeleton shape, and for an earlier phase's
+// cost per evaluation, join or flat, once the event's skeleton is held — for each skeleton shape, and for an earlier phase's
 // fact answering by covering: one iteration resolves every subset of the
 // shape's five-structure pool (32 resolutions).
 func BenchmarkResolve(b *testing.B) {

@@ -229,27 +229,18 @@ func (a *Alternatives) Replay(avail []bool, used *[]string) (float64, bool) {
 	return a.replayFlat(f.comp, avail, used)
 }
 
-// Cost is the cost-only Replay for the sub-configuration whose additive
-// structures has reports present, asking has once per gate.
-func (a *Alternatives) Cost(has func(string) bool) (float64, bool) {
-	var buf [64]bool
-	return a.Replay(availOf(buf[:0], a.Gates(), has), nil)
-}
-
-// Select is Cost plus the used-structure keys of the chosen plan.
+// Select replays the sub-configuration whose additive structures has
+// reports present, asking has once per gate, and returns the cost and the
+// used-structure keys of the chosen plan.
 func (a *Alternatives) Select(has func(string) bool) (float64, []string, bool) {
 	var buf [64]bool
-	var used []string
-	cost, ok := a.Replay(availOf(buf[:0], a.Gates(), has), &used)
-	return cost, used, ok
-}
-
-// availOf appends has(key) for each gate key to dst.
-func availOf(dst []bool, gates []string, has func(string) bool) []bool {
-	for _, key := range gates {
-		dst = append(dst, has(key))
+	avail := buf[:0]
+	for _, key := range a.Gates() {
+		avail = append(avail, has(key))
 	}
-	return dst
+	var used []string
+	cost, ok := a.Replay(avail, &used)
+	return cost, used, ok
 }
 
 // replayFlat is Replay over single-scope components, gate holding each

@@ -38,7 +38,7 @@ func BenchmarkOptimizeJoin(b *testing.B) {
 }
 
 // BenchmarkSelectJoin measures join-skeleton replay as the derivation layer
-// runs it (Alternatives.Cost; the skeleton compiles on the first call): one
+// runs it (Alternatives.Replay; the skeleton compiles on the first call): one
 // iteration replays the seven-scope Q8 skeleton, captured at the full
 // wide-join pool over the constraint base, on every subset of the pool (128
 // replays).
@@ -49,7 +49,7 @@ func BenchmarkSelectJoin(b *testing.B) {
 }
 
 // BenchmarkSelect measures the cost-only replay the derivation layer answers
-// a cost-cache miss with (Alternatives.Cost) on the two flat skeleton shapes:
+// an evaluation with (Alternatives.Replay) on the two flat skeleton shapes:
 // a single-scope SYNT1 query and a PSOFT UPDATE (its maintenance sum), each
 // captured at a seven-index pool and replayed on all 128 subsets of it per
 // iteration. Neither replay collects used structures, so neither allocates.
@@ -90,32 +90,35 @@ func BenchmarkSelect(b *testing.B) {
 }
 
 // benchReplay captures the statement's skeleton under base plus the whole
-// pool and times its cost-only replay on every subset of the pool, checking
-// each against the used-collecting replay once before the clock starts.
+// pool and times its cost-only replay on every subset of the pool, over the
+// subset's gate availability as the derivation layer passes it, checking
+// each against the used-collecting Select once before the clock starts.
 func benchReplay(b *testing.B, o *optimizer.Optimizer, sql string, base *catalog.Configuration, pool []catalog.Structure) {
 	_, alts, err := o.OptimizeAlternatives(sqlparser.MustParse(sql), subsetConfig(base, pool, 1<<len(pool)-1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	sets := make([]map[string]bool, 1<<len(pool))
-	for mask := range sets {
-		sets[mask] = map[string]bool{}
+	avails := make([][]bool, 1<<len(pool))
+	for mask := range avails {
+		set := map[string]bool{}
 		for i, s := range pool {
 			if mask&(1<<i) != 0 {
-				sets[mask][s.Key()] = true
+				set[s.Key()] = true
 			}
 		}
-		has := func(k string) bool { return sets[mask][k] }
-		cost, ok := alts.Cost(has)
-		if want, _, wantOK := alts.Select(has); !ok || !wantOK || cost != want {
+		for _, key := range alts.Gates() {
+			avails[mask] = append(avails[mask], set[key])
+		}
+		cost, ok := alts.Replay(avails[mask], nil)
+		if want, _, wantOK := alts.Select(func(k string) bool { return set[k] }); !ok || !wantOK || cost != want {
 			b.Fatalf("subset %b: cost-only replay %v (%v), used-collecting replay %v (%v)", mask, cost, ok, want, wantOK)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, set := range sets {
-			if _, ok := alts.Cost(func(k string) bool { return set[k] }); !ok {
+		for _, avail := range avails {
+			if _, ok := alts.Replay(avail, nil); !ok {
 				b.Fatal("replay failed")
 			}
 		}

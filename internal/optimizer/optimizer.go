@@ -249,14 +249,9 @@ func parallelismHW(hw Hardware, pages float64) float64 {
 	return p
 }
 
-// sortCost returns the cost of sorting rows of the given page volume:
-// n·log₂(n) comparisons plus spill I/O when the input exceeds memory.
-func (c *optContext) sortCost(rows, pages float64) float64 {
-	return sortCostHW(c.hw(), rows, pages)
-}
-
-// sortCostHW is sortCost over an explicit hardware model (see parallelismHW
-// for why the shared form exists).
+// sortCostHW returns the cost of sorting rows of the given page volume
+// under a hardware model: n·log₂(n) comparisons plus spill I/O when the
+// input exceeds memory.
 func sortCostHW(hw Hardware, rows, pages float64) float64 {
 	if rows < 2 {
 		return startupCost
