@@ -600,7 +600,8 @@ func runSearch(t Tuner, st *costedState, rec *Recommendation, cons Constraints, 
 	// selection accumulated when the weights are the workload's own.
 	benefit := map[string]float64{}
 	for _, g := range st.gains {
-		wg := (g.BaseCost - g.BestCost) * ev.eventWeight(g.Query)
+		// Rounded before it is summed (no fused multiply-add; see fold).
+		wg := float64((g.BaseCost - g.BestCost) * ev.eventWeight(g.Query))
 		for _, key := range g.Structures {
 			benefit[key] += wg
 		}
@@ -715,7 +716,7 @@ func finishRecommendation(t Tuner, ev *evaluator, rec *Recommendation, base, fin
 		rec.Reports = append(rec.Reports, QueryReport{
 			SQL: e.SQL, Weight: e.Weight, CostBefore: before, CostAfter: after, UsedStructures: used,
 		})
-		totalAfter += e.Weight * after
+		totalAfter += float64(e.Weight * after)
 		for _, key := range used {
 			u := usage[key]
 			if u == nil {
@@ -724,7 +725,7 @@ func finishRecommendation(t Tuner, ev *evaluator, rec *Recommendation, base, fin
 			}
 			u.Queries++
 			u.WeightedUses += e.Weight
-			u.CostShare += e.Weight * after
+			u.CostShare += float64(e.Weight * after)
 		}
 	}
 	for _, u := range usage {

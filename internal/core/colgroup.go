@@ -61,7 +61,7 @@ func interestingColumnGroups(t Tuner, ev *evaluator, w *workload.Workload, opts 
 		if err != nil {
 			return nil, err
 		}
-		cost := c * e.Weight
+		cost := float64(c * e.Weight) // rounded: no fused multiply-add
 		totalCost += cost
 		for _, cols := range referencedColumns(q) {
 			occs = append(occs, occurrence{table: cols.table, cols: cols.cols, cost: cost})

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -225,7 +226,7 @@ func TestIncrementalCostsMatchFromScratch(t *testing.T) {
 				if !ok {
 					continue
 				}
-				total, ov, err := inc.child(inc.all, cur, c)
+				total, ov, err := inc.child(inc.all, cur, c, &scratch{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -542,6 +543,52 @@ func BenchmarkEnumerate(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkFrontier times one enumeration step over the toy PSOFT pool: the
+// pool's warm-started evaluator, its candidates as enumeration's shared pool,
+// and per iteration one frontier — every candidate grown onto the base
+// configuration and its touched events re-costed (evalFrontier) — after a
+// first frontier has handed every event its slots, as a search's later
+// steps find them. It reports the time and the allocations per evaluation.
+func BenchmarkFrontier(b *testing.B) {
+	srv, w, pool, opts := sealedToy(b, "psoft", FeatureAll)
+	ev := pool.warmState(srv, w, pool.Base, opts.Derive, testTracker()).ev
+	cands := keyed(pool.Candidates)
+	ev.setQueryPools(ev.sharedPools(cands))
+	root, err := ev.costAll(ev.all, ev.config(pool.Base))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cs := ev.candidates(cands)
+	o := greedyOptions{m: 1, k: 1}
+	fits := func(*config) bool { return true }
+	step := func() (evals int) {
+		fs := ev.frontier()
+		defer ev.release(fs)
+		res, _ := evalFrontier(ev, o, ev.all, root, cs, fits, fs)
+		for _, r := range res {
+			if r.err != nil {
+				b.Fatal(r.err)
+			}
+			evals += len(r.ov)
+		}
+		return evals
+	}
+	evals := step()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(evals) * float64(b.N)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/eval")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/eval")
+	b.ReportMetric(float64(evals), "evals/op")
 }
 
 // BenchmarkSelectCandidates times candidate selection alone — per-query

@@ -16,7 +16,8 @@ import (
 // views, then table partitionings by sorted table name (a map iteration
 // would make drop order, and with it the whole session, nondeterministic) —
 // costed in parallel, each removal incrementally from the current
-// configuration's per-event costs, and reduced sequentially in that order.
+// configuration's per-event costs (its overrides in the round's frontier
+// scratch), and reduced sequentially in that order.
 func greedyDrop(ev *evaluator, base *catalog.Configuration, pinned map[string]bool) (*catalog.Configuration, []catalog.Structure, error) {
 	cur, err := ev.costAll(ev.all, ev.config(base.Clone()))
 	if err != nil {
@@ -59,9 +60,10 @@ func greedyDrop(ev *evaluator, base *catalog.Configuration, pinned map[string]bo
 			frontier = append(frontier, &removal{c: ev.config(cfg), s: s})
 		}
 
-		ev.tr.pool.each(len(frontier), func(i int) {
+		fs := ev.frontier()
+		ev.tr.pool.eachWorker(len(frontier), func(w, i int) {
 			r := frontier[i]
-			r.cost, r.ov, r.err = ev.child(ev.all, cur, r.c)
+			r.cost, r.ov, r.err = ev.child(ev.all, cur, r.c, &fs.w[w])
 		})
 		var best *removal
 		for _, r := range frontier {
@@ -82,9 +84,11 @@ func greedyDrop(ev *evaluator, base *catalog.Configuration, pinned map[string]bo
 			ev.tr.record(e)
 		}
 		if best == nil || best.cost >= cur.total {
+			ev.release(fs)
 			return curCfg, dropped, nil
 		}
 		cur = cur.with(best.c, best.cost, best.ov)
+		ev.release(fs)
 		dropped = append(dropped, best.s)
 	}
 }

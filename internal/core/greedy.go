@@ -75,13 +75,13 @@ func (ev *evaluator) candidates(cands []derive.Keyed) []candidate {
 	return out
 }
 
-// frontierEval is one candidate's evaluation within a parallel frontier:
-// the configuration grown by the candidate, its cost and the events it
-// re-costed, or the evaluation error, or ok=false when the candidate did not
-// apply (no change, over budget, invalid, or skipped because the session
-// stopped).
+// frontierEval is one candidate's evaluation within a parallel frontier: the
+// cost of the configuration grown by the candidate and the events it
+// re-costed (in the frontier's scratch), or the evaluation error, or
+// ok=false when the candidate did not apply (no change, over budget,
+// invalid, or skipped because the session stopped). The configuration
+// itself is rebuilt only for a candidate the reduction keeps (grown).
 type frontierEval struct {
-	c    *config
 	cost float64
 	ov   []override
 	err  error
@@ -90,30 +90,34 @@ type frontierEval struct {
 
 // evalFrontier grows the costed parent by each listed candidate, admits the
 // child, and costs it incrementally (evaluator.child) on the session's
-// worker pool. Results come back indexed by candidate so callers can reduce
-// them sequentially in candidate order — the property that makes a parallel
-// sweep pick the same winner as a sequential one. It reports the worker
+// worker pool, each worker in its own part of fs: a candidate allocates
+// nothing the reduction does not keep. Results come back indexed by
+// candidate so callers can reduce them sequentially in candidate order — the
+// property that makes a parallel sweep pick the same winner as a sequential
+// one — and stay valid until the caller releases fs. It reports the worker
 // count for observability.
-func evalFrontier(ev *evaluator, o greedyOptions, sc *scope, parent *costed, cands []candidate, fits func(*config) bool) ([]frontierEval, int) {
+func evalFrontier(ev *evaluator, o greedyOptions, sc *scope, parent *costed, cands []candidate, fits func(*config) bool, fs *frontierScratch) ([]frontierEval, int) {
 	res := make([]frontierEval, len(cands))
 	tr := ev.tr
-	workers := tr.pool.each(len(cands), func(i int) {
+	workers := tr.pool.eachWorker(len(cands), func(wk, i int) {
 		if tr.stopped() {
 			return
 		}
-		c, ok := ev.extend(parent.c, cands[i].Structure, cands[i].x, o.aligned)
+		w := &fs.w[wk]
+		ents, ok := ev.grow(parent.c, cands[i].x, o.aligned, w.c.ents[:0])
+		w.c = config{ents: ents, from: parent.c, add: cands[i].Structure, aligned: o.aligned}
 		if !ok {
 			return
 		}
-		if !fits(c) || (o.valid != nil && !o.valid(c.catalog())) {
+		if !fits(&w.c) || (o.valid != nil && !o.valid(w.c.catalog())) {
 			return
 		}
-		cost, ov, err := ev.child(sc, parent, c)
+		cost, ov, err := ev.child(sc, parent, &w.c, w)
 		if err != nil {
 			res[i] = frontierEval{err: err}
 			return
 		}
-		res[i] = frontierEval{c: c, cost: cost, ov: ov, ok: true}
+		res[i] = frontierEval{cost: cost, ov: ov, ok: true}
 	})
 	if tr.metrics != nil && len(cands) > 0 {
 		tr.metrics.Histogram("dta_greedy_frontier_size",
@@ -124,6 +128,14 @@ func evalFrontier(ev *evaluator, o greedyOptions, sc *scope, parent *costed, can
 			obs.CountBuckets).Observe(float64(workers))
 	}
 	return res, workers
+}
+
+// grown returns the costed child of parent a frontier kept: candidate c's
+// configuration, rebuilt as the frontier grew it, with the frontier's cost
+// and overrides copied in.
+func grown(ev *evaluator, o greedyOptions, parent *costed, c candidate, r frontierEval) *costed {
+	cfg, _ := ev.extend(parent.c, c.Structure, c.x, o.aligned)
+	return parent.with(cfg, r.cost, r.ov)
 }
 
 // better reports whether a frontier candidate (cost c, structure key k)
@@ -205,7 +217,9 @@ func greedySearch(ev *evaluator, sc *scope, base *config, cands []derive.Keyed, 
 		if size == o.m || expired() {
 			return nil
 		}
-		res, _ := evalFrontier(ev, o, seedScope, cur.node, pool[start:], fits)
+		fs := ev.frontier()
+		defer ev.release(fs)
+		res, _ := evalFrontier(ev, o, seedScope, cur.node, pool[start:], fits, fs)
 		for j, r := range res {
 			if expired() {
 				return nil
@@ -223,7 +237,7 @@ func greedySearch(ev *evaluator, sc *scope, base *config, cands []derive.Keyed, 
 			i := start + j
 			next := state{
 				chosen: append(append([]derive.Keyed(nil), cur.chosen...), cands[i]),
-				node:   cur.node.with(r.c, r.cost, r.ov),
+				node:   grown(ev, o, cur.node, pool[i], r),
 			}
 			if improves {
 				best = next
@@ -265,7 +279,9 @@ func greedySearch(ev *evaluator, sc *scope, base *config, cands []derive.Keyed, 
 			// One sweep over the candidate pool: evaluate the whole frontier
 			// in parallel, then pick the winner sequentially in candidate
 			// order (ties broken by structure key — see better).
-			res, workers := evalFrontier(ev, o, sc.under(stepCtx), best.node, pool, fits)
+			fs := ev.frontier()
+			defer ev.release(fs)
+			res, workers := evalFrontier(ev, o, sc.under(stepCtx), best.node, pool, fits, fs)
 			stepSpan.SetInt("workers", workers)
 			bestIdx := -1
 			bestCost := math.Inf(1)
@@ -316,10 +332,9 @@ func greedySearch(ev *evaluator, sc *scope, base *config, cands []derive.Keyed, 
 				return false, nil
 			}
 			journalStep(true)
-			w := res[bestIdx]
 			best = state{
 				chosen: append(best.chosen, cands[bestIdx]),
-				node:   best.node.with(w.c, w.cost, w.ov),
+				node:   grown(ev, o, best.node, pool[bestIdx], res[bestIdx]),
 			}
 			stepSpan.SetString("picked", bestKey).SetFloat("cost", bestCost)
 			if tr.metrics != nil {

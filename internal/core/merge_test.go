@@ -159,7 +159,7 @@ func mergeInputs(tb testing.TB, name string) (*catalog.Catalog, map[string]float
 	benefit := map[string]float64{}
 	for _, g := range pool.Gains {
 		for _, k := range g.Structures {
-			benefit[k] += (g.BaseCost - g.BestCost) * w.Events[g.Query].Weight
+			benefit[k] += float64((g.BaseCost - g.BestCost) * w.Events[g.Query].Weight)
 		}
 	}
 	generated := slices.Clone(pool.Candidates)

@@ -43,8 +43,8 @@ func selectionPrint(p *CostedPool) (string, float64) {
 		if w == 0 {
 			w = 1
 		}
-		gain += (g.BaseCost - g.BestCost) * w
-		base += g.BaseCost * w
+		gain += float64((g.BaseCost - g.BestCost) * w)
+		base += float64(g.BaseCost * w)
 	}
 	sort.Strings(lines)
 	keys := make([]string, 0, len(p.Candidates))

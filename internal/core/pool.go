@@ -38,23 +38,30 @@ func newWorkerPool(parallelism int) *workerPool {
 // and the pool-utilization histogram). fn must write its result into a
 // caller-provided slot at index i; each itself imposes no result ordering.
 func (p *workerPool) each(n int, fn func(i int)) int {
+	return p.eachWorker(n, func(_, i int) { fn(i) })
+}
+
+// eachWorker is each with fn also told which participating goroutine runs
+// index i: w is 0 for the calling goroutine and counts the helpers from 1,
+// below size, so fn may use per-worker scratch indexed by w without a lock.
+func (p *workerPool) eachWorker(n int, fn func(w, i int)) int {
 	if n <= 0 {
 		return 0
 	}
 	if p.size <= 1 || n == 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return 1
 	}
 	var next atomic.Int64
-	work := func() {
+	work := func(w int) {
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= n {
 				return
 			}
-			fn(i)
+			fn(w, i)
 		}
 	}
 	var wg sync.WaitGroup
@@ -64,13 +71,14 @@ recruit:
 		select {
 		case p.slots <- struct{}{}:
 			wg.Add(1)
+			w := workers
 			workers++
 			go func() {
 				defer func() {
 					<-p.slots
 					wg.Done()
 				}()
-				work()
+				work(w)
 			}()
 		default:
 			// No free helper token: another level of the pipeline holds the
@@ -78,7 +86,7 @@ recruit:
 			break recruit
 		}
 	}
-	work()
+	work(0)
 	wg.Wait()
 	return workers
 }

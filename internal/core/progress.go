@@ -90,7 +90,9 @@ type Progress struct {
 	// DerivedEvals counts configuration costs answered by skeleton replay
 	// instead of a real optimizer call (zero over a backend without plan
 	// skeletons). Streamed live so the calls-saved ratio is visible while
-	// the session runs, not only in the final Result.
+	// the session runs, not only in the final Result; evaluations are
+	// counted once per child configuration, so a mid-search snapshot lags
+	// by at most the children in flight.
 	DerivedEvals int64 `json:"derivedEvals,omitempty"`
 	// DeriveFallbacks counts the plan skeletons fetched so far — the real
 	// optimizer calls behind derivation — by event shape ("atom",

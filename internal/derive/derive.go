@@ -39,13 +39,18 @@
 // configuration the search explores, a fetch is always issued at the current
 // statistics epoch (BumpEpoch simply starts a new scope), and the engine
 // never calls back into the caller. The fact store is the evaluator's one
-// single-flight layer: every evaluation, join or flat, goes straight to
-// Resolve with no memo of its own, and a later phase reuses an earlier
+// single-flight layer: every evaluation, join or flat, is answered from its
+// facts with no memo of its own, and a later phase reuses an earlier
 // phase's facts through the settled ones, as a cost cache would reuse its
 // entries. The store is one list of facts per event: an exact top is found
 // by scanning it, and the phase barrier sorts it by top and marks its facts
-// settled. A stopped session reads facts alone (Lookup): a ready
-// one of the current epoch, else one of the previous epoch, never a fetch.
+// settled. Resolve is steps 1–4 in one call; Find is steps 1–3, and hands
+// the fact back as a Slot, which answers without the engine — no top, lock,
+// list scan or channel — every later request Find would answer from the
+// same fact without a fetch, until the next barrier or epoch. The caller
+// counts its derived evaluations (Derived), a batch at a time. A stopped
+// session reads facts alone (Lookup): a ready one of the current epoch,
+// else one of the previous epoch, never a fetch.
 // INSERT, UPDATE and DELETE events take the same path: their skeleton
 // (optimizer.Maintenance) is the fixed write cost, the access alternatives
 // locating the affected rows, and one maintenance term per index or view
@@ -144,25 +149,34 @@ type Keyed struct {
 // into the engine.
 type Fetch func(top *catalog.Configuration) (*optimizer.Alternatives, error)
 
-// fact is one single-flight skeleton slot, addressed by its event and its
+// fact is one single-flight skeleton record, addressed by its event and its
 // top's interned ID set within the current statistics epoch: replay needs
 // identical statements, identical statistics and identical base-table
 // shapes, and a top adds only additive structures, so the top fixes the base
 // part. The resolver that created it fills the fetched skeleton, compiles
-// its gates and closes ready; concurrent resolvers of the same top wait on
-// ready instead of fetching again. A failed fact is removed from the store
-// before ready closes, so a later resolution fetches afresh.
+// its gates, sets done and closes ready; concurrent resolvers of the same
+// top wait on ready instead of fetching again. A failed fact is removed from
+// the store before ready closes, so a later resolution fetches afresh.
 type fact struct {
 	ready chan struct{}
-	top   []int32 // the top's IDs, ascending
-	base  []int32 // the top's base-part IDs, ascending
-	alts  *optimizer.Alternatives
+	// done is set just before ready closes: a resolver that finds it set
+	// reads err and the skeleton without touching the channel.
+	done atomic.Bool
+	top  []int32 // the top's IDs, ascending
+	base []int32 // the top's base-part IDs, ascending
+	alts *optimizer.Alternatives
 	// gates holds, for each entry of alts' gate table in its order, the
 	// position in top of the structure it names, or -1 for a gate outside
 	// the top: no subset of the top can satisfy it. Immutable once ready
 	// closes.
 	gates []int32
-	err   error
+	// basePos holds the positions in top of the base part; own, for a
+	// fetched fact, the positions of the structures the fetching request
+	// held outside the additive subset it was fetched with — what a request
+	// must hold for its own top to be this one (see Slot). Both are
+	// immutable once ready closes.
+	basePos, own []int32
+	err          error
 	// settled marks a fact that was ready at the last phase barrier, or was
 	// restored: only a settled fact answers a request for another top (see
 	// covering). Read and written under the engine's lock.
@@ -183,9 +197,10 @@ func (e *Engine) compile(f *fact) {
 	f.gates = make([]int32, len(gates))
 	e.in.mu.RLock()
 	defer e.in.mu.RUnlock()
-	for _, id := range f.top {
+	for p, id := range f.top {
 		if isBase(e.in.structs[id]) {
 			f.base = append(f.base, id)
+			f.basePos = append(f.basePos, int32(p))
 		}
 	}
 	for i, key := range gates {
@@ -208,13 +223,12 @@ const (
 
 // replay replays the fact's skeleton for rel (ascending IDs, a subset of
 // the fact's top), storing the plan's used structures in *used when used is
-// non-nil: one merge of rel into the top marks the top positions rel holds,
-// and each gate is available when its position is marked.
+// non-nil: one merge of rel into the top marks the top positions rel holds.
 func (f *fact) replay(rel []int32, used *[]string) (float64, bool) {
-	var held [maxStackTop]bool
-	in := held[:]
-	if len(f.top) > len(in) {
-		in = make([]bool, len(f.top))
+	var buf [maxStackTop]bool
+	held := buf[:]
+	if len(f.top) > len(held) {
+		held = make([]bool, len(f.top))
 	}
 	p := 0
 	for _, id := range rel {
@@ -222,13 +236,20 @@ func (f *fact) replay(rel []int32, used *[]string) (float64, bool) {
 			p++
 		}
 		if p < len(f.top) && f.top[p] == id {
-			in[p] = true
+			held[p] = true
 		}
 	}
+	return f.replayHeld(held, used)
+}
+
+// replayHeld replays the fact's skeleton for the sub-configuration of its
+// top whose positions held marks: each gate is available when its position
+// is marked.
+func (f *fact) replayHeld(held []bool, used *[]string) (float64, bool) {
 	var buf [maxStackGates]bool
 	avail := buf[:0]
 	for _, pos := range f.gates {
-		avail = append(avail, pos >= 0 && in[pos])
+		avail = append(avail, pos >= 0 && held[pos])
 	}
 	return f.alts.Replay(avail, used)
 }
@@ -371,9 +392,12 @@ func (e *Engine) settle() {
 	}
 }
 
-// ready reports whether a fact's fetch has succeeded: its ready channel is
-// closed and it holds no error.
+// ready reports whether a fact's fetch has succeeded: it is done (its ready
+// channel closed) and it holds no error.
 func ready(f *fact) bool {
+	if f.done.Load() {
+		return f.err == nil
+	}
 	select {
 	case <-f.ready:
 		return f.err == nil
@@ -415,27 +439,43 @@ func (e *Engine) covering(event int, rel []int32) *fact {
 }
 
 // Resolve derives the cost of the configuration whose structures relevant to
-// the event are rel (interned IDs, ascending): its top is rel plus additive —
-// the IDs of the current candidate pool's additive plan alternatives for the
-// event, ascending, which the caller must derive from the pool alone so that
-// tops, and hence the real calls issued, are independent of scheduling. It
-// replays the top's skeleton restricted to rel; when the current scope holds
-// no fact for the top, it replays a settled fact that covers rel instead (one
-// an earlier phase fetched, or one restored), and only when there is none
-// either fetches the top's skeleton through fetch (one real call,
-// single-flighted across concurrent resolvers and counted as an atom of the
-// event's shape: join reports a multi-scope SELECT). A later phase, a
-// revision or a resumed session therefore answers from settled facts every
-// evaluation they cover, whatever top it asks for, and a request fetches
-// exactly when no earlier phase's fact covers it and its own top is not
-// held. Every ID of rel and of additive must carry a structure in the
-// interner. A failed fetch returns its error —
-// to the resolver that issued it and to every resolver that waited on it —
-// and leaves no fact behind, so a later resolution fetches afresh; a fetch
-// without a skeleton, or a skeleton with no selectable alternative for rel,
-// is an error too. The replay is cost-only; Used replays a fact for the
+// the event are rel (interned IDs, ascending): Find's fact for it, replayed
+// restricted to rel. It is the engine's whole single-flight path in one call;
+// a caller that keeps what Find hands back answers later requests from the
+// Slot instead, and counts its evaluations itself (Derived). The replay is
+// cost-only, and counted as one derivation; Used replays a fact for the
 // plan's structures.
 func (e *Engine) Resolve(event int, join bool, rel, additive []int32, fetch Fetch) (float64, error) {
+	s, err := e.Find(event, join, rel, additive, fetch)
+	if err != nil {
+		return 0, err
+	}
+	cost, err := s.Replay(event, rel)
+	if err == nil {
+		e.Derived(1)
+	}
+	return cost, err
+}
+
+// Find is the single-flight lookup of the configuration whose structures
+// relevant to the event are rel (interned IDs, ascending): its top is rel
+// plus additive — the IDs of the current candidate pool's additive plan
+// alternatives for the event, ascending, which the caller must derive from
+// the pool alone so that tops, and hence the real calls issued, are
+// independent of scheduling. It returns the top's fact when the current
+// scope holds one; else a settled fact that covers rel (one an earlier phase
+// fetched, or one restored); and only when there is none either does it
+// fetch the top's skeleton through fetch (one real call, single-flighted
+// across concurrent resolvers and counted as an atom of the event's shape:
+// join reports a multi-scope SELECT). A later phase, a revision or a resumed
+// session therefore answers from settled facts every evaluation they cover,
+// whatever top it asks for, and a request fetches exactly when no earlier
+// phase's fact covers it and its own top is not held. Every ID of rel and of
+// additive must carry a structure in the interner. A failed fetch returns
+// its error — to the resolver that issued it and to every resolver that
+// waited on it — and leaves no fact behind, so a later resolution fetches
+// afresh; a fetch without a skeleton is an error too.
+func (e *Engine) Find(event int, join bool, rel, additive []int32, fetch Fetch) (Slot, error) {
 	var buf [maxStackTop]int32
 	top := union(buf[:0], rel, additive)
 	e.mu.Lock()
@@ -448,10 +488,13 @@ func (e *Engine) Resolve(event int, join bool, rel, additive []int32, fetch Fetc
 		f = &fact{ready: make(chan struct{}), top: slices.Clone(top)}
 		e.facts[event] = append(e.facts[event], f)
 	}
+	settled := f.settled
 	e.mu.Unlock()
 
 	if found {
-		<-f.ready
+		if !f.done.Load() {
+			<-f.ready
+		}
 	} else {
 		f.alts, f.err = fetch(e.topConfig(f.top))
 		if f.err == nil && f.alts == nil {
@@ -463,6 +506,11 @@ func (e *Engine) Resolve(event int, join bool, rel, additive []int32, fetch Fetc
 			e.mu.Unlock()
 		} else {
 			e.compile(f)
+			for p, id := range f.top {
+				if _, in := slices.BinarySearch(additive, id); !in {
+					f.own = append(f.own, int32(p))
+				}
+			}
 			shape := 0
 			if join {
 				shape = 1
@@ -470,18 +518,67 @@ func (e *Engine) Resolve(event int, join bool, rel, additive []int32, fetch Fetc
 			e.atoms[shape].Add(1)
 			count(e.mAtoms)
 		}
+		f.done.Store(true)
 		close(f.ready)
 	}
 	if f.err != nil {
-		return 0, f.err
+		return Slot{}, f.err
 	}
-	cost, ok := f.replay(rel, nil)
+	s := Slot{f: f, need: f.own}
+	if settled {
+		s.need = f.basePos
+	}
+	return s, nil
+}
+
+// Slot is a ready fact as Find hands it back, with the set of requests it
+// answers exactly as Find would, without a fetch: a settled fact answers any
+// request it covers (its top holds the request's structures, and the
+// request holds its base part), and a fact of the running phase answers only
+// requests whose own top is its top (the request holds every structure of
+// the top outside the additive subset). The caller may keep a slot until the
+// next phase barrier (Settle) or epoch (BumpEpoch) and answer from it with
+// no key, top, lock, map, list scan or channel: it marks the top positions
+// a request holds and calls Answer. Safe for concurrent use.
+type Slot struct {
+	f *fact
+	// need lists the positions in the top a request must hold to be in the
+	// slot's answer set: the base part's for a settled fact, else every
+	// structure outside the additive subset.
+	need []int32
+}
+
+// Top returns the slot's top: its structures' interned IDs, ascending. It
+// must not be modified.
+func (s Slot) Top() []int32 { return s.f.top }
+
+// Same reports whether two slots hold the same fact.
+func (s Slot) Same(o Slot) bool { return s.f == o.f }
+
+// Answer replays the slot's skeleton for the request whose structures are
+// the top positions held marks (one entry per Top position; the caller has
+// checked that the top holds every structure of the request). ok is false
+// when the request is outside the slot's answer set — Find would answer it
+// from another fact, or fetch — and when the skeleton offers no selectable
+// alternative, which Replay reports as an error.
+func (s Slot) Answer(held []bool) (cost float64, ok bool) {
+	for _, p := range s.need {
+		if !held[p] {
+			return 0, false
+		}
+	}
+	return s.f.replayHeld(held, nil)
+}
+
+// Replay replays the slot's skeleton for rel, a request Find handed the slot
+// back for: cost-only, an error naming the event when the skeleton offers no
+// selectable alternative.
+func (s Slot) Replay(event int, rel []int32) (float64, error) {
+	cost, ok := s.f.replay(rel, nil)
 	if !ok {
 		// Impossible for a well-formed backend: a base access always exists.
 		return 0, fmt.Errorf("derive: event %d: the plan skeleton offers no selectable alternative", event)
 	}
-	e.derivations.Add(1)
-	count(e.mDerivations)
 	return cost, nil
 }
 
@@ -491,8 +588,8 @@ func (e *Engine) Resolve(event int, join bool, rel, additive []int32, fetch Fetc
 // covers rel, else a covering fact of the previous epoch — the answer of a
 // session that stopped before re-costing the evaluation under its new
 // statistics. ok is false when neither exists. A fact's choice never changes
-// the cost: any covering fact replays exactly what a real call would. Safe
-// on nil.
+// the cost: any covering fact replays exactly what a real call would. The
+// answer is uncounted: the caller counts it (Derived). Safe on nil.
 func (e *Engine) Lookup(event int, rel []int32) (cost float64, ok bool) {
 	if e == nil {
 		return 0, false
@@ -507,11 +604,7 @@ func (e *Engine) Lookup(event int, rel []int32) (cost float64, ok bool) {
 	if f == nil {
 		return 0, false
 	}
-	if cost, ok = f.replay(rel, nil); ok {
-		e.derivations.Add(1)
-		count(e.mDerivations)
-	}
-	return cost, ok
+	return f.replay(rel, nil)
 }
 
 // CheckCovering replays rel against every ready current-epoch fact of the
@@ -843,6 +936,7 @@ func (e *Engine) Restore(s *Snapshot) {
 			continue
 		}
 		f := &fact{ready: closed, top: top, alts: r.Alts}
+		f.done.Store(true)
 		e.compile(f)
 		e.facts[r.Event] = append(e.facts[r.Event], f)
 	}
@@ -892,8 +986,21 @@ func (e *Engine) AtomsByShape() map[string]int64 {
 	return out
 }
 
-// Derivations reports how many evaluations were answered by derivation.
-// Safe on nil.
+// Derived counts n evaluations answered by derivation, in one update of
+// each counter: the caller counts a batch of evaluations at once, so the
+// counters workers share are not written once per evaluation. Safe on nil.
+func (e *Engine) Derived(n int) {
+	if e == nil || n <= 0 {
+		return
+	}
+	e.derivations.Add(int64(n))
+	if e.mDerivations != nil {
+		e.mDerivations.Add(float64(n))
+	}
+}
+
+// Derivations reports how many evaluations were answered by derivation
+// (Derived's running sum). Safe on nil.
 func (e *Engine) Derivations() int64 {
 	if e == nil {
 		return 0
